@@ -47,7 +47,7 @@ from .bisim import (
     quotient,
     refine,
 )
-from .reduce import ReducedCRN, backward_reduce, forward_reduce, reduction_cost
+from .reduce import ReducedCRN, backward_reduce, forward_reduce
 from .odes import (
     Polynomial,
     VectorField,

@@ -4,14 +4,15 @@ compare, gen, bench.
 Every subcommand is a thin shell over the library.  Exit codes: 0 on
 success (and for ``check``/``compare``, when the property holds /
 the tolerance is met), 1 for parse errors, missing files, or a failed
-``check``, 2 for invalid partitions and violated preconditions, 3 for
-integration failures.  Files ending in ``.net`` are imported as
-BioNetGen networks, everything else as the native format.
+``check``, 2 for invalid partitions, violated preconditions and invalid
+numeric arguments, 3 for integration failures.  Files ending in ``.net``
+are imported as BioNetGen networks, everything else as the native format.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -370,8 +371,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numeric_argument_error(args) -> str | None:
+    """Why a numeric option of ``simulate`` or ``compare`` is unusable,
+    or None when all are; NaN and infinity would let the solver run
+    without bound."""
+    for name in ("t_end", "tol", "rtol", "atol"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            return f"--{name.replace('_', '-')} must be finite and positive, got {value!r}"
+    points = getattr(args, "points", None)
+    if points is not None and points < 1:
+        return f"--points must be at least 1, got {points}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    problem = _numeric_argument_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except FileNotFoundError as err:

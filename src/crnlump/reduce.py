@@ -9,8 +9,8 @@ renames both sides, and fuses; the reduced network's ODEs govern the
 representative trajectories.
 
 Both constructions count their elementary steps (species slots touched
-per reaction plus fusion-sort work); the counters back the complexity
-tests and are exposed through :func:`reduction_cost`.
+per reaction plus fusion-sort work); the count backs the complexity
+tests and is returned as :attr:`ReducedCRN.step_count`.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ from .core import (
     quotient_species,
 )
 
-__all__ = ["ReducedCRN", "forward_reduce", "backward_reduce", "reduction_cost"]
-
-_LAST_STEP_COUNT = 0
+__all__ = ["ReducedCRN", "forward_reduce", "backward_reduce"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +55,6 @@ class ReducedCRN:
         """The reduced-network species standing for an original species."""
         rep = self.species_map(sp)
         return self.crn.by_name(rep.name)
-
-
-def reduction_cost(crn: CRN | None = None) -> int:
-    """Instrumented step count of the most recent reduction (0 if none)."""
-    return _LAST_STEP_COUNT
 
 
 def _fuse_and_sort(
@@ -96,7 +89,6 @@ def _finish(
     pending: list[tuple[Multiset, Multiset, Fraction]],
     steps: int,
 ) -> ReducedCRN:
-    global _LAST_STEP_COUNT
     qspecies = quotient_species(p)
     to_quotient = {sp.name: sp for sp in qspecies}
     requoted = []
@@ -108,7 +100,6 @@ def _finish(
     fused, fuse_steps = _fuse_and_sort(requoted)
     steps += fuse_steps
     reduced = CRN(qspecies, [Reaction(r, a, p_) for r, p_, a in fused])
-    _LAST_STEP_COUNT = steps
     return ReducedCRN(
         crn=reduced, partition=p, mode=mode, species_map=mu, step_count=steps
     )

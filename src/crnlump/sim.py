@@ -2,12 +2,20 @@
 
 The integrator wraps scipy's embedded Runge-Kutta 4(5) with adaptive
 steps (defaults rtol 1e-8 / atol 1e-10, well below the 1e-6 acceptance
-tolerances used by the verification helpers).  ``verify_forward``
-integrates a network and its block-sum reduction and compares block sums
-against reduced variables over time; ``verify_backward`` integrates a
-network from block-constant initial conditions and reports both the
-within-block spread and the deviation from the representative-reduced
-system.
+tolerances used by the verification helpers).  The right-hand side is
+compiled once per integration from the exact vector field: each
+distinct monomial becomes a column of state indices (repeated per unit
+of exponent, padded with a slot that holds 1.0), so one numpy gather and
+product evaluates every monomial, and a sparse float coefficient matrix
+maps the monomial values to the derivatives.  For a mass-action field
+that is ``N @ (k * y[r1] * y[r2])`` with ``N`` the stoichiometry, but
+any polynomial field, constant terms and higher powers included, works.
+
+``verify_forward`` integrates a network and its block-sum reduction and
+compares block sums against reduced variables over time;
+``verify_backward`` integrates a network from block-constant initial
+conditions and reports both the within-block spread and the deviation
+from the representative-reduced system.
 
 Errors are measured absolutely below magnitude one and relatively above
 it, since concentrations span orders of magnitude across models.
@@ -15,12 +23,14 @@ it, since concentrations span orders of magnitude across models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.sparse import csr_matrix
 
 from .core import (
     CRN,
@@ -29,7 +39,7 @@ from .core import (
     PartitionError,
     Species,
 )
-from .odes import Polynomial, VectorField, vector_field
+from .odes import VectorField, vector_field
 from .reduce import backward_reduce, forward_reduce
 
 __all__ = [
@@ -112,30 +122,43 @@ class Trajectory:
 
 
 def _compile(vf: VectorField):
-    """Flatten polynomial components into (coef, [(var, exp)...]) lists."""
-    compiled = []
-    for sp in vf.species:
-        poly: Polynomial = vf.components[sp]
-        terms = [
-            (float(coef), list(mono)) for mono, coef in poly.sorted_terms()
-        ]
-        compiled.append(terms)
-    n = len(vf.species)
+    """The right-hand side ``y -> f(y)``, evaluated by numpy per call.
 
-    def rhs(_t: float, y: np.ndarray) -> list[float]:
-        out = [0.0] * n
-        for i, terms in enumerate(compiled):
-            acc = 0.0
-            for coef, mono in terms:
-                prod = coef
-                for var, exp in mono:
-                    v = y[var]
-                    prod *= v if exp == 1 else v**exp
-                acc += prod
-            out[i] = acc
-        return out
+    Column ``j`` of ``factors`` lists the state indices of the j-th
+    distinct monomial, an index repeated once per unit of exponent and
+    padded with index ``n``, whose slot holds 1.0.  One gather and a
+    product down the columns give every monomial value; a sparse
+    coefficient matrix maps them to the derivatives.
+    """
+    n = len(vf.species)
+    monomials: dict[tuple, int] = {}
+    rows, cols, coefs = [], [], []
+    for i, sp in enumerate(vf.species):
+        for mono, coef in vf.components[sp].terms.items():
+            rows.append(i)
+            cols.append(monomials.setdefault(mono, len(monomials)))
+            coefs.append(float(coef))
+    width = max((sum(exp for _, exp in mono) for mono in monomials), default=0)
+    factors = np.full((width, len(monomials)), n, dtype=np.intp)
+    for j, mono in enumerate(monomials):
+        slots = [var for var, exp in mono for _ in range(exp)]
+        factors[: len(slots), j] = slots
+    matrix = csr_matrix((coefs, (rows, cols)), shape=(n, len(monomials)))
+    padded = np.ones(n + 1)
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        padded[:n] = y
+        return matrix @ padded[factors].prod(axis=0)
 
     return rhs
+
+
+def _check_integration_args(t_end: float, rtol: float, atol: float, n_points: int) -> None:
+    for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points!r}")
 
 
 def integrate(
@@ -150,11 +173,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate a vector field from t=0 to ``t_end`` on a dense grid.
 
-    Raises :class:`IntegrationError` on solver failure or non-finite
-    output.
+    Raises :class:`ValueError` unless ``t_end``, ``rtol`` and ``atol``
+    are finite and positive and ``n_points`` is at least 1, and
+    :class:`IntegrationError` on solver failure or non-finite output.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    _check_integration_args(t_end, rtol, atol, n_points)
     if tuple(v0.species) != tuple(vf.species):
         raise ValueError("initial condition does not match the vector field species")
     grid = (
@@ -234,6 +257,7 @@ def verify_forward(
 ) -> VerificationReport:
     """Compare block sums of the original system against its block-sum
     reduction over a shared time grid."""
+    _check_integration_args(t_end, rtol, atol, n_points)
     reduced = forward_reduce(crn, p)
     grid = np.linspace(0.0, float(t_end), n_points)
     original = integrate(
@@ -283,6 +307,7 @@ def verify_backward(
 
     Requires ``v0`` constant on ``p``.
     """
+    _check_integration_args(t_end, rtol, atol, n_points)
     if not v0.constant_on(p):
         raise PartitionError("initial condition violates block equality")
     reduced = backward_reduce(crn, p)

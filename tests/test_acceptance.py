@@ -270,6 +270,9 @@ def test_criterion_08_trajectory_agreement(model_file, tmp_path_factory):
     msite = tmp / "multisite2.crn"
     crn2, inits2 = multisite(MultisiteSpec(n_sites=2))
     msite.write_text(serialize_crn(crn2, inits=inits2))
+    msite4 = tmp / "multisite4.crn"
+    crn4, inits4 = multisite(MultisiteSpec(n_sites=4))
+    msite4.write_text(serialize_crn(crn4, inits=inits4))
 
     timings = {}
     codes = {}
@@ -282,6 +285,10 @@ def test_criterion_08_trajectory_agreement(model_file, tmp_path_factory):
                          "--tol", "1e-6", "--rtol", "1e-8"],
         "multisite-bb": ["compare", str(msite), "--mode", "bb", "--from-inits",
                          "--t-end", "50", "--tol", "1e-6", "--rtol", "1e-8"],
+        "multisite4-fb": ["compare", str(msite4), "--mode", "fb", "--t-end", "50",
+                          "--tol", "1e-6", "--rtol", "1e-8"],
+        "multisite4-bb": ["compare", str(msite4), "--mode", "bb", "--from-inits",
+                          "--t-end", "50", "--tol", "1e-6", "--rtol", "1e-8"],
     }.items():
         start = time.perf_counter()
         codes[label] = main(argv)
@@ -290,7 +297,7 @@ def test_criterion_08_trajectory_agreement(model_file, tmp_path_factory):
         t < 10.0 for t in timings.values()
     )
     pretty = ", ".join(f"{k} {t:.2f}s" for k, t in timings.items())
-    report(8, ok, f"all four comparisons within 1e-6 ({pretty})")
+    report(8, ok, f"all {len(codes)} comparisons within 1e-6 ({pretty})")
 
 
 def test_criterion_09_complexity_instrumentation(sweep):

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import crnlump
 from crnlump import parse_crn, running_example, serialize_crn
 from crnlump.cli import main
 
@@ -182,6 +186,44 @@ def test_compare_backward_unequal_inits_exits_2(model, tmp_path, capsys):
 
 def test_compare_impossible_tolerance_fails(model, capsys):
     assert main(["compare", str(model), "--mode", "fb", "--t-end", "10", "--tol", "1e-18"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "nan"],
+        ["simulate", "--t-end", "inf"],
+        ["simulate", "--rtol", "nan"],
+        ["compare", "--mode", "fb", "--t-end", "nan"],
+        ["simulate", "--points", "0"],
+        ["simulate", "--points", "-3"],
+        ["simulate", "--t-end", "0"],
+        ["compare", "--mode", "fb", "--tol", "nan"],
+        ["compare", "--mode", "fb", "--tol", "-1"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
+    # Each of these used to run without bound, print a traceback, or
+    # report a FAIL verdict instead of rejecting the argument.
+    path = tmp_path / "decay.crn"
+    path.write_text("A -> B , 1\ninit: A = 1\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(crnlump.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "crnlump", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert "usage: crnlump" in done.stdout
 
 
 def test_gen_two_state_round_trips(capsys):

@@ -13,7 +13,6 @@ from crnlump import (
     serialize_crn,
     validate,
 )
-from crnlump.reduce import reduction_cost
 from crnlump.models import random_crn
 
 
@@ -145,12 +144,13 @@ class TestInstrumentation:
         net = make_crn(["A", "B"], [])
         reduced = forward_reduce(net, Partition.trivial(net))
         assert reduced.step_count == 0
-        assert reduction_cost() == 0
 
-    def test_reduction_cost_reports_last_run(self, crn, h_o):
+    def test_step_count_is_per_reduction(self, crn, h_o):
         reduced = forward_reduce(crn, h_o)
-        assert reduction_cost() == reduced.step_count
         assert reduced.step_count > 0
+        empty = make_crn(["A", "B"], [])
+        forward_reduce(empty, Partition.trivial(empty))
+        assert forward_reduce(crn, h_o).step_count == reduced.step_count
 
     def test_step_count_within_documented_bound(self, mode):
         # c = 64, bound c * |R| * |S| * (log2 |R| + log2 |S|)

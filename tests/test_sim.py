@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from crnlump import (
     IntegrationError,
     Partition,
     PartitionError,
+    Polynomial,
+    VectorField,
     integrate,
     make_crn,
     refine,
@@ -19,6 +22,7 @@ from crnlump import (
     verify_forward,
 )
 from crnlump.models import random_crn
+from crnlump.sim import _compile
 from conftest import blocks_of
 
 
@@ -76,6 +80,23 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(vector_field(crn), inits(crn, A=1), 0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t_end": math.nan},
+            {"t_end": math.inf},
+            {"rtol": math.nan},
+            {"rtol": 0.0},
+            {"atol": -1e-10},
+            {"n_points": 0},
+        ],
+        ids=lambda kw: " ".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_rejects_unusable_arguments(self, crn, kwargs):
+        args = {"t_end": 1.0, **kwargs}
+        with pytest.raises(ValueError):
+            integrate(vector_field(crn), inits(crn, A=1), **args)
+
     def test_blowup_raises(self):
         # X + X -> 3X doubles into itself: finite-time blowup
         net = make_crn(["X"], [({"X": 2}, 2, {"X": 3})])
@@ -86,6 +107,56 @@ class TestIntegrate:
         other = make_crn(["A"], [])
         with pytest.raises(ValueError):
             integrate(vector_field(crn), inits(other, A=1), 1.0)
+
+
+class TestCompiledRightHandSide:
+    """The numpy right-hand side against exact rational evaluation."""
+
+    @staticmethod
+    def assert_matches_exact(vf, seed):
+        rng = random.Random(seed)
+        rhs = _compile(vf)
+        for _ in range(5):
+            state = [Fraction(rng.randint(0, 2000), rng.randint(1, 1000)) for _ in vf.species]
+            got = rhs(0.0, np.array([float(v) for v in state]))
+            assert got.shape == (len(vf.species),)
+            values = dict(enumerate(state))
+            for i, sp in enumerate(vf.species):
+                poly = vf.components[sp]
+                exact = poly.evaluate(values)
+                # Relative to the summed term magnitudes, which bound the
+                # rounding error of a float sum with cancellation.
+                scale = Polynomial({m: abs(c) for m, c in poly.terms.items()}).evaluate(values)
+                assert abs(got[i] - float(exact)) <= 1e-12 * float(scale)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_networks(self, seed):
+        net = random_crn(seed, 6, 12)
+        self.assert_matches_exact(vector_field(net), seed)
+
+    def test_homodimer_squares_the_reactant(self):
+        net = make_crn(["A", "B"], [({"A": 2}, 3, {"B": 1}), ({"B": 1}, Fraction(1, 3), {"A": 2})])
+        self.assert_matches_exact(vector_field(net), 0)
+
+    def test_no_reactions_gives_zero(self):
+        net = make_crn(["A", "B"], [])
+        vf = vector_field(net)
+        self.assert_matches_exact(vf, 0)
+        assert not _compile(vf)(0.0, np.array([1.0, 2.0])).any()
+
+    def test_constant_term_and_higher_powers(self):
+        net = make_crn(["X", "Y"], [])
+        x, y = net.species
+        vf = VectorField(
+            species=net.species,
+            components={
+                x: Polynomial.constant(Fraction(7, 3))
+                - Polynomial.monomial(2, [(0, 3), (1, 1)]),
+                y: Polynomial.constant(-5),
+            },
+        )
+        self.assert_matches_exact(vf, 1)
+        assert _compile(vf)(0.0, np.array([0.0, 0.0])) == pytest.approx([7 / 3, -5])
 
 
 class TestCsvExport:
