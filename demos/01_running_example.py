@@ -1,8 +1,8 @@
 """Walk through the worked five-species example.
 
-Builds the network, inspects the structural rate functions that drive
-the two equivalences, refines the trivial partition in both modes, and
-prints the quotient networks.
+Builds the network, asks for counterexamples to explain why C and E
+aggregate forward but not backward, refines the trivial partition in
+both modes, and prints the quotient networks.
 """
 
 import crnlump as cl
@@ -12,17 +12,14 @@ print("The network:")
 print(cl.serialize_crn(crn))
 
 A, B, C, D, E = (crn.by_name(n) for n in "ABCDE")
-ms = cl.Multiset
+c_with_e = cl.Partition(crn.species, [[A], [B], [C, E], [D]])
 
-print("Why C and E aggregate forward: identical reaction and production rates")
-print("  rate(C | partner D) =", cl.reaction_rate(crn, C, ms.of(D)),
-      "  rate(E | partner D) =", cl.reaction_rate(crn, E, ms.of(D)))
-print("  production into {C,E}:",
-      cl.production_rate_to_block(crn, C, ms.of(D), [C, E]), "vs",
-      cl.production_rate_to_block(crn, E, ms.of(D), [C, E]))
-print("Why they do NOT aggregate backward: fluxes from A+B differ")
-print("  flux(C | A+B) =", cl.flux_rate(crn, C, ms.of(A, B)),
-      "  flux(E | A+B) =", cl.flux_rate(crn, E, ms.of(A, B)))
+print(f"Why C and E aggregate forward: under {c_with_e} no pair differs in")
+print("any reaction rate or block production rate:")
+print("   counterexample:", cl.find_counterexample(crn, c_with_e, cl.BisimMode.FORWARD))
+print("Why they do NOT aggregate backward: their fluxes differ on a reactant class")
+x, y, witness = cl.find_counterexample(crn, c_with_e, cl.BisimMode.BACKWARD)
+print(f"   {x.name} vs {y.name}: {witness}")
 print()
 
 forward = cl.refine(crn, cl.Partition.trivial(crn), cl.BisimMode.FORWARD)

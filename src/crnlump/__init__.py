@@ -21,30 +21,15 @@ from .core import (
     Reaction,
     Species,
     choice_function,
-    lift_multiset,
     make_crn,
     quotient_species,
     validate,
 )
-from .rates import (
-    ReactantClass,
-    candidate_partners,
-    cumulative_flux_rate,
-    flux_rate,
-    production_rate,
-    production_rate_to_block,
-    reactant_classes,
-    reaction_rate,
-)
 from .bisim import (
     BisimMode,
     RefinementTrace,
-    backward_equivalent,
     find_counterexample,
-    forward_equivalent,
     is_bisimulation,
-    mode_equivalent,
-    quotient,
     refine,
 )
 from .reduce import ReducedCRN, backward_reduce, forward_reduce
@@ -79,7 +64,6 @@ from .io import (
 )
 from .models import (
     MultisiteSpec,
-    brute_force_coarsest,
     multisite,
     multisite_block_count,
     random_crn,

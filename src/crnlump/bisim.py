@@ -8,17 +8,16 @@ reaction list alone:
 * backward: equal cumulative flux rates over every class of reactant
   multisets (equal trajectories from equal initial conditions).
 
+Both are decided one way: from per-species signatures built from rate
+tables indexed once per network.  Two species are equivalent under a
+partition exactly when their signatures under it are equal.
 :func:`refine` computes the coarsest partition of either kind refining a
-given initial partition by repeated splitting: each pass regroups the
-species of every block by their equivalence signature under the current
-partition and stops at the first fixpoint.
-
-The pairwise predicates :func:`forward_equivalent` /
-:func:`backward_equivalent` are straightforward reference
-implementations over :mod:`crnlump.rates`.  The refinement loop
-instead compares per-species signatures built from tables indexed once
-per network, which is what makes six-figure reaction counts tractable;
-both routes decide the same relation and the tests hold them together.
+given initial partition by repeated splitting: each pass buckets the
+species of every block by signature and stops at the first fixpoint.
+:func:`is_bisimulation` and :func:`find_counterexample` compare the
+signatures within each block; the witness names the first key at which
+two signatures differ (a partner or a (partner, block) pair forward, a
+reactant class backward) together with both species' values there.
 """
 
 from __future__ import annotations
@@ -26,30 +25,17 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from .core import CRN, Multiset, Partition, Species
-from .rates import (
-    candidate_partners,
-    cumulative_flux_rate,
-    production_rate_to_block,
-    reactant_classes,
-    reaction_rate,
-)
 
 __all__ = [
     "BisimMode",
     "RefinementTrace",
-    "forward_equivalent",
-    "backward_equivalent",
-    "mode_equivalent",
-    "quotient",
     "is_bisimulation",
     "refine",
     "find_counterexample",
 ]
-
-T = TypeVar("T")
 
 # Partner slot used for the empty multiset in forward signatures; species
 # ids are nonnegative so -1 never collides.
@@ -70,8 +56,9 @@ class RefinementTrace:
 
     ``iterations[0]`` is the initial partition, each later entry refines
     its predecessor, and ``final`` is the last entry (a bisimulation of
-    the requested mode).  ``predicate_calls`` counts the signature
-    comparisons spent by the quotient sweeps.
+    the requested mode).  ``predicate_calls`` counts the species bucketed
+    by signature, summed over all passes (members of singleton blocks are
+    not bucketed).
     """
 
     iterations: tuple[Partition, ...]
@@ -79,46 +66,19 @@ class RefinementTrace:
     predicate_calls: int
 
 
-# ---------------------------------------------------------------------------
-# Reference pairwise predicates
+def _first_difference(a: tuple, b: tuple) -> tuple[object, Fraction, Fraction] | None:
+    """First key, in key order, at which two sorted ``(key, value)``
+    tuples disagree, with both values (an absent key reads 0)."""
+    da, db = dict(a), dict(b)
+    keys = [k for k in da.keys() | db.keys() if da.get(k, 0) != db.get(k, 0)]
+    if not keys:
+        return None
+    key = min(keys)
+    return key, da.get(key, 0), db.get(key, 0)
 
 
-def forward_equivalent(crn: CRN, p: Partition, x: Species, y: Species) -> bool:
-    """Pairwise forward check under the blocks of ``p``.
-
-    True iff for every candidate partner (plus the empty one) the
-    reaction rates of x and y agree and their production rates into
-    every block of ``p`` agree.
-    """
-    partners = candidate_partners(crn, x) | candidate_partners(crn, y)
-    partners.add(Multiset())
-    for rho in partners:
-        if reaction_rate(crn, x, rho) != reaction_rate(crn, y, rho):
-            return False
-        for block in p.blocks:
-            if production_rate_to_block(crn, x, rho, block) != production_rate_to_block(
-                crn, y, rho, block
-            ):
-                return False
-    return True
-
-
-def backward_equivalent(crn: CRN, p: Partition, x: Species, y: Species) -> bool:
-    """Pairwise backward check: cumulative fluxes agree on every reactant class."""
-    for cls in reactant_classes(crn, p):
-        if cumulative_flux_rate(crn, x, cls.members) != cumulative_flux_rate(
-            crn, y, cls.members
-        ):
-            return False
-    return True
-
-
-def mode_equivalent(
-    crn: CRN, p: Partition, x: Species, y: Species, mode: BisimMode
-) -> bool:
-    if mode is BisimMode.FORWARD:
-        return forward_equivalent(crn, p, x, y)
-    return backward_equivalent(crn, p, x, y)
+def _gives(x: Species, vx: Fraction, y: Species, vy: Fraction) -> str:
+    return f"{x.name} gives {vx}, {y.name} gives {vy}"
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +87,12 @@ def mode_equivalent(
 
 class _ForwardTables:
     """Static per-species rate tables; partition-dependent parts are folded
-    per refinement pass."""
+    per refinement pass.
+
+    A signature is ``(crr, production)``: the reaction rate per partner
+    and the production rate per ``(partner, block index)``, both as
+    sorted ``(key, value)`` tuples without zero values.
+    """
 
     def __init__(self, crn: CRN):
         n = crn.n_species
@@ -165,73 +130,106 @@ class _ForwardTables:
             {partner: tuple(bucket.items()) for partner, bucket in table.items()}
             for table in prod
         ]
-        self._n = n
+        self._species = crn.species
 
-    def signatures(self, p: Partition) -> list[tuple[int, object]]:
-        block_of = [0] * self._n
+    def signatures(self, p: Partition) -> list[tuple]:
+        n = len(self._species)
+        block_of = [0] * n
         for idx, block in enumerate(p.blocks):
             for sp in block:
                 block_of[sp.id] = idx
-        sigs: list[tuple[int, object]] = [None] * self._n  # type: ignore[list-item]
-        for x in range(self._n):
+        sigs: list[tuple] = [()] * n
+        for x in range(n):
             folded: dict[tuple[int, int], Fraction] = {}
             for partner, bucket in self._prod[x].items():
                 for yid, val in bucket:
                     key = (partner, block_of[yid])
                     folded[key] = folded.get(key, 0) + val
-            sig = (
+            sigs[x] = (
                 self._crr_sig[x],
                 tuple(sorted((k, v) for k, v in folded.items() if v)),
             )
-            sigs[x] = (hash(sig), sig)
         return sigs
+
+    def _partner(self, partner: int) -> Multiset:
+        return Multiset() if partner == _EMPTY else Multiset.of(self._species[partner])
+
+    def witness(self, p: Partition, x: Species, sx: tuple, y: Species, sy: tuple) -> str:
+        diff = _first_difference(sx[0], sy[0])
+        if diff is not None:
+            partner, vx, vy = diff
+            return (
+                f"reaction rate with partner {self._partner(partner)!r}: "
+                f"{_gives(x, vx, y, vy)}"
+            )
+        (partner, block_idx), vx, vy = _first_difference(sx[1], sy[1])
+        names = ", ".join(sp.name for sp in p.blocks[block_idx])
+        return (
+            f"production rate with partner {self._partner(partner)!r} into block "
+            f"{{{names}}}: {_gives(x, vx, y, vy)}"
+        )
 
 
 class _BackwardTables:
-    """Net flux of every species per distinct reactant multiset."""
+    """Net flux of every species per distinct reactant multiset.
+
+    A signature is the sorted ``(class id, cumulative flux)`` tuple
+    without zero values, where a class gathers the reactant multisets
+    that lift to the same multiset of block representatives.
+    """
 
     def __init__(self, crn: CRN):
-        table: dict[tuple, tuple[tuple[tuple[int, int], ...], dict[int, Fraction]]] = {}
+        table: dict[tuple, dict[int, Fraction]] = {}
         for rxn in crn.reactions:
-            key = tuple((sp.id, m) for sp, m in rxn.reactants)
-            entry = table.get(key)
-            if entry is None:
-                entry = (key, {})
-                table[key] = entry
-            support = entry[1]
+            support = table.setdefault(tuple((sp.id, m) for sp, m in rxn.reactants), {})
             touched = {sp for sp, _ in rxn.reactants} | {sp for sp, _ in rxn.products}
             for sp in touched:
                 net = rxn.products.get(sp) - rxn.reactants.get(sp)
                 if net:
                     support[sp.id] = support.get(sp.id, 0) + net * rxn.rate
-        self._entries = [
-            (key, tuple(support.items())) for key, support in table.values()
-        ]
-        self._n = crn.n_species
+        self._entries = [(key, tuple(support.items())) for key, support in table.items()]
+        self._species = crn.species
 
-    def signatures(self, p: Partition) -> list[tuple[int, object]]:
-        rep_of = [0] * self._n
+    def _class_ids(self, p: Partition) -> list[int]:
+        """Class id of every entry, numbered by first appearance."""
+        rep_of = [0] * len(self._species)
         for block in p.blocks:
             rep = block[0].id
             for sp in block:
                 rep_of[sp.id] = rep
         class_ids: dict[tuple, int] = {}
-        sums: list[dict[int, Fraction]] = [{} for _ in range(self._n)]
-        for key, support in self._entries:
+        out = []
+        for key, _ in self._entries:
             lifted: dict[int, int] = {}
             for sid, mult in key:
                 rid = rep_of[sid]
                 lifted[rid] = lifted.get(rid, 0) + mult
             lkey = tuple(sorted(lifted.items()))
-            cid = class_ids.setdefault(lkey, len(class_ids))
+            out.append(class_ids.setdefault(lkey, len(class_ids)))
+        return out
+
+    def signatures(self, p: Partition) -> list[tuple]:
+        sums: list[dict[int, Fraction]] = [{} for _ in self._species]
+        for cid, (_, support) in zip(self._class_ids(p), self._entries):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
-        sigs: list[tuple[int, object]] = [None] * self._n  # type: ignore[list-item]
-        for x in range(self._n):
-            sig = tuple(sorted((c, v) for c, v in sums[x].items() if v))
-            sigs[x] = (hash(sig), sig)
-        return sigs
+        return [tuple(sorted((c, v) for c, v in acc.items() if v)) for acc in sums]
+
+    def witness(self, p: Partition, x: Species, sx: tuple, y: Species, sy: tuple) -> str:
+        cid, vx, vy = _first_difference(sx, sy)
+        members = sorted(
+            (
+                Multiset((self._species[sid], m) for sid, m in key)
+                for c, (key, _) in zip(self._class_ids(p), self._entries)
+                if c == cid
+            ),
+            key=Multiset.name_key,
+        )
+        return (
+            f"cumulative flux over reactant class {{{', '.join(map(repr, members))}}}: "
+            f"{_gives(x, vx, y, vy)}"
+        )
 
 
 def _tables(crn: CRN, mode: BisimMode):
@@ -241,78 +239,52 @@ def _tables(crn: CRN, mode: BisimMode):
 
 
 # ---------------------------------------------------------------------------
-# Quotient sweep and refinement
+# Decisions and refinement
 
 
-def quotient(
-    items: Sequence[T],
-    equivalent: Callable[[T, T], bool],
-) -> list[list[T]]:
-    """Partition ``items`` into classes of the given equivalence predicate.
-
-    Representative-pointer sweep: each item is compared against the
-    representative (least-indexed member) of every class found so far
-    and joins the first match, so the predicate is evaluated at most
-    O(n^2) times and the output order is deterministic.
-    """
-    blocks: list[list[T]] = []
-    for item in items:
-        for block in blocks:
-            if equivalent(block[0], item):
-                block.append(item)
-                break
-        else:
-            blocks.append([item])
-    return blocks
-
-
-def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
-    """True iff all species sharing a block are mode-equivalent under ``p``."""
-    if not crn.reactions:
-        return True
-    sigs = _tables(crn, mode).signatures(p)
+def _first_split(sigs: list[tuple], p: Partition) -> tuple[Species, Species] | None:
+    """First ``(block[0], member)`` pair with different signatures."""
     for block in p.blocks:
         first = sigs[block[0].id]
         for sp in block[1:]:
             if sigs[sp.id] != first:
-                return False
-    return True
+                return block[0], sp
+    return None
+
+
+def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
+    """True iff all species sharing a block are mode-equivalent under ``p``."""
+    return _first_split(_tables(crn, mode).signatures(p), p) is None
 
 
 def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     """Coarsest forward or backward bisimulation refining ``initial``.
 
-    Each pass splits every block into groups of signature-equal species
-    (the splitter equivalence intersected with the current partition)
-    and the loop stops when no block splits.  Without reactions every
-    partition is already a bisimulation of either kind.
+    Each pass buckets the species of every block by signature under the
+    current partition (the splitter equivalence intersected with the
+    current partition) and the loop stops when no block splits.  Without
+    reactions every partition is already a bisimulation of either kind.
     """
     if not crn.reactions:
         return RefinementTrace((initial,), initial, 0)
     tables = _tables(crn, mode)
     iterations = [initial]
     current = initial
-    calls = 0
-
-    def predicate(a: Species, b: Species) -> bool:
-        nonlocal calls
-        calls += 1
-        return sigs[a.id] == sigs[b.id]
-
+    bucketed = 0
     while True:
         sigs = tables.signatures(current)
-        new_blocks: list[tuple[Species, ...]] = []
-        changed = False
+        new_blocks: list[Sequence[Species]] = []
         for block in current.blocks:
             if len(block) == 1:
                 new_blocks.append(block)
                 continue
-            subs = quotient(block, predicate)
-            if len(subs) > 1:
-                changed = True
-            new_blocks.extend(tuple(sub) for sub in subs)
-        if not changed:
-            return RefinementTrace(tuple(iterations), current, calls)
+            bucketed += len(block)
+            buckets: dict[tuple, list[Species]] = {}
+            for sp in block:
+                buckets.setdefault(sigs[sp.id], []).append(sp)
+            new_blocks.extend(buckets.values())
+        if len(new_blocks) == current.n_blocks:
+            return RefinementTrace(tuple(iterations), current, bucketed)
         current = Partition(crn.species, new_blocks)
         iterations.append(current)
 
@@ -320,45 +292,13 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
 def find_counterexample(
     crn: CRN, p: Partition, mode: BisimMode
 ) -> tuple[Species, Species, str] | None:
-    """First within-block pair violating the mode equivalence, with a
-    human-readable witness; None when ``p`` is a bisimulation."""
-    for block in p.blocks:
-        rep = block[0]
-        for sp in block[1:]:
-            if mode_equivalent(crn, p, rep, sp, mode):
-                continue
-            return rep, sp, _witness(crn, p, rep, sp, mode)
-    return None
-
-
-def _witness(crn: CRN, p: Partition, x: Species, y: Species, mode: BisimMode) -> str:
-    if mode is BisimMode.FORWARD:
-        partners = candidate_partners(crn, x) | candidate_partners(crn, y)
-        partners.add(Multiset())
-        for rho in sorted(partners, key=lambda m: m.name_key()):
-            rx, ry = reaction_rate(crn, x, rho), reaction_rate(crn, y, rho)
-            if rx != ry:
-                return (
-                    f"reaction rate with partner {rho!r}: "
-                    f"{x.name} gives {rx}, {y.name} gives {ry}"
-                )
-            for block in p.blocks:
-                px = production_rate_to_block(crn, x, rho, block)
-                py = production_rate_to_block(crn, y, rho, block)
-                if px != py:
-                    names = ", ".join(sp.name for sp in block)
-                    return (
-                        f"production rate with partner {rho!r} into block "
-                        f"{{{names}}}: {x.name} gives {px}, {y.name} gives {py}"
-                    )
-    else:
-        for cls in reactant_classes(crn, p):
-            fx = cumulative_flux_rate(crn, x, cls.members)
-            fy = cumulative_flux_rate(crn, y, cls.members)
-            if fx != fy:
-                members = ", ".join(repr(m) for m in cls.members)
-                return (
-                    f"cumulative flux over reactant class {{{members}}}: "
-                    f"{x.name} gives {fx}, {y.name} gives {fy}"
-                )
-    return "no witness found (pair is equivalent)"
+    """First within-block pair ``(block[0], member)`` violating the mode
+    equivalence, with a human-readable witness taken from the first key
+    at which their signatures differ; None when ``p`` is a bisimulation."""
+    tables = _tables(crn, mode)
+    sigs = tables.signatures(p)
+    pair = _first_split(sigs, p)
+    if pair is None:
+        return None
+    x, y = pair
+    return x, y, tables.witness(p, x, sigs[x.id], y, sigs[y.id])

@@ -5,7 +5,7 @@ Every subcommand is a thin shell over the library.  Exit codes: 0 on
 success (and for ``check``/``compare``, when the property holds /
 the tolerance is met), 1 for parse errors, missing files, or a failed
 ``check``, 2 for invalid partitions, violated preconditions and invalid
-numeric arguments, 3 for integration failures.  Files ending in ``.net``
+arguments, 3 for integration failures.  Files ending in ``.net``
 are imported as BioNetGen networks, everything else as the native format.
 """
 
@@ -38,11 +38,11 @@ from .io import (
 )
 from .models import MultisiteSpec, multisite, random_crn, two_state
 from .odes import (
-    _ordinary_lumpability_witness,
     exact_lumpability_witness,
     format_vector_field,
     lumped_field_backward,
     lumped_field_forward,
+    ordinary_lumpability_witness,
     vector_field,
 )
 from .reduce import backward_reduce, forward_reduce
@@ -163,7 +163,7 @@ def _cmd_check(args) -> int:
         print(f"{args.what} fails: {x.name} vs {y.name}: {detail}")
         return 1
     if args.what == "ord-lump":
-        witness = _ordinary_lumpability_witness(crn, p)
+        witness = ordinary_lumpability_witness(crn, p)
         if witness is None:
             print(f"ord-lump holds for {p!r}")
             return 0
@@ -250,25 +250,56 @@ def _cmd_compare(args) -> int:
     return 0 if report.passed else 1
 
 
+def _at_least(low: int, option: str, value: int) -> int:
+    if value < low:
+        raise CRNError(f"{option} must be at least {low}, got {value}")
+    return value
+
+
+def _rate_pair(text: str) -> list[Fraction]:
+    """The two positive rationals of ``a1,a2``."""
+    try:
+        rates = [Fraction(part) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        rates = []
+    if len(rates) != 2 or min(rates) <= 0:
+        raise CRNError(f"--rates must be two positive rationals a1,a2, got {text!r}")
+    return rates
+
+
+def _site_counts(text: str) -> list[int]:
+    """The positive integers of a comma-separated ``--sites`` list."""
+    try:
+        counts = [int(part) for part in text.split(",")]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise CRNError(f"--sites must list positive integers, got {text!r}")
+    return counts
+
+
 def _cmd_gen(args) -> int:
     if args.model == "multisite":
-        crn, inits = multisite(MultisiteSpec(n_sites=args.sites))
+        spec = MultisiteSpec(n_sites=_at_least(1, "--sites", args.sites))
+        crn, inits = multisite(spec)
         _write(serialize_crn(crn, inits=inits), args.out)
         return 0
     if args.model == "two-state":
-        a1_text, _, a2_text = args.rates.partition(",")
-        crn = two_state(Fraction(a1_text), Fraction(a2_text))
+        crn = two_state(*_rate_pair(args.rates))
         _write(serialize_crn(crn), args.out)
         return 0
-    crn = random_crn(args.seed, args.species, args.reactions)
+    crn = random_crn(
+        args.seed,
+        _at_least(1, "--species", args.species),
+        _at_least(0, "--reactions", args.reactions),
+    )
     _write(serialize_crn(crn), args.out)
     return 0
 
 
 def _cmd_bench(args) -> int:
     rows = ["model,reactions,species,mode,reduced_reactions,reduced_species,refine_ms,reduce_ms"]
-    for n_text in args.sites.split(","):
-        n = int(n_text)
+    for n in _site_counts(args.sites):
         crn, inits = multisite(MultisiteSpec(n_sites=n))
         for mode_name, mode in _MODES.items():
             initial = (

@@ -34,7 +34,6 @@ __all__ = [
     "Partition",
     "ChoiceFunction",
     "choice_function",
-    "lift_multiset",
     "quotient_species",
 ]
 
@@ -401,11 +400,6 @@ def choice_function(p: Partition) -> ChoiceFunction:
         for sp in block:
             mapping[sp] = rep
     return ChoiceFunction(mapping)
-
-
-def lift_multiset(mu: ChoiceFunction, m: Multiset) -> Multiset:
-    """Apply a choice function element-wise to a multiset."""
-    return mu.lift(m)
 
 
 def quotient_species(p: Partition) -> tuple[Species, ...]:

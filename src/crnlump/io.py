@@ -327,6 +327,10 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
     Species are named by their pattern strings verbatim and initial
     concentrations come from the species block.  Rate expressions may be
     numeric literals, parameter names, or products of those.
+
+    Raises :class:`ParseError` with a line number on malformed lines and,
+    as :func:`parse_crn` does, on reactions with no or more than two
+    reactant molecules; also on a species pattern listed twice.
     """
     blocks = _net_blocks(text)
     if "species" not in blocks or "reactions" not in blocks:
@@ -342,7 +346,7 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         name, value_text = tokens
         params[name] = parse_rational(value_text, lineno)
 
-    names: list[str] = []
+    names: dict[str, None] = {}
     concentrations: list[Fraction] = []
     for position, (lineno, line) in enumerate(blocks["species"]):
         tokens = line.split()
@@ -355,11 +359,13 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
             raise ParseError(f"bad species index {idx_text!r}", lineno) from None
         if idx != position + 1:
             raise ParseError(f"non-sequential species index {idx}", lineno)
+        if pattern in names:
+            raise ParseError(f"duplicate species pattern {pattern!r}", lineno)
         if value_text in params:
             value = params[value_text]
         else:
             value = parse_rational(value_text, lineno)
-        names.append(pattern)
+        names[pattern] = None
         concentrations.append(value)
 
     species = tuple(Species(i, name) for i, name in enumerate(names))
@@ -373,6 +379,10 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         if rate <= 0:
             raise ParseError("rate must be positive", lineno)
         reactant_ids = _net_indices(reactants_field, len(species), lineno)
+        if not reactant_ids:
+            raise ParseError("reactants must contain at least one species", lineno)
+        if len(reactant_ids) > 2:
+            raise ParseError("reactants exceed multiplicity 2", lineno)
         product_ids = _net_indices(products_field, len(species), lineno)
         reactions.append(
             Reaction(

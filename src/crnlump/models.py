@@ -1,5 +1,5 @@
-"""Built-in networks, a combinatorial benchmark generator, and
-brute-force oracles.
+"""Built-in networks, a combinatorial benchmark generator, and seeded
+random networks for property sweeps.
 
 The benchmark family is a substrate with ``n`` identical modification
 sites, each independently in one of four states (unmodified, modified,
@@ -9,10 +9,6 @@ Site-uniform rates make permutations of site states behaviorally
 equivalent, which is exactly what the forward/backward equivalences
 detect, collapsing the species count to the number of state multisets
 plus two.
-
-``brute_force_coarsest`` enumerates every partition refining an initial
-one and returns the coarsest bisimulation among them; it is the
-independent oracle the refinement algorithm is tested against.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .bisim import BisimMode, is_bisimulation
-from .core import CRN, CRNError, Multiset, Partition, Reaction, Species, make_crn
+from .core import CRN, CRNError, Multiset, Reaction, Species, make_crn
 from .sim import InitialCondition
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "MultisiteSpec",
     "multisite",
     "multisite_block_count",
-    "brute_force_coarsest",
     "random_crn",
 ]
 
@@ -192,49 +186,6 @@ def multisite_block_count(n: int) -> int:
     """Expected coarsest block count: multisets of 4 site states of size n,
     plus the two enzymes."""
     return (n + 3) * (n + 2) * (n + 1) // 6 + 2
-
-
-def _set_partitions(items: tuple):
-    """All partitions of a tuple, as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [[first] + sub[i]] + sub[i + 1 :]
-        yield [[first]] + sub
-
-
-def partitions_refining(initial: Partition):
-    """Every partition refining ``initial`` (partition the blocks independently)."""
-    per_block = [list(_set_partitions(block)) for block in initial.blocks]
-    for combo in product(*per_block):
-        blocks = [members for sub in combo for members in sub]
-        yield Partition(initial.species, blocks)
-
-
-def brute_force_coarsest(crn: CRN, initial: Partition, mode: BisimMode) -> Partition:
-    """Coarsest mode-bisimulation refining ``initial``, by exhaustion.
-
-    Enumerates every refinement, keeps the bisimulations, and returns
-    the unique coarsest one (all other candidates refine it).  Guarded
-    to at most 8 species.
-    """
-    if crn.n_species > 8:
-        raise CRNError(
-            f"brute force oracle limited to 8 species, got {crn.n_species}"
-        )
-    candidates = [
-        p for p in partitions_refining(initial) if is_bisimulation(crn, p, mode)
-    ]
-    # The discrete partition is always a bisimulation, so candidates is
-    # nonempty; closure under union makes the minimum-block one coarsest.
-    best = min(candidates, key=lambda p: p.n_blocks)
-    for p in candidates:
-        if not p.refines(best):
-            raise AssertionError("no unique coarsest bisimulation; closure violated")
-    return best
 
 
 def random_crn(

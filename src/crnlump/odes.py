@@ -41,6 +41,7 @@ __all__ = [
     "is_exactly_lumpable",
     "exact_lumpability_witness",
     "is_ordinarily_lumpable",
+    "ordinary_lumpability_witness",
     "lumped_field_forward",
     "lumped_field_backward",
     "format_polynomial",
@@ -356,8 +357,12 @@ def exact_lumpability_witness(
 ) -> tuple[Species, Species] | None:
     """A within-block species pair whose components differ after merging
     block variables; None when the partition is exactly lumpable."""
-    field = vector_field(crn)
-    merge = _merge_to_block_map(p)
+    return _exact_witness(vector_field(crn), _merge_to_block_map(p), p)
+
+
+def _exact_witness(
+    field: VectorField, merge: dict[int, int], p: Partition
+) -> tuple[Species, Species] | None:
     for block in p.blocks:
         if len(block) == 1:
             continue
@@ -394,15 +399,19 @@ def is_ordinarily_lumpable(crn: CRN, p: Partition) -> bool:
     consecutive pairs generate them all, so the check is finite and
     exact.
     """
-    return _ordinary_lumpability_witness(crn, p) is None
+    return ordinary_lumpability_witness(crn, p) is None
 
 
-def _ordinary_lumpability_witness(
+def ordinary_lumpability_witness(
     crn: CRN, p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
     """None if lumpable, else (block index, offending shear pair)."""
-    field = vector_field(crn)
-    sums = _block_sums(field, p)
+    return _shear_witness(_block_sums(vector_field(crn), p), p)
+
+
+def _shear_witness(
+    sums: list[Polynomial], p: Partition
+) -> tuple[int, tuple[int, int]] | None:
     pairs = _shear_pairs(p)
     if not pairs:
         return None
@@ -425,15 +434,14 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     variable ``i`` stands for the sum of block ``i``.  Raises
     :class:`NotLumpableError` when the block sums cannot be rewritten.
     """
-    witness = _ordinary_lumpability_witness(crn, p)
+    sums = _block_sums(vector_field(crn), p)
+    witness = _shear_witness(sums, p)
     if witness is not None:
         block_idx, _ = witness
         members = ", ".join(sp.name for sp in p.blocks[block_idx])
         raise NotLumpableError(
             f"block sums are not expressible in block variables (block {{{members}}})"
         )
-    field = vector_field(crn)
-    sums = _block_sums(field, p)
     # On the shear-invariant subspace, evaluating at "all block mass on the
     # least member" is a right inverse of the block-sum map, so renaming
     # each block's least member to the block variable and zeroing the rest
@@ -458,10 +466,10 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
     variable replaced by its representative.  Raises
     :class:`NotLumpableError` when the partition is not exactly lumpable.
     """
-    if not is_exactly_lumpable(crn, p):
-        raise NotLumpableError("partition is not exactly lumpable")
     field = vector_field(crn)
     merge = _merge_to_block_map(p)
+    if _exact_witness(field, merge, p) is not None:
+        raise NotLumpableError("partition is not exactly lumpable")
     mu = choice_function(p)
     qspecies = quotient_species(p)
     components = {}

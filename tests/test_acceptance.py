@@ -18,7 +18,6 @@ from crnlump import (
     Partition,
     Polynomial,
     backward_reduce,
-    brute_force_coarsest,
     format_polynomial,
     forward_reduce,
     is_bisimulation,
@@ -36,7 +35,7 @@ from crnlump import (
     two_state,
 )
 from crnlump.cli import main
-from crnlump.models import partitions_refining
+from oracle import brute_force_coarsest, partitions_refining
 
 F = Fraction
 

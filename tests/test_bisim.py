@@ -1,19 +1,40 @@
-import pytest
+import re
+from fractions import Fraction
 
 from crnlump import (
     BisimMode,
+    Multiset,
     Partition,
-    backward_equivalent,
-    brute_force_coarsest,
-    forward_equivalent,
+    find_counterexample,
     is_bisimulation,
     make_crn,
-    mode_equivalent,
-    quotient,
+    random_crn,
     refine,
 )
 from conftest import blocks_of
-from crnlump.models import partitions_refining, random_crn
+from oracle import (
+    backward_equivalent,
+    brute_force_coarsest,
+    cumulative_flux_rate,
+    first_inequivalent_pair,
+    forward_equivalent,
+    mode_equivalent,
+    partitions_refining,
+    production_rate_to_block,
+    reactant_classes,
+    reaction_rate,
+)
+
+WITNESS = re.compile(
+    r"(?:reaction rate with partner (?P<rate_partner>\w+)"
+    r"|production rate with partner (?P<prod_partner>\w+) into block \{(?P<block>[^}]*)\}"
+    r"|cumulative flux over reactant class \{(?P<members>[^}]*)\}): "
+    r"(?P<x>\w+) gives (?P<vx>-?[\d/]+), (?P<y>\w+) gives (?P<vy>-?[\d/]+)"
+)
+
+
+def _partner(crn, text):
+    return Multiset() if text == "0" else Multiset.of(crn.by_name(text))
 
 
 class TestPairwisePredicates:
@@ -36,6 +57,14 @@ class TestPairwisePredicates:
     def test_reflexivity(self, crn, h_o, mode):
         for sp in crn.species:
             assert mode_equivalent(crn, h_o, sp, sp, mode)
+
+    def test_forward_classes_of_running_example(self, crn, h_o):
+        # under h_o, forward equivalence groups exactly C with E
+        classes = {
+            tuple(y.name for y in crn.species if forward_equivalent(crn, h_o, x, y))
+            for x in crn.species
+        }
+        assert sorted(classes) == [("A",), ("B",), ("C", "E"), ("D",)]
 
 
 class TestIsBisimulation:
@@ -67,27 +96,53 @@ class TestIsBisimulation:
                 assert is_bisimulation(net, p, mode) == pairwise
 
 
-class TestQuotient:
-    def test_species_under_forward_equivalence(self, crn, h_o):
-        blocks = quotient(
-            crn.species, lambda x, y: forward_equivalent(crn, h_o, x, y)
-        )
-        names = [[sp.name for sp in b] for b in blocks]
-        assert names == [["A"], ["B"], ["C", "E"], ["D"]]
+class TestFindCounterexample:
+    def test_agrees_with_pairwise_oracle(self, mode):
+        # same verdict, same first failing (block[0], member) pair, and a
+        # witness whose two values are the oracle's rates for what it names
+        for seed in range(12):
+            net = random_crn(seed, 4, 7)
+            reactants = {repr(rxn.reactants): rxn.reactants for rxn in net.reactions}
+            for p in partitions_refining(Partition.trivial(net)):
+                found = find_counterexample(net, p, mode)
+                expected = first_inequivalent_pair(net, p, mode)
+                if expected is None:
+                    assert found is None
+                    continue
+                x, y, text = found
+                assert (x, y) == expected
+                m = WITNESS.fullmatch(text)
+                assert m is not None, text
+                assert (m["x"], m["y"]) == (x.name, y.name)
+                if m["members"] is not None:
+                    assert mode is BisimMode.BACKWARD
+                    members = {reactants[t] for t in m["members"].split(", ")}
+                    assert members in [set(c.members) for c in reactant_classes(net, p)]
+                    oracle = [cumulative_flux_rate(net, sp, members) for sp in (x, y)]
+                elif m["block"] is not None:
+                    assert mode is BisimMode.FORWARD
+                    partner = _partner(net, m["prod_partner"])
+                    block = tuple(net.by_name(n) for n in m["block"].split(", "))
+                    assert block in p.blocks
+                    oracle = [
+                        production_rate_to_block(net, sp, partner, block) for sp in (x, y)
+                    ]
+                else:
+                    assert mode is BisimMode.FORWARD
+                    partner = _partner(net, m["rate_partner"])
+                    oracle = [reaction_rate(net, sp, partner) for sp in (x, y)]
+                assert [Fraction(m["vx"]), Fraction(m["vy"])] == oracle
+                assert oracle[0] != oracle[1]
 
-    def test_all_distinct(self):
-        assert quotient([1, 2, 3], lambda a, b: False) == [[1], [2], [3]]
-
-    def test_all_equal(self):
-        assert quotient([1, 2, 3], lambda a, b: True) == [[1, 2, 3]]
-
-    def test_representative_is_least_indexed(self):
-        same_parity = lambda a, b: (a - b) % 2 == 0
-        blocks = quotient([4, 7, 2, 9, 6], same_parity)
-        assert blocks == [[4, 2, 6], [7, 9]]
-
-    def test_empty(self):
-        assert quotient([], lambda a, b: True) == []
+    def test_running_example_witnesses(self, crn, h_o, h_e):
+        assert find_counterexample(crn, h_o, BisimMode.FORWARD) is None
+        assert find_counterexample(crn, h_e, BisimMode.BACKWARD) is None
+        c, e, text = find_counterexample(crn, h_o, BisimMode.BACKWARD)
+        assert (c.name, e.name) == ("C", "E")
+        assert text == "cumulative flux over reactant class {A}: C gives 0, E gives 6"
+        a, b, text = find_counterexample(crn, h_e, BisimMode.FORWARD)
+        assert (a.name, b.name) == ("A", "B")
+        assert text.startswith("reaction rate with partner ")
 
 
 class TestRefine:

@@ -214,6 +214,40 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "multisite", "--sites", "0"],
+        ["gen", "random", "--species", "0"],
+        ["gen", "random", "--reactions", "-1"],
+        ["gen", "two-state", "--rates", "1"],
+        ["gen", "two-state", "--rates", "0,1"],
+        ["gen", "two-state", "--rates", "1/0,1"],
+        ["bench", "--sites", "x"],
+        ["bench", "--sites", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_gen_or_bench_argument_exits_2(capsys, argv):
+    # Each of these used to end in a Python traceback.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+def test_reduce_rejects_non_elementary_net_reaction(tmp_path, capsys):
+    net = tmp_path / "trimer.net"
+    net.write_text(
+        "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
+        "begin reactions\n1 1,2,2 3 1 #r\nend reactions\n"
+    )
+    assert main(["reduce", str(net), "--mode", "fb"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 7: reactants exceed multiplicity 2\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(crnlump.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -11,7 +11,6 @@ from crnlump import (
     Reaction,
     Species,
     choice_function,
-    lift_multiset,
     make_crn,
     quotient_species,
     validate,
@@ -151,14 +150,14 @@ def test_choice_function_unknown_species_errors(crn, h_o):
 def test_lift_multiset_accumulates(crn, h_e, h_o):
     a, b, d, e = (crn.by_name(n) for n in "ABDE")
     mu_e = choice_function(h_e)
-    assert lift_multiset(mu_e, Multiset.of(a, b)) == Multiset([(a, 2)])
+    assert mu_e.lift(Multiset.of(a, b)) == Multiset([(a, 2)])
     # element-wise application, checked by hand expansion: 2E + D -> 2C + D
     mu_o = choice_function(h_o)
-    lifted = lift_multiset(mu_o, Multiset([(e, 2), (d, 1)]))
+    lifted = mu_o.lift(Multiset([(e, 2), (d, 1)]))
     assert lifted == Multiset([(crn.by_name("C"), 2), (d, 1)])
     identity = choice_function(Partition.discrete(crn))
     m = Multiset.of(a, b, b)
-    assert lift_multiset(identity, m) == m
+    assert identity.lift(m) == m
 
 
 def test_quotient_species_renumbers_representatives(crn, h_o):

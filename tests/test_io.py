@@ -254,6 +254,28 @@ class TestNetImport:
                 "begin reactions\nend reactions\n"
             )
 
+    def test_zero_reactant_molecules_rejected(self):
+        # 0 -> A used to import as a reaction every decision ignored
+        with pytest.raises(ParseError, match="^line 5: reactants must contain"):
+            import_bngl_net(
+                "begin species\n1 A() 1\nend species\n"
+                "begin reactions\n1 0 1 1 #r\nend reactions\n"
+            )
+
+    def test_three_reactant_molecules_rejected(self):
+        with pytest.raises(ParseError, match="^line 7: reactants exceed multiplicity 2"):
+            import_bngl_net(
+                "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
+                "begin reactions\n1 1,2,2 3 1 #r\nend reactions\n"
+            )
+
+    def test_duplicate_species_pattern_rejected(self):
+        with pytest.raises(ParseError, match="^line 3: duplicate species pattern 'A\\(\\)'"):
+            import_bngl_net(
+                "begin species\n1 A() 1\n2 A() 0\nend species\n"
+                "begin reactions\n1 1 2 1 #r\nend reactions\n"
+            )
+
 
 class TestPartitionFiles:
     def test_block_line_with_implicit_rest(self, crn):

@@ -8,7 +8,6 @@ from crnlump import (
     Multiset,
     MultisiteSpec,
     Partition,
-    brute_force_coarsest,
     is_bisimulation,
     multisite,
     multisite_block_count,
@@ -18,7 +17,7 @@ from crnlump import (
     two_state,
     validate,
 )
-from crnlump.models import partitions_refining
+from oracle import brute_force_coarsest, partitions_refining
 
 
 class TestRunningExample:

@@ -26,8 +26,9 @@ from crnlump import (
     vector_field,
 )
 from conftest import blocks_of
-from crnlump.models import partitions_refining, random_crn
+from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness
+from oracle import partitions_refining
 
 F = Fraction
 

@@ -3,19 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from crnlump import (
-    Multiset,
-    Partition,
+from crnlump import Multiset, Partition, random_crn
+from conftest import blocks_of
+from oracle import (
     candidate_partners,
     cumulative_flux_rate,
     flux_rate,
     production_rate,
     production_rate_to_block,
-    random_crn,
     reactant_classes,
     reaction_rate,
 )
-from conftest import blocks_of
 
 
 def ms(crn, *names):
