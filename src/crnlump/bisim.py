@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CRN, Multiset, Partition, Species
+from .core import CRN, CRNError, Multiset, Partition, Species
 
 __all__ = [
     "BisimMode",
@@ -85,6 +85,17 @@ def _gives(x: Species, vx: Fraction, y: Species, vy: Fraction) -> str:
 # Signature tables
 
 
+def _require_elementary(crn: CRN) -> None:
+    """Raise :class:`CRNError` naming the first reaction whose reactants are
+    not one or two molecules; the signatures are defined only for those."""
+    for i, rxn in enumerate(crn.reactions):
+        if not 1 <= rxn.reactants.total <= 2:
+            raise CRNError(
+                f"reaction {i} ({rxn!r}): not elementary: reactants must be "
+                "one or two molecules"
+            )
+
+
 class _ForwardTables:
     """Static per-species rate tables; partition-dependent parts are folded
     per refinement pass.
@@ -95,6 +106,7 @@ class _ForwardTables:
     """
 
     def __init__(self, crn: CRN):
+        _require_elementary(crn)
         n = crn.n_species
         crr: list[dict[int, Fraction]] = [{} for _ in range(n)]
         prod: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
@@ -108,22 +120,13 @@ class _ForwardTables:
 
         for rxn in crn.reactions:
             pairs = rxn.reactants.pairs
-            if len(pairs) == 1:
-                sp, mult = pairs[0]
-                if mult == 1:
-                    account(sp.id, _EMPTY, 1, rxn)
-                elif mult == 2:
-                    account(sp.id, sp.id, 2, rxn)
-                else:
-                    raise ValueError("non-elementary reaction")
-            elif len(pairs) == 2:
-                (a, ma), (b, mb) = pairs
-                if ma != 1 or mb != 1:
-                    raise ValueError("non-elementary reaction")
+            if len(pairs) == 2:
+                (a, _), (b, _) = pairs
                 account(a.id, b.id, 1, rxn)
                 account(b.id, a.id, 1, rxn)
             else:
-                raise ValueError("non-elementary reaction")
+                ((sp, mult),) = pairs
+                account(sp.id, _EMPTY if mult == 1 else sp.id, mult, rxn)
 
         self._crr_sig = [tuple(sorted(c.items())) for c in crr]
         self._prod = [
@@ -179,6 +182,7 @@ class _BackwardTables:
     """
 
     def __init__(self, crn: CRN):
+        _require_elementary(crn)
         table: dict[tuple, dict[int, Fraction]] = {}
         for rxn in crn.reactions:
             support = table.setdefault(tuple((sp.id, m) for sp, m in rxn.reactants), {})

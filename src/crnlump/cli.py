@@ -33,6 +33,7 @@ from .io import (
     parse_crn,
     parse_initial_conditions,
     parse_partition,
+    parse_rational,
     partition_from_initial_conditions,
     serialize_crn,
 )
@@ -259,8 +260,8 @@ def _at_least(low: int, option: str, value: int) -> int:
 def _rate_pair(text: str) -> list[Fraction]:
     """The two positive rationals of ``a1,a2``."""
     try:
-        rates = [Fraction(part) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError):
+        rates = [parse_rational(part) for part in text.split(",")]
+    except ParseError:
         rates = []
     if len(rates) != 2 or min(rates) <= 0:
         raise CRNError(f"--rates must be two positive rationals a1,a2, got {text!r}")

@@ -129,9 +129,6 @@ class Multiset:
         """Total multiplicity (number of molecules)."""
         return sum(m for _, m in self._pairs)
 
-    def species(self) -> tuple[Species, ...]:
-        return tuple(sp for sp, _ in self._pairs)
-
     def __iter__(self) -> Iterator[tuple[Species, int]]:
         return iter(self._pairs)
 
@@ -386,10 +383,6 @@ class ChoiceFunction:
 
     def is_representative(self, sp: Species) -> bool:
         return self(sp) == sp
-
-    def representatives(self) -> tuple[Species, ...]:
-        reps = {sp for sp in self.representative.values()}
-        return tuple(sorted(reps, key=species_key))
 
 
 def choice_function(p: Partition) -> ChoiceFunction:

@@ -26,6 +26,7 @@ naming the line.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -55,14 +56,45 @@ __all__ = [
 _OPEN = "([{"
 _CLOSE = ")]}"
 _COEFF_RE = re.compile(r"^(\d+)\s*(\S.*)$")
+_EXPONENT_RE = re.compile(r"[\d.]e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
+
+
+def _within_digit_limit(value: Fraction, line: int | None) -> Fraction:
+    """``value``, unless its numerator or denominator has more decimal
+    digits than ``sys.get_int_max_str_digits()`` allows (0: no limit),
+    which Python would refuse to print back."""
+    limit = sys.get_int_max_str_digits()
+    for n in (abs(value.numerator), value.denominator):
+        # 8**limit < 10**limit, so the cheap bit test clears most values.
+        if limit and n.bit_length() > 3 * limit and n >= 10**limit:
+            raise ParseError(f"number has more than {limit} digits", line)
+    return value
+
+
+def _literal(text: str, line: int | None) -> Fraction:
+    """``Fraction(text)``; an exponent beyond three times the digit limit
+    is refused before ``10**exponent`` is expanded, since no nonzero
+    value with it fits (mantissa and decimals are each within the limit)."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT_RE.search(text)
+    if limit and exponent and abs(int(exponent.group(1))) > 3 * limit:
+        raise ParseError(f"number has more than {limit} digits", line)
+    return Fraction(text)
 
 
 def parse_rational(text: str, line: int | None = None) -> Fraction:
-    """Exact rational from an integer, fraction, decimal, or scientific literal."""
+    """Exact rational from an integer, fraction, decimal, or scientific literal.
+
+    Raises :class:`ParseError` on a malformed literal and on one whose
+    numerator or denominator has more digits than
+    ``sys.get_int_max_str_digits()`` allows.
+    """
+    text = text.strip()
     try:
-        return Fraction(text.strip())
+        value = _literal(text, line)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"not a rational number: {text.strip()!r}", line) from None
+        raise ParseError(f"not a rational number: {text!r}", line) from None
+    return _within_digit_limit(value, line)
 
 
 def format_rational(value: Fraction) -> str:
@@ -298,12 +330,12 @@ def _net_rate(expr: str, params: dict[str, Fraction], lineno: int) -> Fraction:
             value *= params[token]
             continue
         try:
-            value *= Fraction(token)
+            value *= _literal(token, lineno)
         except (ValueError, ZeroDivisionError):
             raise ParseError(
                 f"unsupported rate expression token {token!r}", lineno
             ) from None
-    return value
+    return _within_digit_limit(value, lineno)
 
 
 def _net_indices(field: str, n_species: int, lineno: int) -> list[int]:

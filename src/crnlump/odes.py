@@ -10,6 +10,10 @@ as exact polynomial identities:
 * ordinary (block-sum) lumpability -- each block's component sum must be
   invariant under every within-block shear ``V_i += t, V_j -= t``, which
   holds exactly when the sum can be rewritten in block-sum variables.
+  The sum is shear-invariant exactly when ``ds/dV_i == ds/dV_j``, since
+  its derivative in ``t`` is that difference at the sheared point and a
+  rational polynomial in ``t`` is constant exactly when that vanishes;
+  so the check compares partial derivatives, one pass over the terms.
 
 The corresponding lumped vector fields are constructed by
 :func:`lumped_field_forward` (block sums) and
@@ -52,11 +56,6 @@ __all__ = [
 Monomial = tuple[tuple[int, int], ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-# Internal variable index for the shear parameter; never collides with
-# species ids, which are nonnegative.
-_SHEAR_VAR = -1
 
 
 class Polynomial:
@@ -85,14 +84,6 @@ class Polynomial:
     def constant(cls, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
         return cls({(): c} if c else {})
-
-    @classmethod
-    def variable(cls, var: int, exp: int = 1, coef: Fraction | int = 1) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp == 0:
-            return cls.constant(coef)
-        return cls({((var, exp),): Fraction(coef)})
 
     @classmethod
     def monomial(cls, coef: Fraction | int, powers: Iterable[tuple[int, int]]) -> "Polynomial":
@@ -124,44 +115,6 @@ class Polynomial:
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = _merge_monomials(m1, m2)
-                coef = c1 * c2
-                new = acc.get(mono, _ZERO) + coef
-                if new:
-                    acc[mono] = new
-                else:
-                    acc.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = acc
-        return out
-
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return Polynomial()
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {mono: coef * c for mono, coef in self.terms.items()}
-        return out
-
-    def substitute(self, mapping: Mapping[int, "Polynomial"]) -> "Polynomial":
-        """Simultaneously substitute polynomials for variables."""
-        result = Polynomial()
-        for mono, coef in self.terms.items():
-            term = Polynomial.constant(coef)
-            for var, exp in mono:
-                if var in mapping:
-                    factor = mapping[var]
-                    for _ in range(exp):
-                        term = term * factor
-                else:
-                    term = term * Polynomial.variable(var, exp)
-            result = result + term
-        return result
 
     def remap_variables(self, mapping: Mapping[int, int | None]) -> "Polynomial":
         """Rename variables (merging exponents); ``None`` substitutes zero.
@@ -199,9 +152,6 @@ class Polynomial:
             total += prod
         return total
 
-    def variables(self) -> set[int]:
-        return {var for mono in self.terms for var, _ in mono}
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in the canonical (deterministic) print order."""
         return sorted(self.terms.items(), key=lambda it: it[0])
@@ -226,23 +176,10 @@ def _normalize_monomial(powers: Iterable[tuple[int, int]]) -> Monomial:
     return tuple(sorted(acc.items()))
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for var, exp in m2:
-        acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
 def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> str:
     """Deterministic human-readable form, e.g. ``-6*A - 2*A*B``."""
 
     def var_name(var: int) -> str:
-        if var == _SHEAR_VAR:
-            return "t"
         if names is not None:
             return names[var]
         return f"x{var}"
@@ -275,9 +212,6 @@ class VectorField:
 
     species: tuple[Species, ...]
     components: Mapping[Species, Polynomial]
-
-    def component(self, sp: Species) -> Polynomial:
-        return self.components[sp]
 
     def names(self) -> tuple[str, ...]:
         return tuple(sp.name for sp in self.species)
@@ -397,7 +331,10 @@ def is_ordinarily_lumpable(crn: CRN, p: Partition) -> bool:
     A polynomial depends only on the block sums exactly when it is
     invariant under all within-block shears ``V_i += t, V_j -= t``;
     consecutive pairs generate them all, so the check is finite and
-    exact.
+    exact.  A sum ``s`` is invariant under the shear of ``(i, j)``
+    exactly when ``ds/dV_i == ds/dV_j``, since over the rationals a
+    polynomial in ``t`` is constant exactly when its derivative in ``t``
+    is zero; the check compares those partial derivatives.
     """
     return ordinary_lumpability_witness(crn, p) is None
 
@@ -409,20 +346,32 @@ def ordinary_lumpability_witness(
     return _shear_witness(_block_sums(vector_field(crn), p), p)
 
 
+def _partial_derivatives(
+    s: Polynomial, variables: set[int]
+) -> dict[int, dict[Monomial, Fraction]]:
+    """The nonzero partial derivatives of ``s`` in ``variables``, as term
+    maps keyed by variable.  Distinct monomials have distinct derivatives
+    in one variable, so no terms merge and equal derivatives compare equal.
+    """
+    derivs: dict[int, dict[Monomial, Fraction]] = {}
+    for mono, coef in s.terms.items():
+        for k, (var, exp) in enumerate(mono):
+            if var in variables:
+                lowered = ((var, exp - 1),) if exp > 1 else ()
+                derivs.setdefault(var, {})[mono[:k] + lowered + mono[k + 1 :]] = coef * exp
+    return derivs
+
+
 def _shear_witness(
     sums: list[Polynomial], p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
+    """First shear pair, then first block, whose sum changes under it."""
     pairs = _shear_pairs(p)
-    if not pairs:
-        return None
-    t = Polynomial.variable(_SHEAR_VAR)
+    sheared = {var for pair in pairs for var in pair}
+    derivs = [_partial_derivatives(s, sheared) for s in sums]
     for i, j in pairs:
-        shear = {
-            i: Polynomial.variable(i) + t,
-            j: Polynomial.variable(j) - t,
-        }
-        for block_idx, s in enumerate(sums):
-            if s.substitute(shear) != s:
+        for block_idx, d in enumerate(derivs):
+            if d.get(i) != d.get(j):
                 return block_idx, (i, j)
     return None
 

@@ -113,9 +113,6 @@ class Trajectory:
     def column(self, sp: Species) -> np.ndarray:
         return self.values[:, self.species.index(sp)]
 
-    def state_at(self, index: int) -> dict[Species, float]:
-        return {sp: float(self.values[index, i]) for i, sp in enumerate(self.species)}
-
     @property
     def min_value(self) -> float:
         return float(self.values.min()) if self.values.size else 0.0

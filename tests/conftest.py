@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from crnlump import BisimMode, Partition, running_example
@@ -36,3 +38,13 @@ def mixed(crn):
 @pytest.fixture(params=[BisimMode.FORWARD, BisimMode.BACKWARD], ids=["fb", "bb"])
 def mode(request):
     return request.param
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on the digits of an int converted to or from
+    text, set for one test (the environment may change it) and restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)

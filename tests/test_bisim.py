@@ -1,8 +1,11 @@
 import re
 from fractions import Fraction
 
+import pytest
+
 from crnlump import (
     BisimMode,
+    CRNError,
     Multiset,
     Partition,
     find_counterexample,
@@ -143,6 +146,17 @@ class TestFindCounterexample:
         a, b, text = find_counterexample(crn, h_e, BisimMode.FORWARD)
         assert (a.name, b.name) == ("A", "B")
         assert text.startswith("reaction rate with partner ")
+
+
+@pytest.mark.parametrize("reactants", [{"A": 3}, {}], ids=["3A", "0"])
+def test_non_elementary_reaction_rejected_in_both_modes(mode, reactants):
+    # forward used to raise a bare ValueError and backward to answer
+    net = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1}), (reactants, 1, {"B": 1})])
+    where = re.escape(f"reaction 1 ({net.reactions[1]!r}): ")
+    one = Partition.trivial(net)
+    for decide in (refine, is_bisimulation, find_counterexample):
+        with pytest.raises(CRNError, match=f"^{where}not elementary"):
+            decide(net, one, mode)
 
 
 class TestRefine:

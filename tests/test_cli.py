@@ -223,6 +223,7 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
         ["gen", "two-state", "--rates", "1"],
         ["gen", "two-state", "--rates", "0,1"],
         ["gen", "two-state", "--rates", "1/0,1"],
+        ["gen", "two-state", "--rates", "1e99999,1"],
         ["bench", "--sites", "x"],
         ["bench", "--sites", "0"],
     ],
@@ -246,6 +247,56 @@ def test_reduce_rejects_non_elementary_net_reaction(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: line 7: reactants exceed multiplicity 2\n"
+
+
+HUGE_RATE_CRN = "A -> B , 1\nB -> A , 1e99999\n"
+HUGE_RATE_NET = (
+    "begin parameters\nk 1e3000\nend parameters\n"
+    "begin species\n1 A() 1\n2 B() 0\nend species\n"
+    "begin reactions\n1 1 2 k*k #r\nend reactions\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name,text,argv,line",
+    [
+        pytest.param("huge.crn", HUGE_RATE_CRN, ["validate"], 2, id="validate"),
+        pytest.param("huge.crn", HUGE_RATE_CRN, ["reduce", "--mode", "fb"], 2, id="reduce"),
+        pytest.param(
+            "huge.crn", HUGE_RATE_CRN, ["check", "--what", "bisim-fb"], 2, id="check"
+        ),
+        pytest.param("huge.crn", "A -> B , 1\ninit: A = 1e-99999\n", ["odes"], 2, id="odes-init"),
+        pytest.param("huge.net", HUGE_RATE_NET, ["reduce", "--mode", "bb"], 9, id="net-rate"),
+    ],
+)
+def test_value_beyond_digit_limit_exits_1(tmp_path, capsys, digit_limit, name, text, argv, line):
+    # Each of these used to end in a ValueError traceback from printing
+    # or hashing a number with more digits than Python converts.
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {line}: number has more than {digit_limit} digits\n"
+
+
+def test_check_ord_lump_on_multisite(tmp_path, capsys):
+    crn, inits = crnlump.multisite(crnlump.MultisiteSpec(n_sites=4))
+    model = tmp_path / "m4.crn"
+    model.write_text(serialize_crn(crn, inits=inits))
+    # the site-state partition: species with the same multiset of site states
+    blocks = {}
+    for sp in crn.species:
+        key = tuple(sorted(sp.name[2:-1].split(","))) if sp.name.startswith("S(") else sp.name
+        blocks.setdefault(key, []).append(sp.name)
+    part = tmp_path / "sites.txt"
+    part.write_text("".join(", ".join(b) + "\n" for b in blocks.values()))
+    assert main(["check", str(model), "--what", "ord-lump", "--partition", str(part)]) == 0
+    assert capsys.readouterr().out.startswith("ord-lump holds for Partition[")
+    assert main(["check", str(model), "--what", "ord-lump"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ord-lump fails: block sum over {E, F, S(P,P,P,P), ")
+    assert out.endswith("} changes under the shear moving mass between E and F\n")
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,20 @@ class TestExactRates:
     def test_format_rational(self):
         assert format_rational(Fraction(6)) == "6"
         assert format_rational(Fraction(1, 10)) == "1/10"
+
+    def test_digit_limit(self, digit_limit):
+        # A value whose numerator or denominator Python cannot print back
+        # used to pass parsing and fail later with a bare ValueError; an
+        # exponent past three times the limit is refused before expanding.
+        assert parse_rational(f"1e{digit_limit - 1}") == 10 ** (digit_limit - 1)
+        assert parse_rational(f"1e-{digit_limit - 1}") == Fraction(1, 10 ** (digit_limit - 1))
+        for text in (f"1e{digit_limit}", f"1e-{digit_limit}", f"1e{3 * digit_limit + 1}"):
+            with pytest.raises(ParseError, match=f"^line 4: number has more than {digit_limit} digits$"):
+                parse_rational(text, 4)
+
+    def test_no_digit_limit_when_it_is_zero(self, digit_limit):
+        sys.set_int_max_str_digits(0)
+        assert parse_rational(f"1e{digit_limit}") == 10**digit_limit
 
 
 class TestSerializeCrn:
