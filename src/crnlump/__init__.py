@@ -9,7 +9,6 @@ semantics.
 
 from .core import (
     CRN,
-    ChoiceFunction,
     CRNError,
     IntegrationError,
     Multiset,
@@ -20,7 +19,6 @@ from .core import (
     PartitionError,
     Reaction,
     Species,
-    choice_function,
     make_crn,
     quotient_species,
     validate,

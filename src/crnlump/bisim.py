@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CRN, CRNError, Multiset, Partition, Species
+from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
 
 __all__ = [
     "BisimMode",
@@ -78,7 +78,7 @@ def _first_difference(a: tuple, b: tuple) -> tuple[object, Fraction, Fraction] |
 
 
 def _gives(x: Species, vx: Fraction, y: Species, vy: Fraction) -> str:
-    return f"{x.name} gives {vx}, {y.name} gives {vy}"
+    return f"{x.name} gives {format_rational(vx)}, {y.name} gives {format_rational(vy)}"
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +137,7 @@ class _ForwardTables:
 
     def signatures(self, p: Partition) -> list[tuple]:
         n = len(self._species)
-        block_of = [0] * n
-        for idx, block in enumerate(p.blocks):
-            for sp in block:
-                block_of[sp.id] = idx
+        block_of = p.block_index
         sigs: list[tuple] = [()] * n
         for x in range(n):
             folded: dict[tuple[int, int], Fraction] = {}
@@ -178,7 +175,7 @@ class _BackwardTables:
 
     A signature is the sorted ``(class id, cumulative flux)`` tuple
     without zero values, where a class gathers the reactant multisets
-    that lift to the same multiset of block representatives.
+    that lift to the same multiset of blocks.
     """
 
     def __init__(self, crn: CRN):
@@ -196,18 +193,14 @@ class _BackwardTables:
 
     def _class_ids(self, p: Partition) -> list[int]:
         """Class id of every entry, numbered by first appearance."""
-        rep_of = [0] * len(self._species)
-        for block in p.blocks:
-            rep = block[0].id
-            for sp in block:
-                rep_of[sp.id] = rep
+        block_of = p.block_index
         class_ids: dict[tuple, int] = {}
         out = []
         for key, _ in self._entries:
             lifted: dict[int, int] = {}
             for sid, mult in key:
-                rid = rep_of[sid]
-                lifted[rid] = lifted.get(rid, 0) + mult
+                bid = block_of[sid]
+                lifted[bid] = lifted.get(bid, 0) + mult
             lkey = tuple(sorted(lifted.items()))
             out.append(class_ids.setdefault(lkey, len(class_ids)))
         return out

@@ -4,9 +4,10 @@ compare, gen, bench.
 Every subcommand is a thin shell over the library.  Exit codes: 0 on
 success (and for ``check``/``compare``, when the property holds /
 the tolerance is met), 1 for parse errors, missing files, or a failed
-``check``, 2 for invalid partitions, violated preconditions and invalid
-arguments, 3 for integration failures.  Files ending in ``.net``
-are imported as BioNetGen networks, everything else as the native format.
+``check``, 2 for invalid partitions, violated preconditions, invalid
+arguments and results with numbers too long to print, 3 for integration
+failures.  Files ending in ``.net`` are imported as BioNetGen networks,
+everything else as the native format.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ def _cmd_reduce(args) -> int:
         else backward_reduce(crn, trace.final)
     )
     text = serialize_crn(reduced.crn)
+    # Format everything before writing anything, so a number too long to
+    # print fails the command without partial output.
+    odes = format_vector_field(vector_field(reduced.crn)) if args.emit_odes else ""
     sizes: dict[int, int] = {}
     for block in trace.final.blocks:
         sizes[len(block)] = sizes.get(len(block), 0) + 1
@@ -146,8 +150,7 @@ def _cmd_reduce(args) -> int:
     else:
         sys.stdout.write(text)
         print("\n".join(report), file=sys.stderr)
-    if args.emit_odes:
-        sys.stdout.write(format_vector_field(vector_field(reduced.crn)))
+    sys.stdout.write(odes)
     return 0
 
 

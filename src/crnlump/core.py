@@ -1,8 +1,10 @@
 """Core data model for mass-action reaction networks.
 
-Species, multisets of species, rated reactions, networks, species
-partitions, and the representative (choice) map that sends every species
-to the canonical member of its partition block.
+Species, multisets of species, rated reactions, networks, and species
+partitions.  A partition carries one species-to-block index
+(``Partition.block_index``); every layer reads blocks from it, and the
+choice map that sends every species to the least member of its block is
+:meth:`Partition.representative`.
 
 All types are immutable after construction and safe to share across
 threads.  Rates and multiplicities are exact: rates are
@@ -13,6 +15,7 @@ lexicographic on species names.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -26,14 +29,13 @@ __all__ = [
     "IntegrationError",
     "Species",
     "species_key",
+    "format_rational",
     "Multiset",
     "Reaction",
     "CRN",
     "make_crn",
     "validate",
     "Partition",
-    "ChoiceFunction",
-    "choice_function",
     "quotient_species",
 ]
 
@@ -86,6 +88,20 @@ class Species:
 def species_key(sp: Species) -> str:
     """Sort key realizing the fixed total order on species (name-lex)."""
     return sp.name
+
+
+def format_rational(value: Fraction) -> str:
+    """Canonical text for an exact rational (``6`` or ``1/10``).
+
+    Raises :class:`CRNError` when its numerator or denominator has more
+    digits than ``sys.get_int_max_str_digits()`` lets Python print; sums
+    and products of printable rates can get there.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise CRNError(f"cannot print a number with more than {limit} digits") from None
 
 
 class Multiset:
@@ -281,10 +297,12 @@ class Partition:
 
     Block members are sorted by the species order and blocks are ordered
     by their least member, so equal partitions have identical block
-    tuples.
+    tuples.  ``block_index[i]`` is the block of the species with id ``i``;
+    the least member of each block is its representative (the choice
+    map).
     """
 
-    __slots__ = ("species", "blocks", "_block_of", "_hash")
+    __slots__ = ("species", "blocks", "block_index", "_hash")
 
     def __init__(self, species: Sequence[Species], blocks: Iterable[Iterable[Species]]):
         universe = tuple(species)
@@ -295,22 +313,27 @@ class Partition:
                 raise PartitionError("empty block")
             norm.append(members)
         norm.sort(key=lambda b: species_key(b[0]))
-        block_of: dict[Species, int] = {}
+        n = len(universe)
+        index: list[int | None] = [None] * n
+        unknown = []
         for idx, members in enumerate(norm):
             for sp in members:
-                if sp in block_of:
+                # Identity first: the generated Species.__eq__ is a Python call.
+                sid = sp.id
+                if not (0 <= sid < n and (universe[sid] is sp or universe[sid] == sp)):
+                    unknown.append(sp.name)
+                elif index[sid] is not None:
                     raise PartitionError(f"species {sp.name} occurs in two blocks")
-                block_of[sp] = idx
-        missing = [sp.name for sp in universe if sp not in block_of]
+                else:
+                    index[sid] = idx
+        missing = [sp.name for sp, idx in zip(universe, index) if idx is None]
         if missing:
             raise PartitionError(f"incomplete partition: missing {', '.join(missing)}")
-        extra = set(block_of) - set(universe)
-        if extra:
-            names = ", ".join(sorted(sp.name for sp in extra))
-            raise PartitionError(f"unknown species {names}")
+        if unknown:
+            raise PartitionError(f"unknown species {', '.join(sorted(unknown))}")
         self.species = universe
         self.blocks = tuple(norm)
-        self._block_of = block_of
+        self.block_index: tuple[int, ...] = tuple(index)
         self._hash = hash(tuple(tuple(sp.id for sp in b) for b in self.blocks))
 
     @classmethod
@@ -328,10 +351,16 @@ class Partition:
         return len(self.blocks)
 
     def block_of(self, sp: Species) -> int:
-        try:
-            return self._block_of[sp]
-        except KeyError:
-            raise PartitionError(f"unknown species {sp.name}") from None
+        sid = sp.id
+        if 0 <= sid < len(self.species) and (
+            self.species[sid] is sp or self.species[sid] == sp
+        ):
+            return self.block_index[sid]
+        raise PartitionError(f"unknown species {sp.name}")
+
+    def representative(self, sp: Species) -> Species:
+        """The least member of the block of ``sp`` (the choice map)."""
+        return self.blocks[self.block_of(sp)][0]
 
     def block_members(self, sp: Species) -> tuple[Species, ...]:
         return self.blocks[self.block_of(sp)]
@@ -360,39 +389,6 @@ class Partition:
             "{" + ", ".join(sp.name for sp in block) + "}" for block in self.blocks
         )
         return f"Partition[{body}]"
-
-
-@dataclass(frozen=True)
-class ChoiceFunction:
-    """Map sending every species to its block's least member.
-
-    Idempotent by construction; lifted element-wise to multisets by
-    :meth:`lift`.
-    """
-
-    representative: Mapping[Species, Species]
-
-    def __call__(self, sp: Species) -> Species:
-        try:
-            return self.representative[sp]
-        except KeyError:
-            raise PartitionError(f"unknown species {sp.name}") from None
-
-    def lift(self, m: Multiset) -> Multiset:
-        return m.lift(self.representative)
-
-    def is_representative(self, sp: Species) -> bool:
-        return self(sp) == sp
-
-
-def choice_function(p: Partition) -> ChoiceFunction:
-    """The choice function of a partition (least member of each block)."""
-    mapping = {}
-    for block in p.blocks:
-        rep = block[0]  # members are sorted by the species order
-        for sp in block:
-            mapping[sp] = rep
-    return ChoiceFunction(mapping)
 
 
 def quotient_species(p: Partition) -> tuple[Species, ...]:

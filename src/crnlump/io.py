@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     CRN,
@@ -38,8 +38,8 @@ from .core import (
     PartitionError,
     Reaction,
     Species,
+    format_rational,
 )
-from .reduce import ReducedCRN
 from .sim import InitialCondition
 
 __all__ = [
@@ -95,13 +95,6 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"not a rational number: {text!r}", line) from None
     return _within_digit_limit(value, line)
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text for an exact rational (``6`` or ``1/10``)."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _strip_comment(line: str) -> str:
@@ -273,21 +266,12 @@ def _reaction_line(rxn: Reaction) -> str:
     return f"{lhs} -> {rhs} , {format_rational(rxn.rate)}"
 
 
-def serialize_crn(
-    crn: CRN,
-    inits: InitialCondition | None = None,
-    reduced: ReducedCRN | None = None,
-) -> str:
+def serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
     """Canonical text for a network: species header, reaction lines in
     sorted order, then init lines.  Deterministic; reparses to an equal
-    network (reaction order modulo the sort)."""
-    lines = []
-    if reduced is not None:
-        lines.append(f"# {reduced.mode} reduction, {reduced.partition.n_blocks} blocks")
-        for block in reduced.partition.blocks:
-            members = " ".join(sp.name for sp in block)
-            lines.append(f"# block {block[0].name}: {members}")
-    lines.append(("species: " + " ".join(sp.name for sp in crn.species)).rstrip())
+    network (reaction order modulo the sort).  Raises :class:`CRNError`
+    when a rate or value has too many digits to print."""
+    lines = [("species: " + " ".join(sp.name for sp in crn.species)).rstrip()]
     body = sorted(
         (rxn.reactants.name_key(), rxn.products.name_key(), _reaction_line(rxn))
         for rxn in crn.reactions

@@ -33,7 +33,7 @@ from .core import (
     Partition,
     Reaction,
     Species,
-    choice_function,
+    format_rational,
     quotient_species,
 )
 
@@ -194,11 +194,11 @@ def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> s
         mono_text = "*".join(factors)
         mag = abs(coef)
         if not mono_text:
-            body = str(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = mono_text
         else:
-            body = f"{mag}*{mono_text}"
+            body = f"{format_rational(mag)}*{mono_text}"
         if not pieces:
             pieces.append(body if coef > 0 else f"-{body}")
         else:
@@ -267,15 +267,6 @@ def accretion_depletion(rxn: Reaction, x: Species) -> tuple[Polynomial, Polynomi
     return accr, depl
 
 
-def _merge_to_block_map(p: Partition) -> dict[int, int]:
-    """Species-variable -> block-index map (blocks are the quotient order)."""
-    mapping = {}
-    for idx, block in enumerate(p.blocks):
-        for sp in block:
-            mapping[sp.id] = idx
-    return mapping
-
-
 def is_exactly_lumpable(crn: CRN, p: Partition) -> bool:
     """Does constancy across blocks propagate from states to derivatives?
 
@@ -291,7 +282,7 @@ def exact_lumpability_witness(
 ) -> tuple[Species, Species] | None:
     """A within-block species pair whose components differ after merging
     block variables; None when the partition is exactly lumpable."""
-    return _exact_witness(vector_field(crn), _merge_to_block_map(p), p)
+    return _exact_witness(vector_field(crn), dict(enumerate(p.block_index)), p)
 
 
 def _exact_witness(
@@ -395,11 +386,10 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     # least member" is a right inverse of the block-sum map, so renaming
     # each block's least member to the block variable and zeroing the rest
     # recovers the block-sum polynomial exactly.
-    section: dict[int, int | None] = {}
-    for idx, block in enumerate(p.blocks):
-        section[block[0].id] = idx
-        for sp in block[1:]:
-            section[sp.id] = None
+    section = {
+        sid: idx if p.blocks[idx][0].id == sid else None
+        for sid, idx in enumerate(p.block_index)
+    }
     qspecies = quotient_species(p)
     components = {
         qspecies[idx]: sums[idx].remap_variables(section)
@@ -416,13 +406,12 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
     :class:`NotLumpableError` when the partition is not exactly lumpable.
     """
     field = vector_field(crn)
-    merge = _merge_to_block_map(p)
+    merge = dict(enumerate(p.block_index))
     if _exact_witness(field, merge, p) is not None:
         raise NotLumpableError("partition is not exactly lumpable")
-    mu = choice_function(p)
     qspecies = quotient_species(p)
-    components = {}
-    for idx, block in enumerate(p.blocks):
-        rep = mu(block[0])
-        components[qspecies[idx]] = field.components[rep].remap_variables(merge)
+    components = {
+        qspecies[idx]: field.components[block[0]].remap_variables(merge)
+        for idx, block in enumerate(p.blocks)
+    }
     return VectorField(species=qspecies, components=components)

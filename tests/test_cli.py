@@ -280,6 +280,48 @@ def test_value_beyond_digit_limit_exits_1(tmp_path, capsys, digit_limit, name, t
     assert captured.err == f"error: line {line}: number has more than {digit_limit} digits\n"
 
 
+# Two rates that each fit the digit limit (4001-digit denominators) but
+# whose sum does not: on two reactions into one block, or on one reaction.
+_RATE_1 = f"1/{10**4000 + 1}"
+_RATE_3 = f"1/{10**4000 + 3}"
+SUM_INTO_BLOCK_CRN = f"A -> C , {_RATE_1}\nA -> D , {_RATE_3}\n"
+SUM_ON_ONE_REACTION_CRN = f"A -> C , {_RATE_1}\nA -> C , {_RATE_3}\n"
+
+
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        pytest.param(SUM_INTO_BLOCK_CRN, ["reduce", "--mode", "fb", "--partition"], id="reduce-fb"),
+        pytest.param(SUM_ON_ONE_REACTION_CRN, ["reduce", "--mode", "bb"], id="reduce-bb"),
+        pytest.param(
+            SUM_INTO_BLOCK_CRN, ["reduce", "--mode", "bb", "--emit-odes"], id="reduce-emit-odes"
+        ),
+        pytest.param(SUM_ON_ONE_REACTION_CRN, ["odes"], id="odes"),
+        pytest.param(
+            SUM_INTO_BLOCK_CRN, ["odes", "--mode", "fb", "--partition"], id="odes-fb"
+        ),
+        pytest.param(SUM_ON_ONE_REACTION_CRN, ["check", "--what", "bisim-fb"], id="check-fb"),
+        pytest.param(SUM_ON_ONE_REACTION_CRN, ["check", "--what", "bisim-bb"], id="check-bb"),
+    ],
+)
+def test_result_beyond_digit_limit_exits_2(tmp_path, capsys, digit_limit, text, argv):
+    # Each of these used to end in a ValueError traceback from printing a
+    # summed rate whose denominator has about 8000 digits.
+    model = tmp_path / "sum.crn"
+    model.write_text(text)
+    part = tmp_path / "cd.txt"
+    part.write_text("C, D\n")
+    args = [argv[0], str(model), *argv[1:]]
+    if args[-1] == "--partition":
+        args.append(str(part))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot print a number with more than {digit_limit} digits\n"
+    )
+
+
 def test_check_ord_lump_on_multisite(tmp_path, capsys):
     crn, inits = crnlump.multisite(crnlump.MultisiteSpec(n_sites=4))
     model = tmp_path / "m4.crn"

@@ -4,13 +4,11 @@ import pytest
 
 from crnlump import (
     CRN,
-    ChoiceFunction,
     Multiset,
     Partition,
     PartitionError,
     Reaction,
     Species,
-    choice_function,
     make_crn,
     quotient_species,
     validate,
@@ -97,12 +95,26 @@ def test_partition_roundtrip_block_of(crn, h_o):
 
 def test_partition_rejects_bad_inputs(crn):
     a = crn.by_name("A")
-    with pytest.raises(PartitionError):
-        Partition(crn.species, [[a]])  # incomplete
-    with pytest.raises(PartitionError):
-        Partition(crn.species, [list(crn.species), [a]])  # duplicate
-    with pytest.raises(PartitionError):
-        Partition(crn.species, [list(crn.species), []])  # empty block
+    everything = list(crn.species)
+    with pytest.raises(PartitionError, match="incomplete partition: missing B, C, D, E"):
+        Partition(crn.species, [[a]])
+    with pytest.raises(PartitionError, match="species A occurs in two blocks"):
+        Partition(crn.species, [everything, [a]])
+    with pytest.raises(PartitionError, match="empty block"):
+        Partition(crn.species, [everything, []])
+    # an id past the end, and a valid id under another name
+    with pytest.raises(PartitionError, match="unknown species Z"):
+        Partition(crn.species, [everything, [Species(9, "Z")]])
+    with pytest.raises(PartitionError, match="unknown species Q"):
+        Partition(crn.species, [everything, [Species(0, "Q")]])
+
+
+def test_block_index_agrees_with_block_of(crn, h_o, h_e):
+    for p in (h_o, h_e):
+        assert len(p.block_index) == crn.n_species
+        for sp in crn.species:
+            assert p.block_index[sp.id] == p.block_of(sp)
+            assert sp in p.blocks[p.block_index[sp.id]]
 
 
 def test_refinement_is_a_partial_order(crn, h_o, h_e, mixed):
@@ -122,42 +134,41 @@ def test_refinement_is_a_partial_order(crn, h_o, h_e, mixed):
 
 
 def test_choice_function_picks_least_member(crn, h_o, h_e):
-    mu_o = choice_function(h_o)
-    assert mu_o(crn.by_name("E")).name == "C"
-    assert mu_o(crn.by_name("A")).name == "A"
-    mu_e = choice_function(h_e)
-    assert mu_e(crn.by_name("B")).name == "A"
+    assert h_o.representative(crn.by_name("E")).name == "C"
+    assert h_o.representative(crn.by_name("A")).name == "A"
+    assert h_e.representative(crn.by_name("B")).name == "A"
 
 
 def test_choice_function_is_idempotent_and_stays_in_block(crn, h_o):
-    mu = choice_function(h_o)
+    mu = h_o.representative
     for sp in crn.species:
         assert mu(mu(sp)) == mu(sp)
         assert h_o.same_block(sp, mu(sp))
 
 
 def test_choice_function_on_discrete_partition_is_identity(crn):
-    mu = choice_function(Partition.discrete(crn))
+    mu = Partition.discrete(crn).representative
     assert all(mu(sp) == sp for sp in crn.species)
 
 
 def test_choice_function_unknown_species_errors(crn, h_o):
-    mu = choice_function(h_o)
-    with pytest.raises(PartitionError):
-        mu(Species(9, "Z"))
+    for foreign in (Species(9, "Z"), Species(0, "Q"), Species(-1, "E")):
+        with pytest.raises(PartitionError, match=f"unknown species {foreign.name}"):
+            h_o.representative(foreign)
 
 
 def test_lift_multiset_accumulates(crn, h_e, h_o):
     a, b, d, e = (crn.by_name(n) for n in "ABDE")
-    mu_e = choice_function(h_e)
-    assert mu_e.lift(Multiset.of(a, b)) == Multiset([(a, 2)])
+
+    def choice_map(p):
+        return {sp: p.representative(sp) for sp in crn.species}
+
+    assert Multiset.of(a, b).lift(choice_map(h_e)) == Multiset([(a, 2)])
     # element-wise application, checked by hand expansion: 2E + D -> 2C + D
-    mu_o = choice_function(h_o)
-    lifted = mu_o.lift(Multiset([(e, 2), (d, 1)]))
+    lifted = Multiset([(e, 2), (d, 1)]).lift(choice_map(h_o))
     assert lifted == Multiset([(crn.by_name("C"), 2), (d, 1)])
-    identity = choice_function(Partition.discrete(crn))
     m = Multiset.of(a, b, b)
-    assert identity.lift(m) == m
+    assert m.lift(choice_map(Partition.discrete(crn))) == m
 
 
 def test_quotient_species_renumbers_representatives(crn, h_o):
@@ -169,5 +180,4 @@ def test_quotient_species_renumbers_representatives(crn, h_o):
 def test_species_order_is_name_lexicographic():
     crn = make_crn(["Zeta", "Alpha"], [({"Zeta": 1}, 1, {"Alpha": 1})])
     p = Partition.trivial(crn)
-    mu = choice_function(p)
-    assert mu(crn.by_name("Zeta")).name == "Alpha"
+    assert p.representative(crn.by_name("Zeta")).name == "Alpha"

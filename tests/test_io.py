@@ -167,8 +167,11 @@ class TestSerializeCrn:
         from crnlump import forward_reduce
 
         reduced = forward_reduce(crn, h_o)
-        text = serialize_crn(reduced.crn, reduced=reduced)
-        assert text.splitlines()[0].startswith("# forward reduction")
+        comments = [f"# forward reduction, {h_o.n_blocks} blocks"] + [
+            f"# block {block[0].name}: " + " ".join(sp.name for sp in block)
+            for block in h_o.blocks
+        ]
+        text = "\n".join(comments) + "\n" + serialize_crn(reduced.crn)
         reparsed, _ = parse_crn(text)
         assert reparsed == reduced.crn
 

@@ -6,12 +6,12 @@ import sympy
 
 from crnlump import (
     BisimMode,
+    MultisiteSpec,
     NotLumpableError,
     Partition,
     Polynomial,
     accretion_depletion,
     backward_reduce,
-    choice_function,
     format_polynomial,
     format_vector_field,
     forward_reduce,
@@ -21,6 +21,8 @@ from crnlump import (
     lumped_field_backward,
     lumped_field_forward,
     make_crn,
+    multisite,
+    partition_from_initial_conditions,
     refine,
     two_state,
     vector_field,
@@ -74,8 +76,7 @@ def _sympy_poly(poly, values):
 
 def sympy_exactly_lumpable(crn, p):
     vs, comps = _sympy_field(crn)
-    mu = choice_function(p)
-    subs = {vs[sp.id]: vs[mu(sp).id] for sp in crn.species}
+    subs = {vs[sp.id]: vs[p.representative(sp).id] for sp in crn.species}
     for block in p.blocks:
         ref = comps[block[0]].subs(subs, simultaneous=True)
         for sp in block[1:]:
@@ -442,3 +443,16 @@ class TestCorrespondences:
             assert vector_field(backward_reduce(net, bb).crn).components == (
                 lumped_field_backward(net, bb).components
             )
+
+    def test_commuting_diagrams_on_multisite(self):
+        net, inits = multisite(MultisiteSpec(n_sites=3))
+        fb = refine(net, Partition.trivial(net), BisimMode.FORWARD).final
+        bb = refine(net, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final
+        # the quotients merge up to six species per block
+        assert max(len(b) for b in fb.blocks) == max(len(b) for b in bb.blocks) == 6
+        assert vector_field(forward_reduce(net, fb).crn).components == (
+            lumped_field_forward(net, fb).components
+        )
+        assert vector_field(backward_reduce(net, bb).crn).components == (
+            lumped_field_backward(net, bb).components
+        )

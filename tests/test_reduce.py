@@ -6,6 +6,8 @@ from crnlump import (
     BisimMode,
     NotBisimulationError,
     Partition,
+    PartitionError,
+    Species,
     backward_reduce,
     forward_reduce,
     make_crn,
@@ -74,11 +76,17 @@ class TestForwardReduce:
         with pytest.raises(NotBisimulationError):
             forward_reduce(crn, h_e)
 
-    def test_species_map_points_to_representatives(self, crn, h_o):
+    def test_reduced_species_are_the_representatives(self, crn, h_o):
         reduced = forward_reduce(crn, h_o)
-        assert reduced.species_map(crn.by_name("E")).name == "C"
+        assert reduced.partition.representative(crn.by_name("E")).name == "C"
         assert reduced.reduced_species_of(crn.by_name("E")).name == "C"
         assert reduced.reduced_species_of(crn.by_name("E")).id == 2
+
+    def test_foreign_species_has_no_reduced_species(self, crn, h_o):
+        reduced = forward_reduce(crn, h_o)
+        for foreign in (Species(9, "Z"), Species(0, "Q")):
+            with pytest.raises(PartitionError):
+                reduced.reduced_species_of(foreign)
 
 
 class TestBackwardReduce:
