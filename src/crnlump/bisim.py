@@ -10,10 +10,28 @@ reaction list alone:
 
 Both are decided one way: from per-species signatures built from rate
 tables indexed once per network.  Two species are equivalent under a
-partition exactly when their signatures under it are equal.
+partition exactly when their signatures under it are equal.  The tables
+hold Python ints, each rate times L, the least common multiple of the
+rate denominators, so every sum stays exact without rational arithmetic;
+witness values are divided by L before they are printed.
+
 :func:`refine` computes the coarsest partition of either kind refining a
-given initial partition by repeated splitting: each pass buckets the
-species of every block by signature and stops at the first fixpoint.
+given initial partition in passes, and stops at the first pass that
+splits no block.  The first pass buckets every block by signature.  A
+later pass recomputes only the signatures that the previous pass's
+splits can have changed, by the splitter rule of Valmari & Franceschinis
+("Simple O(m log n) Time Markov Chain Lumping", TACAS 2010): when a block
+splits, its largest piece keeps the block's label and every other piece
+is a splitter.  Forward, each producer into a splitter moves that
+production from its (partner, old block) key to its (partner, splitter)
+key.  Backward, each reactant multiset meeting a splitter is lifted
+again, and every species in its support moves its flux from the old
+class to the new one.  Within a block, the species that no split touched
+still share one signature, so a pass buckets the touched species and one
+untouched member.  This gives the same partitions, pass for pass, as
+recomputing every signature on every pass, which the tests keep as their
+oracle; each species is in a splitter at most log2(n) times.
+
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
 two signatures differ (a partner or a (partner, block) pair forward, a
@@ -25,7 +43,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
 
 from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
 
@@ -52,37 +70,139 @@ class BisimMode(enum.Enum):
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Partition sequence produced by :func:`refine`.
+    """Result of :func:`refine`.
 
-    ``iterations[0]`` is the initial partition, each later entry refines
-    its predecessor, and ``final`` is the last entry (a bisimulation of
-    the requested mode).  ``predicate_calls`` counts the species bucketed
-    by signature, summed over all passes (members of singleton blocks are
-    not bucketed).
+    ``final`` is the coarsest bisimulation of the requested mode that
+    refines the initial partition.  ``passes`` counts the passes that
+    split a block (the last pass, which splits none, is not counted), so
+    it is 0 exactly when the initial partition is already a
+    bisimulation.  ``predicate_calls`` counts the species whose signature
+    a pass recomputed and bucketed, summed over all passes: the first
+    pass takes every member of a block of two or more species, a later
+    pass only the species that a split touched.
     """
 
-    iterations: tuple[Partition, ...]
     final: Partition
+    passes: int
     predicate_calls: int
 
 
-def _first_difference(a: tuple, b: tuple) -> tuple[object, Fraction, Fraction] | None:
-    """First key, in key order, at which two sorted ``(key, value)``
-    tuples disagree, with both values (an absent key reads 0)."""
-    da, db = dict(a), dict(b)
-    keys = [k for k in da.keys() | db.keys() if da.get(k, 0) != db.get(k, 0)]
+def _first_difference(a: dict, b: dict) -> tuple[object, int, int] | None:
+    """First key, in key order, at which two ``key -> value`` maps
+    disagree, with both values (an absent key reads 0)."""
+    keys = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
     if not keys:
         return None
     key = min(keys)
-    return key, da.get(key, 0), db.get(key, 0)
+    return key, a.get(key, 0), b.get(key, 0)
 
 
-def _gives(x: Species, vx: Fraction, y: Species, vy: Fraction) -> str:
-    return f"{x.name} gives {format_rational(vx)}, {y.name} gives {format_rational(vy)}"
+def _nonzero(values: dict) -> dict:
+    return {k: v for k, v in values.items() if v}
 
 
 # ---------------------------------------------------------------------------
-# Signature tables
+# Refinable partition
+
+
+class _Blocks:
+    """Refinable partition of species ids (Valmari & Franceschinis).
+
+    Block ``b`` holds ``elems[first[b]:end[b]]``, ``loc[x]`` is the
+    position of species ``x`` in ``elems`` and ``block_of[x]`` its block
+    label.  Labels start as the block indices of the initial partition;
+    a split gives every piece but the largest a fresh label.
+    """
+
+    __slots__ = ("elems", "loc", "block_of", "first", "end")
+
+    def __init__(self, p: Partition):
+        self.elems = [sp.id for block in p.blocks for sp in block]
+        self.loc = [0] * len(self.elems)
+        for i, x in enumerate(self.elems):
+            self.loc[x] = i
+        self.block_of = list(p.block_index)
+        self.first = []
+        self.end = []
+        start = 0
+        for block in p.blocks:
+            self.first.append(start)
+            start += len(block)
+            self.end.append(start)
+
+    def in_singleton(self, x: int) -> bool:
+        b = self.block_of[x]
+        return self.end[b] - self.first[b] == 1
+
+    def members(self, b: int) -> list[int]:
+        return self.elems[self.first[b] : self.end[b]]
+
+    def split(self, touched: list[int], key) -> list[tuple[int, int]]:
+        """Split every block holding a touched species by ``key``.
+
+        The block's untouched members must share one key, which is read
+        from one of them.  The largest piece keeps the block's label;
+        returns ``(label, parent label)`` for every other piece.
+        """
+        elems, loc, block_of = self.elems, self.loc, self.block_of
+        first, end = self.first, self.end
+        # Per block hit, how many touched members have been moved to its front.
+        marked: dict[int, int] = {}
+        for x in touched:
+            b = block_of[x]
+            m = marked.get(b, 0)
+            i, j = first[b] + m, loc[x]
+            y = elems[i]
+            elems[i], elems[j] = x, y
+            loc[x], loc[y] = i, j
+            marked[b] = m + 1
+        pieces = []
+        for b, m in marked.items():
+            lo, hi = first[b], end[b]
+            mid = lo + m
+            groups: dict[object, list[int]] = {}
+            if mid < hi:
+                # The untouched members' group; touched members with their key join it.
+                groups[key(elems[mid])] = []
+            for x in elems[lo:mid]:
+                groups.setdefault(key(x), []).append(x)
+            if len(groups) == 1:
+                continue
+            # Lay the touched members out group by group, the joiners of the
+            # untouched group last so that the whole group is one range.
+            others = list(groups.values())
+            joiners = others.pop(0) if mid < hi else []
+            elems[lo:mid] = [x for group in others for x in group] + joiners
+            for i in range(lo, mid):
+                loc[elems[i]] = i
+            ranges = [(mid - len(joiners), hi)] if mid < hi else []
+            start = lo
+            for group in others:
+                ranges.append((start, start + len(group)))
+                start += len(group)
+            # The largest piece keeps the label (the untouched group on a tie).
+            keep = max(range(len(ranges)), key=lambda k: ranges[k][1] - ranges[k][0])
+            for k, (start, stop) in enumerate(ranges):
+                if k == keep:
+                    first[b], end[b] = start, stop
+                    continue
+                label = len(first)
+                first.append(start)
+                end.append(stop)
+                for x in elems[start:stop]:
+                    block_of[x] = label
+                pieces.append((label, b))
+        return pieces
+
+    def partition(self, species) -> Partition:
+        return Partition(
+            species,
+            [[species[x] for x in self.members(b)] for b in range(len(self.first))],
+        )
+
+
+# ---------------------------------------------------------------------------
+# Signatures
 
 
 def _require_elementary(crn: CRN) -> None:
@@ -96,194 +216,272 @@ def _require_elementary(crn: CRN) -> None:
             )
 
 
-class _ForwardTables:
-    """Static per-species rate tables; partition-dependent parts are folded
-    per refinement pass.
+def _scaled_rates(crn: CRN) -> tuple[int, list[int]]:
+    """L, the least common multiple of the rate denominators, and every
+    reaction's rate times L."""
+    denominators = {rxn.rate.denominator for rxn in crn.reactions}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    rates = (rxn.rate for rxn in crn.reactions)
+    return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
 
-    A signature is ``(crr, production)``: the reaction rate per partner
-    and the production rate per ``(partner, block index)``, both as
-    sorted ``(key, value)`` tuples without zero values.
+
+class _ForwardSignatures:
+    """Forward signatures of every species under a block labelling.
+
+    A signature is ``(crr, folded)``: the reaction rate per partner and
+    the production rate per ``(partner, block label)``, both as maps
+    without zero values.
     """
 
-    def __init__(self, crn: CRN):
+    def __init__(self, crn: CRN, block_of):
         _require_elementary(crn)
+        self.scale, rates = _scaled_rates(crn)
         n = crn.n_species
-        crr: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        prod: list[dict[int, dict[int, Fraction]]] = [{} for _ in range(n)]
+        crr: list[dict[int, int]] = [{} for _ in range(n)]
+        prod: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
 
-        def account(x: int, partner: int, factor: int, rxn) -> None:
-            rate = factor * rxn.rate
+        def account(x: int, partner: int, rate: int, products: Multiset) -> None:
             crr[x][partner] = crr[x].get(partner, 0) + rate
-            bucket = prod[x].setdefault(partner, {})
-            for sp, mult in rxn.products:
-                bucket[sp.id] = bucket.get(sp.id, 0) + rate * mult
+            table = prod[x]
+            for sp, mult in products:
+                key = (partner, sp.id)
+                table[key] = table.get(key, 0) + rate * mult
 
-        for rxn in crn.reactions:
+        for rxn, rate in zip(crn.reactions, rates):
             pairs = rxn.reactants.pairs
             if len(pairs) == 2:
                 (a, _), (b, _) = pairs
-                account(a.id, b.id, 1, rxn)
-                account(b.id, a.id, 1, rxn)
+                account(a.id, b.id, rate, rxn.products)
+                account(b.id, a.id, rate, rxn.products)
             else:
                 ((sp, mult),) = pairs
-                account(sp.id, _EMPTY if mult == 1 else sp.id, mult, rxn)
+                account(sp.id, _EMPTY if mult == 1 else sp.id, mult * rate, rxn.products)
 
-        self._crr_sig = [tuple(sorted(c.items())) for c in crr]
+        self._crr = [_nonzero(c) for c in crr]
+        crr_ids: dict[tuple, int] = {}
+        self._crr_id = [
+            crr_ids.setdefault(tuple(sorted(c.items())), len(crr_ids)) for c in self._crr
+        ]
         self._prod = [
-            {partner: tuple(bucket.items()) for partner, bucket in table.items()}
+            [(partner, yid, val) for (partner, yid), val in table.items() if val]
             for table in prod
         ]
+        self._producers: list[list[tuple[int, int, int]]] | None = None
         self._species = crn.species
+        self.folded = [self._fold(x, block_of) for x in range(n)]
 
-    def signatures(self, p: Partition) -> list[tuple]:
-        n = len(self._species)
-        block_of = p.block_index
-        sigs: list[tuple] = [()] * n
-        for x in range(n):
-            folded: dict[tuple[int, int], Fraction] = {}
-            for partner, bucket in self._prod[x].items():
-                for yid, val in bucket:
-                    key = (partner, block_of[yid])
-                    folded[key] = folded.get(key, 0) + val
-            sigs[x] = (
-                self._crr_sig[x],
-                tuple(sorted((k, v) for k, v in folded.items() if v)),
-            )
-        return sigs
+    def _fold(self, x: int, block_of) -> dict[tuple[int, int], int]:
+        folded: dict[tuple[int, int], int] = {}
+        for partner, yid, val in self._prod[x]:
+            key = (partner, block_of[yid])
+            folded[key] = folded.get(key, 0) + val
+        return _nonzero(folded) if 0 in folded.values() else folded
+
+    def key(self, x: int):
+        return self._crr_id[x], frozenset(self.folded[x].items())
+
+    def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
+        """Move every production into a new piece from its parent's key to
+        the piece's key; return the species moved, outside singletons."""
+        producers = self._producers
+        if producers is None:
+            producers = self._producers = [[] for _ in self._species]
+            for x, entries in enumerate(self._prod):
+                for partner, yid, val in entries:
+                    producers[yid].append((x, partner, val))
+        folded = self.folded
+        touched: dict[int, None] = {}
+        for piece, parent in pieces:
+            for y in blocks.members(piece):
+                for x, partner, val in producers[y]:
+                    if blocks.in_singleton(x):
+                        continue
+                    _move(folded[x], (partner, parent), (partner, piece), val)
+                    touched[x] = None
+        return list(touched)
 
     def _partner(self, partner: int) -> Multiset:
         return Multiset() if partner == _EMPTY else Multiset.of(self._species[partner])
 
-    def witness(self, p: Partition, x: Species, sx: tuple, y: Species, sy: tuple) -> str:
-        diff = _first_difference(sx[0], sy[0])
+    def witness(self, p: Partition, x: Species, y: Species) -> str:
+        diff = _first_difference(self._crr[x.id], self._crr[y.id])
         if diff is not None:
             partner, vx, vy = diff
             return (
                 f"reaction rate with partner {self._partner(partner)!r}: "
-                f"{_gives(x, vx, y, vy)}"
+                f"{_gives(x, vx, y, vy, self.scale)}"
             )
-        (partner, block_idx), vx, vy = _first_difference(sx[1], sy[1])
+        (partner, block_idx), vx, vy = _first_difference(
+            self.folded[x.id], self.folded[y.id]
+        )
         names = ", ".join(sp.name for sp in p.blocks[block_idx])
         return (
             f"production rate with partner {self._partner(partner)!r} into block "
-            f"{{{names}}}: {_gives(x, vx, y, vy)}"
+            f"{{{names}}}: {_gives(x, vx, y, vy, self.scale)}"
         )
 
 
-class _BackwardTables:
-    """Net flux of every species per distinct reactant multiset.
+class _BackwardSignatures:
+    """Backward signatures of every species under a block labelling.
 
-    A signature is the sorted ``(class id, cumulative flux)`` tuple
-    without zero values, where a class gathers the reactant multisets
-    that lift to the same multiset of blocks.
+    A signature maps a class id to the species' cumulative flux over the
+    class, without zero values.  A class gathers the distinct reactant
+    multisets that lift to the same multiset of blocks; classes are
+    numbered by first appearance.
     """
 
-    def __init__(self, crn: CRN):
+    def __init__(self, crn: CRN, block_of):
         _require_elementary(crn)
-        table: dict[tuple, dict[int, Fraction]] = {}
-        for rxn in crn.reactions:
+        self.scale, rates = _scaled_rates(crn)
+        table: dict[tuple, dict[int, int]] = {}
+        for rxn, rate in zip(crn.reactions, rates):
+            net: dict[int, int] = {}
+            for sp, mult in rxn.products:
+                net[sp.id] = mult
+            for sp, mult in rxn.reactants:
+                net[sp.id] = net.get(sp.id, 0) - mult
             support = table.setdefault(tuple((sp.id, m) for sp, m in rxn.reactants), {})
-            touched = {sp for sp, _ in rxn.reactants} | {sp for sp, _ in rxn.products}
-            for sp in touched:
-                net = rxn.products.get(sp) - rxn.reactants.get(sp)
-                if net:
-                    support[sp.id] = support.get(sp.id, 0) + net * rxn.rate
-        self._entries = [(key, tuple(support.items())) for key, support in table.items()]
+            for sid, change in net.items():
+                if change:
+                    support[sid] = support.get(sid, 0) + change * rate
+        self._keys = list(table)
+        # Each reactant multiset as one or two species ids (2A is (A, A)).
+        self._reactants = [
+            tuple(sid for sid, m in key for _ in range(m)) for key in self._keys
+        ]
+        self._support = [
+            [(sid, val) for sid, val in support.items() if val]
+            for support in table.values()
+        ]
+        self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
-
-    def _class_ids(self, p: Partition) -> list[int]:
-        """Class id of every entry, numbered by first appearance."""
-        block_of = p.block_index
-        class_ids: dict[tuple, int] = {}
-        out = []
-        for key, _ in self._entries:
-            lifted: dict[int, int] = {}
-            for sid, mult in key:
-                bid = block_of[sid]
-                lifted[bid] = lifted.get(bid, 0) + mult
-            lkey = tuple(sorted(lifted.items()))
-            out.append(class_ids.setdefault(lkey, len(class_ids)))
-        return out
-
-    def signatures(self, p: Partition) -> list[tuple]:
-        sums: list[dict[int, Fraction]] = [{} for _ in self._species]
-        for cid, (_, support) in zip(self._class_ids(p), self._entries):
+        self._class_of: dict[tuple[int, ...], int] = {}
+        self.entry_class = [self._classify(e, block_of) for e in range(len(self._keys))]
+        sums: list[dict[int, int]] = [{} for _ in crn.species]
+        for cid, support in zip(self.entry_class, self._support):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
-        return [tuple(sorted((c, v) for c, v in acc.items() if v)) for acc in sums]
+        self.sums = [_nonzero(acc) if 0 in acc.values() else acc for acc in sums]
 
-    def witness(self, p: Partition, x: Species, sx: tuple, y: Species, sy: tuple) -> str:
-        cid, vx, vy = _first_difference(sx, sy)
+    def _classify(self, e: int, block_of) -> int:
+        """Class id of the lift of entry ``e``; a new lift gets a new id."""
+        lift = tuple(sorted(block_of[sid] for sid in self._reactants[e]))
+        return self._class_of.setdefault(lift, len(self._class_of))
+
+    def key(self, x: int):
+        return frozenset(self.sums[x].items())
+
+    def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
+        """Lift again every reactant multiset meeting a new piece and move
+        its support's flux to the new class; return the species moved,
+        outside singletons."""
+        by_reactant = self._by_reactant
+        if by_reactant is None:
+            by_reactant = self._by_reactant = [[] for _ in self._species]
+            for e, reactants in enumerate(self._reactants):
+                for sid in set(reactants):
+                    by_reactant[sid].append(e)
+        dirty: dict[int, None] = {}
+        for piece, _ in pieces:
+            for y in blocks.members(piece):
+                for e in by_reactant[y]:
+                    dirty[e] = None
+        sums = self.sums
+        touched: dict[int, None] = {}
+        for e in dirty:
+            old = self.entry_class[e]
+            new = self.entry_class[e] = self._classify(e, blocks.block_of)
+            for sid, val in self._support[e]:
+                if blocks.in_singleton(sid):
+                    continue
+                _move(sums[sid], old, new, val)
+                touched[sid] = None
+        return list(touched)
+
+    def witness(self, p: Partition, x: Species, y: Species) -> str:
+        cid, vx, vy = _first_difference(self.sums[x.id], self.sums[y.id])
         members = sorted(
             (
                 Multiset((self._species[sid], m) for sid, m in key)
-                for c, (key, _) in zip(self._class_ids(p), self._entries)
+                for c, key in zip(self.entry_class, self._keys)
                 if c == cid
             ),
             key=Multiset.name_key,
         )
         return (
             f"cumulative flux over reactant class {{{', '.join(map(repr, members))}}}: "
-            f"{_gives(x, vx, y, vy)}"
+            f"{_gives(x, vx, y, vy, self.scale)}"
         )
 
 
-def _tables(crn: CRN, mode: BisimMode):
+def _move(values: dict, old, new, val: int) -> None:
+    """Move ``val`` from key ``old`` to key ``new``, dropping zeros."""
+    for k, v in ((old, values.get(old, 0) - val), (new, values.get(new, 0) + val)):
+        if v:
+            values[k] = v
+        else:
+            values.pop(k, None)
+
+
+def _gives(x: Species, vx: int, y: Species, vy: int, scale: int) -> str:
+    """Both species' values, scaled back to rates."""
+    return (
+        f"{x.name} gives {format_rational(Fraction(vx, scale))}, "
+        f"{y.name} gives {format_rational(Fraction(vy, scale))}"
+    )
+
+
+def _signatures(crn: CRN, mode: BisimMode, block_of):
     if mode is BisimMode.FORWARD:
-        return _ForwardTables(crn)
-    return _BackwardTables(crn)
+        return _ForwardSignatures(crn, block_of)
+    return _BackwardSignatures(crn, block_of)
 
 
 # ---------------------------------------------------------------------------
 # Decisions and refinement
 
 
-def _first_split(sigs: list[tuple], p: Partition) -> tuple[Species, Species] | None:
+def _first_split(sigs, p: Partition) -> tuple[Species, Species] | None:
     """First ``(block[0], member)`` pair with different signatures."""
     for block in p.blocks:
-        first = sigs[block[0].id]
+        first = sigs.key(block[0].id)
         for sp in block[1:]:
-            if sigs[sp.id] != first:
+            if sigs.key(sp.id) != first:
                 return block[0], sp
     return None
 
 
 def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
     """True iff all species sharing a block are mode-equivalent under ``p``."""
-    return _first_split(_tables(crn, mode).signatures(p), p) is None
+    return _first_split(_signatures(crn, mode, p.block_index), p) is None
 
 
 def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     """Coarsest forward or backward bisimulation refining ``initial``.
 
-    Each pass buckets the species of every block by signature under the
-    current partition (the splitter equivalence intersected with the
-    current partition) and the loop stops when no block splits.  Without
-    reactions every partition is already a bisimulation of either kind.
+    Each pass splits every block by signature under the current partition
+    (the splitter equivalence intersected with the current partition),
+    recomputing only the signatures the previous pass's splits touched;
+    the loop stops when no block splits.  Without reactions every
+    partition is already a bisimulation of either kind.
     """
     if not crn.reactions:
-        return RefinementTrace((initial,), initial, 0)
-    tables = _tables(crn, mode)
-    iterations = [initial]
-    current = initial
-    bucketed = 0
-    while True:
-        sigs = tables.signatures(current)
-        new_blocks: list[Sequence[Species]] = []
-        for block in current.blocks:
-            if len(block) == 1:
-                new_blocks.append(block)
-                continue
-            bucketed += len(block)
-            buckets: dict[tuple, list[Species]] = {}
-            for sp in block:
-                buckets.setdefault(sigs[sp.id], []).append(sp)
-            new_blocks.extend(buckets.values())
-        if len(new_blocks) == current.n_blocks:
-            return RefinementTrace(tuple(iterations), current, bucketed)
-        current = Partition(crn.species, new_blocks)
-        iterations.append(current)
+        return RefinementTrace(initial, 0, 0)
+    blocks = _Blocks(initial)
+    sigs = _signatures(crn, mode, blocks.block_of)
+    touched = [x for x in range(crn.n_species) if not blocks.in_singleton(x)]
+    passes = calls = 0
+    while touched:
+        calls += len(touched)
+        pieces = blocks.split(touched, sigs.key)
+        if not pieces:
+            break
+        passes += 1
+        touched = sigs.retarget(blocks, pieces)
+    final = blocks.partition(crn.species) if passes else initial
+    return RefinementTrace(final, passes, calls)
 
 
 def find_counterexample(
@@ -292,10 +490,9 @@ def find_counterexample(
     """First within-block pair ``(block[0], member)`` violating the mode
     equivalence, with a human-readable witness taken from the first key
     at which their signatures differ; None when ``p`` is a bisimulation."""
-    tables = _tables(crn, mode)
-    sigs = tables.signatures(p)
+    sigs = _signatures(crn, mode, p.block_index)
     pair = _first_split(sigs, p)
     if pair is None:
         return None
     x, y = pair
-    return x, y, tables.witness(p, x, sigs[x.id], y, sigs[y.id])
+    return x, y, sigs.witness(p, x, y)

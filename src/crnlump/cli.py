@@ -3,11 +3,13 @@ compare, gen, bench.
 
 Every subcommand is a thin shell over the library.  Exit codes: 0 on
 success (and for ``check``/``compare``, when the property holds /
-the tolerance is met), 1 for parse errors, missing files, or a failed
-``check``, 2 for invalid partitions, violated preconditions, invalid
-arguments and results with numbers too long to print, 3 for integration
-failures.  Files ending in ``.net`` are imported as BioNetGen networks,
-everything else as the native format.
+the tolerance is met), 1 for parse errors, files that are missing,
+unreadable or not UTF-8, or a failed ``check``, 2 for invalid
+partitions, violated preconditions, invalid arguments (among them a
+``simulate`` output grid of more than 10**7 values and ``gen random``
+sizes beyond the generator's guard) and results with numbers too long
+to print, 3 for integration failures.  Files ending in ``.net`` are
+imported as BioNetGen networks, everything else as the native format.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .io import (
     partition_from_initial_conditions,
     serialize_crn,
 )
-from .models import MultisiteSpec, multisite, random_crn, two_state
+from .models import _REACTION_GUARD, MultisiteSpec, multisite, random_crn, two_state
 from .odes import (
     exact_lumpability_witness,
     format_vector_field,
@@ -58,9 +60,25 @@ from .sim import (
 
 _MODES = {"fb": BisimMode.FORWARD, "bb": BisimMode.BACKWARD}
 
+# Most values (time points times species) a simulate trajectory may hold:
+# 80 MB of float64, and several times that as CSV text.
+_MAX_GRID_VALUES = 10_000_000
+
+
+def _read(path: str) -> str:
+    """Text of an input file.  A file that cannot be opened raises
+    :class:`OSError` and one that is not UTF-8 a :class:`ParseError`;
+    both exit 1."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(
+            f"{path}: not UTF-8 text (byte {err.start}: {err.reason})"
+        ) from None
+
 
 def _load(path: str) -> tuple[CRN, InitialCondition | None]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read(path)
     if path.endswith(".net"):
         return import_bngl_net(text)
     return parse_crn(text)
@@ -68,7 +86,7 @@ def _load(path: str) -> tuple[CRN, InitialCondition | None]:
 
 def _initial_partition(args, crn: CRN, inits) -> Partition:
     if getattr(args, "partition", None):
-        return parse_partition(Path(args.partition).read_text(encoding="utf-8"), crn)
+        return parse_partition(_read(args.partition), crn)
     if getattr(args, "from_inits", False):
         if inits is None:
             raise PartitionError("--from-inits requires initial conditions")
@@ -78,7 +96,7 @@ def _initial_partition(args, crn: CRN, inits) -> Partition:
 
 def _inits(args, crn: CRN, embedded) -> InitialCondition | None:
     if getattr(args, "init", None):
-        return parse_initial_conditions(Path(args.init).read_text(encoding="utf-8"), crn)
+        return parse_initial_conditions(_read(args.init), crn)
     return embedded
 
 
@@ -133,7 +151,7 @@ def _cmd_reduce(args) -> int:
     report = [
         f"mode: {mode}",
         f"initial blocks: {initial.n_blocks}",
-        f"iterations: {len(trace.iterations) - 1}",
+        f"iterations: {trace.passes}",
         f"final blocks: {trace.final.n_blocks}",
         "block sizes: "
         + " ".join(f"{size}x{count}" for size, count in sorted(sizes.items())),
@@ -211,6 +229,12 @@ def _cmd_simulate(args) -> int:
     v0 = _inits(args, crn, embedded)
     if v0 is None:
         raise PartitionError("no initial conditions (use --init or init: lines)")
+    values = args.points * crn.n_species
+    if values > _MAX_GRID_VALUES:
+        raise CRNError(
+            f"--points {args.points} with {crn.n_species} species gives {values} "
+            f"output values; the limit is {_MAX_GRID_VALUES}"
+        )
     traj = integrate(
         vector_field(crn),
         v0,
@@ -260,6 +284,12 @@ def _at_least(low: int, option: str, value: int) -> int:
     return value
 
 
+def _at_most(high: int, option: str, value: int) -> int:
+    if value > high:
+        raise CRNError(f"{option} must be at most {high}, got {value}")
+    return value
+
+
 def _rate_pair(text: str) -> list[Fraction]:
     """The two positive rationals of ``a1,a2``."""
     try:
@@ -294,8 +324,10 @@ def _cmd_gen(args) -> int:
         return 0
     crn = random_crn(
         args.seed,
-        _at_least(1, "--species", args.species),
-        _at_least(0, "--reactions", args.reactions),
+        _at_most(_REACTION_GUARD, "--species", _at_least(1, "--species", args.species)),
+        _at_most(
+            _REACTION_GUARD, "--reactions", _at_least(0, "--reactions", args.reactions)
+        ),
     )
     _write(serialize_crn(crn), args.out)
     return 0
@@ -428,7 +460,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ParseError as err:

@@ -197,10 +197,16 @@ def random_crn(
     """Seed-deterministic valid network for property sweeps.
 
     Unary or binary reactants, up to three product molecules (possibly
-    none), rates drawn from the pool.
+    none), rates drawn from the pool.  Neither size may exceed the guard
+    that :func:`multisite` applies to its reaction count.
     """
     if n_species < 1 or n_reactions < 0:
         raise ValueError("sizes must be positive")
+    if max(n_species, n_reactions) > _REACTION_GUARD:
+        raise CRNError(
+            f"random network with {n_species} species and {n_reactions} "
+            f"reactions; refusing (guard {_REACTION_GUARD})"
+        )
     rng = random.Random(seed)
     if n_species <= 26:
         names = [chr(ord("A") + i) for i in range(n_species)]

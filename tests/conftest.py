@@ -1,8 +1,9 @@
+import random
 import sys
 
 import pytest
 
-from crnlump import BisimMode, Partition, running_example
+from crnlump import BisimMode, Partition, make_crn, running_example
 
 
 def blocks_of(crn, *groups):
@@ -10,6 +11,15 @@ def blocks_of(crn, *groups):
     return Partition(
         crn.species, [[crn.by_name(name) for name in group] for group in groups]
     )
+
+
+def shuffled_chain(n, seed):
+    """The chain X0 -> X1 -> ... -> X(n-1) at rate 1, with the species
+    listed in a seeded random order: the deepest refinement, one pass per
+    species."""
+    names = [f"X{i}" for i in range(n)]
+    listed = random.Random(seed).sample(names, n)
+    return make_crn(listed, [({a: 1}, 1, {b: 1}) for a, b in zip(names, names[1:])])
 
 
 @pytest.fixture

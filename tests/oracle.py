@@ -14,9 +14,16 @@ Nothing here shares code with the signature tables of
   as the definitions do;
 * ``brute_force_coarsest``, which enumerates every partition refining
   an initial one and returns the coarsest one on which the pairwise
-  predicates hold within every block.
+  predicates hold within every block;
+* ``full_pass_refinement``, the plain partition-refinement loop: every
+  pass recomputes, from the reaction list, the signature of every species
+  in a block of two or more and buckets each block by it, until a pass
+  splits nothing.  It yields every partition of the sequence.
 
-All results are exact :class:`~fractions.Fraction` values.
+The rate functions return exact :class:`~fractions.Fraction` values.
+The refinement loop compares exact integers instead: each rate times the
+least common multiple of the rate denominators, so that a 2000-species
+chain (2000 passes) stays quick enough to test.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable
 
 from crnlump import CRN, BisimMode, CRNError, Multiset, Partition, Species
@@ -248,3 +256,112 @@ def brute_force_coarsest(crn: CRN, initial: Partition, mode: BisimMode) -> Parti
         if not p.refines(best):
             raise AssertionError("no unique coarsest bisimulation; closure violated")
     return best
+
+
+# ---------------------------------------------------------------------------
+# Full-recompute refinement loop
+
+
+def _scaled(crn: CRN) -> dict[Fraction, int]:
+    """Every rate times the least common multiple of the rate denominators:
+    exact integers that compare as the rates do."""
+    rates = {Fraction(rxn.rate) for rxn in crn.reactions}
+    scale = lcm(*(rate.denominator for rate in rates))
+    return {rate: int(rate * scale) for rate in rates}
+
+
+def _forward_uses(crn: CRN) -> tuple[list[frozenset], list[list[tuple]]]:
+    """Per species x: its reaction rates, as a set of ``(partner, rate)``,
+    and ``(partner, product id, production)`` for each product of each
+    reaction whose reactants are ``x + partner``.  Weighted as
+    ``reaction_rate`` and ``production_rate`` are and scaled to integers;
+    a partner is the tuple of its species ids."""
+    scaled = _scaled(crn)
+    rates: list[list] = [[] for _ in crn.species]
+    productions: list[list] = [[] for _ in crn.species]
+    for rxn in crn.reactions:
+        for x, _ in rxn.reactants:
+            partner = Multiset(
+                (sp, m - 1 if sp == x else m) for sp, m in rxn.reactants
+            )
+            _check_partner(partner)
+            rate = (partner.get(x) + 1) * scaled[rxn.rate]
+            key = tuple(sp.id for sp, _ in partner)
+            rates[x.id].append((key, rate))
+            productions[x.id].extend((key, y.id, rate * m) for y, m in rxn.products)
+    return [_sum_nonzero(r) for r in rates], productions
+
+
+def _backward_uses(crn: CRN) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per species x, ``(reactant ids, flux of x)`` for each reaction
+    changing x, with a reactant of multiplicity 2 listed twice (scaled to
+    integers)."""
+    scaled = _scaled(crn)
+    uses: list[list] = [[] for _ in crn.species]
+    for rxn in crn.reactions:
+        rho = tuple(sp.id for sp, m in rxn.reactants for _ in range(m))
+        for x in {sp for sp, _ in rxn.reactants} | {sp for sp, _ in rxn.products}:
+            flux = (rxn.products.get(x) - rxn.reactants.get(x)) * scaled[rxn.rate]
+            if flux:
+                uses[x.id].append((rho, flux))
+    return uses
+
+
+def _sum_nonzero(pairs) -> frozenset:
+    totals: dict = {}
+    for key, value in pairs:
+        totals[key] = totals.get(key, 0) + value
+    return frozenset((k, v) for k, v in totals.items() if v)
+
+
+def full_pass_refinement(crn: CRN, initial: Partition, mode: BisimMode):
+    """Yield the blocks of every partition of the plain refinement loop,
+    from ``initial`` to the coarsest ``mode`` bisimulation refining it.
+
+    Forward, a species' signature is its reaction rate per partner and
+    its production rate per (partner, block); backward, its cumulative
+    flux per reactant class (reactant multisets with equal block lifts).
+    Each pass buckets every block of two or more species by signature
+    under the current partition; the loop ends at the first pass that
+    splits nothing.  Successive yields share the lists of the blocks that
+    did not split, so callers must not change them.
+    """
+    if mode is BisimMode.FORWARD:
+        rates, productions = _forward_uses(crn)
+
+        def signature(x: int, block_of) -> tuple:
+            totals: dict = {}
+            for partner, y, value in productions[x]:
+                key = partner, block_of[y]
+                totals[key] = totals.get(key, 0) + value
+            return rates[x], frozenset(kv for kv in totals.items() if kv[1])
+    else:
+        uses = _backward_uses(crn)
+
+        def signature(x: int, block_of) -> frozenset:
+            totals: dict = {}
+            for rho, flux in uses[x]:
+                lift = tuple(sorted([block_of[y] for y in rho]))
+                totals[lift] = totals.get(lift, 0) + flux
+            return frozenset(kv for kv in totals.items() if kv[1])
+
+    blocks = [list(block) for block in initial.blocks]
+    block_of = list(initial.block_index)
+    yield blocks
+    while True:
+        split: list[list[Species]] = []
+        for block in blocks:
+            if len(block) == 1:
+                split.append(block)
+                continue
+            buckets: dict = {}
+            for sp in block:
+                buckets.setdefault(signature(sp.id, block_of), []).append(sp)
+            split.extend(buckets.values())
+        if len(split) == len(blocks):
+            return
+        blocks = split
+        for idx, block in enumerate(blocks):
+            for sp in block:
+                block_of[sp.id] = idx
+        yield blocks

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 
@@ -7,26 +8,48 @@ from crnlump import (
     BisimMode,
     CRNError,
     Multiset,
+    MultisiteSpec,
     Partition,
     find_counterexample,
     is_bisimulation,
     make_crn,
+    multisite,
+    partition_from_initial_conditions,
     random_crn,
     refine,
 )
-from conftest import blocks_of
+from conftest import blocks_of, shuffled_chain
 from oracle import (
     backward_equivalent,
     brute_force_coarsest,
     cumulative_flux_rate,
     first_inequivalent_pair,
     forward_equivalent,
+    full_pass_refinement,
     mode_equivalent,
     partitions_refining,
     production_rate_to_block,
     reactant_classes,
     reaction_rate,
 )
+
+
+def _oracle_iterations(net, initial, mode):
+    """Every partition of the full-recompute loop, the initial one first."""
+    return [
+        Partition(net.species, blocks)
+        for blocks in full_pass_refinement(net, initial, mode)
+    ]
+
+
+def _oracle_result(net, initial, mode):
+    """Final partition and pass count of the full-recompute loop."""
+    passes = -1
+    for blocks in full_pass_refinement(net, initial, mode):
+        passes += 1
+        last = blocks
+    return Partition(net.species, last), passes
+
 
 WITNESS = re.compile(
     r"(?:reaction rate with partner (?P<rate_partner>\w+)"
@@ -172,7 +195,7 @@ class TestRefine:
         discrete = Partition.discrete(crn)
         trace = refine(crn, discrete, mode)
         assert trace.final == discrete
-        assert len(trace.iterations) == 1
+        assert trace.passes == 0
 
     def test_respects_initial_partition(self, crn):
         # singling out C forbids the C/E merge
@@ -183,9 +206,11 @@ class TestRefine:
 
     def test_trace_shape(self, crn, mode):
         trace = refine(crn, Partition.trivial(crn), mode)
-        assert trace.iterations[0] == Partition.trivial(crn)
-        assert trace.iterations[-1] == trace.final
-        for earlier, later in zip(trace.iterations, trace.iterations[1:]):
+        iterations = _oracle_iterations(crn, Partition.trivial(crn), mode)
+        assert iterations[0] == Partition.trivial(crn)
+        assert iterations[-1] == trace.final
+        assert len(iterations) - 1 == trace.passes
+        for earlier, later in zip(iterations, iterations[1:]):
             assert later.refines(earlier)
             assert later != earlier
 
@@ -202,15 +227,18 @@ class TestRefine:
             trace = refine(net, Partition.trivial(net), mode)
             assert is_bisimulation(net, trace.final, mode)
             assert trace.final.refines(Partition.trivial(net))
-            # iteration count is bounded by the species count
-            assert len(trace.iterations) - 1 <= net.n_species
-            for earlier, later in zip(trace.iterations, trace.iterations[1:]):
+            # pass count is bounded by the species count
+            assert trace.passes <= net.n_species
+            iterations = _oracle_iterations(net, Partition.trivial(net), mode)
+            assert iterations[-1] == trace.final
+            for earlier, later in zip(iterations, iterations[1:]):
                 assert later.refines(earlier)
 
     def test_deterministic(self, crn, mode):
         a = refine(crn, Partition.trivial(crn), mode)
         b = refine(crn, Partition.trivial(crn), mode)
-        assert a.iterations == b.iterations
+        assert a.final == b.final
+        assert a.passes == b.passes
         assert a.predicate_calls == b.predicate_calls
 
     def test_matches_brute_force_oracle(self, mode):
@@ -237,3 +265,49 @@ class TestRefine:
             trace = refine(net, Partition.trivial(net), mode)
             bound = net.n_reactions**2 * net.n_species**5
             assert trace.predicate_calls <= bound
+
+
+class TestSplitterRefinement:
+    """``refine`` recomputes only the signatures a split touched; it must
+    give the final partition and pass count of the full-recompute loop."""
+
+    def test_matches_full_pass_loop_on_random_sweep(self, mode):
+        # the 200 networks of the acceptance sweep, from the trivial
+        # partition and from a seeded three-way split of the species
+        for seed in range(200):
+            net = random_crn(seed, 3 + seed % 4, 1 + seed % 12)
+            labels = [(seed * 7 + 3 * sp.id) % 5 % 3 for sp in net.species]
+            split = Partition(
+                net.species,
+                [[sp for sp in net.species if labels[sp.id] == k] for k in set(labels)],
+            )
+            for initial in (Partition.trivial(net), split):
+                trace = refine(net, initial, mode)
+                assert (trace.final, trace.passes) == _oracle_result(net, initial, mode)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_full_pass_loop_on_multisite(self, n):
+        net, inits = multisite(MultisiteSpec(n_sites=n))
+        for mode, initial in (
+            (BisimMode.FORWARD, Partition.trivial(net)),
+            (BisimMode.BACKWARD, partition_from_initial_conditions(inits)),
+        ):
+            trace = refine(net, initial, mode)
+            assert (trace.final, trace.passes) == _oracle_result(net, initial, mode)
+
+    @pytest.mark.parametrize("n", [2, 3, 300, 2000])
+    def test_matches_full_pass_loop_on_chains(self, mode, n):
+        net = shuffled_chain(n, seed=n)
+        trace = refine(net, Partition.trivial(net), mode)
+        assert (trace.final, trace.passes) == _oracle_result(
+            net, Partition.trivial(net), mode
+        )
+        assert trace.final == Partition.discrete(net)
+
+    @pytest.mark.parametrize("n", [300, 2000])
+    def test_predicate_calls_near_linear_on_chains(self, mode, n):
+        # the full-recompute loop buckets about n^2/2 species on a chain
+        net = shuffled_chain(n, seed=n)
+        trace = refine(net, Partition.trivial(net), mode)
+        assert trace.passes >= n - 2
+        assert trace.predicate_calls <= 4 * n * ceil(log2(n))

@@ -198,6 +198,7 @@ def test_compare_impossible_tolerance_fails(model, capsys):
         ["simulate", "--points", "0"],
         ["simulate", "--points", "-3"],
         ["simulate", "--t-end", "0"],
+        ["simulate", "--points", "1000000000", "--t-end", "1"],
         ["compare", "--mode", "fb", "--tol", "nan"],
         ["compare", "--mode", "fb", "--tol", "-1"],
     ],
@@ -220,6 +221,8 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
         ["gen", "multisite", "--sites", "0"],
         ["gen", "random", "--species", "0"],
         ["gen", "random", "--reactions", "-1"],
+        ["gen", "random", "--reactions", "1000000000"],
+        ["gen", "random", "--species", "1000000000"],
         ["gen", "two-state", "--rates", "1"],
         ["gen", "two-state", "--rates", "0,1"],
         ["gen", "two-state", "--rates", "1/0,1"],
@@ -235,6 +238,43 @@ def test_invalid_gen_or_bench_argument_exits_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["reduce", "{bad}", "--mode", "fb"],
+        ["check", "{bad}", "--what", "bisim-fb"],
+        ["odes", "{bad}"],
+        ["simulate", "{bad}"],
+        ["compare", "{bad}", "--mode", "fb"],
+        ["reduce", "{good}", "--mode", "fb", "--partition", "{bad}"],
+        ["check", "{good}", "--what", "bisim-fb", "--partition", "{bad}"],
+        ["odes", "{good}", "--mode", "fb", "--partition", "{bad}"],
+        ["compare", "{good}", "--mode", "fb", "--partition", "{bad}"],
+        ["reduce", "{good}", "--mode", "fb", "--init", "{bad}"],
+        ["simulate", "{good}", "--init", "{bad}"],
+        ["compare", "{good}", "--mode", "fb", "--init", "{bad}"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_unreadable_file_exits_1(tmp_path, capsys, argv, bad):
+    # A directory used to end in an IsADirectoryError traceback and a file
+    # that is not UTF-8 in a UnicodeDecodeError one.
+    good = tmp_path / "decay.crn"
+    good.write_text("A -> B , 1\ninit: A = 1\n")
+    path = tmp_path / "bad"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfeA -> B , 1\n")
+    assert main([arg.format(good=good, bad=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err
 
 
 def test_reduce_rejects_non_elementary_net_reaction(tmp_path, capsys):

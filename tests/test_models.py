@@ -152,6 +152,14 @@ class TestRandomCrn:
             net = random_crn(seed, 1 + seed % 6, seed % 13)
             assert validate(net) == []
 
+    @pytest.mark.parametrize(
+        "sizes", [(5, 10**9), (10**9, 5)], ids=["reactions", "species"]
+    )
+    def test_size_guard(self, sizes):
+        # used to loop until memory ran out
+        with pytest.raises(CRNError, match="refusing"):
+            random_crn(0, *sizes)
+
     def test_rate_pool_is_respected(self):
         net = random_crn(3, 4, 20, rate_pool=(Fraction(7), Fraction(1, 9)))
         assert {rxn.rate for rxn in net.reactions} <= {Fraction(7), Fraction(1, 9)}
