@@ -14,7 +14,9 @@ Rates and initial values are parsed exactly: integers, fractions
 (``3/7``), decimals (``0.1`` becomes 1/10) and scientific notation are
 all turned into rationals, never floats.  Species names may contain
 parentheses with nested commas (as BioNetGen complex patterns do);
-separators are only recognized at bracket depth zero.
+separators are only recognized at bracket depth zero.  Each distinct
+reaction side and number literal is parsed once per text, and reactions
+with equal sides share one multiset.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -53,9 +55,8 @@ __all__ = [
     "format_rational",
 ]
 
-_OPEN = "([{"
-_CLOSE = ")]}"
 _COEFF_RE = re.compile(r"^(\d+)\s*(\S.*)$")
+_SPACE_RE = re.compile(r"\s")
 _EXPONENT_RE = re.compile(r"[\d.]e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
 
 
@@ -102,40 +103,63 @@ def _strip_comment(line: str) -> str:
     return line if cut < 0 else line[:cut]
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split on a single-character separator at bracket depth zero."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch in _OPEN:
-            depth += 1
-        elif ch in _CLOSE:
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return parts
+def _depth(text: str) -> int:
+    """Bracket depth at the end of ``text``: openers minus closers, so a
+    stray closer makes it negative."""
+    return (
+        text.count("(") + text.count("[") + text.count("{")
+        - text.count(")") - text.count("]") - text.count("}")
+    )
 
 
-def _find_arrow(text: str) -> int:
+def _find_top(text: str, sep: str, start: int = 0) -> int:
+    """Index of the first ``sep`` at bracket depth zero in ``text[start:]``
+    (depth counted from ``start``), or -1.  Each character is counted once."""
     depth = 0
-    for i, ch in enumerate(text):
-        if ch in _OPEN:
-            depth += 1
-        elif ch in _CLOSE:
-            depth -= 1
-        elif ch == "-" and depth == 0 and text[i : i + 2] == "->":
-            return i
+    scanned = start
+    cut = text.find(sep, start)
+    while cut >= 0:
+        depth += _depth(text[scanned:cut])
+        if depth == 0:
+            return cut
+        scanned = cut
+        cut = text.find(sep, cut + 1)
     return -1
 
 
+def _rfind_top(text: str, sep: str) -> int:
+    """Index of the last ``sep`` at bracket depth zero, or -1: there the
+    rest of the text has the depth of the whole.  Finds the rate's comma
+    without splitting at the bracketed commas of product names."""
+    whole = _depth(text)
+    rest = 0
+    scanned = len(text)
+    cut = text.rfind(sep)
+    while cut >= 0:
+        rest += _depth(text[cut:scanned])
+        if rest == whole:
+            return cut
+        scanned = cut
+        cut = text.rfind(sep, 0, cut)
+    return -1
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on a single-character separator at bracket depth zero."""
+    parts: list[str] = []
+    start = 0
+    cut = _find_top(text, sep)
+    while cut >= 0:
+        parts.append(text[start:cut])
+        start = cut + 1
+        cut = _find_top(text, sep, start)
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_side(text: str, line: int) -> list[tuple[str, int]]:
-    """A reaction side as (name, multiplicity) pairs; '0' is the empty side."""
-    text = text.strip()
+    """A stripped reaction side as (name, multiplicity) pairs; '0' is the
+    empty side."""
     if text == "0":
         return []
     if not text:
@@ -150,7 +174,7 @@ def _parse_side(text: str, line: int) -> list[tuple[str, int]]:
             mult, name = int(match.group(1)), match.group(2).strip()
         else:
             mult, name = 1, term
-        if any(ch.isspace() for ch in name):
+        if _SPACE_RE.search(name):
             raise ParseError(f"species name contains whitespace: {name!r}", line)
         if name[0].isdigit():
             raise ParseError(f"species name may not start with a digit: {name!r}", line)
@@ -167,15 +191,40 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     species missing from an explicit ``species:`` header).
     """
     header: list[str] | None = None
-    reaction_rows: list[tuple[int, list, list, Fraction]] = []
+    reaction_rows: list[tuple[int, Fraction, int]] = []
     init_rows: list[tuple[int, str, Fraction]] = []
     order: list[str] = []
     seen: set[str] = set()
+    # Distinct side texts in order of first appearance: each text maps to
+    # its index in ``sides``, which holds (pairs, molecule count, first
+    # line).  Distinct number texts map to their values.
+    side_index: dict[str, int] = {}
+    sides: list[tuple[list[tuple[str, int]], int, int]] = []
+    numbers: dict[str, Fraction] = {}
 
     def note(name: str) -> None:
         if name not in seen:
             seen.add(name)
             order.append(name)
+
+    def side(raw: str, lineno: int) -> int:
+        """The index of the stripped side text in ``sides``, parsed and its
+        names noted the first time the text appears."""
+        text = raw.strip()
+        index = side_index.get(text)
+        if index is None:
+            pairs = _parse_side(text, lineno)
+            index = side_index[text] = len(sides)
+            sides.append((pairs, sum(m for _, m in pairs), lineno))
+            for name, _ in pairs:
+                note(name)
+        return index
+
+    def number(raw: str, lineno: int) -> Fraction:
+        value = numbers.get(raw)
+        if value is None:
+            value = numbers[raw] = parse_rational(raw, lineno)
+        return value
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -196,38 +245,39 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             name = name.strip()
             if not name:
                 raise ParseError("missing species name in init line", lineno)
-            value = parse_rational(value_text, lineno)
+            value = number(value_text, lineno)
             if value < 0:
                 raise ParseError("initial concentration must be nonnegative", lineno)
             init_rows.append((lineno, name, value))
             note(name)
             continue
-        arrow = _find_arrow(line)
+        arrow = _find_top(line, "->")
         if arrow < 0:
             raise ParseError(f"expected a reaction line, got {line!r}", lineno)
-        lhs = _parse_side(line[:arrow], lineno)
+        lhs = side(line[:arrow], lineno)
         rhs_text = line[arrow + 2 :]
-        rhs_parts = _split_top(rhs_text, ",")
-        if len(rhs_parts) < 2:
+        comma = _rfind_top(rhs_text, ",")
+        if comma < 0:
             raise ParseError("missing rate (expected 'products , rate')", lineno)
-        rate = parse_rational(rhs_parts[-1], lineno)
-        rhs = _parse_side(",".join(rhs_parts[:-1]), lineno)
+        rate = number(rhs_text[comma + 1 :], lineno)
+        rhs = side(rhs_text[:comma], lineno)
         if rate <= 0:
             raise ParseError("rate must be positive", lineno)
-        total = sum(m for _, m in lhs)
+        total = sides[lhs][1]
         if total == 0:
             raise ParseError("reactants must contain at least one species", lineno)
         if total > 2:
             raise ParseError("reactants exceed multiplicity 2", lineno)
-        for name, _ in lhs + rhs:
-            note(name)
-        reaction_rows.append((lineno, lhs, rhs, rate))
+        reaction_rows.append((lhs, rate, rhs))
 
     names = header if header is not None else order
     if header is not None:
         declared = set(header)
-        for lineno, lhs, rhs, _ in reaction_rows:
-            for name, _ in lhs + rhs:
+        # Sides are in first-appearance order, left before right, so the
+        # first one naming an undeclared species is on the first reaction
+        # line that does.
+        for pairs, _, lineno in sides:
+            for name, _ in pairs:
                 if name not in declared:
                     raise ParseError(f"undeclared species {name}", lineno)
         for lineno, name, _ in init_rows:
@@ -236,13 +286,13 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
 
     species = tuple(Species(i, name) for i, name in enumerate(names))
     by_name = {sp.name: sp for sp in species}
+    # Multisets are immutable, so reactions share one per distinct side.
+    multisets = [
+        Multiset((by_name[n], m) for n, m in pairs) for pairs, _, _ in sides
+    ]
     reactions = [
-        Reaction(
-            Multiset((by_name[n], m) for n, m in lhs),
-            rate,
-            Multiset((by_name[n], m) for n, m in rhs),
-        )
-        for _, lhs, rhs, rate in reaction_rows
+        Reaction(multisets[lhs], rate, multisets[rhs])
+        for lhs, rate, rhs in reaction_rows
     ]
     crn = CRN(species, reactions)
     inits = None
@@ -447,6 +497,7 @@ def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
     """Lines of ``NAME = VALUE`` (an ``init:`` prefix is allowed);
     unmentioned species start at zero."""
     values: dict[str, Fraction] = {}
+    known = {sp.name for sp in crn.species}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
@@ -460,7 +511,7 @@ def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
         value = parse_rational(value_text, lineno)
         if value < 0:
             raise ParseError("initial concentration must be nonnegative", lineno)
-        if name not in {sp.name for sp in crn.species}:
+        if name not in known:
             raise ParseError(f"unknown species {name}", lineno)
         values[name] = value
     return InitialCondition.from_map(crn, values)

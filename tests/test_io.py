@@ -11,14 +11,17 @@ from crnlump import (
     PartitionError,
     import_bngl_net,
     make_crn,
+    multisite,
     parse_crn,
     parse_initial_conditions,
     parse_partition,
     partition_from_initial_conditions,
+    random_crn,
     running_example,
     serialize_crn,
 )
 from crnlump.io import format_rational, parse_rational
+from crnlump.models import MultisiteSpec
 from crnlump.sim import InitialCondition
 from conftest import blocks_of
 
@@ -92,6 +95,85 @@ class TestParseCrn:
         with pytest.raises(ParseError, match="expected a reaction line"):
             parse_crn("definitely not a reaction")
 
+    @pytest.mark.parametrize(
+        "line,reactants,products",
+        [
+            ("S(a+b) -> T(c,d) , 1", ["S(a+b)"], ["T(c,d)"]),
+            ("X[a,b] + Y{c+d} -> Z(e->f) , 1", ["X[a,b]", "Y{c+d}"], ["Z(e->f)"]),
+            ("P(x) -> Q(y,[z]) + R , 1", ["P(x)"], ["Q(y,[z])", "R"]),
+            ("A(b[c+d,e]{f->g}) -> 2B{x,(y+z)} , 1", ["A(b[c+d,e]{f->g})"], ["B{x,(y+z)}"] * 2),
+            # A stray closer makes the depth negative until an opener
+            # brings it back, so the '+' between them separates nothing.
+            ("A)+B(x -> C , 1", ["A)+B(x"], ["C"]),
+            ("A -> B)+(C , 1", ["A"], ["B)+(C"]),
+        ],
+    )
+    def test_separators_only_at_depth_zero(self, line, reactants, products):
+        crn, _ = parse_crn(line)
+        (rxn,) = crn.reactions
+        assert rxn.reactants == Multiset.of(*map(crn.by_name, reactants))
+        assert rxn.products == Multiset.of(*map(crn.by_name, products))
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("A) -> B , 1", "expected a reaction line, got 'A) -> B , 1'"),
+            ("A{ -> B } -> C , 1", "species name contains whitespace: 'A{ -> B }'"),
+            ("A -> B) , 1", "missing rate (expected 'products , rate')"),
+            ("A -> B(x , 1", "missing rate (expected 'products , rate')"),
+            ("A -> B , C , 1", "species name contains whitespace: 'B , C'"),
+        ],
+    )
+    def test_separators_hidden_by_brackets(self, line, message):
+        with pytest.raises(ParseError) as err:
+            parse_crn(line)
+        assert str(err.value) == f"line 1: {message}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            # a malformed side that repeats fails where it first appears
+            ("A -> B , 1\nA + -> B , 1\nB -> A , 1\n# c\nA + -> B , 1",
+             "line 2: empty term in reaction side"),
+            # and so does a repeated bad rate literal
+            ("A -> B , 1\nB -> A , 1/0\nA -> A , 1/0", "line 2: not a rational number: '1/0'"),
+            # a side read before stays checked on each line that uses it
+            ("A -> 2A + B , 1\n2A + B -> A , 1", "line 2: reactants exceed multiplicity 2"),
+            ("init: A = 0\nA -> B , 0", "line 2: rate must be positive"),
+            # an undeclared species is reported at the first line naming it,
+            # left side before right, wherever the header stands
+            ("species: A B\nA -> B , 1\nB -> Z , 1\nZ -> A , 1\nA -> Z , 1",
+             "line 3: undeclared species Z"),
+            ("A -> B , 1\nY -> Z , 1\nspecies: A B", "line 2: undeclared species Y"),
+            ("A -> B , 1\ninit: Y = 1\nB -> Z + A , 1\nZ + A -> B , 1\nspecies: A B",
+             "line 3: undeclared species Z"),
+        ],
+    )
+    def test_error_reported_at_first_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_crn(text)
+        assert str(err.value) == message
+
+    def test_first_appearance_order_on_multisite(self):
+        text = serialize_crn(*multisite(MultisiteSpec(n_sites=3)))
+        body = text.split("\n", 1)[1]
+        expected = []
+        for line in body.splitlines():
+            if line.startswith("init:"):
+                names = [line[len("init:"):].partition("=")[0].strip()]
+            else:
+                lhs, rest = line.split(" -> ")
+                rhs = rest.rsplit(" , ", 1)[0]
+                names = [
+                    term.lstrip("0123456789")
+                    for side in (lhs, rhs) if side != "0"
+                    for term in side.split(" + ")
+                ]
+            expected.extend(name for name in names if name not in expected)
+        crn, _ = parse_crn(body)
+        assert [sp.name for sp in crn.species] == expected
+        assert expected != [sp.name for sp in parse_crn(text)[0].species]
+
 
 class TestExactRates:
     @pytest.mark.parametrize(
@@ -156,6 +238,12 @@ class TestSerializeCrn:
         text = serialize_crn(crn, inits=v0)
         crn2, v02 = parse_crn(text)
         assert v02.values == {crn2.by_name(sp.name): v for sp, v in v0.values.items()}
+
+    def test_reparse_is_byte_identical(self):
+        texts = [serialize_crn(*multisite(MultisiteSpec(n_sites=n))) for n in range(1, 6)]
+        texts += [serialize_crn(random_crn(s, 3 + s % 8, 2 + s % 13)) for s in range(300)]
+        for text in texts:
+            assert serialize_crn(*parse_crn(text)) == text
 
     def test_empty_network(self):
         text = serialize_crn(CRN([], []))
@@ -286,6 +374,24 @@ class TestNetImport:
                 "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
                 "begin reactions\n1 1,2,2 3 1 #r\nend reactions\n"
             )
+
+    @pytest.mark.parametrize(
+        "reactions,message",
+        [
+            # a field read before as products is checked again as reactants
+            ("1 1 1,2,2 1 #r\n2 1,2,2 3 1 #r", "line 8: reactants exceed multiplicity 2"),
+            ("1 1 x 1 #r\n2 1 x 1 #r", "line 7: bad species index 'x'"),
+            ("1 1 2 1 #r\n2 9 2 1 #r\n3 9 2 1 #r", "line 8: dangling species index 9"),
+            ("1 1 2 k #r\n2 1 2 k #r", "line 7: unsupported rate expression token 'k'"),
+        ],
+    )
+    def test_repeated_field_errors_at_line(self, reactions, message):
+        with pytest.raises(ParseError) as err:
+            import_bngl_net(
+                "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
+                f"begin reactions\n{reactions}\nend reactions\n"
+            )
+        assert str(err.value) == message
 
     def test_duplicate_species_pattern_rejected(self):
         with pytest.raises(ParseError, match="^line 3: duplicate species pattern 'A\\(\\)'"):
