@@ -13,7 +13,8 @@ tables indexed once per network.  Two species are equivalent under a
 partition exactly when their signatures under it are equal.  The tables
 hold Python ints, each rate times L, the least common multiple of the
 rate denominators, so every sum stays exact without rational arithmetic;
-witness values are divided by L before they are printed.
+witness values are divided by L before they are printed.  Backward, the
+table is the one :func:`crnlump.odes.vector_field` reads its terms from.
 
 :func:`refine` computes the coarsest partition of either kind refining a
 given initial partition in passes, and stops at the first pass that
@@ -43,9 +44,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
+from .core import flux_table, scaled_rates
 
 __all__ = [
     "BisimMode",
@@ -216,16 +217,6 @@ def _require_elementary(crn: CRN) -> None:
             )
 
 
-def _scaled_rates(crn: CRN) -> tuple[int, list[int]]:
-    """L, the least common multiple of the rate denominators, and every
-    reaction's rate times L."""
-    denominators = {rxn.rate.denominator for rxn in crn.reactions}
-    scale = lcm(*denominators)
-    factor = {d: scale // d for d in denominators}
-    rates = (rxn.rate for rxn in crn.reactions)
-    return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
-
-
 class _ForwardSignatures:
     """Forward signatures of every species under a block labelling.
 
@@ -236,7 +227,7 @@ class _ForwardSignatures:
 
     def __init__(self, crn: CRN, block_of):
         _require_elementary(crn)
-        self.scale, rates = _scaled_rates(crn)
+        self.scale, rates = scaled_rates(crn)
         n = crn.n_species
         crr: list[dict[int, int]] = [{} for _ in range(n)]
         prod: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
@@ -333,27 +324,13 @@ class _BackwardSignatures:
 
     def __init__(self, crn: CRN, block_of):
         _require_elementary(crn)
-        self.scale, rates = _scaled_rates(crn)
-        table: dict[tuple, dict[int, int]] = {}
-        for rxn, rate in zip(crn.reactions, rates):
-            net: dict[int, int] = {}
-            for sp, mult in rxn.products:
-                net[sp.id] = mult
-            for sp, mult in rxn.reactants:
-                net[sp.id] = net.get(sp.id, 0) - mult
-            support = table.setdefault(tuple((sp.id, m) for sp, m in rxn.reactants), {})
-            for sid, change in net.items():
-                if change:
-                    support[sid] = support.get(sid, 0) + change * rate
+        self.scale, table = flux_table(crn)
         self._keys = list(table)
         # Each reactant multiset as one or two species ids (2A is (A, A)).
         self._reactants = [
             tuple(sid for sid, m in key for _ in range(m)) for key in self._keys
         ]
-        self._support = [
-            [(sid, val) for sid, val in support.items() if val]
-            for support in table.values()
-        ]
+        self._support = [list(row.items()) for row in table.values()]
         self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
         self._class_of: dict[tuple[int, ...], int] = {}

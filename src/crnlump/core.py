@@ -4,7 +4,9 @@ Species, multisets of species, rated reactions, networks, and species
 partitions.  A partition carries one species-to-block index
 (``Partition.block_index``); every layer reads blocks from it, and the
 choice map that sends every species to the least member of its block is
-:meth:`Partition.representative`.
+:meth:`Partition.representative`.  :func:`flux_table` is a network's net
+flux per reactant multiset, read by the backward signatures and the
+vector field.
 
 All types are immutable after construction and safe to share across
 threads.  Rates and multiplicities are exact: rates are
@@ -18,6 +20,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -35,6 +38,8 @@ __all__ = [
     "CRN",
     "make_crn",
     "validate",
+    "scaled_rates",
+    "flux_table",
     "Partition",
     "quotient_species",
 ]
@@ -290,6 +295,37 @@ def validate(crn: CRN) -> list[str]:
             if sp not in declared:
                 violations.append(f"{where}: undeclared species {sp.name}")
     return violations
+
+
+def scaled_rates(crn: CRN) -> tuple[int, list[int]]:
+    """L, the least common multiple of the rate denominators, and every
+    reaction's rate times L."""
+    denominators = {rxn.rate.denominator for rxn in crn.reactions}
+    scale = lcm(*denominators)
+    factor = {d: scale // d for d in denominators}
+    rates = (rxn.rate for rxn in crn.reactions)
+    return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
+
+
+def flux_table(crn: CRN) -> tuple[int, dict[tuple[tuple[int, int], ...], dict[int, int]]]:
+    """L and, per distinct reactant multiset as its ``(species id,
+    multiplicity)`` pairs, ``species id -> net change times rate times L``
+    summed over the reactions with those reactants.  Zero sums are
+    dropped; every reactant multiset keeps its entry.  Divided by L, a
+    value is a vector-field coefficient.  Reactions need not be elementary.
+    """
+    scale, rates = scaled_rates(crn)
+    table: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    for rxn, rate in zip(crn.reactions, rates):
+        row = table.setdefault(rxn.reactants._key, {})
+        for sp, mult in rxn.products._pairs:
+            row[sp.id] = row.get(sp.id, 0) + mult * rate
+        for sp, mult in rxn.reactants._pairs:
+            row[sp.id] = row.get(sp.id, 0) - mult * rate
+    for key, row in table.items():
+        if 0 in row.values():
+            table[key] = {sid: val for sid, val in row.items() if val}
+    return scale, table
 
 
 class Partition:

@@ -188,11 +188,12 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
 
     Raises :class:`ParseError` with a line number on syntax errors and on
     semantic ones (rate not positive, more than two reactant molecules,
-    species missing from an explicit ``species:`` header).
+    species missing from an explicit ``species:`` header, a second
+    ``init:`` line for one species).
     """
     header: list[str] | None = None
     reaction_rows: list[tuple[int, Fraction, int]] = []
-    init_rows: list[tuple[int, str, Fraction]] = []
+    init_rows: dict[str, tuple[int, Fraction]] = {}
     order: list[str] = []
     seen: set[str] = set()
     # Distinct side texts in order of first appearance: each text maps to
@@ -248,7 +249,9 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             value = number(value_text, lineno)
             if value < 0:
                 raise ParseError("initial concentration must be nonnegative", lineno)
-            init_rows.append((lineno, name, value))
+            if name in init_rows:
+                raise ParseError(f"second initial value for {name}", lineno)
+            init_rows[name] = (lineno, value)
             note(name)
             continue
         arrow = _find_top(line, "->")
@@ -280,7 +283,7 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             for name, _ in pairs:
                 if name not in declared:
                     raise ParseError(f"undeclared species {name}", lineno)
-        for lineno, name, _ in init_rows:
+        for name, (lineno, _) in init_rows.items():
             if name not in declared:
                 raise ParseError(f"undeclared species {name}", lineno)
 
@@ -298,7 +301,7 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     inits = None
     if init_rows:
         inits = InitialCondition.from_map(
-            crn, {name: value for _, name, value in init_rows}
+            crn, {name: value for name, (_, value) in init_rows.items()}
         )
     return crn, inits
 
@@ -494,8 +497,8 @@ def parse_partition(text: str, crn: CRN) -> Partition:
 
 
 def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
-    """Lines of ``NAME = VALUE`` (an ``init:`` prefix is allowed);
-    unmentioned species start at zero."""
+    """Lines of ``NAME = VALUE`` (an ``init:`` prefix is allowed), at most
+    one per species; unmentioned species start at zero."""
     values: dict[str, Fraction] = {}
     known = {sp.name for sp in crn.species}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -513,6 +516,8 @@ def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
             raise ParseError("initial concentration must be nonnegative", lineno)
         if name not in known:
             raise ParseError(f"unknown species {name}", lineno)
+        if name in values:
+            raise ParseError(f"second initial value for {name}", lineno)
         values[name] = value
     return InitialCondition.from_map(crn, values)
 

@@ -2,8 +2,9 @@
 
 Vector-field components are sparse multivariate polynomials with exact
 rational coefficients, represented as maps from exponent vectors to
-coefficients.  On top of the polynomial arithmetic this module decides,
-as exact polynomial identities:
+coefficients, read from the flux table that the backward signatures
+read too (:func:`crnlump.core.flux_table`).  On top of the polynomial
+arithmetic this module decides, as exact polynomial identities:
 
 * exact lumpability -- after merging each block's variables into the
   block representative, all components within a block must coincide;
@@ -28,11 +29,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     CRN,
-    Multiset,
     NotLumpableError,
     Partition,
     Reaction,
     Species,
+    flux_table,
     format_rational,
     quotient_species,
 )
@@ -226,32 +227,15 @@ def format_vector_field(vf: VectorField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reactant_monomial(rho: Multiset) -> Monomial:
-    return tuple(sorted((sp.id, m) for sp, m in rho))
-
-
 def vector_field(crn: CRN) -> VectorField:
-    """The mass-action ODE right-hand side of a network, in canonical form."""
-    components: dict[Species, dict[Monomial, Fraction]] = {sp: {} for sp in crn.species}
-    for rxn in crn.reactions:
-        mono = _reactant_monomial(rxn.reactants)
-        touched = {sp for sp, _ in rxn.reactants} | {sp for sp, _ in rxn.products}
-        for sp in touched:
-            net = rxn.products.get(sp) - rxn.reactants.get(sp)
-            if net == 0:
-                continue
-            terms = components[sp]
-            new = terms.get(mono, _ZERO) + net * rxn.rate
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-    built = {}
-    for sp, terms in components.items():
-        poly = Polynomial.__new__(Polynomial)
-        poly.terms = terms
-        built[sp] = poly
-    return VectorField(species=crn.species, components=built)
+    """The mass-action ODE right-hand side of a network, in canonical form:
+    its flux table transposed, each value divided by L."""
+    scale, table = flux_table(crn)
+    terms: list[dict[Monomial, Fraction]] = [{} for _ in crn.species]
+    for mono, row in table.items():
+        for sid, val in row.items():
+            terms[sid][mono] = Fraction(val, scale)
+    return VectorField(crn.species, dict(zip(crn.species, map(Polynomial, terms))))
 
 
 def accretion_depletion(rxn: Reaction, x: Species) -> tuple[Polynomial, Polynomial]:
@@ -261,7 +245,7 @@ def accretion_depletion(rxn: Reaction, x: Species) -> tuple[Polynomial, Polynomi
     vector field is the sum of accretion minus depletion over all
     reactions.
     """
-    mono = _reactant_monomial(rxn.reactants)
+    mono = tuple(sorted((sp.id, m) for sp, m in rxn.reactants))
     accr = Polynomial({mono: rxn.products.get(x) * rxn.rate})
     depl = Polynomial({mono: rxn.reactants.get(x) * rxn.rate})
     return accr, depl
@@ -298,14 +282,16 @@ def _exact_witness(
     return None
 
 
-def _block_sums(field: VectorField, p: Partition) -> list[Polynomial]:
-    sums = []
-    for block in p.blocks:
-        total = Polynomial()
-        for sp in block:
-            total = total + field.components[sp]
-        sums.append(total)
-    return sums
+def _block_sums(crn: CRN, p: Partition) -> list[Polynomial]:
+    """Each block's component sum: flux-table rows added per block, then
+    divided by L."""
+    scale, table = flux_table(crn)
+    sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
+    for mono, row in table.items():
+        for sid, val in row.items():
+            acc = sums[p.block_index[sid]]
+            acc[mono] = acc.get(mono, 0) + val
+    return [Polynomial({m: Fraction(v, scale) for m, v in acc.items()}) for acc in sums]
 
 
 def _shear_pairs(p: Partition) -> list[tuple[int, int]]:
@@ -334,7 +320,7 @@ def ordinary_lumpability_witness(
     crn: CRN, p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
     """None if lumpable, else (block index, offending shear pair)."""
-    return _shear_witness(_block_sums(vector_field(crn), p), p)
+    return _shear_witness(_block_sums(crn, p), p)
 
 
 def _partial_derivatives(
@@ -374,7 +360,7 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     variable ``i`` stands for the sum of block ``i``.  Raises
     :class:`NotLumpableError` when the block sums cannot be rewritten.
     """
-    sums = _block_sums(vector_field(crn), p)
+    sums = _block_sums(crn, p)
     witness = _shear_witness(sums, p)
     if witness is not None:
         block_idx, _ = witness

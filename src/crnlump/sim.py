@@ -111,7 +111,14 @@ class Trajectory:
     values: np.ndarray  # shape (len(times), len(species))
 
     def column(self, sp: Species) -> np.ndarray:
-        return self.values[:, self.species.index(sp)]
+        """The values of ``sp``; :class:`ValueError` for a species of another
+        network."""
+        sid = sp.id
+        if 0 <= sid < len(self.species) and (
+            self.species[sid] is sp or self.species[sid] == sp
+        ):
+            return self.values[:, sid]
+        raise ValueError(f"unknown species {sp.name}")
 
     @property
     def min_value(self) -> float:
@@ -150,8 +157,8 @@ def _compile(vf: VectorField):
     return rhs
 
 
-def _check_integration_args(t_end: float, rtol: float, atol: float, n_points: int) -> None:
-    for name, value in (("t_end", t_end), ("rtol", rtol), ("atol", atol)):
+def _check_integration_args(n_points: int, **positive: float) -> None:
+    for name, value in positive.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if n_points < 1:
@@ -174,7 +181,7 @@ def integrate(
     are finite and positive and ``n_points`` is at least 1, and
     :class:`IntegrationError` on solver failure or non-finite output.
     """
-    _check_integration_args(t_end, rtol, atol, n_points)
+    _check_integration_args(n_points, t_end=t_end, rtol=rtol, atol=atol)
     if tuple(v0.species) != tuple(vf.species):
         raise ValueError("initial condition does not match the vector field species")
     grid = (
@@ -253,8 +260,12 @@ def verify_forward(
     n_points: int = DEFAULT_POINTS,
 ) -> VerificationReport:
     """Compare block sums of the original system against its block-sum
-    reduction over a shared time grid."""
-    _check_integration_args(t_end, rtol, atol, n_points)
+    reduction over a shared time grid.
+
+    Raises :class:`ValueError` unless ``t_end``, ``tol``, ``rtol`` and
+    ``atol`` are finite and positive and ``n_points`` is at least 1.
+    """
+    _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
     reduced = forward_reduce(crn, p)
     grid = np.linspace(0.0, float(t_end), n_points)
     original = integrate(
@@ -302,9 +313,10 @@ def verify_backward(
     """Check that blocks stay constant over time and that every species
     tracks its representative in the reduced system.
 
-    Requires ``v0`` constant on ``p``.
+    Requires ``v0`` constant on ``p``, and raises :class:`ValueError` on
+    the arguments :func:`verify_forward` rejects.
     """
-    _check_integration_args(t_end, rtol, atol, n_points)
+    _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
     if not v0.constant_on(p):
         raise PartitionError("initial condition violates block equality")
     reduced = backward_reduce(crn, p)

@@ -4,6 +4,7 @@ from math import ceil, log2
 
 import pytest
 
+import crnlump.bisim
 from crnlump import (
     BisimMode,
     CRNError,
@@ -11,13 +12,18 @@ from crnlump import (
     MultisiteSpec,
     Partition,
     find_counterexample,
+    format_vector_field,
+    forward_reduce,
     is_bisimulation,
     make_crn,
     multisite,
+    parse_crn,
     partition_from_initial_conditions,
     random_crn,
     refine,
+    vector_field,
 )
+from crnlump.cli import main
 from conftest import blocks_of, shuffled_chain
 from oracle import (
     backward_equivalent,
@@ -169,6 +175,32 @@ class TestFindCounterexample:
         a, b, text = find_counterexample(crn, h_e, BisimMode.FORWARD)
         assert (a.name, b.name) == ("A", "B")
         assert text.startswith("reaction rate with partner ")
+
+    def test_reactants_without_net_flux_stay_in_their_class(self, tmp_path, capsys):
+        # A + B -> A + B moves nothing, yet the witness lists A + B in its
+        # reactant class, while the vector field has no A*B term.
+        text = "A + B -> A + B , 1\nA -> C , 1\nB + C -> C , 2\n"
+        net, _ = parse_crn(text)
+        a, b, witness = find_counterexample(net, Partition.trivial(net), BisimMode.BACKWARD)
+        expected = "cumulative flux over reactant class {A + B, B + C}: A gives 0, B gives -2"
+        assert (a.name, b.name, witness) == ("A", "B", expected)
+        assert format_vector_field(vector_field(net)) == (
+            "A' = -A\nB' = -2*B*C\nC' = A\n"
+        )
+        path = tmp_path / "catalyst.crn"
+        path.write_text(text)
+        assert main(["check", str(path), "--what", "bisim-bb"]) == 1
+        assert capsys.readouterr().out == f"bisim-bb fails: A vs B: {expected}\n"
+
+
+def test_forward_mode_never_builds_the_flux_table(crn, h_o, monkeypatch):
+    def refuse(_crn):
+        raise AssertionError("the flux table was built")
+
+    monkeypatch.setattr(crnlump.bisim, "flux_table", refuse)
+    assert refine(crn, Partition.trivial(crn), BisimMode.FORWARD).final == h_o
+    assert forward_reduce(crn, h_o).crn.n_species == 4
+    assert find_counterexample(crn, h_o, BisimMode.FORWARD) is None
 
 
 @pytest.mark.parametrize("reactants", [{"A": 3}, {}], ids=["3A", "0"])

@@ -61,6 +61,19 @@ class TestParseCrn:
         assert inits.get(crn.by_name("A")) == Fraction(1, 2)
         assert inits.get(crn.by_name("B")) == Fraction(1, 4)
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [
+            ("A -> B , 1\ninit: A = 1\ninit: A = 2", 3),
+            ("init: A = 1\n# same value\ninit:  A=1\nA -> B , 1", 3),
+            ("species: A B\ninit: B = 1/2\nA -> B , 1\ninit: A = 0\ninit: B = 1", 5),
+        ],
+    )
+    def test_second_init_for_a_species_rejected(self, text, line):
+        name = "B" if line == 5 else "A"
+        with pytest.raises(ParseError, match=f"^line {line}: second initial value for {name}$"):
+            parse_crn(text)
+
     def test_three_reactants_rejected(self):
         with pytest.raises(ParseError, match="exceed multiplicity 2"):
             parse_crn("A + B + C -> D , 1")
@@ -441,6 +454,12 @@ class TestInitialConditionFiles:
     def test_negative_rejected(self, crn):
         with pytest.raises(ParseError, match="nonnegative"):
             parse_initial_conditions("A = -1\n", crn)
+
+    @pytest.mark.parametrize("second", ["A = 2", "init: A = 1", "A=1/1"])
+    def test_second_value_for_a_species_rejected(self, crn, second):
+        text = f"A = 1\n# comment\nB = 2\n{second}\n"
+        with pytest.raises(ParseError, match="^line 4: second initial value for A$"):
+            parse_initial_conditions(text, crn)
 
 
 class TestPartitionFromInits:

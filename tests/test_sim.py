@@ -12,6 +12,7 @@ from crnlump import (
     Partition,
     PartitionError,
     Polynomial,
+    Species,
     VectorField,
     integrate,
     make_crn,
@@ -109,6 +110,23 @@ class TestIntegrate:
             integrate(vector_field(crn), inits(other, A=1), 1.0)
 
 
+class TestTrajectoryColumn:
+    def test_every_column_of_running_example(self, crn):
+        traj = integrate(vector_field(crn), inits(crn, A=1, B=2, C=3, D=4, E=5), 1.0)
+        for i, sp in enumerate(crn.species):
+            assert np.array_equal(traj.column(sp), traj.values[:, i])
+            # an equal species that is another object
+            assert np.array_equal(traj.column(Species(sp.id, sp.name)), traj.values[:, i])
+
+    @pytest.mark.parametrize(
+        "foreign", [Species(0, "Z"), Species(5, "A"), Species(-1, "E")], ids=str
+    )
+    def test_species_of_another_network_rejected(self, crn, foreign):
+        traj = integrate(vector_field(crn), inits(crn, A=1), 1.0, n_points=3)
+        with pytest.raises(ValueError, match=f"^unknown species {foreign.name}$"):
+            traj.column(foreign)
+
+
 class TestCompiledRightHandSide:
     """The numpy right-hand side against exact rational evaluation."""
 
@@ -197,6 +215,15 @@ class TestVerifyForward:
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= 4 * coarse
         assert errors[-1] <= errors[0]
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("verify", [verify_forward, verify_backward], ids=["fb", "bb"])
+def test_verify_rejects_unusable_tol(crn, h_o, h_e, verify, tol):
+    p = h_o if verify is verify_forward else h_e
+    v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        verify(crn, p, v0, 1.0, tol)
 
 
 class TestVerifyBackward:
