@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
-from .core import flux_table, scaled_rates
+from .core import Pairs, flux_table, scaled_reactions
 
 __all__ = [
     "BisimMode",
@@ -227,27 +227,26 @@ class _ForwardSignatures:
 
     def __init__(self, crn: CRN, block_of):
         _require_elementary(crn)
-        self.scale, rates = scaled_rates(crn)
+        self.scale, rows = scaled_reactions(crn)
         n = crn.n_species
         crr: list[dict[int, int]] = [{} for _ in range(n)]
         prod: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
 
-        def account(x: int, partner: int, rate: int, products: Multiset) -> None:
+        def account(x: int, partner: int, rate: int, products: Pairs) -> None:
             crr[x][partner] = crr[x].get(partner, 0) + rate
             table = prod[x]
-            for sp, mult in products:
-                key = (partner, sp.id)
+            for yid, mult in products:
+                key = (partner, yid)
                 table[key] = table.get(key, 0) + rate * mult
 
-        for rxn, rate in zip(crn.reactions, rates):
-            pairs = rxn.reactants.pairs
-            if len(pairs) == 2:
-                (a, _), (b, _) = pairs
-                account(a.id, b.id, rate, rxn.products)
-                account(b.id, a.id, rate, rxn.products)
+        for reactants, products, rate in rows:
+            if len(reactants) == 2:
+                (a, _), (b, _) = reactants
+                account(a, b, rate, products)
+                account(b, a, rate, products)
             else:
-                ((sp, mult),) = pairs
-                account(sp.id, _EMPTY if mult == 1 else sp.id, mult * rate, rxn.products)
+                ((sid, mult),) = reactants
+                account(sid, _EMPTY if mult == 1 else sid, mult * rate, products)
 
         self._crr = [_nonzero(c) for c in crr]
         crr_ids: dict[tuple, int] = {}

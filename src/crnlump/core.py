@@ -38,11 +38,13 @@ __all__ = [
     "CRN",
     "make_crn",
     "validate",
-    "scaled_rates",
+    "scaled_reactions",
     "flux_table",
     "Partition",
     "quotient_species",
 ]
+
+Pairs = tuple[tuple[int, int], ...]
 
 
 class CRNError(Exception):
@@ -134,10 +136,6 @@ class Multiset:
     @classmethod
     def of(cls, *species: Species) -> "Multiset":
         return cls((sp, 1) for sp in species)
-
-    @property
-    def pairs(self) -> tuple[tuple[Species, int], ...]:
-        return self._pairs
 
     def get(self, sp: Species) -> int:
         for s, m in self._pairs:
@@ -297,31 +295,34 @@ def validate(crn: CRN) -> list[str]:
     return violations
 
 
-def scaled_rates(crn: CRN) -> tuple[int, list[int]]:
+def scaled_reactions(crn: CRN) -> tuple[int, list[tuple[Pairs, Pairs, int]]]:
     """L, the least common multiple of the rate denominators, and every
-    reaction's rate times L."""
+    reaction as ``(reactant pairs, product pairs, rate times L)``, each
+    side its ``(species id, multiplicity)`` pairs in id order."""
     denominators = {rxn.rate.denominator for rxn in crn.reactions}
     scale = lcm(*denominators)
     factor = {d: scale // d for d in denominators}
-    rates = (rxn.rate for rxn in crn.reactions)
-    return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
+    return scale, [
+        (r.reactants._key, r.products._key, r.rate.numerator * factor[r.rate.denominator])
+        for r in crn.reactions
+    ]
 
 
-def flux_table(crn: CRN) -> tuple[int, dict[tuple[tuple[int, int], ...], dict[int, int]]]:
+def flux_table(crn: CRN) -> tuple[int, dict[Pairs, dict[int, int]]]:
     """L and, per distinct reactant multiset as its ``(species id,
     multiplicity)`` pairs, ``species id -> net change times rate times L``
     summed over the reactions with those reactants.  Zero sums are
     dropped; every reactant multiset keeps its entry.  Divided by L, a
     value is a vector-field coefficient.  Reactions need not be elementary.
     """
-    scale, rates = scaled_rates(crn)
-    table: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-    for rxn, rate in zip(crn.reactions, rates):
-        row = table.setdefault(rxn.reactants._key, {})
-        for sp, mult in rxn.products._pairs:
-            row[sp.id] = row.get(sp.id, 0) + mult * rate
-        for sp, mult in rxn.reactants._pairs:
-            row[sp.id] = row.get(sp.id, 0) - mult * rate
+    scale, rows = scaled_reactions(crn)
+    table: dict[Pairs, dict[int, int]] = {}
+    for reactants, products, rate in rows:
+        row = table.setdefault(reactants, {})
+        for sid, mult in products:
+            row[sid] = row.get(sid, 0) + mult * rate
+        for sid, mult in reactants:
+            row[sid] = row.get(sid, 0) - mult * rate
     for key, row in table.items():
         if 0 in row.values():
             table[key] = {sid: val for sid, val in row.items() if val}

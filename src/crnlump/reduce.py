@@ -25,10 +25,12 @@ from .core import (
     CRN,
     Multiset,
     NotBisimulationError,
+    Pairs,
     Partition,
     Reaction,
     Species,
     quotient_species,
+    scaled_reactions,
 )
 
 __all__ = ["ReducedCRN", "forward_reduce", "backward_reduce"]
@@ -53,30 +55,40 @@ class ReducedCRN:
         return self.crn.species[self.partition.block_of(sp)]
 
 
+def _lift(pairs: Pairs, block_index: tuple[int, ...]) -> Pairs:
+    """The side's ``(block, multiplicity)`` pairs, in block order."""
+    acc: dict[int, int] = {}
+    for sid, mult in pairs:
+        block = block_index[sid]
+        acc[block] = acc.get(block, 0) + mult
+    return tuple(sorted(acc.items()))
+
+
 def _quotient(
     p: Partition,
     mode: BisimMode,
-    kept: list[tuple[Multiset, Multiset, Fraction]],
-    steps: int,
+    scale: int,
+    rows: list[tuple[Pairs, Pairs, int]],
+    kept: list[tuple[Pairs, Pairs, int]],
 ) -> ReducedCRN:
-    """Map each kept (reactants, products, rate) into the quotient species,
-    fuse identical pairs by summing rates, and sort the reactions."""
-    qspecies = quotient_species(p)
-    to_quotient = {sp: qspecies[idx] for sp, idx in zip(p.species, p.block_index)}
-    fused: dict[tuple[Multiset, Multiset], Fraction] = {}
+    """Lift each kept (reactants, products, rate times L) row into the blocks,
+    fuse identical rows by summing their rates, and sort the fused reactions."""
+    steps = sum(len(reactants) + len(products) for reactants, products, _ in rows)
+    fused: dict[tuple[Pairs, Pairs], int] = {}
     for reactants, products, rate in kept:
         steps += len(reactants) + len(products)
-        key = (reactants.lift(to_quotient), products.lift(to_quotient))
+        key = (_lift(reactants, p.block_index), _lift(products, p.block_index))
         fused[key] = fused.get(key, 0) + rate
-    entries = [
-        ((reactants.name_key(), products.name_key()), reactants, products, rate)
-        for (reactants, products), rate in fused.items()
-    ]
-    if entries:
-        steps += len(entries) * (ceil(log2(len(entries))) + 1)
-    entries.sort(key=lambda e: e[0])
-    reduced = CRN(qspecies, [Reaction(r, a, p_) for _, r, p_, a in entries])
-    return ReducedCRN(crn=reduced, partition=p, mode=mode, step_count=steps)
+    qspecies = quotient_species(p)
+    reactions = []
+    for (reactants, products), rate in fused.items():
+        lhs = Multiset((qspecies[b], m) for b, m in reactants)
+        rhs = Multiset((qspecies[b], m) for b, m in products)
+        reactions.append(Reaction(lhs, Fraction(rate, scale), rhs))
+    if reactions:
+        steps += len(reactions) * (ceil(log2(len(reactions))) + 1)
+    reactions.sort(key=lambda r: (r.reactants.name_key(), r.products.name_key()))
+    return ReducedCRN(crn=CRN(qspecies, reactions), partition=p, mode=mode, step_count=steps)
 
 
 def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
@@ -87,15 +99,11 @@ def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     """
     if not is_bisimulation(crn, p, BisimMode.FORWARD):
         raise NotBisimulationError("partition is not a forward bisimulation")
-    blocks, index = p.blocks, p.block_index
-    steps = 0
-    kept = []
-    for rxn in crn.reactions:
-        steps += len(rxn.reactants) + len(rxn.products)
-        # A reactant that is not its block's representative drops the reaction.
-        if all(blocks[index[sp.id]][0].id == sp.id for sp, _ in rxn.reactants):
-            kept.append((rxn.reactants, rxn.products, rxn.rate))
-    return _quotient(p, BisimMode.FORWARD, kept, steps)
+    is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
+    scale, rows = scaled_reactions(crn)
+    # A reactant that is not its block's representative drops the reaction.
+    kept = [row for row in rows if all(is_rep[sid] for sid, _ in row[0])]
+    return _quotient(p, BisimMode.FORWARD, scale, rows, kept)
 
 
 def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
@@ -106,22 +114,13 @@ def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     """
     if not is_bisimulation(crn, p, BisimMode.BACKWARD):
         raise NotBisimulationError("partition is not a backward bisimulation")
-    blocks, index = p.blocks, p.block_index
-    steps = 0
+    is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
+    scale, rows = scaled_reactions(crn)
     kept = []
-    for rxn in crn.reactions:
-        support = {sp for sp, _ in rxn.products} | {sp for sp, _ in rxn.reactants}
-        steps += len(rxn.reactants) + len(rxn.products) + len(support)
+    for reactants, products, rate in rows:
         # Non-representative products are pinned to their reactant
         # multiplicity, so their net contribution vanishes in the quotient.
-        pairs = []
-        for sp in support:
-            mult = (
-                rxn.products.get(sp)
-                if blocks[index[sp.id]][0].id == sp.id
-                else rxn.reactants.get(sp)
-            )
-            if mult:
-                pairs.append((sp, mult))
-        kept.append((rxn.reactants, Multiset(pairs), rxn.rate))
-    return _quotient(p, BisimMode.BACKWARD, kept, steps)
+        pinned = [pair for pair in products if is_rep[pair[0]]]
+        pinned += [pair for pair in reactants if not is_rep[pair[0]]]
+        kept.append((reactants, pinned, rate))
+    return _quotient(p, BisimMode.BACKWARD, scale, rows, kept)
