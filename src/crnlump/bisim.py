@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
-from .core import Pairs, flux_table, scaled_reactions
+from .core import Pairs, check_partition, flux_table, scaled_reactions
 
 __all__ = [
     "BisimMode",
@@ -431,6 +431,7 @@ def _first_split(sigs, p: Partition) -> tuple[Species, Species] | None:
 
 def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
     """True iff all species sharing a block are mode-equivalent under ``p``."""
+    check_partition(crn, p)
     return _first_split(_signatures(crn, mode, p.block_index), p) is None
 
 
@@ -443,6 +444,7 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     the loop stops when no block splits.  Without reactions every
     partition is already a bisimulation of either kind.
     """
+    check_partition(crn, initial)
     if not crn.reactions:
         return RefinementTrace(initial, 0, 0)
     blocks = _Blocks(initial)
@@ -466,6 +468,7 @@ def find_counterexample(
     """First within-block pair ``(block[0], member)`` violating the mode
     equivalence, with a human-readable witness taken from the first key
     at which their signatures differ; None when ``p`` is a bisimulation."""
+    check_partition(crn, p)
     sigs = _signatures(crn, mode, p.block_index)
     pair = _first_split(sigs, p)
     if pair is None:

@@ -40,7 +40,14 @@ from .io import (
     partition_from_initial_conditions,
     serialize_crn,
 )
-from .models import _REACTION_GUARD, MultisiteSpec, multisite, random_crn, two_state
+from .models import (
+    _MAX_SITES,
+    _REACTION_GUARD,
+    MultisiteSpec,
+    multisite,
+    random_crn,
+    two_state,
+)
 from .odes import (
     exact_lumpability_witness,
     format_vector_field,
@@ -302,19 +309,20 @@ def _rate_pair(text: str) -> list[Fraction]:
 
 
 def _site_counts(text: str) -> list[int]:
-    """The positive integers of a comma-separated ``--sites`` list."""
+    """The site counts of a comma-separated ``--sites`` list."""
     try:
         counts = [int(part) for part in text.split(",")]
     except ValueError:
         counts = []
-    if not counts or min(counts) < 1:
-        raise CRNError(f"--sites must list positive integers, got {text!r}")
+    if not counts or min(counts) < 1 or max(counts) > _MAX_SITES:
+        raise CRNError(f"--sites must list integers from 1 to {_MAX_SITES}, got {text!r}")
     return counts
 
 
 def _cmd_gen(args) -> int:
     if args.model == "multisite":
-        spec = MultisiteSpec(n_sites=_at_least(1, "--sites", args.sites))
+        sites = _at_most(_MAX_SITES, "--sites", _at_least(1, "--sites", args.sites))
+        spec = MultisiteSpec(n_sites=sites)
         crn, inits = multisite(spec)
         _write(serialize_crn(crn, inits=inits), args.out)
         return 0

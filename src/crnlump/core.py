@@ -4,9 +4,16 @@ Species, multisets of species, rated reactions, networks, and species
 partitions.  A partition carries one species-to-block index
 (``Partition.block_index``); every layer reads blocks from it, and the
 choice map that sends every species to the least member of its block is
-:meth:`Partition.representative`.  :func:`flux_table` is a network's net
-flux per reactant multiset, read by the backward signatures and the
-vector field.
+:meth:`Partition.representative`; :func:`check_partition` rejects a
+partition of another network.
+
+Only this module turns reactions into integers.  :func:`scaled_reactions`
+is the one integer reaction list: every reaction as its reactant and
+product ``(species id, multiplicity)`` pairs and its rate times L, the
+least common multiple of the rate denominators.  The forward signatures,
+both quotient constructions and :func:`flux_table` read it; the flux
+table, a network's net flux per reactant multiset, is what the backward
+signatures and the vector field read.
 
 All types are immutable after construction and safe to share across
 threads.  Rates and multiplicities are exact: rates are
@@ -41,6 +48,7 @@ __all__ = [
     "scaled_reactions",
     "flux_table",
     "Partition",
+    "check_partition",
     "quotient_species",
 ]
 
@@ -426,6 +434,14 @@ class Partition:
             "{" + ", ".join(sp.name for sp in block) + "}" for block in self.blocks
         )
         return f"Partition[{body}]"
+
+
+def check_partition(crn: CRN, p: Partition) -> None:
+    """Raise :class:`PartitionError` unless ``p`` partitions the species of
+    ``crn``.  Species compare by value, so a partition of an equal network
+    passes."""
+    if p.species != crn.species:
+        raise PartitionError("partition is not over the species of this network")
 
 
 def quotient_species(p: Partition) -> tuple[Species, ...]:

@@ -33,6 +33,7 @@ from .core import (
     Partition,
     Reaction,
     Species,
+    check_partition,
     flux_table,
     format_rational,
     quotient_species,
@@ -266,6 +267,7 @@ def exact_lumpability_witness(
 ) -> tuple[Species, Species] | None:
     """A within-block species pair whose components differ after merging
     block variables; None when the partition is exactly lumpable."""
+    check_partition(crn, p)
     return _exact_witness(vector_field(crn), dict(enumerate(p.block_index)), p)
 
 
@@ -320,6 +322,7 @@ def ordinary_lumpability_witness(
     crn: CRN, p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
     """None if lumpable, else (block index, offending shear pair)."""
+    check_partition(crn, p)
     return _shear_witness(_block_sums(crn, p), p)
 
 
@@ -360,6 +363,7 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     variable ``i`` stands for the sum of block ``i``.  Raises
     :class:`NotLumpableError` when the block sums cannot be rewritten.
     """
+    check_partition(crn, p)
     sums = _block_sums(crn, p)
     witness = _shear_witness(sums, p)
     if witness is not None:
@@ -391,6 +395,7 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
     variable replaced by its representative.  Raises
     :class:`NotLumpableError` when the partition is not exactly lumpable.
     """
+    check_partition(crn, p)
     field = vector_field(crn)
     merge = dict(enumerate(p.block_index))
     if _exact_witness(field, merge, p) is not None:

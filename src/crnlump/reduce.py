@@ -1,13 +1,17 @@
 """Quotient network construction from a bisimulation partition.
 
-Both constructions map the sides they keep straight into the quotient
-species (one per block, read from the partition's block index) and fuse
-duplicates by summing rates.  Forward reduction keeps only reactions
-whose reactants are all block representatives; the reduced network's
-ODEs govern the block sums of the original.  Backward reduction first
-pins every non-representative product multiplicity to its reactant
-multiplicity; the reduced network's ODEs govern the representative
-trajectories.
+Both constructions read the network's integer reaction list,
+:func:`crnlump.core.scaled_reactions`: each reaction's reactant and
+product ``(species id, multiplicity)`` pairs and its rate times L.
+Forward reduction keeps only the reactions whose reactants are all block
+representatives; the reduced network's ODEs govern the block sums of the
+original.  Backward reduction pins every non-representative product
+multiplicity to its reactant multiplicity; the reduced network's ODEs
+govern the representative trajectories.  Both then lift each side they
+keep to ``(block, multiplicity)`` pairs through the partition's block
+index and fuse duplicates by summing their rates as ints.  Only a fused
+reaction gets a rate (its sum divided by L) and multisets over the
+quotient species, one per block.
 
 Both constructions count their elementary steps (species slots touched
 per reaction plus fusion-sort work); the count backs the complexity
@@ -29,6 +33,7 @@ from .core import (
     Partition,
     Reaction,
     Species,
+    check_partition,
     quotient_species,
     scaled_reactions,
 )
@@ -94,9 +99,11 @@ def _quotient(
 def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     """Quotient network whose ODEs are the block-sum ODEs of ``crn``.
 
-    Raises :class:`NotBisimulationError` unless ``p`` is a forward
+    Raises :class:`PartitionError` unless ``p`` partitions the species of
+    ``crn``, and :class:`NotBisimulationError` unless it is a forward
     bisimulation.
     """
+    check_partition(crn, p)
     if not is_bisimulation(crn, p, BisimMode.FORWARD):
         raise NotBisimulationError("partition is not a forward bisimulation")
     is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
@@ -109,9 +116,11 @@ def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
 def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     """Quotient network whose ODEs are the representative ODEs of ``crn``.
 
-    Raises :class:`NotBisimulationError` unless ``p`` is a backward
+    Raises :class:`PartitionError` unless ``p`` partitions the species of
+    ``crn``, and :class:`NotBisimulationError` unless it is a backward
     bisimulation.
     """
+    check_partition(crn, p)
     if not is_bisimulation(crn, p, BisimMode.BACKWARD):
         raise NotBisimulationError("partition is not a backward bisimulation")
     is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]

@@ -38,6 +38,7 @@ from .core import (
     Partition,
     PartitionError,
     Species,
+    check_partition,
 )
 from .odes import VectorField, vector_field
 from .reduce import backward_reduce, forward_reduce
@@ -263,9 +264,11 @@ def verify_forward(
     reduction over a shared time grid.
 
     Raises :class:`ValueError` unless ``t_end``, ``tol``, ``rtol`` and
-    ``atol`` are finite and positive and ``n_points`` is at least 1.
+    ``atol`` are finite and positive and ``n_points`` is at least 1, and
+    :class:`PartitionError` unless ``p`` partitions the species of ``crn``.
     """
     _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
+    check_partition(crn, p)
     reduced = forward_reduce(crn, p)
     grid = np.linspace(0.0, float(t_end), n_points)
     original = integrate(
@@ -317,6 +320,7 @@ def verify_backward(
     the arguments :func:`verify_forward` rejects.
     """
     _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
+    check_partition(crn, p)
     if not v0.constant_on(p):
         raise PartitionError("initial condition violates block equality")
     reduced = backward_reduce(crn, p)

@@ -219,6 +219,8 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
     "argv",
     [
         ["gen", "multisite", "--sites", "0"],
+        ["gen", "multisite", "--sites", "1000000"],
+        ["gen", "multisite", "--sites", "10000000000"],
         ["gen", "random", "--species", "0"],
         ["gen", "random", "--reactions", "-1"],
         ["gen", "random", "--reactions", "1000000000"],
@@ -229,6 +231,8 @@ def test_invalid_numeric_argument_exits_2(tmp_path, capsys, argv):
         ["gen", "two-state", "--rates", "1e99999,1"],
         ["bench", "--sites", "x"],
         ["bench", "--sites", "0"],
+        ["bench", "--sites", "1000000"],
+        ["bench", "--sites", "1,10000000000"],
     ],
     ids=lambda argv: " ".join(argv),
 )

@@ -4,15 +4,31 @@ import pytest
 
 from crnlump import (
     CRN,
+    BisimMode,
+    InitialCondition,
     Multiset,
     Partition,
     PartitionError,
     Reaction,
     Species,
+    backward_reduce,
+    find_counterexample,
+    forward_reduce,
+    is_bisimulation,
+    is_exactly_lumpable,
+    is_ordinarily_lumpable,
+    lumped_field_backward,
+    lumped_field_forward,
     make_crn,
+    parse_crn,
     quotient_species,
+    refine,
+    serialize_crn,
     validate,
+    verify_backward,
+    verify_forward,
 )
+from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from conftest import blocks_of
 
 
@@ -181,3 +197,53 @@ def test_species_order_is_name_lexicographic():
     crn = make_crn(["Zeta", "Alpha"], [({"Zeta": 1}, 1, {"Alpha": 1})])
     p = Partition.trivial(crn)
     assert p.representative(crn.by_name("Zeta")).name == "Alpha"
+
+
+def _entry_points():
+    """Every public function that takes a network and a partition of it,
+    called with fixed remaining arguments."""
+
+    def verify(fn):
+        return lambda net, p: fn(net, p, InitialCondition.from_map(net, {}, 1), 1.0, 1e-6)
+
+    points = {
+        "forward_reduce": forward_reduce,
+        "backward_reduce": backward_reduce,
+        "is_exactly_lumpable": is_exactly_lumpable,
+        "exact_lumpability_witness": exact_lumpability_witness,
+        "is_ordinarily_lumpable": is_ordinarily_lumpable,
+        "ordinary_lumpability_witness": ordinary_lumpability_witness,
+        "lumped_field_forward": lumped_field_forward,
+        "lumped_field_backward": lumped_field_backward,
+        "verify_forward": verify(verify_forward),
+        "verify_backward": verify(verify_backward),
+    }
+    for mode in BisimMode:
+        for fn in (refine, is_bisimulation, find_counterexample):
+            points[f"{fn.__name__}[{mode}]"] = lambda net, p, fn=fn, mode=mode: fn(net, p, mode)
+    return points
+
+
+ENTRY_POINTS = _entry_points()
+
+FOREIGN_PARTITIONS = {
+    "smaller": lambda: Partition.trivial(make_crn(["A", "B"], [])),
+    "larger": lambda: Partition.discrete(make_crn(list("ABCDEFG"), [])),
+    "other names": lambda: Partition.discrete(make_crn(list("PQRST"), [])),
+}
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_PARTITIONS.values(), ids=FOREIGN_PARTITIONS)
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_partition_of_another_network_rejected(crn, call, foreign):
+    # Some of these used to answer for the wrong species, others ended in
+    # IndexError or KeyError.
+    with pytest.raises(PartitionError, match="not over the species of this network"):
+        call(crn, foreign())
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_partition_of_an_equal_network_accepted(crn, call):
+    twin, _ = parse_crn(serialize_crn(crn))
+    assert twin.species == crn.species and twin.species[0] is not crn.species[0]
+    call(crn, Partition.discrete(twin))

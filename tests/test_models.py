@@ -102,6 +102,9 @@ class TestMultisite:
     def test_size_guard(self):
         with pytest.raises(CRNError, match="refusing"):
             multisite(MultisiteSpec(n_sites=12))
+        # Refused before 4**n is computed; that power alone would not finish.
+        with pytest.raises(CRNError, match="refusing"):
+            multisite(MultisiteSpec(n_sites=10**10))
 
 
 class TestBruteForce:

@@ -10,10 +10,14 @@ from crnlump import (
     Species,
     backward_reduce,
     forward_reduce,
+    lumped_field_backward,
+    lumped_field_forward,
     make_crn,
+    parse_crn,
     refine,
     serialize_crn,
     validate,
+    vector_field,
 )
 from crnlump.models import random_crn
 
@@ -114,6 +118,41 @@ class TestBackwardReduce:
     def test_requires_backward_bisimulation(self, crn, h_o):
         with pytest.raises(NotBisimulationError):
             backward_reduce(crn, h_o)
+
+
+class TestIntegerRates:
+    # Species ids follow first appearance (A, C, D, B), not name order.
+    NETWORK = (
+        "A -> C , 1/3\nA -> D , 1/6\nB -> C , 1/3\nB -> D , 1/6\n"
+        "2A -> C + D , 1/2\n2B -> C + D , 1/2\n"
+        "C -> A , 1/3\nC -> B , 1/3\nC -> 0 , 1/6\n"
+        "D -> A , 1/3\nD -> B , 1/3\nD -> 0 , 1/6\n"
+    )
+    # Forward, {C, D} fuses A -> C and A -> D (1/3 + 1/6) and merges the
+    # products of 2A -> C + D into 2C.  Backward, {A, B} pins the reactant
+    # 2B into the products of 2A -> 2A + C + D, and C -> B pinned to C -> 0
+    # fuses with C -> 0 (1/3 + 1/6).
+    EXPECTED = {
+        BisimMode.FORWARD: (
+            "species: A B C\nA -> C , 1/2\n2A -> 2C , 1/2\nB -> C , 1/2\n"
+            "2B -> 2C , 1/2\nC -> 0 , 1/6\nC -> A , 1/3\nC -> B , 1/3\n"
+        ),
+        BisimMode.BACKWARD: (
+            "species: A C D\nA -> A + C , 1/3\nA -> A + D , 1/6\nA -> C , 1/3\n"
+            "A -> D , 1/6\n2A -> 2A + C + D , 1/2\n2A -> C + D , 1/2\n"
+            "C -> 0 , 1/2\nC -> A , 1/3\nD -> 0 , 1/2\nD -> A , 1/3\n"
+        ),
+    }
+
+    def test_fused_rates_and_pinned_products(self, mode):
+        net, _ = parse_crn(self.NETWORK)
+        p = refine(net, Partition.trivial(net), mode).final
+        if mode is BisimMode.FORWARD:
+            reduced, lumped = forward_reduce(net, p), lumped_field_forward(net, p)
+        else:
+            reduced, lumped = backward_reduce(net, p), lumped_field_backward(net, p)
+        assert serialize_crn(reduced.crn) == self.EXPECTED[mode]
+        assert vector_field(reduced.crn) == lumped
 
 
 class TestReducedInvariants:
