@@ -13,8 +13,18 @@ tables indexed once per network.  Two species are equivalent under a
 partition exactly when their signatures under it are equal.  The tables
 hold Python ints, each rate times L, the least common multiple of the
 rate denominators, so every sum stays exact without rational arithmetic;
-witness values are divided by L before they are printed.  Backward, the
-table is the one :func:`crnlump.odes.vector_field` reads its terms from.
+witness values are divided by L before they are printed.
+
+The per-network tables belong to :mod:`crnlump.core`, which builds each
+once per network and keeps it: forward, :func:`crnlump.core.forward_table`
+(each species' reaction rate per partner and production rate per
+(partner, product species)); backward, :func:`crnlump.core.flux_table`,
+the table :func:`crnlump.odes.vector_field` reads its terms from.  The
+signature classes here build only the per-partition part: forward, the
+production rates summed per (partner, block); backward, the classes of
+reactant multisets and each species' flux summed per class.  The reverse
+indexes that :func:`refine` follows from a splitter are built on its
+first split.
 
 :func:`refine` computes the coarsest partition of either kind refining a
 given initial partition in passes, and stops at the first pass that
@@ -45,8 +55,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, CRNError, Multiset, Partition, Species, format_rational
-from .core import Pairs, check_partition, flux_table, scaled_reactions
+from .core import CRN, EMPTY_PARTNER, Multiset, Pairs, Partition, Species
+from .core import check_partition, flux_table, format_rational, forward_table
+from .core import require_elementary
 
 __all__ = [
     "BisimMode",
@@ -55,11 +66,6 @@ __all__ = [
     "refine",
     "find_counterexample",
 ]
-
-# Partner slot used for the empty multiset in forward signatures; species
-# ids are nonnegative so -1 never collides.
-_EMPTY = -1
-
 
 class BisimMode(enum.Enum):
     FORWARD = "forward"
@@ -206,64 +212,25 @@ class _Blocks:
 # Signatures
 
 
-def _require_elementary(crn: CRN) -> None:
-    """Raise :class:`CRNError` naming the first reaction whose reactants are
-    not one or two molecules; the signatures are defined only for those."""
-    for i, rxn in enumerate(crn.reactions):
-        if not 1 <= rxn.reactants.total <= 2:
-            raise CRNError(
-                f"reaction {i} ({rxn!r}): not elementary: reactants must be "
-                "one or two molecules"
-            )
-
-
 class _ForwardSignatures:
     """Forward signatures of every species under a block labelling.
 
     A signature is ``(crr, folded)``: the reaction rate per partner and
     the production rate per ``(partner, block label)``, both as maps
-    without zero values.
+    without zero values.  The partner rates and production entries are
+    the network's :func:`crnlump.core.forward_table`; only ``folded``,
+    the entries summed per block label, depends on the partition.
     """
 
     def __init__(self, crn: CRN, block_of):
-        _require_elementary(crn)
-        self.scale, rows = scaled_reactions(crn)
-        n = crn.n_species
-        crr: list[dict[int, int]] = [{} for _ in range(n)]
-        prod: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-
-        def account(x: int, partner: int, rate: int, products: Pairs) -> None:
-            crr[x][partner] = crr[x].get(partner, 0) + rate
-            table = prod[x]
-            for yid, mult in products:
-                key = (partner, yid)
-                table[key] = table.get(key, 0) + rate * mult
-
-        for reactants, products, rate in rows:
-            if len(reactants) == 2:
-                (a, _), (b, _) = reactants
-                account(a, b, rate, products)
-                account(b, a, rate, products)
-            else:
-                ((sid, mult),) = reactants
-                account(sid, _EMPTY if mult == 1 else sid, mult * rate, products)
-
-        self._crr = [_nonzero(c) for c in crr]
-        crr_ids: dict[tuple, int] = {}
-        self._crr_id = [
-            crr_ids.setdefault(tuple(sorted(c.items())), len(crr_ids)) for c in self._crr
-        ]
-        self._prod = [
-            [(partner, yid, val) for (partner, yid), val in table.items() if val]
-            for table in prod
-        ]
+        self.scale, self._crr, self._crr_id, self._prod = forward_table(crn)
         self._producers: list[list[tuple[int, int, int]]] | None = None
         self._species = crn.species
-        self.folded = [self._fold(x, block_of) for x in range(n)]
+        self.folded = [self._fold(x, block_of) for x in range(crn.n_species)]
 
     def _fold(self, x: int, block_of) -> dict[tuple[int, int], int]:
         folded: dict[tuple[int, int], int] = {}
-        for partner, yid, val in self._prod[x]:
+        for (partner, yid), val in self._prod[x].items():
             key = (partner, block_of[yid])
             folded[key] = folded.get(key, 0) + val
         return _nonzero(folded) if 0 in folded.values() else folded
@@ -278,7 +245,7 @@ class _ForwardSignatures:
         if producers is None:
             producers = self._producers = [[] for _ in self._species]
             for x, entries in enumerate(self._prod):
-                for partner, yid, val in entries:
+                for (partner, yid), val in entries.items():
                     producers[yid].append((x, partner, val))
         folded = self.folded
         touched: dict[int, None] = {}
@@ -292,7 +259,7 @@ class _ForwardSignatures:
         return list(touched)
 
     def _partner(self, partner: int) -> Multiset:
-        return Multiset() if partner == _EMPTY else Multiset.of(self._species[partner])
+        return Multiset() if partner == EMPTY_PARTNER else Multiset.of(self._species[partner])
 
     def witness(self, p: Partition, x: Species, y: Species) -> str:
         diff = _first_difference(self._crr[x.id], self._crr[y.id])
@@ -318,32 +285,35 @@ class _BackwardSignatures:
     A signature maps a class id to the species' cumulative flux over the
     class, without zero values.  A class gathers the distinct reactant
     multisets that lift to the same multiset of blocks; classes are
-    numbered by first appearance.
+    numbered by first appearance.  The reactant multisets and their
+    fluxes are the network's :func:`crnlump.core.flux_table`; only the
+    classes and the sums over them depend on the partition.
     """
 
     def __init__(self, crn: CRN, block_of):
-        _require_elementary(crn)
-        self.scale, table = flux_table(crn)
-        self._keys = list(table)
-        # Each reactant multiset as one or two species ids (2A is (A, A)).
-        self._reactants = [
-            tuple(sid for sid, m in key for _ in range(m)) for key in self._keys
-        ]
-        self._support = [list(row.items()) for row in table.values()]
+        require_elementary(crn)
+        self.scale, self._rows = flux_table(crn)
         self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
         self._class_of: dict[tuple[int, ...], int] = {}
-        self.entry_class = [self._classify(e, block_of) for e in range(len(self._keys))]
+        self.entry_class = [self._classify(key, block_of) for key, _ in self._rows]
         sums: list[dict[int, int]] = [{} for _ in crn.species]
-        for cid, support in zip(self.entry_class, self._support):
+        for cid, (_, support) in zip(self.entry_class, self._rows):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
         self.sums = [_nonzero(acc) if 0 in acc.values() else acc for acc in sums]
 
-    def _classify(self, e: int, block_of) -> int:
-        """Class id of the lift of entry ``e``; a new lift gets a new id."""
-        lift = tuple(sorted(block_of[sid] for sid in self._reactants[e]))
+    def _classify(self, reactants: Pairs, block_of) -> int:
+        """Class id of the lift of one or two reactant molecules; a new
+        lift gets a new id."""
+        if len(reactants) == 2:
+            (a, _), (b, _) = reactants
+            a, b = block_of[a], block_of[b]
+            lift = (a, b) if a <= b else (b, a)
+        else:
+            ((a, mult),) = reactants
+            lift = (block_of[a],) * mult
         return self._class_of.setdefault(lift, len(self._class_of))
 
     def key(self, x: int):
@@ -356,8 +326,8 @@ class _BackwardSignatures:
         by_reactant = self._by_reactant
         if by_reactant is None:
             by_reactant = self._by_reactant = [[] for _ in self._species]
-            for e, reactants in enumerate(self._reactants):
-                for sid in set(reactants):
+            for e, (reactants, _) in enumerate(self._rows):
+                for sid, _ in reactants:
                     by_reactant[sid].append(e)
         dirty: dict[int, None] = {}
         for piece, _ in pieces:
@@ -368,8 +338,9 @@ class _BackwardSignatures:
         touched: dict[int, None] = {}
         for e in dirty:
             old = self.entry_class[e]
-            new = self.entry_class[e] = self._classify(e, blocks.block_of)
-            for sid, val in self._support[e]:
+            reactants, support = self._rows[e]
+            new = self.entry_class[e] = self._classify(reactants, blocks.block_of)
+            for sid, val in support:
                 if blocks.in_singleton(sid):
                     continue
                 _move(sums[sid], old, new, val)
@@ -381,7 +352,7 @@ class _BackwardSignatures:
         members = sorted(
             (
                 Multiset((self._species[sid], m) for sid, m in key)
-                for c, key in zip(self.entry_class, self._keys)
+                for c, (key, _) in zip(self.entry_class, self._rows)
                 if c == cid
             ),
             key=Multiset.name_key,

@@ -7,19 +7,33 @@ choice map that sends every species to the least member of its block is
 :meth:`Partition.representative`; :func:`check_partition` rejects a
 partition of another network.
 
-Only this module turns reactions into integers.  :func:`scaled_reactions`
-is the one integer reaction list: every reaction as its reactant and
-product ``(species id, multiplicity)`` pairs and its rate times L, the
-least common multiple of the rate denominators.  The forward signatures,
-both quotient constructions and :func:`flux_table` read it; the flux
-table, a network's net flux per reactant multiset, is what the backward
-signatures and the vector field read.
+Only this module turns reactions into integers, into three tables per
+network.  :func:`scaled_reactions` is the one integer reaction list:
+every reaction as its reactant and product ``(species id,
+multiplicity)`` pairs and its rate times L, the least common multiple of
+the rate denominators.  :func:`flux_table`, a network's net flux per
+reactant multiset, and :func:`forward_table`, each species' partner
+rates and production entries, are built from it.  The backward
+signatures, the vector field and the block sums read the flux table; the
+forward signatures read the forward table; both quotient constructions
+read the reaction list.  :func:`require_elementary` is the check that
+the signatures need: every reaction has one or two reactant molecules.
 
-All types are immutable after construction and safe to share across
+Each table is built on the first call for a network and kept in a
+private slot of its :class:`CRN`; every later call returns the same
+object, so refinement, the re-check inside a reduction, the reduction
+and the vector field share one build.  The slots take no part in
+equality or hashing, and nothing writes a table after it is built: the
+tables are tuples, and their dicts are never changed.  Two threads that
+race on a fresh network may both build a table; the builds are equal,
+and either one is kept.
+
+All types are immutable after construction, apart from a network's
+table slots, which are filled on first use, and safe to share across
 threads.  Rates and multiplicities are exact: rates are
-:class:`fractions.Fraction`, multiplicities are positive ints.  The fixed
-total order on species used for representatives and block ordering is
-lexicographic on species names.
+:class:`fractions.Fraction`, multiplicities are positive ints.  The
+fixed total order on species used for representatives and block ordering
+is lexicographic on species names.
 """
 
 from __future__ import annotations
@@ -47,12 +61,17 @@ __all__ = [
     "validate",
     "scaled_reactions",
     "flux_table",
+    "forward_table",
+    "require_elementary",
     "Partition",
     "check_partition",
     "quotient_species",
 ]
 
 Pairs = tuple[tuple[int, int], ...]
+# Partner slot used for the empty multiset in the forward table; species
+# ids are nonnegative so -1 never collides.
+EMPTY_PARTNER = -1
 
 
 class CRNError(Exception):
@@ -212,10 +231,15 @@ class CRN:
     Species ids equal list positions and names are unique; both are
     enforced at construction.  Reaction-level restrictions (positive
     rates, at most two reactant molecules, declared species) are data
-    checked by :func:`validate`, not constructor failures.
+    checked by :func:`validate`, not constructor failures.  The integer
+    tables of this module are built once per network and kept in the
+    private ``_scaled``, ``_flux``, ``_forward`` and ``_elementary``
+    slots.
     """
 
-    __slots__ = ("species", "reactions", "_by_name")
+    __slots__ = (
+        "species", "reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary"
+    )
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
         self.species = tuple(species)
@@ -230,6 +254,7 @@ class CRN:
                 raise ValueError(f"duplicate species name {sp.name}")
             by_name[sp.name] = sp
         self._by_name = by_name
+        self._scaled = self._flux = self._forward = self._elementary = None
 
     def by_name(self, name: str) -> Species:
         try:
@@ -303,26 +328,44 @@ def validate(crn: CRN) -> list[str]:
     return violations
 
 
-def scaled_reactions(crn: CRN) -> tuple[int, list[tuple[Pairs, Pairs, int]]]:
+def _memo(crn: CRN, slot: str, build):
+    """The table kept in ``slot`` of ``crn``, built by ``build`` on first use."""
+    table = getattr(crn, slot)
+    if table is None:
+        table = build(crn)
+        setattr(crn, slot, table)
+    return table
+
+
+def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:
     """L, the least common multiple of the rate denominators, and every
     reaction as ``(reactant pairs, product pairs, rate times L)``, each
     side its ``(species id, multiplicity)`` pairs in id order."""
+    return _memo(crn, "_scaled", _build_scaled_reactions)
+
+
+def _build_scaled_reactions(crn: CRN):
     denominators = {rxn.rate.denominator for rxn in crn.reactions}
     scale = lcm(*denominators)
     factor = {d: scale // d for d in denominators}
-    return scale, [
+    return scale, tuple(
         (r.reactants._key, r.products._key, r.rate.numerator * factor[r.rate.denominator])
         for r in crn.reactions
-    ]
+    )
 
 
-def flux_table(crn: CRN) -> tuple[int, dict[Pairs, dict[int, int]]]:
+def flux_table(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs], ...]]:
     """L and, per distinct reactant multiset as its ``(species id,
-    multiplicity)`` pairs, ``species id -> net change times rate times L``
-    summed over the reactions with those reactants.  Zero sums are
-    dropped; every reactant multiset keeps its entry.  Divided by L, a
-    value is a vector-field coefficient.  Reactions need not be elementary.
+    multiplicity)`` pairs, in order of first appearance, the ``(species
+    id, net change times rate times L)`` pairs summed over the reactions
+    with those reactants.  Zero sums are dropped; every reactant multiset
+    keeps its row.  Divided by L, a value is a vector-field coefficient.
+    Reactions need not be elementary.
     """
+    return _memo(crn, "_flux", _build_flux_table)
+
+
+def _build_flux_table(crn: CRN):
     scale, rows = scaled_reactions(crn)
     table: dict[Pairs, dict[int, int]] = {}
     for reactants, products, rate in rows:
@@ -331,10 +374,79 @@ def flux_table(crn: CRN) -> tuple[int, dict[Pairs, dict[int, int]]]:
             row[sid] = row.get(sid, 0) + mult * rate
         for sid, mult in reactants:
             row[sid] = row.get(sid, 0) - mult * rate
-    for key, row in table.items():
-        if 0 in row.values():
-            table[key] = {sid: val for sid, val in row.items() if val}
-    return scale, table
+    return scale, tuple(
+        (key, tuple(item for item in row.items() if item[1])) for key, row in table.items()
+    )
+
+
+def forward_table(crn: CRN):
+    """``(L, crr, crr_id, prod)``, the per-species part of the forward
+    signatures.  Raises :class:`CRNError` unless the network is
+    elementary (:func:`require_elementary`).
+
+    ``crr[x]`` maps each partner of species ``x`` to its reaction rate
+    times L: the other reactant of a binary reaction, ``x`` itself for
+    ``2x``, :data:`EMPTY_PARTNER` for a unary reaction.  ``crr_id[x]``
+    numbers the distinct ``crr`` maps, so equal maps share a number.
+    ``prod[x]`` maps ``(partner, product species id)`` to the production
+    rate times L.  No value is zero.
+    """
+    return _memo(crn, "_forward", _build_forward_table)
+
+
+def _build_forward_table(crn: CRN):
+    require_elementary(crn)
+    scale, rows = scaled_reactions(crn)
+    crr: list[dict[int, int]] = [{} for _ in crn.species]
+    prod: list[dict[tuple[int, int], int]] = [{} for _ in crn.species]
+    for reactants, products, rate in rows:
+        if len(reactants) == 2:
+            (a, _), (b, _) = reactants
+            terms = ((a, b, rate), (b, a, rate))
+        else:
+            ((sid, mult),) = reactants
+            terms = ((sid, EMPTY_PARTNER if mult == 1 else sid, mult * rate),)
+        for x, partner, value in terms:
+            acc = crr[x]
+            acc[partner] = acc.get(partner, 0) + value
+            acc = prod[x]
+            for yid, mult in products:
+                key = (partner, yid)
+                acc[key] = acc.get(key, 0) + value * mult
+    crr = [_nonzero(acc) for acc in crr]
+    ids: dict[tuple, int] = {}
+    crr_id = tuple(ids.setdefault(tuple(sorted(acc.items())), len(ids)) for acc in crr)
+    return scale, tuple(crr), crr_id, tuple(_nonzero(acc) for acc in prod)
+
+
+def _nonzero(values: dict) -> dict:
+    """``values`` without its zero values; itself when it has none."""
+    return {k: v for k, v in values.items() if v} if 0 in values.values() else values
+
+
+def require_elementary(crn: CRN) -> None:
+    """Raise :class:`CRNError` naming the first reaction whose reactants are
+    not one or two molecules; the signatures are defined only for those."""
+    i = _memo(crn, "_elementary", _first_non_elementary)
+    if i >= 0:
+        raise CRNError(
+            f"reaction {i} ({crn.reactions[i]!r}): not elementary: reactants must be "
+            "one or two molecules"
+        )
+
+
+def _first_non_elementary(crn: CRN) -> int:
+    """Index of the first reaction without one or two reactant molecules,
+    or -1."""
+    for i, rxn in enumerate(crn.reactions):
+        pairs = rxn.reactants._key
+        # One species once or twice, or two species once each.
+        if not (
+            len(pairs) == 1 and pairs[0][1] <= 2
+            or len(pairs) == 2 and pairs[0][1] == pairs[1][1] == 1
+        ):
+            return i
+    return -1
 
 
 class Partition:

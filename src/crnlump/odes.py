@@ -233,8 +233,8 @@ def vector_field(crn: CRN) -> VectorField:
     its flux table transposed, each value divided by L."""
     scale, table = flux_table(crn)
     terms: list[dict[Monomial, Fraction]] = [{} for _ in crn.species]
-    for mono, row in table.items():
-        for sid, val in row.items():
+    for mono, row in table:
+        for sid, val in row:
             terms[sid][mono] = Fraction(val, scale)
     return VectorField(crn.species, dict(zip(crn.species, map(Polynomial, terms))))
 
@@ -289,8 +289,8 @@ def _block_sums(crn: CRN, p: Partition) -> list[Polynomial]:
     divided by L."""
     scale, table = flux_table(crn)
     sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
-    for mono, row in table.items():
-        for sid, val in row.items():
+    for mono, row in table:
+        for sid, val in row:
             acc = sums[p.block_index[sid]]
             acc[mono] = acc.get(mono, 0) + val
     return [Polynomial({m: Fraction(v, scale) for m, v in acc.items()}) for acc in sums]

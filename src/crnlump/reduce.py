@@ -2,7 +2,11 @@
 
 Both constructions read the network's integer reaction list,
 :func:`crnlump.core.scaled_reactions`: each reaction's reactant and
-product ``(species id, multiplicity)`` pairs and its rate times L.
+product ``(species id, multiplicity)`` pairs and its rate times L.  Both
+first check that the partition is a bisimulation of their mode.  The
+check reads the network's rate tables, which a ``refine`` on the same
+network object has already built, so it adds only a per-partition pass.
+
 Forward reduction keeps only the reactions whose reactants are all block
 representatives; the reduced network's ODEs govern the block sums of the
 original.  Backward reduction pins every non-representative product
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, log2
+from typing import Iterable, Sequence
 
 from .bisim import BisimMode, is_bisimulation
 from .core import (
@@ -73,11 +78,12 @@ def _quotient(
     p: Partition,
     mode: BisimMode,
     scale: int,
-    rows: list[tuple[Pairs, Pairs, int]],
-    kept: list[tuple[Pairs, Pairs, int]],
+    rows: tuple[tuple[Pairs, Pairs, int], ...],
+    kept: Iterable[tuple[Pairs, Sequence[tuple[int, int]], int]],
 ) -> ReducedCRN:
     """Lift each kept (reactants, products, rate times L) row into the blocks,
-    fuse identical rows by summing their rates, and sort the fused reactions."""
+    fuse identical rows by summing their rates, and sort the fused reactions.
+    ``kept`` is read once, so it may be a generator."""
     steps = sum(len(reactants) + len(products) for reactants, products, _ in rows)
     fused: dict[tuple[Pairs, Pairs], int] = {}
     for reactants, products, rate in kept:
@@ -125,11 +131,13 @@ def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
         raise NotBisimulationError("partition is not a backward bisimulation")
     is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
     scale, rows = scaled_reactions(crn)
-    kept = []
-    for reactants, products, rate in rows:
-        # Non-representative products are pinned to their reactant
-        # multiplicity, so their net contribution vanishes in the quotient.
-        pinned = [pair for pair in products if is_rep[pair[0]]]
-        pinned += [pair for pair in reactants if not is_rep[pair[0]]]
-        kept.append((reactants, pinned, rate))
-    return _quotient(p, BisimMode.BACKWARD, scale, rows, kept)
+
+    def pinned():
+        for reactants, products, rate in rows:
+            # Non-representative products are pinned to their reactant
+            # multiplicity, so their net contribution vanishes in the quotient.
+            kept = [pair for pair in products if is_rep[pair[0]]]
+            kept += [pair for pair in reactants if not is_rep[pair[0]]]
+            yield reactants, kept, rate
+
+    return _quotient(p, BisimMode.BACKWARD, scale, rows, pinned())

@@ -80,7 +80,10 @@ class InitialCondition:
     ) -> "InitialCondition":
         values: dict[Species, Fraction] = {}
         for key, raw in mapping.items():
-            sp = crn.by_name(key) if isinstance(key, str) else key
+            sp = crn.by_name(key if isinstance(key, str) else key.name)
+            if not isinstance(key, str) and key != sp:
+                # A species of another network is an unknown species here.
+                raise KeyError(f"unknown species {key.name}")
             value = Fraction(raw)
             if value < 0:
                 raise ValueError(f"negative initial concentration for {sp.name}")
@@ -164,6 +167,11 @@ def _check_integration_args(n_points: int, **positive: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
+
+
+def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:
+    if tuple(v0.species) != crn.species:
+        raise ValueError("initial condition is not over the species of this network")
 
 
 def integrate(
@@ -264,11 +272,14 @@ def verify_forward(
     reduction over a shared time grid.
 
     Raises :class:`ValueError` unless ``t_end``, ``tol``, ``rtol`` and
-    ``atol`` are finite and positive and ``n_points`` is at least 1, and
-    :class:`PartitionError` unless ``p`` partitions the species of ``crn``.
+    ``atol`` are finite and positive, ``n_points`` is at least 1 and
+    ``v0`` is over the species of ``crn``, and :class:`PartitionError`
+    unless ``p`` partitions the species of ``crn``, all before any other
+    work.
     """
     _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
     check_partition(crn, p)
+    _check_initial_condition(crn, v0)
     reduced = forward_reduce(crn, p)
     grid = np.linspace(0.0, float(t_end), n_points)
     original = integrate(
@@ -321,6 +332,7 @@ def verify_backward(
     """
     _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
     check_partition(crn, p)
+    _check_initial_condition(crn, v0)
     if not v0.constant_on(p):
         raise PartitionError("initial condition violates block equality")
     reduced = backward_reduce(crn, p)

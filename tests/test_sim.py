@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import crnlump.sim
 from crnlump import (
     BisimMode,
     InitialCondition,
@@ -49,6 +50,20 @@ class TestInitialCondition:
     def test_values_stay_exact(self, crn):
         v0 = InitialCondition.from_map(crn, {"A": "0.1"})
         assert v0.get(crn.by_name("A")) == Fraction(1, 10)
+
+    @pytest.mark.parametrize(
+        "foreign", [Species(0, "P"), Species(1, "A"), Species(7, "E")], ids=str
+    )
+    def test_species_of_another_network_rejected(self, crn, foreign):
+        # the error an unknown name raises
+        with pytest.raises(KeyError, match="^'unknown species P'$"):
+            inits(crn, P=5)
+        with pytest.raises(KeyError, match=f"^'unknown species {foreign.name}'$"):
+            InitialCondition.from_map(crn, {foreign: 5})
+
+    def test_equal_species_of_an_equal_network_accepted(self, crn):
+        v0 = InitialCondition.from_map(crn, {Species(0, "A"): 5})
+        assert v0.as_array().tolist() == [5, 0, 0, 0, 0]
 
 
 class TestIntegrate:
@@ -224,6 +239,18 @@ def test_verify_rejects_unusable_tol(crn, h_o, h_e, verify, tol):
     v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
     with pytest.raises(ValueError, match="^tol must be finite and positive"):
         verify(crn, p, v0, 1.0, tol)
+
+
+@pytest.mark.parametrize("verify", [verify_forward, verify_backward], ids=["fb", "bb"])
+def test_verify_rejects_initial_condition_of_another_network(crn, verify, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("reduced before the initial condition was checked")
+
+    monkeypatch.setattr(crnlump.sim, "forward_reduce", refuse)
+    monkeypatch.setattr(crnlump.sim, "backward_reduce", refuse)
+    v0 = InitialCondition.from_map(make_crn(list("PQRST"), []), {}, 1)
+    with pytest.raises(ValueError, match="^initial condition is not over the species"):
+        verify(crn, Partition.discrete(crn), v0, 1.0, 1e-6)
 
 
 class TestVerifyBackward:
