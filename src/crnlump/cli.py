@@ -243,7 +243,7 @@ def _cmd_simulate(args) -> int:
             f"output values; the limit is {_MAX_GRID_VALUES}"
         )
     traj = integrate(
-        vector_field(crn),
+        crn,
         v0,
         args.t_end,
         rtol=args.rtol,

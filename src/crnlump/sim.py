@@ -2,14 +2,14 @@
 
 The integrator wraps scipy's embedded Runge-Kutta 4(5) with adaptive
 steps (defaults rtol 1e-8 / atol 1e-10, well below the 1e-6 acceptance
-tolerances used by the verification helpers).  The right-hand side is
-compiled once per integration from the exact vector field: each
-distinct monomial becomes a column of state indices (repeated per unit
-of exponent, padded with a slot that holds 1.0), so one numpy gather and
-product evaluates every monomial, and a sparse float coefficient matrix
-maps the monomial values to the derivatives.  For a mass-action field
-that is ``N @ (k * y[r1] * y[r2])`` with ``N`` the stoichiometry, but
-any polynomial field, constant terms and higher powers included, works.
+tolerances used by the verification helpers).  The right-hand side
+``N @ (k * y[r1] * y[r2])`` is compiled once per integration from the
+flux table (:func:`crnlump.core.flux_table`) that the exact vector field
+reads too: each row's reactant multiset becomes a column of state
+indices (one per molecule, padded with a slot that holds 1.0), so one
+numpy gather and product evaluates every monomial, and the rows' values
+divided by L form a sparse matrix that maps them to the derivatives.
+Empty reactants (a constant term) and higher powers work too.
 
 ``verify_forward`` integrates a network and its block-sum reduction and
 compares block sums against reduced variables over time;
@@ -39,8 +39,8 @@ from .core import (
     PartitionError,
     Species,
     check_partition,
+    flux_table,
 )
-from .odes import VectorField, vector_field
 from .reduce import backward_reduce, forward_reduce
 
 __all__ = [
@@ -129,29 +129,29 @@ class Trajectory:
         return float(self.values.min()) if self.values.size else 0.0
 
 
-def _compile(vf: VectorField):
+def _compile(crn: CRN):
     """The right-hand side ``y -> f(y)``, evaluated by numpy per call.
 
-    Column ``j`` of ``factors`` lists the state indices of the j-th
-    distinct monomial, an index repeated once per unit of exponent and
-    padded with index ``n``, whose slot holds 1.0.  One gather and a
-    product down the columns give every monomial value; a sparse
-    coefficient matrix maps them to the derivatives.
+    Column ``j`` of ``factors`` lists the reactants of the j-th flux-table
+    row, an id repeated once per unit of multiplicity and padded with
+    index ``n``, whose slot holds 1.0.  One gather and a product down the
+    columns give every row's monomial; a sparse matrix of the rows'
+    values divided by L maps them to the derivatives.
     """
-    n = len(vf.species)
-    monomials: dict[tuple, int] = {}
+    n = crn.n_species
+    scale, table = flux_table(crn)
     rows, cols, coefs = [], [], []
-    for i, sp in enumerate(vf.species):
-        for mono, coef in vf.components[sp].terms.items():
-            rows.append(i)
-            cols.append(monomials.setdefault(mono, len(monomials)))
-            coefs.append(float(coef))
-    width = max((sum(exp for _, exp in mono) for mono in monomials), default=0)
-    factors = np.full((width, len(monomials)), n, dtype=np.intp)
-    for j, mono in enumerate(monomials):
-        slots = [var for var, exp in mono for _ in range(exp)]
+    for j, (_, support) in enumerate(table):
+        for sid, val in support:
+            rows.append(sid)
+            cols.append(j)
+            coefs.append(val / scale)
+    width = max((sum(m for _, m in reactants) for reactants, _ in table), default=0)
+    factors = np.full((width, len(table)), n, dtype=np.intp)
+    for j, (reactants, _) in enumerate(table):
+        slots = [sid for sid, m in reactants for _ in range(m)]
         factors[: len(slots), j] = slots
-    matrix = csr_matrix((coefs, (rows, cols)), shape=(n, len(monomials)))
+    matrix = csr_matrix((coefs, (rows, cols)), shape=(n, len(table)))
     padded = np.ones(n + 1)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
@@ -175,7 +175,7 @@ def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:
 
 
 def integrate(
-    vf: VectorField,
+    crn: CRN,
     v0: InitialCondition,
     t_end: float,
     *,
@@ -184,22 +184,22 @@ def integrate(
     t_eval: Sequence[float] | None = None,
     n_points: int = DEFAULT_POINTS,
 ) -> Trajectory:
-    """Integrate a vector field from t=0 to ``t_end`` on a dense grid.
+    """Integrate a network's ODEs from t=0 to ``t_end`` on a dense grid.
 
     Raises :class:`ValueError` unless ``t_end``, ``rtol`` and ``atol``
-    are finite and positive and ``n_points`` is at least 1, and
-    :class:`IntegrationError` on solver failure or non-finite output.
+    are finite and positive, ``n_points`` is at least 1 and ``v0`` is
+    over the species of ``crn``, and :class:`IntegrationError` on solver
+    failure or non-finite output.
     """
     _check_integration_args(n_points, t_end=t_end, rtol=rtol, atol=atol)
-    if tuple(v0.species) != tuple(vf.species):
-        raise ValueError("initial condition does not match the vector field species")
+    _check_initial_condition(crn, v0)
     grid = (
         np.asarray(t_eval, dtype=float)
         if t_eval is not None
         else np.linspace(0.0, float(t_end), n_points)
     )
     result = solve_ivp(
-        _compile(vf),
+        _compile(crn),
         (0.0, float(t_end)),
         v0.as_array(),
         method="RK45",
@@ -213,7 +213,7 @@ def integrate(
     values = result.y.T
     if not np.isfinite(values).all():
         raise IntegrationError("integration produced non-finite values")
-    return Trajectory(species=vf.species, times=result.t, values=values)
+    return Trajectory(species=crn.species, times=result.t, values=values)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -257,6 +257,21 @@ class VerificationReport:
         return "; ".join(parts)
 
 
+def _trajectories(crn, p, v0, t_end, tol, rtol, atol, n_points, reduce, block_value):
+    """After every argument check, the trajectories of ``crn`` from ``v0``
+    and of ``reduce(crn, p)`` from ``block_value(block)`` per block."""
+    _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
+    check_partition(crn, p)
+    _check_initial_condition(crn, v0)
+    values = [block_value(block) for block in p.blocks]
+    reduced = reduce(crn, p).crn
+    grid = np.linspace(0.0, float(t_end), n_points)
+    original = integrate(crn, v0, t_end, rtol=rtol, atol=atol, t_eval=grid)
+    reduced_v0 = InitialCondition.from_map(reduced, dict(zip(reduced.species, values)))
+    lumped = integrate(reduced, reduced_v0, t_end, rtol=rtol, atol=atol, t_eval=grid)
+    return original, lumped
+
+
 def verify_forward(
     crn: CRN,
     p: Partition,
@@ -277,27 +292,13 @@ def verify_forward(
     unless ``p`` partitions the species of ``crn``, all before any other
     work.
     """
-    _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
-    check_partition(crn, p)
-    _check_initial_condition(crn, v0)
-    reduced = forward_reduce(crn, p)
-    grid = np.linspace(0.0, float(t_end), n_points)
-    original = integrate(
-        vector_field(crn), v0, t_end, rtol=rtol, atol=atol, t_eval=grid
-    )
-    block_sums = {}
-    for idx, block in enumerate(p.blocks):
-        total = Fraction(0)
-        for sp in block:
-            total += v0.get(sp)
-        block_sums[reduced.crn.species[idx]] = total
-    reduced_v0 = InitialCondition.from_map(reduced.crn, block_sums)
-    lumped = integrate(
-        vector_field(reduced.crn), reduced_v0, t_end, rtol=rtol, atol=atol, t_eval=grid
+    original, lumped = _trajectories(
+        crn, p, v0, t_end, tol, rtol, atol, n_points, forward_reduce,
+        lambda block: sum((v0.get(sp) for sp in block), Fraction(0)),
     )
     max_error = 0.0
     for idx, block in enumerate(p.blocks):
-        summed = np.zeros_like(grid)
+        summed = np.zeros_like(original.times)
         for sp in block:
             summed += original.column(sp)
         err = _scaled_error(lumped.values[:, idx] - summed, summed)
@@ -330,22 +331,15 @@ def verify_backward(
     Requires ``v0`` constant on ``p``, and raises :class:`ValueError` on
     the arguments :func:`verify_forward` rejects.
     """
-    _check_integration_args(n_points, t_end=t_end, tol=tol, rtol=rtol, atol=atol)
-    check_partition(crn, p)
-    _check_initial_condition(crn, v0)
-    if not v0.constant_on(p):
-        raise PartitionError("initial condition violates block equality")
-    reduced = backward_reduce(crn, p)
-    grid = np.linspace(0.0, float(t_end), n_points)
-    original = integrate(
-        vector_field(crn), v0, t_end, rtol=rtol, atol=atol, t_eval=grid
-    )
-    reduced_v0 = InitialCondition.from_map(
-        reduced.crn,
-        {qsp: v0.get(p.blocks[idx][0]) for idx, qsp in enumerate(reduced.crn.species)},
-    )
-    lumped = integrate(
-        vector_field(reduced.crn), reduced_v0, t_end, rtol=rtol, atol=atol, t_eval=grid
+
+    def representative_value(block):
+        if len({v0.get(sp) for sp in block}) > 1:
+            raise PartitionError("initial condition violates block equality")
+        return v0.get(block[0])
+
+    original, lumped = _trajectories(
+        crn, p, v0, t_end, tol, rtol, atol, n_points, backward_reduce,
+        representative_value,
     )
     max_spread = 0.0
     for block in p.blocks:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,16 @@ from crnlump import (
     PartitionError,
     Polynomial,
     Species,
-    VectorField,
     integrate,
     make_crn,
     refine,
+    serialize_crn,
     trajectory_to_csv,
     vector_field,
     verify_backward,
     verify_forward,
 )
+from crnlump.cli import main
 from crnlump.models import random_crn
 from crnlump.sim import _compile
 from conftest import blocks_of
@@ -70,13 +72,13 @@ class TestIntegrate:
     def test_zero_field_is_constant(self):
         net = make_crn(["A", "B"], [])
         v0 = inits(net, A=2, B=3)
-        traj = integrate(vector_field(net), v0, 5.0)
+        traj = integrate(net, v0, 5.0)
         assert np.allclose(traj.values[:, 0], 2.0)
         assert np.allclose(traj.values[:, 1], 3.0)
 
     def test_exponential_decay_closed_form(self):
         net = make_crn(["X", "Y"], [({"X": 1}, 1, {"Y": 1})])
-        traj = integrate(vector_field(net), inits(net, X=1), 1.0)
+        traj = integrate(net, inits(net, X=1), 1.0)
         assert traj.times[-1] == 1.0
         assert abs(traj.column(net.by_name("X"))[-1] - math.exp(-1)) < 1e-7
 
@@ -86,7 +88,7 @@ class TestIntegrate:
             ["X", "D"],
             [({"X": 1}, 1, {}), ({"X": 1}, 6, {"D": 1, "X": 1})],
         )
-        traj = integrate(vector_field(net), inits(net, X=1), 5.0)
+        traj = integrate(net, inits(net, X=1), 5.0)
         d = traj.column(net.by_name("D"))
         x = traj.column(net.by_name("X"))
         assert np.all(np.diff(d) > 0)
@@ -94,7 +96,7 @@ class TestIntegrate:
 
     def test_requires_positive_horizon(self, crn):
         with pytest.raises(ValueError):
-            integrate(vector_field(crn), inits(crn, A=1), 0.0)
+            integrate(crn, inits(crn, A=1), 0.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -111,23 +113,23 @@ class TestIntegrate:
     def test_rejects_unusable_arguments(self, crn, kwargs):
         args = {"t_end": 1.0, **kwargs}
         with pytest.raises(ValueError):
-            integrate(vector_field(crn), inits(crn, A=1), **args)
+            integrate(crn, inits(crn, A=1), **args)
 
     def test_blowup_raises(self):
         # X + X -> 3X doubles into itself: finite-time blowup
         net = make_crn(["X"], [({"X": 2}, 2, {"X": 3})])
         with pytest.raises(IntegrationError):
-            integrate(vector_field(net), inits(net, X=1), 10.0)
+            integrate(net, inits(net, X=1), 10.0)
 
     def test_mismatched_species_rejected(self, crn):
         other = make_crn(["A"], [])
-        with pytest.raises(ValueError):
-            integrate(vector_field(crn), inits(other, A=1), 1.0)
+        with pytest.raises(ValueError, match="^initial condition is not over the species"):
+            integrate(crn, inits(other, A=1), 1.0)
 
 
 class TestTrajectoryColumn:
     def test_every_column_of_running_example(self, crn):
-        traj = integrate(vector_field(crn), inits(crn, A=1, B=2, C=3, D=4, E=5), 1.0)
+        traj = integrate(crn, inits(crn, A=1, B=2, C=3, D=4, E=5), 1.0)
         for i, sp in enumerate(crn.species):
             assert np.array_equal(traj.column(sp), traj.values[:, i])
             # an equal species that is another object
@@ -137,7 +139,7 @@ class TestTrajectoryColumn:
         "foreign", [Species(0, "Z"), Species(5, "A"), Species(-1, "E")], ids=str
     )
     def test_species_of_another_network_rejected(self, crn, foreign):
-        traj = integrate(vector_field(crn), inits(crn, A=1), 1.0, n_points=3)
+        traj = integrate(crn, inits(crn, A=1), 1.0, n_points=3)
         with pytest.raises(ValueError, match=f"^unknown species {foreign.name}$"):
             traj.column(foreign)
 
@@ -146,9 +148,10 @@ class TestCompiledRightHandSide:
     """The numpy right-hand side against exact rational evaluation."""
 
     @staticmethod
-    def assert_matches_exact(vf, seed):
+    def assert_matches_exact(net, seed):
         rng = random.Random(seed)
-        rhs = _compile(vf)
+        rhs = _compile(net)
+        vf = vector_field(net)
         for _ in range(5):
             state = [Fraction(rng.randint(0, 2000), rng.randint(1, 1000)) for _ in vf.species]
             got = rhs(0.0, np.array([float(v) for v in state]))
@@ -164,37 +167,31 @@ class TestCompiledRightHandSide:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_random_networks(self, seed):
-        net = random_crn(seed, 6, 12)
-        self.assert_matches_exact(vector_field(net), seed)
+        self.assert_matches_exact(random_crn(seed, 6, 12), seed)
 
     def test_homodimer_squares_the_reactant(self):
         net = make_crn(["A", "B"], [({"A": 2}, 3, {"B": 1}), ({"B": 1}, Fraction(1, 3), {"A": 2})])
-        self.assert_matches_exact(vector_field(net), 0)
+        self.assert_matches_exact(net, 0)
 
     def test_no_reactions_gives_zero(self):
         net = make_crn(["A", "B"], [])
-        vf = vector_field(net)
-        self.assert_matches_exact(vf, 0)
-        assert not _compile(vf)(0.0, np.array([1.0, 2.0])).any()
+        self.assert_matches_exact(net, 0)
+        assert not _compile(net)(0.0, np.array([1.0, 2.0])).any()
 
     def test_constant_term_and_higher_powers(self):
-        net = make_crn(["X", "Y"], [])
-        x, y = net.species
-        vf = VectorField(
-            species=net.species,
-            components={
-                x: Polynomial.constant(Fraction(7, 3))
-                - Polynomial.monomial(2, [(0, 3), (1, 1)]),
-                y: Polynomial.constant(-5),
-            },
+        # X' = 7/3 - 2*X^3*Y; the catalyst Y's component is zero
+        net = make_crn(
+            ["X", "Y"],
+            [({}, Fraction(7, 3), {"X": 1}), ({"X": 3, "Y": 1}, 2, {"X": 2, "Y": 1})],
         )
-        self.assert_matches_exact(vf, 1)
-        assert _compile(vf)(0.0, np.array([0.0, 0.0])) == pytest.approx([7 / 3, -5])
+        self.assert_matches_exact(net, 1)
+        assert _compile(net)(0.0, np.array([0.0, 0.0])) == pytest.approx([7 / 3, 0])
+        assert _compile(net)(0.0, np.array([2.0, 3.0])) == pytest.approx([7 / 3 - 48, 0])
 
 
 class TestCsvExport:
     def test_header_and_shape(self, crn):
-        traj = integrate(vector_field(crn), inits(crn, A=1, B=1), 1.0, n_points=11)
+        traj = integrate(crn, inits(crn, A=1, B=1), 1.0, n_points=11)
         text = trajectory_to_csv(traj)
         lines = text.splitlines()
         assert lines[0] == "t,A,B,C,D,E"
@@ -203,8 +200,8 @@ class TestCsvExport:
 
     def test_deterministic(self, crn):
         v0 = inits(crn, A=1, B=1)
-        a = trajectory_to_csv(integrate(vector_field(crn), v0, 1.0))
-        b = trajectory_to_csv(integrate(vector_field(crn), v0, 1.0))
+        a = trajectory_to_csv(integrate(crn, v0, 1.0))
+        b = trajectory_to_csv(integrate(crn, v0, 1.0))
         assert a == b
 
 
@@ -251,6 +248,26 @@ def test_verify_rejects_initial_condition_of_another_network(crn, verify, monkey
     v0 = InitialCondition.from_map(make_crn(list("PQRST"), []), {}, 1)
     with pytest.raises(ValueError, match="^initial condition is not over the species"):
         verify(crn, Partition.discrete(crn), v0, 1.0, 1e-6)
+
+
+def test_integration_never_builds_the_exact_vector_field(crn, h_o, h_e, monkeypatch, tmp_path):
+    def refuse(_crn):
+        raise AssertionError("the exact vector field was built")
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("crnlump") and hasattr(module, "vector_field"):
+            monkeypatch.setattr(module, "vector_field", refuse)
+    v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+    assert integrate(crn, v0, 1.0).values.shape == (201, 5)
+    assert verify_forward(crn, h_o, v0, 1.0, 1e-6).passed
+    assert verify_backward(crn, h_e, v0, 1.0, 1e-6).passed
+    model = tmp_path / "model.crn"
+    model.write_text(serialize_crn(crn, v0))
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", str(model), "--t-end", "1", "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,A,B,C,D,E\n")
+    for mode in ("fb", "bb"):
+        assert main(["compare", str(model), "--mode", mode, "--t-end", "1"]) == 0
 
 
 class TestVerifyBackward:
