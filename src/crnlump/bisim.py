@@ -57,7 +57,7 @@ from fractions import Fraction
 
 from .core import CRN, EMPTY_PARTNER, Multiset, Pairs, Partition, Species
 from .core import check_partition, flux_table, format_rational, forward_table
-from .core import require_elementary
+from .core import _nonzero, require_elementary
 
 __all__ = [
     "BisimMode",
@@ -102,10 +102,6 @@ def _first_difference(a: dict, b: dict) -> tuple[object, int, int] | None:
         return None
     key = min(keys)
     return key, a.get(key, 0), b.get(key, 0)
-
-
-def _nonzero(values: dict) -> dict:
-    return {k: v for k, v in values.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +229,7 @@ class _ForwardSignatures:
         for (partner, yid), val in self._prod[x].items():
             key = (partner, block_of[yid])
             folded[key] = folded.get(key, 0) + val
-        return _nonzero(folded) if 0 in folded.values() else folded
+        return _nonzero(folded)
 
     def key(self, x: int):
         return self._crr_id[x], frozenset(self.folded[x].items())
@@ -302,7 +298,7 @@ class _BackwardSignatures:
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
-        self.sums = [_nonzero(acc) if 0 in acc.values() else acc for acc in sums]
+        self.sums = [_nonzero(acc) for acc in sums]
 
     def _classify(self, reactants: Pairs, block_of) -> int:
         """Class id of the lift of one or two reactant molecules; a new

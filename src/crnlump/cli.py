@@ -58,6 +58,10 @@ from .odes import (
 )
 from .reduce import backward_reduce, forward_reduce
 from .sim import (
+    DEFAULT_ATOL,
+    DEFAULT_POINTS,
+    DEFAULT_RTOL,
+    DEFAULT_T_END,
     InitialCondition,
     integrate,
     trajectory_to_csv,
@@ -408,21 +412,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate and export a CSV trajectory")
     p.add_argument("input")
-    p.add_argument("--t-end", type=float, default=50.0)
+    p.add_argument("--t-end", type=float, default=DEFAULT_T_END)
     p.add_argument("--init")
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-10)
+    p.add_argument("--points", type=int, default=DEFAULT_POINTS)
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("compare", help="reduce, integrate both, report max error")
     p.add_argument("input")
     p.add_argument("--mode", choices=("fb", "bb"), required=True)
-    p.add_argument("--t-end", type=float, default=50.0)
+    p.add_argument("--t-end", type=float, default=DEFAULT_T_END)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--rtol", type=float, default=1e-8)
-    p.add_argument("--atol", type=float, default=1e-10)
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p.add_argument("--init")
     p.add_argument("--partition")
     p.add_argument("--from-inits", action="store_true")

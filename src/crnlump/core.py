@@ -14,10 +14,11 @@ multiplicity)`` pairs and its rate times L, the least common multiple of
 the rate denominators.  :func:`flux_table`, a network's net flux per
 reactant multiset, and :func:`forward_table`, each species' partner
 rates and production entries, are built from it.  The backward
-signatures, the vector field and the block sums read the flux table; the
-forward signatures read the forward table; both quotient constructions
-read the reaction list.  :func:`require_elementary` is the check that
-the signatures need: every reaction has one or two reactant molecules.
+signatures, the vector field, the block sums and the integrator read the
+flux table; the forward signatures read the forward table; both quotient
+constructions read the reaction list.  :func:`require_elementary` is the
+check that the signatures need: every reaction has one or two reactant
+molecules.
 
 Each table is built on the first call for a network and kept in a
 private slot of its :class:`CRN`; every later call returns the same
@@ -234,18 +235,19 @@ class CRN:
     checked by :func:`validate`, not constructor failures.  The integer
     tables of this module are built once per network and kept in the
     private ``_scaled``, ``_flux``, ``_forward`` and ``_elementary``
-    slots.
+    slots; ``species`` and ``reactions`` are read-only, so the tables
+    cannot go stale.
     """
 
     __slots__ = (
-        "species", "reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary"
+        "_species", "_reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary"
     )
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
-        self.species = tuple(species)
-        self.reactions = tuple(reactions)
+        self._species = tuple(species)
+        self._reactions = tuple(reactions)
         by_name: dict[str, Species] = {}
-        for i, sp in enumerate(self.species):
+        for i, sp in enumerate(self._species):
             if sp.id != i:
                 raise ValueError(f"species {sp.name} has id {sp.id}, expected {i}")
             if not sp.name:
@@ -255,6 +257,14 @@ class CRN:
             by_name[sp.name] = sp
         self._by_name = by_name
         self._scaled = self._flux = self._forward = self._elementary = None
+
+    @property
+    def species(self) -> tuple[Species, ...]:
+        return self._species
+
+    @property
+    def reactions(self) -> tuple[Reaction, ...]:
+        return self._reactions
 
     def by_name(self, name: str) -> Species:
         try:

@@ -42,7 +42,7 @@ from .core import (
     Species,
     format_rational,
 )
-from .sim import InitialCondition
+from .sim import InitialCondition, _check_initial_condition
 
 __all__ = [
     "parse_crn",
@@ -322,8 +322,11 @@ def _reaction_line(rxn: Reaction) -> str:
 def serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
     """Canonical text for a network: species header, reaction lines in
     sorted order, then init lines.  Deterministic; reparses to an equal
-    network (reaction order modulo the sort).  Raises :class:`CRNError`
+    network (reaction order modulo the sort).  Raises :class:`ValueError`
+    unless ``inits`` is over the species of ``crn``, and :class:`CRNError`
     when a rate or value has too many digits to print."""
+    if inits is not None:
+        _check_initial_condition(crn, inits)
     lines = [("species: " + " ".join(sp.name for sp in crn.species)).rstrip()]
     body = sorted(
         (rxn.reactants.name_key(), rxn.products.name_key(), _reaction_line(rxn))

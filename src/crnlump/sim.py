@@ -78,6 +78,9 @@ class InitialCondition:
         mapping: Mapping[str, Fraction | int | str] | Mapping[Species, Fraction],
         default: Fraction | int = 0,
     ) -> "InitialCondition":
+        """Values by species or name; every species not named gets
+        ``default``.  Raises :class:`KeyError` for a species not of ``crn``
+        and :class:`ValueError` for a negative value or ``default``."""
         values: dict[Species, Fraction] = {}
         for key, raw in mapping.items():
             sp = crn.by_name(key if isinstance(key, str) else key.name)
@@ -88,8 +91,11 @@ class InitialCondition:
             if value < 0:
                 raise ValueError(f"negative initial concentration for {sp.name}")
             values[sp] = value
+        fill = Fraction(default)
+        if fill < 0:
+            raise ValueError(f"negative initial concentration {fill} as the default")
         for sp in crn.species:
-            values.setdefault(sp, Fraction(default))
+            values.setdefault(sp, fill)
         return cls(species=crn.species, values=values)
 
     def get(self, sp: Species) -> Fraction:

@@ -252,6 +252,16 @@ class TestSerializeCrn:
         crn2, v02 = parse_crn(text)
         assert v02.values == {crn2.by_name(sp.name): v for sp, v in v0.values.items()}
 
+    @pytest.mark.parametrize(
+        "other", [list("PQRST"), list("AB"), list("ABCDEF")], ids=["PQRST", "AB", "ABCDEF"]
+    )
+    def test_inits_of_another_network_rejected(self, crn, other):
+        v0 = InitialCondition.from_map(make_crn(other, []), {}, 1)
+        with pytest.raises(
+            ValueError, match="^initial condition is not over the species of this network$"
+        ):
+            serialize_crn(crn, inits=v0)
+
     def test_reparse_is_byte_identical(self):
         texts = [serialize_crn(*multisite(MultisiteSpec(n_sites=n))) for n in range(1, 6)]
         texts += [serialize_crn(random_crn(s, 3 + s % 8, 2 + s % 13)) for s in range(300)]

@@ -42,8 +42,15 @@ class TestInitialCondition:
         assert len(v0.values) == 5
 
     def test_rejects_negative(self, crn):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^negative initial concentration for A$"):
             inits(crn, A=-1)
+
+    @pytest.mark.parametrize("default", [-1, Fraction(-1, 3)], ids=str)
+    def test_rejects_negative_default(self, crn, default):
+        with pytest.raises(ValueError, match="^negative initial concentration"):
+            InitialCondition.from_map(crn, {}, default=default)
+        with pytest.raises(ValueError, match="^negative initial concentration"):
+            InitialCondition.from_map(crn, {"A": 1}, default=default)
 
     def test_constant_on(self, crn, h_e):
         assert inits(crn, A=1, B=1).constant_on(h_e)

@@ -9,11 +9,15 @@ import pytest
 
 import crnlump.core as core
 from crnlump import (
+    CRN,
     BisimMode,
+    InitialCondition,
     MultisiteSpec,
     Partition,
     backward_reduce,
     forward_reduce,
+    integrate,
+    is_bisimulation,
     is_exactly_lumpable,
     is_ordinarily_lumpable,
     multisite,
@@ -97,6 +101,34 @@ def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
     assert first["scaled_reactions"] == core.scaled_reactions(fresh)
     assert first["flux_table"] == core.flux_table(fresh)
     assert first["forward_table"] == core.forward_table(fresh)
+
+
+def test_integration_reads_the_shared_flux_table(builds):
+    crn = _parsed_example()
+    integrate(crn, InitialCondition.from_map(crn, {}, 1), 1.0, n_points=3)
+    vector_field(crn)
+    integrate(crn, InitialCondition.from_map(crn, {}, 1), 1.0, n_points=3)
+    assert builds == {
+        "scaled_reactions": 1, "flux_table": 1, "forward_table": 0, "require_elementary": 0
+    }
+
+
+def test_species_and_reactions_cannot_be_reassigned(h_o):
+    # Reassigning them used to leave the built tables stale: with no
+    # reactions every partition is a bisimulation, yet the old tables
+    # still refused the one-block partition.
+    crn = running_example()
+    trivial = Partition.trivial(crn)
+    assert refine(crn, trivial, FB).final == h_o
+    with pytest.raises(AttributeError):
+        crn.reactions = ()
+    with pytest.raises(AttributeError):
+        crn.species = ()
+    assert crn == running_example()
+    assert is_bisimulation(crn, h_o, FB)
+    assert not is_bisimulation(crn, trivial, FB)
+    empty = CRN(crn.species, ())
+    assert is_bisimulation(empty, Partition.trivial(empty), FB)
 
 
 def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
