@@ -194,8 +194,9 @@ def integrate(
 
     Raises :class:`ValueError` unless ``t_end``, ``rtol`` and ``atol``
     are finite and positive, ``n_points`` is at least 1 and ``v0`` is
-    over the species of ``crn``, and :class:`IntegrationError` on solver
-    failure or non-finite output.
+    over the species of ``crn``, and :class:`IntegrationError` when a rate
+    or initial value exceeds the float range, on solver failure or on
+    non-finite output.
     """
     _check_integration_args(n_points, t_end=t_end, rtol=rtol, atol=atol)
     _check_initial_condition(crn, v0)
@@ -204,10 +205,14 @@ def integrate(
         if t_eval is not None
         else np.linspace(0.0, float(t_end), n_points)
     )
+    try:
+        rhs, y0 = _compile(crn), v0.as_array()
+    except OverflowError:
+        raise IntegrationError("a rate or initial value exceeds the float range") from None
     result = solve_ivp(
-        _compile(crn),
+        rhs,
         (0.0, float(t_end)),
-        v0.as_array(),
+        y0,
         method="RK45",
         rtol=rtol,
         atol=atol,

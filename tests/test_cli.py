@@ -167,6 +167,19 @@ def test_simulate_requires_inits(tmp_path, capsys):
     assert main(["simulate", str(bare), "--t-end", "1"]) == 2
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--mode", "fb"]])
+@pytest.mark.parametrize(
+    "text",
+    ["A -> B , 1e400\ninit: A = 1\n", "A -> B , 1\ninit: A = 1e400\n"],
+    ids=["rate", "init"],
+)
+def test_beyond_the_float_range_exits_3(tmp_path, capsys, command, text):
+    path = tmp_path / "big.crn"
+    path.write_text("species: A B\n" + text)
+    assert main([command[0], str(path), *command[1:], "--t-end", "1"]) == 3
+    assert "exceeds the float range" in capsys.readouterr().err
+
+
 def test_compare_forward_passes(model, capsys):
     assert main(["compare", str(model), "--mode", "fb", "--t-end", "10", "--tol", "1e-6"]) == 0
     assert "pass" in capsys.readouterr().out

@@ -128,6 +128,14 @@ class TestIntegrate:
         with pytest.raises(IntegrationError):
             integrate(net, inits(net, X=1), 10.0)
 
+    @pytest.mark.parametrize(
+        "rate, value", [(Fraction(10**400), 1), (1, Fraction(10**400))], ids=["rate", "init"]
+    )
+    def test_beyond_the_float_range_raises(self, rate, value):
+        net = make_crn(["X", "Y"], [({"X": 1}, rate, {"Y": 1})])
+        with pytest.raises(IntegrationError, match="exceeds the float range"):
+            integrate(net, inits(net, X=value), 1.0)
+
     def test_mismatched_species_rejected(self, crn):
         other = make_crn(["A"], [])
         with pytest.raises(ValueError, match="^initial condition is not over the species"):

@@ -114,9 +114,9 @@ def test_integration_reads_the_shared_flux_table(builds):
 
 
 def test_species_and_reactions_cannot_be_reassigned(h_o):
-    # Reassigning them used to leave the built tables stale: with no
-    # reactions every partition is a bisimulation, yet the old tables
-    # still refused the one-block partition.
+    # The kept tables are built from these fields, so the fields must not
+    # change: a network without reactions makes every partition a
+    # bisimulation, which tables built from the old reactions would deny.
     crn = running_example()
     trivial = Partition.trivial(crn)
     assert refine(crn, trivial, FB).final == h_o
