@@ -412,7 +412,7 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     partition is already a bisimulation of either kind.
     """
     check_partition(crn, initial)
-    if not crn.reactions:
+    if not crn.n_reactions:
         return RefinementTrace(initial, 0, 0)
     blocks = _Blocks(initial)
     sigs = _signatures(crn, mode, blocks.block_of)

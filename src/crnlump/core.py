@@ -18,15 +18,21 @@ signatures, the vector field, the block sums and the integrator read the
 flux table; the forward signatures read the forward table; both quotient
 constructions read the reaction list.  :func:`require_elementary` is the
 check that the signatures need: every reaction has one or two reactant
-molecules.
+molecules.  Rates become integers only in ``_scale_rates``, which both
+the reaction list of a network built from :class:`Reaction` objects and
+the parser use.
 
 Each table is built on the first call for a network and kept in a
 private slot of its :class:`CRN`; every later call returns the same
 object, so refinement, the re-check inside a reduction, the reduction
-and the vector field share one build.  The slots take no part in
-equality or hashing, and nothing writes a table after it is built: the
-tables are tuples, and their dicts are never changed.  Two threads that
-race on a fresh network may both build a table; the builds are equal,
+and the vector field share one build.  A parsed network arrives with its
+reaction list already in the slot (``crnlump.io.parse_crn`` builds it
+from the text), and its ``reactions`` are a view of that list: the
+:class:`Reaction` objects are built on the first read and kept in the
+same way, and no table needs them.  The slots take no part in equality
+or hashing, and nothing writes a table after it is built: the tables are
+tuples, and their dicts are never changed.  Two threads that race on a
+fresh network may both build a table or the view; the builds are equal,
 and either one is kept.
 
 All types are immutable after construction, apart from a network's
@@ -188,13 +194,6 @@ class Multiset:
     def __add__(self, other: "Multiset") -> "Multiset":
         return Multiset(tuple(self._pairs) + tuple(other._pairs))
 
-    def lift(self, mapping: Mapping[Species, Species]) -> "Multiset":
-        """Apply a species map element-wise; multiplicities accumulate."""
-        try:
-            return Multiset((mapping[sp], m) for sp, m in self._pairs)
-        except KeyError as err:
-            raise PartitionError(f"unknown species {err.args[0]}") from None
-
     def name_key(self) -> tuple[tuple[str, int], ...]:
         """Deterministic key under the species name order (for output sort)."""
         return tuple(sorted(((sp.name, m) for sp, m in self._pairs)))
@@ -237,6 +236,15 @@ class CRN:
     private ``_scaled``, ``_flux``, ``_forward`` and ``_elementary``
     slots; ``species`` and ``reactions`` are read-only, so the tables
     cannot go stale.
+
+    A network built from :class:`Reaction` objects keeps them.  A parsed
+    network starts from its integer reaction list instead (the
+    ``_scaled`` slot, what :func:`scaled_reactions` returns), and
+    ``reactions`` is a view of that list: its :class:`Reaction` objects
+    are built on the first read, one :class:`Multiset` per distinct side
+    and one rate per distinct value, and then kept like a table.
+    Refinement, the reductions, the vector field and the integrator read
+    only the integer list, so they never build the view.
     """
 
     __slots__ = (
@@ -258,13 +266,24 @@ class CRN:
         self._by_name = by_name
         self._scaled = self._flux = self._forward = self._elementary = None
 
+    @classmethod
+    def _from_scaled(
+        cls, species: Sequence[Species], scale: int, rows: tuple[tuple[Pairs, Pairs, int], ...]
+    ) -> "CRN":
+        """The network whose :func:`scaled_reactions` are ``(scale, rows)``;
+        its ``reactions`` are built from them on first read."""
+        crn = cls(species, ())
+        crn._reactions = None
+        crn._scaled = (scale, rows)
+        return crn
+
     @property
     def species(self) -> tuple[Species, ...]:
         return self._species
 
     @property
     def reactions(self) -> tuple[Reaction, ...]:
-        return self._reactions
+        return _memo(self, "_reactions", _build_reactions)
 
     def by_name(self, name: str) -> Species:
         try:
@@ -278,7 +297,9 @@ class CRN:
 
     @property
     def n_reactions(self) -> int:
-        return len(self.reactions)
+        if self._reactions is None:
+            return len(self._scaled[1])
+        return len(self._reactions)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CRN):
@@ -355,12 +376,51 @@ def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...
 
 
 def _build_scaled_reactions(crn: CRN):
-    denominators = {rxn.rate.denominator for rxn in crn.reactions}
+    reactions = crn.reactions
+    scale, rates = _scale_rates([rxn.rate for rxn in reactions])
+    return scale, tuple(
+        (r.reactants._key, r.products._key, rate) for r, rate in zip(reactions, rates)
+    )
+
+
+def _scale_rates(rates: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """L, the least common multiple of the denominators of ``rates`` (1
+    for none), and each rate times L: the one place where rates become
+    integers."""
+    denominators = {rate.denominator for rate in rates}
     scale = lcm(*denominators)
     factor = {d: scale // d for d in denominators}
-    return scale, tuple(
-        (r.reactants._key, r.products._key, r.rate.numerator * factor[r.rate.denominator])
-        for r in crn.reactions
+    return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
+
+
+def _side_key(pairs: Iterable[tuple[int, int]]) -> Pairs:
+    """A reaction side's ``(species id, multiplicity)`` pairs as a
+    :class:`Multiset` keeps them: equal ids merged, zero multiplicities
+    dropped, in id order."""
+    acc: dict[int, int] = {}
+    for sid, mult in pairs:
+        if mult:
+            acc[sid] = acc.get(sid, 0) + mult
+    return tuple(sorted(acc.items()))
+
+
+def _build_reactions(crn: CRN) -> tuple[Reaction, ...]:
+    """The :class:`Reaction` objects of a network built from its integer
+    reaction list: one :class:`Multiset` per distinct side and one
+    :class:`~fractions.Fraction` per distinct scaled rate."""
+    scale, rows = crn._scaled
+    species = crn.species
+    sides: dict[Pairs, Multiset] = {}
+    rates: dict[int, Fraction] = {}
+    for reactants, products, value in rows:
+        for key in (reactants, products):
+            if key not in sides:
+                sides[key] = Multiset((species[sid], m) for sid, m in key)
+        if value not in rates:
+            rates[value] = Fraction(value, scale)
+    return tuple(
+        Reaction(sides[reactants], rates[value], sides[products])
+        for reactants, products, value in rows
     )
 
 
@@ -448,8 +508,7 @@ def require_elementary(crn: CRN) -> None:
 def _first_non_elementary(crn: CRN) -> int:
     """Index of the first reaction without one or two reactant molecules,
     or -1."""
-    for i, rxn in enumerate(crn.reactions):
-        pairs = rxn.reactants._key
+    for i, (pairs, _, _) in enumerate(scaled_reactions(crn)[1]):
         # One species once or twice, or two species once each.
         if not (
             len(pairs) == 1 and pairs[0][1] <= 2

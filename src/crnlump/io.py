@@ -14,9 +14,14 @@ Rates and initial values are parsed exactly: integers, fractions
 (``3/7``), decimals (``0.1`` becomes 1/10) and scientific notation are
 all turned into rationals, never floats.  Species names may contain
 parentheses with nested commas (as BioNetGen complex patterns do);
-separators are only recognized at bracket depth zero.  Each distinct
-reaction side and number literal is parsed once per text, and reactions
-with equal sides share one multiset.
+separators are only recognized at bracket depth zero.  A reaction line
+is cut at its first ``->`` and its last ``,``; only when the text before
+the cut is unbalanced do the bracket-counting scans look for the
+separator at depth zero.  Each distinct reaction side and number literal
+is parsed and checked for balance once per text.  :func:`parse_crn`
+builds the network's integer reaction list
+(:func:`crnlump.core.scaled_reactions`) directly; its :class:`Reaction`
+objects are built only when something reads ``CRN.reactions``.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -40,6 +45,8 @@ from .core import (
     PartitionError,
     Reaction,
     Species,
+    _scale_rates,
+    _side_key,
     format_rational,
 )
 from .sim import InitialCondition, _check_initial_condition
@@ -146,7 +153,11 @@ def _rfind_top(text: str, sep: str) -> int:
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split on a single-character separator at bracket depth zero."""
-    parts: list[str] = []
+    parts = text.split(sep)
+    if not any(map(_depth, parts[:-1])):
+        # Each separator follows balanced parts, so each is at depth zero.
+        return parts
+    parts = []
     start = 0
     cut = _find_top(text, sep)
     while cut >= 0:
@@ -192,16 +203,22 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     ``init:`` line for one species).
     """
     header: list[str] | None = None
-    reaction_rows: list[tuple[int, Fraction, int]] = []
+    reaction_rows: list[tuple[int, int, int]] = []
     init_rows: dict[str, tuple[int, Fraction]] = {}
     order: list[str] = []
     seen: set[str] = set()
-    # Distinct side texts in order of first appearance: each text maps to
-    # its index in ``sides``, which holds (pairs, molecule count, first
-    # line).  Distinct number texts map to their values.
+    # Distinct stripped side texts in order of first appearance, as
+    # (pairs, molecule count, first line).  ``side_index`` maps each of
+    # them, and each raw text that was cut out as a side, to its index.
+    # Only a balanced text is parsed into a side, so a raw text found there
+    # is balanced and was cut at the separator at depth zero.
     side_index: dict[str, int] = {}
     sides: list[tuple[list[tuple[str, int]], int, int]] = []
+    # Distinct number texts map to their values; distinct rate texts to
+    # their index in ``rates`` and whether the rate is positive.
     numbers: dict[str, Fraction] = {}
+    rate_index: dict[str, tuple[int, bool]] = {}
+    rates: list[Fraction] = []
 
     def note(name: str) -> None:
         if name not in seen:
@@ -209,8 +226,8 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             order.append(name)
 
     def side(raw: str, lineno: int) -> int:
-        """The index of the stripped side text in ``sides``, parsed and its
-        names noted the first time the text appears."""
+        """The index in ``sides`` of the balanced side text ``raw``, parsed
+        and its names noted the first time its stripped text appears."""
         text = raw.strip()
         index = side_index.get(text)
         if index is None:
@@ -219,6 +236,7 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             sides.append((pairs, sum(m for _, m in pairs), lineno))
             for name, _ in pairs:
                 note(name)
+        side_index[raw] = index
         return index
 
     def number(raw: str, lineno: int) -> Fraction:
@@ -254,17 +272,37 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             init_rows[name] = (lineno, value)
             note(name)
             continue
-        arrow = _find_top(line, "->")
-        if arrow < 0:
-            raise ParseError(f"expected a reaction line, got {line!r}", lineno)
-        lhs = side(line[:arrow], lineno)
-        rhs_text = line[arrow + 2 :]
-        comma = _rfind_top(rhs_text, ",")
-        if comma < 0:
-            raise ParseError("missing rate (expected 'products , rate')", lineno)
-        rate = number(rhs_text[comma + 1 :], lineno)
-        rhs = side(rhs_text[:comma], lineno)
-        if rate <= 0:
+        # The first arrow is at depth zero exactly when the text before it
+        # is balanced, and the last comma exactly when the products are;
+        # otherwise the bracket-counting scans find the separator.
+        left, arrow, rest = line.partition("->")
+        lhs = side_index.get(left) if arrow else None
+        if lhs is None:
+            cut = -1
+            if arrow:
+                cut = _find_top(line, "->") if _depth(left) else len(left)
+            if cut < 0:
+                raise ParseError(f"expected a reaction line, got {line!r}", lineno)
+            lhs = side(line[:cut], lineno)
+            rest = line[cut + 2 :]
+        products, comma, rate_text = rest.rpartition(",")
+        rhs = side_index.get(products) if comma else None
+        if rhs is None:
+            cut = -1
+            if comma:
+                cut = _rfind_top(rest, ",") if _depth(products) else len(products)
+            if cut < 0:
+                raise ParseError("missing rate (expected 'products , rate')", lineno)
+            products, rate_text = rest[:cut], rest[cut + 1 :]
+        entry = rate_index.get(rate_text)
+        if entry is None:
+            value = number(rate_text, lineno)
+            entry = rate_index[rate_text] = (len(rates), value > 0)
+            rates.append(value)
+        if rhs is None:
+            rhs = side(products, lineno)
+        rate, positive = entry
+        if not positive:
             raise ParseError("rate must be positive", lineno)
         total = sides[lhs][1]
         if total == 0:
@@ -288,16 +326,11 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
                 raise ParseError(f"undeclared species {name}", lineno)
 
     species = tuple(Species(i, name) for i, name in enumerate(names))
-    by_name = {sp.name: sp for sp in species}
-    # Multisets are immutable, so reactions share one per distinct side.
-    multisets = [
-        Multiset((by_name[n], m) for n, m in pairs) for pairs, _, _ in sides
-    ]
-    reactions = [
-        Reaction(multisets[lhs], rate, multisets[rhs])
-        for lhs, rate, rhs in reaction_rows
-    ]
-    crn = CRN(species, reactions)
+    ids = {name: i for i, name in enumerate(names)}
+    keys = [_side_key([(ids[n], m) for n, m in pairs]) for pairs, _, _ in sides]
+    scale, scaled = _scale_rates(rates)
+    rows = tuple((keys[lhs], keys[rhs], scaled[rate]) for lhs, rate, rhs in reaction_rows)
+    crn = CRN._from_scaled(species, scale, rows)
     inits = None
     if init_rows:
         inits = InitialCondition.from_map(

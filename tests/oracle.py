@@ -18,7 +18,10 @@ Nothing here shares code with the signature tables of
 * ``full_pass_refinement``, the plain partition-refinement loop: every
   pass recomputes, from the reaction list, the signature of every species
   in a block of two or more and buckets each block by it, until a pass
-  splits nothing.  It yields every partition of the sequence.
+  splits nothing.  It yields every partition of the sequence;
+* ``reference_parse_crn``, the native-format parser as it was while it
+  built every side and reaction as an object and split every line and
+  every side with the bracket-counting scans of :mod:`crnlump.io`.
 
 The rate functions return exact :class:`~fractions.Fraction` values.
 The refinement loop compares exact integers instead: each rate times the
@@ -34,7 +37,26 @@ from itertools import product
 from math import lcm
 from typing import Iterable
 
-from crnlump import CRN, BisimMode, CRNError, Multiset, Partition, Species
+from crnlump import (
+    CRN,
+    BisimMode,
+    CRNError,
+    InitialCondition,
+    Multiset,
+    ParseError,
+    Partition,
+    PartitionError,
+    Reaction,
+    Species,
+)
+from crnlump.io import (
+    _COEFF_RE,
+    _SPACE_RE,
+    _find_top,
+    _rfind_top,
+    _strip_comment,
+    parse_rational,
+)
 
 _ZERO = Fraction(0)
 
@@ -120,6 +142,14 @@ def candidate_partners(crn: CRN, x: Species) -> set[Multiset]:
     return partners
 
 
+def _lift(m: Multiset, mapping: dict[Species, Species]) -> Multiset:
+    """Apply a species map element-wise; multiplicities accumulate."""
+    try:
+        return Multiset((mapping[sp], k) for sp, k in m)
+    except KeyError as err:
+        raise PartitionError(f"unknown species {err.args[0]}") from None
+
+
 @dataclass(frozen=True)
 class ReactantClass:
     """Reactant multisets of a network sharing the same representative lift."""
@@ -147,7 +177,7 @@ def reactant_classes(crn: CRN, p: Partition) -> list[ReactantClass]:
         if rho in seen:
             continue
         seen.add(rho)
-        groups.setdefault(rho.lift(representative), []).append(rho)
+        groups.setdefault(_lift(rho, representative), []).append(rho)
     classes = []
     for canonical in sorted(groups, key=lambda m: m.name_key()):
         members = tuple(sorted(groups[canonical], key=lambda m: m.name_key()))
@@ -365,3 +395,170 @@ def full_pass_refinement(crn: CRN, initial: Partition, mode: BisimMode):
             for sp in block:
                 block_of[sp.id] = idx
         yield blocks
+
+
+# ---------------------------------------------------------------------------
+# Reference parser
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """Split on a single-character separator at bracket depth zero."""
+    parts: list[str] = []
+    start = 0
+    cut = _find_top(text, sep)
+    while cut >= 0:
+        parts.append(text[start:cut])
+        start = cut + 1
+        cut = _find_top(text, sep, start)
+    parts.append(text[start:])
+    return parts
+
+
+def _parse_side(text: str, line: int) -> list[tuple[str, int]]:
+    """A stripped reaction side as (name, multiplicity) pairs; '0' is the
+    empty side."""
+    if text == "0":
+        return []
+    if not text:
+        raise ParseError("empty reaction side", line)
+    pairs = []
+    for raw in _split_top(text, "+"):
+        term = raw.strip()
+        if not term:
+            raise ParseError("empty term in reaction side", line)
+        match = _COEFF_RE.match(term)
+        if match and not match.group(2)[0].isdigit():
+            mult, name = int(match.group(1)), match.group(2).strip()
+        else:
+            mult, name = 1, term
+        if _SPACE_RE.search(name):
+            raise ParseError(f"species name contains whitespace: {name!r}", line)
+        if name[0].isdigit():
+            raise ParseError(f"species name may not start with a digit: {name!r}", line)
+        pairs.append((name, mult))
+    return pairs
+
+
+def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
+    """The native-format parser as it was before it built the integer
+    reaction list directly: every line is split by the bracket-counting
+    scans, and every side and reaction is an object from the start.
+
+    Raises :class:`ParseError` with a line number on syntax errors and on
+    semantic ones (rate not positive, more than two reactant molecules,
+    species missing from an explicit ``species:`` header, a second
+    ``init:`` line for one species).
+    """
+    header: list[str] | None = None
+    reaction_rows: list[tuple[int, Fraction, int]] = []
+    init_rows: dict[str, tuple[int, Fraction]] = {}
+    order: list[str] = []
+    seen: set[str] = set()
+    # Distinct side texts in order of first appearance: each text maps to
+    # its index in ``sides``, which holds (pairs, molecule count, first
+    # line).  Distinct number texts map to their values.
+    side_index: dict[str, int] = {}
+    sides: list[tuple[list[tuple[str, int]], int, int]] = []
+    numbers: dict[str, Fraction] = {}
+
+    def note(name: str) -> None:
+        if name not in seen:
+            seen.add(name)
+            order.append(name)
+
+    def side(raw: str, lineno: int) -> int:
+        """The index of the stripped side text in ``sides``, parsed and its
+        names noted the first time the text appears."""
+        text = raw.strip()
+        index = side_index.get(text)
+        if index is None:
+            pairs = _parse_side(text, lineno)
+            index = side_index[text] = len(sides)
+            sides.append((pairs, sum(m for _, m in pairs), lineno))
+            for name, _ in pairs:
+                note(name)
+        return index
+
+    def number(raw: str, lineno: int) -> Fraction:
+        value = numbers.get(raw)
+        if value is None:
+            value = numbers[raw] = parse_rational(raw, lineno)
+        return value
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        if line.startswith("species:"):
+            if header is not None:
+                raise ParseError("duplicate species: header", lineno)
+            header = line[len("species:"):].split()
+            if len(set(header)) != len(header):
+                raise ParseError("duplicate name in species: header", lineno)
+            continue
+        if line.startswith("init:"):
+            body = line[len("init:"):]
+            if "=" not in body:
+                raise ParseError("expected 'init: NAME = VALUE'", lineno)
+            name, _, value_text = body.partition("=")
+            name = name.strip()
+            if not name:
+                raise ParseError("missing species name in init line", lineno)
+            value = number(value_text, lineno)
+            if value < 0:
+                raise ParseError("initial concentration must be nonnegative", lineno)
+            if name in init_rows:
+                raise ParseError(f"second initial value for {name}", lineno)
+            init_rows[name] = (lineno, value)
+            note(name)
+            continue
+        arrow = _find_top(line, "->")
+        if arrow < 0:
+            raise ParseError(f"expected a reaction line, got {line!r}", lineno)
+        lhs = side(line[:arrow], lineno)
+        rhs_text = line[arrow + 2 :]
+        comma = _rfind_top(rhs_text, ",")
+        if comma < 0:
+            raise ParseError("missing rate (expected 'products , rate')", lineno)
+        rate = number(rhs_text[comma + 1 :], lineno)
+        rhs = side(rhs_text[:comma], lineno)
+        if rate <= 0:
+            raise ParseError("rate must be positive", lineno)
+        total = sides[lhs][1]
+        if total == 0:
+            raise ParseError("reactants must contain at least one species", lineno)
+        if total > 2:
+            raise ParseError("reactants exceed multiplicity 2", lineno)
+        reaction_rows.append((lhs, rate, rhs))
+
+    names = header if header is not None else order
+    if header is not None:
+        declared = set(header)
+        # Sides are in first-appearance order, left before right, so the
+        # first one naming an undeclared species is on the first reaction
+        # line that does.
+        for pairs, _, lineno in sides:
+            for name, _ in pairs:
+                if name not in declared:
+                    raise ParseError(f"undeclared species {name}", lineno)
+        for name, (lineno, _) in init_rows.items():
+            if name not in declared:
+                raise ParseError(f"undeclared species {name}", lineno)
+
+    species = tuple(Species(i, name) for i, name in enumerate(names))
+    by_name = {sp.name: sp for sp in species}
+    # Multisets are immutable, so reactions share one per distinct side.
+    multisets = [
+        Multiset((by_name[n], m) for n, m in pairs) for pairs, _, _ in sides
+    ]
+    reactions = [
+        Reaction(multisets[lhs], rate, multisets[rhs])
+        for lhs, rate, rhs in reaction_rows
+    ]
+    crn = CRN(species, reactions)
+    inits = None
+    if init_rows:
+        inits = InitialCondition.from_map(
+            crn, {name: value for name, (_, value) in init_rows.items()}
+        )
+    return crn, inits

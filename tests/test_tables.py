@@ -15,6 +15,7 @@ from crnlump import (
     MultisiteSpec,
     Partition,
     backward_reduce,
+    find_counterexample,
     forward_reduce,
     integrate,
     is_bisimulation,
@@ -27,6 +28,8 @@ from crnlump import (
     running_example,
     serialize_crn,
     vector_field,
+    verify_backward,
+    verify_forward,
 )
 
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
@@ -77,15 +80,20 @@ def _parsed_example():
 
 
 def test_every_table_is_built_once_per_network(builds):
+    # A parsed network starts from its integer reaction list, so it never
+    # builds that list; every other table is built once.
     crn = _parsed_example()
     _every_consumer(crn)
-    assert builds == dict.fromkeys(BUILDERS, 1)
+    assert builds == {**dict.fromkeys(BUILDERS, 1), "scaled_reactions": 0}
     # An equal network parsed separately compares equal, although only one
     # of them has built its tables, and builds its own.
     twin = _parsed_example()
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
-    assert builds == dict.fromkeys(BUILDERS, 2)
+    assert builds == {**dict.fromkeys(BUILDERS, 2), "scaled_reactions": 0}
+    # A network built from Reaction objects builds its reaction list once.
+    _every_consumer(running_example())
+    assert builds == {**dict.fromkeys(BUILDERS, 3), "scaled_reactions": 1}
 
 
 def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
@@ -103,14 +111,44 @@ def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
     assert first["forward_table"] == core.forward_table(fresh)
 
 
-def test_integration_reads_the_shared_flux_table(builds):
-    crn = _parsed_example()
+def _integrate_twice(crn):
     integrate(crn, InitialCondition.from_map(crn, {}, 1), 1.0, n_points=3)
     vector_field(crn)
     integrate(crn, InitialCondition.from_map(crn, {}, 1), 1.0, n_points=3)
+
+
+def test_integration_reads_the_shared_flux_table(builds):
+    _integrate_twice(_parsed_example())
     assert builds == {
-        "scaled_reactions": 1, "flux_table": 1, "forward_table": 0, "require_elementary": 0
+        "scaled_reactions": 0, "flux_table": 1, "forward_table": 0, "require_elementary": 0
     }
+    _integrate_twice(running_example())
+    assert builds == {
+        "scaled_reactions": 1, "flux_table": 2, "forward_table": 0, "require_elementary": 0
+    }
+
+
+def test_reduce_path_never_builds_reactions(monkeypatch):
+    # Parsing, refinement, both reductions, the checks and the numerical
+    # verification read only the integer reaction list of a parsed network.
+    def refuse(crn):
+        raise AssertionError("Reaction objects built")
+
+    monkeypatch.setattr(core, "_build_reactions", refuse)
+    crn, inits = parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=2))))
+    fb = refine(crn, Partition.trivial(crn), FB).final
+    bb = refine(crn, partition_from_initial_conditions(inits), BB).final
+    assert serialize_crn(forward_reduce(crn, fb).crn)
+    assert serialize_crn(backward_reduce(crn, bb).crn)
+    assert find_counterexample(crn, Partition.trivial(crn), FB) is not None
+    assert find_counterexample(crn, Partition.trivial(crn), BB) is not None
+    assert is_ordinarily_lumpable(crn, fb)
+    assert is_exactly_lumpable(crn, bb)
+    assert verify_forward(crn, fb, inits, 1.0, 1e-6).passed
+    assert verify_backward(crn, bb, inits, 1.0, 1e-6).passed
+    assert crn.n_reactions == 48
+    with pytest.raises(AssertionError, match="Reaction objects built"):
+        crn.reactions
 
 
 def test_species_and_reactions_cannot_be_reassigned(h_o):
@@ -146,11 +184,15 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
 
     serial = work(*parse_crn(text))
     shared, inits = parse_crn(text)
+    # A second fresh network whose Reaction objects the threads build first.
+    viewed = parse_crn(text)[0]
     start = threading.Barrier(8, timeout=60)
     results = [None] * 8
+    views = [None] * 8
 
     def run(i):
         start.wait()
+        views[i] = viewed.reactions
         results[i] = work(shared, inits)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
@@ -166,5 +208,7 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 8
+    assert views == [parse_crn(text)[0].reactions] * 8
+    assert all(isinstance(view, tuple) for view in views)
     for name in ("scaled_reactions", "flux_table", "forward_table"):
         assert getattr(core, name)(shared) == getattr(core, BUILDERS[name])(shared)
