@@ -55,9 +55,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, EMPTY_PARTNER, Multiset, Pairs, Partition, Species
+from .core import CRN, EMPTY_PARTNER, Pairs, Partition, Species
 from .core import check_partition, flux_table, format_rational, forward_table
-from .core import _nonzero, require_elementary
+from .core import _format_side, _nonzero, require_elementary
 
 __all__ = [
     "BisimMode",
@@ -254,15 +254,16 @@ class _ForwardSignatures:
                     touched[x] = None
         return list(touched)
 
-    def _partner(self, partner: int) -> Multiset:
-        return Multiset() if partner == EMPTY_PARTNER else Multiset.of(self._species[partner])
+    def _partner(self, partner: int) -> str:
+        named = () if partner == EMPTY_PARTNER else ((self._species[partner].name, 1),)
+        return _format_side(named)
 
     def witness(self, p: Partition, x: Species, y: Species) -> str:
         diff = _first_difference(self._crr[x.id], self._crr[y.id])
         if diff is not None:
             partner, vx, vy = diff
             return (
-                f"reaction rate with partner {self._partner(partner)!r}: "
+                f"reaction rate with partner {self._partner(partner)}: "
                 f"{_gives(x, vx, y, vy, self.scale)}"
             )
         (partner, block_idx), vx, vy = _first_difference(
@@ -270,7 +271,7 @@ class _ForwardSignatures:
         )
         names = ", ".join(sp.name for sp in p.blocks[block_idx])
         return (
-            f"production rate with partner {self._partner(partner)!r} into block "
+            f"production rate with partner {self._partner(partner)} into block "
             f"{{{names}}}: {_gives(x, vx, y, vy, self.scale)}"
         )
 
@@ -345,16 +346,14 @@ class _BackwardSignatures:
 
     def witness(self, p: Partition, x: Species, y: Species) -> str:
         cid, vx, vy = _first_difference(self.sums[x.id], self.sums[y.id])
+        species = self._species
         members = sorted(
-            (
-                Multiset((self._species[sid], m) for sid, m in key)
-                for c, (key, _) in zip(self.entry_class, self._rows)
-                if c == cid
-            ),
-            key=Multiset.name_key,
+            tuple(sorted((species[sid].name, m) for sid, m in key))
+            for c, (key, _) in zip(self.entry_class, self._rows)
+            if c == cid
         )
         return (
-            f"cumulative flux over reactant class {{{', '.join(map(repr, members))}}}: "
+            f"cumulative flux over reactant class {{{', '.join(map(_format_side, members))}}}: "
             f"{_gives(x, vx, y, vy, self.scale)}"
         )
 

@@ -221,8 +221,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_odes(args) -> int:
+    if bool(args.partition) != bool(args.mode):
+        missing = "--mode" if args.partition else "--partition"
+        raise CRNError(f"odes: --partition and --mode go together; {missing} is missing")
     crn, _ = _load(args.input)
-    if args.partition and args.mode:
+    if args.partition:
         p = _initial_partition(args, crn, None)
         field = (
             lumped_field_forward(crn, p)

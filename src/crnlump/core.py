@@ -16,24 +16,29 @@ reactant multiset, and :func:`forward_table`, each species' partner
 rates and production entries, are built from it.  The backward
 signatures, the vector field, the block sums and the integrator read the
 flux table; the forward signatures read the forward table; both quotient
-constructions read the reaction list.  :func:`require_elementary` is the
-check that the signatures need: every reaction has one or two reactant
-molecules.  Rates become integers only in ``_scale_rates``, which both
-the reaction list of a network built from :class:`Reaction` objects and
-the parser use.
+constructions and the printer read the reaction list.
+:func:`require_elementary` is the check that the signatures need: every
+reaction has one or two reactant molecules.  Rates become integers only
+in ``_scale_rates``.
+
+Every network the package builds starts from its reaction list: the
+``.net`` importer, :func:`make_crn` and the generators hand their rows to
+``_crn_from_rows``; the parser and both quotient constructions hand the
+finished list to ``CRN._from_scaled``.  Its ``reactions`` are a view of
+that list, built on the first read and kept; only :func:`validate`,
+comparing networks and the error text of :func:`require_elementary` read
+the view.  ``CRN(species, reactions)`` keeps the :class:`Reaction`
+objects it is given and builds its list from them on first use, where a
+species that is not the network's own is an error.
 
 Each table is built on the first call for a network and kept in a
 private slot of its :class:`CRN`; every later call returns the same
 object, so refinement, the re-check inside a reduction, the reduction
-and the vector field share one build.  A parsed network arrives with its
-reaction list already in the slot (``crnlump.io.parse_crn`` builds it
-from the text), and its ``reactions`` are a view of that list: the
-:class:`Reaction` objects are built on the first read and kept in the
-same way, and no table needs them.  The slots take no part in equality
-or hashing, and nothing writes a table after it is built: the tables are
-tuples, and their dicts are never changed.  Two threads that race on a
-fresh network may both build a table or the view; the builds are equal,
-and either one is kept.
+and the vector field share one build.  The slots take no part in
+equality or hashing, and nothing writes a table after it is built: the
+tables are tuples, and their dicts are never changed.  Two threads that
+race on a fresh network may both build a table or the view; the builds
+are equal, and either one is kept.
 
 All types are immutable after construction, apart from a network's
 table slots, which are filled on first use, and safe to share across
@@ -152,7 +157,7 @@ class Multiset:
     multiset union (multiplicities add).
     """
 
-    __slots__ = ("_pairs", "_key", "_hash")
+    __slots__ = ("_pairs", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[Species, int]] = ()):
         acc: dict[Species, int] = {}
@@ -164,8 +169,7 @@ class Multiset:
             acc[sp] = acc.get(sp, 0) + mult
         ordered = tuple(sorted(acc.items(), key=lambda it: it[0].id))
         object.__setattr__(self, "_pairs", ordered)
-        object.__setattr__(self, "_key", tuple((sp.id, m) for sp, m in ordered))
-        object.__setattr__(self, "_hash", hash(self._key))
+        object.__setattr__(self, "_hash", hash(ordered))
 
     @classmethod
     def of(cls, *species: Species) -> "Multiset":
@@ -199,18 +203,23 @@ class Multiset:
         return tuple(sorted(((sp.name, m) for sp, m in self._pairs)))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Multiset) and self._key == other._key
+        return isinstance(other, Multiset) and self._pairs == other._pairs
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self._pairs:
-            return "0"
-        return " + ".join(
-            (f"{m}{sp.name}" if m > 1 else sp.name)
-            for sp, m in sorted(self._pairs, key=lambda it: it[0].name)
-        )
+        return _format_side((sp.name, m) for sp, m in self._pairs)
+
+
+def _format_side(named: Iterable[tuple[str, int]]) -> str:
+    """A reaction side as text from its ``(name, multiplicity)`` terms: the
+    terms in name order joined by `` + ``, ``2A`` for multiplicity 2, and
+    ``0`` for the empty side.  Every printed side goes through here."""
+    ordered = sorted(named)
+    if not ordered:
+        return "0"
+    return " + ".join(f"{m}{name}" if m > 1 else name for name, m in ordered)
 
 
 @dataclass(frozen=True, slots=True)
@@ -237,14 +246,14 @@ class CRN:
     slots; ``species`` and ``reactions`` are read-only, so the tables
     cannot go stale.
 
-    A network built from :class:`Reaction` objects keeps them.  A parsed
-    network starts from its integer reaction list instead (the
-    ``_scaled`` slot, what :func:`scaled_reactions` returns), and
-    ``reactions`` is a view of that list: its :class:`Reaction` objects
-    are built on the first read, one :class:`Multiset` per distinct side
+    ``CRN(species, reactions)`` keeps the :class:`Reaction` objects it is
+    given.  Every network the package builds starts from its integer
+    reaction list instead (the ``_scaled`` slot, what
+    :func:`scaled_reactions` returns), and ``reactions`` is a view of that
+    list: built on the first read, one :class:`Multiset` per distinct side
     and one rate per distinct value, and then kept like a table.
-    Refinement, the reductions, the vector field and the integrator read
-    only the integer list, so they never build the view.
+    Refinement, the reductions, the vector field, the integrator and the
+    printer read only the integer list, so they never build the view.
     """
 
     __slots__ = (
@@ -320,20 +329,21 @@ def make_crn(
     """Build a CRN from names and (reactants, rate, products) triples.
 
     Multisets are given as name -> multiplicity mappings; rates as
-    anything :class:`fractions.Fraction` accepts.
+    anything :class:`fractions.Fraction` accepts.  Raises
+    :class:`ValueError` for a negative multiplicity.
     """
-    species = tuple(Species(i, name) for i, name in enumerate(species_names))
-    by_name = {sp.name: sp for sp in species}
-    built = []
-    for reactants, rate, products in reactions:
-        built.append(
-            Reaction(
-                Multiset((by_name[n], m) for n, m in reactants.items()),
-                Fraction(rate),
-                Multiset((by_name[n], m) for n, m in products.items()),
-            )
-        )
-    return CRN(species, built)
+    ids = {name: i for i, name in enumerate(species_names)}
+
+    def side(mapping: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
+        for name, mult in mapping.items():
+            if mult < 0:
+                raise ValueError(f"negative multiplicity for {name}")
+        return tuple((ids[name], mult) for name, mult in mapping.items())
+
+    return _crn_from_rows(
+        tuple(Species(i, name) for i, name in enumerate(species_names)),
+        ((side(lhs), Fraction(rate), side(rhs)) for lhs, rate, rhs in reactions),
+    )
 
 
 def validate(crn: CRN) -> list[str]:
@@ -376,10 +386,21 @@ def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...
 
 
 def _build_scaled_reactions(crn: CRN):
-    reactions = crn.reactions
+    """The integer reaction list of a network built from :class:`Reaction`
+    objects.  Raises :class:`CRNError` naming the first reaction with a
+    species that is not the network's own (another id or another name)."""
+    reactions, species = crn.reactions, crn.species
+    keys: dict[Multiset, Pairs] = {}
+    for i, rxn in enumerate(reactions):
+        for side in (rxn.reactants, rxn.products):
+            if side not in keys:
+                for sp, _ in side:
+                    if not (0 <= sp.id < len(species) and species[sp.id] == sp):
+                        raise CRNError(f"reaction {i} ({rxn!r}): undeclared species {sp.name}")
+                keys[side] = tuple((sp.id, m) for sp, m in side)
     scale, rates = _scale_rates([rxn.rate for rxn in reactions])
     return scale, tuple(
-        (r.reactants._key, r.products._key, rate) for r, rate in zip(reactions, rates)
+        (keys[r.reactants], keys[r.products], rate) for r, rate in zip(reactions, rates)
     )
 
 
@@ -402,6 +423,26 @@ def _side_key(pairs: Iterable[tuple[int, int]]) -> Pairs:
         if mult:
             acc[sid] = acc.get(sid, 0) + mult
     return tuple(sorted(acc.items()))
+
+
+def _crn_from_rows(species: Sequence[Species], rows: Iterable[tuple]) -> CRN:
+    """The network over ``species`` with one reaction per row ``(reactant
+    pairs, rate, product pairs)``, its ``reactions`` a view.  A side is a
+    tuple of ``(species id, multiplicity)`` pairs in any order; each
+    distinct one is keyed once, so equal sides share one key."""
+    keys: dict[tuple[tuple[int, int], ...], Pairs] = {}
+
+    def key(side):
+        pairs = keys.get(side)
+        if pairs is None:
+            pairs = keys[side] = _side_key(side)
+        return pairs
+
+    rows = [(key(lhs), rate, key(rhs)) for lhs, rate, rhs in rows]
+    scale, scaled = _scale_rates([rate for _, rate, _ in rows])
+    return CRN._from_scaled(
+        species, scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(rows, scaled))
+    )
 
 
 def _build_reactions(crn: CRN) -> tuple[Reaction, ...]:

@@ -18,10 +18,11 @@ separators are only recognized at bracket depth zero.  A reaction line
 is cut at its first ``->`` and its last ``,``; only when the text before
 the cut is unbalanced do the bracket-counting scans look for the
 separator at depth zero.  Each distinct reaction side and number literal
-is parsed and checked for balance once per text.  :func:`parse_crn`
-builds the network's integer reaction list
-(:func:`crnlump.core.scaled_reactions`) directly; its :class:`Reaction`
-objects are built only when something reads ``CRN.reactions``.
+is parsed and checked for balance once per text.  :func:`parse_crn` and
+:func:`import_bngl_net` build the network's integer reaction list
+(:func:`crnlump.core.scaled_reactions`) directly, and :func:`serialize_crn`
+prints from it; no :class:`Reaction` object is built unless something
+reads ``CRN.reactions``.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -35,19 +36,20 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Iterable
 
 from .core import (
     CRN,
-    Multiset,
+    Pairs,
     ParseError,
     Partition,
     PartitionError,
-    Reaction,
     Species,
+    _crn_from_rows,
+    _format_side,
     _scale_rates,
     _side_key,
     format_rational,
+    scaled_reactions,
 )
 from .sim import InitialCondition, _check_initial_condition
 
@@ -339,32 +341,31 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     return crn, inits
 
 
-def _format_side(pairs: Iterable[tuple[str, int]]) -> str:
-    ordered = sorted(pairs)
-    if not ordered:
-        return "0"
-    return " + ".join(f"{m}{name}" if m > 1 else name for name, m in ordered)
-
-
-def _reaction_line(rxn: Reaction) -> str:
-    lhs = _format_side((sp.name, m) for sp, m in rxn.reactants)
-    rhs = _format_side((sp.name, m) for sp, m in rxn.products)
-    return f"{lhs} -> {rhs} , {format_rational(rxn.rate)}"
-
-
 def serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
     """Canonical text for a network: species header, reaction lines in
     sorted order, then init lines.  Deterministic; reparses to an equal
     network (reaction order modulo the sort).  Raises :class:`ValueError`
     unless ``inits`` is over the species of ``crn``, and :class:`CRNError`
-    when a rate or value has too many digits to print."""
+    when a rate or value has too many digits to print.  Reads the integer
+    reaction list, and formats each distinct side and rate once."""
     if inits is not None:
         _check_initial_condition(crn, inits)
-    lines = [("species: " + " ".join(sp.name for sp in crn.species)).rstrip()]
-    body = sorted(
-        (rxn.reactants.name_key(), rxn.products.name_key(), _reaction_line(rxn))
-        for rxn in crn.reactions
-    )
+    names = [sp.name for sp in crn.species]
+    lines = [("species: " + " ".join(names)).rstrip()]
+    scale, rows = scaled_reactions(crn)
+    sides: dict[Pairs, tuple[tuple[tuple[str, int], ...], str]] = {}
+    rates: dict[int, str] = {}
+    body = []
+    for reactants, products, value in rows:
+        for pairs in (reactants, products):
+            if pairs not in sides:
+                named = tuple(sorted((names[sid], m) for sid, m in pairs))
+                sides[pairs] = (named, _format_side(named))
+        if value not in rates:
+            rates[value] = format_rational(Fraction(value, scale))
+        (lhs, lhs_text), (rhs, rhs_text) = sides[reactants], sides[products]
+        body.append((lhs, rhs, f"{lhs_text} -> {rhs_text} , {rates[value]}"))
+    body.sort()
     lines.extend(text for _, _, text in body)
     if inits is not None:
         for sp in crn.species:
@@ -474,7 +475,7 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         concentrations.append(value)
 
     species = tuple(Species(i, name) for i, name in enumerate(names))
-    reactions = []
+    rows = []
     for lineno, line in blocks["reactions"]:
         tokens = line.split()
         if len(tokens) < 4:
@@ -489,14 +490,9 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         if len(reactant_ids) > 2:
             raise ParseError("reactants exceed multiplicity 2", lineno)
         product_ids = _net_indices(products_field, len(species), lineno)
-        reactions.append(
-            Reaction(
-                Multiset.of(*(species[i] for i in reactant_ids)),
-                rate,
-                Multiset.of(*(species[i] for i in product_ids)),
-            )
-        )
-    crn = CRN(species, reactions)
+        lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
+        rows.append((lhs, rate, rhs))
+    crn = _crn_from_rows(species, rows)
     inits = InitialCondition.from_map(
         crn, {species[i]: concentrations[i] for i in range(len(species))}
     )

@@ -8,7 +8,8 @@ the two free enzymes: ``4^n + 2`` species and ``6 n 4^(n-1)`` reactions.
 Site-uniform rates make permutations of site states behaviorally
 equivalent, which is exactly what the forward/backward equivalences
 detect, collapsing the species count to the number of state multisets
-plus two.
+plus two.  Every network here is built from its integer reaction list
+(:func:`crnlump.core.scaled_reactions`), without :class:`Reaction` objects.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import CRN, CRNError, Multiset, Reaction, Species, make_crn
+from .core import CRN, CRNError, Species, _crn_from_rows, make_crn
 from .sim import InitialCondition
 
 __all__ = [
@@ -65,6 +66,16 @@ def two_state(a1: Fraction | int, a2: Fraction | int) -> CRN:
 
 # Site states: unmodified, modified, enzyme-bound, phosphatase-bound.
 _STATES = ("U", "P", "UE", "PF")
+# The moves of one site, per state index: (enzyme bound, rate field, new
+# state index, enzyme released), each enzyme side as (species id,
+# multiplicity) pairs: E is species 0, F species 1.
+_E, _F = ((0, 1),), ((1, 1),)
+_MOVES = (
+    ((_E, "e_bind", 2, ()),),
+    ((_F, "f_bind", 3, ()),),
+    (((), "e_unbind", 0, _E), ((), "e_cat", 1, _E)),
+    (((), "f_unbind", 1, _F), ((), "f_cat", 0, _F)),
+)
 
 
 @dataclass(frozen=True)
@@ -82,16 +93,9 @@ class MultisiteSpec:
     def __post_init__(self):
         if self.n_sites < 1:
             raise ValueError("n_sites must be positive")
-        for rate in (
-            self.e_bind,
-            self.e_unbind,
-            self.e_cat,
-            self.f_bind,
-            self.f_unbind,
-            self.f_cat,
-        ):
-            if rate <= 0:
-                raise ValueError("all rates must be positive")
+        rates = (self.e_bind, self.e_unbind, self.e_cat, self.f_bind, self.f_unbind, self.f_cat)
+        if min(rates) <= 0:
+            raise ValueError("all rates must be positive")
 
 
 _REACTION_GUARD = 3_000_000
@@ -113,70 +117,23 @@ def multisite(spec: MultisiteSpec) -> tuple[CRN, InitialCondition]:
             f"refusing (at most {_MAX_SITES} sites)"
         )
 
-    def config_name(config: tuple[str, ...]) -> str:
-        return f"S({','.join(config)})"
-
-    configs = list(product(_STATES, repeat=n))
-    names = ["E", "F"] + [config_name(c) for c in configs]
+    names = ["E", "F"] + [f"S({','.join(c)})" for c in product(_STATES, repeat=n)]
     species = tuple(Species(i, name) for i, name in enumerate(names))
-    enzyme, phosphatase = species[0], species[1]
-    config_species = {c: species[2 + i] for i, c in enumerate(configs)}
+    # A configuration's species id is 2 plus its state indices read as a
+    # base-4 number, the first site the most significant digit, so a move
+    # of a site adds the change of its state times the site's weight.
+    weights = [4 ** (n - 1 - site) for site in range(n)]
 
-    def flipped(config: tuple[str, ...], site: int, state: str) -> Species:
-        return config_species[config[:site] + (state,) + config[site + 1 :]]
+    def rows():
+        for substrate, config in enumerate(product(range(len(_STATES)), repeat=n), start=2):
+            for weight, state in zip(weights, config):
+                for bound, rate, new, freed in _MOVES[state]:
+                    target = substrate + (new - state) * weight
+                    yield bound + ((substrate, 1),), getattr(spec, rate), freed + ((target, 1),)
 
-    reactions = []
-    for config in configs:
-        substrate = config_species[config]
-        for site, state in enumerate(config):
-            if state == "U":
-                reactions.append(
-                    Reaction(
-                        Multiset.of(enzyme, substrate),
-                        spec.e_bind,
-                        Multiset.of(flipped(config, site, "UE")),
-                    )
-                )
-            elif state == "UE":
-                reactions.append(
-                    Reaction(
-                        Multiset.of(substrate),
-                        spec.e_unbind,
-                        Multiset.of(enzyme, flipped(config, site, "U")),
-                    )
-                )
-                reactions.append(
-                    Reaction(
-                        Multiset.of(substrate),
-                        spec.e_cat,
-                        Multiset.of(enzyme, flipped(config, site, "P")),
-                    )
-                )
-            elif state == "P":
-                reactions.append(
-                    Reaction(
-                        Multiset.of(phosphatase, substrate),
-                        spec.f_bind,
-                        Multiset.of(flipped(config, site, "PF")),
-                    )
-                )
-            else:  # PF
-                reactions.append(
-                    Reaction(
-                        Multiset.of(substrate),
-                        spec.f_unbind,
-                        Multiset.of(phosphatase, flipped(config, site, "P")),
-                    )
-                )
-                reactions.append(
-                    Reaction(
-                        Multiset.of(substrate),
-                        spec.f_cat,
-                        Multiset.of(phosphatase, flipped(config, site, "U")),
-                    )
-                )
-    crn = CRN(species, reactions)
-    unmodified = config_species[("U",) * n]
+    crn = _crn_from_rows(species, rows())
+    # The configuration with every site unmodified is species 2.
+    enzyme, phosphatase, unmodified = species[:3]
     inits = InitialCondition.from_map(
         crn,
         {enzyme: Fraction(1, 2), phosphatase: Fraction(1, 3), unmodified: Fraction(1)},
@@ -214,16 +171,14 @@ def random_crn(
         names = [chr(ord("A") + i) for i in range(n_species)]
     else:
         names = [f"X{i:04d}" for i in range(n_species)]
-    species = tuple(Species(i, name) for i, name in enumerate(names))
-    reactions = []
+    ids = range(n_species)
+    rows = []
     for _ in range(n_reactions):
         if rng.random() < 0.5:
-            reactants = Multiset.of(rng.choice(species))
+            reactants = ((rng.choice(ids), 1),)
         else:
-            reactants = Multiset.of(rng.choice(species), rng.choice(species))
-        products = Multiset.of(
-            *(rng.choice(species) for _ in range(rng.randint(0, 3)))
-        )
+            reactants = ((rng.choice(ids), 1), (rng.choice(ids), 1))
+        products = tuple((rng.choice(ids), 1) for _ in range(rng.randint(0, 3)))
         rate = Fraction(rng.choice(rate_pool))
-        reactions.append(Reaction(reactants, rate, products))
-    return CRN(species, reactions)
+        rows.append((reactants, rate, products))
+    return _crn_from_rows(tuple(Species(i, name) for i, name in enumerate(names)), rows)

@@ -13,9 +13,9 @@ original.  Backward reduction pins every non-representative product
 multiplicity to its reactant multiplicity; the reduced network's ODEs
 govern the representative trajectories.  Both then lift each side they
 keep to ``(block, multiplicity)`` pairs through the partition's block
-index and fuse duplicates by summing their rates as ints.  Only a fused
-reaction gets a rate (its sum divided by L) and multisets over the
-quotient species, one per block.
+index and fuse duplicates by summing their rates as ints.  The fused
+rows, sorted, are the quotient's integer reaction list; its
+:class:`~crnlump.core.Reaction` objects are built only when read.
 
 Both constructions count their elementary steps (species slots touched
 per reaction plus fusion-sort work); the count backs the complexity
@@ -25,18 +25,15 @@ tests and is returned as :attr:`ReducedCRN.step_count`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import ceil, log2
+from math import ceil, gcd, log2
 from typing import Iterable, Sequence
 
 from .bisim import BisimMode, is_bisimulation
 from .core import (
     CRN,
-    Multiset,
     NotBisimulationError,
     Pairs,
     Partition,
-    Reaction,
     Species,
     check_partition,
     quotient_species,
@@ -82,24 +79,29 @@ def _quotient(
     kept: Iterable[tuple[Pairs, Sequence[tuple[int, int]], int]],
 ) -> ReducedCRN:
     """Lift each kept (reactants, products, rate times L) row into the blocks,
-    fuse identical rows by summing their rates, and sort the fused reactions.
-    ``kept`` is read once, so it may be a generator."""
+    fuse identical rows by summing their rates, and sort the fused rows by
+    their sides' species names into the quotient's integer reaction list.
+    L and the sums are divided by their gcd, so L stays the lcm of the
+    quotient's own rate denominators.  ``kept`` is read once."""
     steps = sum(len(reactants) + len(products) for reactants, products, _ in rows)
     fused: dict[tuple[Pairs, Pairs], int] = {}
     for reactants, products, rate in kept:
         steps += len(reactants) + len(products)
         key = (_lift(reactants, p.block_index), _lift(products, p.block_index))
         fused[key] = fused.get(key, 0) + rate
+    if fused:
+        steps += len(fused) * (ceil(log2(len(fused))) + 1)
     qspecies = quotient_species(p)
-    reactions = []
-    for (reactants, products), rate in fused.items():
-        lhs = Multiset((qspecies[b], m) for b, m in reactants)
-        rhs = Multiset((qspecies[b], m) for b, m in products)
-        reactions.append(Reaction(lhs, Fraction(rate, scale), rhs))
-    if reactions:
-        steps += len(reactions) * (ceil(log2(len(reactions))) + 1)
-    reactions.sort(key=lambda r: (r.reactants.name_key(), r.products.name_key()))
-    return ReducedCRN(crn=CRN(qspecies, reactions), partition=p, mode=mode, step_count=steps)
+    names = [sp.name for sp in qspecies]
+
+    def name_key(pairs: Pairs) -> tuple[tuple[str, int], ...]:
+        return tuple(sorted((names[b], m) for b, m in pairs))
+
+    order = sorted(fused, key=lambda sides: (name_key(sides[0]), name_key(sides[1])))
+    divisor = gcd(scale, *fused.values())
+    rows = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in order)
+    quotient = CRN._from_scaled(qspecies, scale // divisor, rows)
+    return ReducedCRN(crn=quotient, partition=p, mode=mode, step_count=steps)
 
 
 def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:

@@ -21,7 +21,12 @@ Nothing here shares code with the signature tables of
   splits nothing.  It yields every partition of the sequence;
 * ``reference_parse_crn``, the native-format parser as it was while it
   built every side and reaction as an object and split every line and
-  every side with the bracket-counting scans of :mod:`crnlump.io`.
+  every side with the bracket-counting scans of :mod:`crnlump.io`;
+* ``reference_multisite``, ``reference_random_crn`` and
+  ``reference_import_bngl_net``, the generators and the ``.net`` importer
+  as they were while they built every side and reaction as an object,
+  and ``reference_serialize_crn``, the printer as it was while it read
+  those objects.
 
 The rate functions return exact :class:`~fractions.Fraction` values.
 The refinement loop compares exact integers instead: each rate times the
@@ -31,6 +36,7 @@ chain (2000 passes) stays quick enough to test.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,6 +49,7 @@ from crnlump import (
     CRNError,
     InitialCondition,
     Multiset,
+    MultisiteSpec,
     ParseError,
     Partition,
     PartitionError,
@@ -53,10 +60,15 @@ from crnlump.io import (
     _COEFF_RE,
     _SPACE_RE,
     _find_top,
+    _net_blocks,
+    _net_indices,
+    _net_rate,
     _rfind_top,
     _strip_comment,
+    format_rational,
     parse_rational,
 )
+from crnlump.sim import _check_initial_condition
 
 _ZERO = Fraction(0)
 
@@ -562,3 +574,207 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             crn, {name: value for name, (_, value) in init_rows.items()}
         )
     return crn, inits
+
+
+# ---------------------------------------------------------------------------
+# Reference generators, importer and printer
+
+
+def reference_multisite(spec: MultisiteSpec) -> tuple[CRN, InitialCondition]:
+    """The multisite network with one hand-written block of
+    :class:`Reaction` objects per site state."""
+    n = spec.n_sites
+    configs = list(product(("U", "P", "UE", "PF"), repeat=n))
+    names = ["E", "F"] + [f"S({','.join(c)})" for c in configs]
+    species = tuple(Species(i, name) for i, name in enumerate(names))
+    enzyme, phosphatase = species[0], species[1]
+    config_species = {c: species[2 + i] for i, c in enumerate(configs)}
+
+    def flipped(config: tuple[str, ...], site: int, state: str) -> Species:
+        return config_species[config[:site] + (state,) + config[site + 1 :]]
+
+    reactions = []
+    for config in configs:
+        substrate = config_species[config]
+        for site, state in enumerate(config):
+            if state == "U":
+                reactions.append(
+                    Reaction(
+                        Multiset.of(enzyme, substrate),
+                        spec.e_bind,
+                        Multiset.of(flipped(config, site, "UE")),
+                    )
+                )
+            elif state == "UE":
+                reactions.append(
+                    Reaction(
+                        Multiset.of(substrate),
+                        spec.e_unbind,
+                        Multiset.of(enzyme, flipped(config, site, "U")),
+                    )
+                )
+                reactions.append(
+                    Reaction(
+                        Multiset.of(substrate),
+                        spec.e_cat,
+                        Multiset.of(enzyme, flipped(config, site, "P")),
+                    )
+                )
+            elif state == "P":
+                reactions.append(
+                    Reaction(
+                        Multiset.of(phosphatase, substrate),
+                        spec.f_bind,
+                        Multiset.of(flipped(config, site, "PF")),
+                    )
+                )
+            else:  # PF
+                reactions.append(
+                    Reaction(
+                        Multiset.of(substrate),
+                        spec.f_unbind,
+                        Multiset.of(phosphatase, flipped(config, site, "P")),
+                    )
+                )
+                reactions.append(
+                    Reaction(
+                        Multiset.of(substrate),
+                        spec.f_cat,
+                        Multiset.of(phosphatase, flipped(config, site, "U")),
+                    )
+                )
+    crn = CRN(species, reactions)
+    unmodified = config_species[("U",) * n]
+    inits = InitialCondition.from_map(
+        crn,
+        {enzyme: Fraction(1, 2), phosphatase: Fraction(1, 3), unmodified: Fraction(1)},
+    )
+    return crn, inits
+
+
+def reference_random_crn(
+    seed: int,
+    n_species: int,
+    n_reactions: int,
+    rate_pool: tuple[Fraction | int, ...] = (1, 2, 3, Fraction(1, 2)),
+) -> CRN:
+    """The seeded random network, drawing species objects and building a
+    :class:`Multiset` per side."""
+    rng = random.Random(seed)
+    if n_species <= 26:
+        names = [chr(ord("A") + i) for i in range(n_species)]
+    else:
+        names = [f"X{i:04d}" for i in range(n_species)]
+    species = tuple(Species(i, name) for i, name in enumerate(names))
+    reactions = []
+    for _ in range(n_reactions):
+        if rng.random() < 0.5:
+            reactants = Multiset.of(rng.choice(species))
+        else:
+            reactants = Multiset.of(rng.choice(species), rng.choice(species))
+        products = Multiset.of(
+            *(rng.choice(species) for _ in range(rng.randint(0, 3)))
+        )
+        rate = Fraction(rng.choice(rate_pool))
+        reactions.append(Reaction(reactants, rate, products))
+    return CRN(species, reactions)
+
+
+def reference_import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
+    """The ``.net`` importer, building a :class:`Reaction` per line."""
+    blocks = _net_blocks(text)
+    if "species" not in blocks or "reactions" not in blocks:
+        raise ParseError("missing 'begin species' or 'begin reactions' block")
+
+    params: dict[str, Fraction] = {}
+    for lineno, line in blocks.get("parameters", []):
+        tokens = line.split()
+        if len(tokens) == 3 and tokens[0].isdigit():
+            tokens = tokens[1:]
+        if len(tokens) != 2:
+            raise ParseError(f"bad parameter line {line!r}", lineno)
+        name, value_text = tokens
+        params[name] = parse_rational(value_text, lineno)
+
+    names: dict[str, None] = {}
+    concentrations: list[Fraction] = []
+    for position, (lineno, line) in enumerate(blocks["species"]):
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise ParseError(f"bad species line {line!r}", lineno)
+        idx_text, pattern, value_text = tokens
+        try:
+            idx = int(idx_text)
+        except ValueError:
+            raise ParseError(f"bad species index {idx_text!r}", lineno) from None
+        if idx != position + 1:
+            raise ParseError(f"non-sequential species index {idx}", lineno)
+        if pattern in names:
+            raise ParseError(f"duplicate species pattern {pattern!r}", lineno)
+        if value_text in params:
+            value = params[value_text]
+        else:
+            value = parse_rational(value_text, lineno)
+        names[pattern] = None
+        concentrations.append(value)
+
+    species = tuple(Species(i, name) for i, name in enumerate(names))
+    reactions = []
+    for lineno, line in blocks["reactions"]:
+        tokens = line.split()
+        if len(tokens) < 4:
+            raise ParseError(f"bad reaction line {line!r}", lineno)
+        _, reactants_field, products_field, rate_expr = tokens[:4]
+        rate = _net_rate(rate_expr, params, lineno)
+        if rate <= 0:
+            raise ParseError("rate must be positive", lineno)
+        reactant_ids = _net_indices(reactants_field, len(species), lineno)
+        if not reactant_ids:
+            raise ParseError("reactants must contain at least one species", lineno)
+        if len(reactant_ids) > 2:
+            raise ParseError("reactants exceed multiplicity 2", lineno)
+        product_ids = _net_indices(products_field, len(species), lineno)
+        reactions.append(
+            Reaction(
+                Multiset.of(*(species[i] for i in reactant_ids)),
+                rate,
+                Multiset.of(*(species[i] for i in product_ids)),
+            )
+        )
+    crn = CRN(species, reactions)
+    inits = InitialCondition.from_map(
+        crn, {species[i]: concentrations[i] for i in range(len(species))}
+    )
+    return crn, inits
+
+
+def _format_side(pairs: Iterable[tuple[str, int]]) -> str:
+    ordered = sorted(pairs)
+    if not ordered:
+        return "0"
+    return " + ".join(f"{m}{name}" if m > 1 else name for name, m in ordered)
+
+
+def _reaction_line(rxn: Reaction) -> str:
+    lhs = _format_side((sp.name, m) for sp, m in rxn.reactants)
+    rhs = _format_side((sp.name, m) for sp, m in rxn.products)
+    return f"{lhs} -> {rhs} , {format_rational(rxn.rate)}"
+
+
+def reference_serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
+    """The canonical text, read from the network's :class:`Reaction`
+    objects."""
+    if inits is not None:
+        _check_initial_condition(crn, inits)
+    lines = [("species: " + " ".join(sp.name for sp in crn.species)).rstrip()]
+    body = sorted(
+        (rxn.reactants.name_key(), rxn.products.name_key(), _reaction_line(rxn))
+        for rxn in crn.reactions
+    )
+    lines.extend(text for _, _, text in body)
+    if inits is not None:
+        for sp in crn.species:
+            value = inits.get(sp)
+            if value:
+                lines.append(f"init: {sp.name} = {format_rational(value)}")
+    return "\n".join(lines) + "\n"

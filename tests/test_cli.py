@@ -145,6 +145,19 @@ def test_odes_lumped(model, capsys):
     assert main(["odes", str(model), "--mode", "bb", "--partition", "/dev/null"]) == 2
 
 
+@pytest.mark.parametrize(
+    "given,missing", [(["--partition", "part.txt"], "--mode"), (["--mode", "fb"], "--partition")]
+)
+def test_odes_partition_without_mode_or_mode_without_partition_exits_2(
+    model, capsys, given, missing
+):
+    # Either one alone used to print the unlumped field and exit 0.
+    assert main(["odes", str(model), *given]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: odes: --partition and --mode go together; {missing} is missing\n"
+
+
 def test_odes_lumped_backward(model, tmp_path, capsys):
     part = tmp_path / "he.txt"
     part.write_text("A, B\nC\nD\nE\n")

@@ -5,6 +5,7 @@ import pytest
 from crnlump import (
     CRN,
     BisimMode,
+    CRNError,
     InitialCondition,
     Multiset,
     Partition,
@@ -25,6 +26,7 @@ from crnlump import (
     refine,
     serialize_crn,
     validate,
+    vector_field,
     verify_backward,
     verify_forward,
 )
@@ -90,6 +92,26 @@ def test_validate_flags_zero_reactants_and_foreign_species():
     assert any("at least one species" in v for v in validate(crn))
     crn2 = CRN([a, b], [Reaction(Multiset.of(a), Fraction(1), Multiset.of(ghost))])
     assert any("undeclared species G" in v for v in validate(crn2))
+
+
+@pytest.mark.parametrize("foreign", [Species(0, "Q"), Species(5, "Z")], ids=["same id", "new id"])
+def test_a_foreign_species_is_an_error_not_another_species(foreign):
+    # Q used to be read as A (A' = -A) and Z to end in an IndexError.
+    a, b = Species(0, "A"), Species(1, "B")
+    message = f"reaction 0 ({foreign.name} ->(1) B): undeclared species {foreign.name}"
+    calls = {
+        "refine fb": lambda crn: refine(crn, Partition.trivial(crn), BisimMode.FORWARD),
+        "refine bb": lambda crn: refine(crn, Partition.trivial(crn), BisimMode.BACKWARD),
+        "vector_field": vector_field,
+        "serialize_crn": serialize_crn,
+    }
+    for name, call in calls.items():
+        crn = CRN([a, b], [Reaction(Multiset.of(foreign), Fraction(1), Multiset.of(b))])
+        with pytest.raises(CRNError) as err:
+            call(crn)
+        assert str(err.value) == message, name
+        # validate still reports it as data, in the same words.
+        assert validate(crn) == [message]
 
 
 def test_reactants_equal_products_is_accepted():

@@ -17,6 +17,7 @@ from crnlump import (
     backward_reduce,
     find_counterexample,
     forward_reduce,
+    import_bngl_net,
     integrate,
     is_bisimulation,
     is_exactly_lumpable,
@@ -24,6 +25,7 @@ from crnlump import (
     multisite,
     parse_crn,
     partition_from_initial_conditions,
+    random_crn,
     refine,
     running_example,
     serialize_crn,
@@ -31,6 +33,8 @@ from crnlump import (
     verify_backward,
     verify_forward,
 )
+from crnlump.cli import main
+from test_io import NET_FIXTURE
 
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 
@@ -79,6 +83,12 @@ def _parsed_example():
     return parse_crn(serialize_crn(running_example()))[0]
 
 
+def _from_reactions(net):
+    """An equal network built through the public constructor from the
+    Reaction objects of ``net``; it keeps them and has no reaction list yet."""
+    return CRN(net.species, net.reactions)
+
+
 def test_every_table_is_built_once_per_network(builds):
     # A parsed network starts from its integer reaction list, so it never
     # builds that list; every other table is built once.
@@ -92,7 +102,7 @@ def test_every_table_is_built_once_per_network(builds):
     _every_consumer(twin)
     assert builds == {**dict.fromkeys(BUILDERS, 2), "scaled_reactions": 0}
     # A network built from Reaction objects builds its reaction list once.
-    _every_consumer(running_example())
+    _every_consumer(_from_reactions(running_example()))
     assert builds == {**dict.fromkeys(BUILDERS, 3), "scaled_reactions": 1}
 
 
@@ -122,13 +132,13 @@ def test_integration_reads_the_shared_flux_table(builds):
     assert builds == {
         "scaled_reactions": 0, "flux_table": 1, "forward_table": 0, "require_elementary": 0
     }
-    _integrate_twice(running_example())
+    _integrate_twice(_from_reactions(running_example()))
     assert builds == {
         "scaled_reactions": 1, "flux_table": 2, "forward_table": 0, "require_elementary": 0
     }
 
 
-def test_reduce_path_never_builds_reactions(monkeypatch):
+def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
     # Parsing, refinement, both reductions, the checks and the numerical
     # verification read only the integer reaction list of a parsed network.
     def refuse(crn):
@@ -149,6 +159,24 @@ def test_reduce_path_never_builds_reactions(monkeypatch):
     assert crn.n_reactions == 48
     with pytest.raises(AssertionError, match="Reaction objects built"):
         crn.reactions
+    # Every builder starts from the integer reaction list too, and printing
+    # a network or either quotient reads only that list.
+    built = {
+        "make_crn": running_example(),
+        "multisite": multisite(MultisiteSpec(n_sites=2))[0],
+        "random_crn": random_crn(3, 30, 40),
+        "import_bngl_net": import_bngl_net(NET_FIXTURE)[0],
+    }
+    for name, crn in built.items():
+        assert serialize_crn(crn), name
+        fb = refine(crn, Partition.trivial(crn), FB).final
+        bb = refine(crn, Partition.trivial(crn), BB).final
+        assert serialize_crn(forward_reduce(crn, fb).crn), name
+        assert serialize_crn(backward_reduce(crn, bb).crn), name
+        with pytest.raises(AssertionError, match="Reaction objects built"):
+            crn.reactions
+    for argv in (["multisite", "--sites", "2"], ["random", "--seed", "3"], ["two-state"]):
+        assert main(["gen", *argv, "--out", str(tmp_path / "gen.crn")]) == 0, argv
 
 
 def test_species_and_reactions_cannot_be_reassigned(h_o):
