@@ -5,11 +5,20 @@ evolve autonomously; backward: equally initialized equivalent species
 stay equal forever), build the quotient networks they induce, and verify
 symbolically and numerically that the reductions preserve the ODE
 semantics.
+
+Refinement, reduction, the checks, the exact vector field and the text
+formats are integer and rational work and import neither numpy nor
+scipy.  The numerical names of :mod:`crnlump.sim` (``Trajectory``,
+``VerificationReport``, ``integrate``, ``trajectory_to_csv``,
+``verify_forward`` and ``verify_backward``) are resolved by the module
+``__getattr__`` below, so ``import crnlump`` loads numpy and scipy only
+when one of them is first read.
 """
 
 from .core import (
     CRN,
     CRNError,
+    InitialCondition,
     IntegrationError,
     Multiset,
     NotBisimulationError,
@@ -43,15 +52,6 @@ from .odes import (
     lumped_field_forward,
     vector_field,
 )
-from .sim import (
-    InitialCondition,
-    Trajectory,
-    VerificationReport,
-    integrate,
-    trajectory_to_csv,
-    verify_backward,
-    verify_forward,
-)
 from .io import (
     import_bngl_net,
     parse_crn,
@@ -70,3 +70,26 @@ from .models import (
 )
 
 __version__ = "0.1.0"
+
+_SIM_NAMES = frozenset({
+    "Trajectory",
+    "VerificationReport",
+    "integrate",
+    "trajectory_to_csv",
+    "verify_backward",
+    "verify_forward",
+})
+
+
+def __getattr__(name: str):
+    # Each read looks the name up in crnlump.sim and stores nothing here,
+    # so a name patched there is what the next read returns.
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SIM_NAMES})

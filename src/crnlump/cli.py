@@ -24,7 +24,12 @@ from pathlib import Path
 from .bisim import BisimMode, find_counterexample, refine
 from .core import (
     CRN,
+    DEFAULT_ATOL,
+    DEFAULT_POINTS,
+    DEFAULT_RTOL,
+    DEFAULT_T_END,
     CRNError,
+    InitialCondition,
     IntegrationError,
     ParseError,
     Partition,
@@ -57,17 +62,6 @@ from .odes import (
     vector_field,
 )
 from .reduce import backward_reduce, forward_reduce
-from .sim import (
-    DEFAULT_ATOL,
-    DEFAULT_POINTS,
-    DEFAULT_RTOL,
-    DEFAULT_T_END,
-    InitialCondition,
-    integrate,
-    trajectory_to_csv,
-    verify_backward,
-    verify_forward,
-)
 
 _MODES = {"fb": BisimMode.FORWARD, "bb": BisimMode.BACKWARD}
 
@@ -239,6 +233,8 @@ def _cmd_odes(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import integrate, trajectory_to_csv
+
     crn, embedded = _load(args.input)
     v0 = _inits(args, crn, embedded)
     if v0 is None:
@@ -262,6 +258,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .sim import verify_backward, verify_forward
+
     crn, embedded = _load(args.input)
     v0 = _inits(args, crn, embedded)
     if v0 is None:

@@ -25,11 +25,11 @@ Every network the package builds starts from its reaction list: the
 ``.net`` importer, :func:`make_crn` and the generators hand their rows to
 ``_crn_from_rows``; the parser and both quotient constructions hand the
 finished list to ``CRN._from_scaled``.  Its ``reactions`` are a view of
-that list, built on the first read and kept; only :func:`validate`,
-comparing networks and the error text of :func:`require_elementary` read
-the view.  ``CRN(species, reactions)`` keeps the :class:`Reaction`
-objects it is given and builds its list from them on first use, where a
-species that is not the network's own is an error.
+that list, built on the first read and kept; only :func:`validate` and
+comparing networks read the view, and :func:`require_elementary` prints
+the reaction it rejects from the list.  ``CRN(species, reactions)`` keeps
+the :class:`Reaction` objects it is given and builds its list from them
+on first use, where a species that is not the network's own is an error.
 
 Each table is built on the first call for a network and kept in a
 private slot of its :class:`CRN`; every later call returns the same
@@ -46,6 +46,13 @@ threads.  Rates and multiplicities are exact: rates are
 :class:`fractions.Fraction`, multiplicities are positive ints.  The
 fixed total order on species used for representatives and block ordering
 is lexicographic on species names.
+
+Exact initial concentrations (:class:`InitialCondition`) and the default
+integration settings (``DEFAULT_RTOL``, ``DEFAULT_ATOL``,
+``DEFAULT_T_END``, ``DEFAULT_POINTS``) are defined here, not in
+:mod:`crnlump.sim`, so that parsing, generating and reducing a network
+never import numpy or scipy.  Only :meth:`InitialCondition.as_array`
+imports numpy, in its body.
 """
 
 from __future__ import annotations
@@ -54,7 +61,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CRNError",
@@ -78,6 +88,7 @@ __all__ = [
     "Partition",
     "check_partition",
     "quotient_species",
+    "InitialCondition",
 ]
 
 Pairs = tuple[tuple[int, int], ...]
@@ -355,17 +366,22 @@ def validate(crn: CRN) -> list[str]:
     violations = []
     declared = set(crn.species)
     for i, rxn in enumerate(crn.reactions):
-        where = f"reaction {i} ({rxn!r})"
+        problems = []
         if rxn.rate <= 0:
-            violations.append(f"{where}: rate must be positive")
+            problems.append("rate must be positive")
         total = rxn.reactants.total
         if total == 0:
-            violations.append(f"{where}: reactants must contain at least one species")
+            problems.append("reactants must contain at least one species")
         elif total > 2:
-            violations.append(f"{where}: reactants exceed multiplicity 2")
+            problems.append("reactants exceed multiplicity 2")
         for sp, _ in tuple(rxn.reactants) + tuple(rxn.products):
             if sp not in declared:
-                violations.append(f"{where}: undeclared species {sp.name}")
+                problems.append(f"undeclared species {sp.name}")
+        if problems:
+            # Only a reported reaction is printed: its text costs more
+            # than all of these checks.
+            where = f"reaction {i} ({rxn!r})"
+            violations.extend(f"{where}: {problem}" for problem in problems)
     return violations
 
 
@@ -541,9 +557,21 @@ def require_elementary(crn: CRN) -> None:
     i = _memo(crn, "_elementary", _first_non_elementary)
     if i >= 0:
         raise CRNError(
-            f"reaction {i} ({crn.reactions[i]!r}): not elementary: reactants must be "
+            f"reaction {i} ({_reaction_text(crn, i)}): not elementary: reactants must be "
             "one or two molecules"
         )
+
+
+def _reaction_text(crn: CRN, i: int) -> str:
+    """Reaction ``i`` as its :class:`Reaction` prints, ``A + B ->(1/2) C``,
+    read from the integer reaction list, so the ``reactions`` view is not
+    built for it."""
+    scale, rows = scaled_reactions(crn)
+    reactants, products, value = rows[i]
+    species = crn.species
+    lhs = _format_side((species[sid].name, m) for sid, m in reactants)
+    rhs = _format_side((species[sid].name, m) for sid, m in products)
+    return f"{lhs} ->({format_rational(Fraction(value, scale))}) {rhs}"
 
 
 def _first_non_elementary(crn: CRN) -> int:
@@ -672,3 +700,69 @@ def quotient_species(p: Partition) -> tuple[Species, ...]:
     return tuple(
         Species(idx, block[0].name) for idx, block in enumerate(p.blocks)
     )
+
+
+DEFAULT_RTOL = 1e-8
+DEFAULT_ATOL = 1e-10
+DEFAULT_T_END = 50.0
+DEFAULT_POINTS = 201
+
+
+@dataclass(frozen=True)
+class InitialCondition:
+    """Nonnegative exact concentrations, one per species.
+
+    Values are kept as Fractions so that equal-initial-condition
+    partitioning is exact; they are converted to floats only at
+    integration time.
+    """
+
+    species: tuple[Species, ...]
+    values: Mapping[Species, Fraction]
+
+    @classmethod
+    def from_map(
+        cls,
+        crn: CRN,
+        mapping: Mapping[str, Fraction | int | str] | Mapping[Species, Fraction],
+        default: Fraction | int = 0,
+    ) -> "InitialCondition":
+        """Values by species or name; every species not named gets
+        ``default``.  Raises :class:`KeyError` for a species not of ``crn``
+        and :class:`ValueError` for a negative value or ``default``."""
+        values: dict[Species, Fraction] = {}
+        for key, raw in mapping.items():
+            sp = crn.by_name(key if isinstance(key, str) else key.name)
+            if not isinstance(key, str) and key != sp:
+                # A species of another network is an unknown species here.
+                raise KeyError(f"unknown species {key.name}")
+            value = Fraction(raw)
+            if value < 0:
+                raise ValueError(f"negative initial concentration for {sp.name}")
+            values[sp] = value
+        fill = Fraction(default)
+        if fill < 0:
+            raise ValueError(f"negative initial concentration {fill} as the default")
+        for sp in crn.species:
+            values.setdefault(sp, fill)
+        return cls(species=crn.species, values=values)
+
+    def get(self, sp: Species) -> Fraction:
+        return self.values[sp]
+
+    def as_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([float(self.values[sp]) for sp in self.species])
+
+    def constant_on(self, p: Partition) -> bool:
+        for block in p.blocks:
+            first = self.values[block[0]]
+            if any(self.values[sp] != first for sp in block[1:]):
+                return False
+        return True
+
+
+def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:
+    if tuple(v0.species) != crn.species:
+        raise ValueError("initial condition is not over the species of this network")

@@ -39,11 +39,13 @@ from fractions import Fraction
 
 from .core import (
     CRN,
+    InitialCondition,
     Pairs,
     ParseError,
     Partition,
     PartitionError,
     Species,
+    _check_initial_condition,
     _crn_from_rows,
     _format_side,
     _scale_rates,
@@ -51,7 +53,6 @@ from .core import (
     format_rational,
     scaled_reactions,
 )
-from .sim import InitialCondition, _check_initial_condition
 
 __all__ = [
     "parse_crn",

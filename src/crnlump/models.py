@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import CRN, CRNError, Species, _crn_from_rows, make_crn
-from .sim import InitialCondition
+from .core import CRN, CRNError, InitialCondition, Species, _crn_from_rows, make_crn
 
 __all__ = [
     "running_example",

@@ -19,6 +19,13 @@ from the representative-reduced system.
 
 Errors are measured absolutely below magnitude one and relatively above
 it, since concentrations span orders of magnitude across models.
+
+This is the one module that imports numpy and scipy at its top.  Nothing
+else in the package imports it at load time: the package looks its six
+numerical names up here when they are read, and the CLI imports it
+inside ``simulate`` and ``compare``.  :class:`~crnlump.core.InitialCondition`
+and the ``DEFAULT_*`` settings are defined in :mod:`crnlump.core` and
+imported here, so ``crnlump.sim.InitialCondition`` still names them.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,10 +41,16 @@ from scipy.sparse import csr_matrix
 
 from .core import (
     CRN,
+    DEFAULT_ATOL,
+    DEFAULT_POINTS,
+    DEFAULT_RTOL,
+    DEFAULT_T_END,
+    InitialCondition,
     IntegrationError,
     Partition,
     PartitionError,
     Species,
+    _check_initial_condition,
     check_partition,
     flux_table,
 )
@@ -52,65 +65,6 @@ __all__ = [
     "verify_forward",
     "verify_backward",
 ]
-
-DEFAULT_RTOL = 1e-8
-DEFAULT_ATOL = 1e-10
-DEFAULT_T_END = 50.0
-DEFAULT_POINTS = 201
-
-
-@dataclass(frozen=True)
-class InitialCondition:
-    """Nonnegative exact concentrations, one per species.
-
-    Values are kept as Fractions so that equal-initial-condition
-    partitioning is exact; they are converted to floats only at
-    integration time.
-    """
-
-    species: tuple[Species, ...]
-    values: Mapping[Species, Fraction]
-
-    @classmethod
-    def from_map(
-        cls,
-        crn: CRN,
-        mapping: Mapping[str, Fraction | int | str] | Mapping[Species, Fraction],
-        default: Fraction | int = 0,
-    ) -> "InitialCondition":
-        """Values by species or name; every species not named gets
-        ``default``.  Raises :class:`KeyError` for a species not of ``crn``
-        and :class:`ValueError` for a negative value or ``default``."""
-        values: dict[Species, Fraction] = {}
-        for key, raw in mapping.items():
-            sp = crn.by_name(key if isinstance(key, str) else key.name)
-            if not isinstance(key, str) and key != sp:
-                # A species of another network is an unknown species here.
-                raise KeyError(f"unknown species {key.name}")
-            value = Fraction(raw)
-            if value < 0:
-                raise ValueError(f"negative initial concentration for {sp.name}")
-            values[sp] = value
-        fill = Fraction(default)
-        if fill < 0:
-            raise ValueError(f"negative initial concentration {fill} as the default")
-        for sp in crn.species:
-            values.setdefault(sp, fill)
-        return cls(species=crn.species, values=values)
-
-    def get(self, sp: Species) -> Fraction:
-        return self.values[sp]
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(self.values[sp]) for sp in self.species])
-
-    def constant_on(self, p: Partition) -> bool:
-        for block in p.blocks:
-            first = self.values[block[0]]
-            if any(self.values[sp] != first for sp in block[1:]):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -173,11 +127,6 @@ def _check_integration_args(n_points: int, **positive: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points!r}")
-
-
-def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:
-    if tuple(v0.species) != crn.species:
-        raise ValueError("initial condition is not over the species of this network")
 
 
 def integrate(

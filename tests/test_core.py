@@ -8,6 +8,7 @@ from crnlump import (
     CRNError,
     InitialCondition,
     Multiset,
+    MultisiteSpec,
     Partition,
     PartitionError,
     Reaction,
@@ -21,6 +22,7 @@ from crnlump import (
     lumped_field_backward,
     lumped_field_forward,
     make_crn,
+    multisite,
     parse_crn,
     quotient_species,
     refine,
@@ -30,6 +32,8 @@ from crnlump import (
     verify_backward,
     verify_forward,
 )
+import crnlump.core as core
+from crnlump.core import require_elementary
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from conftest import blocks_of
 from oracle import _lift
@@ -112,6 +116,70 @@ def test_a_foreign_species_is_an_error_not_another_species(foreign):
         assert str(err.value) == message, name
         # validate still reports it as data, in the same words.
         assert validate(crn) == [message]
+
+
+def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
+    crn, _ = parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=3))))
+
+    def refuse(_rxn):
+        raise AssertionError("a reaction was printed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Reaction, "__repr__", refuse)
+        assert validate(crn) == []
+    a, b, ghost = Species(0, "A"), Species(1, "B"), Species(7, "G")
+    bad = CRN(
+        [a, b],
+        [
+            Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
+            Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(ghost, 2), (b, 1)])),
+        ],
+    )
+    where = "reaction 1 (3A ->(0) B + 2G): "
+    assert validate(bad) == [
+        where + "rate must be positive",
+        where + "reactants exceed multiplicity 2",
+        where + "undeclared species G",
+    ]
+
+
+NOT_ELEMENTARY = ": not elementary: reactants must be one or two molecules"
+
+
+@pytest.mark.parametrize(
+    "reactions,message",
+    [
+        (
+            [({"A": 1}, 1, {"B": 1}), ({"A": 3}, "1/2", {"B": 2})],
+            "reaction 1 (3A ->(1/2) 2B)",
+        ),
+        ([({"C": 1, "A": 1, "B": 1}, 3, {"D": 1})], "reaction 0 (A + B + C ->(3) D)"),
+    ],
+    ids=["3A", "A+B+C"],
+)
+def test_non_elementary_error_is_read_from_the_integer_list(monkeypatch, reactions, message):
+    def refuse(_crn):
+        raise AssertionError("Reaction objects built")
+
+    decisions = [
+        require_elementary,
+        lambda crn: refine(crn, Partition.trivial(crn), BisimMode.FORWARD),
+        lambda crn: refine(crn, Partition.trivial(crn), BisimMode.BACKWARD),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(core, "_build_reactions", refuse)
+        for decide in decisions:
+            crn = make_crn(["C", "B", "A", "D"], reactions)
+            with pytest.raises(CRNError) as err:
+                decide(crn)
+            assert str(err.value) == message + NOT_ELEMENTARY
+    # A network given its Reaction objects prints the same text.
+    built = make_crn(["C", "B", "A", "D"], reactions)
+    crn = CRN(built.species, built.reactions)
+    with pytest.raises(CRNError) as err:
+        require_elementary(crn)
+    assert str(err.value) == message + NOT_ELEMENTARY
+    assert message.endswith(f"({crn.reactions[len(reactions) - 1]!r})")
 
 
 def test_reactants_equal_products_is_accepted():

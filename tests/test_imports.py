@@ -1,0 +1,171 @@
+"""numpy and scipy are loaded only by what integrates.
+
+``import crnlump`` and every command that does exact work run without
+them; only :mod:`crnlump.sim` imports them, and the package resolves its
+six numerical names on first read.  pytest has loaded numpy already, so
+the import checks run in fresh interpreters.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import crnlump
+import crnlump.sim
+from crnlump import MultisiteSpec, multisite, serialize_crn
+
+from test_cli import RUNNING_WITH_INITS
+from test_io import NET_FIXTURE
+
+SIM_NAMES = (
+    "Trajectory",
+    "VerificationReport",
+    "integrate",
+    "trajectory_to_csv",
+    "verify_forward",
+    "verify_backward",
+)
+
+_SRC = str(Path(crnlump.__file__).resolve().parent.parent)
+
+
+def _python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` with ``src`` on the path; fails
+    the test on a nonzero exit."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("module", ["crnlump", "crnlump.cli"])
+def test_import_loads_neither_numpy_nor_scipy(module):
+    out = _python(
+        f"import sys, {module}\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    assert out == "[]\n"
+
+
+# Runs every exact command and library call in one interpreter and prints,
+# as JSON, each exit code with its stdout and stderr, then the numerical
+# modules it holds.  With "block" as its first argument, numpy and scipy
+# cannot be imported at all.
+_EXACT_WORK = r"""
+import contextlib, io, json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = sys.modules["scipy"] = None
+from pathlib import Path
+from crnlump import import_bngl_net, parse_crn, parse_initial_conditions, serialize_crn
+from crnlump.cli import main
+
+d = Path(sys.argv[2])
+model, part = str(d / "model.crn"), str(d / "part.txt")
+commands = [
+    ["validate", model],
+    ["validate", str(d / "big.crn")],
+    ["validate", str(d / "model.net")],
+    ["reduce", model, "--mode", "fb"],
+    ["reduce", model, "--mode", "bb", "--from-inits"],
+    ["reduce", model, "--mode", "bb", "--emit-odes"],
+    ["reduce", str(d / "big.crn"), "--mode", "fb", "--emit-odes"],
+    ["odes", model],
+    ["odes", model, "--partition", part, "--mode", "fb"],
+    ["gen", "multisite", "--sites", "2"],
+    ["gen", "random", "--seed", "3", "--species", "6", "--reactions", "9"],
+    ["gen", "two-state"],
+    ["bench", "--sites", "1,2"],
+]
+for what in ("bisim-fb", "bisim-bb", "ord-lump", "exact-lump"):
+    commands.append(["check", model, "--what", what])
+    commands.append(["check", model, "--what", what, "--partition", part])
+results = []
+for argv in commands:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    if argv[0] == "bench":
+        # The last two columns are the measured refine and reduce times.
+        text = "\n".join(",".join(row.split(",")[:-2]) for row in text.splitlines())
+    results.append([argv[0], code, text, err.getvalue()])
+crn, inits = import_bngl_net((d / "model.net").read_text())
+results.append(["import_bngl_net", serialize_crn(crn, inits)])
+crn, _ = parse_crn((d / "model.crn").read_text())
+inits = parse_initial_conditions("A = 1/2\ninit: C = 3\n", crn)
+results.append(["parse_initial_conditions", serialize_crn(crn, inits)])
+loaded = sorted(m for m in ("numpy", "scipy") if sys.modules.get(m) is not None)
+print(json.dumps({"results": results, "loaded": loaded}))
+"""
+
+
+def test_exact_work_runs_without_numpy_and_scipy(tmp_path):
+    (tmp_path / "model.crn").write_text(RUNNING_WITH_INITS)
+    # The forward partition of the running example: some checks hold.
+    (tmp_path / "part.txt").write_text("A\nB\nC, E\nD\n")
+    (tmp_path / "model.net").write_text(NET_FIXTURE)
+    (tmp_path / "big.crn").write_text(serialize_crn(*multisite(MultisiteSpec(n_sites=3))))
+    blocked = json.loads(_python(_EXACT_WORK, "block", str(tmp_path)))
+    free = json.loads(_python(_EXACT_WORK, "free", str(tmp_path)))
+    assert blocked["results"] == free["results"]
+    assert free["loaded"] == []
+    codes = [entry[1] for entry in free["results"] if len(entry) == 4]
+    assert codes.count(1) == 6 and set(codes) == {0, 1}
+
+
+def test_numerical_names_are_those_of_sim():
+    names = dir(crnlump)
+    for name in SIM_NAMES:
+        assert getattr(crnlump, name) is getattr(crnlump.sim, name)
+        assert name in names
+        # Resolved on every read, never stored in the package.
+        assert name not in vars(crnlump)
+    assert crnlump.InitialCondition is crnlump.sim.InitialCondition
+    assert "CRN" in names and names == sorted(names)
+    from crnlump import verify_backward
+
+    assert verify_backward is crnlump.sim.verify_backward
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'integrate_fast'"):
+        crnlump.integrate_fast
+    assert not hasattr(crnlump, "DEFAULT_RTOL")
+
+
+def test_threads_resolving_a_lazy_name_all_get_one_function():
+    out = _python(
+        """
+import sys, threading
+import crnlump
+
+sys.setswitchinterval(1e-6)
+barrier = threading.Barrier(8)
+found = [None] * 8
+
+
+def read(i):
+    barrier.wait(timeout=60)
+    found[i] = crnlump.verify_forward
+
+
+threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+import crnlump.sim
+
+print(all(f is crnlump.sim.verify_forward for f in found))
+"""
+    )
+    assert out == "True\n"
