@@ -1,10 +1,12 @@
 """Numerical verification of the reductions.
 
-Integrates the worked example and its quotients with the adaptive
-Runge-Kutta solver and reports the trajectory-level errors the theory
-says must vanish (up to solver tolerance).  The integrator takes the
-network itself and compiles its right-hand side from the network's flux
-table, so no exact vector field is built here.  Also exports a CSV.
+Integrates the worked example side by side with each of its quotients,
+as one system, with the adaptive Runge-Kutta solver, and reports the
+trajectory-level errors the theory says must vanish.  Both share one
+step sequence, so the errors are rounding, not solver tolerance.  The
+integrator takes the network itself and compiles its right-hand side
+from the network's flux table, so no exact vector field is built here.
+Also exports a CSV.
 """
 
 from pathlib import Path

@@ -8,7 +8,8 @@ unreadable or not UTF-8, or a failed ``check``, 2 for invalid
 partitions, violated preconditions, invalid arguments (among them a
 ``simulate`` output grid of more than 10**7 values and ``gen random``
 sizes beyond the generator's guard) and results with numbers too long
-to print, 3 for integration failures.  Files ending in ``.net`` are
+to print, 3 for integration failures, among them a run that needs more
+than 10**6 right-hand-side evaluations.  Files ending in ``.net`` are
 imported as BioNetGen networks, everything else as the native format.
 """
 

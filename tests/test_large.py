@@ -1,6 +1,7 @@
 """Opt-in runs too large for the default suite; ``pytest -m large`` runs
 them.  Multisite n=8 (65538 species, 786432 reactions) takes about 12 s
-and 670 MB of peak RSS on a 2-vCPU x86 VM."""
+and 670 MB of peak RSS on a 2-vCPU x86 VM; ``compare`` on n=6 (4098
+species) takes about 0.6 s per mode after generation."""
 
 import pytest
 
@@ -14,6 +15,8 @@ from crnlump import (
     multisite_block_count,
     partition_from_initial_conditions,
     refine,
+    verify_backward,
+    verify_forward,
 )
 
 
@@ -27,3 +30,20 @@ def test_multisite_8_reduces_in_both_modes():
     bb = refine(crn, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final
     assert bb.n_blocks == 167
     assert backward_reduce(crn, bb).crn.n_reactions == 1992
+
+
+@pytest.mark.large
+@pytest.mark.parametrize("mode", [BisimMode.FORWARD, BisimMode.BACKWARD], ids=["fb", "bb"])
+def test_multisite_6_compare_agrees_to_rounding(mode):
+    # what ``crnlump compare m6.crn --t-end 10 --tol 1e-6`` runs with
+    # ``--mode fb`` and with ``--mode bb --from-inits``
+    crn, inits = multisite(MultisiteSpec(n_sites=6))
+    if mode is BisimMode.FORWARD:
+        p = refine(crn, Partition.trivial(crn), mode).final
+        report = verify_forward(crn, p, inits, 10.0, 1e-6)
+    else:
+        p = refine(crn, partition_from_initial_conditions(inits), mode).final
+        report = verify_backward(crn, p, inits, 10.0, 1e-6)
+    assert p.n_blocks == multisite_block_count(6)
+    assert report.passed
+    assert report.max_error <= 1e-10

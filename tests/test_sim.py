@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -15,6 +17,8 @@ from crnlump import (
     PartitionError,
     Polynomial,
     Species,
+    backward_reduce,
+    forward_reduce,
     integrate,
     make_crn,
     refine,
@@ -88,6 +92,19 @@ class TestIntegrate:
         traj = integrate(net, inits(net, X=1), 1.0)
         assert traj.times[-1] == 1.0
         assert abs(traj.column(net.by_name("X"))[-1] - math.exp(-1)) < 1e-7
+
+    def test_error_against_closed_form_shrinks_as_rtol_halves(self):
+        # A -> B at rate 3 from A = 1: A = exp(-3t), B = 1 - exp(-3t)
+        net = make_crn(["A", "B"], [({"A": 1}, 3, {"B": 1})])
+        errors = []
+        for rtol in (1e-4, 5e-5, 2.5e-5):
+            traj = integrate(net, inits(net, A=1), 10.0, rtol=rtol, atol=rtol * 1e-2)
+            decayed = np.exp(-3 * traj.times)
+            exact = np.stack([decayed, 1 - decayed], axis=1)
+            errors.append(float(np.abs(traj.values - exact).max()))
+        assert 0 < errors[0] < 1e-4
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= 0.75 * coarse
 
     def test_fed_species_grows_monotonically(self):
         # X' = -X, D' = 6X: D increases while X decays
@@ -204,6 +221,52 @@ class TestCompiledRightHandSide:
         assert _compile(net)(0.0, np.array([2.0, 3.0])) == pytest.approx([7 / 3 - 48, 0])
 
 
+class TestStackedRightHandSide:
+    """``_compile(a, b)`` is ``_compile(a)`` and ``_compile(b)`` side by
+    side, to the last bit."""
+
+    @staticmethod
+    def assert_stacks_exactly(a, b, seed):
+        rng = np.random.default_rng(seed)
+        ya = rng.uniform(0, 3, a.n_species)
+        yb = rng.uniform(0, 3, b.n_species)
+        got = _compile(a, b)(0.0, np.concatenate([ya, yb]))
+        expected = np.concatenate([_compile(a)(0.0, ya), _compile(b)(0.0, yb)])
+        assert got.shape == expected.shape
+        assert (got == expected).all()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_pairs(self, seed):
+        a = random_crn(2 * seed, 6, 12)
+        b = random_crn(2 * seed + 1, 4, 9)
+        self.assert_stacks_exactly(a, b, seed)
+
+    @pytest.mark.parametrize("empty_first", [True, False], ids=["empty-first", "empty-second"])
+    def test_network_without_reactions(self, empty_first):
+        empty = make_crn(["P", "Q", "R"], [])
+        for seed in range(5):
+            other = random_crn(seed, 5, 10)
+            pair = (empty, other) if empty_first else (other, empty)
+            self.assert_stacks_exactly(*pair, seed)
+
+
+def test_unbounded_horizon_stops_at_the_evaluation_budget(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(crnlump.sim, "_MAX_EVALUATIONS", 10**4)
+    model = tmp_path / "decay.crn"
+    model.write_text("A -> B , 1\ninit: A = 1\n")
+    argv = ["simulate", str(model), "--t-end", "1e9", "--points", "5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"error: integration stopped after 10000 right-hand-side evaluations "
+        r"at t=\S+ of 1e\+09",
+        lines[0],
+    )
+
+
 class TestCsvExport:
     def test_header_and_shape(self, crn):
         traj = integrate(crn, inits(crn, A=1, B=1), 1.0, n_points=11)
@@ -233,15 +296,18 @@ class TestVerifyForward:
         report = verify_forward(crn, Partition.discrete(crn), v0, 5.0, 1e-6)
         assert report.max_error < 1e-8
 
-    def test_convergence_under_tolerance_halving(self, crn, h_o):
-        v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
-        errors = [
-            verify_forward(crn, h_o, v0, 10.0, 1.0, rtol=rtol, atol=rtol * 1e-2).max_error
-            for rtol in (1e-4, 5e-5, 2.5e-5)
-        ]
-        for coarse, fine in zip(errors, errors[1:]):
-            assert fine <= 4 * coarse
-        assert errors[-1] <= errors[0]
+
+
+@pytest.mark.parametrize("rtol", [1e-4, 5e-5, 2.5e-5])
+@pytest.mark.parametrize("verify", [verify_forward, verify_backward], ids=["fb", "bb"])
+def test_verify_error_is_rounding_at_loose_tolerances(crn, h_o, h_e, verify, rtol):
+    # The network and its quotient share one step sequence, so however
+    # loose the solver tolerance, a correct quotient agrees to rounding.
+    p = h_o if verify is verify_forward else h_e
+    v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+    report = verify(crn, p, v0, 10.0, 1e-12, rtol=rtol, atol=rtol * 1e-2)
+    assert report.max_error <= 1e-12
+    assert report.passed
 
 
 @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
@@ -283,6 +349,55 @@ def test_integration_never_builds_the_exact_vector_field(crn, h_o, h_e, monkeypa
     assert out.read_text().startswith("t,A,B,C,D,E\n")
     for mode in ("fb", "bb"):
         assert main(["compare", str(model), "--mode", mode, "--t-end", "1"]) == 0
+
+
+def doubled_first_rate(reduce):
+    """``reduce`` with the first reaction of its quotient at twice its rate."""
+
+    def wrong(crn, p):
+        reduced = reduce(crn, p)
+        rows = [
+            (
+                {sp.name: m for sp, m in rxn.reactants},
+                rxn.rate * (2 if i == 0 else 1),
+                {sp.name: m for sp, m in rxn.products},
+            )
+            for i, rxn in enumerate(reduced.crn.reactions)
+        ]
+        quotient = make_crn([sp.name for sp in reduced.crn.species], rows)
+        return dataclasses.replace(reduced, crn=quotient)
+
+    return wrong
+
+
+@pytest.mark.parametrize("mode", ["fb", "bb"])
+def test_wrong_quotient_fails_the_check(crn, h_o, h_e, mode, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(crnlump.sim, "forward_reduce", doubled_first_rate(forward_reduce))
+    monkeypatch.setattr(crnlump.sim, "backward_reduce", doubled_first_rate(backward_reduce))
+    v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+    verify, p = (verify_forward, h_o) if mode == "fb" else (verify_backward, h_e)
+    report = verify(crn, p, v0, 10.0, 1e-6)
+    assert not report.passed
+    assert report.max_error > 1e-3
+    model = tmp_path / "model.crn"
+    model.write_text(serialize_crn(crn, v0))
+    assert main(["compare", str(model), "--mode", mode, "--t-end", "10", "--tol", "1e-6"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mode", ["fb", "bb"])
+def test_compare_network_without_reactions(mode, tmp_path, capsys):
+    net = make_crn(["A", "B", "C"], [])
+    v0 = inits(net, A=2, B=2, C=2)
+    p = Partition.trivial(net)
+    verify = verify_forward if mode == "fb" else verify_backward
+    report = verify(net, p, v0, 5.0, 1e-12)
+    assert report.passed
+    assert report.max_error == 0.0
+    model = tmp_path / "still.crn"
+    model.write_text(serialize_crn(net, v0))
+    assert main(["compare", str(model), "--mode", mode, "--t-end", "5"]) == 0
+    assert capsys.readouterr().out.startswith("partition: 1 blocks; ")
 
 
 class TestVerifyBackward:
