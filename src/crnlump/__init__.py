@@ -43,7 +43,6 @@ from .reduce import ReducedCRN, backward_reduce, forward_reduce
 from .odes import (
     Polynomial,
     VectorField,
-    accretion_depletion,
     format_polynomial,
     format_vector_field,
     is_exactly_lumpable,

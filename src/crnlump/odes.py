@@ -1,10 +1,11 @@
 """Symbolic mass-action vector fields and exact lumpability checks.
 
-Vector-field components are sparse multivariate polynomials with exact
-rational coefficients, represented as maps from exponent vectors to
-coefficients, read from the flux table that the backward signatures
-read too (:func:`crnlump.core.flux_table`).  On top of the polynomial
-arithmetic this module decides, as exact polynomial identities:
+All work here is on integer term maps, ``{monomial: coefficient times
+L}``, read from the flux table that the backward signatures read too
+(:func:`crnlump.core.flux_table`); L is the least common multiple of the
+rate denominators.  Only a printed or compared result divides by L, as a
+:class:`Polynomial` with exact rational coefficients.  This module
+decides, as exact polynomial identities:
 
 * exact lumpability -- after merging each block's variables into the
   block representative, all components within a block must coincide;
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import (
     CRN,
     NotLumpableError,
     Partition,
-    Reaction,
     Species,
     check_partition,
     flux_table,
@@ -43,7 +43,6 @@ __all__ = [
     "Polynomial",
     "VectorField",
     "vector_field",
-    "accretion_depletion",
     "is_exactly_lumpable",
     "exact_lumpability_witness",
     "is_ordinarily_lumpable",
@@ -61,7 +60,8 @@ _ZERO = Fraction(0)
 
 
 class Polynomial:
-    """Sparse multivariate polynomial with Fraction coefficients.
+    """Sparse multivariate polynomial with Fraction coefficients, the
+    printed and compared form of a vector-field component.
 
     Monomials are canonical sorted (variable, exponent) tuples and zero
     coefficients are never stored, so equal polynomials compare equal.
@@ -82,68 +82,11 @@ class Polynomial:
     def zero(cls) -> "Polynomial":
         return cls()
 
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        return cls({(): c} if c else {})
-
-    @classmethod
-    def monomial(cls, coef: Fraction | int, powers: Iterable[tuple[int, int]]) -> "Polynomial":
-        mono = _normalize_monomial(powers)
-        return cls({mono: Fraction(coef)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        acc = dict(self.terms)
-        for mono, coef in other.terms.items():
-            new = acc.get(mono, _ZERO) + coef
-            if new:
-                acc[mono] = new
-            else:
-                acc.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = acc
-        return out
-
-    def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out.terms = {mono: -coef for mono, coef in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def remap_variables(self, mapping: Mapping[int, int | None]) -> "Polynomial":
-        """Rename variables (merging exponents); ``None`` substitutes zero.
-
-        Variables absent from the mapping keep their index.
-        """
-        acc: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            powers: dict[int, int] = {}
-            dead = False
-            for var, exp in mono:
-                target = mapping.get(var, var)
-                if target is None:
-                    dead = True
-                    break
-                powers[target] = powers.get(target, 0) + exp
-            if dead:
-                continue
-            key = tuple(sorted(powers.items()))
-            new = acc.get(key, _ZERO) + coef
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
-        out = Polynomial.__new__(Polynomial)
-        out.terms = acc
-        return out
 
     def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
         total = _ZERO
@@ -166,16 +109,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
-
-
-def _normalize_monomial(powers: Iterable[tuple[int, int]]) -> Monomial:
-    acc: dict[int, int] = {}
-    for var, exp in powers:
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp:
-            acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
 
 
 def format_polynomial(poly: Polynomial, names: Sequence[str] | None = None) -> str:
@@ -228,28 +161,52 @@ def format_vector_field(vf: VectorField) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _polynomial(terms: dict[Monomial, int], scale: int) -> Polynomial:
+    """An integer term map divided by L."""
+    return Polynomial({mono: Fraction(val, scale) for mono, val in terms.items()})
+
+
+def _rename(mono: Monomial, rename: Sequence[int | None]) -> Monomial | None:
+    """``mono`` with variable ``v`` renamed to ``rename[v]``, exponents of
+    merged variables added; None when some target is None."""
+    powers: dict[int, int] = {}
+    for var, exp in mono:
+        target = rename[var]
+        if target is None:
+            return None
+        powers[target] = powers.get(target, 0) + exp
+    return tuple(sorted(powers.items()))
+
+
+def _terms(
+    crn: CRN, rename: Sequence[int | None] | None = None
+) -> tuple[int, list[dict[Monomial, int]]]:
+    """L and, per species, its vector-field component times L: the flux
+    table transposed.  With ``rename``, each row's monomial goes through
+    :func:`_rename` once and rows dropped to None are skipped; terms that
+    cancel after merging are not stored."""
+    scale, table = flux_table(crn)
+    terms: list[dict[Monomial, int]] = [{} for _ in crn.species]
+    for mono, row in table:
+        if rename is not None:
+            mono = _rename(mono, rename)
+            if mono is None:
+                continue
+        for sid, val in row:
+            acc = terms[sid]
+            acc[mono] = acc.get(mono, 0) + val
+    if rename is not None:
+        terms = [{m: v for m, v in acc.items() if v} for acc in terms]
+    return scale, terms
+
+
 def vector_field(crn: CRN) -> VectorField:
     """The mass-action ODE right-hand side of a network, in canonical form:
     its flux table transposed, each value divided by L."""
-    scale, table = flux_table(crn)
-    terms: list[dict[Monomial, Fraction]] = [{} for _ in crn.species]
-    for mono, row in table:
-        for sid, val in row:
-            terms[sid][mono] = Fraction(val, scale)
-    return VectorField(crn.species, dict(zip(crn.species, map(Polynomial, terms))))
-
-
-def accretion_depletion(rxn: Reaction, x: Species) -> tuple[Polynomial, Polynomial]:
-    """The positive and negative parts a reaction contributes to one species.
-
-    Returns ``(accretion, depletion)``; the species' component of the
-    vector field is the sum of accretion minus depletion over all
-    reactions.
-    """
-    mono = tuple(sorted((sp.id, m) for sp, m in rxn.reactants))
-    accr = Polynomial({mono: rxn.products.get(x) * rxn.rate})
-    depl = Polynomial({mono: rxn.reactants.get(x) * rxn.rate})
-    return accr, depl
+    scale, terms = _terms(crn)
+    return VectorField(
+        crn.species, {sp: _polynomial(t, scale) for sp, t in zip(crn.species, terms)}
+    )
 
 
 def is_exactly_lumpable(crn: CRN, p: Partition) -> bool:
@@ -257,7 +214,7 @@ def is_exactly_lumpable(crn: CRN, p: Partition) -> bool:
 
     Decided by substituting each species variable with its block
     representative and comparing the resulting components within every
-    block as canonical polynomials.
+    block as canonical integer term maps.
     """
     return exact_lumpability_witness(crn, p) is None
 
@@ -268,32 +225,30 @@ def exact_lumpability_witness(
     """A within-block species pair whose components differ after merging
     block variables; None when the partition is exactly lumpable."""
     check_partition(crn, p)
-    return _exact_witness(vector_field(crn), dict(enumerate(p.block_index)), p)
+    return _exact_witness(_terms(crn, p.block_index)[1], p)
 
 
 def _exact_witness(
-    field: VectorField, merge: dict[int, int], p: Partition
+    merged: list[dict[Monomial, int]], p: Partition
 ) -> tuple[Species, Species] | None:
     for block in p.blocks:
-        if len(block) == 1:
-            continue
-        reference = field.components[block[0]].remap_variables(merge)
+        reference = merged[block[0].id]
         for sp in block[1:]:
-            if field.components[sp].remap_variables(merge) != reference:
+            if merged[sp.id] != reference:
                 return block[0], sp
     return None
 
 
-def _block_sums(crn: CRN, p: Partition) -> list[Polynomial]:
-    """Each block's component sum: flux-table rows added per block, then
-    divided by L."""
+def _block_sums(crn: CRN, p: Partition) -> tuple[int, list[dict[Monomial, int]]]:
+    """L and each block's component sum times L: flux-table rows added per
+    block, terms that cancel not stored."""
     scale, table = flux_table(crn)
     sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
     for mono, row in table:
         for sid, val in row:
             acc = sums[p.block_index[sid]]
             acc[mono] = acc.get(mono, 0) + val
-    return [Polynomial({m: Fraction(v, scale) for m, v in acc.items()}) for acc in sums]
+    return scale, [{m: v for m, v in acc.items() if v} for acc in sums]
 
 
 def _shear_pairs(p: Partition) -> list[tuple[int, int]]:
@@ -323,18 +278,18 @@ def ordinary_lumpability_witness(
 ) -> tuple[int, tuple[int, int]] | None:
     """None if lumpable, else (block index, offending shear pair)."""
     check_partition(crn, p)
-    return _shear_witness(_block_sums(crn, p), p)
+    return _shear_witness(_block_sums(crn, p)[1], p)
 
 
 def _partial_derivatives(
-    s: Polynomial, variables: set[int]
-) -> dict[int, dict[Monomial, Fraction]]:
+    s: dict[Monomial, int], variables: set[int]
+) -> dict[int, dict[Monomial, int]]:
     """The nonzero partial derivatives of ``s`` in ``variables``, as term
     maps keyed by variable.  Distinct monomials have distinct derivatives
     in one variable, so no terms merge and equal derivatives compare equal.
     """
-    derivs: dict[int, dict[Monomial, Fraction]] = {}
-    for mono, coef in s.terms.items():
+    derivs: dict[int, dict[Monomial, int]] = {}
+    for mono, coef in s.items():
         for k, (var, exp) in enumerate(mono):
             if var in variables:
                 lowered = ((var, exp - 1),) if exp > 1 else ()
@@ -343,7 +298,7 @@ def _partial_derivatives(
 
 
 def _shear_witness(
-    sums: list[Polynomial], p: Partition
+    sums: list[dict[Monomial, int]], p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
     """First shear pair, then first block, whose sum changes under it."""
     pairs = _shear_pairs(p)
@@ -364,7 +319,7 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     :class:`NotLumpableError` when the block sums cannot be rewritten.
     """
     check_partition(crn, p)
-    sums = _block_sums(crn, p)
+    scale, sums = _block_sums(crn, p)
     witness = _shear_witness(sums, p)
     if witness is not None:
         block_idx, _ = witness
@@ -375,15 +330,18 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     # On the shear-invariant subspace, evaluating at "all block mass on the
     # least member" is a right inverse of the block-sum map, so renaming
     # each block's least member to the block variable and zeroing the rest
-    # recovers the block-sum polynomial exactly.
-    section = {
-        sid: idx if p.blocks[idx][0].id == sid else None
-        for sid, idx in enumerate(p.block_index)
-    }
+    # recovers the block-sum polynomial exactly.  The renaming is one to
+    # one on the monomials it keeps, so no terms merge.
+    section = [
+        idx if p.blocks[idx][0].id == sid else None for sid, idx in enumerate(p.block_index)
+    ]
     qspecies = quotient_species(p)
     components = {
-        qspecies[idx]: sums[idx].remap_variables(section)
-        for idx in range(len(p.blocks))
+        qspecies[idx]: _polynomial(
+            {m: val for mono, val in s.items() if (m := _rename(mono, section)) is not None},
+            scale,
+        )
+        for idx, s in enumerate(sums)
     }
     return VectorField(species=qspecies, components=components)
 
@@ -396,13 +354,12 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
     :class:`NotLumpableError` when the partition is not exactly lumpable.
     """
     check_partition(crn, p)
-    field = vector_field(crn)
-    merge = dict(enumerate(p.block_index))
-    if _exact_witness(field, merge, p) is not None:
+    scale, merged = _terms(crn, p.block_index)
+    if _exact_witness(merged, p) is not None:
         raise NotLumpableError("partition is not exactly lumpable")
     qspecies = quotient_species(p)
     components = {
-        qspecies[idx]: field.components[block[0]].remap_variables(merge)
+        qspecies[idx]: _polynomial(merged[block[0].id], scale)
         for idx, block in enumerate(p.blocks)
     }
     return VectorField(species=qspecies, components=components)

@@ -9,6 +9,9 @@ Nothing here shares code with the signature tables of
   convention for self-partners), ``production_rate(X, partner, Y)`` and
   its block sum ``production_rate_to_block``, ``flux_rate(X, reactants)``
   and its sum over a set of reactant multisets ``cumulative_flux_rate``;
+* ``accretion_depletion``, the positive and negative parts one reaction
+  contributes to one species' vector-field component, read from the
+  :class:`~crnlump.core.Reaction` object;
 * the pairwise predicates ``forward_equivalent`` /
   ``backward_equivalent``, which quantify over those functions exactly
   as the definitions do;
@@ -53,6 +56,7 @@ from crnlump import (
     ParseError,
     Partition,
     PartitionError,
+    Polynomial,
     Reaction,
     Species,
 )
@@ -133,6 +137,19 @@ def cumulative_flux_rate(
     for rho in set(reactant_sets):
         total += flux_rate(crn, x, rho)
     return total
+
+
+def accretion_depletion(rxn: Reaction, x: Species) -> tuple[Polynomial, Polynomial]:
+    """The positive and negative parts a reaction contributes to one species.
+
+    Returns ``(accretion, depletion)``; the species' component of the
+    vector field is the sum of accretion minus depletion over all
+    reactions.
+    """
+    mono = tuple(sorted((sp.id, m) for sp, m in rxn.reactants))
+    accr = Polynomial({mono: rxn.products.get(x) * rxn.rate})
+    depl = Polynomial({mono: rxn.reactants.get(x) * rxn.rate})
+    return accr, depl
 
 
 def candidate_partners(crn: CRN, x: Species) -> set[Multiset]:

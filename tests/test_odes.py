@@ -6,11 +6,11 @@ import sympy
 
 from crnlump import (
     BisimMode,
+    CRNError,
     MultisiteSpec,
     NotLumpableError,
     Partition,
     Polynomial,
-    accretion_depletion,
     backward_reduce,
     format_polynomial,
     format_vector_field,
@@ -28,9 +28,11 @@ from crnlump import (
     vector_field,
 )
 from conftest import blocks_of
+from crnlump import odes
+from crnlump.core import require_elementary
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
-from oracle import partitions_refining
+from oracle import accretion_depletion, partitions_refining
 
 F = Fraction
 
@@ -38,6 +40,27 @@ F = Fraction
 def poly(*terms):
     """Polynomial from (coefficient, ((var, exp), ...)) pairs."""
     return Polynomial({mono: F(c) for c, mono in terms})
+
+
+def add_terms(acc, p, sign=1):
+    """Add ``sign`` times the terms of ``p`` into the term map ``acc``."""
+    for mono, coef in p.terms.items():
+        acc[mono] = acc.get(mono, 0) + sign * coef
+
+
+@pytest.fixture
+def non_elementary():
+    # Reactions with three reactant molecules: every check and lumped
+    # field reads them, though the bisimulations refuse them.
+    return make_crn(
+        ["A", "B", "C", "D"],
+        [
+            ({"A": 3}, 1, {"B": 1}),
+            ({"B": 3}, 1, {"A": 1}),
+            ({"A": 1, "B": 1, "C": 1}, 2, {"D": 1}),
+            ({"D": 1}, F(1, 2), {"A": 1, "C": 1}),
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -106,34 +129,6 @@ def sympy_ordinarily_lumpable(crn, p):
 
 
 class TestPolynomial:
-    def test_add_sub_cancel_on_random_polynomials(self):
-        rng = _random.Random(7)
-
-        def rand_poly():
-            return Polynomial(
-                {
-                    tuple(
-                        sorted(
-                            (rng.randrange(4), rng.randint(1, 2))
-                            for _ in range(rng.randint(0, 2))
-                        )
-                    ): F(rng.randint(-5, 5), rng.randint(1, 3))
-                    for _ in range(rng.randint(0, 5))
-                }
-            )
-
-        for _ in range(50):
-            p, q = rand_poly(), rand_poly()
-            assert (p + q) - q == p
-            assert p + q == q + p
-            assert p - p == Polynomial.zero()
-
-    def test_remap_merges_variables(self):
-        # x*y with y -> x becomes x^2; dropping y kills the term
-        xy = poly((3, ((0, 1), (1, 1))))
-        assert xy.remap_variables({1: 0}) == poly((3, ((0, 2),)))
-        assert xy.remap_variables({1: None}) == Polynomial.zero()
-
     def test_zero_coefficients_never_stored(self):
         p = Polynomial({((0, 1),): F(0)})
         assert p.is_zero() and p.terms == {}
@@ -226,11 +221,12 @@ class TestAccretionDepletion:
             net = random_crn(seed, 4, 9)
             vf = vector_field(net)
             for sp in net.species:
-                total = Polynomial.zero()
+                total = {}
                 for rxn in net.reactions:
                     accr, depl = accretion_depletion(rxn, sp)
-                    total = total + accr - depl
-                assert total == vf.components[sp]
+                    add_terms(total, accr)
+                    add_terms(total, depl, -1)
+                assert Polynomial(total) == vf.components[sp]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +248,48 @@ class TestExactLumpability:
     def test_agrees_with_sympy(self, crn, h_o, h_e, mixed):
         for p in (h_o, h_e, mixed, Partition.trivial(crn), Partition.discrete(crn)):
             assert is_exactly_lumpable(crn, p) == sympy_exactly_lumpable(crn, p)
+
+    def test_agrees_with_sympy_on_random_networks(self):
+        verdicts = set()
+        for seed in range(6):
+            net = random_crn(seed, 4, 6)
+            for p in partitions_refining(Partition.trivial(net)):
+                verdict = is_exactly_lumpable(net, p)
+                assert verdict == sympy_exactly_lumpable(net, p)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+
+def test_decisions_build_no_polynomial(monkeypatch, crn, h_o, h_e, mixed):
+    # The decisions read the integer flux table; only printing builds
+    # Polynomials or Fractions.
+    net, inits = multisite(MultisiteSpec(n_sites=3))
+    cases = [(crn, p) for p in (h_o, h_e, mixed, Partition.trivial(crn))]
+    cases += [
+        (net, refine(net, Partition.trivial(net), BisimMode.FORWARD).final),
+        (net, refine(net, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final),
+        (net, Partition.trivial(net)),
+    ]
+
+    def refuse(*_args):
+        raise AssertionError("a Polynomial or Fraction was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(odes.Polynomial, "__init__", refuse)
+        patch.setattr(odes, "Fraction", refuse)
+        verdicts = [
+            (is_exactly_lumpable(net, p), is_ordinarily_lumpable(net, p)) for net, p in cases
+        ]
+        witnesses = [
+            (
+                exact_lumpability_witness(net, p) is None,
+                ordinary_lumpability_witness(net, p) is None,
+            )
+            for net, p in cases
+        ]
+    expected = [(False, True), (True, False), (False, False), (False, False)]
+    expected += [(True, True), (True, True), (False, False)]
+    assert verdicts == witnesses == expected
 
 
 class TestOrdinaryLumpability:
@@ -315,10 +353,10 @@ class TestOrdinaryLumpability:
         vf = vector_field(crn)
         sums = []
         for block in h_o.blocks:
-            total = Polynomial.zero()
+            total = {}
             for sp in block:
-                total = total + vf.components[sp]
-            sums.append(total)
+                add_terms(total, vf.components[sp])
+            sums.append(Polynomial(total))
         for _ in range(25):
             v = {i: F(rng.randint(0, 9), rng.randint(1, 4)) for i in range(5)}
             w = dict(v)
@@ -389,6 +427,44 @@ class TestLumpedFields:
             plugged = _sympy_poly(lumped.components[lumped.species[idx]], block_sums)
             direct = sum((comps[sp] for sp in block), sympy.Integer(0))
             assert sympy.expand(plugged - direct) == 0
+
+
+class TestNonElementary:
+    def test_network_is_not_elementary(self, non_elementary):
+        with pytest.raises(CRNError):
+            require_elementary(non_elementary)
+
+    def test_checks_agree_with_sympy(self, non_elementary):
+        net = non_elementary
+        exact, ordinary = set(), set()
+        for p in partitions_refining(Partition.trivial(net)):
+            verdict = is_exactly_lumpable(net, p)
+            assert verdict == sympy_exactly_lumpable(net, p)
+            exact.add(verdict)
+            witness = ordinary_lumpability_witness(net, p)
+            assert witness == sympy_ordinarily_lumpable(net, p)
+            ordinary.add(witness is None)
+        assert exact == ordinary == {True, False}
+
+    def test_lumped_fields_agree_with_sympy(self, non_elementary):
+        net = non_elementary
+        vs, comps = _sympy_field(net)
+        for p in partitions_refining(Partition.trivial(net)):
+            if is_ordinarily_lumpable(net, p):
+                lumped = lumped_field_forward(net, p)
+                block_sums = [sum(vs[sp.id] for sp in block) for block in p.blocks]
+                for idx, block in enumerate(p.blocks):
+                    plugged = _sympy_poly(lumped.components[lumped.species[idx]], block_sums)
+                    direct = sum((comps[sp] for sp in block), sympy.Integer(0))
+                    assert sympy.expand(plugged - direct) == 0
+            if is_exactly_lumpable(net, p):
+                lumped = lumped_field_backward(net, p)
+                ws = sympy.symbols(f"w0:{p.n_blocks}")
+                merge = {vs[sp.id]: ws[p.block_index[sp.id]] for sp in net.species}
+                for idx, block in enumerate(p.blocks):
+                    mine = _sympy_poly(lumped.components[lumped.species[idx]], ws)
+                    expected = comps[block[0]].subs(merge, simultaneous=True)
+                    assert sympy.expand(mine - expected) == 0
 
 
 # ---------------------------------------------------------------------------
