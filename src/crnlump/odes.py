@@ -300,12 +300,26 @@ def _partial_derivatives(
 def _shear_witness(
     sums: list[dict[Monomial, int]], p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
-    """First shear pair, then first block, whose sum changes under it."""
+    """First shear pair, then first block, whose sum changes under it.
+
+    A sum that depends on neither variable of a pair does not change under
+    its shear, so each pair looks only at the blocks whose sums depend on
+    one of its variables, in ascending order.
+    """
     pairs = _shear_pairs(p)
     sheared = {var for pair in pairs for var in pair}
-    derivs = [_partial_derivatives(s, sheared) for s in sums]
+    derivs = []
+    # The blocks, ascending, whose sum depends on each sheared variable.
+    holders: dict[int, list[int]] = {}
+    for block_idx, s in enumerate(sums):
+        d = _partial_derivatives(s, sheared)
+        derivs.append(d)
+        for var in d:
+            holders.setdefault(var, []).append(block_idx)
     for i, j in pairs:
-        for block_idx, d in enumerate(derivs):
+        hi, hj = holders.get(i, []), holders.get(j, [])
+        for block_idx in hi if hi == hj else sorted({*hi, *hj}):
+            d = derivs[block_idx]
             if d.get(i) != d.get(j):
                 return block_idx, (i, j)
     return None

@@ -1,8 +1,11 @@
 """Numerical integration and trajectory-level verification.
 
-The integrator wraps scipy's embedded Runge-Kutta 4(5) with adaptive
-steps (defaults rtol 1e-8 / atol 1e-10, well below the 1e-6 acceptance
-tolerances used by the verification helpers).  The right-hand side
+The integrator is the Dormand-Prince Runge-Kutta 5(4) pair with
+adaptive steps and quartic dense output (defaults rtol 1e-8 / atol
+1e-10, well below the 1e-6 acceptance tolerances used by the
+verification helpers).  It lives in :mod:`crnlump._rk45`, a transcription
+of scipy's ``RK45`` path that gives scipy's results to the last bit
+without importing ``scipy.integrate``.  The right-hand side
 ``N @ (k * y[r1] * y[r2])`` is compiled once per integration from the
 flux table (:func:`crnlump.core.flux_table`) that the exact vector field
 reads too: each row's reactant multiset becomes a column of state
@@ -11,7 +14,7 @@ numpy gather and product evaluates every monomial, and the rows' values
 divided by L form a sparse matrix that maps them to the derivatives.
 Empty reactants (a constant term) and higher powers work too.  One
 integration makes at most ``_MAX_EVALUATIONS`` right-hand-side
-evaluations; past that it raises :class:`IntegrationError`.
+evaluations; a step that would pass that raises :class:`IntegrationError`.
 
 ``verify_forward`` and ``verify_backward`` integrate a network and its
 quotient side by side, as one system of both sets of species, so one
@@ -29,12 +32,14 @@ representative-reduced system.
 Errors are measured absolutely below magnitude one and relatively above
 it, since concentrations span orders of magnitude across models.
 
-This is the one module that imports numpy and scipy at its top.  Nothing
-else in the package imports it at load time: the package looks its six
-numerical names up here when they are read, and the CLI imports it
-inside ``simulate`` and ``compare``.  :class:`~crnlump.core.InitialCondition`
-and the ``DEFAULT_*`` settings are defined in :mod:`crnlump.core` and
-imported here, so ``crnlump.sim.InitialCondition`` still names them.
+This module and :mod:`crnlump._rk45`, which only it imports, are the
+ones that import numpy at their top; from scipy this module needs only
+``scipy.sparse``.  Nothing else in the package imports it at load time:
+the package looks its six numerical names up here when they are read,
+and the CLI imports it inside ``simulate`` and ``compare``.
+:class:`~crnlump.core.InitialCondition` and the ``DEFAULT_*`` settings
+are defined in :mod:`crnlump.core` and imported here, so
+``crnlump.sim.InitialCondition`` still names them.
 """
 
 from __future__ import annotations
@@ -45,9 +50,9 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse import csr_matrix
 
+from . import _rk45
 from .core import (
     CRN,
     DEFAULT_ATOL,
@@ -144,59 +149,30 @@ def _compile(*networks: CRN):
     return rhs
 
 
-class _Exhausted(Exception):
-    """Raised inside the solver once the evaluation budget is spent."""
-
-
 def _solve(networks, initials, t_end, rtol, atol, grid) -> list[Trajectory]:
     """Integrate the networks side by side, each from its initial
     condition, in one solver run: one step sequence serves them all.
     One :class:`Trajectory` per network, a column slice of the one result.
 
     Raises :class:`IntegrationError` when a rate or initial value exceeds
-    the float range, after ``_MAX_EVALUATIONS`` right-hand-side
-    evaluations, on solver failure or on non-finite output.
+    the float range, before ``_MAX_EVALUATIONS`` right-hand-side
+    evaluations would be passed, on solver failure or on non-finite
+    output.
     """
     try:
         rhs = _compile(*networks)
         y0 = np.concatenate([v0.as_array() for v0 in initials])
     except OverflowError:
         raise IntegrationError("a rate or initial value exceeds the float range") from None
-    evaluations = 0
-
-    def counted(t: float, y: np.ndarray) -> np.ndarray:
-        nonlocal evaluations
-        evaluations += 1
-        if evaluations > _MAX_EVALUATIONS:
-            raise _Exhausted(t)
-        return rhs(t, y)
-
-    try:
-        result = solve_ivp(
-            counted,
-            (0.0, float(t_end)),
-            y0,
-            method="RK45",
-            rtol=rtol,
-            atol=atol,
-            t_eval=grid,
-        )
-    except _Exhausted as stop:
-        raise IntegrationError(
-            f"integration stopped after {_MAX_EVALUATIONS} right-hand-side "
-            f"evaluations at t={stop.args[0]:g} of {float(t_end):g}"
-        ) from None
-    if not result.success:
-        reached = result.t[-1] if result.t.size else 0.0
-        raise IntegrationError(f"integration failed at t={reached:g}: {result.message}")
-    values = result.y.T
+    times, values = _rk45.solve(rhs, y0, float(t_end), rtol, atol, grid, _MAX_EVALUATIONS)
+    values = values.T
     if not np.isfinite(values).all():
         raise IntegrationError("integration produced non-finite values")
     trajectories, start = [], 0
     for crn in networks:
         end = start + crn.n_species
         trajectories.append(
-            Trajectory(species=crn.species, times=result.t, values=values[:, start:end])
+            Trajectory(species=crn.species, times=times, values=values[:, start:end])
         )
         start = end
     return trajectories
@@ -220,22 +196,36 @@ def integrate(
     t_eval: Sequence[float] | None = None,
     n_points: int = DEFAULT_POINTS,
 ) -> Trajectory:
-    """Integrate a network's ODEs from t=0 to ``t_end`` on a dense grid.
+    """Integrate a network's ODEs from t=0 to ``t_end``, reporting the
+    state at the times ``t_eval``, or at ``n_points`` evenly spaced times
+    from 0 to ``t_end`` when ``t_eval`` is not given.
 
     Raises :class:`ValueError` unless ``t_end``, ``rtol`` and ``atol``
     are finite and positive, ``n_points`` is at least 1 and ``v0`` is
-    over the species of ``crn``, and :class:`IntegrationError` when a rate
-    or initial value exceeds the float range, after ``_MAX_EVALUATIONS``
-    right-hand-side evaluations, on solver failure or on non-finite
-    output.
+    over the species of ``crn``.  A given ``t_eval`` must be
+    one-dimensional (else "`t_eval` must be 1-dimensional."), hold at
+    least one time, lie within ``[0, t_end]`` (else "Values in `t_eval`
+    are not within `t_span`.") and increase strictly (else "Values in
+    `t_eval` are not properly sorted.").  An ``rtol`` below 100 machine
+    epsilons is raised to that with a :class:`UserWarning`.  Raises
+    :class:`IntegrationError` when a rate or initial value exceeds the
+    float range, before ``_MAX_EVALUATIONS`` right-hand-side evaluations
+    would be passed, on solver failure or on non-finite output.
     """
     _check_integration_args(n_points, t_end=t_end, rtol=rtol, atol=atol)
     _check_initial_condition(crn, v0)
-    grid = (
-        np.asarray(t_eval, dtype=float)
-        if t_eval is not None
-        else np.linspace(0.0, float(t_end), n_points)
-    )
+    if t_eval is None:
+        grid = np.linspace(0.0, float(t_end), n_points)
+    else:
+        grid = np.asarray(t_eval, dtype=float)
+        if grid.ndim != 1:
+            raise ValueError("`t_eval` must be 1-dimensional.")
+        if not grid.size:
+            raise ValueError("`t_eval` must hold at least one time.")
+        if not ((grid >= 0) & (grid <= t_end)).all():
+            raise ValueError("Values in `t_eval` are not within `t_span`.")
+        if (np.diff(grid) <= 0).any():
+            raise ValueError("Values in `t_eval` are not properly sorted.")
     (trajectory,) = _solve((crn,), (v0,), t_end, rtol, atol, grid)
     return trajectory
 

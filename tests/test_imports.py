@@ -2,7 +2,8 @@
 
 ``import crnlump`` and every command that does exact work run without
 them; only :mod:`crnlump.sim` imports them, and the package resolves its
-six numerical names on first read.  pytest has loaded numpy already, so
+six numerical names on first read.  What integrates never loads
+``scipy.integrate``: the package has its own RK45 stepper.  pytest has loaded numpy already, so
 the import checks run in fresh interpreters.
 """
 
@@ -169,3 +170,41 @@ print(all(f is crnlump.sim.verify_forward for f in found))
 """
     )
     assert out == "True\n"
+
+
+# Integrates through every public path and both integrating commands in one
+# interpreter, then prints the exit codes and whether scipy.integrate was
+# ever loaded.
+_INTEGRATING_WORK = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+from crnlump import (
+    InitialCondition, Partition, integrate, running_example, verify_backward,
+    verify_forward,
+)
+from crnlump.cli import main
+
+crn = running_example()
+v0 = InitialCondition.from_map(crn, {sp: 1 for sp in crn.species})
+discrete = Partition(crn.species, [[sp] for sp in crn.species])
+integrate(crn, v0, 1.0)
+verify_forward(crn, discrete, v0, 1.0, 1e-6)
+verify_backward(crn, discrete, v0, 1.0, 1e-6)
+model = str(Path(sys.argv[1]) / "model.crn")
+codes = []
+for argv in (
+    ["simulate", model, "--t-end", "1"],
+    ["compare", model, "--mode", "fb", "--t-end", "1"],
+    ["compare", model, "--mode", "bb", "--from-inits", "--t-end", "1"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
+                  "integrate": "scipy.integrate" in sys.modules}))
+"""
+
+
+def test_integration_never_loads_scipy_integrate(tmp_path):
+    (tmp_path / "model.crn").write_text(RUNNING_WITH_INITS)
+    done = json.loads(_python(_INTEGRATING_WORK, str(tmp_path)))
+    assert done == {"codes": [0, 0, 0], "numpy": True, "integrate": False}

@@ -13,6 +13,7 @@ from crnlump import (
     BisimMode,
     InitialCondition,
     IntegrationError,
+    MultisiteSpec,
     Partition,
     PartitionError,
     Polynomial,
@@ -21,7 +22,10 @@ from crnlump import (
     forward_reduce,
     integrate,
     make_crn,
+    multisite,
+    partition_from_initial_conditions,
     refine,
+    running_example,
     serialize_crn,
     trajectory_to_csv,
     vector_field,
@@ -29,6 +33,7 @@ from crnlump import (
     verify_forward,
 )
 from crnlump.cli import main
+from crnlump.core import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END
 from crnlump.models import random_crn
 from crnlump.sim import _compile
 from conftest import blocks_of
@@ -142,8 +147,45 @@ class TestIntegrate:
     def test_blowup_raises(self):
         # X + X -> 3X doubles into itself: finite-time blowup
         net = make_crn(["X"], [({"X": 2}, 2, {"X": 3})])
-        with pytest.raises(IntegrationError):
+        # X(t) = 1 / (1 - 2t) blows up at t = 1/2; 0.5 is the last grid
+        # point the solver reached.
+        message = (
+            "integration failed at t=0.5: "
+            "Required step size is less than spacing between numbers."
+        )
+        with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
             integrate(net, inits(net, X=1), 10.0)
+
+    @pytest.mark.parametrize(
+        "t_eval, message",
+        [
+            ([0, 2, 1], "Values in `t_eval` are not properly sorted."),
+            ([0, 1, 1, 2], "Values in `t_eval` are not properly sorted."),
+            ([0, 1, 2.5], "Values in `t_eval` are not within `t_span`."),
+            ([-1, 0, 1], "Values in `t_eval` are not within `t_span`."),
+            ([0, math.nan], "Values in `t_eval` are not within `t_span`."),
+            ([[0, 1]], "`t_eval` must be 1-dimensional."),
+            ([], "`t_eval` must hold at least one time."),
+        ],
+        ids=["decreasing", "repeated", "beyond-t-end", "before-zero", "nan", "2-d", "empty"],
+    )
+    def test_unusable_grid_rejected(self, t_eval, message):
+        net = make_crn(["A", "B"], [({"A": 1}, 3, {"B": 1})])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            integrate(net, inits(net, A=1), 2.0, t_eval=t_eval)
+
+    def test_rtol_below_100_eps_is_clamped_with_a_warning(self):
+        net = make_crn(["A", "B"], [({"A": 1}, 3, {"B": 1})])
+        floor = 100 * np.finfo(float).eps
+        message = (
+            "At least one element of `rtol` is too small. "
+            f"Setting `rtol = np.maximum(rtol, {floor})`."
+        )
+        with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
+            clamped = integrate(net, inits(net, A=1), 2.0, rtol=1e-15)
+        at_floor = integrate(net, inits(net, A=1), 2.0, rtol=floor)
+        assert np.array_equal(clamped.times, at_floor.times)
+        assert np.array_equal(clamped.values, at_floor.values)
 
     @pytest.mark.parametrize(
         "rate, value", [(Fraction(10**400), 1), (1, Fraction(10**400))], ids=["rate", "init"]
@@ -434,3 +476,91 @@ class TestVerifyBackward:
             assert report.max_spread <= 1e-7
             checked += 1
         assert checked >= 3
+
+
+class TestMatchesScipy:
+    """The in-package stepper, ``crnlump._rk45``, transcribes the RK45 path
+    of scipy 1.17.1's ``solve_ivp(fun, (0, t_end), y0, method="RK45",
+    t_eval=grid)``, so ``t`` and ``y`` must equal scipy's bit for bit.
+    scipy.integrate is imported here only, as the oracle."""
+
+    @staticmethod
+    def assert_same(networks, initials, t_end, rtol, atol, grid, trajectories):
+        from scipy.integrate import solve_ivp
+
+        y0 = np.concatenate([v0.as_array() for v0 in initials])
+        expected = solve_ivp(
+            _compile(*networks), (0.0, float(t_end)), y0,
+            method="RK45", rtol=rtol, atol=atol, t_eval=grid,
+        )
+        assert expected.success
+        assert len(trajectories) == len(networks)
+        for traj in trajectories:
+            assert np.array_equal(traj.times, expected.t)
+        assert np.array_equal(np.hstack([traj.values for traj in trajectories]), expected.y.T)
+
+    @classmethod
+    def assert_verify_matches(cls, verify, crn, p, v0, t_end, rtol, monkeypatch):
+        """Run ``verify`` and hold each stacked (network, quotient) system
+        it integrates against scipy."""
+        solve = crnlump.sim._solve
+        seen = []
+
+        def recorded(*args):
+            trajectories = solve(*args)
+            seen.append((args, trajectories))
+            return trajectories
+
+        monkeypatch.setattr(crnlump.sim, "_solve", recorded)
+        verify(crn, p, v0, t_end, 1e-6, rtol=rtol, atol=rtol * 1e-2)
+        ((args, trajectories),) = seen
+        assert len(args[0]) == 2
+        cls.assert_same(*args, trajectories)
+
+    @pytest.mark.parametrize("rtol", [DEFAULT_RTOL, 1e-3, 1e-12], ids=str)
+    @pytest.mark.parametrize("n_sites", [0, 1, 2, 3], ids=lambda n: f"multisite{n}" if n else "running")
+    def test_stacked_systems_of_verify(self, n_sites, rtol, monkeypatch):
+        if n_sites:
+            crn, v0 = multisite(MultisiteSpec(n_sites=n_sites))
+        else:
+            crn = running_example()
+            v0 = inits(crn, A=1, B=2, C=3, D=4, E=5)
+        # The running example grows without bound (C overflows near t = 24),
+        # and ever faster: a short horizon keeps its rtol 1e-12 run short.
+        t_end = (DEFAULT_T_END if rtol != 1e-12 else 10.0) if n_sites else 2.0
+        fb = refine(crn, Partition.trivial(crn), BisimMode.FORWARD).final
+        self.assert_verify_matches(verify_forward, crn, fb, v0, t_end, rtol, monkeypatch)
+        if not n_sites:
+            v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+        bb = refine(crn, partition_from_initial_conditions(v0), BisimMode.BACKWARD).final
+        self.assert_verify_matches(verify_backward, crn, bb, v0, t_end, rtol, monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_networks(self, seed):
+        rng = random.Random(seed)
+        net = random_crn(seed, rng.randint(1, 8), rng.randint(0, 12))
+        v0 = InitialCondition.from_map(
+            net, {sp: Fraction(rng.randint(0, 40), rng.randint(1, 20)) for sp in net.species}
+        )
+        t_end = rng.choice([0.5, 1.0, 3.0])
+        grid = np.linspace(0.0, t_end, rng.randint(1, 50))
+        rtol = rng.choice([DEFAULT_RTOL, 1e-3, 1e-12])
+        traj = integrate(net, v0, t_end, rtol=rtol, atol=DEFAULT_ATOL, t_eval=grid)
+        self.assert_same((net,), (v0,), t_end, rtol, DEFAULT_ATOL, grid, [traj])
+
+    @pytest.mark.parametrize(
+        "grid", [[0.0], [1.0], [0.25, 0.5, 0.875, 1.0], [1e-9, 0.5]], ids=str
+    )
+    @pytest.mark.parametrize("rtol", [1e-3, 1e-12], ids=str)
+    def test_user_grids(self, crn, grid, rtol):
+        v0 = inits(crn, A=1, B=2, C=3, D=4, E=5)
+        traj = integrate(crn, v0, 1.0, rtol=rtol, t_eval=grid)
+        self.assert_same((crn,), (v0,), 1.0, rtol, DEFAULT_ATOL, np.array(grid), [traj])
+
+    @pytest.mark.parametrize("names", [["A", "B"], []], ids=["two-species", "no-species"])
+    def test_network_without_reactions(self, names):
+        net = make_crn(names, [])
+        v0 = InitialCondition.from_map(net, {name: 2 for name in names})
+        traj = integrate(net, v0, 5.0, n_points=7)
+        grid = np.linspace(0.0, 5.0, 7)
+        self.assert_same((net,), (v0,), 5.0, DEFAULT_RTOL, DEFAULT_ATOL, grid, [traj])
