@@ -19,6 +19,8 @@ import argparse
 import math
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +235,17 @@ def _cmd_odes(args) -> int:
     return 0
 
 
+@contextmanager
+def _warnings_as_lines():
+    """Print each warning shown inside as one ``warning: …`` line on
+    stderr, like the CLI's own warnings; a :class:`UserWarning` (an rtol
+    below 100 machine epsilons) is always shown."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        yield
+
+
 def _cmd_simulate(args) -> int:
     from .sim import integrate, trajectory_to_csv
 
@@ -246,14 +259,10 @@ def _cmd_simulate(args) -> int:
             f"--points {args.points} with {crn.n_species} species gives {values} "
             f"output values; the limit is {_MAX_GRID_VALUES}"
         )
-    traj = integrate(
-        crn,
-        v0,
-        args.t_end,
-        rtol=args.rtol,
-        atol=args.atol,
-        n_points=args.points,
-    )
+    with _warnings_as_lines():
+        traj = integrate(
+            crn, v0, args.t_end, rtol=args.rtol, atol=args.atol, n_points=args.points
+        )
     _write(trajectory_to_csv(traj), args.out)
     return 0
 
@@ -279,12 +288,9 @@ def _cmd_compare(args) -> int:
             file=sys.stderr,
         )
     trace = refine(crn, initial, mode)
-    if mode is BisimMode.FORWARD:
-        report = verify_forward(
-            crn, trace.final, v0, args.t_end, args.tol, rtol=args.rtol, atol=args.atol
-        )
-    else:
-        report = verify_backward(
+    verify = verify_forward if mode is BisimMode.FORWARD else verify_backward
+    with _warnings_as_lines():
+        report = verify(
             crn, trace.final, v0, args.t_end, args.tol, rtol=args.rtol, atol=args.atol
         )
     print(f"partition: {trace.final.n_blocks} blocks; {report.summary()}")

@@ -21,24 +21,24 @@ constructions and the printer read the reaction list.
 reaction has one or two reactant molecules.  Rates become integers only
 in ``_scale_rates``.
 
-Every network the package builds starts from its reaction list: the
-``.net`` importer, :func:`make_crn` and the generators hand their rows to
-``_crn_from_rows``; the parser and both quotient constructions hand the
-finished list to ``CRN._from_scaled``.  Its ``reactions`` are a view of
-that list, built on the first read and kept; only :func:`validate` and
-comparing networks read the view, and :func:`require_elementary` prints
-the reaction it rejects from the list.  ``CRN(species, reactions)`` keeps
-the :class:`Reaction` objects it is given and builds its list from them
-on first use, where a species that is not the network's own is an error.
+A network holds only its reaction list.  The ``.net`` importer,
+:func:`make_crn` and the generators hand their rows to ``_crn_from_rows``,
+and ``CRN(species, reactions)`` hands its :class:`Reaction` objects to
+the same keying, where a species that is not the network's own is a
+:class:`CRNError`; the parser and both quotient constructions hand the
+finished list to ``CRN._from_scaled``.  :func:`validate`, equality and
+hashing read the list, and :func:`validate` and :func:`require_elementary`
+print a reaction they report from it.  ``reactions`` is an output view
+of the list, built on the first read and kept; the package never reads it.
 
-Each table is built on the first call for a network and kept in a
-private slot of its :class:`CRN`; every later call returns the same
-object, so refinement, the re-check inside a reduction, the reduction
-and the vector field share one build.  The slots take no part in
-equality or hashing, and nothing writes a table after it is built: the
-tables are tuples, and their dicts are never changed.  Two threads that
-race on a fresh network may both build a table or the view; the builds
-are equal, and either one is kept.
+The flux and forward tables are built on the first call for a network
+and kept in a private slot of its :class:`CRN`; every later call returns
+the same object, so refinement, the re-check inside a reduction, the
+reduction and the vector field share one build.  These slots take no
+part in equality or hashing, and nothing writes a table after it is
+built: the tables are tuples, and their dicts are never changed.  Two
+threads that race on a fresh network may both build a table or the
+view; the builds are equal, and either one is kept.
 
 All types are immutable after construction, apart from a network's
 table slots, which are filled on first use, and safe to share across
@@ -248,23 +248,19 @@ class Reaction:
 class CRN:
     """A finite reaction network: ordered species plus a reaction list.
 
-    Species ids equal list positions and names are unique; both are
-    enforced at construction.  Reaction-level restrictions (positive
-    rates, at most two reactant molecules, declared species) are data
-    checked by :func:`validate`, not constructor failures.  The integer
-    tables of this module are built once per network and kept in the
-    private ``_scaled``, ``_flux``, ``_forward`` and ``_elementary``
-    slots; ``species`` and ``reactions`` are read-only, so the tables
-    cannot go stale.
+    Species ids equal list positions, names are unique and reactions name
+    only the network's species; all three are enforced at construction.
+    Positive rates and one or two reactant molecules are data checked by
+    :func:`validate`, not constructor failures.
 
-    ``CRN(species, reactions)`` keeps the :class:`Reaction` objects it is
-    given.  Every network the package builds starts from its integer
-    reaction list instead (the ``_scaled`` slot, what
-    :func:`scaled_reactions` returns), and ``reactions`` is a view of that
-    list: built on the first read, one :class:`Multiset` per distinct side
-    and one rate per distinct value, and then kept like a table.
-    Refinement, the reductions, the vector field, the integrator and the
-    printer read only the integer list, so they never build the view.
+    A network holds its species and its integer reaction list (the
+    ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
+    and hashes by the two.  The other tables are kept in the ``_flux``,
+    ``_forward`` and ``_elementary`` slots; ``species`` and ``reactions``
+    are read-only, so they cannot go stale.  ``reactions`` is an output
+    view of the list, built on the first read (one :class:`Multiset` per
+    distinct side, one rate per distinct value) and kept;
+    ``CRN(species, reactions)`` keeps the objects it is given as that view.
     """
 
     __slots__ = (
@@ -272,8 +268,34 @@ class CRN:
     )
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
+        self._set_species(species)
+        self._reactions = reactions = tuple(reactions)
+        species = self._species
+
+        def pairs(i: int, rxn: Reaction, side: Multiset) -> Pairs:
+            for sp, _ in side:
+                if not (0 <= sp.id < len(species) and species[sp.id] == sp):
+                    raise CRNError(f"reaction {i} ({rxn!r}): undeclared species {sp.name}")
+            return tuple((sp.id, m) for sp, m in side)
+
+        self._scaled = _scaled_rows(
+            (pairs(i, rxn, rxn.reactants), rxn.rate, pairs(i, rxn, rxn.products))
+            for i, rxn in enumerate(reactions)
+        )
+
+    @classmethod
+    def _from_scaled(
+        cls, species: Sequence[Species], scale: int, rows: tuple[tuple[Pairs, Pairs, int], ...]
+    ) -> "CRN":
+        """The network whose :func:`scaled_reactions` are ``(scale, rows)``."""
+        crn = cls.__new__(cls)
+        crn._set_species(species)
+        crn._scaled = (scale, rows)
+        return crn
+
+    def _set_species(self, species: Sequence[Species]) -> None:
+        """Check and keep ``species``; empty the view and table slots."""
         self._species = tuple(species)
-        self._reactions = tuple(reactions)
         by_name: dict[str, Species] = {}
         for i, sp in enumerate(self._species):
             if sp.id != i:
@@ -284,18 +306,7 @@ class CRN:
                 raise ValueError(f"duplicate species name {sp.name}")
             by_name[sp.name] = sp
         self._by_name = by_name
-        self._scaled = self._flux = self._forward = self._elementary = None
-
-    @classmethod
-    def _from_scaled(
-        cls, species: Sequence[Species], scale: int, rows: tuple[tuple[Pairs, Pairs, int], ...]
-    ) -> "CRN":
-        """The network whose :func:`scaled_reactions` are ``(scale, rows)``;
-        its ``reactions`` are built from them on first read."""
-        crn = cls(species, ())
-        crn._reactions = None
-        crn._scaled = (scale, rows)
-        return crn
+        self._reactions = self._flux = self._forward = self._elementary = None
 
     @property
     def species(self) -> tuple[Species, ...]:
@@ -317,17 +328,15 @@ class CRN:
 
     @property
     def n_reactions(self) -> int:
-        if self._reactions is None:
-            return len(self._scaled[1])
-        return len(self._reactions)
+        return len(self._scaled[1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CRN):
             return NotImplemented
-        return self.species == other.species and self.reactions == other.reactions
+        return self._species == other._species and self._scaled == other._scaled
 
     def __hash__(self) -> int:
-        return hash((self.species, self.reactions))
+        return hash((self._species, self._scaled))
 
     def __repr__(self) -> str:
         return f"CRN({self.n_species} species, {self.n_reactions} reactions)"
@@ -361,26 +370,22 @@ def validate(crn: CRN) -> list[str]:
     """Check reaction-level invariants; return violations (empty = valid).
 
     Violations are data, not failures: each entry names the offending
-    reaction or species.
+    reaction.  Reads the integer reaction list.
     """
     violations = []
-    declared = set(crn.species)
-    for i, rxn in enumerate(crn.reactions):
+    for i, (reactants, _, value) in enumerate(scaled_reactions(crn)[1]):
         problems = []
-        if rxn.rate <= 0:
+        if value <= 0:
             problems.append("rate must be positive")
-        total = rxn.reactants.total
+        total = sum(m for _, m in reactants)
         if total == 0:
             problems.append("reactants must contain at least one species")
         elif total > 2:
             problems.append("reactants exceed multiplicity 2")
-        for sp, _ in tuple(rxn.reactants) + tuple(rxn.products):
-            if sp not in declared:
-                problems.append(f"undeclared species {sp.name}")
         if problems:
             # Only a reported reaction is printed: its text costs more
             # than all of these checks.
-            where = f"reaction {i} ({rxn!r})"
+            where = f"reaction {i} ({_reaction_text(crn, i)})"
             violations.extend(f"{where}: {problem}" for problem in problems)
     return violations
 
@@ -398,26 +403,7 @@ def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...
     """L, the least common multiple of the rate denominators, and every
     reaction as ``(reactant pairs, product pairs, rate times L)``, each
     side its ``(species id, multiplicity)`` pairs in id order."""
-    return _memo(crn, "_scaled", _build_scaled_reactions)
-
-
-def _build_scaled_reactions(crn: CRN):
-    """The integer reaction list of a network built from :class:`Reaction`
-    objects.  Raises :class:`CRNError` naming the first reaction with a
-    species that is not the network's own (another id or another name)."""
-    reactions, species = crn.reactions, crn.species
-    keys: dict[Multiset, Pairs] = {}
-    for i, rxn in enumerate(reactions):
-        for side in (rxn.reactants, rxn.products):
-            if side not in keys:
-                for sp, _ in side:
-                    if not (0 <= sp.id < len(species) and species[sp.id] == sp):
-                        raise CRNError(f"reaction {i} ({rxn!r}): undeclared species {sp.name}")
-                keys[side] = tuple((sp.id, m) for sp, m in side)
-    scale, rates = _scale_rates([rxn.rate for rxn in reactions])
-    return scale, tuple(
-        (keys[r.reactants], keys[r.products], rate) for r, rate in zip(reactions, rates)
-    )
+    return crn._scaled
 
 
 def _scale_rates(rates: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -441,11 +427,11 @@ def _side_key(pairs: Iterable[tuple[int, int]]) -> Pairs:
     return tuple(sorted(acc.items()))
 
 
-def _crn_from_rows(species: Sequence[Species], rows: Iterable[tuple]) -> CRN:
-    """The network over ``species`` with one reaction per row ``(reactant
-    pairs, rate, product pairs)``, its ``reactions`` a view.  A side is a
-    tuple of ``(species id, multiplicity)`` pairs in any order; each
-    distinct one is keyed once, so equal sides share one key."""
+def _scaled_rows(rows: Iterable[tuple]) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:
+    """The integer reaction list of the rows ``(reactant pairs, rate,
+    product pairs)``.  A side is a tuple of ``(species id, multiplicity)``
+    pairs in any order; each distinct one is keyed once, so equal sides
+    share one key."""
     keys: dict[tuple[tuple[int, int], ...], Pairs] = {}
 
     def key(side):
@@ -456,9 +442,13 @@ def _crn_from_rows(species: Sequence[Species], rows: Iterable[tuple]) -> CRN:
 
     rows = [(key(lhs), rate, key(rhs)) for lhs, rate, rhs in rows]
     scale, scaled = _scale_rates([rate for _, rate, _ in rows])
-    return CRN._from_scaled(
-        species, scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(rows, scaled))
-    )
+    return scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(rows, scaled))
+
+
+def _crn_from_rows(species: Sequence[Species], rows: Iterable[tuple]) -> CRN:
+    """The network over ``species`` with one reaction per row ``(reactant
+    pairs, rate, product pairs)`` (see :func:`_scaled_rows`)."""
+    return CRN._from_scaled(species, *_scaled_rows(rows))
 
 
 def _build_reactions(crn: CRN) -> tuple[Reaction, ...]:

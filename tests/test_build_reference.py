@@ -5,7 +5,9 @@ same canonical text.  Every quotient that ``test_golden`` prints has the
 integer reaction list of its own reaction objects, so its L is the least
 common multiple of its own rate denominators."""
 
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -15,18 +17,20 @@ from crnlump import (
     MultisiteSpec,
     ParseError,
     Partition,
+    Reaction,
     backward_reduce,
     forward_reduce,
     import_bngl_net,
     make_crn,
     multisite,
+    parse_crn,
     partition_from_initial_conditions,
     random_crn,
     refine,
     running_example,
     serialize_crn,
 )
-from crnlump.core import _build_scaled_reactions, scaled_reactions
+from crnlump.core import scaled_reactions
 from oracle import (
     reference_import_bngl_net,
     reference_multisite,
@@ -41,8 +45,10 @@ FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 def assert_same(crn, ref, inits=None, ref_inits=None):
     """``crn`` and the reference network ``ref`` have equal integer
     reaction lists, reaction objects and printed texts."""
-    # The integer list first: comparing the networks builds the view.
-    assert scaled_reactions(crn) == _build_scaled_reactions(ref)
+    # ``ref`` keeps the oracle's own Reaction objects as its view, so the
+    # second line checks the view ``crn`` builds from its list.
+    assert scaled_reactions(crn) == scaled_reactions(ref)
+    assert crn.reactions == ref.reactions
     text = reference_serialize_crn(ref, ref_inits)
     assert serialize_crn(crn, inits) == text
     assert serialize_crn(ref, ref_inits) == text
@@ -147,7 +153,7 @@ def _golden_quotients():
 
 
 def _own_list(q):
-    return _build_scaled_reactions(CRN(q.species, q.reactions))
+    return scaled_reactions(CRN(q.species, q.reactions))
 
 
 def test_quotients_scale_by_their_own_denominators():
@@ -170,3 +176,65 @@ def test_a_quotient_that_loses_a_denominator_drops_it_from_its_scale(mode):
     q = reducer(net, refine(net, Partition.trivial(net), mode).final).crn
     assert serialize_crn(q) == "species: A B\nA -> B , 1\n"
     assert scaled_reactions(q) == _own_list(q) == (1, ((((0, 1),), ((1, 1),), 1),))
+
+
+def _denominator_lcm(crn):
+    return lcm(*{rxn.rate.denominator for rxn in crn.reactions})
+
+
+def _routes(ref, rng):
+    """``ref`` rebuilt by every construction route, with its reactions in
+    their own order and shuffled; both its quotients; and ``ref`` with
+    every rate halved, whose scaled rates can equal those of ``ref``."""
+    names = [sp.name for sp in ref.species]
+
+    def triples(reactions):
+        return [
+            ({sp.name: m for sp, m in r.reactants}, r.rate, {sp.name: m for sp, m in r.products})
+            for r in reactions
+        ]
+
+    shuffled = list(ref.reactions)
+    rng.shuffle(shuffled)
+    fb = refine(ref, Partition.trivial(ref), FB).final
+    bb = refine(ref, Partition.trivial(ref), BB).final
+    return {
+        "reference": ref,
+        "CRN": CRN(ref.species, ref.reactions),
+        "CRN shuffled": CRN(ref.species, shuffled),
+        "make_crn": make_crn(names, triples(ref.reactions)),
+        "make_crn shuffled": make_crn(names, triples(shuffled)),
+        "parse_crn": parse_crn(serialize_crn(ref))[0],
+        "forward_reduce": forward_reduce(ref, fb).crn,
+        "backward_reduce": backward_reduce(ref, bb).crn,
+        "halved": CRN(
+            ref.species, [Reaction(r.reactants, r.rate / 2, r.products) for r in ref.reactions]
+        ),
+    }
+
+
+def test_equality_and_hash_on_the_list_agree_with_the_reaction_objects():
+    # Networks compare by their integer reaction lists; that answers as
+    # comparing their Reaction objects would, because sides are canonical
+    # and every route scales by the lcm of the network's own denominators.
+    rng = random.Random(18)
+    pools = [(1, 2, 3, Fraction(1, 2)), (Fraction(2, 3), Fraction(5, 7), 4, Fraction(1, 6))]
+    outcomes = set()
+    for seed in range(300):
+        size = (1 + seed % 6, seed % 9)
+        ref = reference_random_crn(seed, *size, rate_pool=pools[seed % 2])
+        nets = _routes(ref, rng)
+        for name, x in nets.items():
+            assert scaled_reactions(x)[0] == _denominator_lcm(x), (seed, name)
+        for a_name, a in nets.items():
+            for b_name, b in nets.items():
+                equal = a == b
+                assert equal == ((a.species, a.reactions) == (b.species, b.reactions)), (
+                    seed, a_name, b_name
+                )
+                if equal:
+                    assert hash(a) == hash(b), (seed, a_name, b_name)
+                outcomes.add((a_name, b_name, equal))
+    # Shuffling both keeps and changes a network, across the seeds.
+    assert {("reference", "CRN shuffled", True), ("reference", "CRN shuffled", False)} <= outcomes
+    assert ("parse_crn", "make_crn", False) in outcomes

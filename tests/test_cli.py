@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,32 @@ def test_beyond_the_float_range_exits_3(tmp_path, capsys, command, text):
     path.write_text("species: A B\n" + text)
     assert main([command[0], str(path), *command[1:], "--t-end", "1"]) == 3
     assert "exceeds the float range" in capsys.readouterr().err
+
+
+RTOL_WARNING = (
+    "warning: At least one element of `rtol` is too small. "
+    "Setting `rtol = np.maximum(rtol, 2.220446049250313e-14)`.\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--points", "5"], ["compare", "--mode", "fb"], ["compare", "--mode", "bb"]],
+    ids=lambda command: " ".join(command[:3]),
+)
+def test_rtol_below_100_eps_warns_in_one_line(model, capsys, command):
+    # The run is the one at the clamped rtol; only the warning line is added.
+    argv = [command[0], str(model), *command[1:], "--t-end", "1", "--rtol"]
+    assert main([*argv, str(100 * sys.float_info.epsilon)]) == 0
+    clamped = capsys.readouterr()
+    assert clamped.err == ""
+    # Taken after the first run, whose imports may add filters.
+    filters, show = list(warnings.filters), warnings.showwarning
+    assert main([*argv, "1e-17"]) == 0
+    low = capsys.readouterr()
+    assert low.out == clamped.out
+    assert low.err == RTOL_WARNING
+    assert warnings.filters == filters and warnings.showwarning is show
 
 
 def test_compare_forward_passes(model, capsys):

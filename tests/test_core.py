@@ -28,7 +28,6 @@ from crnlump import (
     refine,
     serialize_crn,
     validate,
-    vector_field,
     verify_backward,
     verify_forward,
 )
@@ -94,28 +93,21 @@ def test_validate_flags_zero_reactants_and_foreign_species():
     ghost = Species(7, "G")
     crn = CRN([a, b], [Reaction(Multiset(), Fraction(1), Multiset.of(a))])
     assert any("at least one species" in v for v in validate(crn))
-    crn2 = CRN([a, b], [Reaction(Multiset.of(a), Fraction(1), Multiset.of(ghost))])
-    assert any("undeclared species G" in v for v in validate(crn2))
+    # A foreign species is refused when the network is built.
+    with pytest.raises(CRNError) as err:
+        CRN([a, b], [Reaction(Multiset.of(a), Fraction(1), Multiset.of(ghost))])
+    assert str(err.value) == "reaction 0 (A ->(1) G): undeclared species G"
 
 
 @pytest.mark.parametrize("foreign", [Species(0, "Q"), Species(5, "Z")], ids=["same id", "new id"])
 def test_a_foreign_species_is_an_error_not_another_species(foreign):
-    # Q used to be read as A (A' = -A) and Z to end in an IndexError.
+    # Q used to be read as A (A' = -A) and Z to end in an IndexError; now
+    # no network can hold either, so every reader sees only its own species.
     a, b = Species(0, "A"), Species(1, "B")
     message = f"reaction 0 ({foreign.name} ->(1) B): undeclared species {foreign.name}"
-    calls = {
-        "refine fb": lambda crn: refine(crn, Partition.trivial(crn), BisimMode.FORWARD),
-        "refine bb": lambda crn: refine(crn, Partition.trivial(crn), BisimMode.BACKWARD),
-        "vector_field": vector_field,
-        "serialize_crn": serialize_crn,
-    }
-    for name, call in calls.items():
-        crn = CRN([a, b], [Reaction(Multiset.of(foreign), Fraction(1), Multiset.of(b))])
-        with pytest.raises(CRNError) as err:
-            call(crn)
-        assert str(err.value) == message, name
-        # validate still reports it as data, in the same words.
-        assert validate(crn) == [message]
+    with pytest.raises(CRNError) as err:
+        CRN([a, b], [Reaction(Multiset.of(foreign), Fraction(1), Multiset.of(b))])
+    assert str(err.value) == message
 
 
 def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
@@ -124,23 +116,42 @@ def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
     def refuse(_rxn):
         raise AssertionError("a reaction was printed")
 
+    def text(crn, i):
+        printed.append(i)
+        return reaction_text(crn, i)
+
+    printed = []
+    reaction_text = core._reaction_text
     with monkeypatch.context() as patch:
         patch.setattr(Reaction, "__repr__", refuse)
+        patch.setattr(core, "_reaction_text", text)
         assert validate(crn) == []
-    a, b, ghost = Species(0, "A"), Species(1, "B"), Species(7, "G")
-    bad = CRN(
-        [a, b],
-        [
-            Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
-            Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(ghost, 2), (b, 1)])),
-        ],
-    )
-    where = "reaction 1 (3A ->(0) B + 2G): "
-    assert validate(bad) == [
-        where + "rate must be positive",
-        where + "reactants exceed multiplicity 2",
-        where + "undeclared species G",
-    ]
+        a, b, g = Species(0, "A"), Species(1, "B"), Species(2, "G")
+        bad = CRN(
+            [a, b, g],
+            [
+                Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
+                Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(g, 2), (b, 1)])),
+            ],
+        )
+        where = "reaction 1 (3A ->(0) B + 2G): "
+        assert validate(bad) == [
+            where + "rate must be positive",
+            where + "reactants exceed multiplicity 2",
+        ]
+    assert printed == [1]
+    # The same reaction naming a G that is not the network's own is refused
+    # at construction, printed as validate prints it.
+    ghost = Species(7, "G")
+    with pytest.raises(CRNError) as err:
+        CRN(
+            [a, b],
+            [
+                Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
+                Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(ghost, 2), (b, 1)])),
+            ],
+        )
+    assert str(err.value) == where + "undeclared species G"
 
 
 NOT_ELEMENTARY = ": not elementary: reactants must be one or two molecules"

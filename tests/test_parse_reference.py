@@ -16,7 +16,7 @@ from crnlump import (
     running_example,
     serialize_crn,
 )
-from crnlump.core import _build_scaled_reactions, scaled_reactions
+from crnlump.core import scaled_reactions
 from oracle import reference_parse_crn
 
 
@@ -35,8 +35,10 @@ def assert_agrees(text):
     assert error == reference_error, text
     if error is None:
         (crn, inits), (ref, ref_inits) = parsed, reference
-        # The integer list first: comparing the networks builds the view.
-        assert scaled_reactions(crn) == _build_scaled_reactions(ref), text
+        # ``ref`` keeps the oracle's own Reaction objects as its view, so
+        # the second line checks the view ``crn`` builds from its list.
+        assert scaled_reactions(crn) == scaled_reactions(ref), text
+        assert crn.reactions == ref.reactions, text
         assert crn == ref, text
         assert serialize_crn(crn, inits) == serialize_crn(ref, ref_inits), text
     return error

@@ -22,6 +22,7 @@ from crnlump import (
     is_bisimulation,
     is_exactly_lumpable,
     is_ordinarily_lumpable,
+    make_crn,
     multisite,
     parse_crn,
     partition_from_initial_conditions,
@@ -29,6 +30,7 @@ from crnlump import (
     refine,
     running_example,
     serialize_crn,
+    validate,
     vector_field,
     verify_backward,
     verify_forward,
@@ -39,7 +41,6 @@ from test_io import NET_FIXTURE
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 
 BUILDERS = {
-    "scaled_reactions": "_build_scaled_reactions",
     "flux_table": "_build_flux_table",
     "forward_table": "_build_forward_table",
     "require_elementary": "_first_non_elementary",
@@ -85,38 +86,44 @@ def _parsed_example():
 
 def _from_reactions(net):
     """An equal network built through the public constructor from the
-    Reaction objects of ``net``; it keeps them and has no reaction list yet."""
+    Reaction objects of ``net``; it turns them into its reaction list at
+    construction and keeps them as its view."""
     return CRN(net.species, net.reactions)
 
 
 def test_every_table_is_built_once_per_network(builds):
-    # A parsed network starts from its integer reaction list, so it never
-    # builds that list; every other table is built once.
+    # Every network holds its integer reaction list from construction on;
+    # every other table is built once.
     crn = _parsed_example()
     _every_consumer(crn)
-    assert builds == {**dict.fromkeys(BUILDERS, 1), "scaled_reactions": 0}
+    assert builds == dict.fromkeys(BUILDERS, 1)
     # An equal network parsed separately compares equal, although only one
     # of them has built its tables, and builds its own.
     twin = _parsed_example()
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
-    assert builds == {**dict.fromkeys(BUILDERS, 2), "scaled_reactions": 0}
-    # A network built from Reaction objects builds its reaction list once.
-    _every_consumer(_from_reactions(running_example()))
-    assert builds == {**dict.fromkeys(BUILDERS, 3), "scaled_reactions": 1}
+    assert builds == dict.fromkeys(BUILDERS, 2)
+    # So does a network built from Reaction objects, whose list is that of
+    # the network it copies.
+    viewed = _from_reactions(running_example())
+    assert core.scaled_reactions(viewed) == core.scaled_reactions(running_example())
+    _every_consumer(viewed)
+    assert builds == dict.fromkeys(BUILDERS, 3)
 
 
 def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
     crn = _parsed_example()
-    names = ("scaled_reactions", "flux_table", "forward_table")
+    names = ("flux_table", "forward_table")
     first = {name: getattr(core, name)(crn) for name in names}
+    scaled = core.scaled_reactions(crn)
     _every_consumer(crn)
     _every_consumer(crn)
     for name, table in first.items():
         assert getattr(core, name)(crn) is table
         assert table == getattr(core, BUILDERS[name])(crn)
+    assert core.scaled_reactions(crn) is scaled
     fresh = _parsed_example()
-    assert first["scaled_reactions"] == core.scaled_reactions(fresh)
+    assert scaled == core.scaled_reactions(fresh)
     assert first["flux_table"] == core.flux_table(fresh)
     assert first["forward_table"] == core.forward_table(fresh)
 
@@ -129,13 +136,9 @@ def _integrate_twice(crn):
 
 def test_integration_reads_the_shared_flux_table(builds):
     _integrate_twice(_parsed_example())
-    assert builds == {
-        "scaled_reactions": 0, "flux_table": 1, "forward_table": 0, "require_elementary": 0
-    }
+    assert builds == {"flux_table": 1, "forward_table": 0, "require_elementary": 0}
     _integrate_twice(_from_reactions(running_example()))
-    assert builds == {
-        "scaled_reactions": 1, "flux_table": 2, "forward_table": 0, "require_elementary": 0
-    }
+    assert builds == {"flux_table": 2, "forward_table": 0, "require_elementary": 0}
 
 
 def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
@@ -177,6 +180,44 @@ def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
             crn.reactions
     for argv in (["multisite", "--sites", "2"], ["random", "--seed", "3"], ["two-state"]):
         assert main(["gen", *argv, "--out", str(tmp_path / "gen.crn")]) == 0, argv
+
+
+def test_validate_and_equality_never_build_reactions(monkeypatch):
+    # validate, == and hash read the integer reaction list of every
+    # network the package builds, the quotients included.
+    def refuse(crn):
+        raise AssertionError("Reaction objects built")
+
+    monkeypatch.setattr(core, "_build_reactions", refuse)
+    text = serialize_crn(*multisite(MultisiteSpec(n_sites=3)))
+    builders = {
+        "parse_crn": lambda: parse_crn(text)[0],
+        "make_crn": running_example,
+        "multisite": lambda: multisite(MultisiteSpec(n_sites=2))[0],
+        "random_crn": lambda: random_crn(3, 30, 40),
+        "import_bngl_net": lambda: import_bngl_net(NET_FIXTURE)[0],
+    }
+
+    def with_quotients(build):
+        crn = build()
+        fb = refine(crn, Partition.trivial(crn), FB).final
+        bb = refine(crn, Partition.trivial(crn), BB).final
+        return crn, forward_reduce(crn, fb).crn, backward_reduce(crn, bb).crn
+
+    for name, build in builders.items():
+        nets, twins = with_quotients(build), with_quotients(build)
+        for net, twin in zip(nets, twins):
+            assert validate(net) == validate(twin) == [], name
+            assert net == twin and hash(net) == hash(twin), name
+        assert nets[0] != nets[1] and nets[0] != nets[2], name
+        with pytest.raises(AssertionError, match="Reaction objects built"):
+            nets[0].reactions
+    # A reported reaction is printed from the list too.
+    bad = make_crn(["A", "B", "C", "D"], [({"A": 1, "B": 1, "C": 1}, 0, {"D": 1})])
+    where = "reaction 0 (A + B + C ->(0) D): "
+    assert validate(bad) == [
+        where + "rate must be positive", where + "reactants exceed multiplicity 2"
+    ]
 
 
 def test_species_and_reactions_cannot_be_reassigned(h_o):
@@ -238,5 +279,5 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
     assert results == [serial] * 8
     assert views == [parse_crn(text)[0].reactions] * 8
     assert all(isinstance(view, tuple) for view in views)
-    for name in ("scaled_reactions", "flux_table", "forward_table"):
+    for name in ("flux_table", "forward_table"):
         assert getattr(core, name)(shared) == getattr(core, BUILDERS[name])(shared)
