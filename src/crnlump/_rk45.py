@@ -165,11 +165,9 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
     """
     if rtol < 100 * EPS:
         warnings.warn(
-            "At least one element of `rtol` is too small. "
-            f"Setting `rtol = np.maximum(rtol, {100 * EPS})`.",
-            stacklevel=2,
+            f"rtol {rtol} is below 100 machine epsilons; using {100 * EPS}", stacklevel=2
         )
-        rtol = np.maximum(rtol, 100 * EPS)
+        rtol = 100 * EPS
     n = y0.size
     if n == 0:
         # Nothing to integrate: one jump to t_bound, every time is reached.

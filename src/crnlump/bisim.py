@@ -22,9 +22,10 @@ once per network and keeps it: forward, :func:`crnlump.core.forward_table`
 the table :func:`crnlump.odes.vector_field` reads its terms from.  The
 signature classes here build only the per-partition part: forward, the
 production rates summed per (partner, block); backward, the classes of
-reactant multisets and each species' flux summed per class.  The reverse
-indexes that :func:`refine` follows from a splitter are built on its
-first split.
+reactant multisets and each species' flux summed per class, a class
+being a lift by ``core._lift``, which both quotients use too.  The
+reverse indexes that :func:`refine` follows from a splitter are built on
+its first split.
 
 :func:`refine` computes the coarsest partition of either kind refining a
 given initial partition in passes, and stops at the first pass that
@@ -55,9 +56,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, EMPTY_PARTNER, Pairs, Partition, Species
+from .core import CRN, EMPTY_PARTNER, Partition, Species
 from .core import check_partition, flux_table, format_rational, forward_table
-from .core import _format_side, _nonzero, require_elementary
+from .core import _format_side, _lift, _nonzero, require_elementary
 
 __all__ = [
     "BisimMode",
@@ -292,26 +293,16 @@ class _BackwardSignatures:
         self.scale, self._rows = flux_table(crn)
         self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
-        self._class_of: dict[tuple[int, ...], int] = {}
-        self.entry_class = [self._classify(key, block_of) for key, _ in self._rows]
+        class_of = self._class_of = {}
+        self.entry_class = [
+            class_of.setdefault(_lift(key, block_of), len(class_of)) for key, _ in self._rows
+        ]
         sums: list[dict[int, int]] = [{} for _ in crn.species]
         for cid, (_, support) in zip(self.entry_class, self._rows):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
         self.sums = [_nonzero(acc) for acc in sums]
-
-    def _classify(self, reactants: Pairs, block_of) -> int:
-        """Class id of the lift of one or two reactant molecules; a new
-        lift gets a new id."""
-        if len(reactants) == 2:
-            (a, _), (b, _) = reactants
-            a, b = block_of[a], block_of[b]
-            lift = (a, b) if a <= b else (b, a)
-        else:
-            ((a, mult),) = reactants
-            lift = (block_of[a],) * mult
-        return self._class_of.setdefault(lift, len(self._class_of))
 
     def key(self, x: int):
         return frozenset(self.sums[x].items())
@@ -331,12 +322,12 @@ class _BackwardSignatures:
             for y in blocks.members(piece):
                 for e in by_reactant[y]:
                     dirty[e] = None
-        sums = self.sums
+        sums, class_of, block_of = self.sums, self._class_of, blocks.block_of
         touched: dict[int, None] = {}
         for e in dirty:
             old = self.entry_class[e]
-            reactants, support = self._rows[e]
-            new = self.entry_class[e] = self._classify(reactants, blocks.block_of)
+            key, support = self._rows[e]
+            new = self.entry_class[e] = class_of.setdefault(_lift(key, block_of), len(class_of))
             for sid, val in support:
                 if blocks.in_singleton(sid):
                     continue

@@ -23,6 +23,7 @@ import warnings
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .bisim import BisimMode, find_counterexample, refine
 from .core import (
@@ -66,7 +67,19 @@ from .odes import (
 )
 from .reduce import backward_reduce, forward_reduce
 
-_MODES = {"fb": BisimMode.FORWARD, "bb": BisimMode.BACKWARD}
+
+class _Mode(NamedTuple):
+    """A ``--mode``: its equivalence, reduction and lumped field."""
+
+    bisim: BisimMode
+    reduce: Callable
+    lumped_field: Callable
+
+
+_MODES = {
+    "fb": _Mode(BisimMode.FORWARD, forward_reduce, lumped_field_forward),
+    "bb": _Mode(BisimMode.BACKWARD, backward_reduce, lumped_field_backward),
+}
 
 # Most values (time points times species) a simulate trajectory may hold:
 # 80 MB of float64, and several times that as CSV text.
@@ -108,6 +121,30 @@ def _inits(args, crn: CRN, embedded) -> InitialCondition | None:
     return embedded
 
 
+def _warn_unequal_inits(args, inits, initial: Partition) -> None:
+    """Warn on stderr when backward mode refines the one-block partition
+    although the initial values differ."""
+    if (
+        _MODES[args.mode].bisim is BisimMode.BACKWARD
+        and not (args.partition or args.from_inits)
+        and not (inits is None or inits.constant_on(initial))
+    ):
+        print(
+            "warning: backward mode with unequal initial conditions; "
+            "consider --from-inits or --partition",
+            file=sys.stderr,
+        )
+
+
+def _refine_and_reduce(crn: CRN, initial: Partition, mode: _Mode):
+    """``(trace, reduced, refine seconds, reduce seconds)`` of ``mode``."""
+    t0 = time.perf_counter()
+    trace = refine(crn, initial, mode.bisim)
+    t1 = time.perf_counter()
+    reduced = mode.reduce(crn, trace.final)
+    return trace, reduced, t1 - t0, time.perf_counter() - t1
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -130,25 +167,9 @@ def _cmd_reduce(args) -> int:
     crn, embedded = _load(args.input)
     inits = _inits(args, crn, embedded)
     mode = _MODES[args.mode]
-    if (
-        mode is BisimMode.BACKWARD
-        and not args.partition
-        and not args.from_inits
-        and inits is not None
-        and not inits.constant_on(Partition.trivial(crn))
-    ):
-        print(
-            "warning: backward mode with unequal initial conditions; "
-            "consider --from-inits or --partition",
-            file=sys.stderr,
-        )
     initial = _initial_partition(args, crn, inits)
-    trace = refine(crn, initial, mode)
-    reduced = (
-        forward_reduce(crn, trace.final)
-        if mode is BisimMode.FORWARD
-        else backward_reduce(crn, trace.final)
-    )
+    _warn_unequal_inits(args, inits, initial)
+    trace, reduced, _, _ = _refine_and_reduce(crn, initial, mode)
     text = serialize_crn(reduced.crn)
     # Format everything before writing anything, so a number too long to
     # print fails the command without partial output.
@@ -157,7 +178,7 @@ def _cmd_reduce(args) -> int:
     for block in trace.final.blocks:
         sizes[len(block)] = sizes.get(len(block), 0) + 1
     report = [
-        f"mode: {mode}",
+        f"mode: {mode.bisim}",
         f"initial blocks: {initial.n_blocks}",
         f"iterations: {trace.passes}",
         f"final blocks: {trace.final.n_blocks}",
@@ -184,8 +205,7 @@ def _cmd_check(args) -> int:
     crn, _ = _load(args.input)
     p = _initial_partition(args, crn, None)
     if args.what in ("bisim-fb", "bisim-bb"):
-        mode = BisimMode.FORWARD if args.what == "bisim-fb" else BisimMode.BACKWARD
-        witness = find_counterexample(crn, p, mode)
+        witness = find_counterexample(crn, p, _MODES[args.what.removeprefix("bisim-")].bisim)
         if witness is None:
             print(f"{args.what} holds for {p!r}")
             return 0
@@ -223,12 +243,7 @@ def _cmd_odes(args) -> int:
         raise CRNError(f"odes: --partition and --mode go together; {missing} is missing")
     crn, _ = _load(args.input)
     if args.partition:
-        p = _initial_partition(args, crn, None)
-        field = (
-            lumped_field_forward(crn, p)
-            if _MODES[args.mode] is BisimMode.FORWARD
-            else lumped_field_backward(crn, p)
-        )
+        field = _MODES[args.mode].lumped_field(crn, _initial_partition(args, crn, None))
     else:
         field = vector_field(crn)
     _write(format_vector_field(field), args.out)
@@ -274,19 +289,9 @@ def _cmd_compare(args) -> int:
     v0 = _inits(args, crn, embedded)
     if v0 is None:
         raise PartitionError("no initial conditions (use --init or init: lines)")
-    mode = _MODES[args.mode]
+    mode = _MODES[args.mode].bisim
     initial = _initial_partition(args, crn, v0)
-    if (
-        mode is BisimMode.BACKWARD
-        and not args.partition
-        and not args.from_inits
-        and not v0.constant_on(initial)
-    ):
-        print(
-            "warning: backward mode with unequal initial conditions; "
-            "consider --from-inits",
-            file=sys.stderr,
-        )
+    _warn_unequal_inits(args, v0, initial)
     trace = refine(crn, initial, mode)
     verify = verify_forward if mode is BisimMode.FORWARD else verify_backward
     with _warnings_as_lines():
@@ -332,24 +337,21 @@ def _site_counts(text: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    inits = None
     if args.model == "multisite":
         sites = _at_most(_MAX_SITES, "--sites", _at_least(1, "--sites", args.sites))
-        spec = MultisiteSpec(n_sites=sites)
-        crn, inits = multisite(spec)
-        _write(serialize_crn(crn, inits=inits), args.out)
-        return 0
-    if args.model == "two-state":
+        crn, inits = multisite(MultisiteSpec(n_sites=sites))
+    elif args.model == "two-state":
         crn = two_state(*_rate_pair(args.rates))
-        _write(serialize_crn(crn), args.out)
-        return 0
-    crn = random_crn(
-        args.seed,
-        _at_most(_REACTION_GUARD, "--species", _at_least(1, "--species", args.species)),
-        _at_most(
-            _REACTION_GUARD, "--reactions", _at_least(0, "--reactions", args.reactions)
-        ),
-    )
-    _write(serialize_crn(crn), args.out)
+    else:
+        crn = random_crn(
+            args.seed,
+            _at_most(_REACTION_GUARD, "--species", _at_least(1, "--species", args.species)),
+            _at_most(
+                _REACTION_GUARD, "--reactions", _at_least(0, "--reactions", args.reactions)
+            ),
+        )
+    _write(serialize_crn(crn, inits=inits), args.out)
     return 0
 
 
@@ -358,24 +360,15 @@ def _cmd_bench(args) -> int:
     for n in _site_counts(args.sites):
         crn, inits = multisite(MultisiteSpec(n_sites=n))
         for mode_name, mode in _MODES.items():
-            initial = (
-                partition_from_initial_conditions(inits)
-                if mode is BisimMode.BACKWARD
-                else Partition.trivial(crn)
-            )
-            t0 = time.perf_counter()
-            trace = refine(crn, initial, mode)
-            t1 = time.perf_counter()
-            reduced = (
-                forward_reduce(crn, trace.final)
-                if mode is BisimMode.FORWARD
-                else backward_reduce(crn, trace.final)
-            )
-            t2 = time.perf_counter()
+            if mode.bisim is BisimMode.BACKWARD:
+                initial = partition_from_initial_conditions(inits)
+            else:
+                initial = Partition.trivial(crn)
+            _, reduced, refine_s, reduce_s = _refine_and_reduce(crn, initial, mode)
             rows.append(
                 f"multisite-n{n},{crn.n_reactions},{crn.n_species},{mode_name},"
                 f"{reduced.crn.n_reactions},{reduced.crn.n_species},"
-                f"{(t1 - t0) * 1000:.1f},{(t2 - t1) * 1000:.1f}"
+                f"{refine_s * 1000:.1f},{reduce_s * 1000:.1f}"
             )
     _write("\n".join(rows) + "\n", args.out)
     return 0
@@ -480,10 +473,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ParseError as err:
+    except (OSError, ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except IntegrationError as err:

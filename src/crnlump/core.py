@@ -5,7 +5,9 @@ partitions.  A partition carries one species-to-block index
 (``Partition.block_index``); every layer reads blocks from it, and the
 choice map that sends every species to the least member of its block is
 :meth:`Partition.representative`; :func:`check_partition` rejects a
-partition of another network.
+partition of another network.  ``_lift`` maps a reaction side through a
+block index and ``_representative_mask`` marks each block's
+representative, for every layer that needs either.
 
 Only this module turns reactions into integers, into three tables per
 network.  :func:`scaled_reactions` is the one integer reaction list:
@@ -18,8 +20,10 @@ signatures, the vector field, the block sums and the integrator read the
 flux table; the forward signatures read the forward table; both quotient
 constructions and the printer read the reaction list.
 :func:`require_elementary` is the check that the signatures need: every
-reaction has one or two reactant molecules.  Rates become integers only
-in ``_scale_rates``.
+reaction has one or two reactant molecules.  ``_reaction_problems``
+states that rule and the positive rate once, for this check,
+:func:`validate` and both parsers.  Rates become integers only in
+``_scale_rates``.
 
 A network holds only its reaction list.  The ``.net`` importer,
 :func:`make_crn` and the generators hand their rows to ``_crn_from_rows``,
@@ -61,6 +65,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -374,20 +379,25 @@ def validate(crn: CRN) -> list[str]:
     """
     violations = []
     for i, (reactants, _, value) in enumerate(scaled_reactions(crn)[1]):
-        problems = []
-        if value <= 0:
-            problems.append("rate must be positive")
-        total = sum(m for _, m in reactants)
-        if total == 0:
-            problems.append("reactants must contain at least one species")
-        elif total > 2:
-            problems.append("reactants exceed multiplicity 2")
+        problems = _reaction_problems(value, sum(m for _, m in reactants))
         if problems:
             # Only a reported reaction is printed: its text costs more
             # than all of these checks.
             where = f"reaction {i} ({_reaction_text(crn, i)})"
             violations.extend(f"{where}: {problem}" for problem in problems)
     return violations
+
+
+def _reaction_problems(rate: int | Fraction = 1, molecules: int = 1) -> tuple[str, ...]:
+    """What a reaction with ``rate`` and ``molecules`` reactant molecules
+    breaks of the reaction rule, in report order; empty when nothing.  A
+    caller that checks one part leaves the other at its passing default."""
+    problems = () if rate > 0 else ("rate must be positive",)
+    if molecules == 0:
+        return problems + ("reactants must contain at least one species",)
+    if molecules > 2:
+        return problems + ("reactants exceed multiplicity 2",)
+    return problems
 
 
 def _memo(crn: CRN, slot: str, build):
@@ -566,15 +576,11 @@ def _reaction_text(crn: CRN, i: int) -> str:
 
 def _first_non_elementary(crn: CRN) -> int:
     """Index of the first reaction without one or two reactant molecules,
-    or -1."""
-    for i, (pairs, _, _) in enumerate(scaled_reactions(crn)[1]):
-        # One species once or twice, or two species once each.
-        if not (
-            len(pairs) == 1 and pairs[0][1] <= 2
-            or len(pairs) == 2 and pairs[0][1] == pairs[1][1] == 1
-        ):
-            return i
-    return -1
+    or -1.  The rule is asked once per distinct molecule count."""
+    mult = itemgetter(1)
+    counts = [sum(map(mult, pairs)) for pairs, _, _ in scaled_reactions(crn)[1]]
+    bad = [counts.index(m) for m in set(counts) if _reaction_problems(molecules=m)]
+    return min(bad, default=-1)
 
 
 class Partition:
@@ -682,6 +688,33 @@ def check_partition(crn: CRN, p: Partition) -> None:
     passes."""
     if p.species != crn.species:
         raise PartitionError("partition is not over the species of this network")
+
+
+def _representative_mask(p: Partition) -> list[bool]:
+    """Per species id, whether the species is its block's representative."""
+    mask = [False] * len(p.species)
+    for block in p.blocks:
+        mask[block[0].id] = True
+    return mask
+
+
+def _lift(pairs: Pairs, index: Sequence[int]) -> Pairs:
+    """A side's ``(species id, multiplicity)`` pairs, in any order, as
+    ``(block, multiplicity)`` pairs under the species-to-block ``index``,
+    in block order; one or two pairs (every elementary side) skip the dict."""
+    if len(pairs) == 1:
+        ((sid, mult),) = pairs
+        return ((index[sid], mult),)
+    if len(pairs) == 2:
+        (a, m), (b, n) = pairs
+        a, b = index[a], index[b]
+        if a == b:
+            return ((a, m + n),)
+        return ((a, m), (b, n)) if a < b else ((b, n), (a, m))
+    acc: dict[int, int] = {}
+    for sid, mult in pairs:
+        acc[index[sid]] = acc.get(index[sid], 0) + mult
+    return tuple(sorted(acc.items()))
 
 
 def quotient_species(p: Partition) -> tuple[Species, ...]:

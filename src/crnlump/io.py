@@ -48,6 +48,7 @@ from .core import (
     _check_initial_condition,
     _crn_from_rows,
     _format_side,
+    _reaction_problems,
     _scale_rates,
     _side_key,
     format_rational,
@@ -211,16 +212,16 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     order: list[str] = []
     seen: set[str] = set()
     # Distinct stripped side texts in order of first appearance, as
-    # (pairs, molecule count, first line).  ``side_index`` maps each of
-    # them, and each raw text that was cut out as a side, to its index.
-    # Only a balanced text is parsed into a side, so a raw text found there
-    # is balanced and was cut at the separator at depth zero.
+    # (pairs, their reactant-rule problems, first line).  ``side_index`` maps
+    # each of them, and each raw text that was cut out as a side, to its
+    # index.  Only a balanced text is parsed into a side, so a raw text
+    # found there is balanced and was cut at the separator at depth zero.
     side_index: dict[str, int] = {}
-    sides: list[tuple[list[tuple[str, int]], int, int]] = []
+    sides: list[tuple[list[tuple[str, int]], tuple[str, ...], int]] = []
     # Distinct number texts map to their values; distinct rate texts to
-    # their index in ``rates`` and whether the rate is positive.
+    # their index in ``rates`` and what the rate breaks of the rule.
     numbers: dict[str, Fraction] = {}
-    rate_index: dict[str, tuple[int, bool]] = {}
+    rate_index: dict[str, tuple[int, tuple[str, ...]]] = {}
     rates: list[Fraction] = []
 
     def note(name: str) -> None:
@@ -236,7 +237,7 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         if index is None:
             pairs = _parse_side(text, lineno)
             index = side_index[text] = len(sides)
-            sides.append((pairs, sum(m for _, m in pairs), lineno))
+            sides.append((pairs, _reaction_problems(molecules=sum(m for _, m in pairs)), lineno))
             for name, _ in pairs:
                 note(name)
         side_index[raw] = index
@@ -300,18 +301,14 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         entry = rate_index.get(rate_text)
         if entry is None:
             value = number(rate_text, lineno)
-            entry = rate_index[rate_text] = (len(rates), value > 0)
+            entry = rate_index[rate_text] = (len(rates), _reaction_problems(rate=value))
             rates.append(value)
         if rhs is None:
             rhs = side(products, lineno)
-        rate, positive = entry
-        if not positive:
-            raise ParseError("rate must be positive", lineno)
-        total = sides[lhs][1]
-        if total == 0:
-            raise ParseError("reactants must contain at least one species", lineno)
-        if total > 2:
-            raise ParseError("reactants exceed multiplicity 2", lineno)
+        rate, problems = entry
+        problems = problems or sides[lhs][1]
+        if problems:
+            raise ParseError(problems[0], lineno)
         reaction_rows.append((lhs, rate, rhs))
 
     names = header if header is not None else order
@@ -483,13 +480,13 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
             raise ParseError(f"bad reaction line {line!r}", lineno)
         _, reactants_field, products_field, rate_expr = tokens[:4]
         rate = _net_rate(rate_expr, params, lineno)
-        if rate <= 0:
-            raise ParseError("rate must be positive", lineno)
-        reactant_ids = _net_indices(reactants_field, len(species), lineno)
-        if not reactant_ids:
-            raise ParseError("reactants must contain at least one species", lineno)
-        if len(reactant_ids) > 2:
-            raise ParseError("reactants exceed multiplicity 2", lineno)
+        # The rate is checked before the reactant field is read.
+        problems = _reaction_problems(rate=rate)
+        if not problems:
+            reactant_ids = _net_indices(reactants_field, len(species), lineno)
+            problems = _reaction_problems(molecules=len(reactant_ids))
+        if problems:
+            raise ParseError(problems[0], lineno)
         product_ids = _net_indices(products_field, len(species), lineno)
         lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
         rows.append((lhs, rate, rhs))

@@ -33,6 +33,7 @@ from .core import (
     NotLumpableError,
     Partition,
     Species,
+    _representative_mask,
     check_partition,
     flux_table,
     format_rational,
@@ -346,9 +347,7 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     # each block's least member to the block variable and zeroing the rest
     # recovers the block-sum polynomial exactly.  The renaming is one to
     # one on the monomials it keeps, so no terms merge.
-    section = [
-        idx if p.blocks[idx][0].id == sid else None for sid, idx in enumerate(p.block_index)
-    ]
+    section = [idx if rep else None for rep, idx in zip(_representative_mask(p), p.block_index)]
     qspecies = quotient_species(p)
     components = {
         qspecies[idx]: _polynomial(

@@ -3,18 +3,19 @@
 Both constructions read the network's integer reaction list,
 :func:`crnlump.core.scaled_reactions`: each reaction's reactant and
 product ``(species id, multiplicity)`` pairs and its rate times L.  Both
-first check that the partition is a bisimulation of their mode.  The
-check reads the network's rate tables, which a ``refine`` on the same
-network object has already built, so it adds only a per-partition pass.
+first check that the partition is a bisimulation of their mode, which
+also rejects a partition of another network.  The check reads the
+network's rate tables, which a ``refine`` on the same network object has
+already built, so it adds only a per-partition pass.
 
 Forward reduction keeps only the reactions whose reactants are all block
 representatives; the reduced network's ODEs govern the block sums of the
 original.  Backward reduction pins every non-representative product
 multiplicity to its reactant multiplicity; the reduced network's ODEs
-govern the representative trajectories.  Both then lift each side they
-keep to ``(block, multiplicity)`` pairs through the partition's block
-index and fuse duplicates by summing their rates as ints.  The fused
-rows, sorted, are the quotient's integer reaction list; its
+govern the representative trajectories (``core._representative_mask``).
+Both then lift each side they keep to ``(block, multiplicity)`` pairs by
+``core._lift`` and fuse duplicates by summing their rates as ints.  The
+fused rows, sorted, are the quotient's integer reaction list; its
 :class:`~crnlump.core.Reaction` objects are built only when read.
 
 Both constructions count their elementary steps (species slots touched
@@ -35,7 +36,8 @@ from .core import (
     Pairs,
     Partition,
     Species,
-    check_partition,
+    _lift,
+    _representative_mask,
     quotient_species,
     scaled_reactions,
 )
@@ -60,15 +62,6 @@ class ReducedCRN:
     def reduced_species_of(self, sp: Species) -> Species:
         """The reduced-network species standing for an original species."""
         return self.crn.species[self.partition.block_of(sp)]
-
-
-def _lift(pairs: Pairs, block_index: tuple[int, ...]) -> Pairs:
-    """The side's ``(block, multiplicity)`` pairs, in block order."""
-    acc: dict[int, int] = {}
-    for sid, mult in pairs:
-        block = block_index[sid]
-        acc[block] = acc.get(block, 0) + mult
-    return tuple(sorted(acc.items()))
 
 
 def _quotient(
@@ -111,10 +104,9 @@ def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     ``crn``, and :class:`NotBisimulationError` unless it is a forward
     bisimulation.
     """
-    check_partition(crn, p)
     if not is_bisimulation(crn, p, BisimMode.FORWARD):
         raise NotBisimulationError("partition is not a forward bisimulation")
-    is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
+    is_rep = _representative_mask(p)
     scale, rows = scaled_reactions(crn)
     # A reactant that is not its block's representative drops the reaction.
     kept = [row for row in rows if all(is_rep[sid] for sid, _ in row[0])]
@@ -128,10 +120,9 @@ def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     ``crn``, and :class:`NotBisimulationError` unless it is a backward
     bisimulation.
     """
-    check_partition(crn, p)
     if not is_bisimulation(crn, p, BisimMode.BACKWARD):
         raise NotBisimulationError("partition is not a backward bisimulation")
-    is_rep = [p.blocks[b][0].id == sid for sid, b in enumerate(p.block_index)]
+    is_rep = _representative_mask(p)
     scale, rows = scaled_reactions(crn)
 
     def pinned():

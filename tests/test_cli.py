@@ -195,8 +195,7 @@ def test_beyond_the_float_range_exits_3(tmp_path, capsys, command, text):
 
 
 RTOL_WARNING = (
-    "warning: At least one element of `rtol` is too small. "
-    "Setting `rtol = np.maximum(rtol, 2.220446049250313e-14)`.\n"
+    "warning: rtol 1e-17 is below 100 machine epsilons; using 2.220446049250313e-14\n"
 )
 
 
@@ -235,6 +234,64 @@ def test_compare_backward_unequal_inits_exits_2(model, tmp_path, capsys):
     assert main(["compare", str(model), "--mode", "bb", "--init", str(init), "--t-end", "1"]) == 2
     err = capsys.readouterr().err
     assert "block equality" in err
+
+
+BACKWARD_WARNING = (
+    "warning: backward mode with unequal initial conditions; "
+    "consider --from-inits or --partition\n"
+)
+
+# Unequal, but constant on the coarsest backward bisimulation of the one
+# block, {A, B} {C} {D} {E}, so that compare passes.
+UNEQUAL_INITS = "A = 1\nB = 1\nC = 2\nD = 3\nE = 4\n"
+
+WARNING_COMMANDS = [
+    ["reduce", "--out", "red.crn"],
+    ["compare", "--t-end", "1"],
+]
+
+
+def _run(capsys, argv):
+    """Exit code, stdout and stderr of ``main(argv)``, and the text of the
+    ``red.crn`` it wrote, if any."""
+    code = main(argv)
+    out = Path("red.crn")
+    written = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, written
+
+
+@pytest.mark.parametrize("command", WARNING_COMMANDS, ids=lambda command: command[0])
+def test_backward_warning_on_unequal_inits(model, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    Path("init.txt").write_text(UNEQUAL_INITS)
+    Path("one-block.txt").write_text("")
+    argv = [command[0], str(model), "--mode", "bb", "--init", "init.txt", *command[1:]]
+    # The one-block partition named in a file starts the same refinement
+    # and warns of nothing.
+    code, out, err, written = _run(capsys, [*argv, "--partition", "one-block.txt"])
+    assert (code, err) == (0, "")
+    assert _run(capsys, argv) == (code, out, BACKWARD_WARNING, written)
+
+
+@pytest.mark.parametrize("command", WARNING_COMMANDS, ids=lambda command: command[0])
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--mode", "bb", "--init", "init.txt", "--from-inits"],
+        ["--mode", "bb", "--init", "init.txt", "--partition", "blocks.txt"],
+        ["--mode", "fb", "--init", "init.txt"],
+        ["--mode", "bb"],
+    ],
+    ids=["from-inits", "partition", "fb", "constant-inits"],
+)
+def test_no_backward_warning(model, tmp_path, monkeypatch, capsys, command, options):
+    monkeypatch.chdir(tmp_path)
+    Path("init.txt").write_text(UNEQUAL_INITS)
+    Path("blocks.txt").write_text("A, B\nC\nD\nE\n")
+    code, _, err, _ = _run(capsys, [command[0], str(model), *options, *command[1:]])
+    assert (code, err) == (0, "")
 
 
 def test_compare_impossible_tolerance_fails(model, capsys):

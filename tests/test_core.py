@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from crnlump import (
     BisimMode,
     CRNError,
     InitialCondition,
+    ParseError,
     Multiset,
     MultisiteSpec,
     Partition,
@@ -16,6 +18,7 @@ from crnlump import (
     backward_reduce,
     find_counterexample,
     forward_reduce,
+    import_bngl_net,
     is_bisimulation,
     is_exactly_lumpable,
     is_ordinarily_lumpable,
@@ -287,6 +290,71 @@ def test_lift_multiset_accumulates(crn, h_e, h_o):
     assert lifted == Multiset([(crn.by_name("C"), 2), (d, 1)])
     m = Multiset.of(a, b, b)
     assert _lift(m, choice_map(Partition.discrete(crn))) == m
+
+
+def test_core_lift_equals_the_oracle_lift():
+    # Sides of 1-4 pairs in any order, the same species possibly twice,
+    # through random block indexes whose blocks often collect two of them.
+    rng = random.Random(19)
+    species = [Species(i, f"S{i}") for i in range(6)]
+    for _ in range(3000):
+        n_blocks = rng.randint(1, len(species))
+        index = [rng.randrange(n_blocks) for _ in species]
+        targets = [Species(b, f"B{b}") for b in range(n_blocks)]
+        pairs = tuple(
+            (rng.randrange(len(species)), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))
+        )
+        expected = _lift(
+            Multiset((species[sid], m) for sid, m in pairs),
+            {sp: targets[index[sp.id]] for sp in species},
+        )
+        assert core._lift(pairs, index) == tuple((sp.id, m) for sp, m in expected)
+
+
+# Reactant sides of 0-4 molecules: the mapping make_crn takes, the native
+# text and the .net reactant field (species A, B, C, D are 1-4).
+REACTANT_SIDES = [
+    ({}, "0", "0"),
+    ({"A": 1}, "A", "1"),
+    ({"A": 2}, "2A", "1,1"),
+    ({"A": 1, "B": 1}, "A + B", "1,2"),
+    ({"A": 3}, "3A", "1,1,1"),
+    ({"A": 2, "B": 1}, "2A + B", "2,1,1"),
+    ({"A": 2, "B": 2}, "2A + 2B", "1,2,1,2"),
+    ({"A": 1, "B": 1, "C": 1, "D": 1}, "A + B + C + D", "4,3,2,1"),
+]
+
+
+@pytest.mark.parametrize("rate", ["1/2", "0", "-3"])
+@pytest.mark.parametrize("side", REACTANT_SIDES, ids=lambda side: side[1])
+def test_every_reader_applies_one_reaction_rule(side, rate):
+    reactants, text, field = side
+    molecules = sum(reactants.values())
+    expected = [] if Fraction(rate) > 0 else ["rate must be positive"]
+    if molecules == 0:
+        expected.append("reactants must contain at least one species")
+    elif molecules > 2:
+        expected.append("reactants exceed multiplicity 2")
+
+    crn = make_crn(["A", "B", "C", "D"], [(reactants, rate, {"C": 1})])
+    assert [v.rsplit(": ", 1)[1] for v in validate(crn)] == expected
+    if 1 <= molecules <= 2:
+        require_elementary(crn)
+    else:
+        with pytest.raises(CRNError, match="not elementary"):
+            require_elementary(crn)
+
+    native = f"species: A B C D\n{text} -> C , {rate}\n"
+    net = (
+        "begin species\n1 A 0\n2 B 0\n3 C 0\n4 D 0\nend species\n"
+        f"begin reactions\n1 {field} 3 {rate}\nend reactions\n"
+    )
+    for parse, source, line in ((parse_crn, native, 2), (import_bngl_net, net, 8)):
+        if expected:
+            with pytest.raises(ParseError, match=f"^line {line}: {expected[0]}$"):
+                parse(source)
+        else:
+            assert parse(source)[0] == crn
 
 
 def test_quotient_species_renumbers_representatives(crn, h_o):
