@@ -42,7 +42,11 @@ class to the new one.  Within a block, the species that no split touched
 still share one signature, so a pass buckets the touched species and one
 untouched member.  This gives the same partitions, pass for pass, as
 recomputing every signature on every pass, which the tests keep as their
-oracle; each species is in a splitter at most log2(n) times.
+oracle; each species is in a splitter at most log2(n) times.  Both
+``retarget`` loops apply each move inline, with the block labels and
+ranges bound to locals: the entry's value leaves its old key and joins
+its new one, and a key whose sum becomes zero is dropped.  A species in
+a singleton is skipped, since no later pass reads its signature.
 
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
@@ -245,13 +249,28 @@ class _ForwardSignatures:
                 for (partner, yid), val in entries.items():
                     producers[yid].append((x, partner, val))
         folded = self.folded
+        block_of, first, end = blocks.block_of, blocks.first, blocks.end
         touched: dict[int, None] = {}
         for piece, parent in pieces:
             for y in blocks.members(piece):
                 for x, partner, val in producers[y]:
-                    if blocks.in_singleton(x):
+                    b = block_of[x]
+                    if end[b] - first[b] == 1:
                         continue
-                    _move(folded[x], (partner, parent), (partner, piece), val)
+                    # Move ``val`` between the two keys, dropping a zero
+                    # (``val`` is nonzero, so a zero key was present).
+                    values = folded[x]
+                    old, new = (partner, parent), (partner, piece)
+                    v = values.get(old, 0) - val
+                    if v:
+                        values[old] = v
+                    else:
+                        del values[old]
+                    v = values.get(new, 0) + val
+                    if v:
+                        values[new] = v
+                    else:
+                        del values[new]
                     touched[x] = None
         return list(touched)
 
@@ -322,16 +341,29 @@ class _BackwardSignatures:
             for y in blocks.members(piece):
                 for e in by_reactant[y]:
                     dirty[e] = None
-        sums, class_of, block_of = self.sums, self._class_of, blocks.block_of
+        sums, class_of, entry_class, rows = self.sums, self._class_of, self.entry_class, self._rows
+        block_of, first, end = blocks.block_of, blocks.first, blocks.end
         touched: dict[int, None] = {}
         for e in dirty:
-            old = self.entry_class[e]
-            key, support = self._rows[e]
-            new = self.entry_class[e] = class_of.setdefault(_lift(key, block_of), len(class_of))
+            old = entry_class[e]
+            key, support = rows[e]
+            new = entry_class[e] = class_of.setdefault(_lift(key, block_of), len(class_of))
             for sid, val in support:
-                if blocks.in_singleton(sid):
+                b = block_of[sid]
+                if end[b] - first[b] == 1:
                     continue
-                _move(sums[sid], old, new, val)
+                # As forward: move ``val`` from ``old`` to ``new``, no zeros kept.
+                values = sums[sid]
+                v = values.get(old, 0) - val
+                if v:
+                    values[old] = v
+                else:
+                    del values[old]
+                v = values.get(new, 0) + val
+                if v:
+                    values[new] = v
+                else:
+                    del values[new]
                 touched[sid] = None
         return list(touched)
 
@@ -347,15 +379,6 @@ class _BackwardSignatures:
             f"cumulative flux over reactant class {{{', '.join(map(_format_side, members))}}}: "
             f"{_gives(x, vx, y, vy, self.scale)}"
         )
-
-
-def _move(values: dict, old, new, val: int) -> None:
-    """Move ``val`` from key ``old`` to key ``new``, dropping zeros."""
-    for k, v in ((old, values.get(old, 0) - val), (new, values.get(new, 0) + val)):
-        if v:
-            values[k] = v
-        else:
-            values.pop(k, None)
 
 
 def _gives(x: Species, vx: int, y: Species, vy: int, scale: int) -> str:

@@ -20,7 +20,9 @@ signatures, the vector field, the block sums and the integrator read the
 flux table; the forward signatures read the forward table; both quotient
 constructions and the printer read the reaction list.
 :func:`require_elementary` is the check that the signatures need: every
-reaction has one or two reactant molecules.  ``_reaction_problems``
+reaction has one or two reactant molecules.  Both parsers refuse every
+other reaction and build their networks marked elementary, so the check
+scans the rows only of a network built another way.  ``_reaction_problems``
 states that rule and the positive rate once, for this check,
 :func:`validate` and both parsers.  Rates become integers only in
 ``_scale_rates``.
@@ -290,12 +292,22 @@ class CRN:
 
     @classmethod
     def _from_scaled(
-        cls, species: Sequence[Species], scale: int, rows: tuple[tuple[Pairs, Pairs, int], ...]
+        cls,
+        species: Sequence[Species],
+        scale: int,
+        rows: tuple[tuple[Pairs, Pairs, int], ...],
+        *,
+        elementary: bool = False,
     ) -> "CRN":
-        """The network whose :func:`scaled_reactions` are ``(scale, rows)``."""
+        """The network whose :func:`scaled_reactions` are ``(scale, rows)``.
+        A caller that has already refused every reaction without one or two
+        reactant molecules passes ``elementary``, so that
+        :func:`require_elementary` need not scan the rows again."""
         crn = cls.__new__(cls)
         crn._set_species(species)
         crn._scaled = (scale, rows)
+        if elementary:
+            crn._elementary = -1
         return crn
 
     def _set_species(self, species: Sequence[Species]) -> None:
@@ -426,10 +438,21 @@ def _scale_rates(rates: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
 
 
-def _side_key(pairs: Iterable[tuple[int, int]]) -> Pairs:
+def _side_key(pairs: Sequence[tuple[int, int]]) -> Pairs:
     """A reaction side's ``(species id, multiplicity)`` pairs as a
     :class:`Multiset` keeps them: equal ids merged, zero multiplicities
-    dropped, in id order."""
+    dropped, in id order; one or two pairs with nonzero multiplicities
+    (every elementary side) skip the dict."""
+    if len(pairs) == 1:
+        ((sid, mult),) = pairs
+        if mult:
+            return ((sid, mult),)
+    elif len(pairs) == 2:
+        (a, m), (b, n) = pairs
+        if m and n:
+            if a == b:
+                return ((a, m + n),)
+            return ((a, m), (b, n)) if a < b else ((b, n), (a, m))
     acc: dict[int, int] = {}
     for sid, mult in pairs:
         if mult:
@@ -455,10 +478,13 @@ def _scaled_rows(rows: Iterable[tuple]) -> tuple[int, tuple[tuple[Pairs, Pairs, 
     return scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(rows, scaled))
 
 
-def _crn_from_rows(species: Sequence[Species], rows: Iterable[tuple]) -> CRN:
+def _crn_from_rows(
+    species: Sequence[Species], rows: Iterable[tuple], *, elementary: bool = False
+) -> CRN:
     """The network over ``species`` with one reaction per row ``(reactant
-    pairs, rate, product pairs)`` (see :func:`_scaled_rows`)."""
-    return CRN._from_scaled(species, *_scaled_rows(rows))
+    pairs, rate, product pairs)`` (see :func:`_scaled_rows`); ``elementary``
+    as for ``CRN._from_scaled``."""
+    return CRN._from_scaled(species, *_scaled_rows(rows), elementary=elementary)
 
 
 def _build_reactions(crn: CRN) -> tuple[Reaction, ...]:

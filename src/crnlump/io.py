@@ -17,12 +17,25 @@ parentheses with nested commas (as BioNetGen complex patterns do);
 separators are only recognized at bracket depth zero.  A reaction line
 is cut at its first ``->`` and its last ``,``; only when the text before
 the cut is unbalanced do the bracket-counting scans look for the
-separator at depth zero.  Each distinct reaction side and number literal
-is parsed and checked for balance once per text.  :func:`parse_crn` and
-:func:`import_bngl_net` build the network's integer reaction list
-(:func:`crnlump.core.scaled_reactions`) directly, and :func:`serialize_crn`
-prints from it; no :class:`Reaction` object is built unless something
-reads ``CRN.reactions``.
+separator at depth zero.
+
+Each distinct term (the text between two ``+`` of a side) is parsed
+once per text: a cache local to one :func:`parse_crn` call keeps its
+bracket depth and its ``(name, multiplicity)`` pair or what is wrong
+with it.  Bracket depth adds up over concatenation, and ``+`` and
+whitespace add nothing, so a side's depth is the sum of its terms'
+depths: a new side needs no scan of its own to tell whether it is
+balanced.  A term's fault is raised only when a side uses the term
+whole, with that side's line.  Each distinct side, rate and number
+literal is then checked once, each raw text found by its stripped text,
+and the reactant rule asked once per distinct molecule count.  A line
+reports the first of its faults in this order: its reactants' syntax,
+its rate's, its products', then the reaction rule.
+:func:`parse_crn` and :func:`import_bngl_net` build the network's
+integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
+marked elementary, since both refuse every other reaction, and
+:func:`serialize_crn` prints from it; no :class:`Reaction` object is
+built unless something reads ``CRN.reactions``.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -172,29 +185,21 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_side(text: str, line: int) -> list[tuple[str, int]]:
-    """A stripped reaction side as (name, multiplicity) pairs; '0' is the
-    empty side."""
-    if text == "0":
-        return []
-    if not text:
-        raise ParseError("empty reaction side", line)
-    pairs = []
-    for raw in _split_top(text, "+"):
-        term = raw.strip()
-        if not term:
-            raise ParseError("empty term in reaction side", line)
-        match = _COEFF_RE.match(term)
-        if match and not match.group(2)[0].isdigit():
-            mult, name = int(match.group(1)), match.group(2).strip()
-        else:
-            mult, name = 1, term
-        if _SPACE_RE.search(name):
-            raise ParseError(f"species name contains whitespace: {name!r}", line)
-        if name[0].isdigit():
-            raise ParseError(f"species name may not start with a digit: {name!r}", line)
-        pairs.append((name, mult))
-    return pairs
+def _parse_term(term: str) -> tuple[tuple[str, int] | None, str | None]:
+    """A stripped term of a reaction side as ``((name, multiplicity),
+    None)``, or ``(None, what is wrong with it)``."""
+    if not term:
+        return None, "empty term in reaction side"
+    match = _COEFF_RE.match(term)
+    if match and not match.group(2)[0].isdigit():
+        mult, name = int(match.group(1)), match.group(2).strip()
+    else:
+        mult, name = 1, term
+    if _SPACE_RE.search(name):
+        return None, f"species name contains whitespace: {name!r}"
+    if name[0].isdigit():
+        return None, f"species name may not start with a digit: {name!r}"
+    return (name, mult), None
 
 
 def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
@@ -209,37 +214,83 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     header: list[str] | None = None
     reaction_rows: list[tuple[int, int, int]] = []
     init_rows: dict[str, tuple[int, Fraction]] = {}
-    order: list[str] = []
-    seen: set[str] = set()
+    # Every name met, in order of first appearance (a dict keeps the first).
+    order: dict[str, None] = {}
+    # Each distinct stripped term maps to its bracket depth, its (name,
+    # multiplicity) pair and what is wrong with it (one of the two is
+    # None); ``plain`` maps each balanced term without fault to its pair.
+    # An error is raised only when a side uses the term whole, with the
+    # line of that side.
+    terms: dict[str, tuple[int, tuple[str, int] | None, str | None]] = {}
+    plain: dict[str, tuple[str, int]] = {}
     # Distinct stripped side texts in order of first appearance, as
-    # (pairs, their reactant-rule problems, first line).  ``side_index`` maps
-    # each of them, and each raw text that was cut out as a side, to its
-    # index.  Only a balanced text is parsed into a side, so a raw text
-    # found there is balanced and was cut at the separator at depth zero.
+    # (pairs, their reactant-rule problems, first line); a side that does
+    # not parse has pairs None and its error as its one problem, and ends
+    # the parse on the line that adds it.  ``side_index`` maps each of
+    # them, and each raw text that was cut out as a side, to its index.
+    # Only a balanced text is a side, so a raw text found there was cut at
+    # depth zero.
     side_index: dict[str, int] = {}
-    sides: list[tuple[list[tuple[str, int]], tuple[str, ...], int]] = []
+    sides: list[tuple[list[tuple[str, int]] | None, tuple[str, ...], int]] = []
+    # The reactant rule's problems per molecule count.
+    rule: dict[int, tuple[str, ...]] = {}
     # Distinct number texts map to their values; distinct rate texts to
     # their index in ``rates`` and what the rate breaks of the rule.
     numbers: dict[str, Fraction] = {}
     rate_index: dict[str, tuple[int, tuple[str, ...]]] = {}
     rates: list[Fraction] = []
 
-    def note(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
+    def term(raw: str) -> tuple[int, tuple[str, int] | None, str | None]:
+        """The entry of the term ``raw``, parsed the first time its
+        stripped text appears."""
+        text = raw.strip()
+        entry = terms.get(text)
+        if entry is None:
+            entry = terms[text] = (_depth(text), *_parse_term(text))
+            depth, pair, _ = entry
+            if pair is not None and not depth:
+                plain[text] = pair
+        return entry
 
-    def side(raw: str, lineno: int) -> int:
-        """The index in ``sides`` of the balanced side text ``raw``, parsed
-        and its names noted the first time its stripped text appears."""
+    def side(raw: str, lineno: int) -> int | None:
+        """The index in ``sides`` of the side text ``raw``, added the first
+        time its stripped text appears; None when ``raw`` is not balanced.
+        Bracket depth adds up over concatenation, so a text's depth is the
+        sum of its terms' and needs no scan of its own."""
         text = raw.strip()
         index = side_index.get(text)
         if index is None:
-            pairs = _parse_side(text, lineno)
+            # Most new sides are made of balanced, faultless terms met before.
+            pairs = [plain.get(part.strip()) for part in text.split("+")]
+            error = None
+            if None in pairs:
+                entries = [term(part) for part in text.split("+")]
+                depths = [depth for depth, _, _ in entries]
+                if any(depths):
+                    if sum(depths):
+                        return None
+                    if any(depths[:-1]):
+                        # A '+' sits inside brackets: cut only at depth zero.
+                        entries = [term(part) for part in _split_top(text, "+")]
+                pairs = [pair for _, pair, _ in entries]
+                if text == "0":
+                    pairs = []
+                elif not text:
+                    error = "empty reaction side"
+                else:
+                    error = next((error for _, _, error in entries if error), None)
             index = side_index[text] = len(sides)
-            sides.append((pairs, _reaction_problems(molecules=sum(m for _, m in pairs)), lineno))
-            for name, _ in pairs:
-                note(name)
+            if error is not None:
+                sides.append((None, (error,), lineno))
+            else:
+                molecules = 0
+                for name, mult in pairs:
+                    order[name] = None
+                    molecules += mult
+                problems = rule.get(molecules)
+                if problems is None:
+                    problems = rule[molecules] = _reaction_problems(molecules=molecules)
+                sides.append((pairs, problems, lineno))
         side_index[raw] = index
         return index
 
@@ -274,44 +325,50 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             if name in init_rows:
                 raise ParseError(f"second initial value for {name}", lineno)
             init_rows[name] = (lineno, value)
-            note(name)
+            order[name] = None
             continue
         # The first arrow is at depth zero exactly when the text before it
         # is balanced, and the last comma exactly when the products are;
-        # otherwise the bracket-counting scans find the separator.
+        # otherwise the bracket-counting scans find the separator.  Errors
+        # come in line order: the reactants, the rate, the products, then
+        # the reaction rule.
         left, arrow, rest = line.partition("->")
         lhs = side_index.get(left) if arrow else None
         if lhs is None:
-            cut = -1
-            if arrow:
-                cut = _find_top(line, "->") if _depth(left) else len(left)
-            if cut < 0:
-                raise ParseError(f"expected a reaction line, got {line!r}", lineno)
-            lhs = side(line[:cut], lineno)
-            rest = line[cut + 2 :]
+            lhs = side(left, lineno) if arrow else None
+            if lhs is None:
+                cut = _find_top(line, "->")
+                if cut < 0:
+                    raise ParseError(f"expected a reaction line, got {line!r}", lineno)
+                lhs = side(line[:cut], lineno)
+                rest = line[cut + 2 :]
+            if sides[lhs][0] is None:
+                raise ParseError(sides[lhs][1][0], lineno)
         products, comma, rate_text = rest.rpartition(",")
         rhs = side_index.get(products) if comma else None
-        if rhs is None:
-            cut = -1
-            if comma:
-                cut = _rfind_top(rest, ",") if _depth(products) else len(products)
-            if cut < 0:
-                raise ParseError("missing rate (expected 'products , rate')", lineno)
-            products, rate_text = rest[:cut], rest[cut + 1 :]
+        new_rhs = rhs is None
+        if new_rhs:
+            rhs = side(products, lineno) if comma else None
+            if rhs is None:
+                cut = _rfind_top(rest, ",")
+                if cut < 0:
+                    raise ParseError("missing rate (expected 'products , rate')", lineno)
+                rhs = side(rest[:cut], lineno)
+                rate_text = rest[cut + 1 :]
         entry = rate_index.get(rate_text)
         if entry is None:
             value = number(rate_text, lineno)
             entry = rate_index[rate_text] = (len(rates), _reaction_problems(rate=value))
             rates.append(value)
-        if rhs is None:
-            rhs = side(products, lineno)
+        if new_rhs and sides[rhs][0] is None:
+            raise ParseError(sides[rhs][1][0], lineno)
         rate, problems = entry
         problems = problems or sides[lhs][1]
         if problems:
             raise ParseError(problems[0], lineno)
         reaction_rows.append((lhs, rate, rhs))
 
-    names = header if header is not None else order
+    names = header if header is not None else list(order)
     if header is not None:
         declared = set(header)
         # Sides are in first-appearance order, left before right, so the
@@ -329,8 +386,8 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     ids = {name: i for i, name in enumerate(names)}
     keys = [_side_key([(ids[n], m) for n, m in pairs]) for pairs, _, _ in sides]
     scale, scaled = _scale_rates(rates)
-    rows = tuple((keys[lhs], keys[rhs], scaled[rate]) for lhs, rate, rhs in reaction_rows)
-    crn = CRN._from_scaled(species, scale, rows)
+    rows = tuple([(keys[lhs], keys[rhs], scaled[rate]) for lhs, rate, rhs in reaction_rows])
+    crn = CRN._from_scaled(species, scale, rows, elementary=True)
     inits = None
     if init_rows:
         inits = InitialCondition.from_map(
@@ -490,7 +547,7 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         product_ids = _net_indices(products_field, len(species), lineno)
         lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
         rows.append((lhs, rate, rhs))
-    crn = _crn_from_rows(species, rows)
+    crn = _crn_from_rows(species, rows, elementary=True)
     inits = InitialCondition.from_map(
         crn, {species[i]: concentrations[i] for i in range(len(species))}
     )

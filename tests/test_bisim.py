@@ -336,6 +336,39 @@ class TestSplitterRefinement:
         )
         assert trace.final == Partition.discrete(net)
 
+    def test_kept_signatures_equal_fresh_ones_after_every_pass(self, mode):
+        # retarget moves each entry between two keys of a kept signature in
+        # place; after every pass, every species outside a singleton (the
+        # only ones it updates) must hold what a fresh build gives.
+        nets = [
+            (net, initial)
+            for seed in range(200)
+            for net in [random_crn(seed, 3 + seed % 4, 1 + seed % 12)]
+            for initial in (Partition.trivial(net), Partition.discrete(net))
+        ]
+        for n in (1, 2, 3):
+            net, inits = multisite(MultisiteSpec(n_sites=n))
+            nets.append((net, Partition.trivial(net)))
+            nets.append((net, partition_from_initial_conditions(inits)))
+        nets.append((shuffled_chain(50, seed=50), None))
+        # A's flux +1 over {A, C} and -1 over {A, D} cancel in one class
+        # until the splitter {C, D} moves both entries to a new class, where
+        # they cancel again: each move drops a zero, from the old class and
+        # then from the new one.  A2 and A3 keep A's block larger than {C, D}.
+        cancel = make_crn(
+            ["A", "A2", "A3", "C", "D", "G"],
+            [
+                *(({a: 1, "C": 1}, 1, {a: 2, "C": 1}) for a in ("A", "A2", "A3")),
+                *(({a: 1, "D": 1}, 1, {"D": 1}) for a in ("A", "A2", "A3")),
+                ({"G": 1}, 1, {"C": 1, "D": 1}),
+            ],
+        )
+        nets.append((cancel, None))
+        passes = 0
+        for net, initial in nets:
+            passes += _check_kept_signatures(net, initial or Partition.trivial(net), mode)
+        assert passes > 200
+
     @pytest.mark.parametrize("n", [300, 2000])
     def test_predicate_calls_near_linear_on_chains(self, mode, n):
         # the full-recompute loop buckets about n^2/2 species on a chain
@@ -343,3 +376,40 @@ class TestSplitterRefinement:
         trace = refine(net, Partition.trivial(net), mode)
         assert trace.passes >= n - 2
         assert trace.predicate_calls <= 4 * n * ceil(log2(n))
+
+
+def _comparable(sigs, mode):
+    """Each species' kept signature, backward with every class id read as
+    the lift it numbers (ids depend on the order classes were met), and
+    backward also every reactant multiset's class as its lift."""
+    if mode is BisimMode.FORWARD:
+        return sigs.folded, None
+    lift = {cid: key for key, cid in sigs._class_of.items()}
+    sums = [{lift[cid]: value for cid, value in kept.items()} for kept in sigs.sums]
+    return sums, [lift[cid] for cid in sigs.entry_class]
+
+
+def _check_kept_signatures(net, initial, mode):
+    """Run refine's loop on ``_Blocks`` and the mode's signatures, and
+    after every pass compare the kept signatures with fresh ones built
+    from the same block labels; returns the number of passes."""
+    if not net.n_reactions:
+        return 0
+    blocks = crnlump.bisim._Blocks(initial)
+    sigs = crnlump.bisim._signatures(net, mode, blocks.block_of)
+    touched = [x for x in range(net.n_species) if not blocks.in_singleton(x)]
+    passes = 0
+    while touched:
+        pieces = blocks.split(touched, sigs.key)
+        if not pieces:
+            break
+        passes += 1
+        touched = sigs.retarget(blocks, pieces)
+        fresh = crnlump.bisim._signatures(net, mode, blocks.block_of)
+        kept, kept_classes = _comparable(sigs, mode)
+        built, built_classes = _comparable(fresh, mode)
+        assert kept_classes == built_classes
+        for x in range(net.n_species):
+            if not blocks.in_singleton(x):
+                assert kept[x] == built[x], (net, x)
+    return passes

@@ -80,11 +80,11 @@ def _pick(rng, good, bad, noise):
     return rng.choice(bad if rng.random() < noise else good)
 
 
-def _side(rng, noise, terms):
-    return " + ".join(_pick(rng, _TERMS, _BAD_TERMS, noise) for _ in range(terms))
+def _side(rng, noise, count, terms=(_TERMS, _BAD_TERMS)):
+    return " + ".join(_pick(rng, *terms, noise) for _ in range(count))
 
 
-def _line(rng, noise):
+def _line(rng, noise, terms=(_TERMS, _BAD_TERMS)):
     kind = rng.random()
     if kind < 0.03:
         return "species: " + " ".join(rng.sample(["A", "B", "C(x)", "S(u,p)", "Z"], 3))
@@ -96,29 +96,51 @@ def _line(rng, noise):
     arrow = _pick(rng, ["->"], ["-> ->", "-", ""], noise)
     comma = _pick(rng, [","], [", ,", ""], noise)
     rate = _pick(rng, _RATES, _BAD_RATES, noise)
-    reactants = _side(rng, noise, rng.choice([1, 1, 1, 2]))
-    products = _side(rng, noise, rng.choice([1, 2, 3]))
+    reactants = _side(rng, noise, rng.choice([1, 1, 1, 2]), terms)
+    products = _side(rng, noise, rng.choice([1, 2, 3]), terms)
     line = f"{reactants} {arrow} {products} {comma} {rate}"
     if rng.random() < 0.2:
         line = line.replace(" ", "")
     if rng.random() < 0.2:
-        line += " # " + _side(rng, noise, 2)
+        line += " # " + _side(rng, noise, 2, terms)
     return line
 
 
-def test_fuzzed_texts():
-    rng = random.Random(20150)
+def _pool(rng):
+    """Good and bad terms for one text, a few of each, so that the parser
+    meets most terms again, in other sides and on other lines.  One good
+    term wraps two others in a bracket around a '+', so that they also
+    appear inside a name."""
+    good = rng.sample(_TERMS, 3)
+    good.append(rng.choice(["W({}+{})", "V[{}+{}]", "U{{{}+{}}}"]).format(*rng.sample(_TERMS, 2)))
+    return good, rng.sample(_BAD_TERMS, 2)
+
+
+def _fuzz(rng, texts, pooled):
+    """Parse ``texts`` random texts with both parsers; returns how many
+    parsed and the distinct error kinds."""
     errors = set()
     parsed = 0
-    for _ in range(2000):
+    for _ in range(texts):
         noise = rng.choice([0.0, 0.02, 0.1, 0.3])
-        lines = [_line(rng, noise) for _ in range(rng.randint(1, 8))]
+        terms = _pool(rng) if pooled else (_TERMS, _BAD_TERMS)
+        lines = [_line(rng, noise, terms) for _ in range(rng.randint(1, 8))]
         error = assert_agrees(rng.choice(["\n", "\r\n"]).join(lines))
         if error is None:
             parsed += 1
         else:
             errors.add(error.split(": ", 1)[1].split(":")[0])
+    return parsed, errors
+
+
+def test_fuzzed_texts():
+    parsed, errors = _fuzz(random.Random(20150), 2000, pooled=False)
     # The texts reach both outcomes and many distinct errors.
+    assert parsed > 300
+    assert len(errors) > 10
+    # Terms drawn from one small pool per text repeat across its sides and
+    # lines, whole and inside brackets.
+    parsed, errors = _fuzz(random.Random(20151), 2000, pooled=True)
     assert parsed > 300
     assert len(errors) > 10
 
@@ -126,3 +148,36 @@ def test_fuzzed_texts():
 def test_rate_is_checked_before_the_product_side():
     error = assert_agrees("A -> B + , x")
     assert error == "line 1: not a rational number: 'x'"
+
+
+@pytest.mark.parametrize(
+    "lines,error",
+    [
+        # A term met inside a bracket, or in the unbalanced text before an
+        # arrow inside brackets, and used whole later: its fault is reported
+        # with the line that uses it.
+        (["F(+a) -> A , 1", "F( -> A , 1"], "line 2: expected a reaction line, got 'F( -> A , 1'"),
+        (["F(+a) -> A , 1", "A -> F( , 1"], "line 2: missing rate (expected 'products , rate')"),
+        (["2 B+0F(->x) -> A , 1", "2 B -> A + , 1"], "line 2: empty term in reaction side"),
+        (
+            ["T(a+12+b) -> A , 1", "A -> 12 , 1"],
+            "line 2: species name may not start with a digit: '12'",
+        ),
+        (["T(a++b) -> A , 1", "B + -> A , 1"], "line 2: empty term in reaction side"),
+        (["E{a->2 B} -> A , 1"], "line 1: species name contains whitespace: 'E{a->2 B}'"),
+        # T(a+b) inside another bracket and outside it.
+        (["T(a+b) -> X(T(a+b)) , 1", "X(T(a+b)+c) -> T(a+b) + c , 2"], None),
+        (["X(T(a+b)) + T(a+b) -> T(a+b) , 1", "T(a+b)->X(T(a+b)),1"], None),
+        # CRLF endings and comments.
+        (["# a comment\r", "species: A B C(x)\r", "A -> B , 2 # a + b -> c\r"], None),
+        (["A -> B , 1 # x\r", "species: A B\r"], None),
+        (["A -> B , 1\r", "B -> A + C , 2 # C -> 3D , 1\r", "\r", "init: A = 1/2\r"], None),
+        # The empty side, a zero coefficient and a repeated term.
+        (["A -> 0 , 1", "0A + B -> A , 1", "A + A -> 0A , 1", "A + A -> A + A , 1"], None),
+        (["A -> 0 , 1", "0 -> A , 1"], "line 2: reactants must contain at least one species"),
+        (["A + A -> B , 1", "0A -> B , 1"], "line 2: reactants must contain at least one species"),
+        (["A + A + A -> B , 1"], "line 1: reactants exceed multiplicity 2"),
+    ],
+)
+def test_terms_are_parsed_once_with_the_line_that_uses_them(lines, error):
+    assert assert_agrees("\n".join(lines)) == error

@@ -93,22 +93,58 @@ def _from_reactions(net):
 
 def test_every_table_is_built_once_per_network(builds):
     # Every network holds its integer reaction list from construction on;
-    # every other table is built once.
+    # every other table is built once.  The parser has refused every
+    # reaction that is not elementary, so a parsed network never scans its
+    # rows for one.
     crn = _parsed_example()
     _every_consumer(crn)
-    assert builds == dict.fromkeys(BUILDERS, 1)
+    assert builds == {"flux_table": 1, "forward_table": 1, "require_elementary": 0}
     # An equal network parsed separately compares equal, although only one
     # of them has built its tables, and builds its own.
     twin = _parsed_example()
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
-    assert builds == dict.fromkeys(BUILDERS, 2)
+    assert builds == {"flux_table": 2, "forward_table": 2, "require_elementary": 0}
     # So does a network built from Reaction objects, whose list is that of
-    # the network it copies.
+    # the network it copies; it scans its rows once.
     viewed = _from_reactions(running_example())
     assert core.scaled_reactions(viewed) == core.scaled_reactions(running_example())
     _every_consumer(viewed)
-    assert builds == dict.fromkeys(BUILDERS, 3)
+    assert builds == {"flux_table": 3, "forward_table": 3, "require_elementary": 1}
+
+
+def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
+    # Both parsers refuse a reaction without one or two reactant molecules,
+    # so the networks they build never scan their rows for one.
+    def refuse(crn):
+        raise AssertionError("rows scanned")
+
+    monkeypatch.setattr(core, "_first_non_elementary", refuse)
+    parsed = {
+        "parse_crn": parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=3))))[0],
+        "import_bngl_net": import_bngl_net(NET_FIXTURE)[0],
+    }
+    for crn in parsed.values():
+        core.require_elementary(crn)
+        core.forward_table(crn)
+        refine(crn, Partition.trivial(crn), BB)
+
+
+def test_other_networks_still_scan_their_rows(builds):
+    # make_crn and CRN(...) take rows that no parser has checked.
+    for build in (running_example, lambda: _from_reactions(running_example())):
+        crn = build()
+        core.require_elementary(crn)
+        core.require_elementary(crn)
+    assert builds["require_elementary"] == 2
+    bad = make_crn(["A", "B"], [({"A": 3}, 1, {"B": 1})])
+    for crn in (bad, _from_reactions(bad)):
+        with pytest.raises(core.CRNError) as err:
+            refine(crn, Partition.trivial(crn), BB)
+        assert str(err.value) == (
+            "reaction 0 (3A ->(1) B): not elementary: reactants must be one or two molecules"
+        )
+    assert builds["require_elementary"] == 4
 
 
 def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
