@@ -36,7 +36,10 @@ splits can have changed, by the splitter rule of Valmari & Franceschinis
 splits, its largest piece keeps the block's label and every other piece
 is a splitter.  Forward, each producer into a splitter moves that
 production from its (partner, old block) key to its (partner, splitter)
-key.  Backward, each reactant multiset meeting a splitter is lifted
+key.  A forward key is one int, ``(partner + 1) * n + block label`` for
+``n`` species, and the producer index holds each producer's ``(partner
++ 1) * n``, so a move adds the old and the new label to it and builds no
+tuple.  Backward, each reactant multiset meeting a splitter is lifted
 again, and every species in its support moves its flux from the old
 class to the new one.  Within a block, the species that no split touched
 still share one signature, so a pass buckets the touched species and one
@@ -50,8 +53,15 @@ a singleton is skipped, since no later pass reads its signature.
 
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
-two signatures differ (a partner or a (partner, block) pair forward, a
-reactant class backward) together with both species' values there.
+two signatures differ (a partner or a (partner, block) pair forward,
+decoded from its packed key, a reactant class backward) together with
+both species' values there.  :func:`refine` records the partition it
+returns in the network's ``_certified`` slot, per mode, and
+:func:`is_bisimulation` accepts that partition, or one equal to it,
+without building signatures: refinement has just proved it a
+bisimulation of that very network object.  Any other partition, one
+certified in the other mode or for an equal network object among them,
+is decided from its signatures.
 """
 
 from __future__ import annotations
@@ -217,9 +227,12 @@ class _ForwardSignatures:
     """Forward signatures of every species under a block labelling.
 
     A signature is ``(crr, folded)``: the reaction rate per partner and
-    the production rate per ``(partner, block label)``, both as maps
-    without zero values.  The partner rates and production entries are
-    the network's :func:`crnlump.core.forward_table`; only ``folded``,
+    the production rate per packed ``(partner + 1) * n + block label``
+    key, ``n`` the species count, both as maps without zero values.  A
+    label is below ``n``, so the key packs a ``(partner, block label)``
+    pair as :func:`crnlump.core.forward_table` packs ``(partner, product
+    species)``, and orders as the pair does.  The partner rates and
+    production entries are the network's forward table; only ``folded``,
     the entries summed per block label, depends on the partition.
     """
 
@@ -227,12 +240,14 @@ class _ForwardSignatures:
         self.scale, self._crr, self._crr_id, self._prod = forward_table(crn)
         self._producers: list[list[tuple[int, int, int]]] | None = None
         self._species = crn.species
-        self.folded = [self._fold(x, block_of) for x in range(crn.n_species)]
+        self.folded = [self._fold(entries, block_of) for entries in self._prod]
 
-    def _fold(self, x: int, block_of) -> dict[tuple[int, int], int]:
-        folded: dict[tuple[int, int], int] = {}
-        for (partner, yid), val in self._prod[x].items():
-            key = (partner, block_of[yid])
+    def _fold(self, entries: dict[int, int], block_of) -> dict[int, int]:
+        n = len(self._species)
+        folded: dict[int, int] = {}
+        for key, val in entries.items():
+            yid = key % n
+            key += block_of[yid] - yid
             folded[key] = folded.get(key, 0) + val
         return _nonzero(folded)
 
@@ -244,23 +259,27 @@ class _ForwardSignatures:
         the piece's key; return the species moved, outside singletons."""
         producers = self._producers
         if producers is None:
+            # Per product species, its producers with their packed partner
+            # ``(partner + 1) * n``, to which a block label is added.
+            n = len(self._species)
             producers = self._producers = [[] for _ in self._species]
             for x, entries in enumerate(self._prod):
-                for (partner, yid), val in entries.items():
-                    producers[yid].append((x, partner, val))
+                for key, val in entries.items():
+                    yid = key % n
+                    producers[yid].append((x, key - yid, val))
         folded = self.folded
         block_of, first, end = blocks.block_of, blocks.first, blocks.end
         touched: dict[int, None] = {}
         for piece, parent in pieces:
             for y in blocks.members(piece):
-                for x, partner, val in producers[y]:
+                for x, base, val in producers[y]:
                     b = block_of[x]
                     if end[b] - first[b] == 1:
                         continue
                     # Move ``val`` between the two keys, dropping a zero
                     # (``val`` is nonzero, so a zero key was present).
                     values = folded[x]
-                    old, new = (partner, parent), (partner, piece)
+                    old, new = base + parent, base + piece
                     v = values.get(old, 0) - val
                     if v:
                         values[old] = v
@@ -286,12 +305,12 @@ class _ForwardSignatures:
                 f"reaction rate with partner {self._partner(partner)}: "
                 f"{_gives(x, vx, y, vy, self.scale)}"
             )
-        (partner, block_idx), vx, vy = _first_difference(
-            self.folded[x.id], self.folded[y.id]
-        )
+        key, vx, vy = _first_difference(self.folded[x.id], self.folded[y.id])
+        # The packed key decodes to (partner + 1, block); EMPTY_PARTNER is -1.
+        base, block_idx = divmod(key, len(self._species))
         names = ", ".join(sp.name for sp in p.blocks[block_idx])
         return (
-            f"production rate with partner {self._partner(partner)} into block "
+            f"production rate with partner {self._partner(base - 1)} into block "
             f"{{{names}}}: {_gives(x, vx, y, vy, self.scale)}"
         )
 
@@ -410,8 +429,16 @@ def _first_split(sigs, p: Partition) -> tuple[Species, Species] | None:
 
 
 def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
-    """True iff all species sharing a block are mode-equivalent under ``p``."""
+    """True iff all species sharing a block are mode-equivalent under ``p``.
+
+    The partition that :func:`refine` last returned for this network
+    object in this mode is one by construction and is not checked again;
+    every other partition is decided from its signatures.
+    """
     check_partition(crn, p)
+    certified = crn._certified.get(mode)
+    if certified is not None and (certified is p or certified == p):
+        return True
     return _first_split(_signatures(crn, mode, p.block_index), p) is None
 
 
@@ -422,10 +449,13 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     (the splitter equivalence intersected with the current partition),
     recomputing only the signatures the previous pass's splits touched;
     the loop stops when no block splits.  Without reactions every
-    partition is already a bisimulation of either kind.
+    partition is already a bisimulation of either kind.  The partition
+    returned is recorded on ``crn`` as certified for ``mode``, so that
+    :func:`is_bisimulation` does not decide it again.
     """
     check_partition(crn, initial)
     if not crn.n_reactions:
+        crn._certified[mode] = initial
         return RefinementTrace(initial, 0, 0)
     blocks = _Blocks(initial)
     sigs = _signatures(crn, mode, blocks.block_of)
@@ -438,7 +468,10 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
             break
         passes += 1
         touched = sigs.retarget(blocks, pieces)
+    # With no split, the first pass bucketed every species of ``initial``.
     final = blocks.partition(crn.species) if passes else initial
+    # A racing thread can only replace this with another proved partition.
+    crn._certified[mode] = final
     return RefinementTrace(final, passes, calls)
 
 

@@ -39,16 +39,19 @@ of the list, built on the first read and kept; the package never reads it.
 
 The flux and forward tables are built on the first call for a network
 and kept in a private slot of its :class:`CRN`; every later call returns
-the same object, so refinement, the re-check inside a reduction, the
-reduction and the vector field share one build.  These slots take no
-part in equality or hashing, and nothing writes a table after it is
-built: the tables are tuples, and their dicts are never changed.  Two
-threads that race on a fresh network may both build a table or the
-view; the builds are equal, and either one is kept.
+the same object, so refinement, a reduction's check of a partition that
+refinement did not return, the reduction and the vector field share one
+build.  These slots take no part in equality or hashing, and nothing
+writes a table after it is built: the tables are tuples, and their dicts
+are never changed.  Two threads that race on a fresh network may both
+build a table or the view; the builds are equal, and either one is kept.
+The ``_certified`` slot holds, per bisimulation mode, the last partition
+:func:`crnlump.bisim.refine` returned for the network; a racing thread
+can only replace it with another partition that refinement proved.
 
 All types are immutable after construction, apart from a network's
-table slots, which are filled on first use, and safe to share across
-threads.  Rates and multiplicities are exact: rates are
+table and certificate slots, which are filled on first use, and safe to
+share across threads.  Rates and multiplicities are exact: rates are
 :class:`fractions.Fraction`, multiplicities are positive ints.  The
 fixed total order on species used for representatives and block ordering
 is lexicographic on species names.
@@ -263,7 +266,8 @@ class CRN:
     A network holds its species and its integer reaction list (the
     ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
     and hashes by the two.  The other tables are kept in the ``_flux``,
-    ``_forward`` and ``_elementary`` slots; ``species`` and ``reactions``
+    ``_forward`` and ``_elementary`` slots, and the partitions that
+    refinement proved in ``_certified``; ``species`` and ``reactions``
     are read-only, so they cannot go stale.  ``reactions`` is an output
     view of the list, built on the first read (one :class:`Multiset` per
     distinct side, one rate per distinct value) and kept;
@@ -271,7 +275,8 @@ class CRN:
     """
 
     __slots__ = (
-        "_species", "_reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary"
+        "_species", "_reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary",
+        "_certified",
     )
 
     def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
@@ -324,6 +329,7 @@ class CRN:
             by_name[sp.name] = sp
         self._by_name = by_name
         self._reactions = self._flux = self._forward = self._elementary = None
+        self._certified = {}
 
     @property
     def species(self) -> tuple[Species, ...]:
@@ -541,8 +547,11 @@ def forward_table(crn: CRN):
     times L: the other reactant of a binary reaction, ``x`` itself for
     ``2x``, :data:`EMPTY_PARTNER` for a unary reaction.  ``crr_id[x]``
     numbers the distinct ``crr`` maps, so equal maps share a number.
-    ``prod[x]`` maps ``(partner, product species id)`` to the production
-    rate times L.  No value is zero.
+    ``prod[x]`` maps the packed key ``(partner + 1) * n + y``, ``n`` the
+    species count and ``y`` the product species id, to the production
+    rate times L; :data:`EMPTY_PARTNER` packs as 0.  As ``y < n``, the
+    packed keys order as the ``(partner, y)`` pairs do, and ``divmod(key,
+    n)`` gives back ``(partner + 1, y)``.  No value is zero.
     """
     return _memo(crn, "_forward", _build_forward_table)
 
@@ -550,8 +559,9 @@ def forward_table(crn: CRN):
 def _build_forward_table(crn: CRN):
     require_elementary(crn)
     scale, rows = scaled_reactions(crn)
+    n = crn.n_species
     crr: list[dict[int, int]] = [{} for _ in crn.species]
-    prod: list[dict[tuple[int, int], int]] = [{} for _ in crn.species]
+    prod: list[dict[int, int]] = [{} for _ in crn.species]
     for reactants, products, rate in rows:
         if len(reactants) == 2:
             (a, _), (b, _) = reactants
@@ -563,8 +573,9 @@ def _build_forward_table(crn: CRN):
             acc = crr[x]
             acc[partner] = acc.get(partner, 0) + value
             acc = prod[x]
+            base = (partner + 1) * n
             for yid, mult in products:
-                key = (partner, yid)
+                key = base + yid
                 acc[key] = acc.get(key, 0) + value * mult
     crr = [_nonzero(acc) for acc in crr]
     ids: dict[tuple, int] = {}

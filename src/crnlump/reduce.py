@@ -3,10 +3,12 @@
 Both constructions read the network's integer reaction list,
 :func:`crnlump.core.scaled_reactions`: each reaction's reactant and
 product ``(species id, multiplicity)`` pairs and its rate times L.  Both
-first check that the partition is a bisimulation of their mode, which
-also rejects a partition of another network.  The check reads the
-network's rate tables, which a ``refine`` on the same network object has
-already built, so it adds only a per-partition pass.
+first ask :func:`crnlump.bisim.is_bisimulation` whether the partition is
+a bisimulation of their mode, which also rejects a partition of another
+network.  A partition that ``refine`` returned for the same network
+object in the same mode is certified there and passes without a check;
+any other partition is decided from its signatures, which read the
+network's rate tables.
 
 Forward reduction keeps only the reactions whose reactants are all block
 representatives; the reduced network's ODEs govern the block sums of the
@@ -102,14 +104,20 @@ def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
 
     Raises :class:`PartitionError` unless ``p`` partitions the species of
     ``crn``, and :class:`NotBisimulationError` unless it is a forward
-    bisimulation.
+    bisimulation; the partition ``refine`` returned for ``crn`` in
+    forward mode is not checked again.
     """
     if not is_bisimulation(crn, p, BisimMode.FORWARD):
         raise NotBisimulationError("partition is not a forward bisimulation")
     is_rep = _representative_mask(p)
     scale, rows = scaled_reactions(crn)
     # A reactant that is not its block's representative drops the reaction.
-    kept = [row for row in rows if all(is_rep[sid] for sid, _ in row[0])]
+    # A forward bisimulation's network is elementary: one or two reactant pairs.
+    kept = [
+        row
+        for row in rows
+        if is_rep[row[0][0][0]] and (len(row[0]) == 1 or is_rep[row[0][1][0]])
+    ]
     return _quotient(p, BisimMode.FORWARD, scale, rows, kept)
 
 
@@ -118,7 +126,8 @@ def backward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
 
     Raises :class:`PartitionError` unless ``p`` partitions the species of
     ``crn``, and :class:`NotBisimulationError` unless it is a backward
-    bisimulation.
+    bisimulation; the partition ``refine`` returned for ``crn`` in
+    backward mode is not checked again.
     """
     if not is_bisimulation(crn, p, BisimMode.BACKWARD):
         raise NotBisimulationError("partition is not a backward bisimulation")

@@ -176,6 +176,20 @@ class TestFindCounterexample:
         assert (a.name, b.name) == ("A", "B")
         assert text.startswith("reaction rate with partner ")
 
+    def test_forward_witness_at_the_ends_of_the_packed_key(self):
+        # A forward key packs (partner, block) as (partner + 1) * n + block.
+        # X, the largest id, reacts with itself (2X, partner + 1 == n) and
+        # alone (the empty partner packs as 0, next to partner A, id 0).  A
+        # matches X's reaction rates per partner, but not its products.
+        net = _packed_key_ends()
+        for blocks, expected in [
+            (("AX", "B", "C", "D", "F"), "partner 0 into block {C}: A gives 0, X gives 1"),
+            (("AX", "B", "CD", "F"), "partner A into block {B}: A gives 2, X gives 0"),
+            (("AX", "BCD", "F"), "partner X into block {B, C, D}: A gives 2, X gives 0"),
+        ]:
+            a, x, text = find_counterexample(net, blocks_of(net, *blocks), BisimMode.FORWARD)
+            assert (a.name, x.name, text) == ("A", "X", "production rate with " + expected)
+
     def test_reactants_without_net_flux_stay_in_their_class(self, tmp_path, capsys):
         # A + B -> A + B moves nothing, yet the witness lists A + B in its
         # reactant class, while the vector field has no A*B term.
@@ -191,6 +205,22 @@ class TestFindCounterexample:
         path.write_text(text)
         assert main(["check", str(path), "--what", "bisim-bb"]) == 1
         assert capsys.readouterr().out == f"bisim-bb fails: A vs B: {expected}\n"
+
+
+def _packed_key_ends():
+    """X, the species with the largest id, has a unary reaction and a
+    ``2X`` one; A, id 0, has a ``2A`` one; and A's reaction rates per
+    partner equal X's."""
+    return make_crn(
+        ["A", "B", "C", "D", "F", "X"],
+        [
+            ({"X": 1}, 1, {"C": 1}),
+            ({"A": 1}, 1, {"D": 1}),
+            ({"X": 2}, 1, {"F": 1}),
+            ({"A": 2}, 1, {"B": 1}),
+            ({"A": 1, "X": 1}, 2, {"D": 1}),
+        ],
+    )
 
 
 def test_forward_mode_never_builds_the_flux_table(crn, h_o, monkeypatch):
@@ -277,6 +307,13 @@ class TestRefine:
         for seed in range(40):
             net = random_crn(seed, 3 + seed % 3, 3 + seed % 8)
             initial = Partition.trivial(net)
+            assert refine(net, initial, mode).final == brute_force_coarsest(
+                net, initial, mode
+            )
+
+    def test_matches_brute_force_at_the_ends_of_the_packed_key(self, mode):
+        net = _packed_key_ends()
+        for initial in partitions_refining(Partition.trivial(net)):
             assert refine(net, initial, mode).final == brute_force_coarsest(
                 net, initial, mode
             )

@@ -4,6 +4,7 @@ import pytest
 
 from crnlump import (
     BisimMode,
+    MultisiteSpec,
     NotBisimulationError,
     Partition,
     PartitionError,
@@ -13,13 +14,17 @@ from crnlump import (
     lumped_field_backward,
     lumped_field_forward,
     make_crn,
+    multisite,
     parse_crn,
+    partition_from_initial_conditions,
     refine,
     serialize_crn,
     validate,
     vector_field,
 )
-from crnlump.models import random_crn
+import crnlump.bisim
+from crnlump.models import random_crn, running_example
+from conftest import blocks_of
 
 
 def reaction_set(crn):
@@ -222,3 +227,91 @@ class TestInstrumentation:
                 log2(net.n_reactions) + log2(net.n_species)
             )
             assert reduced.step_count <= bound
+
+
+REDUCERS = {BisimMode.FORWARD: forward_reduce, BisimMode.BACKWARD: backward_reduce}
+
+
+@pytest.fixture
+def signature_builds(monkeypatch):
+    """Counts the signature builds of ``bisim``: each decision from
+    signatures and each refinement builds one."""
+    builds = []
+    build = crnlump.bisim._signatures
+
+    def counted(crn, mode, block_of):
+        builds.append(mode)
+        return build(crn, mode, block_of)
+
+    monkeypatch.setattr(crnlump.bisim, "_signatures", counted)
+    return builds
+
+
+class TestCertifiedPartitions:
+    """A reduction accepts the partition that ``refine`` returned for the
+    same network object in the same mode without deciding it again; every
+    other partition is decided from signatures."""
+
+    def test_refine_then_reduce_builds_signatures_once(self, mode, signature_builds):
+        example = running_example()
+        sites, inits = multisite(MultisiteSpec(n_sites=2))
+        for net, initial in [
+            (example, Partition.trivial(example)),
+            (sites, partition_from_initial_conditions(inits)),
+        ]:
+            signature_builds.clear()
+            final = refine(net, initial, mode).final
+            reduced = REDUCERS[mode](net, final)
+            assert signature_builds == [mode]
+            # An equal partition object is certified too.
+            again = REDUCERS[mode](net, Partition(net.species, final.blocks))
+            assert serialize_crn(again.crn) == serialize_crn(reduced.crn)
+            assert again.step_count == reduced.step_count
+            assert signature_builds == [mode]
+
+    def test_certificate_is_per_mode(self, signature_builds):
+        # The coarsest forward partition of the running example,
+        # {A} | {B} | {C, E} | {D}, is not a backward bisimulation.
+        crn = running_example()
+        h_o = refine(crn, Partition.trivial(crn), BisimMode.FORWARD).final
+        assert [[sp.name for sp in block] for block in h_o.blocks] == [
+            ["A"], ["B"], ["C", "E"], ["D"]
+        ]
+        with pytest.raises(NotBisimulationError, match="not a backward bisimulation"):
+            backward_reduce(crn, h_o)
+        assert signature_builds == [BisimMode.FORWARD, BisimMode.BACKWARD]
+        forward_reduce(crn, h_o)
+        assert len(signature_builds) == 2
+
+    def test_other_partitions_are_still_decided(self, mode):
+        crn = running_example()
+        refine(crn, Partition.trivial(crn), mode)
+        mixed = blocks_of(crn, "AB", "CE", "D")
+        for p in (Partition.trivial(crn), mixed):
+            with pytest.raises(NotBisimulationError):
+                REDUCERS[mode](crn, p)
+        # A partition of another network is refused before any decision.
+        other = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1})])
+        with pytest.raises(PartitionError, match="not over the species"):
+            REDUCERS[mode](crn, Partition.trivial(other))
+
+    def test_certificate_stays_with_its_network_object(self, signature_builds):
+        text = serialize_crn(running_example())
+        crn = parse_crn(text)[0]
+        h_o = refine(crn, Partition.trivial(crn), BisimMode.FORWARD).final
+        # A second network parsed from the same text is equal, so h_o is a
+        # forward bisimulation of it too, but it is decided there again.
+        twin = parse_crn(text)[0]
+        assert twin == crn
+        signature_builds.clear()
+        forward_reduce(twin, h_o)
+        assert signature_builds == [BisimMode.FORWARD]
+        with pytest.raises(NotBisimulationError):
+            backward_reduce(twin, h_o)
+        # Over the same species, with one rate changed, C and E are no
+        # longer forward equivalent: h_o passes the species check and must
+        # be refused.
+        changed = parse_crn(text.replace("D + E -> D + 2E , 5", "D + E -> D + 2E , 4"))[0]
+        assert changed.species == crn.species and changed != crn
+        with pytest.raises(NotBisimulationError, match="not a forward bisimulation"):
+            forward_reduce(changed, h_o)

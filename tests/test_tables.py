@@ -13,6 +13,7 @@ from crnlump import (
     BisimMode,
     InitialCondition,
     MultisiteSpec,
+    NotBisimulationError,
     Partition,
     backward_reduce,
     find_counterexample,
@@ -280,6 +281,11 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
     def work(crn, inits):
         fb = refine(crn, Partition.trivial(crn), FB).final
         bb = refine(crn, partition_from_initial_conditions(inits), BB).final
+        # Every thread certifies its partitions on the shared network; no
+        # certificate may let through the one block, which is not a forward
+        # bisimulation.
+        with pytest.raises(NotBisimulationError):
+            forward_reduce(crn, Partition.trivial(crn))
         return (
             fb,
             bb,
