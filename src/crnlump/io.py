@@ -14,23 +14,27 @@ Rates and initial values are parsed exactly: integers, fractions
 (``3/7``), decimals (``0.1`` becomes 1/10) and scientific notation are
 all turned into rationals, never floats.  Species names may contain
 parentheses with nested commas (as BioNetGen complex patterns do);
-separators are only recognized at bracket depth zero.  A reaction line
-is cut at its first ``->`` and its last ``,``; only when the text before
-the cut is unbalanced do the bracket-counting scans look for the
-separator at depth zero.
+separators are only recognized at bracket depth zero.
 
-Each distinct term (the text between two ``+`` of a side) is parsed
-once per text: a cache local to one :func:`parse_crn` call keeps its
-bracket depth and its ``(name, multiplicity)`` pair or what is wrong
-with it.  Bracket depth adds up over concatenation, and ``+`` and
-whitespace add nothing, so a side's depth is the sum of its terms'
-depths: a new side needs no scan of its own to tell whether it is
-balanced.  A term's fault is raised only when a side uses the term
-whole, with that side's line.  Each distinct side, rate and number
-literal is then checked once, each raw text found by its stripped text,
-and the reactant rule asked once per distinct molecule count.  A line
-reports the first of its faults in this order: its reactants' syntax,
-its rate's, its products', then the reaction rule.
+:func:`parse_crn` reads a text in whole-text passes.  Pass 1 goes line
+by line with string methods only: it cuts each reaction line at its
+first ``->`` and its last ``,`` and keeps the stripped sides and the rate
+text; ``_strip_comment`` runs only when the text holds a ``#``.  A line
+without both separators, or with a ``:`` before its first arrow (as a
+header or ``init:`` line has), goes through the stripped-line rules, and
+the first line refused there ends the pass.
+Pass 2 reads every distinct side at once: the sides with the same number
+of ``+`` are joined, split on ``+`` and regrouped, and each distinct term
+is parsed once.  Bracket depth adds up over concatenation, so a side's
+depth is the sum of its terms'.  The bracket-counting scans run only
+where a check fails: they cut again each line with an unbalanced side
+(its first arrow or last comma was inside brackets), and they split a
+side with a ``+`` inside brackets.  Each distinct rate text is parsed
+once, and the reactant rule is applied to reactant sides only.  The
+first line with a fault then reports the first of its faults, in the
+order a line is read: its reactants' syntax, its rate's, its products',
+the rate's sign, the reactant rule; an undeclared species is reported
+after every line fault, at the first side that names it.
 :func:`parse_crn` and :func:`import_bngl_net` build the network's
 integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
 marked elementary, since both refuse every other reaction, and
@@ -48,7 +52,11 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, groupby
+from operator import methodcaller
+from typing import Iterable
 
 from .core import (
     CRN,
@@ -81,6 +89,7 @@ __all__ = [
 
 _COEFF_RE = re.compile(r"^(\d+)\s*(\S.*)$")
 _SPACE_RE = re.compile(r"\s")
+_PLUSES = methodcaller("count", "+")
 _EXPONENT_RE = re.compile(r"[\d.]e([-+]?\d+(?:_\d+)*)$", re.IGNORECASE)
 
 
@@ -125,6 +134,12 @@ def parse_rational(text: str, line: int | None = None) -> Fraction:
 def _strip_comment(line: str) -> str:
     cut = line.find("#")
     return line if cut < 0 else line[:cut]
+
+
+def _lines(text: str) -> Iterable[str]:
+    """The lines of ``text`` without their comments."""
+    lines = text.splitlines()
+    return map(_strip_comment, lines) if "#" in text else lines
 
 
 def _depth(text: str) -> int:
@@ -202,6 +217,219 @@ def _parse_term(term: str) -> tuple[tuple[str, int] | None, str | None]:
     return (name, mult), None
 
 
+def _cut(line: str, lineno: int) -> tuple[str, str, str]:
+    """The stripped reactant and product texts and the rate text of the
+    stripped reaction line ``line``, cut by the bracket-counting scans at
+    its first ``->`` and its last ``,`` at depth zero.  Raises
+    :class:`ParseError` when either is missing; without the comma, a fault
+    of the reactant text comes first."""
+    arrow = _find_top(line, "->")
+    if arrow < 0:
+        raise ParseError(f"expected a reaction line, got {line!r}", lineno)
+    left, rest = line[:arrow].strip(), line[arrow + 2 :]
+    comma = _rfind_top(rest, ",")
+    if comma < 0:
+        fault = _Sides({left}).faults.get(left)
+        raise ParseError(fault or "missing rate (expected 'products , rate')", lineno)
+    return left, rest[:comma].strip(), rest[comma + 1 :]
+
+
+def _regroup(texts: list[str], items: Iterable, width: int) -> Iterable[tuple[str, tuple]]:
+    """Each text of ``texts`` with the tuple of its ``width`` items, taken
+    in turn from ``items``."""
+    return zip(texts, zip(*[iter(items)] * width))
+
+
+class _Sides:
+    """The distinct stripped side texts of one network text, read at once.
+
+    The texts with the same number of ``+`` are joined, split on ``+`` and
+    regrouped in one go, and each distinct term is parsed once: ``terms``
+    maps it to its bracket depth and what is wrong with it (None when
+    nothing), and ``pairs`` maps each balanced term without fault to its
+    ``(name, multiplicity)`` pair.  A text whose terms are all such goes
+    into ``groups`` as ``(terms per side, texts, their terms)``.  Any other
+    text is read on its own, into ``odd`` with its terms or into ``faults``
+    with what is wrong with it: None when it is not balanced, so that its
+    line was cut in the wrong place."""
+
+    def __init__(self, texts: set[str]) -> None:
+        self.terms: dict[str, tuple[int, str | None]] = {}
+        self.pairs: dict[str, tuple[str, int]] = {}
+        self.groups: list[tuple[int, list[str], list[str]]] = []
+        self.odd: dict[str, tuple[str, ...]] = {}
+        self.faults: dict[str, str | None] = {}
+        if "0" in texts:
+            self.odd["0"] = ()
+        if "" in texts:
+            self.faults[""] = "empty reaction side"
+        texts = texts.difference(self.odd, self.faults)
+        ordered = sorted(texts, key=_PLUSES)
+        found = list(map(str.strip, "+".join(ordered).split("+")))
+        self._parse(found)
+        start = 0
+        for pluses, group in groupby(ordered, _PLUSES):
+            group = list(group)
+            width = pluses + 1
+            end = start + width * len(group)
+            part = found[start:end]
+            start = end
+            if all(map(self.pairs.__contains__, part)):
+                self.groups.append((width, group, part))
+            else:
+                for text, terms in _regroup(group, part, width):
+                    self._read_one(text, terms)
+
+    def _parse(self, found: Iterable[str]) -> None:
+        """Parse each term of ``found`` not met before."""
+        for term in set(found).difference(self.terms):
+            depth = _depth(term)
+            pair, fault = _parse_term(term)
+            self.terms[term] = (depth, fault)
+            if pair is not None and not depth:
+                self.pairs[term] = pair
+
+    def _read_one(self, text: str, terms: tuple[str, ...]) -> None:
+        """Read the side text ``text`` from ``terms``, its terms between
+        every ``+``.  Bracket depth adds up over concatenation, so the text
+        is balanced exactly when its terms' depths sum to zero; a ``+``
+        inside brackets is then found by the bracket-counting split."""
+        depths = [self.terms[term][0] for term in terms]
+        if sum(depths):
+            self.faults[text] = None
+            return
+        if any(depths[:-1]):
+            terms = tuple(map(str.strip, _split_top(text, "+")))
+            self._parse(terms)
+        fault = next(filter(None, (self.terms[term][1] for term in terms)), None)
+        if fault is None:
+            self.odd[text] = terms
+        else:
+            self.faults[text] = fault
+
+    def terms_of(self) -> dict[str, tuple[str, ...]]:
+        """Each side text read without fault, to its terms."""
+        terms_of = dict(self.odd)
+        for width, group, found in self.groups:
+            terms_of.update(_regroup(group, found, width))
+        return terms_of
+
+    def rule_faults(self, reactants: set[str]) -> dict[str, str]:
+        """What each side text of ``reactants`` breaks of the reactant
+        rule.  One or two terms of multiplicity one make one or two
+        molecules, so only a side with more terms or with another
+        multiplicity is counted."""
+        pairs = self.pairs
+        heavy = {term for term, (_, m) in pairs.items() if m != 1}
+        suspects = dict(self.odd)
+        for width, group, found in self.groups:
+            if width > 2 or not heavy.isdisjoint(found):
+                suspects.update(_regroup(group, found, width))
+        faults = {}
+        for text in reactants.intersection(suspects):
+            problems = _reaction_problems(molecules=sum([pairs[t][1] for t in suspects[text]]))
+            if problems:
+                faults[text] = problems[0]
+        return faults
+
+    def keys(self, ids: dict[str, int]) -> dict[str, Pairs]:
+        """Each side text read without fault, to its species ids and
+        multiplicities as :func:`crnlump.core._side_key` orders them."""
+        # A term met only between the '+' inside another's brackets may
+        # name no species.
+        pairs = {term: (ids.get(name), m) for term, (name, m) in self.pairs.items()}
+        keys = {}
+        for width, group, found in self.groups:
+            for text, side in _regroup(group, map(pairs.__getitem__, found), width):
+                keys[text] = _side_key(side)
+        for text, terms in self.odd.items():
+            keys[text] = _side_key([pairs[term] for term in terms])
+        return keys
+
+
+def _appearance_order(
+    sides: _Sides,
+    linenos: list[int],
+    lefts: list[str],
+    rights: list[str],
+    init_rows: dict[str, tuple[int, Fraction]],
+) -> list[str]:
+    """The species names of a text without a header, in order of first
+    appearance: those of its sides, the reactants before the products,
+    line by line, and those of its init lines."""
+    terms_of = sides.terms_of()
+    order: dict[str, None] = {}
+
+    def note(start: int, end: int) -> None:
+        for text in dict.fromkeys(chain.from_iterable(zip(lefts[start:end], rights[start:end]))):
+            for term in terms_of[text]:
+                order[sides.pairs[term][0]] = None
+
+    start = 0
+    for name, (lineno, _) in init_rows.items():
+        end = bisect_left(linenos, lineno, start)
+        note(start, end)
+        order[name] = None
+        start = end
+    note(start, len(linenos))
+    return list(order)
+
+
+def _require_declared(
+    declared: set[str],
+    sides: _Sides,
+    linenos: list[int],
+    lefts: list[str],
+    rights: list[str],
+    init_rows: dict[str, tuple[int, Fraction]],
+) -> None:
+    """Raise :class:`ParseError` at the first side, in order of first
+    appearance, that names a species not in ``declared``, then at the
+    first such init line."""
+    missing = {term for term, (name, _) in sides.pairs.items() if name not in declared}
+    if missing:
+        terms_of = sides.terms_of()
+        for lineno, left, products in zip(linenos, lefts, rights):
+            for side in (left, products):
+                for term in terms_of[side]:
+                    if term in missing:
+                        raise ParseError(f"undeclared species {sides.pairs[term][0]}", lineno)
+    for name, (lineno, _) in init_rows.items():
+        if name not in declared:
+            raise ParseError(f"undeclared species {name}", lineno)
+
+
+def _directive(
+    line: str,
+    lineno: int,
+    header: list[str] | None,
+    init_rows: dict[str, tuple[int, Fraction]],
+) -> list[str] | None:
+    """Read the stripped ``species:`` or ``init:`` line ``line``: returns
+    the header, and adds an init line's value to ``init_rows``."""
+    if line.startswith("species:"):
+        if header is not None:
+            raise ParseError("duplicate species: header", lineno)
+        header = line[len("species:"):].split()
+        if len(set(header)) != len(header):
+            raise ParseError("duplicate name in species: header", lineno)
+        return header
+    body = line[len("init:"):]
+    if "=" not in body:
+        raise ParseError("expected 'init: NAME = VALUE'", lineno)
+    name, _, value_text = body.partition("=")
+    name = name.strip()
+    if not name:
+        raise ParseError("missing species name in init line", lineno)
+    value = parse_rational(value_text, lineno)
+    if value < 0:
+        raise ParseError("initial concentration must be nonnegative", lineno)
+    if name in init_rows:
+        raise ParseError(f"second initial value for {name}", lineno)
+    init_rows[name] = (lineno, value)
+    return header
+
+
 def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     """Parse the native format; returns the network and its initial
     condition when ``init:`` lines are present.
@@ -212,181 +440,108 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     ``init:`` line for one species).
     """
     header: list[str] | None = None
-    reaction_rows: list[tuple[int, int, int]] = []
     init_rows: dict[str, tuple[int, Fraction]] = {}
-    # Every name met, in order of first appearance (a dict keeps the first).
-    order: dict[str, None] = {}
-    # Each distinct stripped term maps to its bracket depth, its (name,
-    # multiplicity) pair and what is wrong with it (one of the two is
-    # None); ``plain`` maps each balanced term without fault to its pair.
-    # An error is raised only when a side uses the term whole, with the
-    # line of that side.
-    terms: dict[str, tuple[int, tuple[str, int] | None, str | None]] = {}
-    plain: dict[str, tuple[str, int]] = {}
-    # Distinct stripped side texts in order of first appearance, as
-    # (pairs, their reactant-rule problems, first line); a side that does
-    # not parse has pairs None and its error as its one problem, and ends
-    # the parse on the line that adds it.  ``side_index`` maps each of
-    # them, and each raw text that was cut out as a side, to its index.
-    # Only a balanced text is a side, so a raw text found there was cut at
-    # depth zero.
-    side_index: dict[str, int] = {}
-    sides: list[tuple[list[tuple[str, int]] | None, tuple[str, ...], int]] = []
-    # The reactant rule's problems per molecule count.
-    rule: dict[int, tuple[str, ...]] = {}
-    # Distinct number texts map to their values; distinct rate texts to
-    # their index in ``rates`` and what the rate breaks of the rule.
-    numbers: dict[str, Fraction] = {}
-    rate_index: dict[str, tuple[int, tuple[str, ...]]] = {}
-    rates: list[Fraction] = []
+    # Pass 1: each reaction line's number, and its reactant, product and
+    # rate texts cut at its first '->' and its last ','.  A line without
+    # both, or whose reactant text holds a ':' (as a header or an init
+    # line does), goes through the stripped-line rules.  The first line
+    # refused there ends the pass.
+    linenos: list[int] = []
+    lefts: list[str] = []
+    rights: list[str] = []
+    rates: list[str] = []
+    stop: ParseError | None = None
+    for lineno, line in enumerate(_lines(text), start=1):
+        left, _, rest = line.partition("->")
+        products, comma, rate = rest.rpartition(",")
+        if comma and ":" not in left:
+            left, products = left.strip(), products.strip()
+        else:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                if line.startswith(("species:", "init:")):
+                    header = _directive(line, lineno, header, init_rows)
+                    continue
+                left, products, rate = _cut(line, lineno)
+            except ParseError as err:
+                stop = err
+                break
+        linenos.append(lineno)
+        lefts.append(left)
+        rights.append(products)
+        rates.append(rate)
 
-    def term(raw: str) -> tuple[int, tuple[str, int] | None, str | None]:
-        """The entry of the term ``raw``, parsed the first time its
-        stripped text appears."""
-        text = raw.strip()
-        entry = terms.get(text)
-        if entry is None:
-            entry = terms[text] = (_depth(text), *_parse_term(text))
-            depth, pair, _ = entry
-            if pair is not None and not depth:
-                plain[text] = pair
-        return entry
+    # Pass 2: every distinct side at once.  An unbalanced side shows that
+    # the first arrow or the last comma of its line is inside brackets:
+    # the scans cut each such line again, and the sides are read again.
+    sides = _Sides(set(lefts).union(rights))
+    cut_wrong = {side for side, fault in sides.faults.items() if fault is None}
+    if cut_wrong:
+        lines = list(_lines(text))
+        for i, (lineno, left, products) in enumerate(zip(linenos, lefts, rights)):
+            if left in cut_wrong or products in cut_wrong:
+                try:
+                    lefts[i], rights[i], rates[i] = _cut(lines[lineno - 1].strip(), lineno)
+                except ParseError as err:
+                    stop = err
+                    del linenos[i:], lefts[i:], rights[i:], rates[i:]
+                    break
+        sides = _Sides(set(lefts).union(rights))
 
-    def side(raw: str, lineno: int) -> int | None:
-        """The index in ``sides`` of the side text ``raw``, added the first
-        time its stripped text appears; None when ``raw`` is not balanced.
-        Bracket depth adds up over concatenation, so a text's depth is the
-        sum of its terms' and needs no scan of its own."""
-        text = raw.strip()
-        index = side_index.get(text)
-        if index is None:
-            # Most new sides are made of balanced, faultless terms met before.
-            pairs = [plain.get(part.strip()) for part in text.split("+")]
-            error = None
-            if None in pairs:
-                entries = [term(part) for part in text.split("+")]
-                depths = [depth for depth, _, _ in entries]
-                if any(depths):
-                    if sum(depths):
-                        return None
-                    if any(depths[:-1]):
-                        # A '+' sits inside brackets: cut only at depth zero.
-                        entries = [term(part) for part in _split_top(text, "+")]
-                pairs = [pair for _, pair, _ in entries]
-                if text == "0":
-                    pairs = []
-                elif not text:
-                    error = "empty reaction side"
-                else:
-                    error = next((error for _, _, error in entries if error), None)
-            index = side_index[text] = len(sides)
-            if error is not None:
-                sides.append((None, (error,), lineno))
-            else:
-                molecules = 0
-                for name, mult in pairs:
-                    order[name] = None
-                    molecules += mult
-                problems = rule.get(molecules)
-                if problems is None:
-                    problems = rule[molecules] = _reaction_problems(molecules=molecules)
-                sides.append((pairs, problems, lineno))
-        side_index[raw] = index
-        return index
-
-    def number(raw: str, lineno: int) -> Fraction:
-        value = numbers.get(raw)
-        if value is None:
-            value = numbers[raw] = parse_rational(raw, lineno)
-        return value
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    # Each distinct rate text is parsed once.
+    values: dict[str, Fraction] = {}
+    rate_faults: dict[str, str] = {}
+    sign_faults: dict[str, str] = {}
+    for rate in set(rates):
+        try:
+            values[rate] = value = parse_rational(rate)
+        except ParseError as err:
+            rate_faults[rate] = str(err)
             continue
-        if line.startswith("species:"):
-            if header is not None:
-                raise ParseError("duplicate species: header", lineno)
-            header = line[len("species:"):].split()
-            if len(set(header)) != len(header):
-                raise ParseError("duplicate name in species: header", lineno)
-            continue
-        if line.startswith("init:"):
-            body = line[len("init:"):]
-            if "=" not in body:
-                raise ParseError("expected 'init: NAME = VALUE'", lineno)
-            name, _, value_text = body.partition("=")
-            name = name.strip()
-            if not name:
-                raise ParseError("missing species name in init line", lineno)
-            value = number(value_text, lineno)
-            if value < 0:
-                raise ParseError("initial concentration must be nonnegative", lineno)
-            if name in init_rows:
-                raise ParseError(f"second initial value for {name}", lineno)
-            init_rows[name] = (lineno, value)
-            order[name] = None
-            continue
-        # The first arrow is at depth zero exactly when the text before it
-        # is balanced, and the last comma exactly when the products are;
-        # otherwise the bracket-counting scans find the separator.  Errors
-        # come in line order: the reactants, the rate, the products, then
-        # the reaction rule.
-        left, arrow, rest = line.partition("->")
-        lhs = side_index.get(left) if arrow else None
-        if lhs is None:
-            lhs = side(left, lineno) if arrow else None
-            if lhs is None:
-                cut = _find_top(line, "->")
-                if cut < 0:
-                    raise ParseError(f"expected a reaction line, got {line!r}", lineno)
-                lhs = side(line[:cut], lineno)
-                rest = line[cut + 2 :]
-            if sides[lhs][0] is None:
-                raise ParseError(sides[lhs][1][0], lineno)
-        products, comma, rate_text = rest.rpartition(",")
-        rhs = side_index.get(products) if comma else None
-        new_rhs = rhs is None
-        if new_rhs:
-            rhs = side(products, lineno) if comma else None
-            if rhs is None:
-                cut = _rfind_top(rest, ",")
-                if cut < 0:
-                    raise ParseError("missing rate (expected 'products , rate')", lineno)
-                rhs = side(rest[:cut], lineno)
-                rate_text = rest[cut + 1 :]
-        entry = rate_index.get(rate_text)
-        if entry is None:
-            value = number(rate_text, lineno)
-            entry = rate_index[rate_text] = (len(rates), _reaction_problems(rate=value))
-            rates.append(value)
-        if new_rhs and sides[rhs][0] is None:
-            raise ParseError(sides[rhs][1][0], lineno)
-        rate, problems = entry
-        problems = problems or sides[lhs][1]
+        problems = _reaction_problems(rate=value)
         if problems:
-            raise ParseError(problems[0], lineno)
-        reaction_rows.append((lhs, rate, rhs))
+            sign_faults[rate] = problems[0]
+    rule_faults = sides.rule_faults(set(lefts))
 
-    names = header if header is not None else list(order)
-    if header is not None:
-        declared = set(header)
-        # Sides are in first-appearance order, left before right, so the
-        # first one naming an undeclared species is on the first reaction
-        # line that does.
-        for pairs, _, lineno in sides:
-            for name, _ in pairs:
-                if name not in declared:
-                    raise ParseError(f"undeclared species {name}", lineno)
-        for name, (lineno, _) in init_rows.items():
-            if name not in declared:
-                raise ParseError(f"undeclared species {name}", lineno)
+    # The first line with a fault reports the first of its faults: its
+    # reactants' syntax, its rate's, its products', its rate's sign, the
+    # reactant rule.  A line refused in pass 1 comes after every row.
+    faults = sides.faults
+    if faults or rate_faults or sign_faults or rule_faults:
+        for lineno, left, products, rate in zip(linenos, lefts, rights, rates):
+            fault = (
+                faults.get(left)
+                or rate_faults.get(rate)
+                or faults.get(products)
+                or sign_faults.get(rate)
+                or rule_faults.get(left)
+            )
+            if fault:
+                raise ParseError(fault, lineno)
+    if stop is not None:
+        raise stop
 
-    species = tuple(Species(i, name) for i, name in enumerate(names))
+    if header is None:
+        names = _appearance_order(sides, linenos, lefts, rights, init_rows)
+    else:
+        names = header
+        _require_declared(set(header), sides, linenos, lefts, rights, init_rows)
     ids = {name: i for i, name in enumerate(names)}
-    keys = [_side_key([(ids[n], m) for n, m in pairs]) for pairs, _, _ in sides]
-    scale, scaled = _scale_rates(rates)
-    rows = tuple([(keys[lhs], keys[rhs], scaled[rate]) for lhs, rate, rhs in reaction_rows])
+    keys = sides.keys(ids)
+    # Freed before the rows are built, which keeps the parse's peak lower.
+    del sides
+    scale, scaled = _scale_rates(list(values.values()))
+    scaled_of = dict(zip(values, scaled))
+    rows = tuple(
+        zip(
+            map(keys.__getitem__, lefts),
+            map(keys.__getitem__, rights),
+            map(scaled_of.__getitem__, rates),
+        )
+    )
+    species = tuple(Species(i, name) for i, name in enumerate(names))
     crn = CRN._from_scaled(species, scale, rows, elementary=True)
     inits = None
     if init_rows:

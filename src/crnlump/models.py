@@ -171,6 +171,8 @@ def random_crn(
     else:
         names = [f"X{i:04d}" for i in range(n_species)]
     ids = range(n_species)
+    # One Fraction per pool rate, shared by the reactions that draw it.
+    rates = [Fraction(rate) for rate in rate_pool]
     rows = []
     for _ in range(n_reactions):
         if rng.random() < 0.5:
@@ -178,6 +180,5 @@ def random_crn(
         else:
             reactants = ((rng.choice(ids), 1), (rng.choice(ids), 1))
         products = tuple((rng.choice(ids), 1) for _ in range(rng.randint(0, 3)))
-        rate = Fraction(rng.choice(rate_pool))
-        rows.append((reactants, rate, products))
+        rows.append((reactants, rng.choice(rates), products))
     return _crn_from_rows(tuple(Species(i, name) for i, name in enumerate(names)), rows)

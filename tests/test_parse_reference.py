@@ -4,6 +4,7 @@ reaction objects first: the same network, the same canonical text, the
 same integer reaction list and the same error text."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -181,3 +182,67 @@ def test_rate_is_checked_before_the_product_side():
 )
 def test_terms_are_parsed_once_with_the_line_that_uses_them(lines, error):
     assert assert_agrees("\n".join(lines)) == error
+
+
+def _multisite4():
+    """The multisite n=4 text as lines: its header, 1536 reaction lines
+    and three init lines."""
+    return serialize_crn(*multisite(MultisiteSpec(n_sites=4))).splitlines()
+
+
+@pytest.mark.parametrize(
+    "line,error",
+    [
+        # A new side whose first arrow is inside brackets: cut again by the
+        # scans, which find no arrow at depth zero.
+        ("S(U,U->U,U) + E , 1", "expected a reaction line, got 'S(U,U->U,U) + E , 1'"),
+        # A new product side whose last comma is inside brackets.
+        ("E -> S(U,U,U,U", "missing rate (expected 'products , rate')"),
+        ("E -> F , 1/0", "not a rational number: '1/0'"),
+        ("E + F + S(U,U,U,U) -> E , 1", "reactants exceed multiplicity 2"),
+        ("E -> Q , 1", "undeclared species Q"),
+    ],
+)
+def test_a_first_fault_on_the_last_line(line, error):
+    lines = _multisite4()
+    lines.append(line)
+    assert assert_agrees("\n".join(lines)) == f"line {len(lines)}: {error}"
+
+
+def test_a_bracketed_plus_first_met_late():
+    lines = _multisite4()
+    lines[0] += " T(a+b) U(x,y->z)"
+    # Sides with a '+' inside brackets, and a line whose first arrow and
+    # last comma are inside brackets, after 1000 plain lines.
+    lines[1001:1001] = ["T(a+b) + E -> U(x,y->z) , 2", "U(x,y->z) -> T(a+b) + T(a+b) , 1/2"]
+    assert len(lines) > 1003
+    assert assert_agrees("\n".join(lines)) is None
+    lines.append("T(a+b) -> T(a+b + E , 1")
+    assert assert_agrees("\n".join(lines)) == (
+        f"line {len(lines)}: missing rate (expected 'products , rate')"
+    )
+
+
+def test_a_comment_only_on_a_late_line():
+    lines = _multisite4()
+    lines[1200] += "  # E + F -> 0 , 1"
+    assert assert_agrees("\n".join(lines)) is None
+    lines[1300] = "# " + lines[1300]
+    assert assert_agrees("\n".join(lines)) is None
+
+
+def test_no_header_with_an_init_line_between_reactions():
+    lines = [line for line in _multisite4()[1:] if not line.startswith("init:")]
+    # Z is named by an init line only, F first by an init line and then by
+    # the reaction lines after it.
+    first_f = next(i for i, line in enumerate(lines) if line.startswith("F + "))
+    assert first_f > 100
+    lines.insert(first_f, "init: F = 1")
+    lines.insert(100, "init: Z = 1/5")
+    text = "\n".join(lines)
+    assert assert_agrees(text) is None
+    crn, inits = parse_crn(text)
+    names = [sp.name for sp in crn.species]
+    assert names[:2] == ["E", "S(P,P,P,U)"]
+    assert names.index("Z") < names.index("F") < len(names) - 1
+    assert inits.get(crn.by_name("Z")) == Fraction(1, 5)

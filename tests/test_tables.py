@@ -121,8 +121,15 @@ def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
         raise AssertionError("rows scanned")
 
     monkeypatch.setattr(core, "_first_non_elementary", refuse)
+    text = serialize_crn(*multisite(MultisiteSpec(n_sites=3)))
+    body = text.split("\n", 1)[1]
     parsed = {
-        "parse_crn": parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=3))))[0],
+        "parse_crn": parse_crn(text)[0],
+        # Without a header, with a comment, and with a line whose first
+        # arrow is inside brackets, which the bracket-counting scans cut.
+        "parse_crn, other paths": parse_crn(
+            f"{body}# a comment\nS(U,U,U) -> X(a->b) , 1\nX(a->b) -> E + S(U,U,U) , 2\n"
+        )[0],
         "import_bngl_net": import_bngl_net(NET_FIXTURE)[0],
     }
     for crn in parsed.values():
