@@ -22,13 +22,11 @@ from .core import (
     CRNError,
     InitialCondition,
     IntegrationError,
-    Multiset,
     NotBisimulationError,
     NotLumpableError,
     ParseError,
     Partition,
     PartitionError,
-    Reaction,
     Species,
     make_crn,
     quotient_species,

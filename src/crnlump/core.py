@@ -1,6 +1,6 @@
 """Core data model for mass-action reaction networks.
 
-Species, multisets of species, rated reactions, networks, and species
+Species, networks of rated reactions between them, and species
 partitions.  A partition carries one species-to-block index
 (``Partition.block_index``); every layer reads blocks from it, and the
 choice map that sends every species to the least member of its block is
@@ -27,15 +27,18 @@ states that rule and the positive rate once, for this check,
 :func:`validate` and both parsers.  Rates become integers only in
 ``_scale_rates``.
 
-A network holds only its reaction list.  The ``.net`` importer,
-:func:`make_crn` and the generators hand their rows to ``_crn_from_rows``,
-and ``CRN(species, reactions)`` hands its :class:`Reaction` objects to
-the same keying, where a species that is not the network's own is a
-:class:`CRNError`; the parser and both quotient constructions hand the
-finished list to ``CRN._from_scaled``.  :func:`validate`, equality and
-hashing read the list, and :func:`validate` and :func:`require_elementary`
-print a reaction they report from it.  ``reactions`` is an output view
-of the list, built on the first read and kept; the package never reads it.
+A network holds only its reaction list.  ``CRN(species, rows)`` builds
+it from one row ``(reactant pairs, rate, product pairs)`` per reaction,
+each side its ``(species id, multiplicity)`` pairs; ``_scaled_rows``
+checks and keys each distinct side once and refuses, naming the
+reaction, a row it cannot read as one.  :func:`make_crn` and the
+generators call the constructor.  The ``.net`` importer keys its rows with ``_scaled_rows``
+too; it, the parser and both quotient constructions hand a finished
+list to ``CRN._from_scaled``, which also takes the private
+``elementary`` mark.
+:func:`validate`, equality and hashing read the list, and
+:func:`validate` and :func:`require_elementary` print a reaction they
+report from it.
 
 The flux and forward tables are built on the first call for a network
 and kept in a private slot of its :class:`CRN`; every later call returns
@@ -44,7 +47,7 @@ refinement did not return, the reduction and the vector field share one
 build.  These slots take no part in equality or hashing, and nothing
 writes a table after it is built: the tables are tuples, and their dicts
 are never changed.  Two threads that race on a fresh network may both
-build a table or the view; the builds are equal, and either one is kept.
+build a table; the builds are equal, and either one is kept.
 The ``_certified`` slot holds, per bisimulation mode, the last partition
 :func:`crnlump.bisim.refine` returned for the network; a racing thread
 can only replace it with another partition that refinement proved.
@@ -71,7 +74,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,8 +89,6 @@ __all__ = [
     "Species",
     "species_key",
     "format_rational",
-    "Multiset",
-    "Reaction",
     "CRN",
     "make_crn",
     "validate",
@@ -171,68 +172,6 @@ def format_rational(value: Fraction) -> str:
         raise CRNError(f"cannot print a number with more than {limit} digits") from None
 
 
-class Multiset:
-    """Immutable multiset of species with positive multiplicities.
-
-    Entries iterate deterministically in species-id order.  ``a + b`` is
-    multiset union (multiplicities add).
-    """
-
-    __slots__ = ("_pairs", "_hash")
-
-    def __init__(self, pairs: Iterable[tuple[Species, int]] = ()):
-        acc: dict[Species, int] = {}
-        for sp, mult in pairs:
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for {sp.name}")
-            if mult == 0:
-                continue
-            acc[sp] = acc.get(sp, 0) + mult
-        ordered = tuple(sorted(acc.items(), key=lambda it: it[0].id))
-        object.__setattr__(self, "_pairs", ordered)
-        object.__setattr__(self, "_hash", hash(ordered))
-
-    @classmethod
-    def of(cls, *species: Species) -> "Multiset":
-        return cls((sp, 1) for sp in species)
-
-    def get(self, sp: Species) -> int:
-        for s, m in self._pairs:
-            if s == sp:
-                return m
-        return 0
-
-    @property
-    def total(self) -> int:
-        """Total multiplicity (number of molecules)."""
-        return sum(m for _, m in self._pairs)
-
-    def __iter__(self) -> Iterator[tuple[Species, int]]:
-        return iter(self._pairs)
-
-    def __len__(self) -> int:
-        return len(self._pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self._pairs)
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        return Multiset(tuple(self._pairs) + tuple(other._pairs))
-
-    def name_key(self) -> tuple[tuple[str, int], ...]:
-        """Deterministic key under the species name order (for output sort)."""
-        return tuple(sorted(((sp.name, m) for sp, m in self._pairs)))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Multiset) and self._pairs == other._pairs
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return _format_side((sp.name, m) for sp, m in self._pairs)
-
-
 def _format_side(named: Iterable[tuple[str, int]]) -> str:
     """A reaction side as text from its ``(name, multiplicity)`` terms: the
     terms in name order joined by `` + ``, ``2A`` for multiplicity 2, and
@@ -243,23 +182,18 @@ def _format_side(named: Iterable[tuple[str, int]]) -> str:
     return " + ".join(f"{m}{name}" if m > 1 else name for name, m in ordered)
 
 
-@dataclass(frozen=True, slots=True)
-class Reaction:
-    """A rated reaction between multisets: reactants -> products."""
-
-    reactants: Multiset
-    rate: Fraction
-    products: Multiset
-
-    def __repr__(self) -> str:
-        return f"{self.reactants!r} ->({self.rate}) {self.products!r}"
-
-
 class CRN:
     """A finite reaction network: ordered species plus a reaction list.
 
-    Species ids equal list positions, names are unique and reactions name
-    only the network's species; all three are enforced at construction.
+    ``CRN(species, rows)`` takes one row ``(reactant pairs, rate, product
+    pairs)`` per reaction.  A side is a tuple of ``(species id,
+    multiplicity)`` pairs in any order, where equal ids add up and zero
+    multiplicities are dropped; a rate is a :class:`~fractions.Fraction`
+    or an int.  Species ids equal list positions and names are unique
+    (:class:`ValueError` otherwise); an id that is not an int in ``[0,
+    n)``, a multiplicity that is not a nonnegative int, a rate of another
+    type and a row of another shape are a :class:`CRNError` naming the
+    first such reaction.
     Positive rates and one or two reactant molecules are data checked by
     :func:`validate`, not constructor failures.
 
@@ -267,33 +201,17 @@ class CRN:
     ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
     and hashes by the two.  The other tables are kept in the ``_flux``,
     ``_forward`` and ``_elementary`` slots, and the partitions that
-    refinement proved in ``_certified``; ``species`` and ``reactions``
-    are read-only, so they cannot go stale.  ``reactions`` is an output
-    view of the list, built on the first read (one :class:`Multiset` per
-    distinct side, one rate per distinct value) and kept;
-    ``CRN(species, reactions)`` keeps the objects it is given as that view.
+    refinement proved in ``_certified``; ``species`` is read-only, so
+    none of them can go stale.
     """
 
     __slots__ = (
-        "_species", "_reactions", "_by_name", "_scaled", "_flux", "_forward", "_elementary",
-        "_certified",
+        "_species", "_by_name", "_scaled", "_flux", "_forward", "_elementary", "_certified",
     )
 
-    def __init__(self, species: Sequence[Species], reactions: Sequence[Reaction]):
+    def __init__(self, species: Sequence[Species], rows: Iterable[tuple]):
         self._set_species(species)
-        self._reactions = reactions = tuple(reactions)
-        species = self._species
-
-        def pairs(i: int, rxn: Reaction, side: Multiset) -> Pairs:
-            for sp, _ in side:
-                if not (0 <= sp.id < len(species) and species[sp.id] == sp):
-                    raise CRNError(f"reaction {i} ({rxn!r}): undeclared species {sp.name}")
-            return tuple((sp.id, m) for sp, m in side)
-
-        self._scaled = _scaled_rows(
-            (pairs(i, rxn, rxn.reactants), rxn.rate, pairs(i, rxn, rxn.products))
-            for i, rxn in enumerate(reactions)
-        )
+        self._scaled = _scaled_rows(rows, self._species)
 
     @classmethod
     def _from_scaled(
@@ -316,7 +234,7 @@ class CRN:
         return crn
 
     def _set_species(self, species: Sequence[Species]) -> None:
-        """Check and keep ``species``; empty the view and table slots."""
+        """Check and keep ``species``; empty the table slots."""
         self._species = tuple(species)
         by_name: dict[str, Species] = {}
         for i, sp in enumerate(self._species):
@@ -328,16 +246,12 @@ class CRN:
                 raise ValueError(f"duplicate species name {sp.name}")
             by_name[sp.name] = sp
         self._by_name = by_name
-        self._reactions = self._flux = self._forward = self._elementary = None
+        self._flux = self._forward = self._elementary = None
         self._certified = {}
 
     @property
     def species(self) -> tuple[Species, ...]:
         return self._species
-
-    @property
-    def reactions(self) -> tuple[Reaction, ...]:
-        return _memo(self, "_reactions", _build_reactions)
 
     def by_name(self, name: str) -> Species:
         try:
@@ -372,20 +286,24 @@ def make_crn(
     """Build a CRN from names and (reactants, rate, products) triples.
 
     Multisets are given as name -> multiplicity mappings; rates as
-    anything :class:`fractions.Fraction` accepts.  Raises
-    :class:`ValueError` for a negative multiplicity.
+    anything :class:`fractions.Fraction` accepts.  A name that is not in
+    ``species_names`` is a :class:`CRNError` naming the reaction, and so
+    is a multiplicity that ``CRN(species, rows)`` refuses.
     """
     ids = {name: i for i, name in enumerate(species_names)}
 
-    def side(mapping: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
-        for name, mult in mapping.items():
-            if mult < 0:
-                raise ValueError(f"negative multiplicity for {name}")
-        return tuple((ids[name], mult) for name, mult in mapping.items())
+    def side(i: int, mapping: Mapping[str, int]) -> tuple[tuple[int, int], ...]:
+        try:
+            return tuple((ids[name], mult) for name, mult in mapping.items())
+        except KeyError as err:
+            raise CRNError(f"reaction {i}: undeclared species {err.args[0]}") from None
 
-    return _crn_from_rows(
+    return CRN(
         tuple(Species(i, name) for i, name in enumerate(species_names)),
-        ((side(lhs), Fraction(rate), side(rhs)) for lhs, rate, rhs in reactions),
+        (
+            (side(i, lhs), Fraction(rate), side(i, rhs))
+            for i, (lhs, rate, rhs) in enumerate(reactions)
+        ),
     )
 
 
@@ -445,8 +363,8 @@ def _scale_rates(rates: Sequence[Fraction]) -> tuple[int, list[int]]:
 
 
 def _side_key(pairs: Sequence[tuple[int, int]]) -> Pairs:
-    """A reaction side's ``(species id, multiplicity)`` pairs as a
-    :class:`Multiset` keeps them: equal ids merged, zero multiplicities
+    """A reaction side's ``(species id, multiplicity)`` pairs as the
+    integer reaction list keeps them: equal ids merged, zero multiplicities
     dropped, in id order; one or two pairs with nonzero multiplicities
     (every elementary side) skip the dict."""
     if len(pairs) == 1:
@@ -466,51 +384,53 @@ def _side_key(pairs: Sequence[tuple[int, int]]) -> Pairs:
     return tuple(sorted(acc.items()))
 
 
-def _scaled_rows(rows: Iterable[tuple]) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:
+def _checked_side_key(side: Pairs, species: Sequence[Species], i: int) -> Pairs:
+    """``_side_key(side)`` after checking each pair of ``side``, a side of
+    reaction ``i`` in a network of ``species``."""
+    n = len(species)
+    for sid, mult in side:
+        if not (isinstance(sid, int) and 0 <= sid < n):
+            raise CRNError(f"reaction {i}: species id {sid!r} is not an int in [0, {n})")
+        if not (isinstance(mult, int) and mult >= 0):
+            raise CRNError(
+                f"reaction {i}: multiplicity {mult!r} of {species[sid].name} "
+                "is not a nonnegative int"
+            )
+    return _side_key(side)
+
+
+def _scaled_rows(
+    rows: Iterable[tuple], species: Sequence[Species]
+) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:
     """The integer reaction list of the rows ``(reactant pairs, rate,
-    product pairs)``.  A side is a tuple of ``(species id, multiplicity)``
-    pairs in any order; each distinct one is keyed once, so equal sides
+    product pairs)`` over ``species``, as ``CRN(species, rows)`` takes
+    them.  Each distinct side is checked and keyed once, so equal sides
     share one key."""
-    keys: dict[tuple[tuple[int, int], ...], Pairs] = {}
-
-    def key(side):
-        pairs = keys.get(side)
-        if pairs is None:
-            pairs = keys[side] = _side_key(side)
-        return pairs
-
-    rows = [(key(lhs), rate, key(rhs)) for lhs, rate, rhs in rows]
-    scale, scaled = _scale_rates([rate for _, rate, _ in rows])
-    return scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(rows, scaled))
-
-
-def _crn_from_rows(
-    species: Sequence[Species], rows: Iterable[tuple], *, elementary: bool = False
-) -> CRN:
-    """The network over ``species`` with one reaction per row ``(reactant
-    pairs, rate, product pairs)`` (see :func:`_scaled_rows`); ``elementary``
-    as for ``CRN._from_scaled``."""
-    return CRN._from_scaled(species, *_scaled_rows(rows), elementary=elementary)
-
-
-def _build_reactions(crn: CRN) -> tuple[Reaction, ...]:
-    """The :class:`Reaction` objects of a network built from its integer
-    reaction list: one :class:`Multiset` per distinct side and one
-    :class:`~fractions.Fraction` per distinct scaled rate."""
-    scale, rows = crn._scaled
-    species = crn.species
-    sides: dict[Pairs, Multiset] = {}
-    rates: dict[int, Fraction] = {}
-    for reactants, products, value in rows:
-        for key in (reactants, products):
-            if key not in sides:
-                sides[key] = Multiset((species[sid], m) for sid, m in key)
-        if value not in rates:
-            rates[value] = Fraction(value, scale)
-    return tuple(
-        Reaction(sides[reactants], rates[value], sides[products])
-        for reactants, products, value in rows
-    )
+    keys: dict[Pairs, Pairs] = {}
+    keyed = []
+    for row in rows:
+        # Inline lookups: a call per side would cost more than the keying.
+        try:
+            lhs, rate, rhs = row
+            a = keys.get(lhs)
+            if a is None:
+                a = keys[lhs] = _checked_side_key(lhs, species, len(keyed))
+            b = keys.get(rhs)
+            if b is None:
+                b = keys[rhs] = _checked_side_key(rhs, species, len(keyed))
+        except (TypeError, ValueError):
+            raise CRNError(
+                f"reaction {len(keyed)}: a row must be (reactant pairs, rate, product pairs), "
+                "each side a tuple of (species id, multiplicity) pairs"
+            ) from None
+        keyed.append((a, rate, b))
+    rates = [rate for _, rate, _ in keyed]
+    try:
+        scale, scaled = _scale_rates(rates)
+    except AttributeError:
+        i = next(i for i, rate in enumerate(rates) if not isinstance(rate, (int, Fraction)))
+        raise CRNError(f"reaction {i}: rate {rates[i]!r} is not a Fraction or an int") from None
+    return scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(keyed, scaled))
 
 
 def flux_table(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs], ...]]:
@@ -600,9 +520,8 @@ def require_elementary(crn: CRN) -> None:
 
 
 def _reaction_text(crn: CRN, i: int) -> str:
-    """Reaction ``i`` as its :class:`Reaction` prints, ``A + B ->(1/2) C``,
-    read from the integer reaction list, so the ``reactions`` view is not
-    built for it."""
+    """The text of reaction ``i`` of the integer reaction list, ``A + B
+    ->(1/2) C``: each side as :func:`_format_side` prints it."""
     scale, rows = scaled_reactions(crn)
     reactants, products, value = rows[i]
     species = crn.species

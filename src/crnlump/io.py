@@ -38,8 +38,7 @@ after every line fault, at the first side that names it.
 :func:`parse_crn` and :func:`import_bngl_net` build the network's
 integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
 marked elementary, since both refuse every other reaction, and
-:func:`serialize_crn` prints from it; no :class:`Reaction` object is
-built unless something reads ``CRN.reactions``.
+:func:`serialize_crn` prints from it.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -67,10 +66,10 @@ from .core import (
     PartitionError,
     Species,
     _check_initial_condition,
-    _crn_from_rows,
     _format_side,
     _reaction_problems,
     _scale_rates,
+    _scaled_rows,
     _side_key,
     format_rational,
     scaled_reactions,
@@ -702,7 +701,7 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         product_ids = _net_indices(products_field, len(species), lineno)
         lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
         rows.append((lhs, rate, rhs))
-    crn = _crn_from_rows(species, rows, elementary=True)
+    crn = CRN._from_scaled(species, *_scaled_rows(rows, species), elementary=True)
     inits = InitialCondition.from_map(
         crn, {species[i]: concentrations[i] for i in range(len(species))}
     )

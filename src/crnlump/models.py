@@ -8,8 +8,8 @@ the two free enzymes: ``4^n + 2`` species and ``6 n 4^(n-1)`` reactions.
 Site-uniform rates make permutations of site states behaviorally
 equivalent, which is exactly what the forward/backward equivalences
 detect, collapsing the species count to the number of state multisets
-plus two.  Every network here is built from its integer reaction list
-(:func:`crnlump.core.scaled_reactions`), without :class:`Reaction` objects.
+plus two.  Every network here is built by ``CRN(species, rows)`` from
+its reactions as rows of species ids.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .core import CRN, CRNError, InitialCondition, Species, _crn_from_rows, make_crn
+from .core import CRN, CRNError, InitialCondition, Species, make_crn
 
 __all__ = [
     "running_example",
@@ -130,7 +130,7 @@ def multisite(spec: MultisiteSpec) -> tuple[CRN, InitialCondition]:
                     target = substrate + (new - state) * weight
                     yield bound + ((substrate, 1),), getattr(spec, rate), freed + ((target, 1),)
 
-    crn = _crn_from_rows(species, rows())
+    crn = CRN(species, rows())
     # The configuration with every site unmodified is species 2.
     enzyme, phosphatase, unmodified = species[:3]
     inits = InitialCondition.from_map(
@@ -181,4 +181,4 @@ def random_crn(
             reactants = ((rng.choice(ids), 1), (rng.choice(ids), 1))
         products = tuple((rng.choice(ids), 1) for _ in range(rng.randint(0, 3)))
         rows.append((reactants, rng.choice(rates), products))
-    return _crn_from_rows(tuple(Species(i, name) for i, name in enumerate(names)), rows)
+    return CRN(tuple(Species(i, name) for i, name in enumerate(names)), rows)

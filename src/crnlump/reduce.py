@@ -17,8 +17,7 @@ multiplicity to its reactant multiplicity; the reduced network's ODEs
 govern the representative trajectories (``core._representative_mask``).
 Both then lift each side they keep to ``(block, multiplicity)`` pairs by
 ``core._lift`` and fuse duplicates by summing their rates as ints.  The
-fused rows, sorted, are the quotient's integer reaction list; its
-:class:`~crnlump.core.Reaction` objects are built only when read.
+fused rows, sorted, are the quotient's integer reaction list.
 
 Both constructions count their elementary steps (species slots touched
 per reaction plus fusion-sort work); the count backs the complexity

@@ -9,9 +9,13 @@ Nothing here shares code with the signature tables of
   convention for self-partners), ``production_rate(X, partner, Y)`` and
   its block sum ``production_rate_to_block``, ``flux_rate(X, reactants)``
   and its sum over a set of reactant multisets ``cumulative_flux_rate``;
+* ``Multiset`` and ``Reaction``, reactions as objects, and
+  ``reactions_of``, a network's reactions as those objects: read from its
+  integer reaction list with the multiset's own canonical form, or, for a
+  ``ReferenceCRN``, the objects it was built from;
 * ``accretion_depletion``, the positive and negative parts one reaction
   contributes to one species' vector-field component, read from the
-  :class:`~crnlump.core.Reaction` object;
+  ``Reaction`` object;
 * the pairwise predicates ``forward_equivalent`` /
   ``backward_equivalent``, which quantify over those functions exactly
   as the definitions do;
@@ -44,22 +48,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from crnlump import (
     CRN,
     BisimMode,
     CRNError,
     InitialCondition,
-    Multiset,
     MultisiteSpec,
     ParseError,
     Partition,
     PartitionError,
     Polynomial,
-    Reaction,
     Species,
 )
+from crnlump.core import scaled_reactions
 from crnlump.io import (
     _COEFF_RE,
     _SPACE_RE,
@@ -75,6 +78,135 @@ from crnlump.io import (
 from crnlump.sim import _check_initial_condition
 
 _ZERO = Fraction(0)
+
+
+# ---------------------------------------------------------------------------
+# Reactions as objects
+
+
+class Multiset:
+    """Immutable multiset of species with positive multiplicities.
+
+    Entries iterate deterministically in species-id order.  ``a + b`` is
+    multiset union (multiplicities add).
+    """
+
+    __slots__ = ("_pairs", "_hash")
+
+    def __init__(self, pairs: Iterable[tuple[Species, int]] = ()):
+        acc: dict[Species, int] = {}
+        for sp, mult in pairs:
+            if mult < 0:
+                raise ValueError(f"negative multiplicity for {sp.name}")
+            if mult == 0:
+                continue
+            acc[sp] = acc.get(sp, 0) + mult
+        self._pairs = tuple(sorted(acc.items(), key=lambda it: it[0].id))
+        self._hash = hash(self._pairs)
+
+    @classmethod
+    def of(cls, *species: Species) -> "Multiset":
+        return cls((sp, 1) for sp in species)
+
+    def get(self, sp: Species) -> int:
+        for s, m in self._pairs:
+            if s == sp:
+                return m
+        return 0
+
+    @property
+    def total(self) -> int:
+        """Total multiplicity (number of molecules)."""
+        return sum(m for _, m in self._pairs)
+
+    def ids(self) -> tuple[tuple[int, int], ...]:
+        """The ``(species id, multiplicity)`` pairs, a side of a row of
+        ``CRN(species, rows)``."""
+        return tuple((sp.id, m) for sp, m in self._pairs)
+
+    def __iter__(self) -> Iterator[tuple[Species, int]]:
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __bool__(self) -> bool:
+        return bool(self._pairs)
+
+    def __add__(self, other: "Multiset") -> "Multiset":
+        return Multiset(self._pairs + other._pairs)
+
+    def name_key(self) -> tuple[tuple[str, int], ...]:
+        """Deterministic key under the species name order (for output sort)."""
+        return tuple(sorted(((sp.name, m) for sp, m in self._pairs)))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Multiset) and self._pairs == other._pairs
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return _format_side((sp.name, m) for sp, m in self._pairs)
+
+
+@dataclass(frozen=True)
+class Reaction:
+    """A rated reaction between multisets: reactants -> products."""
+
+    reactants: Multiset
+    rate: Fraction
+    products: Multiset
+
+    def __repr__(self) -> str:
+        return f"{self.reactants!r} ->({self.rate}) {self.products!r}"
+
+
+class ReferenceCRN(CRN):
+    """The network ``CRN(species, rows)`` builds from the rows of
+    ``reactions``; :func:`reactions_of` returns ``reactions`` themselves
+    for it."""
+
+    __slots__ = ("reactions",)
+
+    def __init__(self, species: Iterable[Species], reactions: Iterable[Reaction]):
+        self.reactions = tuple(reactions)
+        super().__init__(
+            species, [(r.reactants.ids(), r.rate, r.products.ids()) for r in self.reactions]
+        )
+
+
+# Views by network identity.  An entry keeps its network alive, so no
+# other network can take its id while the entry is there.
+_VIEWS: dict[int, tuple[CRN, tuple[Reaction, ...]]] = {}
+
+
+def reactions_of(crn: CRN) -> tuple[Reaction, ...]:
+    """The reactions of ``crn`` as objects, in list order.
+
+    A :class:`ReferenceCRN` gives the objects it was built from.  Any
+    other network's are read from :func:`~crnlump.core.scaled_reactions`:
+    each side through :class:`Multiset`, whose canonical form does not
+    depend on the keying of ``crnlump.core``, each rate as its scaled
+    value divided by L.
+    """
+    if isinstance(crn, ReferenceCRN):
+        return crn.reactions
+    entry = _VIEWS.get(id(crn))
+    if entry is None:
+        scale, rows = scaled_reactions(crn)
+        species = crn.species
+
+        def side(pairs):
+            return Multiset((species[sid], m) for sid, m in pairs)
+
+        view = tuple(
+            Reaction(side(lhs), Fraction(value, scale), side(rhs)) for lhs, rhs, value in rows
+        )
+        if len(_VIEWS) >= 256:
+            _VIEWS.clear()
+        entry = _VIEWS[id(crn)] = (crn, view)
+    return entry[1]
 
 
 def _check_partner(partner: Multiset) -> None:
@@ -93,7 +225,7 @@ def reaction_rate(crn: CRN, x: Species, partner: Multiset) -> Fraction:
     _check_partner(partner)
     target = Multiset.of(x) + partner
     total = _ZERO
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         if rxn.reactants == target:
             total += rxn.rate
     return (partner.get(x) + 1) * total
@@ -104,7 +236,7 @@ def production_rate(crn: CRN, x: Species, partner: Multiset, y: Species) -> Frac
     _check_partner(partner)
     target = Multiset.of(x) + partner
     total = _ZERO
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         if rxn.reactants == target:
             total += rxn.rate * rxn.products.get(y)
     return (partner.get(x) + 1) * total
@@ -123,7 +255,7 @@ def production_rate_to_block(
 def flux_rate(crn: CRN, x: Species, reactants: Multiset) -> Fraction:
     """Signed net rate of change of ``x`` from reactions with the given reactants."""
     total = _ZERO
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         if rxn.reactants == reactants:
             total += (rxn.products.get(x) - rxn.reactants.get(x)) * rxn.rate
     return total
@@ -160,7 +292,7 @@ def candidate_partners(crn: CRN, x: Species) -> set[Multiset]:
     over all multisets.
     """
     partners: set[Multiset] = set()
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         mult = rxn.reactants.get(x)
         if mult == 0:
             continue
@@ -201,7 +333,7 @@ def reactant_classes(crn: CRN, p: Partition) -> list[ReactantClass]:
     representative = {sp: block[0] for block in p.blocks for sp in block}
     groups: dict[Multiset, list[Multiset]] = {}
     seen: set[Multiset] = set()
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         rho = rxn.reactants
         if rho in seen:
             continue
@@ -324,7 +456,7 @@ def brute_force_coarsest(crn: CRN, initial: Partition, mode: BisimMode) -> Parti
 def _scaled(crn: CRN) -> dict[Fraction, int]:
     """Every rate times the least common multiple of the rate denominators:
     exact integers that compare as the rates do."""
-    rates = {Fraction(rxn.rate) for rxn in crn.reactions}
+    rates = {Fraction(rxn.rate) for rxn in reactions_of(crn)}
     scale = lcm(*(rate.denominator for rate in rates))
     return {rate: int(rate * scale) for rate in rates}
 
@@ -338,7 +470,7 @@ def _forward_uses(crn: CRN) -> tuple[list[frozenset], list[list[tuple]]]:
     scaled = _scaled(crn)
     rates: list[list] = [[] for _ in crn.species]
     productions: list[list] = [[] for _ in crn.species]
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         for x, _ in rxn.reactants:
             partner = Multiset(
                 (sp, m - 1 if sp == x else m) for sp, m in rxn.reactants
@@ -357,7 +489,7 @@ def _backward_uses(crn: CRN) -> list[list[tuple[tuple[int, ...], int]]]:
     integers)."""
     scaled = _scaled(crn)
     uses: list[list] = [[] for _ in crn.species]
-    for rxn in crn.reactions:
+    for rxn in reactions_of(crn):
         rho = tuple(sp.id for sp, m in rxn.reactants for _ in range(m))
         for x in {sp for sp, _ in rxn.reactants} | {sp for sp, _ in rxn.products}:
             flux = (rxn.products.get(x) - rxn.reactants.get(x)) * scaled[rxn.rate]
@@ -584,7 +716,7 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         Reaction(multisets[lhs], rate, multisets[rhs])
         for lhs, rate, rhs in reaction_rows
     ]
-    crn = CRN(species, reactions)
+    crn = ReferenceCRN(species, reactions)
     inits = None
     if init_rows:
         inits = InitialCondition.from_map(
@@ -660,7 +792,7 @@ def reference_multisite(spec: MultisiteSpec) -> tuple[CRN, InitialCondition]:
                         Multiset.of(phosphatase, flipped(config, site, "U")),
                     )
                 )
-    crn = CRN(species, reactions)
+    crn = ReferenceCRN(species, reactions)
     unmodified = config_species[("U",) * n]
     inits = InitialCondition.from_map(
         crn,
@@ -694,7 +826,7 @@ def reference_random_crn(
         )
         rate = Fraction(rng.choice(rate_pool))
         reactions.append(Reaction(reactants, rate, products))
-    return CRN(species, reactions)
+    return ReferenceCRN(species, reactions)
 
 
 def reference_import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
@@ -758,7 +890,7 @@ def reference_import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
                 Multiset.of(*(species[i] for i in product_ids)),
             )
         )
-    crn = CRN(species, reactions)
+    crn = ReferenceCRN(species, reactions)
     inits = InitialCondition.from_map(
         crn, {species[i]: concentrations[i] for i in range(len(species))}
     )
@@ -786,7 +918,7 @@ def reference_serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> 
     lines = [("species: " + " ".join(sp.name for sp in crn.species)).rstrip()]
     body = sorted(
         (rxn.reactants.name_key(), rxn.products.name_key(), _reaction_line(rxn))
-        for rxn in crn.reactions
+        for rxn in reactions_of(crn)
     )
     lines.extend(text for _, _, text in body)
     if inits is not None:

@@ -9,11 +9,9 @@ from crnlump import (
     CRNError,
     InitialCondition,
     ParseError,
-    Multiset,
     MultisiteSpec,
     Partition,
     PartitionError,
-    Reaction,
     Species,
     backward_reduce,
     find_counterexample,
@@ -35,10 +33,10 @@ from crnlump import (
     verify_forward,
 )
 import crnlump.core as core
-from crnlump.core import require_elementary
+from crnlump.core import require_elementary, scaled_reactions
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from conftest import blocks_of
-from oracle import _lift
+from oracle import Multiset, ReferenceCRN, _lift, reactions_of
 
 
 def test_multiset_drops_zero_entries():
@@ -75,6 +73,93 @@ def test_crn_enforces_dense_ids_and_unique_names():
         CRN([Species(0, "A"), Species(1, "A")], [])
 
 
+A_B = (Species(0, "A"), Species(1, "B"))
+# A -> B , 1, so that every bad row below is reaction 1.
+GOOD_ROW = (((0, 1),), Fraction(1), ((1, 1),))
+ROW_SHAPE = (
+    "reaction 1: a row must be (reactant pairs, rate, product pairs), "
+    "each side a tuple of (species id, multiplicity) pairs"
+)
+
+
+@pytest.mark.parametrize(
+    "species,row,error,message",
+    [
+        (A_B, (((2, 1),), 1, ()), CRNError, "reaction 1: species id 2 is not an int in [0, 2)"),
+        (A_B, (((-1, 1),), 1, ()), CRNError, "reaction 1: species id -1 is not an int in [0, 2)"),
+        (A_B, ((("0", 1),), 1, ()), CRNError, "reaction 1: species id '0' is not an int in [0, 2)"),
+        (
+            A_B,
+            (((0, 1),), 1, ((1, -1),)),
+            CRNError,
+            "reaction 1: multiplicity -1 of B is not a nonnegative int",
+        ),
+        (
+            A_B,
+            (((0, 1.5),), 1, ()),
+            CRNError,
+            "reaction 1: multiplicity 1.5 of A is not a nonnegative int",
+        ),
+        (A_B, (((0, 1),), 0.5, ()), CRNError, "reaction 1: rate 0.5 is not a Fraction or an int"),
+        (A_B, ([(0, 1)], 1, ()), CRNError, ROW_SHAPE),
+        (A_B, (((0, 1),), 1), CRNError, ROW_SHAPE),
+        (A_B, (((0, 1, 1),), 1, ()), CRNError, ROW_SHAPE),
+        (
+            (Species(0, "A"), Species(1, "A")),
+            (((0, 1),), 1, ()),
+            ValueError,
+            "duplicate species name A",
+        ),
+    ],
+    ids=[
+        "id past the end",
+        "negative id",
+        "non-int id",
+        "negative multiplicity",
+        "non-int multiplicity",
+        "float rate",
+        "list side",
+        "two-field row",
+        "three-field pair",
+        "duplicate name",
+    ],
+)
+def test_constructor_refuses_bad_rows(species, row, error, message):
+    # The first four used to be taken silently, and validate passed them.
+    with pytest.raises(error) as err:
+        CRN(species, [GOOD_ROW, row, row])
+    assert str(err.value) == message
+
+
+def test_constructor_drops_zero_multiplicities_and_merges_equal_ids():
+    rows = [
+        (((1, 1), (0, 1), (1, 0)), Fraction(1, 2), ((0, 1), (0, 1))),
+        (((0, 0), (1, 2)), 1, ((0, 0),)),
+        (((1, 1), (1, 1)), 3, ((1, 2), (0, 1), (0, 0))),
+    ]
+    assert scaled_reactions(CRN(A_B, rows)) == (
+        2,
+        (
+            (((0, 1), (1, 1)), ((0, 2),), 1),
+            (((1, 2),), (), 2),
+            (((1, 2),), ((0, 1), (1, 2)), 6),
+        ),
+    )
+
+
+def test_make_crn_refuses_an_undeclared_name():
+    # This used to end in a bare KeyError.
+    with pytest.raises(CRNError) as err:
+        make_crn(["A"], [({"B": 1}, 1, {"A": 1})])
+    assert str(err.value) == "reaction 0: undeclared species B"
+    with pytest.raises(CRNError) as err:
+        make_crn(["A"], [({"A": 1}, 1, {}), ({"A": 1}, 1, {"A": 1, "C": 0})])
+    assert str(err.value) == "reaction 1: undeclared species C"
+    with pytest.raises(CRNError) as err:
+        make_crn(["A"], [({"A": 1}, 1, {"A": -1})])
+    assert str(err.value) == "reaction 0: multiplicity -1 of A is not a nonnegative int"
+
+
 def test_validate_running_example_is_clean(crn):
     assert validate(crn) == []
 
@@ -87,37 +172,44 @@ def test_validate_flags_three_reactants():
 
 def test_validate_flags_nonpositive_rate():
     crn = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1})])
-    bad = CRN(crn.species, [Reaction(crn.reactions[0].reactants, Fraction(0), crn.reactions[0].products)])
+    bad = CRN(crn.species, [(((0, 1),), Fraction(0), ((1, 1),))])
     assert any("rate must be positive" in v for v in validate(bad))
 
 
 def test_validate_flags_zero_reactants_and_foreign_species():
-    a, b = Species(0, "A"), Species(1, "B")
-    ghost = Species(7, "G")
-    crn = CRN([a, b], [Reaction(Multiset(), Fraction(1), Multiset.of(a))])
+    crn = CRN(A_B, [((), Fraction(1), ((0, 1),))])
     assert any("at least one species" in v for v in validate(crn))
-    # A foreign species is refused when the network is built.
+    # A species id that is not the network's own is refused when the
+    # network is built.
     with pytest.raises(CRNError) as err:
-        CRN([a, b], [Reaction(Multiset.of(a), Fraction(1), Multiset.of(ghost))])
-    assert str(err.value) == "reaction 0 (A ->(1) G): undeclared species G"
+        CRN(A_B, [(((0, 1),), Fraction(1), ((7, 1),))])
+    assert str(err.value) == "reaction 0: species id 7 is not an int in [0, 2)"
 
 
-@pytest.mark.parametrize("foreign", [Species(0, "Q"), Species(5, "Z")], ids=["same id", "new id"])
-def test_a_foreign_species_is_an_error_not_another_species(foreign):
-    # Q used to be read as A (A' = -A) and Z to end in an IndexError; now
-    # no network can hold either, so every reader sees only its own species.
-    a, b = Species(0, "A"), Species(1, "B")
-    message = f"reaction 0 ({foreign.name} ->(1) B): undeclared species {foreign.name}"
+FOREIGN = {
+    "other name": (
+        lambda: make_crn(["A", "B"], [({"Q": 1}, 1, {"B": 1})]),
+        "reaction 0: undeclared species Q",
+    ),
+    "new id": (
+        lambda: CRN(A_B, [(((5, 1),), 1, ((1, 1),))]),
+        "reaction 0: species id 5 is not an int in [0, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("build,message", FOREIGN.values(), ids=FOREIGN)
+def test_a_foreign_species_is_an_error_not_another_species(build, message):
+    # A species not of the network used to be read as another one (A' =
+    # -A) or to end in an IndexError; now no network can hold one, so
+    # every reader sees only its own species.
     with pytest.raises(CRNError) as err:
-        CRN([a, b], [Reaction(Multiset.of(foreign), Fraction(1), Multiset.of(b))])
+        build()
     assert str(err.value) == message
 
 
 def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
     crn, _ = parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=3))))
-
-    def refuse(_rxn):
-        raise AssertionError("a reaction was printed")
 
     def text(crn, i):
         printed.append(i)
@@ -126,35 +218,20 @@ def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
     printed = []
     reaction_text = core._reaction_text
     with monkeypatch.context() as patch:
-        patch.setattr(Reaction, "__repr__", refuse)
         patch.setattr(core, "_reaction_text", text)
         assert validate(crn) == []
-        a, b, g = Species(0, "A"), Species(1, "B"), Species(2, "G")
-        bad = CRN(
-            [a, b, g],
-            [
-                Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
-                Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(g, 2), (b, 1)])),
-            ],
-        )
+        bad_row = (((0, 3),), Fraction(0), ((2, 2), (1, 1)))
+        bad = CRN([*A_B, Species(2, "G")], [GOOD_ROW, bad_row])
         where = "reaction 1 (3A ->(0) B + 2G): "
         assert validate(bad) == [
             where + "rate must be positive",
             where + "reactants exceed multiplicity 2",
         ]
     assert printed == [1]
-    # The same reaction naming a G that is not the network's own is refused
-    # at construction, printed as validate prints it.
-    ghost = Species(7, "G")
+    # The same reaction in a network without G is refused at construction.
     with pytest.raises(CRNError) as err:
-        CRN(
-            [a, b],
-            [
-                Reaction(Multiset.of(a), Fraction(1), Multiset.of(b)),
-                Reaction(Multiset([(a, 3)]), Fraction(0), Multiset([(ghost, 2), (b, 1)])),
-            ],
-        )
-    assert str(err.value) == where + "undeclared species G"
+        CRN(A_B, [GOOD_ROW, bad_row])
+    assert str(err.value) == "reaction 1: species id 2 is not an int in [0, 2)"
 
 
 NOT_ELEMENTARY = ": not elementary: reactants must be one or two molecules"
@@ -171,29 +248,25 @@ NOT_ELEMENTARY = ": not elementary: reactants must be one or two molecules"
     ],
     ids=["3A", "A+B+C"],
 )
-def test_non_elementary_error_is_read_from_the_integer_list(monkeypatch, reactions, message):
-    def refuse(_crn):
-        raise AssertionError("Reaction objects built")
-
+def test_non_elementary_error_is_read_from_the_integer_list(reactions, message):
     decisions = [
         require_elementary,
         lambda crn: refine(crn, Partition.trivial(crn), BisimMode.FORWARD),
         lambda crn: refine(crn, Partition.trivial(crn), BisimMode.BACKWARD),
     ]
-    with monkeypatch.context() as patch:
-        patch.setattr(core, "_build_reactions", refuse)
-        for decide in decisions:
-            crn = make_crn(["C", "B", "A", "D"], reactions)
-            with pytest.raises(CRNError) as err:
-                decide(crn)
-            assert str(err.value) == message + NOT_ELEMENTARY
-    # A network given its Reaction objects prints the same text.
+    for decide in decisions:
+        crn = make_crn(["C", "B", "A", "D"], reactions)
+        with pytest.raises(CRNError) as err:
+            decide(crn)
+        assert str(err.value) == message + NOT_ELEMENTARY
+    # A network rebuilt from the oracle's Reaction objects prints the same
+    # text, which is the text such an object prints.
     built = make_crn(["C", "B", "A", "D"], reactions)
-    crn = CRN(built.species, built.reactions)
+    crn = ReferenceCRN(built.species, reactions_of(built))
     with pytest.raises(CRNError) as err:
         require_elementary(crn)
     assert str(err.value) == message + NOT_ELEMENTARY
-    assert message.endswith(f"({crn.reactions[len(reactions) - 1]!r})")
+    assert message.endswith(f"({reactions_of(crn)[len(reactions) - 1]!r})")
 
 
 def test_reactants_equal_products_is_accepted():

@@ -131,6 +131,10 @@ def test_numerical_names_are_those_of_sim():
         assert name not in vars(crnlump)
     assert crnlump.InitialCondition is crnlump.sim.InitialCondition
     assert "CRN" in names and names == sorted(names)
+    # A network has one representation: its integer reaction list.
+    assert "Multiset" not in names and "Reaction" not in names
+    assert not hasattr(crnlump.core, "Multiset") and not hasattr(crnlump.core, "Reaction")
+    assert not hasattr(crnlump.CRN, "reactions")
     from crnlump import verify_backward
 
     assert verify_backward is crnlump.sim.verify_backward

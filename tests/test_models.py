@@ -5,7 +5,6 @@ import pytest
 from crnlump import (
     BisimMode,
     CRNError,
-    Multiset,
     MultisiteSpec,
     Partition,
     is_bisimulation,
@@ -17,7 +16,7 @@ from crnlump import (
     two_state,
     validate,
 )
-from oracle import brute_force_coarsest, partitions_refining
+from oracle import Multiset, brute_force_coarsest, partitions_refining, reactions_of
 
 
 class TestRunningExample:
@@ -34,7 +33,7 @@ class TestRunningExample:
             rxn.reactants == Multiset.of(a, b)
             and rxn.rate == 2
             and rxn.products == Multiset.of(c)
-            for rxn in crn.reactions
+            for rxn in reactions_of(crn)
         )
 
 
@@ -165,4 +164,4 @@ class TestRandomCrn:
 
     def test_rate_pool_is_respected(self):
         net = random_crn(3, 4, 20, rate_pool=(Fraction(7), Fraction(1, 9)))
-        assert {rxn.rate for rxn in net.reactions} <= {Fraction(7), Fraction(1, 9)}
+        assert {rxn.rate for rxn in reactions_of(net)} <= {Fraction(7), Fraction(1, 9)}

@@ -32,7 +32,7 @@ from crnlump import odes
 from crnlump.core import require_elementary
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
-from oracle import accretion_depletion, partitions_refining
+from oracle import accretion_depletion, partitions_refining, reactions_of
 
 F = Fraction
 
@@ -74,7 +74,7 @@ def _sympy_field(crn):
     comps = {}
     for sp in crn.species:
         expr = sympy.Integer(0)
-        for rxn in crn.reactions:
+        for rxn in reactions_of(crn):
             net = rxn.products.get(sp) - rxn.reactants.get(sp)
             if net == 0:
                 continue
@@ -200,18 +200,18 @@ class TestVectorField:
 class TestAccretionDepletion:
     def test_binary_reaction(self, crn):
         # A + B ->(2) C seen from C: gains 2*V_A*V_B, loses nothing
-        rxn = next(r for r in crn.reactions if r.reactants.total == 2 and r.rate == 2)
+        rxn = next(r for r in reactions_of(crn) if r.reactants.total == 2 and r.rate == 2)
         accr, depl = accretion_depletion(rxn, crn.by_name("C"))
         assert accr == poly((2, ((0, 1), (1, 1))))
         assert depl.is_zero()
 
     def test_absent_species(self, crn):
-        rxn = crn.reactions[0]  # A ->(6) E
+        rxn = reactions_of(crn)[0]  # A ->(6) E
         accr, depl = accretion_depletion(rxn, crn.by_name("D"))
         assert accr.is_zero() and depl.is_zero()
 
     def test_consumed_species(self, crn):
-        rxn = crn.reactions[0]  # A ->(6) E seen from A
+        rxn = reactions_of(crn)[0]  # A ->(6) E seen from A
         accr, depl = accretion_depletion(rxn, crn.by_name("A"))
         assert accr.is_zero()
         assert depl == poly((6, ((0, 1),)))
@@ -222,7 +222,7 @@ class TestAccretionDepletion:
             vf = vector_field(net)
             for sp in net.species:
                 total = {}
-                for rxn in net.reactions:
+                for rxn in reactions_of(net):
                     accr, depl = accretion_depletion(rxn, sp)
                     add_terms(total, accr)
                     add_terms(total, depl, -1)

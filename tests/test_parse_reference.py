@@ -18,7 +18,7 @@ from crnlump import (
     serialize_crn,
 )
 from crnlump.core import scaled_reactions
-from oracle import reference_parse_crn
+from oracle import reactions_of, reference_parse_crn
 
 
 def _outcome(parse, text):
@@ -37,9 +37,10 @@ def assert_agrees(text):
     if error is None:
         (crn, inits), (ref, ref_inits) = parsed, reference
         # ``ref`` keeps the oracle's own Reaction objects as its view, so
-        # the second line checks the view ``crn`` builds from its list.
+        # the second line checks ``crn``'s list read through the oracle's
+        # multisets.
         assert scaled_reactions(crn) == scaled_reactions(ref), text
-        assert crn.reactions == ref.reactions, text
+        assert reactions_of(crn) == reactions_of(ref), text
         assert crn == ref, text
         assert serialize_crn(crn, inits) == serialize_crn(ref, ref_inits), text
     return error

@@ -25,12 +25,13 @@ from crnlump import (
 import crnlump.bisim
 from crnlump.models import random_crn, running_example
 from conftest import blocks_of
+from oracle import reactions_of
 
 
 def reaction_set(crn):
     return sorted(
         (rxn.reactants.name_key(), str(rxn.rate), rxn.products.name_key())
-        for rxn in crn.reactions
+        for rxn in reactions_of(crn)
     )
 
 
@@ -79,7 +80,7 @@ class TestForwardReduce:
         )
         reduced = forward_reduce(net, Partition.discrete(net))
         assert reduced.crn.n_reactions == 1
-        assert reduced.crn.reactions[0].rate == 7
+        assert reactions_of(reduced.crn)[0].rate == 7
 
     def test_requires_forward_bisimulation(self, crn, h_e):
         with pytest.raises(NotBisimulationError):

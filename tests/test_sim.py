@@ -37,6 +37,7 @@ from crnlump.core import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END
 from crnlump.models import random_crn
 from crnlump.sim import _compile
 from conftest import blocks_of
+from oracle import reactions_of
 
 
 def inits(crn, **values):
@@ -401,7 +402,7 @@ def doubled_first_rate(reduce):
                 rxn.rate * (2 if i == 0 else 1),
                 {sp.name: m for sp, m in rxn.products},
             )
-            for i, rxn in enumerate(reduced.crn.reactions)
+            for i, rxn in enumerate(reactions_of(reduced.crn))
         ]
         quotient = make_crn([sp.name for sp in reduced.crn.species], rows)
         return dataclasses.replace(reduced, crn=quotient)

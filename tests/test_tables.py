@@ -4,6 +4,7 @@ checks, and never written after they are built."""
 
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -85,11 +86,11 @@ def _parsed_example():
     return parse_crn(serialize_crn(running_example()))[0]
 
 
-def _from_reactions(net):
-    """An equal network built through the public constructor from the
-    Reaction objects of ``net``; it turns them into its reaction list at
-    construction and keeps them as its view."""
-    return CRN(net.species, net.reactions)
+def _rebuilt(net):
+    """An equal network built by ``CRN(species, rows)`` from the integer
+    reaction list of ``net``, with none of its tables or marks."""
+    scale, rows = core.scaled_reactions(net)
+    return CRN(net.species, [(lhs, Fraction(value, scale), rhs) for lhs, rhs, value in rows])
 
 
 def test_every_table_is_built_once_per_network(builds):
@@ -106,11 +107,11 @@ def test_every_table_is_built_once_per_network(builds):
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
     assert builds == {"flux_table": 2, "forward_table": 2, "require_elementary": 0}
-    # So does a network built from Reaction objects, whose list is that of
+    # So does a network built by CRN(species, rows), whose list is that of
     # the network it copies; it scans its rows once.
-    viewed = _from_reactions(running_example())
-    assert core.scaled_reactions(viewed) == core.scaled_reactions(running_example())
-    _every_consumer(viewed)
+    rebuilt = _rebuilt(running_example())
+    assert core.scaled_reactions(rebuilt) == core.scaled_reactions(running_example())
+    _every_consumer(rebuilt)
     assert builds == {"flux_table": 3, "forward_table": 3, "require_elementary": 1}
 
 
@@ -140,13 +141,13 @@ def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
 
 def test_other_networks_still_scan_their_rows(builds):
     # make_crn and CRN(...) take rows that no parser has checked.
-    for build in (running_example, lambda: _from_reactions(running_example())):
+    for build in (running_example, lambda: _rebuilt(running_example())):
         crn = build()
         core.require_elementary(crn)
         core.require_elementary(crn)
     assert builds["require_elementary"] == 2
     bad = make_crn(["A", "B"], [({"A": 3}, 1, {"B": 1})])
-    for crn in (bad, _from_reactions(bad)):
+    for crn in (bad, _rebuilt(bad)):
         with pytest.raises(core.CRNError) as err:
             refine(crn, Partition.trivial(crn), BB)
         assert str(err.value) == (
@@ -181,17 +182,14 @@ def _integrate_twice(crn):
 def test_integration_reads_the_shared_flux_table(builds):
     _integrate_twice(_parsed_example())
     assert builds == {"flux_table": 1, "forward_table": 0, "require_elementary": 0}
-    _integrate_twice(_from_reactions(running_example()))
+    _integrate_twice(_rebuilt(running_example()))
     assert builds == {"flux_table": 2, "forward_table": 0, "require_elementary": 0}
 
 
-def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
+def test_reduce_path_never_builds_reactions(tmp_path):
     # Parsing, refinement, both reductions, the checks and the numerical
-    # verification read only the integer reaction list of a parsed network.
-    def refuse(crn):
-        raise AssertionError("Reaction objects built")
-
-    monkeypatch.setattr(core, "_build_reactions", refuse)
+    # verification read only the integer reaction list of a parsed network:
+    # a network has no other form of its reactions.
     crn, inits = parse_crn(serialize_crn(*multisite(MultisiteSpec(n_sites=2))))
     fb = refine(crn, Partition.trivial(crn), FB).final
     bb = refine(crn, partition_from_initial_conditions(inits), BB).final
@@ -204,8 +202,7 @@ def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
     assert verify_forward(crn, fb, inits, 1.0, 1e-6).passed
     assert verify_backward(crn, bb, inits, 1.0, 1e-6).passed
     assert crn.n_reactions == 48
-    with pytest.raises(AssertionError, match="Reaction objects built"):
-        crn.reactions
+    assert not hasattr(crn, "reactions")
     # Every builder starts from the integer reaction list too, and printing
     # a network or either quotient reads only that list.
     built = {
@@ -220,19 +217,14 @@ def test_reduce_path_never_builds_reactions(monkeypatch, tmp_path):
         bb = refine(crn, Partition.trivial(crn), BB).final
         assert serialize_crn(forward_reduce(crn, fb).crn), name
         assert serialize_crn(backward_reduce(crn, bb).crn), name
-        with pytest.raises(AssertionError, match="Reaction objects built"):
-            crn.reactions
+        assert not hasattr(crn, "reactions"), name
     for argv in (["multisite", "--sites", "2"], ["random", "--seed", "3"], ["two-state"]):
         assert main(["gen", *argv, "--out", str(tmp_path / "gen.crn")]) == 0, argv
 
 
-def test_validate_and_equality_never_build_reactions(monkeypatch):
+def test_validate_and_equality_never_build_reactions():
     # validate, == and hash read the integer reaction list of every
     # network the package builds, the quotients included.
-    def refuse(crn):
-        raise AssertionError("Reaction objects built")
-
-    monkeypatch.setattr(core, "_build_reactions", refuse)
     text = serialize_crn(*multisite(MultisiteSpec(n_sites=3)))
     builders = {
         "parse_crn": lambda: parse_crn(text)[0],
@@ -254,8 +246,7 @@ def test_validate_and_equality_never_build_reactions(monkeypatch):
             assert validate(net) == validate(twin) == [], name
             assert net == twin and hash(net) == hash(twin), name
         assert nets[0] != nets[1] and nets[0] != nets[2], name
-        with pytest.raises(AssertionError, match="Reaction objects built"):
-            nets[0].reactions
+        assert not hasattr(nets[0], "reactions"), name
     # A reported reaction is printed from the list too.
     bad = make_crn(["A", "B", "C", "D"], [({"A": 1, "B": 1, "C": 1}, 0, {"D": 1})])
     where = "reaction 0 (A + B + C ->(0) D): "
@@ -302,15 +293,11 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
 
     serial = work(*parse_crn(text))
     shared, inits = parse_crn(text)
-    # A second fresh network whose Reaction objects the threads build first.
-    viewed = parse_crn(text)[0]
     start = threading.Barrier(8, timeout=60)
     results = [None] * 8
-    views = [None] * 8
 
     def run(i):
         start.wait()
-        views[i] = viewed.reactions
         results[i] = work(shared, inits)
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
@@ -326,7 +313,5 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 8
-    assert views == [parse_crn(text)[0].reactions] * 8
-    assert all(isinstance(view, tuple) for view in views)
     for name in ("flux_table", "forward_table"):
         assert getattr(core, name)(shared) == getattr(core, BUILDERS[name])(shared)
