@@ -25,7 +25,7 @@ production rates summed per (partner, block); backward, the classes of
 reactant multisets and each species' flux summed per class, a class
 being a lift by ``core._lift``, which both quotients use too.  The
 reverse indexes that :func:`refine` follows from a splitter are built on
-its first split.
+its first split that is not wide (see below).
 
 :func:`refine` computes the coarsest partition of either kind refining a
 given initial partition in passes, and stops at the first pass that
@@ -51,6 +51,24 @@ ranges bound to locals: the entry's value leaves its old key and joins
 its new one, and a key whose sum becomes zero is dropped.  A species in
 a singleton is skipped, since no later pass reads its signature.
 
+A wide split is handled the other way round.  When the new pieces of
+two or more species hold at least half of the species, as after the one
+pass that splits the multisite family's single block, nearly every
+entry would move, each move costs two dict updates, and the reverse
+index must be built first.  ``retarget`` then folds every signature
+again from the network's table under the new labels, by the same
+``_fold`` that builds the signatures, and builds no index.  Pieces of
+one species are not counted: a split into singletons leaves few
+signatures to keep, the moves skip the others' entries, and a fold
+would still read the whole table (on seeded random 20-species networks,
+whose first split is mostly into singletons, counting them made
+``retarget`` 1.7 to 1.9 times slower).  A species lands in a new piece at
+most log2(n) times, so at most 2 log2(n) splits are wide, each fold is
+O(m), and the O(m log n) bound holds.  Both ways return the species that
+read a new piece, in the order in which the moves meet them: which piece
+of a tie keeps its block's label follows that order, so both ways give
+the same passes and the same ``predicate_calls``.
+
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
 two signatures differ (a partner or a (partner, block) pair forward,
@@ -69,6 +87,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .core import CRN, EMPTY_PARTNER, Partition, Species
 from .core import check_partition, flux_table, format_rational, forward_table
@@ -212,6 +231,21 @@ class _Blocks:
                 pieces.append((label, b))
         return pieces
 
+    def wide_split_ranks(self, pieces: list[tuple[int, int]]) -> list[int] | None:
+        """When the new ``pieces`` of two or more species hold at least half
+        of the species, each species' position among the members of all
+        new pieces, piece after piece, and the species count for a species
+        in none; otherwise None.  The positions are the order in which
+        moving entries meets them."""
+        n, first, end = len(self.elems), self.first, self.end
+        if 2 * sum(end[p] - first[p] for p, _ in pieces if end[p] - first[p] > 1) < n:
+            return None
+        met = [y for piece, _ in pieces for y in self.members(piece)]
+        rank = [n] * n
+        for r, y in enumerate(met):
+            rank[y] = r
+        return rank
+
     def partition(self, species) -> Partition:
         return Partition(
             species,
@@ -240,23 +274,53 @@ class _ForwardSignatures:
         self.scale, self._crr, self._crr_id, self._prod = forward_table(crn)
         self._producers: list[list[tuple[int, int, int]]] | None = None
         self._species = crn.species
-        self.folded = [self._fold(entries, block_of) for entries in self._prod]
+        self._fold(block_of)
 
-    def _fold(self, entries: dict[int, int], block_of) -> dict[int, int]:
+    def _fold(self, block_of, rank: list[int] | None = None) -> list[int]:
+        """Fold every species' production entries per block label into
+        ``folded``.  Given ``rank``, return the species with an entry into
+        a ``y`` of ``rank[y]`` below the species count, ordered by their
+        least such rank, then by id (see :meth:`retarget`)."""
         n = len(self._species)
-        folded: dict[int, int] = {}
-        for key, val in entries.items():
-            yid = key % n
-            key += block_of[yid] - yid
-            folded[key] = folded.get(key, 0) + val
-        return _nonzero(folded)
+        if rank is None:
+            rank = [n] * n
+        folded_all: list[dict[int, int]] = []
+        hits = []
+        for x, entries in enumerate(self._prod):
+            folded: dict[int, int] = {}
+            least = n
+            for key, val in entries.items():
+                yid = key % n
+                key += block_of[yid] - yid
+                folded[key] = folded.get(key, 0) + val
+                if rank[yid] < least:
+                    least = rank[yid]
+            folded_all.append(_nonzero(folded))
+            if least < n:
+                hits.append(least * n + x)
+        self.folded = folded_all
+        hits.sort()
+        return [key % n for key in hits]
 
     def key(self, x: int):
         return self._crr_id[x], frozenset(self.folded[x].items())
 
     def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
-        """Move every production into a new piece from its parent's key to
-        the piece's key; return the species moved, outside singletons."""
+        """Update the signatures after a split into the new ``pieces``;
+        return the species outside singletons that produce into a piece.
+
+        When the pieces of two or more species hold at least half of the
+        species, every signature is folded again from the table and the
+        producer index is not built.  Otherwise every production into a piece moves from its
+        parent's key to the piece's key.  A species lands in a new piece
+        at most log2(n) times, so the first way is taken at most 2 log2(n)
+        times, each O(m), and the O(m log n) bound holds.  Both ways return
+        the species in the same order, the order in which the moves meet
+        them, so that the next pass splits alike, ties included.
+        """
+        rank = blocks.wide_split_ranks(pieces)
+        if rank is not None:
+            return [x for x in self._fold(blocks.block_of, rank) if not blocks.in_singleton(x)]
         producers = self._producers
         if producers is None:
             # Per product species, its producers with their packed partner
@@ -331,24 +395,54 @@ class _BackwardSignatures:
         self.scale, self._rows = flux_table(crn)
         self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
-        class_of = self._class_of = {}
+        self._class_of = {}
+        self._fold(block_of)
+
+    def _fold(self, block_of, rank: list[int] | None = None) -> list[int]:
+        """Class every reactant multiset under the block labels and sum
+        each species' flux per class into ``sums``.  Given ``rank``, return
+        the species in the support of a multiset holding a ``y`` of
+        ``rank[y]`` below the species count, by first appearance over those
+        multisets ordered by their least such rank, then by position (see
+        :meth:`retarget`)."""
+        class_of, rows = self._class_of, self._rows
         self.entry_class = [
-            class_of.setdefault(_lift(key, block_of), len(class_of)) for key, _ in self._rows
+            class_of.setdefault(_lift(key, block_of), len(class_of)) for key, _ in rows
         ]
-        sums: list[dict[int, int]] = [{} for _ in crn.species]
-        for cid, (_, support) in zip(self.entry_class, self._rows):
+        sums: list[dict[int, int]] = [{} for _ in self._species]
+        for cid, (_, support) in zip(self.entry_class, rows):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
         self.sums = [_nonzero(acc) for acc in sums]
+        if rank is None:
+            return []
+        # One or two reactant pairs: the network is elementary.
+        least = [min(rank[k[0][0]], rank[k[-1][0]]) for k, _ in rows]
+        n = len(self._species)
+        meeting = sorted([e for e, r in enumerate(least) if r < n], key=least.__getitem__)
+        # A dict of the (species, flux) pairs keeps each species' first place.
+        return list(dict(chain.from_iterable([rows[e][1] for e in meeting])))
 
     def key(self, x: int):
         return frozenset(self.sums[x].items())
 
     def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
-        """Lift again every reactant multiset meeting a new piece and move
-        its support's flux to the new class; return the species moved,
-        outside singletons."""
+        """Update the signatures after a split into the new ``pieces``;
+        return the species outside singletons in the support of a reactant
+        multiset that meets a piece.
+
+        When the pieces of two or more species hold at least half of the
+        species, every multiset is classed and every signature summed again
+        from the table, and the reactant index is not built.  Otherwise every multiset meeting
+        a piece is lifted again and its support's flux moves to the new
+        class.  As forward, the first way is taken at most 2 log2(n)
+        times, each O(m), and both ways return the species in the order
+        in which the moves meet them.
+        """
+        rank = blocks.wide_split_ranks(pieces)
+        if rank is not None:
+            return [x for x in self._fold(blocks.block_of, rank) if not blocks.in_singleton(x)]
         by_reactant = self._by_reactant
         if by_reactant is None:
             by_reactant = self._by_reactant = [[] for _ in self._species]

@@ -288,7 +288,8 @@ def make_crn(
     Multisets are given as name -> multiplicity mappings; rates as
     anything :class:`fractions.Fraction` accepts.  A name that is not in
     ``species_names`` is a :class:`CRNError` naming the reaction, and so
-    is a multiplicity that ``CRN(species, rows)`` refuses.
+    are a rate that ``Fraction`` refuses and a multiplicity that
+    ``CRN(species, rows)`` refuses.
     """
     ids = {name: i for i, name in enumerate(species_names)}
 
@@ -298,10 +299,16 @@ def make_crn(
         except KeyError as err:
             raise CRNError(f"reaction {i}: undeclared species {err.args[0]}") from None
 
+    def number(i: int, rate) -> Fraction:
+        try:
+            return Fraction(rate)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+            raise CRNError(f"reaction {i}: rate {rate!r} is not a number") from None
+
     return CRN(
         tuple(Species(i, name) for i, name in enumerate(species_names)),
         (
-            (side(i, lhs), Fraction(rate), side(i, rhs))
+            (side(i, lhs), number(i, rate), side(i, rhs))
             for i, (lhs, rate, rhs) in enumerate(reactions)
         ),
     )

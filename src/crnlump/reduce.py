@@ -17,7 +17,9 @@ multiplicity to its reactant multiplicity; the reduced network's ODEs
 govern the representative trajectories (``core._representative_mask``).
 Both then lift each side they keep to ``(block, multiplicity)`` pairs by
 ``core._lift`` and fuse duplicates by summing their rates as ints.  The
-fused rows, sorted, are the quotient's integer reaction list.
+fused rows, sorted by their block-id sides, are the quotient's integer
+reaction list; as blocks are ordered by their representatives' names,
+that is the order of the sides' species names.
 
 Both constructions count their elementary steps (species slots touched
 per reaction plus fusion-sort work); the count backs the complexity
@@ -74,7 +76,8 @@ def _quotient(
 ) -> ReducedCRN:
     """Lift each kept (reactants, products, rate times L) row into the blocks,
     fuse identical rows by summing their rates, and sort the fused rows by
-    their sides' species names into the quotient's integer reaction list.
+    their block-id sides, which is their species-name order, into the
+    quotient's integer reaction list.
     L and the sums are divided by their gcd, so L stays the lcm of the
     quotient's own rate denominators.  ``kept`` is read once."""
     steps = sum(len(reactants) + len(products) for reactants, products, _ in rows)
@@ -85,16 +88,9 @@ def _quotient(
         fused[key] = fused.get(key, 0) + rate
     if fused:
         steps += len(fused) * (ceil(log2(len(fused))) + 1)
-    qspecies = quotient_species(p)
-    names = [sp.name for sp in qspecies]
-
-    def name_key(pairs: Pairs) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted((names[b], m) for b, m in pairs))
-
-    order = sorted(fused, key=lambda sides: (name_key(sides[0]), name_key(sides[1])))
     divisor = gcd(scale, *fused.values())
-    rows = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in order)
-    quotient = CRN._from_scaled(qspecies, scale // divisor, rows)
+    rows = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in sorted(fused))
+    quotient = CRN._from_scaled(quotient_species(p), scale // divisor, rows)
     return ReducedCRN(crn=quotient, partition=p, mode=mode, step_count=steps)
 
 

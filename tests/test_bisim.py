@@ -23,6 +23,7 @@ from crnlump import (
     vector_field,
 )
 from crnlump.cli import main
+from crnlump.core import CRN, Species, flux_table, forward_table, scaled_reactions
 from conftest import blocks_of, shuffled_chain
 from oracle import (
     Multiset,
@@ -376,8 +377,10 @@ class TestSplitterRefinement:
 
     def test_kept_signatures_equal_fresh_ones_after_every_pass(self, mode):
         # retarget moves each entry between two keys of a kept signature in
-        # place; after every pass, every species outside a singleton (the
-        # only ones it updates) must hold what a fresh build gives.
+        # place, or after a wide split folds every signature again; after
+        # every pass, every species outside a singleton (the only ones it
+        # updates) must hold what a fresh build gives, and retarget returns
+        # exactly those whose signature reads a new piece.
         nets = [
             (net, initial)
             for seed in range(200)
@@ -402,6 +405,14 @@ class TestSplitterRefinement:
             ],
         )
         nets.append((cancel, None))
+        # Disjoint copies split first into wide pieces, so their signatures
+        # are folded again: those of two copies of ``cancel`` drop the zeros.
+        nets.append((_copies(cancel, 2, unary=False), None))
+        nets += [
+            (_copies(random_crn(seed, 3 + seed % 6, 2 + seed % 10), 2 + seed % 2, unary), None)
+            for seed in range(50)
+            for unary in (False, True)
+        ]
         passes = 0
         for net, initial in nets:
             passes += _check_kept_signatures(net, initial or Partition.trivial(net), mode)
@@ -414,6 +425,117 @@ class TestSplitterRefinement:
         trace = refine(net, Partition.trivial(net), mode)
         assert trace.passes >= n - 2
         assert trace.predicate_calls <= 4 * n * ceil(log2(n))
+
+    @pytest.mark.parametrize(
+        "n, forward, backward",
+        [
+            (1, (1, 6, 6), (1, 3, 6)),
+            (2, (1, 30, 12), (1, 27, 12)),
+            (3, (1, 126, 22), (1, 123, 22)),
+            (4, (1, 510, 37), (1, 507, 37)),
+            (5, (1, 2046, 58), (1, 2043, 58)),
+        ],
+    )
+    def test_multisite_counts_are_pinned(self, n, forward, backward):
+        # (passes, predicate_calls, blocks): one splitting pass, then every
+        # species outside a singleton is bucketed once more.
+        net, inits = multisite(MultisiteSpec(n_sites=n))
+        for mode, initial, counts in (
+            (BisimMode.FORWARD, Partition.trivial(net), forward),
+            (BisimMode.BACKWARD, partition_from_initial_conditions(inits), backward),
+        ):
+            trace = refine(net, initial, mode)
+            assert (trace.passes, trace.predicate_calls, trace.final.n_blocks) == counts
+
+    @pytest.mark.parametrize("case, refolds", [("multisite3", True), ("chain50", False)])
+    def test_a_wide_split_refolds_without_the_reverse_index(self, case, refolds, monkeypatch):
+        # multisite n=3 splits once into pieces holding most species, so both
+        # modes fold every signature again; a chain splits one species off
+        # per pass, so both move entries and build their index.
+        if case == "multisite3":
+            net, inits = multisite(MultisiteSpec(n_sites=3))
+            runs = (
+                (BisimMode.FORWARD, Partition.trivial(net)),
+                (BisimMode.BACKWARD, partition_from_initial_conditions(inits)),
+            )
+        else:
+            net = shuffled_chain(50, seed=50)
+            runs = tuple((mode, Partition.trivial(net)) for mode in BisimMode)
+        built = []
+        signatures = crnlump.bisim._signatures
+
+        def keep(*args):
+            built.append(signatures(*args))
+            return built[-1]
+
+        monkeypatch.setattr(crnlump.bisim, "_signatures", keep)
+        for mode, initial in runs:
+            assert refine(net, initial, mode).passes >= 1
+        forward, backward = built
+        assert (forward._producers is None) is refolds
+        assert (backward._by_reactant is None) is refolds
+
+    def test_refolds_return_the_species_in_the_order_of_the_moves(self, mode, monkeypatch):
+        # Which piece of a tie keeps its block's label follows the order of
+        # the species ``retarget`` returns, and that decides which species a
+        # later pass buckets; so with moves only, every pass returns the
+        # same list and every trace is the same.  Disjoint copies of a
+        # random network split first into pieces of copies, which are wide.
+        nets = [
+            (_copies(random_crn(seed, n, r), 2 + seed % 3, unary), None)
+            for seed in range(150)
+            for n in [(3, 5, 8, 12)[seed % 4]]
+            for r in [(n, 2 * n, 3 * n)[seed // 4 % 3]]
+            for unary in (False, True)
+        ]
+        for n in (2, 3, 4):
+            net, inits = multisite(MultisiteSpec(n_sites=n))
+            nets.append((net, partition_from_initial_conditions(inits)))
+        nets = [(net, initial or Partition.trivial(net)) for net, initial in nets]
+        traced = [_touched_lists(net, initial, mode) for net, initial in nets]
+        monkeypatch.setattr(crnlump.bisim._Blocks, "wide_split_ranks", lambda self, pieces: None)
+        for (net, initial), (lists, _) in zip(nets, traced):
+            assert _touched_lists(net, initial, mode)[0] == lists, net
+        assert sum(refolds for _, refolds in traced) > 100
+
+
+def _copies(net, k, unary):
+    """``k`` disjoint copies of ``net``, with only its unary reactions when
+    ``unary`` (a forward signature names the partner species, so copies of
+    a binary reaction are not forward equivalent)."""
+    n = net.n_species
+    scale, rows = scaled_reactions(net)
+    if unary:
+        rows = [row for row in rows if sum(m for _, m in row[0]) == 1]
+    return CRN(
+        [Species(c * n + sp.id, f"{sp.name}{c}") for c in range(k) for sp in net.species],
+        [
+            (
+                tuple((sid + c * n, m) for sid, m in reactants),
+                Fraction(rate, scale),
+                tuple((sid + c * n, m) for sid, m in products),
+            )
+            for c in range(k)
+            for reactants, products, rate in rows
+        ],
+    )
+
+
+def _touched_lists(net, initial, mode):
+    """The list each pass of refine's loop gets back from ``retarget``, and
+    the number of passes that folded the signatures again."""
+    blocks = crnlump.bisim._Blocks(initial)
+    sigs = crnlump.bisim._signatures(net, mode, blocks.block_of)
+    touched = [x for x in range(net.n_species) if not blocks.in_singleton(x)]
+    lists, refolds = [], 0
+    while touched:
+        pieces = blocks.split(touched, sigs.key)
+        if not pieces:
+            break
+        refolds += blocks.wide_split_ranks(pieces) is not None
+        touched = sigs.retarget(blocks, pieces)
+        lists.append(touched)
+    return lists, refolds
 
 
 def _comparable(sigs, mode):
@@ -443,6 +565,8 @@ def _check_kept_signatures(net, initial, mode):
             break
         passes += 1
         touched = sigs.retarget(blocks, pieces)
+        assert len(set(touched)) == len(touched)
+        assert sorted(touched) == _reading_new_pieces(net, mode, blocks, pieces)
         fresh = crnlump.bisim._signatures(net, mode, blocks.block_of)
         kept, kept_classes = _comparable(sigs, mode)
         built, built_classes = _comparable(fresh, mode)
@@ -451,3 +575,23 @@ def _check_kept_signatures(net, initial, mode):
             if not blocks.in_singleton(x):
                 assert kept[x] == built[x], (net, x)
     return passes
+
+
+def _reading_new_pieces(net, mode, blocks, pieces):
+    """The species outside singletons whose signature reads a new piece,
+    sorted: forward, those with a production into one; backward, those in
+    the support of a reactant multiset that meets one."""
+    new = {piece for piece, _ in pieces}
+    block_of = blocks.block_of
+    if mode is BisimMode.FORWARD:
+        n = net.n_species
+        prod = forward_table(net)[3]
+        reading = {x for x in range(n) if any(block_of[key % n] in new for key in prod[x])}
+    else:
+        reading = {
+            sid
+            for reactants, support in flux_table(net)[1]
+            if any(block_of[y] in new for y, _ in reactants)
+            for sid, _ in support
+        }
+    return sorted(x for x in reading if not blocks.in_singleton(x))

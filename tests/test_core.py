@@ -160,6 +160,20 @@ def test_make_crn_refuses_an_undeclared_name():
     assert str(err.value) == "reaction 0: multiplicity -1 of A is not a nonnegative int"
 
 
+@pytest.mark.parametrize(
+    "rate, shown", [("abc", "'abc'"), (None, "None"), ("1/0", "'1/0'"), (float("nan"), "nan")]
+)
+def test_make_crn_refuses_a_rate_that_is_not_a_number(rate, shown):
+    # A rate that Fraction refuses used to end in its bare ValueError,
+    # TypeError or ZeroDivisionError.
+    with pytest.raises(CRNError) as err:
+        make_crn(["A"], [({"A": 1}, 1, {}), ({"A": 1}, rate, {})])
+    assert str(err.value) == f"reaction 1: rate {shown} is not a number"
+    with pytest.raises(CRNError) as err:
+        make_crn(["A"], [({"A": 1}, rate, {})])
+    assert str(err.value) == f"reaction 0: rate {shown} is not a number"
+
+
 def test_validate_running_example_is_clean(crn):
     assert validate(crn) == []
 
