@@ -29,7 +29,8 @@ its first split that is not wide (see below).
 
 :func:`refine` computes the coarsest partition of either kind refining a
 given initial partition in passes, and stops at the first pass that
-splits no block.  The first pass buckets every block by signature.  A
+splits no block, or right after a split that leaves every block a
+singleton.  The first pass buckets every block by signature.  A
 later pass recomputes only the signatures that the previous pass's
 splits can have changed, by the splitter rule of Valmari & Franceschinis
 ("Simple O(m log n) Time Markov Chain Lumping", TACAS 2010): when a block
@@ -542,7 +543,9 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     Each pass splits every block by signature under the current partition
     (the splitter equivalence intersected with the current partition),
     recomputing only the signatures the previous pass's splits touched;
-    the loop stops when no block splits.  Without reactions every
+    the loop stops when no block splits, or right after a split that
+    leaves every block a singleton, as no signature would be read again
+    (that last split's signatures are not updated).  Without reactions every
     partition is already a bisimulation of either kind.  The partition
     returned is recorded on ``crn`` as certified for ``mode``, so that
     :func:`is_bisimulation` does not decide it again.
@@ -561,6 +564,9 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
         if not pieces:
             break
         passes += 1
+        if len(blocks.first) == crn.n_species:
+            # Every block is a singleton: no signature is read again.
+            break
         touched = sigs.retarget(blocks, pieces)
     # With no split, the first pass bucketed every species of ``initial``.
     final = blocks.partition(crn.species) if passes else initial

@@ -455,13 +455,17 @@ def _build_flux_table(crn: CRN):
     scale, rows = scaled_reactions(crn)
     table: dict[Pairs, dict[int, int]] = {}
     for reactants, products, rate in rows:
-        row = table.setdefault(reactants, {})
+        # A dict only per new reactant multiset: ``setdefault`` would
+        # build one per row.
+        row = table.get(reactants)
+        if row is None:
+            row = table[reactants] = {}
         for sid, mult in products:
             row[sid] = row.get(sid, 0) + mult * rate
         for sid, mult in reactants:
             row[sid] = row.get(sid, 0) - mult * rate
     return scale, tuple(
-        (key, tuple(item for item in row.items() if item[1])) for key, row in table.items()
+        (key, tuple(_nonzero(row).items())) for key, row in table.items()
     )
 
 
@@ -664,7 +668,8 @@ def _representative_mask(p: Partition) -> list[bool]:
 def _lift(pairs: Pairs, index: Sequence[int]) -> Pairs:
     """A side's ``(species id, multiplicity)`` pairs, in any order, as
     ``(block, multiplicity)`` pairs under the species-to-block ``index``,
-    in block order; one or two pairs (every elementary side) skip the dict."""
+    in block order; none, one or two pairs (every elementary side) skip the
+    dict."""
     if len(pairs) == 1:
         ((sid, mult),) = pairs
         return ((index[sid], mult),)
@@ -674,6 +679,8 @@ def _lift(pairs: Pairs, index: Sequence[int]) -> Pairs:
         if a == b:
             return ((a, m + n),)
         return ((a, m), (b, n)) if a < b else ((b, n), (a, m))
+    if not pairs:
+        return ()
     acc: dict[int, int] = {}
     for sid, mult in pairs:
         acc[index[sid]] = acc.get(index[sid], 0) + mult

@@ -1,9 +1,11 @@
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from crnlump import BisimMode, Partition, make_crn, running_example
+from crnlump.core import CRN, Species, scaled_reactions
 
 
 def blocks_of(crn, *groups):
@@ -20,6 +22,29 @@ def shuffled_chain(n, seed):
     names = [f"X{i}" for i in range(n)]
     listed = random.Random(seed).sample(names, n)
     return make_crn(listed, [({a: 1}, 1, {b: 1}) for a, b in zip(names, names[1:])])
+
+
+def copies(net, k, unary=False):
+    """``k`` disjoint copies of ``net``, with only its unary reactions when
+    ``unary`` (a forward signature names the partner species, so copies of
+    a binary reaction are not forward equivalent).  Corresponding species
+    of the copies are backward equivalent."""
+    n = net.n_species
+    scale, rows = scaled_reactions(net)
+    if unary:
+        rows = [row for row in rows if sum(m for _, m in row[0]) == 1]
+    return CRN(
+        [Species(c * n + sp.id, f"{sp.name}{c}") for c in range(k) for sp in net.species],
+        [
+            (
+                tuple((sid + c * n, m) for sid, m in reactants),
+                Fraction(rate, scale),
+                tuple((sid + c * n, m) for sid, m in products),
+            )
+            for c in range(k)
+            for reactants, products, rate in rows
+        ],
+    )
 
 
 @pytest.fixture

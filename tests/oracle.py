@@ -33,7 +33,11 @@ Nothing here shares code with the signature tables of
   ``reference_import_bngl_net``, the generators and the ``.net`` importer
   as they were while they built every side and reaction as an object,
   and ``reference_serialize_crn``, the printer as it was while it read
-  those objects.
+  those objects;
+* ``reference_backward_quotient``, the backward quotient built as it was
+  before equal sides were classed once: every row pins its
+  non-representative products to their reactant multiplicity, lifts both
+  sides into the blocks and adds its rate to the row's fused sum.
 
 The rate functions return exact :class:`~fractions.Fraction` values.
 The refinement loop compares exact integers instead: each rate times the
@@ -47,7 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from crnlump import (
@@ -62,7 +66,7 @@ from crnlump import (
     Polynomial,
     Species,
 )
-from crnlump.core import scaled_reactions
+from crnlump.core import quotient_species, scaled_reactions
 from crnlump.io import (
     _COEFF_RE,
     _SPACE_RE,
@@ -723,6 +727,39 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
             crn, {name: value for name, (_, value) in init_rows.items()}
         )
     return crn, inits
+
+
+# ---------------------------------------------------------------------------
+# Reference backward quotient
+
+
+def _lift_pairs(pairs, index) -> tuple[tuple[int, int], ...]:
+    acc: dict[int, int] = {}
+    for sid, mult in pairs:
+        acc[index[sid]] = acc.get(index[sid], 0) + mult
+    return tuple(sorted(acc.items()))
+
+
+def reference_backward_quotient(crn: CRN, p: Partition) -> CRN:
+    """The backward quotient of ``crn`` under ``p``, one row at a time: the
+    products keep their representative pairs and gain the reactant pairs
+    outside the representatives, both sides are lifted into the blocks,
+    equal lifted rows sum their rates, and L and the sums are divided by
+    their gcd.  ``p`` is not checked to be a backward bisimulation."""
+    scale, rows = scaled_reactions(crn)
+    index = p.block_index
+    is_rep = [False] * crn.n_species
+    for block in p.blocks:
+        is_rep[block[0].id] = True
+    fused: dict[tuple, int] = {}
+    for reactants, products, rate in rows:
+        kept = [pair for pair in products if is_rep[pair[0]]]
+        kept += [pair for pair in reactants if not is_rep[pair[0]]]
+        key = (_lift_pairs(reactants, index), _lift_pairs(kept, index))
+        fused[key] = fused.get(key, 0) + rate
+    divisor = gcd(scale, *fused.values())
+    quotient = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in sorted(fused))
+    return CRN._from_scaled(quotient_species(p), scale // divisor, quotient)
 
 
 # ---------------------------------------------------------------------------

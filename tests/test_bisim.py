@@ -23,8 +23,8 @@ from crnlump import (
     vector_field,
 )
 from crnlump.cli import main
-from crnlump.core import CRN, Species, flux_table, forward_table, scaled_reactions
-from conftest import blocks_of, shuffled_chain
+from crnlump.core import flux_table, forward_table
+from conftest import blocks_of, copies, shuffled_chain
 from oracle import (
     Multiset,
     backward_equivalent,
@@ -407,9 +407,9 @@ class TestSplitterRefinement:
         nets.append((cancel, None))
         # Disjoint copies split first into wide pieces, so their signatures
         # are folded again: those of two copies of ``cancel`` drop the zeros.
-        nets.append((_copies(cancel, 2, unary=False), None))
+        nets.append((copies(cancel, 2, unary=False), None))
         nets += [
-            (_copies(random_crn(seed, 3 + seed % 6, 2 + seed % 10), 2 + seed % 2, unary), None)
+            (copies(random_crn(seed, 3 + seed % 6, 2 + seed % 10), 2 + seed % 2, unary), None)
             for seed in range(50)
             for unary in (False, True)
         ]
@@ -482,7 +482,7 @@ class TestSplitterRefinement:
         # same list and every trace is the same.  Disjoint copies of a
         # random network split first into pieces of copies, which are wide.
         nets = [
-            (_copies(random_crn(seed, n, r), 2 + seed % 3, unary), None)
+            (copies(random_crn(seed, n, r), 2 + seed % 3, unary), None)
             for seed in range(150)
             for n in [(3, 5, 8, 12)[seed % 4]]
             for r in [(n, 2 * n, 3 * n)[seed // 4 % 3]]
@@ -497,28 +497,6 @@ class TestSplitterRefinement:
         for (net, initial), (lists, _) in zip(nets, traced):
             assert _touched_lists(net, initial, mode)[0] == lists, net
         assert sum(refolds for _, refolds in traced) > 100
-
-
-def _copies(net, k, unary):
-    """``k`` disjoint copies of ``net``, with only its unary reactions when
-    ``unary`` (a forward signature names the partner species, so copies of
-    a binary reaction are not forward equivalent)."""
-    n = net.n_species
-    scale, rows = scaled_reactions(net)
-    if unary:
-        rows = [row for row in rows if sum(m for _, m in row[0]) == 1]
-    return CRN(
-        [Species(c * n + sp.id, f"{sp.name}{c}") for c in range(k) for sp in net.species],
-        [
-            (
-                tuple((sid + c * n, m) for sid, m in reactants),
-                Fraction(rate, scale),
-                tuple((sid + c * n, m) for sid, m in products),
-            )
-            for c in range(k)
-            for reactants, products, rate in rows
-        ],
-    )
 
 
 def _touched_lists(net, initial, mode):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,10 @@ from crnlump import (
     vector_field,
 )
 import crnlump.bisim
+from crnlump.core import scaled_reactions
 from crnlump.models import random_crn, running_example
-from conftest import blocks_of
-from oracle import reactions_of
+from conftest import blocks_of, copies
+from oracle import reactions_of, reference_backward_quotient
 
 
 def reaction_set(crn):
@@ -124,6 +126,86 @@ class TestBackwardReduce:
     def test_requires_backward_bisimulation(self, crn, h_o):
         with pytest.raises(NotBisimulationError):
             backward_reduce(crn, h_o)
+
+
+def _random_partition(net, rng, k):
+    labels = [rng.randrange(k) for _ in net.species]
+    return Partition(
+        net.species,
+        [[sp for sp, label in zip(net.species, labels) if label == j] for j in set(labels)],
+    )
+
+
+class TestFusedBackwardQuotient:
+    """``backward_reduce`` classes each distinct side once and fuses rows by
+    their class ids when some block pins; its quotient equals the one built
+    row by row (``oracle.reference_backward_quotient``), L included."""
+
+    @staticmethod
+    def assert_matches_reference(net, p):
+        reduced = backward_reduce(net, p)
+        reference = reference_backward_quotient(net, p)
+        assert scaled_reactions(reduced.crn) == scaled_reactions(reference)
+        assert serialize_crn(reduced.crn) == serialize_crn(reference)
+        return reduced
+
+    @pytest.mark.parametrize("initial", ["inits", "trivial"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_multisite(self, n, initial):
+        # n=1's partition is discrete, so nothing pins; n=4 gives the CI's
+        # 296 reactions and n=5 fuses 7680 rows into 542.
+        net, inits = multisite(MultisiteSpec(n_sites=n))
+        start = (
+            partition_from_initial_conditions(inits)
+            if initial == "inits"
+            else Partition.trivial(net)
+        )
+        p = refine(net, start, BisimMode.BACKWARD).final
+        assert (p.n_blocks < net.n_species) == (n > 1)
+        reduced = self.assert_matches_reference(net, p)
+        assert reduced.crn.n_reactions == {1: 6, 2: 45, 3: 137, 4: 296, 5: 542}[n]
+
+    def test_running_example(self, crn, h_e):
+        # Its coarsest backward partition has one block of two species, the
+        # least that pins.
+        assert refine(crn, Partition.trivial(crn), BisimMode.BACKWARD).final == h_e
+        self.assert_matches_reference(crn, h_e)
+
+    def test_random_networks_with_a_block_of_two_or_more(self):
+        # Every third network is two or three disjoint copies of a random
+        # one, refined from the trivial partition: corresponding species
+        # share blocks, so most rows pin.
+        found = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            net = random_crn(seed, rng.randint(3, 14), rng.randint(3, 30))
+            if seed % 3 == 0:
+                net = copies(net, rng.randint(2, 3))
+                initial = Partition.trivial(net)
+            else:
+                initial = _random_partition(net, rng, rng.randint(1, 3))
+            p = refine(net, initial, BisimMode.BACKWARD).final
+            if p.n_blocks < net.n_species:
+                found += 1
+                self.assert_matches_reference(net, p)
+        assert found >= 40
+
+    def test_one_two_species_block(self):
+        # The least pinning: one block of two species, every other a singleton.
+        found = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            net = random_crn(seed, rng.randint(3, 12), rng.randint(3, 20))
+            p = refine(net, _random_partition(net, rng, 2), BisimMode.BACKWARD).final
+            if sorted(map(len, p.blocks))[-2:] == [1, 2]:
+                found += 1
+                self.assert_matches_reference(net, p)
+        assert found >= 5
+
+    def test_discrete_partitions(self):
+        for seed in range(30):
+            net = random_crn(seed, 3 + seed % 8, 2 + seed % 13)
+            self.assert_matches_reference(net, Partition.discrete(net))
 
 
 class TestIntegerRates:
