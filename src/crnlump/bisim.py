@@ -8,79 +8,57 @@ reaction list alone:
 * backward: equal cumulative flux rates over every class of reactant
   multisets (equal trajectories from equal initial conditions).
 
-Both are decided one way: from per-species signatures built from rate
-tables indexed once per network.  Two species are equivalent under a
-partition exactly when their signatures under it are equal.  The tables
-hold Python ints, each rate times L, the least common multiple of the
-rate denominators, so every sum stays exact without rational arithmetic;
-witness values are divided by L before they are printed.
+Two species are equivalent under a partition exactly when their
+signatures under it are equal.  One core, ``_Signatures``, keeps them in
+both modes, over rows that a mode (``_Forward``, ``_Backward``) reads
+from a rate table of :mod:`crnlump.core`.  A table holds each rate times
+L, the lcm of the rate denominators, as an int, so every sum is exact;
+witness values are divided by L.  A row reads some species, holds
+``(species, value)`` entries, and is keyed from the block labels of what
+it reads.  A signature is a static part and ``sums``: per key, the sum
+of the species' values in the rows under it, zeros dropped.  Forward, a
+row is an entry of :func:`crnlump.core.forward_table`: it reads the
+product ``y``, holds the producer's rate, and is keyed ``(partner + 1) *
+n + label of y`` for ``n`` species; the static part is the reaction rate
+per partner.  Backward, a row is a reactant multiset of
+:func:`crnlump.core.flux_table`: it reads the reactants, holds each
+species' net flux, and is keyed by the class of its lift to blocks by
+``core._lift``.
 
-The per-network tables belong to :mod:`crnlump.core`, which builds each
-once per network and keeps it: forward, :func:`crnlump.core.forward_table`
-(each species' reaction rate per partner and production rate per
-(partner, product species)); backward, :func:`crnlump.core.flux_table`,
-the table :func:`crnlump.odes.vector_field` reads its terms from.  The
-signature classes here build only the per-partition part: forward, the
-production rates summed per (partner, block); backward, the classes of
-reactant multisets and each species' flux summed per class, a class
-being a lift by ``core._lift``, which both quotients use too.  The
-reverse indexes that :func:`refine` follows from a splitter are built on
-its first split that is not wide (see below).
+:func:`refine` works in passes and stops at the first pass that splits
+no block, or right after a split that leaves every block a singleton.
+The first pass buckets every block by signature.  Later passes follow
+the splitter rule of Valmari & Franceschinis ("Simple O(m log n) Time
+Markov Chain Lumping", TACAS 2010): when a block splits, its largest
+piece keeps the block's label and every other piece is a splitter.  A
+pass buckets only the species whose signatures a splitter changed, with
+one untouched member of their block, so the partitions are, pass for
+pass, those of recomputing every signature (the tests' oracle).
 
-:func:`refine` computes the coarsest partition of either kind refining a
-given initial partition in passes, and stops at the first pass that
-splits no block, or right after a split that leaves every block a
-singleton.  The first pass buckets every block by signature.  A
-later pass recomputes only the signatures that the previous pass's
-splits can have changed, by the splitter rule of Valmari & Franceschinis
-("Simple O(m log n) Time Markov Chain Lumping", TACAS 2010): when a block
-splits, its largest piece keeps the block's label and every other piece
-is a splitter.  Forward, each producer into a splitter moves that
-production from its (partner, old block) key to its (partner, splitter)
-key.  A forward key is one int, ``(partner + 1) * n + block label`` for
-``n`` species, and the producer index holds each producer's ``(partner
-+ 1) * n``, so a move adds the old and the new label to it and builds no
-tuple.  Backward, each reactant multiset meeting a splitter is lifted
-again, and every species in its support moves its flux from the old
-class to the new one.  Within a block, the species that no split touched
-still share one signature, so a pass buckets the touched species and one
-untouched member.  This gives the same partitions, pass for pass, as
-recomputing every signature on every pass, which the tests keep as their
-oracle; each species is in a splitter at most log2(n) times.  Both
-``retarget`` loops apply each move inline, with the block labels and
-ranges bound to locals: the entry's value leaves its old key and joins
-its new one, and a key whose sum becomes zero is dropped.  A species in
-a singleton is skipped, since no later pass reads its signature.
+After a split, ``_Signatures.retarget`` keys again every row that reads
+a splitter and moves each of its entries from the old key's sum to the
+new key's in place, dropping a sum that becomes zero; a species in a
+singleton is skipped, as no later pass reads its signature.  A species
+is in a splitter at most log2(n) times.  The index of the rows reading
+each species and the row keys are built on the first moves after a fold.
 
-A wide split is handled the other way round.  When the new pieces of
-two or more species hold at least half of the species, as after the one
-pass that splits the multisite family's single block, nearly every
-entry would move, each move costs two dict updates, and the reverse
-index must be built first.  ``retarget`` then folds every signature
-again from the network's table under the new labels, by the same
-``_fold`` that builds the signatures, and builds no index.  Pieces of
-one species are not counted: a split into singletons leaves few
-signatures to keep, the moves skip the others' entries, and a fold
-would still read the whole table (on seeded random 20-species networks,
-whose first split is mostly into singletons, counting them made
-``retarget`` 1.7 to 1.9 times slower).  A species lands in a new piece at
-most log2(n) times, so at most 2 log2(n) splits are wide, each fold is
-O(m), and the O(m log n) bound holds.  Both ways return the species that
-read a new piece, in the order in which the moves meet them: which piece
-of a tie keeps its block's label follows that order, so both ways give
-the same passes and the same ``predicate_calls``.
+A wide split, whose new pieces of two or more species hold at least half
+of the species (the one splitting pass on the multisite family), would
+move nearly every row.  There the mode folds every row again from its
+table in a batch loop of its own, and no index is built.  Pieces of one
+species do not count: the moves skip singletons, while a fold reads the
+whole table.  At most 2 log2(n) splits are wide, so the O(m log n) bound
+holds.  Both ways return the touched species in the order in which the
+moves meet them, which decides the piece that keeps the label on a tie,
+so both give the same passes and ``predicate_calls``.
 
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
-two signatures differ (a partner or a (partner, block) pair forward,
-decoded from its packed key, a reactant class backward) together with
-both species' values there.  :func:`refine` records the partition it
-returns in the network's ``_certified`` slot, per mode, and
-:func:`is_bisimulation` accepts that partition, or one equal to it,
-without building signatures: refinement has just proved it a
-bisimulation of that very network object.  Any other partition, one
-certified in the other mode or for an equal network object among them,
-is decided from its signatures.
+two signatures differ (a partner or a (partner, block) pair forward, a
+reactant class backward) with both species' values there.
+:func:`is_bisimulation` accepts without signatures the partition that
+:func:`refine` last returned for the same network object and mode
+(recorded in its ``_certified`` slot), which refinement has just proved.
 """
 
 from __future__ import annotations
@@ -239,7 +217,11 @@ class _Blocks:
         in none; otherwise None.  The positions are the order in which
         moving entries meets them."""
         n, first, end = len(self.elems), self.first, self.end
-        if 2 * sum(end[p] - first[p] for p, _ in pieces if end[p] - first[p] > 1) < n:
+        wide = 0
+        for p, _ in pieces:
+            if end[p] - first[p] > 1:
+                wide += end[p] - first[p]
+        if 2 * wide < n:
             return None
         met = [y for piece, _ in pieces for y in self.members(piece)]
         rank = [n] * n
@@ -258,31 +240,93 @@ class _Blocks:
 # Signatures
 
 
-class _ForwardSignatures:
-    """Forward signatures of every species under a block labelling.
+class _Signatures:
+    """The signatures of every species over the rows of one mode, kept
+    across splits.  ``sums[x]`` maps each key to the sum of ``x``'s values
+    in the rows under it, without zeros.  Built on the first moves after a
+    fold: ``reading[y]``, the rows that read ``y``; ``entries[e]``, row
+    ``e``'s ``(species, value)`` pairs, none zero; ``row_key[e]``, its key.
 
-    A signature is ``(crr, folded)``: the reaction rate per partner and
-    the production rate per packed ``(partner + 1) * n + block label``
-    key, ``n`` the species count, both as maps without zero values.  A
-    label is below ``n``, so the key packs a ``(partner, block label)``
-    pair as :func:`crnlump.core.forward_table` packs ``(partner, product
-    species)``, and orders as the pair does.  The partner rates and
-    production entries are the network's forward table; only ``folded``,
-    the entries summed per block label, depends on the partition.
+    A mode supplies ``static``; ``fold(block_of, rank)``, the sums and,
+    given ``rank``, the species a wide split touched; ``rows(blocks)``,
+    what each row reads, its entries and its key under the labels of the
+    last fold, free to leave out rows held only by species in singletons;
+    ``rekey(e, block_of)``; and ``witness``, a text and both values.
     """
 
-    def __init__(self, crn: CRN, block_of):
-        self.scale, self._crr, self._crr_id, self._prod = forward_table(crn)
-        self._producers: list[list[tuple[int, int, int]]] | None = None
-        self._species = crn.species
-        self._fold(block_of)
+    __slots__ = ("mode", "static", "sums", "row_key", "reading", "entries")
 
-    def _fold(self, block_of, rank: list[int] | None = None) -> list[int]:
-        """Fold every species' production entries per block label into
-        ``folded``.  Given ``rank``, return the species with an entry into
-        a ``y`` of ``rank[y]`` below the species count, ordered by their
-        least such rank, then by id (see :meth:`retarget`)."""
-        n = len(self._species)
+    def __init__(self, mode, block_of):
+        self.mode, self.static = mode, mode.static
+        self.sums, _ = mode.fold(block_of, None)
+        self.reading = self.row_key = self.entries = None
+
+    def key(self, x: int):
+        return self.static[x], frozenset(self.sums[x].items())
+
+    def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
+        """Update the signatures after a split into the new ``pieces``, by
+        a fold after a wide split and by moves otherwise; return the species
+        outside singletons with an entry in a row that reads a piece, in the
+        order in which the moves meet them."""
+        block_of, first, end = blocks.block_of, blocks.first, blocks.end
+        rank = blocks.wide_split_ranks(pieces)
+        if rank is not None:
+            self.sums, met = self.mode.fold(block_of, rank)
+            self.reading = None  # the next moves start from this fold's row keys
+            return [x for x in met if not blocks.in_singleton(x)]
+        reading = self.reading
+        if reading is None:
+            reads, self.entries, self.row_key = self.mode.rows(blocks)
+            reading = self.reading = [[] for _ in block_of]
+            for e, ys in enumerate(reads):
+                for y in ys:
+                    reading[y].append(e)
+        rekey, row_key, sums, entries = self.mode.rekey, self.row_key, self.sums, self.entries
+        rows: dict[int, None] = {}  # once, though a row may read two pieces
+        for piece, _ in pieces:
+            for y in blocks.members(piece):
+                for e in reading[y]:
+                    rows[e] = None
+        touched: dict[int, None] = {}
+        for e in rows:
+            old = row_key[e]
+            new = row_key[e] = rekey(e, block_of)
+            for x, val in entries[e]:
+                b = block_of[x]
+                if end[b] - first[b] == 1:
+                    continue
+                # Move ``val`` between the two keys, dropping a zero
+                # (``val`` is nonzero, so a zero key was present).
+                values = sums[x]
+                v = values.get(old, 0) - val
+                if v:
+                    values[old] = v
+                else:
+                    del values[old]
+                v = values.get(new, 0) + val
+                if v:
+                    values[new] = v
+                else:
+                    del values[new]
+                touched[x] = None
+        return list(touched)
+
+
+class _Forward:
+    """Forward rows, one per entry of the forward table, owner by owner.
+    The key ``(partner + 1) * n + label`` packs ``(partner, block label)``
+    as :func:`crnlump.core.forward_table` packs ``(partner, y)``, and
+    orders as the pair does; ``static`` is ``crr_id``."""
+
+    def __init__(self, crn: CRN):
+        self.scale, self._crr, self.static, self._prod = forward_table(crn)
+        self._species = crn.species
+
+    def fold(self, block_of, rank: list[int] | None):
+        """Given ``rank``, the species with an entry reading a ``y`` of
+        ``rank[y]`` below ``n``, by their least such rank, then id."""
+        n, self._labels = len(self._species), list(block_of)
         if rank is None:
             rank = [n] * n
         folded_all: list[dict[int, int]] = []
@@ -299,214 +343,91 @@ class _ForwardSignatures:
             folded_all.append(_nonzero(folded))
             if least < n:
                 hits.append(least * n + x)
-        self.folded = folded_all
-        hits.sort()
-        return [key % n for key in hits]
+        return folded_all, [key % n for key in sorted(hits)]
 
-    def key(self, x: int):
-        return self._crr_id[x], frozenset(self.folded[x].items())
+    def rows(self, blocks: _Blocks):
+        # An owner in a singleton is left out: no move reads its entries.
+        n, prod = len(self._species), self._prod
+        kept = [x for x in range(n) if not blocks.in_singleton(x)]
+        keys = [key for x in kept for key in prod[x]]
+        self._read = read = [key % n for key in keys]
+        self._base = base = [key - y for key, y in zip(keys, read)]
+        held = [((x, val),) for x in kept for val in prod[x].values()]
+        return zip(read), held, [b + self._labels[y] for b, y in zip(base, read)]
 
-    def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
-        """Update the signatures after a split into the new ``pieces``;
-        return the species outside singletons that produce into a piece.
-
-        When the pieces of two or more species hold at least half of the
-        species, every signature is folded again from the table and the
-        producer index is not built.  Otherwise every production into a piece moves from its
-        parent's key to the piece's key.  A species lands in a new piece
-        at most log2(n) times, so the first way is taken at most 2 log2(n)
-        times, each O(m), and the O(m log n) bound holds.  Both ways return
-        the species in the same order, the order in which the moves meet
-        them, so that the next pass splits alike, ties included.
-        """
-        rank = blocks.wide_split_ranks(pieces)
-        if rank is not None:
-            return [x for x in self._fold(blocks.block_of, rank) if not blocks.in_singleton(x)]
-        producers = self._producers
-        if producers is None:
-            # Per product species, its producers with their packed partner
-            # ``(partner + 1) * n``, to which a block label is added.
-            n = len(self._species)
-            producers = self._producers = [[] for _ in self._species]
-            for x, entries in enumerate(self._prod):
-                for key, val in entries.items():
-                    yid = key % n
-                    producers[yid].append((x, key - yid, val))
-        folded = self.folded
-        block_of, first, end = blocks.block_of, blocks.first, blocks.end
-        touched: dict[int, None] = {}
-        for piece, parent in pieces:
-            for y in blocks.members(piece):
-                for x, base, val in producers[y]:
-                    b = block_of[x]
-                    if end[b] - first[b] == 1:
-                        continue
-                    # Move ``val`` between the two keys, dropping a zero
-                    # (``val`` is nonzero, so a zero key was present).
-                    values = folded[x]
-                    old, new = base + parent, base + piece
-                    v = values.get(old, 0) - val
-                    if v:
-                        values[old] = v
-                    else:
-                        del values[old]
-                    v = values.get(new, 0) + val
-                    if v:
-                        values[new] = v
-                    else:
-                        del values[new]
-                    touched[x] = None
-        return list(touched)
+    def rekey(self, e: int, block_of) -> int:
+        return self._base[e] + block_of[self._read[e]]
 
     def _partner(self, partner: int) -> str:
         named = () if partner == EMPTY_PARTNER else ((self._species[partner].name, 1),)
         return _format_side(named)
 
-    def witness(self, p: Partition, x: Species, y: Species) -> str:
+    def witness(self, sigs: _Signatures, p: Partition, x: Species, y: Species) -> tuple:
         diff = _first_difference(self._crr[x.id], self._crr[y.id])
         if diff is not None:
             partner, vx, vy = diff
-            return (
-                f"reaction rate with partner {self._partner(partner)}: "
-                f"{_gives(x, vx, y, vy, self.scale)}"
-            )
-        key, vx, vy = _first_difference(self.folded[x.id], self.folded[y.id])
+            return f"reaction rate with partner {self._partner(partner)}", vx, vy
+        key, vx, vy = _first_difference(sigs.sums[x.id], sigs.sums[y.id])
         # The packed key decodes to (partner + 1, block); EMPTY_PARTNER is -1.
         base, block_idx = divmod(key, len(self._species))
         names = ", ".join(sp.name for sp in p.blocks[block_idx])
-        return (
-            f"production rate with partner {self._partner(base - 1)} into block "
-            f"{{{names}}}: {_gives(x, vx, y, vy, self.scale)}"
-        )
+        partner = self._partner(base - 1)
+        return f"production rate with partner {partner} into block {{{names}}}", vx, vy
 
 
-class _BackwardSignatures:
-    """Backward signatures of every species under a block labelling.
+class _Backward:
+    """Backward rows, one per row of the flux table.  A key numbers a
+    class, the reactant multisets with one lift, by first appearance;
+    ``static`` is constant."""
 
-    A signature maps a class id to the species' cumulative flux over the
-    class, without zero values.  A class gathers the distinct reactant
-    multisets that lift to the same multiset of blocks; classes are
-    numbered by first appearance.  The reactant multisets and their
-    fluxes are the network's :func:`crnlump.core.flux_table`; only the
-    classes and the sums over them depend on the partition.
-    """
-
-    def __init__(self, crn: CRN, block_of):
+    def __init__(self, crn: CRN):
         require_elementary(crn)
         self.scale, self._rows = flux_table(crn)
-        self._by_reactant: list[list[int]] | None = None
         self._species = crn.species
         self._class_of = {}
-        self._fold(block_of)
+        self.static = (0,) * crn.n_species
 
-    def _fold(self, block_of, rank: list[int] | None = None) -> list[int]:
-        """Class every reactant multiset under the block labels and sum
-        each species' flux per class into ``sums``.  Given ``rank``, return
-        the species in the support of a multiset holding a ``y`` of
-        ``rank[y]`` below the species count, by first appearance over those
-        multisets ordered by their least such rank, then by position (see
-        :meth:`retarget`)."""
+    def fold(self, block_of, rank: list[int] | None):
+        """Given ``rank``, the species held by a row reading a ``y`` of
+        ``rank[y]`` below ``n``, by first appearance over those rows ordered
+        by their least such rank, then by position."""
         class_of, rows = self._class_of, self._rows
-        self.entry_class = [
-            class_of.setdefault(_lift(key, block_of), len(class_of)) for key, _ in rows
-        ]
+        self._row_class = [class_of.setdefault(_lift(k, block_of), len(class_of)) for k, _ in rows]
         sums: list[dict[int, int]] = [{} for _ in self._species]
-        for cid, (_, support) in zip(self.entry_class, rows):
+        for cid, (_, support) in zip(self._row_class, rows):
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
-        self.sums = [_nonzero(acc) for acc in sums]
+        sums = [_nonzero(acc) for acc in sums]
         if rank is None:
-            return []
+            return sums, []
         # One or two reactant pairs: the network is elementary.
         least = [min(rank[k[0][0]], rank[k[-1][0]]) for k, _ in rows]
-        n = len(self._species)
-        meeting = sorted([e for e, r in enumerate(least) if r < n], key=least.__getitem__)
+        meeting = sorted([e for e, r in enumerate(least) if r < len(rank)], key=least.__getitem__)
         # A dict of the (species, flux) pairs keeps each species' first place.
-        return list(dict(chain.from_iterable([rows[e][1] for e in meeting])))
+        return sums, list(dict(chain.from_iterable([rows[e][1] for e in meeting])))
 
-    def key(self, x: int):
-        return frozenset(self.sums[x].items())
+    def rows(self, blocks: _Blocks):
+        # One or two reactant pairs: the network is elementary.
+        reads = [(k[0][0], k[-1][0]) for k, _ in self._rows]
+        return reads, [held for _, held in self._rows], self._row_class
 
-    def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
-        """Update the signatures after a split into the new ``pieces``;
-        return the species outside singletons in the support of a reactant
-        multiset that meets a piece.
+    def rekey(self, e: int, block_of) -> int:
+        return self._class_of.setdefault(_lift(self._rows[e][0], block_of), len(self._class_of))
 
-        When the pieces of two or more species hold at least half of the
-        species, every multiset is classed and every signature summed again
-        from the table, and the reactant index is not built.  Otherwise every multiset meeting
-        a piece is lifted again and its support's flux moves to the new
-        class.  As forward, the first way is taken at most 2 log2(n)
-        times, each O(m), and both ways return the species in the order
-        in which the moves meet them.
-        """
-        rank = blocks.wide_split_ranks(pieces)
-        if rank is not None:
-            return [x for x in self._fold(blocks.block_of, rank) if not blocks.in_singleton(x)]
-        by_reactant = self._by_reactant
-        if by_reactant is None:
-            by_reactant = self._by_reactant = [[] for _ in self._species]
-            for e, (reactants, _) in enumerate(self._rows):
-                for sid, _ in reactants:
-                    by_reactant[sid].append(e)
-        dirty: dict[int, None] = {}
-        for piece, _ in pieces:
-            for y in blocks.members(piece):
-                for e in by_reactant[y]:
-                    dirty[e] = None
-        sums, class_of, entry_class, rows = self.sums, self._class_of, self.entry_class, self._rows
-        block_of, first, end = blocks.block_of, blocks.first, blocks.end
-        touched: dict[int, None] = {}
-        for e in dirty:
-            old = entry_class[e]
-            key, support = rows[e]
-            new = entry_class[e] = class_of.setdefault(_lift(key, block_of), len(class_of))
-            for sid, val in support:
-                b = block_of[sid]
-                if end[b] - first[b] == 1:
-                    continue
-                # As forward: move ``val`` from ``old`` to ``new``, no zeros kept.
-                values = sums[sid]
-                v = values.get(old, 0) - val
-                if v:
-                    values[old] = v
-                else:
-                    del values[old]
-                v = values.get(new, 0) + val
-                if v:
-                    values[new] = v
-                else:
-                    del values[new]
-                touched[sid] = None
-        return list(touched)
-
-    def witness(self, p: Partition, x: Species, y: Species) -> str:
-        cid, vx, vy = _first_difference(self.sums[x.id], self.sums[y.id])
-        species = self._species
+    def witness(self, sigs: _Signatures, p: Partition, x: Species, y: Species) -> tuple:
+        cid, vx, vy = _first_difference(sigs.sums[x.id], sigs.sums[y.id])
         members = sorted(
-            tuple(sorted((species[sid].name, m) for sid, m in key))
-            for c, (key, _) in zip(self.entry_class, self._rows)
+            tuple(sorted((self._species[sid].name, m) for sid, m in key))
+            for c, (key, _) in zip(self._row_class, self._rows)
             if c == cid
         )
-        return (
-            f"cumulative flux over reactant class {{{', '.join(map(_format_side, members))}}}: "
-            f"{_gives(x, vx, y, vy, self.scale)}"
-        )
-
-
-def _gives(x: Species, vx: int, y: Species, vy: int, scale: int) -> str:
-    """Both species' values, scaled back to rates."""
-    return (
-        f"{x.name} gives {format_rational(Fraction(vx, scale))}, "
-        f"{y.name} gives {format_rational(Fraction(vy, scale))}"
-    )
+        names = ", ".join(map(_format_side, members))
+        return f"cumulative flux over reactant class {{{names}}}", vx, vy
 
 
 def _signatures(crn: CRN, mode: BisimMode, block_of):
-    if mode is BisimMode.FORWARD:
-        return _ForwardSignatures(crn, block_of)
-    return _BackwardSignatures(crn, block_of)
+    return _Signatures(_Forward(crn) if mode is BisimMode.FORWARD else _Backward(crn), block_of)
 
 
 # ---------------------------------------------------------------------------
@@ -540,14 +461,11 @@ def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
 def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
     """Coarsest forward or backward bisimulation refining ``initial``.
 
-    Each pass splits every block by signature under the current partition
-    (the splitter equivalence intersected with the current partition),
-    recomputing only the signatures the previous pass's splits touched;
-    the loop stops when no block splits, or right after a split that
-    leaves every block a singleton, as no signature would be read again
-    (that last split's signatures are not updated).  Without reactions every
-    partition is already a bisimulation of either kind.  The partition
-    returned is recorded on ``crn`` as certified for ``mode``, so that
+    Each pass splits every block by signature under the current partition,
+    recomputing only the signatures the previous pass's splits touched,
+    until no block splits or every block is a singleton.  Without reactions
+    every partition is already a bisimulation of either kind.  The result
+    is recorded on ``crn`` as certified for ``mode``, so that
     :func:`is_bisimulation` does not decide it again.
     """
     check_partition(crn, initial)
@@ -587,4 +505,6 @@ def find_counterexample(
     if pair is None:
         return None
     x, y = pair
-    return x, y, sigs.witness(p, x, y)
+    what, *values = sigs.mode.witness(sigs, p, x, y)
+    vx, vy = (format_rational(Fraction(v, sigs.mode.scale)) for v in values)
+    return x, y, f"{what}: {x.name} gives {vx}, {y.name} gives {vy}"

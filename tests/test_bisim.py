@@ -176,7 +176,7 @@ class TestFindCounterexample:
         assert text == "cumulative flux over reactant class {A}: C gives 0, E gives 6"
         a, b, text = find_counterexample(crn, h_e, BisimMode.FORWARD)
         assert (a.name, b.name) == ("A", "B")
-        assert text.startswith("reaction rate with partner ")
+        assert text == "reaction rate with partner A: A gives 0, B gives 2"
 
     def test_forward_witness_at_the_ends_of_the_packed_key(self):
         # A forward key packs (partner, block) as (partner + 1) * n + block.
@@ -405,6 +405,10 @@ class TestSplitterRefinement:
             ],
         )
         nets.append((cancel, None))
+        # Forward moves (D splits off), folds again (the A and B pieces are
+        # wide), then moves along the R chain: the moves after a fold start
+        # from that fold's row keys, not from the keys moved before it.
+        nets.append((_moves_fold_moves(), None))
         # Disjoint copies split first into wide pieces, so their signatures
         # are folded again: those of two copies of ``cancel`` drop the zeros.
         nets.append((copies(cancel, 2, unary=False), None))
@@ -472,8 +476,8 @@ class TestSplitterRefinement:
         for mode, initial in runs:
             assert refine(net, initial, mode).passes >= 1
         forward, backward = built
-        assert (forward._producers is None) is refolds
-        assert (backward._by_reactant is None) is refolds
+        assert (forward.reading is None) is refolds
+        assert (backward.reading is None) is refolds
 
     def test_refolds_return_the_species_in_the_order_of_the_moves(self, mode, monkeypatch):
         # Which piece of a tie keeps its block's label follows the order of
@@ -499,6 +503,15 @@ class TestSplitterRefinement:
         assert sum(refolds for _, refolds in traced) > 100
 
 
+def _moves_fold_moves():
+    rows = [({a: 1}, 1, {"D": 1, "R1": 1}) for a in ("A1", "A2", "A3")]
+    rows += [({b: 1}, 1, {"D": 2}) for b in ("B1", "B2", "B3")]
+    rows += [({f"R{i}": 1}, 1, {f"R{i + 1}": 2}) for i in (1, 2, 3)]
+    rows.append(({"R4": 1}, 1, {"A1": 2}))
+    names = ["A1", "A2", "A3", "B1", "B2", "B3", "R1", "R2", "R3", "R4", "D"]
+    return make_crn(names, rows)
+
+
 def _touched_lists(net, initial, mode):
     """The list each pass of refine's loop gets back from ``retarget``, and
     the number of passes that folded the signatures again."""
@@ -517,14 +530,12 @@ def _touched_lists(net, initial, mode):
 
 
 def _comparable(sigs, mode):
-    """Each species' kept signature, backward with every class id read as
-    the lift it numbers (ids depend on the order classes were met), and
-    backward also every reactant multiset's class as its lift."""
+    """Each species' kept sums, backward with every class id read as the
+    lift it numbers (ids depend on the order classes were met)."""
     if mode is BisimMode.FORWARD:
-        return sigs.folded, None
-    lift = {cid: key for key, cid in sigs._class_of.items()}
-    sums = [{lift[cid]: value for cid, value in kept.items()} for kept in sigs.sums]
-    return sums, [lift[cid] for cid in sigs.entry_class]
+        return sigs.sums
+    lift = {cid: key for key, cid in sigs.mode._class_of.items()}
+    return [{lift[cid]: value for cid, value in kept.items()} for kept in sigs.sums]
 
 
 def _check_kept_signatures(net, initial, mode):
@@ -546,9 +557,11 @@ def _check_kept_signatures(net, initial, mode):
         assert len(set(touched)) == len(touched)
         assert sorted(touched) == _reading_new_pieces(net, mode, blocks, pieces)
         fresh = crnlump.bisim._signatures(net, mode, blocks.block_of)
-        kept, kept_classes = _comparable(sigs, mode)
-        built, built_classes = _comparable(fresh, mode)
-        assert kept_classes == built_classes
+        kept, built = _comparable(sigs, mode), _comparable(fresh, mode)
+        # The row keys the next moves start from, kept or after a fold
+        # taken from the mode, are each row keyed afresh under the labels.
+        row_key = sigs.row_key if sigs.reading is not None else sigs.mode.rows(blocks)[2]
+        assert row_key == [sigs.mode.rekey(e, blocks.block_of) for e in range(len(row_key))]
         for x in range(net.n_species):
             if not blocks.in_singleton(x):
                 assert kept[x] == built[x], (net, x)
