@@ -50,6 +50,7 @@ carry this notice:
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -95,11 +96,15 @@ P = _frozen([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+# Per stage s after the first: s, the weights of the stages before it and
+# its time fraction.
+STAGES = tuple((s, A[s, :s], float(C[s])) for s in range(1, len(C)))
 
 
 def _norm(x: np.ndarray):
-    """The RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """The RMS norm; ``np.linalg.norm`` of a real vector is this square
+    root of ``x.dot(x)``."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, y0, t_bound, f0, rtol, atol):
@@ -125,14 +130,16 @@ def _initial_step(fun, y0, t_bound, f0, rtol, atol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
+def _rk_step(fun, t, y, f, h, K, stages, K_B):
     """One step of size ``h``: the fifth-order solution and its
-    derivative, with the seven stages left in ``K``."""
+    derivative, with the seven stages left in ``K``.  ``stages`` holds,
+    per stage ``s`` after the first, ``s``, the view ``K[:s].T``, the
+    stage's weights and its time fraction; ``K_B`` is ``K[:-1].T``."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, K_s, a, c in stages:
+        dy = np.dot(K_s, a) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(K_B, B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
@@ -144,8 +151,7 @@ def _dense(t_old, t, y_old, K, points):
     Q = K.T.dot(P)
     h = t - t_old
     x = (points - t_old) / h
-    p = np.tile(x, (Q.shape[1], 1))
-    p = np.cumprod(p, axis=0)
+    p = np.cumprod(np.broadcast_to(x, (Q.shape[1], x.size)), axis=0)
     y = h * np.dot(Q, p)
     y += y_old[:, None]
     return y
@@ -177,9 +183,13 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
     h_abs = _initial_step(fun, y, t_bound, f, rtol, atol)
     evaluations = 2
     K = np.empty((len(C) + 1, n))
+    stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
+    K_B, K_E = K[:-1].T, K.T
     ts, ys, i = [], [], 0
+    # The grid time reached next; the grid ends at or before t_bound.
+    next_time = t_eval[0]
     while t < t_bound:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -191,7 +201,7 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
             if t_new > t_bound:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
             if evaluations + 6 > max_evaluations:
                 # The first evaluation past the budget; C[5] is 1, so the
                 # last two evaluations are both at t + h.
@@ -201,9 +211,9 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
                     f"evaluations at t={t + C[stage] * h:g} of {t_bound:g}"
                 )
             evaluations += 6
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K, stages, K_B)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _norm(np.dot(K.T, E) * h / scale)
+            error_norm = _norm(np.dot(K_E, E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -217,10 +227,11 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        i_new = np.searchsorted(t_eval, t, side="right")
-        if i_new > i:
+        if t >= next_time:
+            i_new = int(np.searchsorted(t_eval, t, side="right"))
             points = t_eval[i:i_new]
             ts.append(points)
             ys.append(_dense(t_old, t, y_old, K, points))
             i = i_new
+            next_time = t_eval[i] if i < t_eval.size else math.inf
     return np.hstack(ts), np.hstack(ys)

@@ -11,8 +11,13 @@ flux table (:func:`crnlump.core.flux_table`) that the exact vector field
 reads too: each row's reactant multiset becomes a column of state
 indices (one per molecule, padded with a slot that holds 1.0), so one
 numpy gather and product evaluates every monomial, and the rows' values
-divided by L form a sparse matrix that maps them to the derivatives.
-Empty reactants (a constant term) and higher powers work too.  One
+divided by L, laid out as compressed sparse rows, map them to the
+derivatives.  No sparse-matrix object is built: each evaluation calls
+scipy's compiled ``csr_matvec`` kernel on those arrays directly.  That
+kernel is what ``csr_matrix @ vector`` runs, on the same arrays in the
+same order, so the derivatives are the matrix product's to the last bit
+without its per-call Python dispatch.  Empty reactants (a constant term)
+and higher powers work too.  One
 integration makes at most ``_MAX_EVALUATIONS`` right-hand-side
 evaluations; a step that would pass that raises :class:`IntegrationError`.
 
@@ -34,9 +39,10 @@ it, since concentrations span orders of magnitude across models.
 
 This module and :mod:`crnlump._rk45`, which only it imports, are the
 ones that import numpy at their top; from scipy this module needs only
-``scipy.sparse``.  Nothing else in the package imports it at load time:
-the package looks its six numerical names up here when they are read,
-and the CLI imports it inside ``simulate`` and ``compare``.
+the compiled kernel of ``scipy.sparse``.  Nothing else in the package
+imports it at load time: the package looks its six numerical names up
+here when they are read, and the CLI imports it inside ``simulate`` and
+``compare``.
 :class:`~crnlump.core.InitialCondition` and the ``DEFAULT_*`` settings
 are defined in :mod:`crnlump.core` and imported here, so
 ``crnlump.sim.InitialCondition`` still names them.
@@ -50,7 +56,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import _rk45
 from .core import (
@@ -119,10 +125,19 @@ def _compile(*networks: CRN):
     by the species of the networks before it.  Column ``j`` of
     ``factors`` lists the reactants of the j-th row, an id repeated once
     per unit of multiplicity and padded with index ``n``, whose slot
-    holds 1.0.  One gather and a product down the columns give every
-    row's monomial; a sparse matrix of the rows' values divided by L maps
-    them to the derivatives.  A network's block of the result is the
-    right-hand side of that network alone, to the last bit.
+    holds 1.0.  One gather per factor row, multiplied in order, gives
+    every row's monomial, as a product down the columns would.  The rows'
+    values divided by L are the compressed sparse rows (CSR) of the
+    matrix that maps the monomials to the derivatives: one row per
+    species, its entries in increasing monomial order, the order a
+    ``csr_matrix`` built from the same entries holds them in.  There is
+    no sparse-matrix object: each call hands these arrays and a fresh
+    zero vector straight to scipy's compiled ``csr_matvec``, which is
+    what ``matrix @ vector`` runs, so the result is that product to the
+    last bit, without its per-call dispatch.  A network's block of the
+    result is the right-hand side of that network alone, to the last bit.
+    Every call returns a new array: the stepper keeps ``f`` while it
+    fills the next stages.
     """
     rows, cols, coefs, monomials = [], [], [], []
     n = 0
@@ -135,16 +150,34 @@ def _compile(*networks: CRN):
                 coefs.append(val / scale)
             monomials.append([n + sid for sid, m in reactants for _ in range(m)])
         n += crn.n_species
-    width = max(map(len, monomials), default=0)
-    factors = np.full((width, len(monomials)), n, dtype=np.intp)
+    n_cols, nnz = len(monomials), len(rows)
+    # 32-bit indices where they fit, as scipy's sparse matrices hold them.
+    index = np.int32 if max(n_cols, nnz) <= np.iinfo(np.int32).max else np.int64
+    rows = np.array(rows, dtype=index)
+    # The entries come in increasing monomial order; a stable sort by
+    # species keeps that order within each species' row.
+    order = np.argsort(rows, kind="stable")
+    indices = np.array(cols, dtype=index)[order]
+    data = np.array(coefs, dtype=float)[order]
+    indptr = np.zeros(n + 1, dtype=index)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    # At least one factor row, so that a constant-only network's monomials
+    # come out as the padding slot's 1.0.
+    width = max(map(len, monomials), default=0) or 1
+    factors = np.full((width, n_cols), n, dtype=np.intp)
     for j, slots in enumerate(monomials):
         factors[: len(slots), j] = slots
-    matrix = csr_matrix((coefs, (rows, cols)), shape=(n, len(monomials)))
+    first, *rest = factors
     padded = np.ones(n + 1)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         padded[:n] = y
-        return matrix @ padded[factors].prod(axis=0)
+        m = padded[first]
+        for f in rest:
+            m *= padded[f]
+        out = np.zeros(n)
+        csr_matvec(n, n_cols, indptr, indices, data, m, out)
+        return out
 
     return rhs
 
@@ -312,12 +345,15 @@ def verify_forward(
         crn, p, v0, t_end, tol, rtol, atol, n_points, forward_reduce,
         lambda block: sum((v0.get(sp) for sp in block), Fraction(0)),
     )
+    species_rows, block_rows = original.values.T, lumped.values.T
     max_error = 0.0
-    for idx, block in enumerate(p.blocks):
-        summed = np.zeros_like(original.times)
-        for sp in block:
-            summed += original.column(sp)
-        err = _scaled_error(lumped.values[:, idx] - summed, summed)
+    for block, lumped_row in zip(p.blocks, block_rows):
+        # ``accumulate`` adds the members' rows one after another, as a
+        # running sum does; ``sum`` may add them pairwise, which rounds
+        # differently.  In place, in the block's own copy of its rows.
+        rows = species_rows[[sp.id for sp in block]]
+        summed = np.add.accumulate(rows, axis=0, out=rows)[-1]
+        err = _scaled_error(lumped_row - summed, summed)
         max_error = max(max_error, float(err.max()))
     return VerificationReport(
         mode="forward",
@@ -359,20 +395,20 @@ def verify_backward(
         crn, p, v0, t_end, tol, rtol, atol, n_points, backward_reduce,
         representative_value,
     )
-    max_spread = 0.0
-    for block in p.blocks:
-        if len(block) == 1:
-            continue
-        cols = np.stack([original.column(sp) for sp in block], axis=1)
-        spread = cols.max(axis=1) - cols.min(axis=1)
-        err = _scaled_error(spread, cols.max(axis=1))
-        max_spread = max(max_spread, float(err.max()))
-    max_dev = 0.0
-    for idx, block in enumerate(p.blocks):
-        rep_col = lumped.values[:, idx]
-        for sp in block:
-            err = _scaled_error(original.column(sp) - rep_col, rep_col)
-            max_dev = max(max_dev, float(err.max()))
+    species_rows, block_rows = original.values.T, lumped.values.T
+    max_spread = max_dev = 0.0
+    for block, rep_row in zip(p.blocks, block_rows):
+        rows = species_rows[[sp.id for sp in block]]
+        if len(block) > 1:
+            top = rows.max(axis=0)
+            err = _scaled_error(top - rows.min(axis=0), top)
+            max_spread = max(max_spread, float(err.max()))
+        # The scaled deviation of every member from the representative,
+        # computed in place in the block's own copy of its rows.
+        rows -= rep_row
+        np.abs(rows, out=rows)
+        rows /= np.maximum(1.0, np.abs(rep_row))
+        max_dev = max(max_dev, float(rows.max()))
     max_error = max(max_spread, max_dev)
     return VerificationReport(
         mode="backward",

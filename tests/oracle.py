@@ -37,7 +37,13 @@ Nothing here shares code with the signature tables of
 * ``reference_backward_quotient``, the backward quotient built as it was
   before equal sides were classed once: every row pins its
   non-representative products to their reactant multiplicity, lifts both
-  sides into the blocks and adds its rate to the row's fused sum.
+  sides into the blocks and adds its rate to the row's fused sum;
+* ``reference_right_hand_side``, the integrator's right-hand side built
+  with scipy's public sparse API, a ``csr_matrix`` times the vector of
+  monomials, and ``reference_forward_report`` /
+  ``reference_backward_report``, the figures of a verification report
+  reduced species by species, as :mod:`crnlump.sim` computed them while it
+  held a sparse-matrix object and looped over the species of each block.
 
 The rate functions return exact :class:`~fractions.Fraction` values.
 The refinement loop compares exact integers instead: each rate times the
@@ -54,6 +60,9 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from crnlump import (
     CRN,
     BisimMode,
@@ -66,7 +75,7 @@ from crnlump import (
     Polynomial,
     Species,
 )
-from crnlump.core import quotient_species, scaled_reactions
+from crnlump.core import flux_table, quotient_species, scaled_reactions
 from crnlump.io import (
     _COEFF_RE,
     _SPACE_RE,
@@ -760,6 +769,86 @@ def reference_backward_quotient(crn: CRN, p: Partition) -> CRN:
     divisor = gcd(scale, *fused.values())
     quotient = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in sorted(fused))
     return CRN._from_scaled(quotient_species(p), scale // divisor, quotient)
+
+
+# ---------------------------------------------------------------------------
+# Reference right-hand side and verification figures
+
+
+def reference_right_hand_side(*networks: CRN):
+    """``y -> f(y)`` for the networks side by side, from the same flux
+    tables as :func:`crnlump.sim._compile`: a ``csr_matrix`` built from
+    ``(coefficient, (species, monomial))`` triples, the rows' values
+    divided by L, times every row's monomial, a product down the columns
+    of the reactant ids padded with a slot that holds 1.0."""
+    rows, cols, coefs, monomials = [], [], [], []
+    n = 0
+    for crn in networks:
+        scale, table = flux_table(crn)
+        for reactants, support in table:
+            for sid, val in support:
+                rows.append(n + sid)
+                cols.append(len(monomials))
+                coefs.append(val / scale)
+            monomials.append([n + sid for sid, m in reactants for _ in range(m)])
+        n += crn.n_species
+    width = max(map(len, monomials), default=0)
+    factors = np.full((width, len(monomials)), n, dtype=np.intp)
+    for j, slots in enumerate(monomials):
+        factors[: len(slots), j] = slots
+    matrix = csr_matrix((coefs, (rows, cols)), shape=(n, len(monomials)))
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        padded = np.append(y, 1.0)
+        return matrix @ padded[factors].prod(axis=0)
+
+    return rhs
+
+
+def _scaled_error(diff, reference):
+    return np.abs(diff) / np.maximum(1.0, np.abs(reference))
+
+
+def _negative_dip(original, lumped) -> float:
+    return min(original.min_value, lumped.min_value)
+
+
+def reference_forward_report(original, lumped, p: Partition) -> tuple[float, float]:
+    """``(max_error, negative_dip)`` of a forward check: per block, the
+    species' columns summed one at a time from zero against the block's
+    column of the quotient."""
+    max_error = 0.0
+    for idx, block in enumerate(p.blocks):
+        summed = np.zeros_like(original.times)
+        for sp in block:
+            summed += original.column(sp)
+        err = _scaled_error(lumped.values[:, idx] - summed, summed)
+        max_error = max(max_error, float(err.max()))
+    return max_error, _negative_dip(original, lumped)
+
+
+def reference_backward_report(
+    original, lumped, p: Partition
+) -> tuple[float, float, float, float]:
+    """``(max_error, max_spread, max_representative_deviation,
+    negative_dip)`` of a backward check: the spread of each block of two
+    or more species, and every species' deviation from its block's column
+    of the quotient, one species at a time."""
+    max_spread = 0.0
+    for block in p.blocks:
+        if len(block) == 1:
+            continue
+        cols = np.stack([original.column(sp) for sp in block], axis=1)
+        spread = cols.max(axis=1) - cols.min(axis=1)
+        err = _scaled_error(spread, cols.max(axis=1))
+        max_spread = max(max_spread, float(err.max()))
+    max_dev = 0.0
+    for idx, block in enumerate(p.blocks):
+        rep_col = lumped.values[:, idx]
+        for sp in block:
+            err = _scaled_error(original.column(sp) - rep_col, rep_col)
+            max_dev = max(max_dev, float(err.max()))
+    return max(max_spread, max_dev), max_spread, max_dev, _negative_dip(original, lumped)
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,16 @@ from crnlump import (
     verify_forward,
 )
 from crnlump.cli import main
-from crnlump.core import DEFAULT_ATOL, DEFAULT_RTOL, DEFAULT_T_END
+from crnlump.core import DEFAULT_ATOL, DEFAULT_POINTS, DEFAULT_RTOL, DEFAULT_T_END
 from crnlump.models import random_crn
 from crnlump.sim import _compile
 from conftest import blocks_of
-from oracle import reactions_of
+from oracle import (
+    reactions_of,
+    reference_backward_report,
+    reference_forward_report,
+    reference_right_hand_side,
+)
 
 
 def inits(crn, **values):
@@ -290,6 +295,78 @@ class TestStackedRightHandSide:
             self.assert_stacks_exactly(*pair, seed)
 
 
+def multisite_with_quotient(n_sites, mode):
+    """Multisite ``n_sites``, its coarsest partition in ``mode`` (backward
+    from the initial conditions, as ``compare --from-inits`` refines) and
+    the quotient under it."""
+    crn, v0 = multisite(MultisiteSpec(n_sites=n_sites))
+    if mode is BisimMode.FORWARD:
+        p = refine(crn, Partition.trivial(crn), mode).final
+        return crn, v0, p, forward_reduce(crn, p).crn
+    p = refine(crn, partition_from_initial_conditions(v0), mode).final
+    return crn, v0, p, backward_reduce(crn, p).crn
+
+
+class TestRightHandSideMatchesSparseMatrix:
+    """``_compile`` hands arrays it builds itself to scipy's compiled CSR
+    kernel; ``oracle.reference_right_hand_side`` builds the matrix with the
+    public ``csr_matrix`` constructor and multiplies with ``@``.  The two
+    agree to the last bit, the signs of zeros included."""
+
+    @staticmethod
+    def assert_same(networks, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(net.n_species for net in networks)
+        rhs, reference = _compile(*networks), reference_right_hand_side(*networks)
+        for y in (rng.uniform(0, 3, n), rng.uniform(-1, 1, n), np.zeros(n)):
+            got, expected = rhs(0.0, y), reference(0.0, y)
+            assert got.shape == expected.shape == (n,)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_random_networks(self, seed):
+        rng = random.Random(seed)
+        net = random_crn(seed, rng.randint(1, 10), rng.randint(0, 25))
+        self.assert_same((net,), seed)
+
+    @pytest.mark.parametrize(
+        "names, rows",
+        [
+            (["X", "Y"], [({}, Fraction(7, 3), {"X": 1}), ({"X": 3, "Y": 1}, 2, {"X": 2, "Y": 1})]),
+            (["A", "B"], [({"A": 3}, 2, {"B": 2}), ({"A": 2, "B": 1}, Fraction(1, 7), {})]),
+            (["A"], [({}, 2, {"A": 1}), ({}, Fraction(1, 3), {"A": 2})]),
+            (["A", "B"], []),
+            ([], []),
+        ],
+        ids=["constant-and-cube", "powers", "constants-only", "no-reactions", "no-species"],
+    )
+    def test_constant_terms_powers_and_no_reactions(self, names, rows):
+        net = make_crn(names, rows)
+        self.assert_same((net,), 0)
+        other = random_crn(1, 5, 10)
+        self.assert_same((net, other), 1)
+        self.assert_same((other, net), 2)
+
+    @pytest.mark.parametrize("mode", [BisimMode.FORWARD, BisimMode.BACKWARD], ids=["fb", "bb"])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_stacked_systems_of_multisite(self, n_sites, mode):
+        crn, _, _, quotient = multisite_with_quotient(n_sites, mode)
+        self.assert_same((crn, quotient), n_sites)
+
+    def test_every_call_returns_a_new_array(self, crn):
+        # The stepper keeps f while it writes the next stages, so a
+        # shared output buffer would overwrite it.
+        rhs = _compile(crn)
+        first = rhs(0.0, np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        kept = first.copy()
+        second = rhs(0.0, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+
 def test_unbounded_horizon_stops_at_the_evaluation_budget(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(crnlump.sim, "_MAX_EVALUATIONS", 10**4)
     model = tmp_path / "decay.crn"
@@ -476,6 +553,74 @@ class TestVerifyBackward:
         assert checked >= 3
 
 
+class TestReportsMatchPerSpeciesReduction:
+    """``verify_forward`` and ``verify_backward`` reduce the trajectories
+    block by block; ``oracle.reference_forward_report`` and
+    ``reference_backward_report`` reduce the same trajectories species by
+    species.  Every figure of the report must equal theirs exactly."""
+
+    @staticmethod
+    def assert_matches(verify, crn, p, v0, t_end, monkeypatch, **kwargs):
+        solve = crnlump.sim._solve
+        seen = []
+
+        def recorded(*args):
+            seen.append(solve(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(crnlump.sim, "_solve", recorded)
+        report = verify(crn, p, v0, t_end, 1e-6, **kwargs)
+        ((original, lumped),) = seen
+        if verify is verify_forward:
+            expected = reference_forward_report(original, lumped, p)
+            assert (report.max_error, report.negative_dip) == expected
+        else:
+            expected = reference_backward_report(original, lumped, p)
+            got = (
+                report.max_error,
+                report.max_spread,
+                report.max_representative_deviation,
+                report.negative_dip,
+            )
+            assert got == expected
+        return report
+
+    @pytest.mark.parametrize("mode", [BisimMode.FORWARD, BisimMode.BACKWARD], ids=["fb", "bb"])
+    @pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+    def test_multisite(self, n_sites, mode, monkeypatch):
+        crn, v0, p, _ = multisite_with_quotient(n_sites, mode)
+        verify = verify_forward if mode is BisimMode.FORWARD else verify_backward
+        self.assert_matches(verify, crn, p, v0, 10.0, monkeypatch)
+
+    def test_random_backward_partitions(self, monkeypatch):
+        # The networks and partitions of
+        # TestVerifyBackward.test_block_constancy_on_random_backward_partitions.
+        checked = 0
+        for seed in range(40):
+            net = random_crn(seed, 4, 3)
+            p = refine(net, Partition.trivial(net), BisimMode.BACKWARD).final
+            if p.n_blocks == net.n_species:
+                continue
+            v0 = InitialCondition.from_map(net, {sp: Fraction(1) for sp in net.species})
+            try:
+                self.assert_matches(verify_backward, net, p, v0, 5.0, monkeypatch)
+            except IntegrationError:
+                continue
+            checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("n_points", [1, 7, DEFAULT_POINTS])
+    @pytest.mark.parametrize("mode", ["fb", "bb"])
+    def test_wrong_quotients(self, crn, h_o, h_e, mode, n_points, monkeypatch):
+        # Errors far above rounding, on a grid of one point too.
+        monkeypatch.setattr(crnlump.sim, "forward_reduce", doubled_first_rate(forward_reduce))
+        monkeypatch.setattr(crnlump.sim, "backward_reduce", doubled_first_rate(backward_reduce))
+        v0 = inits(crn, A=1, B=1, C=1, D=1, E=1)
+        verify, p = (verify_forward, h_o) if mode == "fb" else (verify_backward, h_e)
+        report = self.assert_matches(verify, crn, p, v0, 10.0, monkeypatch, n_points=n_points)
+        assert (report.max_error > 1e-3) == (n_points > 1)
+
+
 class TestMatchesScipy:
     """The in-package stepper, ``crnlump._rk45``, transcribes the RK45 path
     of scipy 1.17.1's ``solve_ivp(fun, (0, t_end), y0, method="RK45",
@@ -515,8 +660,16 @@ class TestMatchesScipy:
         assert len(args[0]) == 2
         cls.assert_same(*args, trajectories)
 
-    @pytest.mark.parametrize("rtol", [DEFAULT_RTOL, 1e-3, 1e-12], ids=str)
-    @pytest.mark.parametrize("n_sites", [0, 1, 2, 3], ids=lambda n: f"multisite{n}" if n else "running")
+    @pytest.mark.parametrize(
+        "n_sites, rtol",
+        [
+            pytest.param(n, rtol, id=f"{f'multisite{n}' if n else 'running'}-{rtol}")
+            for n in (0, 1, 2, 3)
+            for rtol in (DEFAULT_RTOL, 1e-3, 1e-12)
+        ]
+        # Multisite n=4 is the stack that the benchmark's compare integrates.
+        + [pytest.param(4, DEFAULT_RTOL, id=f"multisite4-{DEFAULT_RTOL}")],
+    )
     def test_stacked_systems_of_verify(self, n_sites, rtol, monkeypatch):
         if n_sites:
             crn, v0 = multisite(MultisiteSpec(n_sites=n_sites))
