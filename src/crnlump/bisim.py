@@ -45,12 +45,12 @@ each species and the row keys are built on the first moves after a fold.
 A wide split, whose new pieces of two or more species hold at least half
 of the species (the one splitting pass on the multisite family), would
 move nearly every row.  There the mode folds every row again from its
-table in a batch loop of its own, and no index is built.  Pieces of one
-species do not count: the moves skip singletons, while a fold reads the
-whole table.  At most 2 log2(n) splits are wide, so the O(m log n) bound
-holds.  Both ways return the touched species in the order in which the
-moves meet them, which decides the piece that keeps the label on a tie,
-so both give the same passes and ``predicate_calls``.
+table in a batch loop of its own, no index is built, and the next pass
+buckets every species outside a singleton, as the first pass does; the
+partition after it is still that of recomputing every signature.  Pieces
+of one species do not count: the moves skip singletons, while a fold
+reads the whole table.  At most 2 log2(n) splits are wide, so the bound
+is O((m + n) log n).
 
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
@@ -66,7 +66,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .core import CRN, EMPTY_PARTNER, Partition, Species
 from .core import check_partition, flux_table, format_rational, forward_table
@@ -98,8 +97,9 @@ class RefinementTrace:
     it is 0 exactly when the initial partition is already a
     bisimulation.  ``predicate_calls`` counts the species whose signature
     a pass recomputed and bucketed, summed over all passes: the first
-    pass takes every member of a block of two or more species, a later
-    pass only the species that a split touched.
+    pass, and a pass after a wide split, takes every member of a block of
+    two or more species, a later pass only the species that a split
+    touched.
     """
 
     final: Partition
@@ -210,24 +210,19 @@ class _Blocks:
                 pieces.append((label, b))
         return pieces
 
-    def wide_split_ranks(self, pieces: list[tuple[int, int]]) -> list[int] | None:
-        """When the new ``pieces`` of two or more species hold at least half
-        of the species, each species' position among the members of all
-        new pieces, piece after piece, and the species count for a species
-        in none; otherwise None.  The positions are the order in which
-        moving entries meets them."""
-        n, first, end = len(self.elems), self.first, self.end
+    def unsettled(self) -> list[int]:
+        """The species outside singletons, by id."""
+        return [x for x in range(len(self.elems)) if not self.in_singleton(x)]
+
+    def is_wide(self, pieces: list[tuple[int, int]]) -> bool:
+        """True when the new ``pieces`` of two or more species hold at
+        least half of the species."""
+        first, end = self.first, self.end
         wide = 0
         for p, _ in pieces:
             if end[p] - first[p] > 1:
                 wide += end[p] - first[p]
-        if 2 * wide < n:
-            return None
-        met = [y for piece, _ in pieces for y in self.members(piece)]
-        rank = [n] * n
-        for r, y in enumerate(met):
-            rank[y] = r
-        return rank
+        return 2 * wide >= len(self.elems)
 
     def partition(self, species) -> Partition:
         return Partition(
@@ -247,34 +242,34 @@ class _Signatures:
     fold: ``reading[y]``, the rows that read ``y``; ``entries[e]``, row
     ``e``'s ``(species, value)`` pairs, none zero; ``row_key[e]``, its key.
 
-    A mode supplies ``static``; ``fold(block_of, rank)``, the sums and,
-    given ``rank``, the species a wide split touched; ``rows(blocks)``,
-    what each row reads, its entries and its key under the labels of the
-    last fold, free to leave out rows held only by species in singletons;
-    ``rekey(e, block_of)``; and ``witness``, a text and both values.
+    A mode supplies ``static``; ``fold(block_of)``, the sums under the
+    labels ``block_of``; ``rows(blocks)``, what each row reads, its
+    entries and its key under the labels of the last fold, free to leave
+    out rows held only by species in singletons; ``rekey(e, block_of)``;
+    and ``witness``, a text and both values.
     """
 
     __slots__ = ("mode", "static", "sums", "row_key", "reading", "entries")
 
     def __init__(self, mode, block_of):
         self.mode, self.static = mode, mode.static
-        self.sums, _ = mode.fold(block_of, None)
+        self.sums = mode.fold(block_of)
         self.reading = self.row_key = self.entries = None
 
     def key(self, x: int):
         return self.static[x], frozenset(self.sums[x].items())
 
     def retarget(self, blocks: _Blocks, pieces: list[tuple[int, int]]) -> list[int]:
-        """Update the signatures after a split into the new ``pieces``, by
-        a fold after a wide split and by moves otherwise; return the species
-        outside singletons with an entry in a row that reads a piece, in the
-        order in which the moves meet them."""
+        """Update the signatures after a split into the new ``pieces`` and
+        return the species the next pass buckets: after a wide split, a fold
+        and every species outside singletons, by id; otherwise, moves and the
+        species outside singletons with an entry in a row that reads a
+        piece, in the order in which the moves meet them."""
         block_of, first, end = blocks.block_of, blocks.first, blocks.end
-        rank = blocks.wide_split_ranks(pieces)
-        if rank is not None:
-            self.sums, met = self.mode.fold(block_of, rank)
+        if blocks.is_wide(pieces):
+            self.sums = self.mode.fold(block_of)
             self.reading = None  # the next moves start from this fold's row keys
-            return [x for x in met if not blocks.in_singleton(x)]
+            return blocks.unsettled()
         reading = self.reading
         if reading is None:
             reads, self.entries, self.row_key = self.mode.rows(blocks)
@@ -323,27 +318,17 @@ class _Forward:
         self.scale, self._crr, self.static, self._prod = forward_table(crn)
         self._species = crn.species
 
-    def fold(self, block_of, rank: list[int] | None):
-        """Given ``rank``, the species with an entry reading a ``y`` of
-        ``rank[y]`` below ``n``, by their least such rank, then id."""
+    def fold(self, block_of):
         n, self._labels = len(self._species), list(block_of)
-        if rank is None:
-            rank = [n] * n
         folded_all: list[dict[int, int]] = []
-        hits = []
-        for x, entries in enumerate(self._prod):
+        for entries in self._prod:
             folded: dict[int, int] = {}
-            least = n
             for key, val in entries.items():
                 yid = key % n
                 key += block_of[yid] - yid
                 folded[key] = folded.get(key, 0) + val
-                if rank[yid] < least:
-                    least = rank[yid]
             folded_all.append(_nonzero(folded))
-            if least < n:
-                hits.append(least * n + x)
-        return folded_all, [key % n for key in sorted(hits)]
+        return folded_all
 
     def rows(self, blocks: _Blocks):
         # An owner in a singleton is left out: no move reads its entries.
@@ -387,10 +372,7 @@ class _Backward:
         self._class_of = {}
         self.static = (0,) * crn.n_species
 
-    def fold(self, block_of, rank: list[int] | None):
-        """Given ``rank``, the species held by a row reading a ``y`` of
-        ``rank[y]`` below ``n``, by first appearance over those rows ordered
-        by their least such rank, then by position."""
+    def fold(self, block_of):
         class_of, rows = self._class_of, self._rows
         self._row_class = [class_of.setdefault(_lift(k, block_of), len(class_of)) for k, _ in rows]
         sums: list[dict[int, int]] = [{} for _ in self._species]
@@ -398,14 +380,7 @@ class _Backward:
             for sid, val in support:
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
-        sums = [_nonzero(acc) for acc in sums]
-        if rank is None:
-            return sums, []
-        # One or two reactant pairs: the network is elementary.
-        least = [min(rank[k[0][0]], rank[k[-1][0]]) for k, _ in rows]
-        meeting = sorted([e for e, r in enumerate(least) if r < len(rank)], key=least.__getitem__)
-        # A dict of the (species, flux) pairs keeps each species' first place.
-        return sums, list(dict(chain.from_iterable([rows[e][1] for e in meeting])))
+        return [_nonzero(acc) for acc in sums]
 
     def rows(self, blocks: _Blocks):
         # One or two reactant pairs: the network is elementary.
@@ -474,7 +449,7 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
         return RefinementTrace(initial, 0, 0)
     blocks = _Blocks(initial)
     sigs = _signatures(crn, mode, blocks.block_of)
-    touched = [x for x in range(crn.n_species) if not blocks.in_singleton(x)]
+    touched = blocks.unsettled()
     passes = calls = 0
     while touched:
         calls += len(touched)

@@ -180,19 +180,16 @@ def _rename(mono: Monomial, rename: Sequence[int | None]) -> Monomial | None:
 
 
 def _terms(
-    crn: CRN, rename: Sequence[int | None] | None = None
+    crn: CRN, rename: Sequence[int] | None = None
 ) -> tuple[int, list[dict[Monomial, int]]]:
     """L and, per species, its vector-field component times L: the flux
     table transposed.  With ``rename``, each row's monomial goes through
-    :func:`_rename` once and rows dropped to None are skipped; terms that
-    cancel after merging are not stored."""
+    :func:`_rename` once; terms that cancel after merging are not stored."""
     scale, table = flux_table(crn)
     terms: list[dict[Monomial, int]] = [{} for _ in crn.species]
     for mono, row in table:
         if rename is not None:
             mono = _rename(mono, rename)
-            if mono is None:
-                continue
         for sid, val in row:
             acc = terms[sid]
             acc[mono] = acc.get(mono, 0) + val

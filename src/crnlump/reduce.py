@@ -37,10 +37,11 @@ sides (chains, random networks), where classing costs more than it
 saves.
 
 Both constructions count their elementary steps, returned as
-:attr:`ReducedCRN.step_count`, which backs the complexity tests: the
-per-row lifts count the species slots of every row and of every kept
-row; the classing counts each row, the slots of each distinct side and
-of each merged side it lifts.  Both add the fusion-sort term.
+:attr:`ReducedCRN.step_count`, which backs the complexity tests.  Both
+count each row once, as one read, without walking its slots.  The
+per-row lifts add the species slots of every kept row; the classing adds
+the slots of each distinct side and of each merged side it lifts.  Both
+add the fusion-sort term.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def _quotient(
 ) -> ReducedCRN:
     """Lift each kept (reactants, products, rate times L) row into the blocks
     and fuse identical rows by summing their rates (``_fused_quotient``).
-    ``kept`` is read once."""
-    steps = sum(len(reactants) + len(products) for reactants, products, _ in rows)
+    ``kept`` is read once; ``rows`` is only counted."""
+    steps = len(rows)
     fused: dict[tuple[Pairs, Pairs], int] = {}
     for reactants, products, rate in kept:
         steps += len(reactants) + len(products)

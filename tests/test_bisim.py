@@ -379,8 +379,9 @@ class TestSplitterRefinement:
         # retarget moves each entry between two keys of a kept signature in
         # place, or after a wide split folds every signature again; after
         # every pass, every species outside a singleton (the only ones it
-        # updates) must hold what a fresh build gives, and retarget returns
-        # exactly those whose signature reads a new piece.
+        # updates) must hold what a fresh build gives.  After moves retarget
+        # returns exactly those whose signature reads a new piece, after a
+        # fold all of them.
         nets = [
             (net, initial)
             for seed in range(200)
@@ -479,12 +480,13 @@ class TestSplitterRefinement:
         assert (forward.reading is None) is refolds
         assert (backward.reading is None) is refolds
 
-    def test_refolds_return_the_species_in_the_order_of_the_moves(self, mode, monkeypatch):
-        # Which piece of a tie keeps its block's label follows the order of
-        # the species ``retarget`` returns, and that decides which species a
-        # later pass buckets; so with moves only, every pass returns the
-        # same list and every trace is the same.  Disjoint copies of a
-        # random network split first into pieces of copies, which are wide.
+    def test_refolds_and_moves_reach_the_same_partitions(self, mode, monkeypatch):
+        # After a wide split a fold hands every species outside a singleton
+        # to the next pass, the moves only those a new piece touched; both
+        # leave, pass for pass, the partition of recomputing every signature.
+        # Disjoint copies of a random network split first into pieces of
+        # copies, which are wide.  On multisite the moves touch every species
+        # outside a singleton too, so even ``predicate_calls`` agrees.
         nets = [
             (copies(random_crn(seed, n, r), 2 + seed % 3, unary), None)
             for seed in range(150)
@@ -496,11 +498,20 @@ class TestSplitterRefinement:
             net, inits = multisite(MultisiteSpec(n_sites=n))
             nets.append((net, partition_from_initial_conditions(inits)))
         nets = [(net, initial or Partition.trivial(net)) for net, initial in nets]
-        traced = [_touched_lists(net, initial, mode) for net, initial in nets]
-        monkeypatch.setattr(crnlump.bisim._Blocks, "wide_split_ranks", lambda self, pieces: None)
-        for (net, initial), (lists, _) in zip(nets, traced):
-            assert _touched_lists(net, initial, mode)[0] == lists, net
-        assert sum(refolds for _, refolds in traced) > 100
+        is_wide, refolds = crnlump.bisim._Blocks.is_wide, []
+
+        def counted(blocks, pieces):
+            refolds.append(is_wide(blocks, pieces))
+            return refolds[-1]
+
+        monkeypatch.setattr(crnlump.bisim._Blocks, "is_wide", counted)
+        folded = [refine(net, initial, mode) for net, initial in nets]
+        monkeypatch.setattr(crnlump.bisim._Blocks, "is_wide", lambda blocks, pieces: False)
+        moved = [refine(net, initial, mode) for net, initial in nets]
+        for (net, _), a, b in zip(nets, folded, moved):
+            assert (a.final, a.passes) == (b.final, b.passes), net
+        assert [a.predicate_calls for a in folded[-3:]] == [b.predicate_calls for b in moved[-3:]]
+        assert sum(refolds) > 100
 
 
 def _moves_fold_moves():
@@ -510,23 +521,6 @@ def _moves_fold_moves():
     rows.append(({"R4": 1}, 1, {"A1": 2}))
     names = ["A1", "A2", "A3", "B1", "B2", "B3", "R1", "R2", "R3", "R4", "D"]
     return make_crn(names, rows)
-
-
-def _touched_lists(net, initial, mode):
-    """The list each pass of refine's loop gets back from ``retarget``, and
-    the number of passes that folded the signatures again."""
-    blocks = crnlump.bisim._Blocks(initial)
-    sigs = crnlump.bisim._signatures(net, mode, blocks.block_of)
-    touched = [x for x in range(net.n_species) if not blocks.in_singleton(x)]
-    lists, refolds = [], 0
-    while touched:
-        pieces = blocks.split(touched, sigs.key)
-        if not pieces:
-            break
-        refolds += blocks.wide_split_ranks(pieces) is not None
-        touched = sigs.retarget(blocks, pieces)
-        lists.append(touched)
-    return lists, refolds
 
 
 def _comparable(sigs, mode):
@@ -546,7 +540,7 @@ def _check_kept_signatures(net, initial, mode):
         return 0
     blocks = crnlump.bisim._Blocks(initial)
     sigs = crnlump.bisim._signatures(net, mode, blocks.block_of)
-    touched = [x for x in range(net.n_species) if not blocks.in_singleton(x)]
+    touched = blocks.unsettled()
     passes = 0
     while touched:
         pieces = blocks.split(touched, sigs.key)
@@ -554,8 +548,12 @@ def _check_kept_signatures(net, initial, mode):
             break
         passes += 1
         touched = sigs.retarget(blocks, pieces)
-        assert len(set(touched)) == len(touched)
-        assert sorted(touched) == _reading_new_pieces(net, mode, blocks, pieces)
+        if sigs.reading is None:
+            # A fold: the next pass buckets every species outside a singleton.
+            assert touched == blocks.unsettled()
+        else:
+            assert len(set(touched)) == len(touched)
+            assert sorted(touched) == _reading_new_pieces(net, mode, blocks, pieces)
         fresh = crnlump.bisim._signatures(net, mode, blocks.block_of)
         kept, built = _comparable(sigs, mode), _comparable(fresh, mode)
         # The row keys the next moves start from, kept or after a fold

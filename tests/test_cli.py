@@ -129,6 +129,13 @@ def test_check_exact_lump_fails_with_counterexample(model, tmp_path, capsys):
     assert "fails" in out and "C" in out and "E" in out
 
 
+def test_check_exact_lump_holds_on_the_backward_partition(model, tmp_path, capsys):
+    part = tmp_path / "bb.txt"
+    part.write_text("A, B\nC\nD\nE\n")
+    assert main(["check", str(model), "--what", "exact-lump", "--partition", str(part)]) == 0
+    assert capsys.readouterr().out == "exact-lump holds for Partition[{A, B} | {C} | {D} | {E}]\n"
+
+
 def test_check_ord_lump_on_conserved_pair(tmp_path, capsys):
     two = tmp_path / "two.crn"
     two.write_text("F -> G , 1\nG -> F , 2\n")
@@ -179,6 +186,24 @@ def test_simulate_requires_inits(tmp_path, capsys):
     bare = tmp_path / "bare.crn"
     bare.write_text("A -> B , 1\n")
     assert main(["simulate", str(bare), "--t-end", "1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["reduce", "--mode", "bb", "--from-inits"], "--from-inits requires initial conditions"),
+        (["compare", "--mode", "fb", "--t-end", "1"],
+         "no initial conditions (use --init or init: lines)"),
+    ],
+    ids=["reduce", "compare"],
+)
+def test_commands_without_initial_values_exit_2(tmp_path, capsys, argv, message):
+    bare = tmp_path / "bare.crn"
+    bare.write_text("A -> B , 1\n")
+    assert main([argv[0], str(bare), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", [["simulate"], ["compare", "--mode", "fb"]])

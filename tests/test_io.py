@@ -160,6 +160,10 @@ class TestParseCrn:
             ("A -> B , 1\nY -> Z , 1\nspecies: A B", "line 2: undeclared species Y"),
             ("A -> B , 1\ninit: Y = 1\nB -> Z + A , 1\nZ + A -> B , 1\nspecies: A B",
              "line 3: undeclared species Z"),
+            # an init line naming a species the header leaves out
+            ("species: A B\nA -> B , 1\ninit: C = 1", "line 3: undeclared species C"),
+            ("species: A B A\nA -> B , 1", "line 1: duplicate name in species: header"),
+            ("A -> B , 1\ninit: A 1", "line 2: expected 'init: NAME = VALUE'"),
         ],
     )
     def test_error_reported_at_first_line(self, text, message):
@@ -358,6 +362,44 @@ class TestNetImport:
         assert crn.n_species == 2 and crn.n_reactions == 1
         assert reactions_of(crn)[0].rate == 5
 
+    def test_species_concentration_from_parameter(self):
+        crn, inits = import_bngl_net(
+            "begin parameters\n1 S0 3/2\nend parameters\n"
+            "begin species\n1 A() S0\n2 B() 0\nend species\n"
+            "begin reactions\n1 1 2 1 #r\nend reactions\n"
+        )
+        assert inits.get(crn.species[0]) == Fraction(3, 2)
+
+    def test_blank_lines_inside_blocks_are_skipped(self):
+        text = (
+            "begin species\n1 A() 1\n2 B() 0\nend species\n"
+            "begin reactions\n1 1 2 5\nend reactions\n"
+        )
+        spaced = text.replace("1 A() 1\n", "1 A() 1\n\n").replace("1 1 2 5\n", "\n1 1 2 5\n\n")
+        assert import_bngl_net(spaced) == import_bngl_net(text)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("begin parameters\n1 k 2 3\nend parameters\n",
+             "line 2: bad parameter line '1 k 2 3'"),
+            ("begin species\n1 A()\nend species\n", "line 2: bad species line '1 A()'"),
+            ("begin species\nx A() 1\nend species\n", "line 2: bad species index 'x'"),
+            ("begin reactions\n1 1 2\nend reactions\n", "line 2: bad reaction line '1 1 2'"),
+            ("begin reactions\n1 1 2 2**3\nend reactions\n",
+             "line 2: empty factor in rate expression"),
+        ],
+    )
+    def test_malformed_line_errors_at_line(self, text, message):
+        # Each text is completed by the blocks it leaves out, after it.
+        if "begin species" not in text:
+            text += "begin species\n1 A() 1\n2 B() 0\nend species\n"
+        if "begin reactions" not in text:
+            text += "begin reactions\nend reactions\n"
+        with pytest.raises(ParseError) as err:
+            import_bngl_net(text)
+        assert str(err.value) == message
+
     def test_dangling_species_index(self):
         with pytest.raises(ParseError, match="dangling species index"):
             import_bngl_net(
@@ -444,6 +486,10 @@ class TestPartitionFiles:
         with pytest.raises(PartitionError, match="two blocks"):
             parse_partition("A, B\nB, C\n", crn)
 
+    def test_empty_name(self, crn):
+        with pytest.raises(ParseError, match="^line 2: empty species name in partition block$"):
+            parse_partition("A\nB, , C\n", crn)
+
     def test_names_with_commas_inside_parens(self):
         crn, _ = import_bngl_net(NET_FIXTURE)
         p = parse_partition("E(s), E(s!1).S(p1~U!1,p2~U)\n", crn)
@@ -464,6 +510,10 @@ class TestInitialConditionFiles:
     def test_negative_rejected(self, crn):
         with pytest.raises(ParseError, match="nonnegative"):
             parse_initial_conditions("A = -1\n", crn)
+
+    def test_line_without_equals_rejected(self, crn):
+        with pytest.raises(ParseError, match="^line 2: expected 'NAME = VALUE'$"):
+            parse_initial_conditions("A = 1\ninit: B 2\n", crn)
 
     @pytest.mark.parametrize("second", ["A = 2", "init: A = 1", "A=1/1"])
     def test_second_value_for_a_species_rejected(self, crn, second):

@@ -18,6 +18,7 @@ from crnlump import (
     PartitionError,
     Polynomial,
     Species,
+    VerificationReport,
     backward_reduce,
     forward_reduce,
     integrate,
@@ -161,6 +162,19 @@ class TestIntegrate:
         )
         with pytest.raises(IntegrationError, match=f"^{re.escape(message)}$"):
             integrate(net, inits(net, X=1), 10.0)
+
+    def test_non_finite_output_raises(self, crn, monkeypatch):
+        # The solver's output is checked, whatever step produced it.
+        solve = crnlump.sim._rk45.solve
+
+        def poisoned(*args):
+            times, values = solve(*args)
+            values[0, -1] = np.nan
+            return times, values
+
+        monkeypatch.setattr(crnlump.sim._rk45, "solve", poisoned)
+        with pytest.raises(IntegrationError, match="^integration produced non-finite values$"):
+            integrate(crn, inits(crn, A=1), 1.0)
 
     @pytest.mark.parametrize(
         "t_eval, message",
@@ -398,6 +412,14 @@ class TestCsvExport:
         a = trajectory_to_csv(integrate(crn, v0, 1.0))
         b = trajectory_to_csv(integrate(crn, v0, 1.0))
         assert a == b
+
+
+def test_summary_names_a_negative_dip():
+    report = VerificationReport("backward", 2e-9, 1e-6, True, 1e-9, 2e-9, -3.7e-10)
+    assert report.summary() == (
+        "backward: max error 2.000e-09 (tol 1e-06) pass; within-block spread 1.000e-09; "
+        "representative deviation 2.000e-09; (most negative concentration -3.7e-10)"
+    )
 
 
 class TestVerifyForward:
