@@ -16,25 +16,28 @@ all turned into rationals, never floats.  Species names may contain
 parentheses with nested commas (as BioNetGen complex patterns do);
 separators are only recognized at bracket depth zero.
 
-:func:`parse_crn` reads a text in whole-text passes.  Pass 1 goes line
-by line with string methods only: it cuts each reaction line at its
-first ``->`` and its last ``,`` and keeps the stripped sides and the rate
-text; ``_strip_comment`` runs only when the text holds a ``#``.  A line
-without both separators, or with a ``:`` before its first arrow (as a
-header or ``init:`` line has), goes through the stripped-line rules, and
-the first line refused there ends the pass.
-Pass 2 reads every distinct side at once: the sides with the same number
-of ``+`` are joined, split on ``+`` and regrouped, and each distinct term
-is parsed once.  Bracket depth adds up over concatenation, so a side's
-depth is the sum of its terms'.  The bracket-counting scans run only
-where a check fails: they cut again each line with an unbalanced side
-(its first arrow or last comma was inside brackets), and they split a
-side with a ``+`` inside brackets.  Each distinct rate text is parsed
-once, and the reactant rule is applied to reactant sides only.  The
-first line with a fault then reports the first of its faults, in the
-order a line is read: its reactants' syntax, its rate's, its products',
-the rate's sign, the reactant rule; an undeclared species is reported
-after every line fault, at the first side that names it.
+:func:`parse_crn` has two readers.  The bulk reader reads a clean text
+in whole-text passes.  Pass 1 cuts each reaction line at its first
+``->`` and its last ``,`` with string methods only (``_strip_comment``
+runs only when the text holds a ``#``); header and ``init:`` lines go
+through ``_directive``.  Pass 2 reads every distinct side at once: the
+sides with the same number of ``+`` are joined, split on ``+`` and
+regrouped, and each distinct term and rate text is parsed once.  When
+every term has bracket depth zero, every side does, so each cut and
+split was made at depth zero, where the bracket-counting scans make it.
+The bulk reader gives up at the first thing that is off: a term with a
+fault or a nonzero depth, a rate that does not parse or is not positive,
+a reactant side of neither one nor two molecules, an undeclared name, a
+line that is neither a reaction nor a header or ``init:`` line.  The line
+reader then reads the text again, one stripped line at a time, cutting
+and splitting with the bracket-counting scans, and raises each fault as
+it meets it.  The error order is its reading order: a line's reactants'
+syntax, its rate's, its products', the rate's sign, the reactant rule;
+after every line, an undeclared species at the first side that names
+one, then at the first ``init:`` line that does.  So a faulty text, and
+one with a first ``->`` or last ``,`` of a line or a ``+`` of a side
+inside brackets, takes the line reader; the texts :func:`serialize_crn`
+writes for names without such separators take the bulk reader.
 :func:`parse_crn` and :func:`import_bngl_net` build the network's
 integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
 marked elementary, since both refuse every other reaction, and
@@ -199,170 +202,39 @@ def _split_top(text: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_term(term: str) -> tuple[tuple[str, int] | None, str | None]:
-    """A stripped term of a reaction side as ``((name, multiplicity),
-    None)``, or ``(None, what is wrong with it)``."""
+def _parse_term(term: str, line: int | None) -> tuple[str, int]:
+    """A stripped term of a reaction side as ``(name, multiplicity)``."""
     if not term:
-        return None, "empty term in reaction side"
+        raise ParseError("empty term in reaction side", line)
     match = _COEFF_RE.match(term)
     if match and not match.group(2)[0].isdigit():
         mult, name = int(match.group(1)), match.group(2).strip()
     else:
         mult, name = 1, term
     if _SPACE_RE.search(name):
-        return None, f"species name contains whitespace: {name!r}"
+        raise ParseError(f"species name contains whitespace: {name!r}", line)
     if name[0].isdigit():
-        return None, f"species name may not start with a digit: {name!r}"
-    return (name, mult), None
-
-
-def _cut(line: str, lineno: int) -> tuple[str, str, str]:
-    """The stripped reactant and product texts and the rate text of the
-    stripped reaction line ``line``, cut by the bracket-counting scans at
-    its first ``->`` and its last ``,`` at depth zero.  Raises
-    :class:`ParseError` when either is missing; without the comma, a fault
-    of the reactant text comes first."""
-    arrow = _find_top(line, "->")
-    if arrow < 0:
-        raise ParseError(f"expected a reaction line, got {line!r}", lineno)
-    left, rest = line[:arrow].strip(), line[arrow + 2 :]
-    comma = _rfind_top(rest, ",")
-    if comma < 0:
-        fault = _Sides({left}).faults.get(left)
-        raise ParseError(fault or "missing rate (expected 'products , rate')", lineno)
-    return left, rest[:comma].strip(), rest[comma + 1 :]
-
-
-def _regroup(texts: list[str], items: Iterable, width: int) -> Iterable[tuple[str, tuple]]:
-    """Each text of ``texts`` with the tuple of its ``width`` items, taken
-    in turn from ``items``."""
-    return zip(texts, zip(*[iter(items)] * width))
-
-
-class _Sides:
-    """The distinct stripped side texts of one network text, read at once.
-
-    The texts with the same number of ``+`` are joined, split on ``+`` and
-    regrouped in one go, and each distinct term is parsed once: ``terms``
-    maps it to its bracket depth and what is wrong with it (None when
-    nothing), and ``pairs`` maps each balanced term without fault to its
-    ``(name, multiplicity)`` pair.  A text whose terms are all such goes
-    into ``groups`` as ``(terms per side, texts, their terms)``.  Any other
-    text is read on its own, into ``odd`` with its terms or into ``faults``
-    with what is wrong with it: None when it is not balanced, so that its
-    line was cut in the wrong place."""
-
-    def __init__(self, texts: set[str]) -> None:
-        self.terms: dict[str, tuple[int, str | None]] = {}
-        self.pairs: dict[str, tuple[str, int]] = {}
-        self.groups: list[tuple[int, list[str], list[str]]] = []
-        self.odd: dict[str, tuple[str, ...]] = {}
-        self.faults: dict[str, str | None] = {}
-        if "0" in texts:
-            self.odd["0"] = ()
-        if "" in texts:
-            self.faults[""] = "empty reaction side"
-        texts = texts.difference(self.odd, self.faults)
-        ordered = sorted(texts, key=_PLUSES)
-        found = list(map(str.strip, "+".join(ordered).split("+")))
-        self._parse(found)
-        start = 0
-        for pluses, group in groupby(ordered, _PLUSES):
-            group = list(group)
-            width = pluses + 1
-            end = start + width * len(group)
-            part = found[start:end]
-            start = end
-            if all(map(self.pairs.__contains__, part)):
-                self.groups.append((width, group, part))
-            else:
-                for text, terms in _regroup(group, part, width):
-                    self._read_one(text, terms)
-
-    def _parse(self, found: Iterable[str]) -> None:
-        """Parse each term of ``found`` not met before."""
-        for term in set(found).difference(self.terms):
-            depth = _depth(term)
-            pair, fault = _parse_term(term)
-            self.terms[term] = (depth, fault)
-            if pair is not None and not depth:
-                self.pairs[term] = pair
-
-    def _read_one(self, text: str, terms: tuple[str, ...]) -> None:
-        """Read the side text ``text`` from ``terms``, its terms between
-        every ``+``.  Bracket depth adds up over concatenation, so the text
-        is balanced exactly when its terms' depths sum to zero; a ``+``
-        inside brackets is then found by the bracket-counting split."""
-        depths = [self.terms[term][0] for term in terms]
-        if sum(depths):
-            self.faults[text] = None
-            return
-        if any(depths[:-1]):
-            terms = tuple(map(str.strip, _split_top(text, "+")))
-            self._parse(terms)
-        fault = next(filter(None, (self.terms[term][1] for term in terms)), None)
-        if fault is None:
-            self.odd[text] = terms
-        else:
-            self.faults[text] = fault
-
-    def terms_of(self) -> dict[str, tuple[str, ...]]:
-        """Each side text read without fault, to its terms."""
-        terms_of = dict(self.odd)
-        for width, group, found in self.groups:
-            terms_of.update(_regroup(group, found, width))
-        return terms_of
-
-    def rule_faults(self, reactants: set[str]) -> dict[str, str]:
-        """What each side text of ``reactants`` breaks of the reactant
-        rule.  One or two terms of multiplicity one make one or two
-        molecules, so only a side with more terms or with another
-        multiplicity is counted."""
-        pairs = self.pairs
-        heavy = {term for term, (_, m) in pairs.items() if m != 1}
-        suspects = dict(self.odd)
-        for width, group, found in self.groups:
-            if width > 2 or not heavy.isdisjoint(found):
-                suspects.update(_regroup(group, found, width))
-        faults = {}
-        for text in reactants.intersection(suspects):
-            problems = _reaction_problems(molecules=sum([pairs[t][1] for t in suspects[text]]))
-            if problems:
-                faults[text] = problems[0]
-        return faults
-
-    def keys(self, ids: dict[str, int]) -> dict[str, Pairs]:
-        """Each side text read without fault, to its species ids and
-        multiplicities as :func:`crnlump.core._side_key` orders them."""
-        # A term met only between the '+' inside another's brackets may
-        # name no species.
-        pairs = {term: (ids.get(name), m) for term, (name, m) in self.pairs.items()}
-        keys = {}
-        for width, group, found in self.groups:
-            for text, side in _regroup(group, map(pairs.__getitem__, found), width):
-                keys[text] = _side_key(side)
-        for text, terms in self.odd.items():
-            keys[text] = _side_key([pairs[term] for term in terms])
-        return keys
+        raise ParseError(f"species name may not start with a digit: {name!r}", line)
+    return name, mult
 
 
 def _appearance_order(
-    sides: _Sides,
+    pairs_of: dict[str, Iterable[tuple[str, int]]],
     linenos: list[int],
     lefts: list[str],
     rights: list[str],
     init_rows: dict[str, tuple[int, Fraction]],
 ) -> list[str]:
     """The species names of a text without a header, in order of first
-    appearance: those of its sides, the reactants before the products,
-    line by line, and those of its init lines."""
-    terms_of = sides.terms_of()
+    appearance: those of its sides (``pairs_of`` maps each side text to
+    its pairs), the reactants before the products, line by line, and
+    those of its init lines."""
     order: dict[str, None] = {}
 
     def note(start: int, end: int) -> None:
         for text in dict.fromkeys(chain.from_iterable(zip(lefts[start:end], rights[start:end]))):
-            for term in terms_of[text]:
-                order[sides.pairs[term][0]] = None
+            for name, _ in pairs_of[text]:
+                order[name] = None
 
     start = 0
     for name, (lineno, _) in init_rows.items():
@@ -372,30 +244,6 @@ def _appearance_order(
         start = end
     note(start, len(linenos))
     return list(order)
-
-
-def _require_declared(
-    declared: set[str],
-    sides: _Sides,
-    linenos: list[int],
-    lefts: list[str],
-    rights: list[str],
-    init_rows: dict[str, tuple[int, Fraction]],
-) -> None:
-    """Raise :class:`ParseError` at the first side, in order of first
-    appearance, that names a species not in ``declared``, then at the
-    first such init line."""
-    missing = {term for term, (name, _) in sides.pairs.items() if name not in declared}
-    if missing:
-        terms_of = sides.terms_of()
-        for lineno, left, products in zip(linenos, lefts, rights):
-            for side in (left, products):
-                for term in terms_of[side]:
-                    if term in missing:
-                        raise ParseError(f"undeclared species {sides.pairs[term][0]}", lineno)
-    for name, (lineno, _) in init_rows.items():
-        if name not in declared:
-            raise ParseError(f"undeclared species {name}", lineno)
 
 
 def _directive(
@@ -429,6 +277,162 @@ def _directive(
     return header
 
 
+def _read_lines(text: str) -> tuple:
+    """Read ``text`` line by line, cutting and splitting with the
+    bracket-counting scans, and raise each fault where it is met."""
+    header: list[str] | None = None
+    init_rows: dict[str, tuple[int, Fraction]] = {}
+    linenos: list[int] = []
+    lefts: list[str] = []
+    rights: list[str] = []
+    rates: list[str] = []
+    # Each distinct side text's pairs and first line, in order of first
+    # appearance, and each distinct rate text's value.
+    pairs_of: dict[str, tuple[tuple[str, int], ...]] = {}
+    first_line: dict[str, int] = {}
+    values: dict[str, Fraction] = {}
+
+    def side(raw: str, lineno: int) -> str:
+        text = raw.strip()
+        if text not in pairs_of:
+            if not text:
+                raise ParseError("empty reaction side", lineno)
+            terms = () if text == "0" else _split_top(text, "+")
+            pairs_of[text] = tuple(_parse_term(term.strip(), lineno) for term in terms)
+            first_line[text] = lineno
+        return text
+
+    for lineno, line in enumerate(_lines(text), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(("species:", "init:")):
+            header = _directive(line, lineno, header, init_rows)
+            continue
+        arrow = _find_top(line, "->")
+        if arrow < 0:
+            raise ParseError(f"expected a reaction line, got {line!r}", lineno)
+        left = side(line[:arrow], lineno)
+        rest = line[arrow + 2 :]
+        comma = _rfind_top(rest, ",")
+        if comma < 0:
+            raise ParseError("missing rate (expected 'products , rate')", lineno)
+        rate = rest[comma + 1 :]
+        if rate not in values:
+            values[rate] = parse_rational(rate, lineno)
+        right = side(rest[:comma], lineno)
+        problems = _reaction_problems(values[rate], sum(m for _, m in pairs_of[left]))
+        if problems:
+            raise ParseError(problems[0], lineno)
+        linenos.append(lineno)
+        lefts.append(left)
+        rights.append(right)
+        rates.append(rate)
+
+    if header is None:
+        header = _appearance_order(pairs_of, linenos, lefts, rights, init_rows)
+    ids = {name: i for i, name in enumerate(header)}
+    for text, lineno in first_line.items():
+        for name, _ in pairs_of[text]:
+            if name not in ids:
+                raise ParseError(f"undeclared species {name}", lineno)
+    for name, (lineno, _) in init_rows.items():
+        if name not in ids:
+            raise ParseError(f"undeclared species {name}", lineno)
+    keys = {
+        text: _side_key([(ids[name], m) for name, m in pairs])
+        for text, pairs in pairs_of.items()
+    }
+    return header, keys, lefts, rights, rates, values, init_rows
+
+
+def _read_clean(text: str) -> tuple | None:
+    """Read ``text`` in whole-text passes, or return None at the first
+    thing that is off."""
+    header: list[str] | None = None
+    init_rows: dict[str, tuple[int, Fraction]] = {}
+    linenos: list[int] = []
+    lefts: list[str] = []
+    rights: list[str] = []
+    rates: list[str] = []
+    for lineno, line in enumerate(_lines(text), start=1):
+        left, _, rest = line.partition("->")
+        products, comma, rate = rest.rpartition(",")
+        if comma and ":" not in left:
+            linenos.append(lineno)
+            lefts.append(left.strip())
+            rights.append(products.strip())
+            rates.append(rate)
+            continue
+        line = line.strip()
+        if not line:
+            continue
+        if not line.startswith(("species:", "init:")):
+            return None
+        try:
+            header = _directive(line, lineno, header, init_rows)
+        except ParseError:
+            return None
+
+    values: dict[str, Fraction] = {}
+    for rate in set(rates):
+        try:
+            values[rate] = value = parse_rational(rate)
+        except ParseError:
+            return None
+        if value <= 0:
+            return None
+
+    reactants = set(lefts)
+    texts = reactants.union(rights)
+    texts.discard("0")
+    if "" in texts or "0" in reactants:
+        return None
+    # Each group: its texts' number of terms, the texts, and their terms.
+    groups: list[tuple[int, list[str], list[str]]] = []
+    pairs: dict[str, tuple[str, int]] = {}
+    for pluses, group in groupby(sorted(texts, key=_PLUSES), _PLUSES):
+        group = list(group)
+        found = list(map(str.strip, "+".join(group).split("+")))
+        for term in set(found).difference(pairs):
+            if _depth(term):
+                return None
+            try:
+                pairs[term] = _parse_term(term, None)
+            except ParseError:
+                return None
+        groups.append((pluses + 1, group, found))
+
+    # One or two terms of multiplicity one make one or two molecules, so
+    # only a reactant side with more terms or another multiplicity is
+    # counted.
+    heavy = {term for term, (_, m) in pairs.items() if m != 1}
+    for width, group, found in groups:
+        if width > 2 or not heavy.isdisjoint(found):
+            for side, terms in zip(group, zip(*[iter(found)] * width)):
+                if side in reactants and not 0 < sum([pairs[t][1] for t in terms]) <= 2:
+                    return None
+
+    if header is None:
+        pairs_of: dict[str, tuple] = {"0": ()}
+        for width, group, found in groups:
+            pairs_of.update(zip(group, zip(*[iter(map(pairs.__getitem__, found))] * width)))
+        header = _appearance_order(pairs_of, linenos, lefts, rights, init_rows)
+        del pairs_of
+    ids = {name: i for i, name in enumerate(header)}
+    if not init_rows.keys() <= ids.keys():
+        return None
+    try:
+        id_pairs = {term: (ids[name], m) for term, (name, m) in pairs.items()}
+    except KeyError:
+        return None
+    keys: dict[str, Pairs] = {"0": ()}
+    for width, group, found in groups:
+        for side, terms in zip(group, zip(*[iter(map(id_pairs.__getitem__, found))] * width)):
+            keys[side] = _side_key(terms)
+    return header, keys, lefts, rights, rates, values, init_rows
+
+
 def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     """Parse the native format; returns the network and its initial
     condition when ``init:`` lines are present.
@@ -438,99 +442,11 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     species missing from an explicit ``species:`` header, a second
     ``init:`` line for one species).
     """
-    header: list[str] | None = None
-    init_rows: dict[str, tuple[int, Fraction]] = {}
-    # Pass 1: each reaction line's number, and its reactant, product and
-    # rate texts cut at its first '->' and its last ','.  A line without
-    # both, or whose reactant text holds a ':' (as a header or an init
-    # line does), goes through the stripped-line rules.  The first line
-    # refused there ends the pass.
-    linenos: list[int] = []
-    lefts: list[str] = []
-    rights: list[str] = []
-    rates: list[str] = []
-    stop: ParseError | None = None
-    for lineno, line in enumerate(_lines(text), start=1):
-        left, _, rest = line.partition("->")
-        products, comma, rate = rest.rpartition(",")
-        if comma and ":" not in left:
-            left, products = left.strip(), products.strip()
-        else:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith(("species:", "init:")):
-                    header = _directive(line, lineno, header, init_rows)
-                    continue
-                left, products, rate = _cut(line, lineno)
-            except ParseError as err:
-                stop = err
-                break
-        linenos.append(lineno)
-        lefts.append(left)
-        rights.append(products)
-        rates.append(rate)
-
-    # Pass 2: every distinct side at once.  An unbalanced side shows that
-    # the first arrow or the last comma of its line is inside brackets:
-    # the scans cut each such line again, and the sides are read again.
-    sides = _Sides(set(lefts).union(rights))
-    cut_wrong = {side for side, fault in sides.faults.items() if fault is None}
-    if cut_wrong:
-        lines = list(_lines(text))
-        for i, (lineno, left, products) in enumerate(zip(linenos, lefts, rights)):
-            if left in cut_wrong or products in cut_wrong:
-                try:
-                    lefts[i], rights[i], rates[i] = _cut(lines[lineno - 1].strip(), lineno)
-                except ParseError as err:
-                    stop = err
-                    del linenos[i:], lefts[i:], rights[i:], rates[i:]
-                    break
-        sides = _Sides(set(lefts).union(rights))
-
-    # Each distinct rate text is parsed once.
-    values: dict[str, Fraction] = {}
-    rate_faults: dict[str, str] = {}
-    sign_faults: dict[str, str] = {}
-    for rate in set(rates):
-        try:
-            values[rate] = value = parse_rational(rate)
-        except ParseError as err:
-            rate_faults[rate] = str(err)
-            continue
-        problems = _reaction_problems(rate=value)
-        if problems:
-            sign_faults[rate] = problems[0]
-    rule_faults = sides.rule_faults(set(lefts))
-
-    # The first line with a fault reports the first of its faults: its
-    # reactants' syntax, its rate's, its products', its rate's sign, the
-    # reactant rule.  A line refused in pass 1 comes after every row.
-    faults = sides.faults
-    if faults or rate_faults or sign_faults or rule_faults:
-        for lineno, left, products, rate in zip(linenos, lefts, rights, rates):
-            fault = (
-                faults.get(left)
-                or rate_faults.get(rate)
-                or faults.get(products)
-                or sign_faults.get(rate)
-                or rule_faults.get(left)
-            )
-            if fault:
-                raise ParseError(fault, lineno)
-    if stop is not None:
-        raise stop
-
-    if header is None:
-        names = _appearance_order(sides, linenos, lefts, rights, init_rows)
-    else:
-        names = header
-        _require_declared(set(header), sides, linenos, lefts, rights, init_rows)
-    ids = {name: i for i, name in enumerate(names)}
-    keys = sides.keys(ids)
-    # Freed before the rows are built, which keeps the parse's peak lower.
-    del sides
+    # Each reader gives the species names in id order, each distinct side
+    # text's key, each reaction line's reactant, product and rate texts,
+    # each distinct rate text's value and the init lines.  Its other tables
+    # are freed before the rows are built, which keeps the parse's peak lower.
+    names, keys, lefts, rights, rates, values, init_rows = _read_clean(text) or _read_lines(text)
     scale, scaled = _scale_rates(list(values.values()))
     scaled_of = dict(zip(values, scaled))
     rows = tuple(

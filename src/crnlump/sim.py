@@ -197,7 +197,11 @@ def _solve(networks, initials, t_end, rtol, atol, grid) -> list[Trajectory]:
         y0 = np.concatenate([v0.as_array() for v0 in initials])
     except OverflowError:
         raise IntegrationError("a rate or initial value exceeds the float range") from None
-    times, values = _rk45.solve(rhs, y0, float(t_end), rtol, atol, grid, _MAX_EVALUATIONS)
+    # A solution that overflows ends in a too-small step or in non-finite
+    # output, each an IntegrationError, so numpy's warnings on the way say
+    # nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, values = _rk45.solve(rhs, y0, float(t_end), rtol, atol, grid, _MAX_EVALUATIONS)
     values = values.T
     if not np.isfinite(values).all():
         raise IntegrationError("integration produced non-finite values")

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -217,6 +218,18 @@ def test_beyond_the_float_range_exits_3(tmp_path, capsys, command, text):
     path.write_text("species: A B\n" + text)
     assert main([command[0], str(path), *command[1:], "--t-end", "1"]) == 3
     assert "exceeds the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["compare", "--mode", "fb"]])
+def test_a_blow_up_exits_3_with_one_error_line(tmp_path, capsys, command):
+    # X grows as e^(700 t) and leaves the float range long before t=10;
+    # numpy's overflow warnings on the way are not printed.
+    path = tmp_path / "blowup.crn"
+    path.write_text("X -> 2X , 700\ninit: X = 1\n")
+    assert main([command[0], str(path), *command[1:], "--t-end", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: integration failed at t=[^:\n]+: [^\n]+\n", captured.err)
 
 
 RTOL_WARNING = (

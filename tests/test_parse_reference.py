@@ -17,6 +17,7 @@ from crnlump import (
     running_example,
     serialize_crn,
 )
+from crnlump import io
 from crnlump.core import scaled_reactions
 from oracle import reactions_of, reference_parse_crn
 
@@ -50,9 +51,9 @@ def test_running_example():
     assert assert_agrees(serialize_crn(running_example())) is None
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("header", ["as written", "permuted", "none"])
-def test_multisite(n, header):
+def _multisite_text(n, header):
+    """The multisite text of ``n`` sites with its header as written,
+    permuted or left out."""
     text = serialize_crn(*multisite(MultisiteSpec(n_sites=n)))
     first, body = text.split("\n", 1)
     if header == "permuted":
@@ -61,6 +62,13 @@ def test_multisite(n, header):
         text = "species: " + " ".join(names) + "\n" + body
     elif header == "none":
         text = body
+    return text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("header", ["as written", "permuted", "none"])
+def test_multisite(n, header):
+    text = _multisite_text(n, header)
     assert assert_agrees(text) is None
 
 
@@ -247,3 +255,75 @@ def test_no_header_with_an_init_line_between_reactions():
     assert names[:2] == ["E", "S(P,P,P,U)"]
     assert names.index("Z") < names.index("F") < len(names) - 1
     assert inits.get(crn.by_name("Z")) == Fraction(1, 5)
+
+
+class TestLineReaderAlone:
+    """The oracle comparisons above again, with the bulk reader giving up on
+    every text: the line reader alone matches the reference parser on the
+    valid texts too, not only on the faulty ones that reach it."""
+
+    @pytest.fixture(autouse=True)
+    def no_bulk_reader(self, monkeypatch):
+        monkeypatch.setattr(io, "_read_clean", lambda text: None)
+
+    test_multisite = staticmethod(test_multisite)
+    test_random_networks = staticmethod(test_random_networks)
+    test_fuzzed_texts = staticmethod(test_fuzzed_texts)
+    test_terms_are_parsed_once_with_the_line_that_uses_them = staticmethod(
+        test_terms_are_parsed_once_with_the_line_that_uses_them
+    )
+
+
+def _written_texts():
+    """Texts as :func:`serialize_crn` writes them: the running example,
+    multisite n=1..5 (header as written, permuted, left out), 100 random
+    networks as the benchmark's sweep builds them, and a 300-species chain
+    under a shuffled header."""
+    texts = [serialize_crn(running_example())]
+    for n in range(1, 6):
+        texts += [_multisite_text(n, header) for header in ("as written", "permuted", "none")]
+    rng = random.Random(1)
+    texts += [serialize_crn(random_crn(rng.getrandbits(32), 20, 40)) for _ in range(100)]
+    names = [f"X{i:03d}" for i in range(300)]
+    lines = [f"{a} -> {b} , 1" for a, b in zip(names, names[1:])]
+    random.Random(1).shuffle(names)
+    texts.append("species: " + " ".join(names) + "\n" + "\n".join(lines) + "\n")
+    return texts
+
+
+def _parsed(text):
+    crn, inits = parse_crn(text)
+    return crn.species, scaled_reactions(crn), serialize_crn(crn, inits)
+
+
+def test_written_texts_take_the_bulk_reader(monkeypatch):
+    texts = _written_texts()
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "_read_clean", lambda text: None)
+        by_lines = list(map(_parsed, texts))
+
+    def refuse(text):
+        raise AssertionError("the line reader was reached")
+
+    monkeypatch.setattr(io, "_read_lines", refuse)
+    assert list(map(_parsed, texts)) == by_lines
+
+
+def test_a_bracketed_plus_takes_the_line_reader(monkeypatch):
+    # The hand-written network of the CI's console-script run: CRLF endings,
+    # a comment, names with '+', ',' and '->' inside brackets.
+    text = (
+        "# a hand-written network: separators inside brackets\r\n"
+        "species: A B(x+y) C(a,b->c) D\r\n\r\n"
+        "A + B(x+y) -> 2C(a,b->c) , 1/2\r\n"
+        "C(a,b->c) -> 0 , 3   # decays\r\n"
+        "2A -> D , 1\r\n"
+        "D -> A + A , 1\r\n"
+    )
+    read = []
+    read_lines = io._read_lines
+    monkeypatch.setattr(io, "_read_lines", lambda text: read.append(text) or read_lines(text))
+    crn, _ = parse_crn(text)
+    assert read == [text]
+    assert crn.n_species == 4 and crn.n_reactions == 4
+    assert assert_agrees(text) is None
