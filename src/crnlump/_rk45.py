@@ -122,7 +122,10 @@ def _initial_step(fun, y0, t_bound, f0, rtol, atol):
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
     f1 = fun(h0, y1)
-    d2 = _norm((f1 - f0) / scale) / h0
+    d2 = _norm((f1 - f0) / scale)
+    # h0 is 0 when f0 / scale overflows: divide as numpy does, to inf or,
+    # for 0 / 0, nan.
+    d2 = d2 / h0 if h0 else (math.inf if d2 > 0 else math.nan)
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:

@@ -14,16 +14,16 @@ both modes, over rows that a mode (``_Forward``, ``_Backward``) reads
 from a rate table of :mod:`crnlump.core`.  A table holds each rate times
 L, the lcm of the rate denominators, as an int, so every sum is exact;
 witness values are divided by L.  A row reads some species, holds
-``(species, value)`` entries, and is keyed from the block labels of what
-it reads.  A signature is a static part and ``sums``: per key, the sum
-of the species' values in the rows under it, zeros dropped.  Forward, a
-row is an entry of :func:`crnlump.core.forward_table`: it reads the
-product ``y``, holds the producer's rate, and is keyed ``(partner + 1) *
-n + label of y`` for ``n`` species; the static part is the reaction rate
-per partner.  Backward, a row is a reactant multiset of
-:func:`crnlump.core.flux_table`: it reads the reactants, holds each
-species' net flux, and is keyed by the class of its lift to blocks by
-``core._lift``.
+entries, a dict from species to value, and is keyed from the block
+labels of what it reads.  A signature is a static part and ``sums``: per
+key, the sum of the species' values in the rows under it, zeros dropped.
+Forward, a row is an entry of :func:`crnlump.core.forward_table`: it
+reads the product ``y``, holds the producer's rate, and is keyed
+``(partner + 1) * n + label of y`` for ``n`` species; the static part is
+the reaction rate per partner.  Backward, a row is a reactant multiset of
+:func:`crnlump.core.flux_table`: it reads the reactants (the table's
+key), holds the table's row of net fluxes as it is, and is keyed by the
+class of its lift to blocks by ``core._lift``.
 
 :func:`refine` works in passes and stops at the first pass that splits
 no block, or right after a split that leaves every block a singleton.
@@ -225,7 +225,7 @@ class _Blocks:
         return 2 * wide >= len(self.elems)
 
     def partition(self, species) -> Partition:
-        return Partition(
+        return Partition._from_blocks(
             species,
             [[species[x] for x in self.members(b)] for b in range(len(self.first))],
         )
@@ -240,7 +240,7 @@ class _Signatures:
     across splits.  ``sums[x]`` maps each key to the sum of ``x``'s values
     in the rows under it, without zeros.  Built on the first moves after a
     fold: ``reading[y]``, the rows that read ``y``; ``entries[e]``, row
-    ``e``'s ``(species, value)`` pairs, none zero; ``row_key[e]``, its key.
+    ``e``'s dict from species to value, none zero; ``row_key[e]``, its key.
 
     A mode supplies ``static``; ``fold(block_of)``, the sums under the
     labels ``block_of``; ``rows(blocks)``, what each row reads, its
@@ -287,7 +287,7 @@ class _Signatures:
         for e in rows:
             old = row_key[e]
             new = row_key[e] = rekey(e, block_of)
-            for x, val in entries[e]:
+            for x, val in entries[e].items():
                 b = block_of[x]
                 if end[b] - first[b] == 1:
                     continue
@@ -309,10 +309,11 @@ class _Signatures:
 
 
 class _Forward:
-    """Forward rows, one per entry of the forward table, owner by owner.
-    The key ``(partner + 1) * n + label`` packs ``(partner, block label)``
-    as :func:`crnlump.core.forward_table` packs ``(partner, y)``, and
-    orders as the pair does; ``static`` is ``crr_id``."""
+    """Forward rows, one per entry of the forward table, owner by owner,
+    each holding ``{owner: rate}``.  The key ``(partner + 1) * n + label``
+    packs ``(partner, block label)`` as :func:`crnlump.core.forward_table`
+    packs ``(partner, y)``, and orders as the pair does; ``static`` is
+    ``crr_id``."""
 
     def __init__(self, crn: CRN):
         self.scale, self._crr, self.static, self._prod = forward_table(crn)
@@ -337,7 +338,7 @@ class _Forward:
         keys = [key for x in kept for key in prod[x]]
         self._read = read = [key % n for key in keys]
         self._base = base = [key - y for key, y in zip(keys, read)]
-        held = [((x, val),) for x in kept for val in prod[x].values()]
+        held = [{x: val} for x in kept for val in prod[x].values()]
         return zip(read), held, [b + self._labels[y] for b, y in zip(base, read)]
 
     def rekey(self, e: int, block_of) -> int:
@@ -361,40 +362,42 @@ class _Forward:
 
 
 class _Backward:
-    """Backward rows, one per row of the flux table.  A key numbers a
-    class, the reactant multisets with one lift, by first appearance;
-    ``static`` is constant."""
+    """Backward rows, one per row of the flux table, whose dicts the moves
+    read as they are.  A key numbers a class, the reactant multisets with
+    one lift, by first appearance; ``static`` is constant."""
 
     def __init__(self, crn: CRN):
         require_elementary(crn)
-        self.scale, self._rows = flux_table(crn)
+        self.scale, self._keys, self._rows = flux_table(crn)
         self._species = crn.species
         self._class_of = {}
         self.static = (0,) * crn.n_species
 
     def fold(self, block_of):
-        class_of, rows = self._class_of, self._rows
-        self._row_class = [class_of.setdefault(_lift(k, block_of), len(class_of)) for k, _ in rows]
+        class_of = self._class_of
+        self._row_class = [
+            class_of.setdefault(_lift(k, block_of), len(class_of)) for k in self._keys
+        ]
         sums: list[dict[int, int]] = [{} for _ in self._species]
-        for cid, (_, support) in zip(self._row_class, rows):
-            for sid, val in support:
+        for cid, row in zip(self._row_class, self._rows):
+            for sid, val in row.items():
                 acc = sums[sid]
                 acc[cid] = acc.get(cid, 0) + val
         return [_nonzero(acc) for acc in sums]
 
     def rows(self, blocks: _Blocks):
         # One or two reactant pairs: the network is elementary.
-        reads = [(k[0][0], k[-1][0]) for k, _ in self._rows]
-        return reads, [held for _, held in self._rows], self._row_class
+        reads = ((k[0][0], k[-1][0]) for k in self._keys)
+        return reads, self._rows, self._row_class
 
     def rekey(self, e: int, block_of) -> int:
-        return self._class_of.setdefault(_lift(self._rows[e][0], block_of), len(self._class_of))
+        return self._class_of.setdefault(_lift(self._keys[e], block_of), len(self._class_of))
 
     def witness(self, sigs: _Signatures, p: Partition, x: Species, y: Species) -> tuple:
         cid, vx, vy = _first_difference(sigs.sums[x.id], sigs.sums[y.id])
         members = sorted(
             tuple(sorted((self._species[sid].name, m) for sid, m in key))
-            for c, (key, _) in zip(self._row_class, self._rows)
+            for c, key in zip(self._row_class, self._keys)
             if c == cid
         )
         names = ", ".join(map(_format_side, members))

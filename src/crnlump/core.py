@@ -45,8 +45,9 @@ and kept in a private slot of its :class:`CRN`; every later call returns
 the same object, so refinement, a reduction's check of a partition that
 refinement did not return, the reduction and the vector field share one
 build.  These slots take no part in equality or hashing, and nothing
-writes a table after it is built: the tables are tuples, and their dicts
-are never changed.  Two threads that race on a fresh network may both
+writes a table after it is built: a table is a tuple of tuples and of
+dicts (the flux table's rows, the forward table's maps), and no dict is
+changed after the build.  Two threads that race on a fresh network may both
 build a table; the builds are equal, and either one is kept.
 The ``_certified`` slot holds, per bisimulation mode, the last partition
 :func:`crnlump.bisim.refine` returned for the network; a racing thread
@@ -440,13 +441,16 @@ def _scaled_rows(
     return scale, tuple((lhs, rhs, value) for (lhs, _, rhs), value in zip(keyed, scaled))
 
 
-def flux_table(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs], ...]]:
-    """L and, per distinct reactant multiset as its ``(species id,
-    multiplicity)`` pairs, in order of first appearance, the ``(species
-    id, net change times rate times L)`` pairs summed over the reactions
-    with those reactants.  Zero sums are dropped; every reactant multiset
-    keeps its row.  Divided by L, a value is a vector-field coefficient.
-    Reactions need not be elementary.
+def flux_table(crn: CRN) -> tuple[int, tuple[Pairs, ...], tuple[dict[int, int], ...]]:
+    """``(L, keys, rows)``: ``keys`` holds each distinct reactant multiset
+    as its ``(species id, multiplicity)`` pairs, in order of first
+    appearance (the reaction list's own side tuples), and ``rows[k]`` maps
+    each species id to its net change times rate times L, summed over the
+    reactions with reactants ``keys[k]``.  Zero sums are dropped; every
+    reactant multiset keeps its row.  Divided by L, a value is a
+    vector-field coefficient.  A dict that holds only ints is not tracked
+    by the garbage collector, so the rows cost it nothing.  Reactions need
+    not be elementary.
     """
     return _memo(crn, "_flux", _build_flux_table)
 
@@ -464,9 +468,7 @@ def _build_flux_table(crn: CRN):
             row[sid] = row.get(sid, 0) + mult * rate
         for sid, mult in reactants:
             row[sid] = row.get(sid, 0) - mult * rate
-    return scale, tuple(
-        (key, tuple(_nonzero(row).items())) for key, row in table.items()
-    )
+    return scale, tuple(table), tuple(map(_nonzero, table.values()))
 
 
 def forward_table(crn: CRN):
@@ -557,7 +559,10 @@ class Partition:
     by their least member, so equal partitions have identical block
     tuples.  ``block_index[i]`` is the block of the species with id ``i``;
     the least member of each block is its representative (the choice
-    map).
+    map).  ``Partition(species, blocks)`` checks its input; blocks that
+    the package built to partition the species go through
+    ``Partition._from_blocks``, which normalizes them alike but checks
+    nothing.
     """
 
     __slots__ = ("species", "blocks", "block_index", "_hash")
@@ -589,6 +594,27 @@ class Partition:
             raise PartitionError(f"incomplete partition: missing {', '.join(missing)}")
         if unknown:
             raise PartitionError(f"unknown species {', '.join(sorted(unknown))}")
+        self._set(universe, norm, index)
+
+    @classmethod
+    def _from_blocks(
+        cls, species: Sequence[Species], blocks: Iterable[Iterable[Species]]
+    ) -> "Partition":
+        """The partition of ``species`` into ``blocks``, which must be
+        nonempty, disjoint and cover ``species`` exactly: normalized as
+        ``Partition(species, blocks)`` normalizes, without its scans for
+        duplicate, unknown and missing species."""
+        norm = [tuple(sorted(block, key=species_key)) for block in blocks]
+        norm.sort(key=lambda b: species_key(b[0]))
+        index = [0] * len(species)
+        for idx, members in enumerate(norm):
+            for sp in members:
+                index[sp.id] = idx
+        p = cls.__new__(cls)
+        p._set(tuple(species), norm, index)
+        return p
+
+    def _set(self, universe: tuple[Species, ...], norm: list, index: list) -> None:
         self.species = universe
         self.blocks = tuple(norm)
         self.block_index: tuple[int, ...] = tuple(index)
@@ -597,12 +623,12 @@ class Partition:
     @classmethod
     def trivial(cls, crn: CRN) -> "Partition":
         """The one-block partition {S}."""
-        return cls(crn.species, [crn.species] if crn.species else [])
+        return cls._from_blocks(crn.species, [crn.species] if crn.species else [])
 
     @classmethod
     def discrete(cls, crn: CRN) -> "Partition":
         """The all-singletons partition."""
-        return cls(crn.species, [[sp] for sp in crn.species])
+        return cls._from_blocks(crn.species, [[sp] for sp in crn.species])
 
     @property
     def n_blocks(self) -> int:

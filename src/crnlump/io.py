@@ -680,8 +680,11 @@ def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
 
 
 def partition_from_initial_conditions(v0: InitialCondition) -> Partition:
-    """Blocks are the preimages of equal initial values (exact equality)."""
-    groups: dict[Fraction, list[Species]] = {}
+    """Blocks are the preimages of equal initial values (exact equality).
+    A value is grouped by its ``(numerator, denominator)``, which hashes
+    faster than the ``Fraction``."""
+    groups: dict[tuple[int, int], list[Species]] = {}
+    values = v0.values
     for sp in v0.species:
-        groups.setdefault(v0.get(sp), []).append(sp)
-    return Partition(v0.species, groups.values())
+        groups.setdefault(values[sp].as_integer_ratio(), []).append(sp)
+    return Partition._from_blocks(v0.species, groups.values())

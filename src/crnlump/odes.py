@@ -2,8 +2,10 @@
 
 All work here is on integer term maps, ``{monomial: coefficient times
 L}``, read from the flux table that the backward signatures read too
-(:func:`crnlump.core.flux_table`); L is the least common multiple of the
-rate denominators.  Only a printed or compared result divides by L, as a
+(:func:`crnlump.core.flux_table`): its keys are the monomials, and each
+key's row maps a species to that monomial's coefficient times L in the
+species' component.  L is the least common multiple of the rate
+denominators.  Only a printed or compared result divides by L, as a
 :class:`Polynomial` with exact rational coefficients.  This module
 decides, as exact polynomial identities:
 
@@ -185,12 +187,12 @@ def _terms(
     """L and, per species, its vector-field component times L: the flux
     table transposed.  With ``rename``, each row's monomial goes through
     :func:`_rename` once; terms that cancel after merging are not stored."""
-    scale, table = flux_table(crn)
+    scale, monomials, rows = flux_table(crn)
     terms: list[dict[Monomial, int]] = [{} for _ in crn.species]
-    for mono, row in table:
+    for mono, row in zip(monomials, rows):
         if rename is not None:
             mono = _rename(mono, rename)
-        for sid, val in row:
+        for sid, val in row.items():
             acc = terms[sid]
             acc[mono] = acc.get(mono, 0) + val
     if rename is not None:
@@ -240,10 +242,10 @@ def _exact_witness(
 def _block_sums(crn: CRN, p: Partition) -> tuple[int, list[dict[Monomial, int]]]:
     """L and each block's component sum times L: flux-table rows added per
     block, terms that cancel not stored."""
-    scale, table = flux_table(crn)
+    scale, monomials, rows = flux_table(crn)
     sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
-    for mono, row in table:
-        for sid, val in row:
+    for mono, row in zip(monomials, rows):
+        for sid, val in row.items():
             acc = sums[p.block_index[sid]]
             acc[mono] = acc.get(mono, 0) + val
     return scale, [{m: v for m, v in acc.items() if v} for acc in sums]

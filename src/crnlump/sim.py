@@ -8,7 +8,7 @@ of scipy's ``RK45`` path that gives scipy's results to the last bit
 without importing ``scipy.integrate``.  The right-hand side
 ``N @ (k * y[r1] * y[r2])`` is compiled once per integration from the
 flux table (:func:`crnlump.core.flux_table`) that the exact vector field
-reads too: each row's reactant multiset becomes a column of state
+reads too: each key's reactant multiset becomes a column of state
 indices (one per molecule, padded with a slot that holds 1.0), so one
 numpy gather and product evaluates every monomial, and the rows' values
 divided by L, laid out as compressed sparse rows, map them to the
@@ -121,14 +121,14 @@ def _compile(*networks: CRN):
     evaluated by numpy per call: ``y`` holds the species of the first
     network, then those of the second, and so on.
 
-    Each network's flux-table rows are stacked, with species ids offset
-    by the species of the networks before it.  Column ``j`` of
-    ``factors`` lists the reactants of the j-th row, an id repeated once
-    per unit of multiplicity and padded with index ``n``, whose slot
+    Each network's flux-table keys and rows are stacked, with species
+    ids offset by the species of the networks before it.  Column ``j``
+    of ``factors`` lists the reactants of the j-th key, an id repeated
+    once per unit of multiplicity and padded with index ``n``, whose slot
     holds 1.0.  One gather per factor row, multiplied in order, gives
-    every row's monomial, as a product down the columns would.  The rows'
-    values divided by L are the compressed sparse rows (CSR) of the
-    matrix that maps the monomials to the derivatives: one row per
+    every key's monomial, as a product down the columns would.  The
+    rows' values divided by L are the compressed sparse rows (CSR) of
+    the matrix that maps the monomials to the derivatives: one row per
     species, its entries in increasing monomial order, the order a
     ``csr_matrix`` built from the same entries holds them in.  There is
     no sparse-matrix object: each call hands these arrays and a fresh
@@ -142,9 +142,9 @@ def _compile(*networks: CRN):
     rows, cols, coefs, monomials = [], [], [], []
     n = 0
     for crn in networks:
-        scale, table = flux_table(crn)
-        for reactants, support in table:
-            for sid, val in support:
+        scale, keys, flux_rows = flux_table(crn)
+        for reactants, row in zip(keys, flux_rows):
+            for sid, val in row.items():
                 rows.append(n + sid)
                 cols.append(len(monomials))
                 coefs.append(val / scale)

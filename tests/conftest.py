@@ -15,6 +15,15 @@ def blocks_of(crn, *groups):
     )
 
 
+def assert_checked_alike(p):
+    """``p``, a partition that the package built without the constructor's
+    checks, equals, hashes as and indexes as the one that the checked
+    ``Partition(species, blocks)`` builds from its blocks in reverse order,
+    each block reversed."""
+    q = Partition(p.species, [block[::-1] for block in p.blocks[::-1]])
+    assert (p, hash(p), p.blocks, p.block_index) == (q, hash(q), q.blocks, q.block_index)
+
+
 def shuffled_chain(n, seed):
     """The chain X0 -> X1 -> ... -> X(n-1) at rate 1, with the species
     listed in a seeded random order: the deepest refinement, one pass per

@@ -38,6 +38,8 @@ Nothing here shares code with the signature tables of
   before equal sides were classed once: every row pins its
   non-representative products to their reactant multiplicity, lifts both
   sides into the blocks and adds its rate to the row's fused sum;
+* ``reference_flux_table``, the flux table summed reaction by reaction
+  from the ``Reaction`` objects;
 * ``reference_right_hand_side``, the integrator's right-hand side built
   with scipy's public sparse API, a ``csr_matrix`` times the vector of
   monomials, and ``reference_forward_report`` /
@@ -775,6 +777,34 @@ def reference_backward_quotient(crn: CRN, p: Partition) -> CRN:
 # Reference right-hand side and verification figures
 
 
+def reference_flux_table(crn: CRN) -> tuple[int, tuple, tuple[dict[int, int], ...]]:
+    """``(L, keys, rows)`` as :func:`crnlump.core.flux_table` gives them,
+    reaction by reaction from the :class:`Reaction` objects: per distinct
+    reactant multiset, in order of first appearance, its ``(species id,
+    multiplicity)`` pairs and each species' net change times rate times L,
+    summed over the reactions with those reactants and read with
+    ``Multiset.get``.  A row lists the species in the order in which those
+    reactions name them, each reaction's products before its reactants, and
+    drops a zero sum."""
+    reactions = reactions_of(crn)
+    scale = lcm(*(rxn.rate.denominator for rxn in reactions))
+    named: dict[Multiset, list[Species]] = {}
+    sums: dict[Multiset, dict[Species, Fraction]] = {}
+    for rxn in reactions:
+        order = named.setdefault(rxn.reactants, [])
+        total = sums.setdefault(rxn.reactants, {})
+        for sp in dict.fromkeys(sp for sp, _ in (*rxn.products, *rxn.reactants)):
+            if sp not in order:
+                order.append(sp)
+            change = rxn.products.get(sp) - rxn.reactants.get(sp)
+            total[sp] = total.get(sp, 0) + change * rxn.rate * scale
+    rows = tuple(
+        {sp.id: int(total[sp]) for sp in named[key] if total[sp]}
+        for key, total in sums.items()
+    )
+    return scale, tuple(key.ids() for key in sums), rows
+
+
 def reference_right_hand_side(*networks: CRN):
     """``y -> f(y)`` for the networks side by side, from the same flux
     tables as :func:`crnlump.sim._compile`: a ``csr_matrix`` built from
@@ -784,9 +814,9 @@ def reference_right_hand_side(*networks: CRN):
     rows, cols, coefs, monomials = [], [], [], []
     n = 0
     for crn in networks:
-        scale, table = flux_table(crn)
-        for reactants, support in table:
-            for sid, val in support:
+        scale, keys, flux_rows = flux_table(crn)
+        for reactants, row in zip(keys, flux_rows):
+            for sid, val in row.items():
                 rows.append(n + sid)
                 cols.append(len(monomials))
                 coefs.append(val / scale)

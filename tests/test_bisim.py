@@ -24,7 +24,7 @@ from crnlump import (
 )
 from crnlump.cli import main
 from crnlump.core import flux_table, forward_table
-from conftest import blocks_of, copies, shuffled_chain
+from conftest import assert_checked_alike, blocks_of, copies, shuffled_chain
 from oracle import (
     Multiset,
     backward_equivalent,
@@ -375,6 +375,30 @@ class TestSplitterRefinement:
         )
         assert trace.final == Partition.discrete(net)
 
+    def test_refined_partitions_equal_checked_ones(self, mode):
+        # ``refine`` builds its result without the constructor's checks.
+        nets = []
+        for seed in range(200):
+            net = random_crn(seed, 3 + seed % 4, 1 + seed % 12)
+            nets += [(net, Partition.trivial(net)), (net, Partition.discrete(net))]
+        for n in (1, 2, 3, 4):
+            net, inits = multisite(MultisiteSpec(n_sites=n))
+            nets.append((net, Partition.trivial(net)))
+            nets.append((net, partition_from_initial_conditions(inits)))
+        for n in (2, 3, 300):
+            net = shuffled_chain(n, seed=n)
+            nets.append((net, Partition.trivial(net)))
+        for seed in range(50):
+            for unary in (False, True):
+                net = copies(random_crn(seed, 3 + seed % 6, 2 + seed % 10), 2 + seed % 2, unary)
+                nets.append((net, Partition.trivial(net)))
+        split = 0
+        for net, initial in nets:
+            trace = refine(net, initial, mode)
+            assert_checked_alike(trace.final)
+            split += trace.passes > 0
+        assert split > 100
+
     def test_kept_signatures_equal_fresh_ones_after_every_pass(self, mode):
         # retarget moves each entry between two keys of a kept signature in
         # place, or after a wide split folds every signature again; after
@@ -579,8 +603,8 @@ def _reading_new_pieces(net, mode, blocks, pieces):
     else:
         reading = {
             sid
-            for reactants, support in flux_table(net)[1]
+            for reactants, row in zip(*flux_table(net)[1:])
             if any(block_of[y] in new for y, _ in reactants)
-            for sid, _ in support
+            for sid in row
         }
     return sorted(x for x in reading if not blocks.in_singleton(x))

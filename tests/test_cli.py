@@ -232,6 +232,27 @@ def test_a_blow_up_exits_3_with_one_error_line(tmp_path, capsys, command):
     assert re.fullmatch(r"error: integration failed at t=[^:\n]+: [^\n]+\n", captured.err)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate"], ["compare", "--mode", "fb"], ["compare", "--mode", "bb", "--from-inits"]],
+    ids=" ".join,
+)
+def test_an_overflowing_first_derivative_scale_integrates(tmp_path, command):
+    # B starts at 0, so its error scale is atol and the scaled derivative
+    # overflows when the first step is chosen; the run must still end cleanly.
+    path = tmp_path / "big.crn"
+    path.write_text("A -> B , 1\ninit: A = 1e200\n")
+    src = str(Path(crnlump.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "crnlump", command[0], str(path), *command[1:], "--t-end", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+
+
 RTOL_WARNING = (
     "warning: rtol 1e-17 is below 100 machine epsilons; using 2.220446049250313e-14\n"
 )

@@ -35,7 +35,7 @@ from crnlump import (
 import crnlump.core as core
 from crnlump.core import require_elementary, scaled_reactions
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
-from conftest import blocks_of
+from conftest import assert_checked_alike, blocks_of, shuffled_chain
 from oracle import Multiset, ReferenceCRN, _lift, reactions_of
 
 
@@ -315,6 +315,26 @@ def test_partition_rejects_bad_inputs(crn):
         Partition(crn.species, [everything, [Species(9, "Z")]])
     with pytest.raises(PartitionError, match="unknown species Q"):
         Partition(crn.species, [everything, [Species(0, "Q")]])
+
+
+def test_unchecked_blocks_are_normalized_as_the_constructor_does():
+    # ``Partition._from_blocks`` skips the constructor's scans, not its
+    # normalization: species listed out of name order, cut at random.
+    rng = random.Random(11)
+    for seed in range(60):
+        net = shuffled_chain(1 + seed % 13, seed)
+        listed = rng.sample(net.species, net.n_species)
+        cuts = sorted(rng.sample(range(1, net.n_species), rng.randint(0, net.n_species - 1)))
+        blocks = [listed[a:b] for a, b in zip([0, *cuts], [*cuts, net.n_species])]
+        unchecked = Partition._from_blocks(net.species, blocks)
+        checked = Partition(net.species, blocks)
+        assert (unchecked, hash(unchecked), unchecked.blocks, unchecked.block_index) == (
+            checked, hash(checked), checked.blocks, checked.block_index
+        )
+        assert_checked_alike(Partition.trivial(net))
+        assert_checked_alike(Partition.discrete(net))
+    empty = make_crn([], [])
+    assert Partition.trivial(empty) == Partition.discrete(empty) == Partition((), [])
 
 
 def test_block_index_agrees_with_block_of(crn, h_o, h_e):

@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from crnlump import (
 from crnlump.io import format_rational, parse_rational
 from crnlump.models import MultisiteSpec
 from crnlump.sim import InitialCondition
-from conftest import blocks_of
+from conftest import assert_checked_alike, blocks_of
 from oracle import Multiset, reactions_of
 
 RUNNING_TEXT = """\
@@ -540,6 +541,37 @@ class TestPartitionFromInits:
             crn, {n: k for k, n in enumerate("ABCDE")}
         )
         assert partition_from_initial_conditions(v0) == Partition.discrete(crn)
+
+    def test_random_values_group_as_their_fractions(self):
+        # Grouped by (numerator, denominator) and built without the
+        # constructor's checks, the partition must be the checked one of the
+        # blocks of equal Fractions.
+        rng = random.Random(3)
+        for seed in range(60):
+            net = random_crn(seed, 1 + seed % 12, 4)
+            pool = [Fraction(rng.randint(0, 6), rng.randint(1, 4)) for _ in range(1 + seed % 5)]
+            v0 = InitialCondition.from_map(net, {sp: rng.choice(pool) for sp in net.species})
+            groups = {}
+            for sp in net.species:
+                groups.setdefault(v0.get(sp), []).append(sp)
+            p = partition_from_initial_conditions(v0)
+            assert p == Partition(net.species, groups.values())
+            assert_checked_alike(p)
+
+    def test_a_missing_species_raises_key_error(self, crn):
+        # An InitialCondition built directly need not hold every species.
+        first, *rest = crn.species
+        v0 = InitialCondition(species=crn.species, values={sp: Fraction(1) for sp in rest})
+        with pytest.raises(KeyError) as err:
+            partition_from_initial_conditions(v0)
+        assert err.value.args == (first,)
+
+    def test_values_of_other_number_types_group_as_they_compare(self, crn):
+        # An InitialCondition built directly may hold ints and floats.
+        a, b, c, d, e = crn.species
+        values = {a: 0.5, b: Fraction(1, 2), c: 2, d: Fraction(2), e: 0.25}
+        v0 = InitialCondition(species=crn.species, values=values)
+        assert partition_from_initial_conditions(v0) == blocks_of(crn, "AB", "CD", "E")
 
     def test_exact_equality_not_float_equality(self, crn):
         v0 = InitialCondition.from_map(

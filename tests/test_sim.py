@@ -721,6 +721,21 @@ class TestMatchesScipy:
         traj = integrate(net, v0, t_end, rtol=rtol, atol=DEFAULT_ATOL, t_eval=grid)
         self.assert_same((net,), (v0,), t_end, rtol, DEFAULT_ATOL, grid, [traj])
 
+    def test_first_step_where_the_scaled_derivative_overflows(self, monkeypatch):
+        # B starts at 0, so its error scale is atol and f0 / scale overflows:
+        # the first trial step is 0, and scipy divides 0 by it (nan), then
+        # takes its smallest step.  It reaches t=1 in 2006 evaluations.
+        crn = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1})])
+        v0 = inits(crn, A=Fraction(10) ** 200)
+        grid = np.linspace(0.0, 1.0, 5)
+        traj = integrate(crn, v0, 1.0, t_eval=grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.assert_same((crn,), (v0,), 1.0, DEFAULT_RTOL, DEFAULT_ATOL, grid, [traj])
+            p = Partition.discrete(crn)
+            for verify in (verify_forward, verify_backward):
+                self.assert_verify_matches(verify, crn, p, v0, 1.0, DEFAULT_RTOL, monkeypatch)
+                monkeypatch.undo()
+
     @pytest.mark.parametrize(
         "grid", [[0.0], [1.0], [0.25, 0.5, 0.875, 1.0], [1e-9, 0.5]], ids=str
     )

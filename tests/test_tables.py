@@ -2,6 +2,8 @@
 by refinement, both reductions, the vector field and the lumpability
 checks, and never written after they are built."""
 
+import gc
+import random
 import sys
 import threading
 from fractions import Fraction
@@ -38,6 +40,7 @@ from crnlump import (
     verify_forward,
 )
 from crnlump.cli import main
+from oracle import reference_flux_table
 from test_io import NET_FIXTURE
 
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
@@ -171,6 +174,50 @@ def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
     assert scaled == core.scaled_reactions(fresh)
     assert first["flux_table"] == core.flux_table(fresh)
     assert first["forward_table"] == core.forward_table(fresh)
+
+
+def _non_elementary(seed):
+    """A seeded network whose reactant sides hold 0 to 6 molecules, so that
+    some of its reactions are not elementary, with fractional rates."""
+    rng = random.Random(seed)
+    names = [f"S{i}" for i in rng.sample(range(9), rng.randint(1, 6))]
+
+    def side():
+        return {rng.choice(names): rng.randint(1, 2) for _ in range(rng.randint(0, 3))}
+
+    rows = [(side(), Fraction(rng.randint(1, 9), rng.randint(1, 6)), side()) for _ in range(12)]
+    return make_crn(names, rows[: rng.randint(0, 12)])
+
+
+def _flux_networks():
+    yield running_example()
+    yield _parsed_example()
+    for n in (1, 2, 3):
+        yield multisite(MultisiteSpec(n_sites=n))[0]
+    for seed in range(40):
+        yield random_crn(seed, 1 + seed % 8, seed % 16)
+        yield _non_elementary(seed)
+
+
+def test_flux_table_equals_the_per_reaction_reference():
+    non_elementary = 0
+    for net in _flux_networks():
+        table = core.flux_table(net)
+        scale, keys, rows = table
+        expected = reference_flux_table(net)
+        assert table == expected, net
+        # Equal dicts may list their items in another order; these may not.
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected[2]]
+        # Each key is the reactant tuple of the first reaction with it.
+        first = {}
+        for reactants, _, _ in core.scaled_reactions(net)[1]:
+            first.setdefault(reactants, reactants)
+        assert list(keys) == list(first) and all(key is first[key] for key in keys)
+        assert type(keys) is type(rows) is tuple and all(type(row) is dict for row in rows)
+        # A dict of ints alone is left out of every garbage collection.
+        assert not any(gc.is_tracked(row) for row in rows)
+        non_elementary += core._first_non_elementary(net) >= 0
+    assert non_elementary > 10
 
 
 def _integrate_twice(crn):
