@@ -176,7 +176,9 @@ def format_rational(value: Fraction) -> str:
 def _format_side(named: Iterable[tuple[str, int]]) -> str:
     """A reaction side as text from its ``(name, multiplicity)`` terms: the
     terms in name order joined by `` + ``, ``2A`` for multiplicity 2, and
-    ``0`` for the empty side.  Every printed side goes through here."""
+    ``0`` for the empty side.  Every printed side reads as this prints it;
+    :func:`~crnlump.io.serialize_crn` builds the same text itself, once per
+    distinct side."""
     ordered = sorted(named)
     if not ordered:
         return "0"

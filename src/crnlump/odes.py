@@ -19,9 +19,19 @@ decides, as exact polynomial identities:
   rational polynomial in ``t`` is constant exactly when that vanishes;
   so the check compares partial derivatives, one pass over the terms.
 
+Both checks read only the terms that a block of two or more species
+(a *shared* species) can change, and a partition of singletons returns
+before the flux table is built.  The exact check renames and transposes
+only the rows that hold a shared species, and only into the shared
+species' components: no other component is compared.  The ordinary check
+adds only the rows whose monomial holds a shared species, into every
+block's sum, singletons included: the partial derivatives in a shared
+species come from those rows alone.
+
 The corresponding lumped vector fields are constructed by
 :func:`lumped_field_forward` (block sums) and
-:func:`lumped_field_backward` (representative substitution).
+:func:`lumped_field_backward` (representative substitution); they and
+:func:`vector_field` read every row.
 """
 
 from __future__ import annotations
@@ -182,21 +192,36 @@ def _rename(mono: Monomial, rename: Sequence[int | None]) -> Monomial | None:
 
 
 def _terms(
-    crn: CRN, rename: Sequence[int] | None = None
-) -> tuple[int, list[dict[Monomial, int]]]:
+    crn: CRN,
+    rename: Sequence[int] | None = None,
+    shared: Sequence[bool] | None = None,
+) -> tuple[int, list[dict[Monomial, int] | None]]:
     """L and, per species, its vector-field component times L: the flux
     table transposed.  With ``rename``, each row's monomial goes through
-    :func:`_rename` once; terms that cancel after merging are not stored."""
+    :func:`_rename` once; terms that cancel after merging are not stored.
+    With ``shared`` (per species id, whether its block holds two or more
+    species), only the rows that hold such a species are read, and only
+    those species get a component; the others' are None."""
     scale, monomials, rows = flux_table(crn)
-    terms: list[dict[Monomial, int]] = [{} for _ in crn.species]
+    if shared is None:
+        terms: list[dict[Monomial, int] | None] = [{} for _ in crn.species]
+    else:
+        terms = [{} if held else None for held in shared]
     for mono, row in zip(monomials, rows):
+        if shared is not None:
+            for sid in row:
+                if shared[sid]:
+                    break
+            else:
+                continue
         if rename is not None:
             mono = _rename(mono, rename)
         for sid, val in row.items():
             acc = terms[sid]
-            acc[mono] = acc.get(mono, 0) + val
+            if acc is not None:
+                acc[mono] = acc.get(mono, 0) + val
     if rename is not None:
-        terms = [{m: v for m, v in acc.items() if v} for acc in terms]
+        terms = [None if acc is None else {m: v for m, v in acc.items() if v} for acc in terms]
     return scale, terms
 
 
@@ -225,11 +250,13 @@ def exact_lumpability_witness(
     """A within-block species pair whose components differ after merging
     block variables; None when the partition is exactly lumpable."""
     check_partition(crn, p)
-    return _exact_witness(_terms(crn, p.block_index)[1], p)
+    if len(p.blocks) == len(p.species):
+        return None
+    return _exact_witness(_terms(crn, p.block_index, _shared(p))[1], p)
 
 
 def _exact_witness(
-    merged: list[dict[Monomial, int]], p: Partition
+    merged: list[dict[Monomial, int] | None], p: Partition
 ) -> tuple[Species, Species] | None:
     for block in p.blocks:
         reference = merged[block[0].id]
@@ -239,16 +266,41 @@ def _exact_witness(
     return None
 
 
-def _block_sums(crn: CRN, p: Partition) -> tuple[int, list[dict[Monomial, int]]]:
+def _block_sums(
+    crn: CRN, p: Partition, shared: Sequence[bool] | None = None
+) -> tuple[int, list[dict[Monomial, int]]]:
     """L and each block's component sum times L: flux-table rows added per
-    block, terms that cancel not stored."""
+    block, terms that cancel not stored.  With ``shared`` (per species id,
+    whether its block holds two or more species), only the rows whose
+    monomial holds such a species are added, into every block's sum: the
+    sums' partial derivatives in those species come from these rows
+    alone."""
     scale, monomials, rows = flux_table(crn)
     sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
     for mono, row in zip(monomials, rows):
+        if shared is not None:
+            for var, _ in mono:
+                if shared[var]:
+                    break
+            else:
+                continue
         for sid, val in row.items():
             acc = sums[p.block_index[sid]]
             acc[mono] = acc.get(mono, 0) + val
     return scale, [{m: v for m, v in acc.items() if v} for acc in sums]
+
+
+def _shared(p: Partition) -> list[bool] | None:
+    """Per species id, whether its block holds two or more species; None,
+    which reads every term, when every block does."""
+    if 1 not in map(len, p.blocks):
+        return None
+    shared = [False] * len(p.species)
+    for block in p.blocks:
+        if len(block) > 1:
+            for sp in block:
+                shared[sp.id] = True
+    return shared
 
 
 def _shear_pairs(p: Partition) -> list[tuple[int, int]]:
@@ -278,7 +330,9 @@ def ordinary_lumpability_witness(
 ) -> tuple[int, tuple[int, int]] | None:
     """None if lumpable, else (block index, offending shear pair)."""
     check_partition(crn, p)
-    return _shear_witness(_block_sums(crn, p)[1], p)
+    if len(p.blocks) == len(p.species):
+        return None
+    return _shear_witness(_block_sums(crn, p, _shared(p))[1], p)
 
 
 def _partial_derivatives(

@@ -1,0 +1,162 @@
+"""A structured fuzz of the command line, run in process through
+:func:`crnlump.cli.main`.
+
+Each seeded case writes a valid network (the running example, multisite
+with at most three sites, or a random network with rates from 1e-30 to
+1e12), a random initial-condition file and a random partition file that
+mixes singletons with larger blocks, and runs one command on them with
+random numeric options, a few of them out of range.  Every run must end
+in a documented exit code (0 to 3) without an uncaught exception or a
+``Traceback`` on stderr, and no run may start a thread or a process.
+
+The solver's evaluation budget is lowered for these runs, so that a
+stiff case (a rate of 1e12 integrated to t=10) ends in the budget's exit
+3 after milliseconds instead of seconds.
+"""
+
+import os
+import random
+import subprocess
+import threading
+from fractions import Fraction
+
+import pytest
+
+from crnlump import MultisiteSpec, multisite, running_example, serialize_crn, sim
+from crnlump.cli import main
+from crnlump.core import format_rational
+from crnlump.models import random_crn
+
+CASES = 200
+BUDGET = 20_000
+
+RATES = tuple(Fraction(10) ** e for e in range(-30, 13))
+# 1e200 makes the first derivative's scaled norm overflow as the solver
+# chooses its first step.
+VALUES = (0, 0, 1, Fraction(1, 3), 2, 7, 10**200, *RATES)
+
+
+def _network(rng):
+    """A network, and its initial values when its generator gives them."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return running_example(), None
+    if kind == 1:
+        return multisite(MultisiteSpec(n_sites=rng.randint(1, 3)))
+    pool = tuple(rng.sample(RATES, rng.randint(1, 4)))
+    return random_crn(rng.getrandbits(32), rng.randint(1, 12), rng.randint(0, 20), pool), None
+
+
+def _init_text(crn, rng):
+    lines = []
+    for sp in rng.sample(crn.species, rng.randint(0, crn.n_species)):
+        value = rng.choice(VALUES)
+        text = format_rational(Fraction(value)) if rng.random() < 0.7 else f"{float(value):g}"
+        lines.append(f"{'init: ' if rng.random() < 0.5 else ''}{sp.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _partition_text(crn, rng):
+    """Some species as singletons, the rest in a few blocks; sometimes a
+    species is left out, so it joins the implicit final block."""
+    names = [sp.name for sp in crn.species]
+    rng.shuffle(names)
+    if rng.random() < 0.2:
+        names = names[: rng.randint(0, len(names))]
+    singles = rng.randint(0, len(names))
+    rest = names[singles:]
+    k = rng.randint(1, max(1, len(rest)))
+    blocks = [[name] for name in names[:singles]] + [rest[i::k] for i in range(k)]
+    return "".join(", ".join(block) + "\n" for block in blocks if block)
+
+
+def _number(rng, good):
+    """One of ``good``, or rarely a value the CLI refuses with exit 2."""
+    if rng.random() < 0.05:
+        return rng.choice(("0", "-1", "nan", "inf"))
+    return rng.choice(good)
+
+
+def _argv(rng, files, has_inits):
+    net, init, part = files
+    command = rng.choice(("validate", "reduce", "check", "odes", "simulate", "compare"))
+    mode = rng.choice(("fb", "bb"))
+    if command == "validate":
+        return [command, net]
+    if command == "check":
+        what = rng.choice(("bisim-fb", "bisim-bb", "ord-lump", "exact-lump"))
+        argv = [command, net, "--what", what]
+        return argv + (["--partition", part] if rng.random() < 0.8 else [])
+    if command == "odes":
+        return [command, net] + (["--partition", part, "--mode", mode] if rng.random() < 0.7 else [])
+    argv = [command, net]
+    if command != "simulate":
+        argv += ["--mode", mode]
+    start = rng.random()
+    if command != "simulate" and start < 0.4:
+        argv += ["--partition", part]
+    elif command != "simulate" and start < 0.7:
+        argv += ["--from-inits"]
+    if has_inits is None or rng.random() < 0.5:
+        argv += ["--init", init]
+    if command == "reduce":
+        return argv + (["--emit-odes"] if rng.random() < 0.3 else [])
+    argv += ["--t-end", _number(rng, ("1e-6", "0.01", "1", "10"))]
+    argv += ["--rtol", _number(rng, ("1e-3", "1e-6", "1e-10", "1e-15"))]
+    argv += ["--atol", _number(rng, ("1e-6", "1e-12", "1e-30"))]
+    if command == "simulate":
+        return argv + ["--points", _number(rng, ("1", "2", "17", "100"))]
+    return argv + ["--tol", _number(rng, ("1e-6", "1e-2", "1e-12"))]
+
+
+@pytest.fixture
+def no_new_threads_or_processes(monkeypatch):
+    """Any attempt to start a thread or a process fails the run."""
+
+    def refuse(what):
+        def start(*_args, **_kwargs):
+            raise AssertionError(f"a run called {what}")
+
+        return start
+
+    monkeypatch.setattr(threading.Thread, "start", refuse("Thread.start"))
+    monkeypatch.setattr(subprocess.Popen, "__init__", refuse("subprocess.Popen"))
+    monkeypatch.setattr(os, "fork", refuse("os.fork"), raising=False)
+    monkeypatch.setattr(os, "posix_spawn", refuse("os.posix_spawn"), raising=False)
+
+
+def _fuzz(cases, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sim, "_MAX_EVALUATIONS", BUDGET)
+    threads = threading.active_count()
+    files = tuple(str(tmp_path / name) for name in ("net.crn", "init.txt", "partition.txt"))
+    codes = {}
+    for case in cases:
+        rng = random.Random(case)
+        crn, inits = _network(rng)
+        texts = (serialize_crn(crn, inits), _init_text(crn, rng), _partition_text(crn, rng))
+        for path, text in zip(files, texts):
+            with open(path, "w", encoding="utf-8") as out:
+                out.write(text)
+        argv = _argv(rng, files, inits)
+        try:
+            code = main(argv)
+        except SystemExit as done:  # argparse refuses an option
+            code = done.code
+        except Exception as err:
+            raise AssertionError(f"case {case}: {argv} raised\n{texts}") from err
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (case, argv, code, err)
+        assert "Traceback" not in err, (case, argv, err)
+        assert threading.active_count() == threads, (case, argv)
+        codes[code] = codes.get(code, 0) + 1
+    # The cases reach the commands' work, not only their refusals.
+    assert codes.get(0, 0) > len(cases) // 3 and len(codes) == 4, codes
+
+
+def test_structured_cli_fuzz(tmp_path, capsys, monkeypatch, no_new_threads_or_processes):
+    _fuzz(range(CASES), tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.large
+def test_structured_cli_fuzz_large(tmp_path, capsys, monkeypatch, no_new_threads_or_processes):
+    _fuzz(range(CASES, CASES + 3000), tmp_path, capsys, monkeypatch)

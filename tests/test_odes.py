@@ -27,9 +27,9 @@ from crnlump import (
     two_state,
     vector_field,
 )
-from conftest import blocks_of
+from conftest import blocks_of, copies
 from crnlump import odes
-from crnlump.core import require_elementary
+from crnlump.core import CRN, Species, require_elementary
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from oracle import accretion_depletion, partitions_refining, reactions_of
@@ -465,6 +465,104 @@ class TestNonElementary:
                     mine = _sympy_poly(lumped.components[lumped.species[idx]], ws)
                     expected = comps[block[0]].subs(merge, simultaneous=True)
                     assert sympy.expand(mine - expected) == 0
+
+
+# ---------------------------------------------------------------------------
+# The checks read only the terms that a block of two or more species changes
+
+
+def random_non_elementary(seed, n_species, n_reactions):
+    """Reactant sides of zero to four molecules drawn from the first half
+    of the species, so that the rest appear only as products.  A third of
+    the reactant molecules come back as products: catalysts, which are in
+    a monomial but not in its row."""
+    rng = _random.Random(seed)
+    reactive = max(1, n_species // 2)
+    rows = []
+    for _ in range(n_reactions):
+        reactants = tuple((rng.randrange(reactive), 1) for _ in range(rng.randint(0, 4)))
+        products = [pair for pair in reactants if rng.random() < 1 / 3]
+        products += [(rng.randrange(n_species), 1) for _ in range(rng.randint(0, 3))]
+        rows.append((reactants, F(rng.choice((1, 2, 3)), rng.choice((1, 2))), tuple(products)))
+    return CRN([Species(i, f"S{i}") for i in range(n_species)], rows)
+
+
+def mixed_partition(net, rng):
+    """Some species as singletons, the others in a few larger blocks."""
+    ids = list(net.species)
+    rng.shuffle(ids)
+    singles = rng.randint(1, len(ids) - 2)
+    rest = ids[singles:]
+    k = rng.randint(1, max(1, len(rest) // 2))
+    blocks = [[sp] for sp in ids[:singles]] + [rest[i::k] for i in range(k)]
+    return Partition(net.species, blocks)
+
+
+def full_table_witnesses(net, p):
+    """Both witnesses as computed from every term of the flux table."""
+    ordinary = odes._shear_witness(odes._block_sums(net, p)[1], p)
+    exact = odes._exact_witness(odes._terms(net, p.block_index)[1], p)
+    return ordinary, exact
+
+
+class TestRestrictedChecks:
+    def test_witnesses_equal_the_full_table_references(self):
+        rng = _random.Random(5)
+        cases = []
+        for seed in range(40):
+            net = random_crn(seed, 6 + seed % 7, 8 + seed % 11)
+            cases.append((net, mixed_partition(net, rng)))
+            for mode in BisimMode:
+                cases.append((net, refine(net, Partition.trivial(net), mode).final))
+        for seed in range(40):
+            net = random_non_elementary(seed, 6 + seed % 5, 5 + seed % 9)
+            cases.append((net, mixed_partition(net, rng)))
+            # The product-only species, in one block, move no sum.
+            reactive = max(1, net.n_species // 2)
+            blocks = [[sp] for sp in net.species[:reactive]] + [net.species[reactive:]]
+            cases.append((net, Partition(net.species, blocks)))
+            # Corresponding species of two disjoint copies are backward
+            # equivalent, so the partition is exactly lumpable.
+            twice, n = copies(net, 2), net.n_species
+            pairs = [[twice.species[i], twice.species[i + n]] for i in range(n)]
+            cases.append((twice, Partition(twice.species, pairs)))
+        holds = {"ordinary": set(), "exact": set()}
+        for net, p in cases:
+            ordinary, exact = full_table_witnesses(net, p)
+            assert ordinary_lumpability_witness(net, p) == ordinary
+            assert exact_lumpability_witness(net, p) == exact
+            holds["ordinary"].add(ordinary is None)
+            holds["exact"].add(exact is None)
+        assert holds == {"ordinary": {True, False}, "exact": {True, False}}
+
+    def test_a_singleton_sum_is_the_witness(self):
+        # Shearing A against B moves C' = A - C*D against D' = B - C*D, so
+        # the sum over the singleton {C} changes; a restriction that kept
+        # only the sums of blocks of two or more would miss it.
+        net = make_crn(
+            ["A", "B", "C", "D", "E"],
+            [({"A": 1}, 1, {"C": 1}), ({"B": 1}, 1, {"D": 1}), ({"C": 1, "D": 1}, 1, {"E": 1})],
+        )
+        p = blocks_of(net, "AB", "C", "D", "E")
+        assert ordinary_lumpability_witness(net, p) == (1, (0, 1))
+        assert full_table_witnesses(net, p)[0] == (1, (0, 1))
+        assert exact_lumpability_witness(net, p) is None
+
+    def test_a_catalyst_in_a_block_moves_the_sums_it_multiplies(self):
+        # A catalyses C -> D: the row of A*C holds C and D but not A, yet
+        # the sums over {C} and {D} change under the shear of A against B.
+        net = make_crn(["A", "B", "C", "D"], [({"A": 1, "C": 1}, 1, {"A": 1, "D": 1})])
+        p = blocks_of(net, "AB", "C", "D")
+        assert ordinary_lumpability_witness(net, p) == (1, (0, 1))
+        assert full_table_witnesses(net, p)[0] == (1, (0, 1))
+
+    def test_singleton_partitions_build_no_flux_table(self, crn):
+        for net in (crn, random_crn(3, 8, 12), random_non_elementary(3, 8, 12)):
+            p = Partition.discrete(net)
+            assert ordinary_lumpability_witness(net, p) is None
+            assert exact_lumpability_witness(net, p) is None
+            assert is_ordinarily_lumpable(net, p) and is_exactly_lumpable(net, p)
+            assert net._flux is None
 
 
 # ---------------------------------------------------------------------------
