@@ -33,7 +33,13 @@ Markov Chain Lumping", TACAS 2010): when a block splits, its largest
 piece keeps the block's label and every other piece is a splitter.  A
 pass buckets only the species whose signatures a splitter changed, with
 one untouched member of their block, so the partitions are, pass for
-pass, those of recomputing every signature (the tests' oracle).
+pass, those of recomputing every signature (the tests' oracle).  A block
+with one touched member and an untouched one can only keep it or lose it
+as a piece of its own, so one comparison of the two signatures decides
+it, with no hashed key: nearly every block a chain splits is of this
+kind.  A block with two or more touched members may split into more than
+two pieces and is bucketed by key, as in the first pass and the wide
+passes of the multisite family.
 
 After a split, ``_Signatures.retarget`` keys again every row that reads
 a splitter and moves each of its entries from the old key's sum to the
@@ -153,16 +159,45 @@ class _Blocks:
     def members(self, b: int) -> list[int]:
         return self.elems[self.first[b] : self.end[b]]
 
-    def split(self, touched: list[int], key) -> list[tuple[int, int]]:
-        """Split every block holding a touched species by ``key``.
+    def split(self, touched: list[int], sigs: _Signatures) -> list[tuple[int, int]]:
+        """Split every block holding a touched species by the signatures
+        ``sigs``.
 
-        The block's untouched members must share one key, which is read
-        from one of them.  The largest piece keeps the block's label;
-        returns ``(label, parent label)`` for every other piece.
+        The block's untouched members must share one signature.  A block
+        with one touched member and an untouched one is decided by
+        comparing the member's static part and sums with an untouched
+        member's, with no hashed key: when they differ, the member leaves
+        as a new piece, laid out as bucketing lays it.  Any other block is
+        bucketed by ``sigs.key``: with two or more touched members it may
+        split into more than two pieces.  The largest piece keeps the
+        block's label, the untouched members on a tie; returns ``(label,
+        parent label)`` for every other piece.
         """
-        elems, loc, block_of = self.elems, self.loc, self.block_of
-        first, end = self.first, self.end
-        # Per block hit, how many touched members have been moved to its front.
+        elems, first, end, block_of = self.elems, self.first, self.end, self.block_of
+        static, sums = sigs.static, sigs.sums
+        pieces = []
+        for b, m in self._gather(touched).items():
+            lo = first[b]
+            mid = lo + m
+            if m == 1 and mid < end[b]:
+                x, y = elems[lo], elems[mid]
+                if static[x] == static[y] and sums[x] == sums[y]:
+                    continue
+                # ``x`` lies at the front, where bucketing puts its piece.
+                label = len(first)
+                first[b] = mid
+                first.append(lo)
+                end.append(mid)
+                block_of[x] = label
+                pieces.append((label, b))
+            else:
+                self._bucket(b, mid, sigs.key, pieces)
+        return pieces
+
+    def _gather(self, touched: list[int]) -> dict[int, int]:
+        """Move the touched members of each block to its front; returns,
+        per block hit, how many there are."""
+        elems, loc, block_of, first = self.elems, self.loc, self.block_of, self.first
         marked: dict[int, int] = {}
         for x in touched:
             b = block_of[x]
@@ -172,43 +207,46 @@ class _Blocks:
             elems[i], elems[j] = x, y
             loc[x], loc[y] = i, j
             marked[b] = m + 1
-        pieces = []
-        for b, m in marked.items():
-            lo, hi = first[b], end[b]
-            mid = lo + m
-            groups: dict[object, list[int]] = {}
-            if mid < hi:
-                # The untouched members' group; touched members with their key join it.
-                groups[key(elems[mid])] = []
-            for x in elems[lo:mid]:
-                groups.setdefault(key(x), []).append(x)
-            if len(groups) == 1:
+        return marked
+
+    def _bucket(self, b: int, mid: int, key, pieces: list[tuple[int, int]]) -> None:
+        """Split block ``b``, whose touched members lie before ``mid``, by
+        ``key``, and append its new pieces to ``pieces``."""
+        elems, loc, block_of = self.elems, self.loc, self.block_of
+        first, end = self.first, self.end
+        lo, hi = first[b], end[b]
+        groups: dict[object, list[int]] = {}
+        if mid < hi:
+            # The untouched members' group; touched members with their key join it.
+            groups[key(elems[mid])] = []
+        for x in elems[lo:mid]:
+            groups.setdefault(key(x), []).append(x)
+        if len(groups) == 1:
+            return
+        # Lay the touched members out group by group, the joiners of the
+        # untouched group last so that the whole group is one range.
+        others = list(groups.values())
+        joiners = others.pop(0) if mid < hi else []
+        elems[lo:mid] = [x for group in others for x in group] + joiners
+        for i in range(lo, mid):
+            loc[elems[i]] = i
+        ranges = [(mid - len(joiners), hi)] if mid < hi else []
+        start = lo
+        for group in others:
+            ranges.append((start, start + len(group)))
+            start += len(group)
+        # The largest piece keeps the label (the untouched group on a tie).
+        keep = max(range(len(ranges)), key=lambda k: ranges[k][1] - ranges[k][0])
+        for k, (start, stop) in enumerate(ranges):
+            if k == keep:
+                first[b], end[b] = start, stop
                 continue
-            # Lay the touched members out group by group, the joiners of the
-            # untouched group last so that the whole group is one range.
-            others = list(groups.values())
-            joiners = others.pop(0) if mid < hi else []
-            elems[lo:mid] = [x for group in others for x in group] + joiners
-            for i in range(lo, mid):
-                loc[elems[i]] = i
-            ranges = [(mid - len(joiners), hi)] if mid < hi else []
-            start = lo
-            for group in others:
-                ranges.append((start, start + len(group)))
-                start += len(group)
-            # The largest piece keeps the label (the untouched group on a tie).
-            keep = max(range(len(ranges)), key=lambda k: ranges[k][1] - ranges[k][0])
-            for k, (start, stop) in enumerate(ranges):
-                if k == keep:
-                    first[b], end[b] = start, stop
-                    continue
-                label = len(first)
-                first.append(start)
-                end.append(stop)
-                for x in elems[start:stop]:
-                    block_of[x] = label
-                pieces.append((label, b))
-        return pieces
+            label = len(first)
+            first.append(start)
+            end.append(stop)
+            for x in elems[start:stop]:
+                block_of[x] = label
+            pieces.append((label, b))
 
     def unsettled(self) -> list[int]:
         """The species outside singletons, by id."""
@@ -243,10 +281,10 @@ class _Signatures:
     ``e``'s dict from species to value, none zero; ``row_key[e]``, its key.
 
     A mode supplies ``static``; ``fold(block_of)``, the sums under the
-    labels ``block_of``; ``rows(blocks)``, what each row reads, its
-    entries and its key under the labels of the last fold, free to leave
-    out rows held only by species in singletons; ``rekey(e, block_of)``;
-    and ``witness``, a text and both values.
+    labels ``block_of``; ``rows(blocks)``, what each row reads (each
+    species once), its entries and its key under the labels of the last
+    fold, free to leave out rows held only by species in singletons;
+    ``rekey(e, block_of)``; and ``witness``, a text and both values.
     """
 
     __slots__ = ("mode", "static", "sums", "row_key", "reading", "entries")
@@ -266,7 +304,10 @@ class _Signatures:
         species outside singletons with an entry in a row that reads a
         piece, in the order in which the moves meet them."""
         block_of, first, end = blocks.block_of, blocks.first, blocks.end
-        if blocks.is_wide(pieces):
+        piece = pieces[0][0]
+        # One species split off, as on a chain: the split is not wide.
+        alone = len(pieces) == 1 and end[piece] - first[piece] == 1
+        if not alone and blocks.is_wide(pieces):
             self.sums = self.mode.fold(block_of)
             self.reading = None  # the next moves start from this fold's row keys
             return blocks.unsettled()
@@ -278,11 +319,15 @@ class _Signatures:
                 for y in ys:
                     reading[y].append(e)
         rekey, row_key, sums, entries = self.mode.rekey, self.row_key, self.sums, self.entries
-        rows: dict[int, None] = {}  # once, though a row may read two pieces
-        for piece, _ in pieces:
-            for y in blocks.members(piece):
-                for e in reading[y]:
-                    rows[e] = None
+        if alone:
+            # No row twice: a row lists each species it reads once.
+            rows = reading[blocks.elems[first[piece]]]
+        else:
+            rows = {}  # once, though a row may read two pieces
+            for piece, _ in pieces:
+                for y in blocks.members(piece):
+                    for e in reading[y]:
+                        rows[e] = None
         touched: dict[int, None] = {}
         for e in rows:
             old = row_key[e]
@@ -387,7 +432,7 @@ class _Backward:
 
     def rows(self, blocks: _Blocks):
         # One or two reactant pairs: the network is elementary.
-        reads = ((k[0][0], k[-1][0]) for k in self._keys)
+        reads = ((k[0][0], k[1][0]) if len(k) == 2 else (k[0][0],) for k in self._keys)
         return reads, self._rows, self._row_class
 
     def rekey(self, e: int, block_of) -> int:
@@ -452,18 +497,19 @@ def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
         return RefinementTrace(initial, 0, 0)
     blocks = _Blocks(initial)
     sigs = _signatures(crn, mode, blocks.block_of)
+    split, retarget, labels, n = blocks.split, sigs.retarget, blocks.first, crn.n_species
     touched = blocks.unsettled()
     passes = calls = 0
     while touched:
         calls += len(touched)
-        pieces = blocks.split(touched, sigs.key)
+        pieces = split(touched, sigs)
         if not pieces:
             break
         passes += 1
-        if len(blocks.first) == crn.n_species:
+        if len(labels) == n:
             # Every block is a singleton: no signature is read again.
             break
-        touched = sigs.retarget(blocks, pieces)
+        touched = retarget(blocks, pieces)
     # With no split, the first pass bucketed every species of ``initial``.
     final = blocks.partition(crn.species) if passes else initial
     # A racing thread can only replace this with another proved partition.

@@ -774,7 +774,10 @@ class InitialCondition:
     def as_array(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([float(self.values[sp]) for sp in self.species])
+        try:
+            return np.array([float(self.values[sp]) for sp in self.species])
+        except KeyError as err:
+            raise _no_value(err) from None
 
     def constant_on(self, p: Partition) -> bool:
         for block in p.blocks:
@@ -782,6 +785,13 @@ class InitialCondition:
             if any(self.values[sp] != first for sp in block[1:]):
                 return False
         return True
+
+
+def _no_value(err: KeyError) -> CRNError:
+    """The error for an :class:`InitialCondition`, built directly, that
+    lacks the species ``err`` names (:meth:`InitialCondition.from_map`
+    gives every species a value)."""
+    return CRNError(f"initial condition has no value for species {err.args[0].name}")
 
 
 def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:

@@ -69,6 +69,7 @@ from .core import (
     PartitionError,
     Species,
     _check_initial_condition,
+    _no_value,
     _reaction_problems,
     _scale_rates,
     _scaled_rows,
@@ -694,9 +695,13 @@ def parse_initial_conditions(text: str, crn: CRN) -> InitialCondition:
 def partition_from_initial_conditions(v0: InitialCondition) -> Partition:
     """Blocks are the preimages of equal initial values (exact equality).
     A value is grouped by its ``(numerator, denominator)``, which hashes
-    faster than the ``Fraction``."""
+    faster than the ``Fraction``.  Raises :class:`CRNError` for a
+    species without a value."""
     groups: dict[tuple[int, int], list[Species]] = {}
     values = v0.values
-    for sp in v0.species:
-        groups.setdefault(values[sp].as_integer_ratio(), []).append(sp)
+    try:
+        for sp in v0.species:
+            groups.setdefault(values[sp].as_integer_ratio(), []).append(sp)
+    except KeyError as err:
+        raise _no_value(err) from None
     return Partition._from_blocks(v0.species, groups.values())

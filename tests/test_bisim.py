@@ -1,4 +1,5 @@
 import re
+import types
 from fractions import Fraction
 from math import ceil, log2
 
@@ -447,6 +448,31 @@ class TestSplitterRefinement:
             passes += _check_kept_signatures(net, initial or Partition.trivial(net), mode)
         assert passes > 200
 
+    def test_matches_full_pass_loop_where_a_pass_splits_both_ways(self, mode, monkeypatch):
+        # A pass decides a block with one touched member by one comparison
+        # and buckets a block with more; each network here has passes that
+        # do both.  The cascade's reactions split a species into two, at
+        # rates that alternate across a level.  Forward also runs on three
+        # chains into Z, two at rate 1 and one at rate 2: the rate-1
+        # species at one distance from Z form a block with two touched
+        # members, the rate-2 chain's species a block with one.
+        gather, mixed = crnlump.bisim._Blocks._gather, []
+
+        def counted(blocks, touched):
+            marked = gather(blocks, touched)
+            split = [m for b, m in marked.items() if m < blocks.end[b] - blocks.first[b]]
+            mixed[-1] += 1 in split and max(split) > 1
+            return marked
+
+        monkeypatch.setattr(crnlump.bisim._Blocks, "_gather", counted)
+        nets = [_cascade(5)] + ([_three_chains()] if mode is BisimMode.FORWARD else [])
+        for net in nets:
+            mixed.append(0)
+            initial = Partition.trivial(net)
+            trace = refine(net, initial, mode)
+            assert (trace.final, trace.passes) == _oracle_result(net, initial, mode)
+        assert all(mixed)
+
     @pytest.mark.parametrize("n", [300, 2000])
     def test_predicate_calls_near_linear_on_chains(self, mode, n):
         # the full-recompute loop buckets about n^2/2 species on a chain
@@ -538,6 +564,75 @@ class TestSplitterRefinement:
         assert sum(refolds) > 100
 
 
+def _blocks_state(blocks):
+    return blocks.elems, blocks.loc, blocks.first, blocks.end, blocks.block_of
+
+
+def test_split_decides_a_block_with_one_touched_member_as_bucketing_does():
+    # One call over six blocks.  One touched member: 0 stays in {0, 1, 2},
+    # 3 leaves {3, 4} (a tie: 4 keeps the label) and 6 leaves {5, 6, 7, 8}.
+    # Bucketed: {9, 10, 11} with two touched members, 9 leaving and 10
+    # joining 11; {12, 13}, all touched, into two; the singleton {14}.
+    names = [f"X{i}" for i in range(15)]
+    net = make_crn(names, [])
+    sp = net.species
+    groups = [(0, 1, 2), (4, 3), (8, 6, 5, 7), (11, 10, 9), (13, 12), (14,)]
+    initial = Partition(sp, [[sp[x] for x in group] for group in groups])
+    static = [0] * 15
+    static[12] = 1
+    sums = [{7: 2} for _ in range(15)]
+    for x in (3, 6, 9):
+        sums[x] = {7: 2, 8: 1}
+    sigs = types.SimpleNamespace(static=static, sums=sums)
+    sigs.key = lambda x: crnlump.bisim._Signatures.key(sigs, x)
+    touched = [9, 0, 12, 3, 14, 6, 10, 13]
+
+    blocks = crnlump.bisim._Blocks(initial)
+    pieces = blocks.split(touched, sigs)
+    # The same call with every block bucketed.
+    bucketed = crnlump.bisim._Blocks(initial)
+    expected = []
+    for b, m in bucketed._gather(touched).items():
+        bucketed._bucket(b, bucketed.first[b] + m, sigs.key, expected)
+    assert pieces == expected
+    assert _blocks_state(blocks) == _blocks_state(bucketed)
+
+    label = {x: blocks.block_of[x] for x in range(15)}
+    old = initial.block_index
+    assert len(pieces) == 4
+    for x, stays in ((0, True), (3, False), (4, True), (6, False), (9, False), (10, True)):
+        assert (label[x] == old[x]) is stays
+    assert label[5] == label[7] == label[8] == old[5]
+    assert label[10] == label[11] and label[12] != label[13]
+    for piece, parent in pieces:
+        assert all(old[x] == parent for x in blocks.members(piece))
+
+
+def _three_chains():
+    """Chains of 6 and 9 species at rate 1 and one of 12 at rate 2, each
+    ending in Z."""
+    names, rows = [], []
+    for prefix, n, rate in (("A", 6, 1), ("B", 9, 1), ("C", 12, 2)):
+        chain = [f"{prefix}{i}" for i in range(n)]
+        names += chain
+        rows += [({a: 1}, rate, {b: 1}) for a, b in zip(chain, chain[1:] + ["Z"])]
+    return make_crn(names + ["Z"], rows)
+
+
+def _cascade(depth):
+    """A binary tree of ``T -> Tl + Tr`` reactions, ``depth`` levels deep,
+    the rate alternating 1, 2 along each level."""
+    names, rows, level = ["T"], [], ["T"]
+    for _ in range(depth):
+        children = []
+        for i, x in enumerate(level):
+            children += [x + "l", x + "r"]
+            rows.append(({x: 1}, 1 + i % 2, {x + "l": 1, x + "r": 1}))
+        names += children
+        level = children
+    return make_crn(names, rows)
+
+
 def _moves_fold_moves():
     rows = [({a: 1}, 1, {"D": 1, "R1": 1}) for a in ("A1", "A2", "A3")]
     rows += [({b: 1}, 1, {"D": 2}) for b in ("B1", "B2", "B3")]
@@ -567,7 +662,7 @@ def _check_kept_signatures(net, initial, mode):
     touched = blocks.unsettled()
     passes = 0
     while touched:
-        pieces = blocks.split(touched, sigs.key)
+        pieces = blocks.split(touched, sigs)
         if not pieces:
             break
         passes += 1

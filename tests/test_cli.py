@@ -1,15 +1,40 @@
+import gc
 import os
 import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import crnlump
-from crnlump import parse_crn, running_example, serialize_crn
+import crnlump.cli
+from crnlump import (
+    BisimMode,
+    MultisiteSpec,
+    Partition,
+    backward_reduce,
+    find_counterexample,
+    format_vector_field,
+    forward_reduce,
+    import_bngl_net,
+    is_bisimulation,
+    is_exactly_lumpable,
+    is_ordinarily_lumpable,
+    multisite,
+    parse_crn,
+    partition_from_initial_conditions,
+    random_crn,
+    refine,
+    running_example,
+    serialize_crn,
+    vector_field,
+)
 from crnlump.cli import main
+from crnlump.core import format_rational, scaled_reactions
+from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 
 RUNNING_WITH_INITS = """\
 species: A B C D E
@@ -604,3 +629,105 @@ def test_net_files_are_detected_by_extension(tmp_path, capsys):
     )
     assert main(["validate", str(net)]) == 0
     assert "valid: 2 species" in capsys.readouterr().out
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that sets it."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def _noting_gc(seen, run):
+    """``run``, noting in ``seen`` whether gc is enabled at each call."""
+    def noted(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return run(*args, **kwargs)
+    return noted
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["gc-on", "gc-off"])
+def test_main_runs_the_exact_work_with_gc_disabled(model, monkeypatch, gc_state, before):
+    seen = []
+    monkeypatch.setattr(crnlump.cli, "refine", _noting_gc(seen, crnlump.cli.refine))
+    (gc.enable if before else gc.disable)()
+    assert main(["reduce", str(model), "--mode", "fb"]) == 0
+    assert gc.isenabled() is before
+    # An error leaves through the same restore.
+    assert main(["reduce", str(model), "--mode", "fb", "--partition", "missing.txt"]) == 1
+    assert gc.isenabled() is before
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["gc-on", "gc-off"])
+def test_simulate_and_compare_integrate_with_gc_enabled(model, monkeypatch, gc_state, before):
+    import crnlump.sim
+
+    seen = []
+    for name in ("integrate", "verify_forward"):
+        monkeypatch.setattr(crnlump.sim, name, _noting_gc(seen, getattr(crnlump.sim, name)))
+    (gc.enable if before else gc.disable)()
+    assert main(["simulate", str(model), "--t-end", "1", "--points", "3"]) == 0
+    assert gc.isenabled() is before
+    assert main(["compare", str(model), "--mode", "fb", "--t-end", "1"]) == 0
+    assert gc.isenabled() is before
+    assert seen == [True, True]
+
+
+def _net_text(crn, inits):
+    """``crn`` as a fully enumerated ``.net`` file, species numbered from 1
+    in order."""
+    scale, rows = scaled_reactions(crn)
+
+    def side(pairs):
+        return ",".join(str(sid + 1) for sid, m in pairs for _ in range(m)) or "0"
+
+    values = [format_rational(inits.get(sp)) if inits else "0" for sp in crn.species]
+    return "".join(
+        [
+            "begin species\n",
+            *(f"{i + 1} {sp.name} {v}\n" for i, (sp, v) in enumerate(zip(crn.species, values))),
+            "end species\nbegin reactions\n",
+            *(
+                f"{i + 1} {side(r)} {side(p)} {format_rational(Fraction(rate, scale))} #r\n"
+                for i, (r, p, rate) in enumerate(rows)
+            ),
+            "end reactions\n",
+        ]
+    )
+
+
+def test_the_exact_pipeline_makes_no_reference_cycles(gc_state):
+    # ``main`` runs its exact work with gc disabled, which costs nothing
+    # only while that work leaves no cyclic garbage for a collection to free.
+    gc.collect()
+    gc.disable()
+    nets = [(running_example(), None)]
+    nets += [multisite(MultisiteSpec(n_sites=n)) for n in (1, 2, 3, 4)]
+    nets += [(random_crn(seed, 3 + seed % 10, 2 + seed % 15), None) for seed in range(50)]
+    witnesses = 0
+    for net, inits in nets:
+        crn, v0 = parse_crn(serialize_crn(net, inits))
+        imported, _ = import_bngl_net(_net_text(crn, v0))
+        assert imported.n_reactions == crn.n_reactions
+        trivial = Partition.trivial(crn)
+        fb = refine(crn, trivial, BisimMode.FORWARD).final
+        bb_initial = partition_from_initial_conditions(v0) if v0 else trivial
+        bb = refine(crn, bb_initial, BisimMode.BACKWARD).final
+        serialize_crn(forward_reduce(crn, fb).crn)
+        serialize_crn(backward_reduce(crn, bb).crn)
+        for p in (trivial, fb, bb):
+            for mode in BisimMode:
+                is_bisimulation(crn, p, mode)
+                witnesses += find_counterexample(crn, p, mode) is not None
+            is_ordinarily_lumpable(crn, p)
+            is_exactly_lumpable(crn, p)
+            witnesses += ordinary_lumpability_witness(crn, p) is not None
+            witnesses += exact_lumpability_witness(crn, p) is not None
+        format_vector_field(vector_field(crn))
+    assert witnesses > 100
+    assert gc.collect() == 0

@@ -6,6 +6,7 @@ import pytest
 
 from crnlump import (
     CRN,
+    CRNError,
     ParseError,
     Partition,
     PartitionError,
@@ -558,13 +559,15 @@ class TestPartitionFromInits:
             assert p == Partition(net.species, groups.values())
             assert_checked_alike(p)
 
-    def test_a_missing_species_raises_key_error(self, crn):
+    def test_a_missing_species_raises_crn_error_naming_it(self, crn):
         # An InitialCondition built directly need not hold every species.
         first, *rest = crn.species
         v0 = InitialCondition(species=crn.species, values={sp: Fraction(1) for sp in rest})
-        with pytest.raises(KeyError) as err:
-            partition_from_initial_conditions(v0)
-        assert err.value.args == (first,)
+        for read in (partition_from_initial_conditions, InitialCondition.as_array):
+            with pytest.raises(CRNError) as err:
+                read(v0)
+            assert str(err.value) == f"initial condition has no value for species {first.name}"
+            assert err.value.__suppress_context__
 
     def test_values_of_other_number_types_group_as_they_compare(self, crn):
         # An InitialCondition built directly may hold ints and floats.
