@@ -11,16 +11,19 @@ reaction list alone:
 Two species are equivalent under a partition exactly when their
 signatures under it are equal.  One core, ``_Signatures``, keeps them in
 both modes, over rows that a mode (``_Forward``, ``_Backward``) reads
-from a rate table of :mod:`crnlump.core`.  A table holds each rate times
-L, the lcm of the rate denominators, as an int, so every sum is exact;
-witness values are divided by L.  A row reads some species, holds
-entries, a dict from species to value, and is keyed from the block
-labels of what it reads.  A signature is a static part and ``sums``: per
-key, the sum of the species' values in the rows under it, zeros dropped.
-Forward, a row is an entry of :func:`crnlump.core.forward_table`: it
-reads the product ``y``, holds the producer's rate, and is keyed
-``(partner + 1) * n + label of y`` for ``n`` species; the static part is
-the reaction rate per partner.  Backward, a row is a reactant multiset of
+from a rate table.  A table holds each rate times L, the lcm of the rate
+denominators, as an int, so every sum is exact; witness values are
+divided by L.  A row reads some species, holds entries, a dict from
+species to value, and is keyed from the block labels of what it reads.
+A signature is a static part and ``sums``: per key, the sum of the
+species' values in the rows under it, zeros dropped.  Forward, the table
+is the mode's own, built from the integer reaction list
+(:func:`crnlump.core.scaled_reactions`) for one refinement or decision
+and dropped with its signatures: a row is one production entry, it reads
+the product ``y``, holds the producer's rate, and is keyed ``(partner +
+1) * n + label of y`` for ``n`` species; the static part is the reaction
+rate per partner.  ``_Forward`` alone packs and decodes these keys.
+Backward, a row is a reactant multiset of the network's kept
 :func:`crnlump.core.flux_table`: it reads the reactants (the table's
 key), holds the table's row of net fluxes as it is, and is keyed by the
 class of its lift to blocks by ``core._lift``.
@@ -73,8 +76,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, EMPTY_PARTNER, Partition, Species
-from .core import check_partition, flux_table, format_rational, forward_table
+from .core import CRN, Partition, Species
+from .core import check_partition, flux_table, format_rational, scaled_reactions
 from .core import _format_side, _lift, _nonzero, require_elementary
 
 __all__ = [
@@ -353,16 +356,55 @@ class _Signatures:
         return list(touched)
 
 
+# The partner of a unary reaction, the empty multiset; species ids are
+# nonnegative, so it never collides with one, and it packs as 0.
+EMPTY_PARTNER = -1
+
+
 class _Forward:
-    """Forward rows, one per entry of the forward table, owner by owner,
-    each holding ``{owner: rate}``.  The key ``(partner + 1) * n + label``
-    packs ``(partner, block label)`` as :func:`crnlump.core.forward_table`
-    packs ``(partner, y)``, and orders as the pair does; ``static`` is
-    ``crr_id``."""
+    """Forward rows, one per production entry, owner by owner, each
+    holding ``{owner: rate}``; ``static`` numbers each species' reaction
+    rates per partner.
+
+    The mode builds its table from the reaction list and keeps it only as
+    long as its signatures: ``_crr[x]`` maps each partner of species ``x``
+    to its reaction rate times L, the other reactant of a binary reaction,
+    ``x`` itself for ``2x``, :data:`EMPTY_PARTNER` for a unary reaction;
+    ``static[x]`` numbers the distinct ``_crr`` maps, so equal maps share
+    a number.  ``_prod[x]`` maps the packed key ``(partner + 1) * n + y``,
+    ``n`` the species count and ``y`` the product species id, to the
+    production rate times L.  No value is zero.  As ``y < n``, the packed
+    keys order as the ``(partner, y)`` pairs do, and ``divmod(key, n)``
+    gives back ``(partner + 1, y)``.  A row's key packs ``(partner, label
+    of y)`` alike, and so orders as that pair does.  Only this class packs
+    and decodes the keys."""
 
     def __init__(self, crn: CRN):
-        self.scale, self._crr, self.static, self._prod = forward_table(crn)
+        require_elementary(crn)
+        self.scale, rows = scaled_reactions(crn)
         self._species = crn.species
+        n = len(self._species)
+        crr: list[dict[int, int]] = [{} for _ in range(n)]
+        prod: list[dict[int, int]] = [{} for _ in range(n)]
+        for reactants, products, rate in rows:
+            if len(reactants) == 2:
+                (a, _), (b, _) = reactants
+                terms = ((a, b, rate), (b, a, rate))
+            else:
+                ((sid, mult),) = reactants
+                terms = ((sid, EMPTY_PARTNER if mult == 1 else sid, mult * rate),)
+            for x, partner, value in terms:
+                acc = crr[x]
+                acc[partner] = acc.get(partner, 0) + value
+                acc = prod[x]
+                base = (partner + 1) * n
+                for yid, mult in products:
+                    key = base + yid
+                    acc[key] = acc.get(key, 0) + value * mult
+        self._crr = [_nonzero(acc) for acc in crr]
+        ids: dict[tuple, int] = {}
+        self.static = [ids.setdefault(tuple(sorted(acc.items())), len(ids)) for acc in self._crr]
+        self._prod = [_nonzero(acc) for acc in prod]
 
     def fold(self, block_of):
         n, self._labels = len(self._species), list(block_of)
@@ -390,8 +432,8 @@ class _Forward:
         return self._base[e] + block_of[self._read[e]]
 
     def _partner(self, partner: int) -> str:
-        named = () if partner == EMPTY_PARTNER else ((self._species[partner].name, 1),)
-        return _format_side(named)
+        side = () if partner == EMPTY_PARTNER else ((partner, 1),)
+        return _format_side(side, [sp.name for sp in self._species])[1]
 
     def witness(self, sigs: _Signatures, p: Partition, x: Species, y: Species) -> tuple:
         diff = _first_difference(self._crr[x.id], self._crr[y.id])
@@ -440,12 +482,12 @@ class _Backward:
 
     def witness(self, sigs: _Signatures, p: Partition, x: Species, y: Species) -> tuple:
         cid, vx, vy = _first_difference(sigs.sums[x.id], sigs.sums[y.id])
+        by_id = [sp.name for sp in self._species]
+        # In name-term order; the keys are distinct, so no two terms tie.
         members = sorted(
-            tuple(sorted((self._species[sid].name, m) for sid, m in key))
-            for c, key in zip(self._row_class, self._keys)
-            if c == cid
+            _format_side(key, by_id) for c, key in zip(self._row_class, self._keys) if c == cid
         )
-        names = ", ".join(map(_format_side, members))
+        names = ", ".join(text for _, text in members)
         return f"cumulative flux over reactant class {{{names}}}", vx, vy
 
 

@@ -9,16 +9,16 @@ partition of another network.  ``_lift`` maps a reaction side through a
 block index and ``_representative_mask`` marks each block's
 representative, for every layer that needs either.
 
-Only this module turns reactions into integers, into three tables per
+Only this module turns reactions into integers, into two tables per
 network.  :func:`scaled_reactions` is the one integer reaction list:
 every reaction as its reactant and product ``(species id,
 multiplicity)`` pairs and its rate times L, the least common multiple of
 the rate denominators.  :func:`flux_table`, a network's net flux per
-reactant multiset, and :func:`forward_table`, each species' partner
-rates and production entries, are built from it.  The backward
-signatures, the vector field, the block sums and the integrator read the
-flux table; the forward signatures read the forward table; both quotient
-constructions and the printer read the reaction list.
+reactant multiset, is built from it.  The backward signatures, the
+vector field, the block sums and the integrator read the flux table;
+the forward signatures, both quotient constructions and the printer read
+the reaction list.  ``_format_side`` prints a side of it for every layer
+that prints one.
 :func:`require_elementary` is the check that the signatures need: every
 reaction has one or two reactant molecules.  Both parsers refuse every
 other reaction and build their networks marked elementary, so the check
@@ -40,15 +40,16 @@ list to ``CRN._from_scaled``, which also takes the private
 :func:`validate` and :func:`require_elementary` print a reaction they
 report from it.
 
-The flux and forward tables are built on the first call for a network
-and kept in a private slot of its :class:`CRN`; every later call returns
-the same object, so refinement, a reduction's check of a partition that
-refinement did not return, the reduction and the vector field share one
-build.  These slots take no part in equality or hashing, and nothing
-writes a table after it is built: a table is a tuple of tuples and of
-dicts (the flux table's rows, the forward table's maps), and no dict is
-changed after the build.  Two threads that race on a fresh network may both
-build a table; the builds are equal, and either one is kept.
+A network keeps only what two or more layers read: besides its reaction
+list, the flux table and the elementary mark are built on the first call
+for it and kept in private slots of its :class:`CRN`; every later call
+returns the same object, so refinement, a reduction's check of a
+partition that refinement did not return, the reduction and the vector
+field share one build.  These slots take no part in equality or
+hashing, and nothing writes a table after it is built: the flux table is
+a tuple of tuples and of dicts, and no dict is changed after the build.
+Two threads that race on a fresh network may both build the table or
+the mark; the builds are equal, and either one is kept.
 The ``_certified`` slot holds, per bisimulation mode, the last partition
 :func:`crnlump.bisim.refine` returned for the network; a racing thread
 can only replace it with another partition that refinement proved.
@@ -95,7 +96,6 @@ __all__ = [
     "validate",
     "scaled_reactions",
     "flux_table",
-    "forward_table",
     "require_elementary",
     "Partition",
     "check_partition",
@@ -104,9 +104,6 @@ __all__ = [
 ]
 
 Pairs = tuple[tuple[int, int], ...]
-# Partner slot used for the empty multiset in the forward table; species
-# ids are nonnegative so -1 never collides.
-EMPTY_PARTNER = -1
 
 
 class CRNError(Exception):
@@ -173,16 +170,23 @@ def format_rational(value: Fraction) -> str:
         raise CRNError(f"cannot print a number with more than {limit} digits") from None
 
 
-def _format_side(named: Iterable[tuple[str, int]]) -> str:
-    """A reaction side as text from its ``(name, multiplicity)`` terms: the
-    terms in name order joined by `` + ``, ``2A`` for multiplicity 2, and
-    ``0`` for the empty side.  Every printed side reads as this prints it;
-    :func:`~crnlump.io.serialize_crn` builds the same text itself, once per
-    distinct side."""
-    ordered = sorted(named)
-    if not ordered:
-        return "0"
-    return " + ".join(f"{m}{name}" if m > 1 else name for name, m in ordered)
+def _format_side(
+    pairs: Pairs, names: Sequence[str]
+) -> tuple[tuple[tuple[str, int], ...], str]:
+    """A reaction side's ``(name, multiplicity)`` terms in name order, the
+    sort key of a printed reaction, and its text: the terms in that order
+    joined by `` + ``, ``2A`` for multiplicity 2, and ``0`` for the empty
+    side.  ``pairs`` are the side's ``(species id, multiplicity)`` pairs
+    and ``names`` the species names by id.  Every printed side reads as
+    this prints it: a one-pair side straight from its name, a longer one
+    sorted once."""
+    if len(pairs) == 1:
+        ((sid, m),) = pairs
+        name = names[sid]
+        return ((name, m),), (f"{m}{name}" if m > 1 else name)
+    named = sorted([(names[sid], m) for sid, m in pairs])
+    text = " + ".join([f"{m}{name}" if m > 1 else name for name, m in named])
+    return tuple(named), text or "0"
 
 
 class CRN:
@@ -202,14 +206,14 @@ class CRN:
 
     A network holds its species and its integer reaction list (the
     ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
-    and hashes by the two.  The other tables are kept in the ``_flux``,
-    ``_forward`` and ``_elementary`` slots, and the partitions that
-    refinement proved in ``_certified``; ``species`` is read-only, so
+    and hashes by the two.  The flux table and the elementary mark are
+    kept in the ``_flux`` and ``_elementary`` slots, and the partitions
+    that refinement proved in ``_certified``; ``species`` is read-only, so
     none of them can go stale.
     """
 
     __slots__ = (
-        "_species", "_by_name", "_scaled", "_flux", "_forward", "_elementary", "_certified",
+        "_species", "_by_name", "_scaled", "_flux", "_elementary", "_certified",
     )
 
     def __init__(self, species: Sequence[Species], rows: Iterable[tuple]):
@@ -249,7 +253,7 @@ class CRN:
                 raise ValueError(f"duplicate species name {sp.name}")
             by_name[sp.name] = sp
         self._by_name = by_name
-        self._flux = self._forward = self._elementary = None
+        self._flux = self._elementary = None
         self._certified = {}
 
     @property
@@ -473,51 +477,6 @@ def _build_flux_table(crn: CRN):
     return scale, tuple(table), tuple(map(_nonzero, table.values()))
 
 
-def forward_table(crn: CRN):
-    """``(L, crr, crr_id, prod)``, the per-species part of the forward
-    signatures.  Raises :class:`CRNError` unless the network is
-    elementary (:func:`require_elementary`).
-
-    ``crr[x]`` maps each partner of species ``x`` to its reaction rate
-    times L: the other reactant of a binary reaction, ``x`` itself for
-    ``2x``, :data:`EMPTY_PARTNER` for a unary reaction.  ``crr_id[x]``
-    numbers the distinct ``crr`` maps, so equal maps share a number.
-    ``prod[x]`` maps the packed key ``(partner + 1) * n + y``, ``n`` the
-    species count and ``y`` the product species id, to the production
-    rate times L; :data:`EMPTY_PARTNER` packs as 0.  As ``y < n``, the
-    packed keys order as the ``(partner, y)`` pairs do, and ``divmod(key,
-    n)`` gives back ``(partner + 1, y)``.  No value is zero.
-    """
-    return _memo(crn, "_forward", _build_forward_table)
-
-
-def _build_forward_table(crn: CRN):
-    require_elementary(crn)
-    scale, rows = scaled_reactions(crn)
-    n = crn.n_species
-    crr: list[dict[int, int]] = [{} for _ in crn.species]
-    prod: list[dict[int, int]] = [{} for _ in crn.species]
-    for reactants, products, rate in rows:
-        if len(reactants) == 2:
-            (a, _), (b, _) = reactants
-            terms = ((a, b, rate), (b, a, rate))
-        else:
-            ((sid, mult),) = reactants
-            terms = ((sid, EMPTY_PARTNER if mult == 1 else sid, mult * rate),)
-        for x, partner, value in terms:
-            acc = crr[x]
-            acc[partner] = acc.get(partner, 0) + value
-            acc = prod[x]
-            base = (partner + 1) * n
-            for yid, mult in products:
-                key = base + yid
-                acc[key] = acc.get(key, 0) + value * mult
-    crr = [_nonzero(acc) for acc in crr]
-    ids: dict[tuple, int] = {}
-    crr_id = tuple(ids.setdefault(tuple(sorted(acc.items())), len(ids)) for acc in crr)
-    return scale, tuple(crr), crr_id, tuple(_nonzero(acc) for acc in prod)
-
-
 def _nonzero(values: dict) -> dict:
     """``values`` without its zero values; itself when it has none."""
     return {k: v for k, v in values.items() if v} if 0 in values.values() else values
@@ -536,12 +495,11 @@ def require_elementary(crn: CRN) -> None:
 
 def _reaction_text(crn: CRN, i: int) -> str:
     """The text of reaction ``i`` of the integer reaction list, ``A + B
-    ->(1/2) C``: each side as :func:`_format_side` prints it."""
+    ->(1/2) C``: each side as ``_format_side`` prints it."""
     scale, rows = scaled_reactions(crn)
     reactants, products, value = rows[i]
-    species = crn.species
-    lhs = _format_side((species[sid].name, m) for sid, m in reactants)
-    rhs = _format_side((species[sid].name, m) for sid, m in products)
+    names = [sp.name for sp in crn.species]
+    lhs, rhs = _format_side(reactants, names)[1], _format_side(products, names)[1]
     return f"{lhs} ->({format_rational(Fraction(value, scale))}) {rhs}"
 
 

@@ -69,6 +69,7 @@ from .core import (
     PartitionError,
     Species,
     _check_initial_condition,
+    _format_side,
     _no_value,
     _reaction_problems,
     _scale_rates,
@@ -484,7 +485,7 @@ def serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
     for reactants, products, value in rows:
         for pairs in (reactants, products):
             if pairs not in sides:
-                sides[pairs] = _named_side(pairs, names)
+                sides[pairs] = _format_side(pairs, names)
         if value not in rates:
             rates[value] = format_rational(Fraction(value, scale))
         (lhs, lhs_text), (rhs, rhs_text) = sides[reactants], sides[products]
@@ -497,20 +498,6 @@ def serialize_crn(crn: CRN, inits: InitialCondition | None = None) -> str:
             if value:
                 lines.append(f"init: {sp.name} = {format_rational(value)}")
     return "\n".join(lines) + "\n"
-
-
-def _named_side(pairs: Pairs, names: list[str]) -> tuple[tuple[tuple[str, int], ...], str]:
-    """A side's ``(name, multiplicity)`` terms in name order, the sort key
-    of a reaction line, and its text as :func:`~crnlump.core._format_side`
-    prints it: a one-pair side straight from its name, a longer one sorted
-    once."""
-    if len(pairs) == 1:
-        ((sid, m),) = pairs
-        name = names[sid]
-        return ((name, m),), (f"{m}{name}" if m > 1 else name)
-    named = sorted([(names[sid], m) for sid, m in pairs])
-    text = " + ".join([f"{m}{name}" if m > 1 else name for name, m in named])
-    return tuple(named), text or "0"
 
 
 def _net_blocks(text: str) -> dict[str, list[tuple[int, str]]]:

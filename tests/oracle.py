@@ -805,6 +805,38 @@ def reference_flux_table(crn: CRN) -> tuple[int, tuple, tuple[dict[int, int], ..
     return scale, tuple(key.ids() for key in sums), rows
 
 
+def reference_forward_table(crn: CRN) -> tuple[int, list, list, list]:
+    """``(L, crr, crr_id, prod)`` as ``crnlump.bisim._Forward`` keeps them
+    (``scale``, ``_crr``, ``static``, ``_prod``), reaction by reaction from
+    the :class:`Reaction` objects.  For each species x of a reaction's
+    reactants, its partner is the reactants less one x, numbered -1 when
+    empty and by its one species id otherwise; the reaction adds
+    ``reaction_rate``'s weight, times L, to ``crr[x][partner]``, and that
+    weight times each product's multiplicity to ``prod[x]`` under ``(partner
+    + 1) * n + product id``.  Zero sums are dropped; ``crr_id`` numbers the
+    distinct ``crr`` maps by first appearance in species order."""
+    reactions = reactions_of(crn)
+    n = crn.n_species
+    scale = lcm(*(rxn.rate.denominator for rxn in reactions))
+    crr: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    prod: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for rxn in reactions:
+        for x, _ in rxn.reactants:
+            partner = Multiset((sp, m - 1 if sp == x else m) for sp, m in rxn.reactants)
+            _check_partner(partner)
+            pid = next((sp.id for sp, _ in partner), -1)
+            weight = (partner.get(x) + 1) * rxn.rate * scale
+            crr[x.id][pid] = crr[x.id].get(pid, 0) + weight
+            for y, m in rxn.products:
+                key = (pid + 1) * n + y.id
+                prod[x.id][key] = prod[x.id].get(key, 0) + weight * m
+    crr = [{k: int(v) for k, v in acc.items() if v} for acc in crr]
+    prod = [{k: int(v) for k, v in acc.items() if v} for acc in prod]
+    numbers: dict[frozenset, int] = {}
+    crr_id = [numbers.setdefault(frozenset(acc.items()), len(numbers)) for acc in crr]
+    return scale, crr, crr_id, prod
+
+
 def reference_right_hand_side(*networks: CRN):
     """``y -> f(y)`` for the networks side by side, from the same flux
     tables as :func:`crnlump.sim._compile`: a ``csr_matrix`` built from

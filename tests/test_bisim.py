@@ -21,10 +21,11 @@ from crnlump import (
     partition_from_initial_conditions,
     random_crn,
     refine,
+    running_example,
     vector_field,
 )
 from crnlump.cli import main
-from crnlump.core import flux_table, forward_table
+from crnlump.core import flux_table
 from conftest import assert_checked_alike, blocks_of, copies, shuffled_chain
 from oracle import (
     Multiset,
@@ -40,6 +41,7 @@ from oracle import (
     reactant_classes,
     reaction_rate,
     reactions_of,
+    reference_forward_table,
 )
 
 
@@ -224,6 +226,45 @@ def _packed_key_ends():
             ({"A": 1, "X": 1}, 2, {"D": 1}),
         ],
     )
+
+
+def _forward_table_networks():
+    yield running_example()
+    for n in (1, 2, 3):
+        yield multisite(MultisiteSpec(n_sites=n))[0]
+    for seed in range(40):
+        yield random_crn(seed, 1 + seed % 9, seed % 17, (1, 2, Fraction(1, 3), Fraction(5, 2)))
+    # Homodimers (a partner that is the species itself), decays into
+    # nothing, and a rate of 0, whose entries are dropped.
+    yield _packed_key_ends()
+    yield make_crn(
+        ["A", "B", "C"],
+        [
+            ({"A": 2}, 1, {"A": 1, "B": 2}),
+            ({"A": 1}, Fraction(1, 2), {}),
+            ({"B": 2}, 3, {}),
+            ({"A": 1, "B": 1}, 1, {"A": 2}),
+            ({"C": 1}, 1, {"C": 1}),
+            ({"B": 1, "C": 1}, 0, {"A": 1}),
+        ],
+    )
+    yield make_crn(["A", "B"], [({"A": 2}, 1, {"B": 1}), ({"A": 1}, 1, {}), ({"B": 1}, 2, {})])
+
+
+def test_forward_table_equals_the_per_reaction_reference():
+    partners = set()
+    for net in _forward_table_networks():
+        forward = crnlump.bisim._Forward(net)
+        scale, crr, crr_id, prod = reference_forward_table(net)
+        assert (forward.scale, forward.static) == (scale, crr_id), net
+        # Item for item: the rows are laid out in the order of ``_prod``.
+        for kept, expected in ((forward._crr, crr), (forward._prod, prod)):
+            assert [list(acc.items()) for acc in kept] == [list(acc.items()) for acc in expected]
+        for x, acc in enumerate(crr):
+            partners.update(
+                "empty" if p == -1 else "self" if p == x else "other" for p in acc
+            )
+    assert partners == {"empty", "self", "other"}
 
 
 def test_forward_mode_never_builds_the_flux_table(crn, h_o, monkeypatch):
@@ -693,7 +734,7 @@ def _reading_new_pieces(net, mode, blocks, pieces):
     block_of = blocks.block_of
     if mode is BisimMode.FORWARD:
         n = net.n_species
-        prod = forward_table(net)[3]
+        prod = crnlump.bisim._Forward(net)._prod
         reading = {x for x in range(n) if any(block_of[key % n] in new for key in prod[x])}
     else:
         reading = {

@@ -3,15 +3,19 @@
 
 Each seeded case writes a valid network (the running example, multisite
 with at most three sites, or a random network with rates from 1e-30 to
-1e12), a random initial-condition file and a random partition file that
-mixes singletons with larger blocks, and runs one command on them with
-random numeric options, a few of them out of range.  Every run must end
-in a documented exit code (0 to 3) without an uncaught exception or a
-``Traceback`` on stderr, and no run may start a thread or a process.
+1e12), as a ``.crn`` text or, in about a quarter of the cases, as a
+BioNetGen ``.net`` text with its start values, a random
+initial-condition file and a random partition file that mixes singletons
+with larger blocks, and runs one command on them with random numeric
+options, a few of them out of range.  Every run must end in a documented
+exit code (0 to 3) without an uncaught exception or a ``Traceback`` on
+stderr, and no run may start a thread or a process.
 
 The solver's evaluation budget is lowered for these runs, so that a
 stiff case (a rate of 1e12 integrated to t=10) ends in the budget's exit
-3 after milliseconds instead of seconds.
+3 after milliseconds instead of seconds.  Every right-hand-side
+evaluation that reaches the solver is counted, and no integration may
+pass the budget.
 """
 
 import os
@@ -22,13 +26,14 @@ from fractions import Fraction
 
 import pytest
 
-from crnlump import MultisiteSpec, multisite, running_example, serialize_crn, sim
+from crnlump import MultisiteSpec, _rk45, multisite, running_example, serialize_crn, sim
 from crnlump.cli import main
-from crnlump.core import format_rational
+from crnlump.core import format_rational, scaled_reactions
+from crnlump.io import import_bngl_net
 from crnlump.models import random_crn
 
 CASES = 200
-BUDGET = 20_000
+BUDGET = 10_000
 
 RATES = tuple(Fraction(10) ** e for e in range(-30, 13))
 # 1e200 makes the first derivative's scaled norm overflow as the solver
@@ -45,6 +50,30 @@ def _network(rng):
         return multisite(MultisiteSpec(n_sites=rng.randint(1, 3)))
     pool = tuple(rng.sample(RATES, rng.randint(1, 4)))
     return random_crn(rng.getrandbits(32), rng.randint(1, 12), rng.randint(0, 20), pool), None
+
+
+def _net_text(crn, inits, rng):
+    """``crn`` as a BioNetGen ``.net`` text: each distinct rate a
+    parameter, each species its pattern and start value (from ``inits``,
+    or drawn), each reaction side its one-based species indices with a
+    species repeated by its multiplicity, ``0`` when empty."""
+    scale, rows = scaled_reactions(crn)
+    rates = list(dict.fromkeys(value for _, _, value in rows))
+    lines = ["begin parameters"]
+    for i, value in enumerate(rates, 1):
+        lines.append(f"  {i} k{i} {format_rational(Fraction(value, scale))}")
+    lines += ["end parameters", "begin species"]
+    for sp in crn.species:
+        value = inits.get(sp) if inits is not None else Fraction(rng.choice(VALUES))
+        lines.append(f"  {sp.id + 1} {sp.name} {format_rational(value)}")
+    lines += ["end species", "begin reactions"]
+
+    def side(pairs):
+        return ",".join(str(sid + 1) for sid, m in pairs for _ in range(m)) or "0"
+
+    for i, (lhs, rhs, value) in enumerate(rows, 1):
+        lines.append(f"  {i} {side(lhs)} {side(rhs)} k{rates.index(value) + 1}")
+    return "\n".join(lines + ["end reactions"]) + "\n"
 
 
 def _init_text(crn, rng):
@@ -125,19 +154,48 @@ def no_new_threads_or_processes(monkeypatch):
     monkeypatch.setattr(os, "posix_spawn", refuse("os.posix_spawn"), raising=False)
 
 
-def _fuzz(cases, tmp_path, capsys, monkeypatch):
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The lowered budget, and per integration of the current run the
+    right-hand-side evaluations of the ``fun`` that reaches the solver."""
     monkeypatch.setattr(sim, "_MAX_EVALUATIONS", BUDGET)
+    solve, counts = _rk45.solve, []
+
+    def counted_solve(fun, *args):
+        counts.append(0)
+
+        def counted(t, y):
+            counts[-1] += 1
+            return fun(t, y)
+
+        return solve(counted, *args)
+
+    monkeypatch.setattr(_rk45, "solve", counted_solve)
+    return counts
+
+
+def _fuzz(cases, tmp_path, capsys, evaluations):
     threads = threading.active_count()
-    files = tuple(str(tmp_path / name) for name in ("net.crn", "init.txt", "partition.txt"))
-    codes = {}
+    codes, integrated, net_done = {}, 0, 0
     for case in cases:
         rng = random.Random(case)
         crn, inits = _network(rng)
-        texts = (serialize_crn(crn, inits), _init_text(crn, rng), _partition_text(crn, rng))
+        as_net = rng.random() < 0.25
+        files = tuple(
+            str(tmp_path / name)
+            for name in ("net.net" if as_net else "net.crn", "init.txt", "partition.txt")
+        )
+        if as_net:
+            network = _net_text(crn, inits, rng)
+            inits = import_bngl_net(network)[1]
+        else:
+            network = serialize_crn(crn, inits)
+        texts = (network, _init_text(crn, rng), _partition_text(crn, rng))
         for path, text in zip(files, texts):
             with open(path, "w", encoding="utf-8") as out:
                 out.write(text)
         argv = _argv(rng, files, inits)
+        evaluations.clear()
         try:
             code = main(argv)
         except SystemExit as done:  # argparse refuses an option
@@ -148,15 +206,20 @@ def _fuzz(cases, tmp_path, capsys, monkeypatch):
         assert code in (0, 1, 2, 3), (case, argv, code, err)
         assert "Traceback" not in err, (case, argv, err)
         assert threading.active_count() == threads, (case, argv)
+        assert all(count <= BUDGET for count in evaluations), (case, argv, evaluations)
+        integrated += bool(evaluations)
+        net_done += as_net and code == 0
         codes[code] = codes.get(code, 0) + 1
-    # The cases reach the commands' work, not only their refusals.
+    # The cases reach the commands' work, not only their refusals, from
+    # both input formats, and the solver.
     assert codes.get(0, 0) > len(cases) // 3 and len(codes) == 4, codes
+    assert net_done > len(cases) // 16 and integrated > len(cases) // 8, (net_done, integrated)
 
 
-def test_structured_cli_fuzz(tmp_path, capsys, monkeypatch, no_new_threads_or_processes):
-    _fuzz(range(CASES), tmp_path, capsys, monkeypatch)
+def test_structured_cli_fuzz(tmp_path, capsys, evaluations, no_new_threads_or_processes):
+    _fuzz(range(CASES), tmp_path, capsys, evaluations)
 
 
 @pytest.mark.large
-def test_structured_cli_fuzz_large(tmp_path, capsys, monkeypatch, no_new_threads_or_processes):
-    _fuzz(range(CASES, CASES + 3000), tmp_path, capsys, monkeypatch)
+def test_structured_cli_fuzz_large(tmp_path, capsys, evaluations, no_new_threads_or_processes):
+    _fuzz(range(CASES, CASES + 3000), tmp_path, capsys, evaluations)

@@ -1,6 +1,8 @@
 """The integer tables of ``crnlump.core``: built once per network, shared
 by refinement, both reductions, the vector field and the lumpability
-checks, and never written after they are built."""
+checks, and never written after they are built.  The forward signatures'
+table is not among them: ``crnlump.bisim`` builds it per refinement or
+decision (``test_bisim.py`` checks it against a reference)."""
 
 import gc
 import random
@@ -47,7 +49,6 @@ FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 
 BUILDERS = {
     "flux_table": "_build_flux_table",
-    "forward_table": "_build_forward_table",
     "require_elementary": "_first_non_elementary",
 }
 
@@ -98,24 +99,24 @@ def _rebuilt(net):
 
 def test_every_table_is_built_once_per_network(builds):
     # Every network holds its integer reaction list from construction on;
-    # every other table is built once.  The parser has refused every
+    # the flux table and the elementary mark are built once.  The parser has refused every
     # reaction that is not elementary, so a parsed network never scans its
     # rows for one.
     crn = _parsed_example()
     _every_consumer(crn)
-    assert builds == {"flux_table": 1, "forward_table": 1, "require_elementary": 0}
+    assert builds == {"flux_table": 1, "require_elementary": 0}
     # An equal network parsed separately compares equal, although only one
     # of them has built its tables, and builds its own.
     twin = _parsed_example()
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
-    assert builds == {"flux_table": 2, "forward_table": 2, "require_elementary": 0}
+    assert builds == {"flux_table": 2, "require_elementary": 0}
     # So does a network built by CRN(species, rows), whose list is that of
     # the network it copies; it scans its rows once.
     rebuilt = _rebuilt(running_example())
     assert core.scaled_reactions(rebuilt) == core.scaled_reactions(running_example())
     _every_consumer(rebuilt)
-    assert builds == {"flux_table": 3, "forward_table": 3, "require_elementary": 1}
+    assert builds == {"flux_table": 3, "require_elementary": 1}
 
 
 def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
@@ -138,7 +139,7 @@ def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
     }
     for crn in parsed.values():
         core.require_elementary(crn)
-        core.forward_table(crn)
+        refine(crn, Partition.trivial(crn), FB)
         refine(crn, Partition.trivial(crn), BB)
 
 
@@ -161,19 +162,16 @@ def test_other_networks_still_scan_their_rows(builds):
 
 def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
     crn = _parsed_example()
-    names = ("flux_table", "forward_table")
-    first = {name: getattr(core, name)(crn) for name in names}
+    table = core.flux_table(crn)
     scaled = core.scaled_reactions(crn)
     _every_consumer(crn)
     _every_consumer(crn)
-    for name, table in first.items():
-        assert getattr(core, name)(crn) is table
-        assert table == getattr(core, BUILDERS[name])(crn)
+    assert core.flux_table(crn) is table
+    assert table == core._build_flux_table(crn)
     assert core.scaled_reactions(crn) is scaled
     fresh = _parsed_example()
     assert scaled == core.scaled_reactions(fresh)
-    assert first["flux_table"] == core.flux_table(fresh)
-    assert first["forward_table"] == core.forward_table(fresh)
+    assert table == core.flux_table(fresh)
 
 
 def _non_elementary(seed):
@@ -228,9 +226,9 @@ def _integrate_twice(crn):
 
 def test_integration_reads_the_shared_flux_table(builds):
     _integrate_twice(_parsed_example())
-    assert builds == {"flux_table": 1, "forward_table": 0, "require_elementary": 0}
+    assert builds == {"flux_table": 1, "require_elementary": 0}
     _integrate_twice(_rebuilt(running_example()))
-    assert builds == {"flux_table": 2, "forward_table": 0, "require_elementary": 0}
+    assert builds == {"flux_table": 2, "require_elementary": 0}
 
 
 def test_reduce_path_never_builds_reactions(tmp_path):
@@ -360,5 +358,4 @@ def test_threads_sharing_a_fresh_network_agree_with_a_serial_run():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [serial] * 8
-    for name in ("flux_table", "forward_table"):
-        assert getattr(core, name)(shared) == getattr(core, BUILDERS[name])(shared)
+    assert core.flux_table(shared) == core._build_flux_table(shared)
