@@ -78,7 +78,7 @@ from fractions import Fraction
 
 from .core import CRN, Partition, Species
 from .core import check_partition, flux_table, format_rational, scaled_reactions
-from .core import _format_side, _lift, _nonzero, require_elementary
+from .core import _first_difference, _format_side, _lift, _nonzero, require_elementary
 
 __all__ = [
     "BisimMode",
@@ -114,16 +114,6 @@ class RefinementTrace:
     final: Partition
     passes: int
     predicate_calls: int
-
-
-def _first_difference(a: dict, b: dict) -> tuple[object, int, int] | None:
-    """First key, in key order, at which two ``key -> value`` maps
-    disagree, with both values (an absent key reads 0)."""
-    keys = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
-    if not keys:
-        return None
-    key = min(keys)
-    return key, a.get(key, 0), b.get(key, 0)
 
 
 # ---------------------------------------------------------------------------

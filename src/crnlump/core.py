@@ -5,9 +5,13 @@ partitions.  A partition carries one species-to-block index
 (``Partition.block_index``); every layer reads blocks from it, and the
 choice map that sends every species to the least member of its block is
 :meth:`Partition.representative`; :func:`check_partition` rejects a
-partition of another network.  ``_lift`` maps a reaction side through a
-block index and ``_representative_mask`` marks each block's
-representative, for every layer that needs either.
+partition of another network.  ``_lift`` is the one normal form of a
+multiset of ``(id, multiplicity)`` pairs (equal targets merged, zeros
+dropped, sorted): it keys a reaction side, lifts a side or a monomial to
+blocks, and serves every layer and both parsers.  ``_representative_mask``
+marks each block's representative, and ``_first_difference`` names the
+first key at which two signatures differ, for every layer that needs
+them.
 
 Only this module turns reactions into integers, into two tables per
 network.  :func:`scaled_reactions` is the one integer reaction list:
@@ -376,31 +380,11 @@ def _scale_rates(rates: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, [rate.numerator * factor[rate.denominator] for rate in rates]
 
 
-def _side_key(pairs: Sequence[tuple[int, int]]) -> Pairs:
-    """A reaction side's ``(species id, multiplicity)`` pairs as the
-    integer reaction list keeps them: equal ids merged, zero multiplicities
-    dropped, in id order; one or two pairs with nonzero multiplicities
-    (every elementary side) skip the dict."""
-    if len(pairs) == 1:
-        ((sid, mult),) = pairs
-        if mult:
-            return ((sid, mult),)
-    elif len(pairs) == 2:
-        (a, m), (b, n) = pairs
-        if m and n:
-            if a == b:
-                return ((a, m + n),)
-            return ((a, m), (b, n)) if a < b else ((b, n), (a, m))
-    acc: dict[int, int] = {}
-    for sid, mult in pairs:
-        if mult:
-            acc[sid] = acc.get(sid, 0) + mult
-    return tuple(sorted(acc.items()))
-
-
-def _checked_side_key(side: Pairs, species: Sequence[Species], i: int) -> Pairs:
-    """``_side_key(side)`` after checking each pair of ``side``, a side of
-    reaction ``i`` in a network of ``species``."""
+def _checked_side_key(
+    side: Pairs, species: Sequence[Species], every: list[int], i: int
+) -> Pairs:
+    """``side`` lifted by the identity index ``every`` after checking each
+    of its pairs, a side of reaction ``i`` in a network of ``species``."""
     n = len(species)
     for sid, mult in side:
         if not (isinstance(sid, int) and 0 <= sid < n):
@@ -410,7 +394,7 @@ def _checked_side_key(side: Pairs, species: Sequence[Species], i: int) -> Pairs:
                 f"reaction {i}: multiplicity {mult!r} of {species[sid].name} "
                 "is not a nonnegative int"
             )
-    return _side_key(side)
+    return _lift(side, every)
 
 
 def _scaled_rows(
@@ -422,16 +406,17 @@ def _scaled_rows(
     share one key."""
     keys: dict[Pairs, Pairs] = {}
     keyed = []
+    every = list(range(len(species)))
     for row in rows:
         # Inline lookups: a call per side would cost more than the keying.
         try:
             lhs, rate, rhs = row
             a = keys.get(lhs)
             if a is None:
-                a = keys[lhs] = _checked_side_key(lhs, species, len(keyed))
+                a = keys[lhs] = _checked_side_key(lhs, species, every, len(keyed))
             b = keys.get(rhs)
             if b is None:
-                b = keys[rhs] = _checked_side_key(rhs, species, len(keyed))
+                b = keys[rhs] = _checked_side_key(rhs, species, every, len(keyed))
         except (TypeError, ValueError):
             raise CRNError(
                 f"reaction {len(keyed)}: a row must be (reactant pairs, rate, product pairs), "
@@ -480,6 +465,16 @@ def _build_flux_table(crn: CRN):
 def _nonzero(values: dict) -> dict:
     """``values`` without its zero values; itself when it has none."""
     return {k: v for k, v in values.items() if v} if 0 in values.values() else values
+
+
+def _first_difference(a: dict, b: dict) -> tuple[object, int, int] | None:
+    """First key, in key order, at which two ``key -> value`` maps
+    disagree, with both values (an absent key reads 0)."""
+    keys = [k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)]
+    if not keys:
+        return None
+    key = min(keys)
+    return key, a.get(key, 0), b.get(key, 0)
 
 
 def require_elementary(crn: CRN) -> None:
@@ -651,25 +646,36 @@ def _representative_mask(p: Partition) -> list[bool]:
     return mask
 
 
-def _lift(pairs: Pairs, index: Sequence[int]) -> Pairs:
-    """A side's ``(species id, multiplicity)`` pairs, in any order, as
-    ``(block, multiplicity)`` pairs under the species-to-block ``index``,
-    in block order; none, one or two pairs (every elementary side) skip the
-    dict."""
-    if len(pairs) == 1:
-        ((sid, mult),) = pairs
-        return ((index[sid], mult),)
-    if len(pairs) == 2:
+def _lift(pairs: Sequence[tuple[int, int]], index: Sequence[int]) -> Pairs:
+    """The one normal form of a multiset of ``(id, multiplicity)`` pairs,
+    given in any order: each id mapped through ``index``, equal targets
+    merged, zero multiplicities dropped, in target order.  An identity
+    index keys a reaction side, and a species-to-block index lifts a side
+    or a monomial to blocks.  None, one or two pairs with nonzero
+    multiplicities (every elementary side) skip the dict.  A list index
+    is faster than a ``range``, which builds a new int per lookup."""
+    k = len(pairs)
+    if k == 2:
         (a, m), (b, n) = pairs
-        a, b = index[a], index[b]
-        if a == b:
+        if m and n:
+            a = index[a]
+            b = index[b]
+            if a < b:
+                return ((a, m), (b, n))
+            if a > b:
+                return ((b, n), (a, m))
             return ((a, m + n),)
-        return ((a, m), (b, n)) if a < b else ((b, n), (a, m))
-    if not pairs:
+    elif k == 1:
+        ((sid, mult),) = pairs
+        if mult:
+            return ((index[sid], mult),)
+    elif not k:
         return ()
     acc: dict[int, int] = {}
     for sid, mult in pairs:
-        acc[index[sid]] = acc.get(index[sid], 0) + mult
+        if mult:
+            target = index[sid]
+            acc[target] = acc.get(target, 0) + mult
     return tuple(sorted(acc.items()))
 
 
@@ -727,29 +733,25 @@ class InitialCondition:
         return cls(species=crn.species, values=values)
 
     def get(self, sp: Species) -> Fraction:
-        return self.values[sp]
+        """The value of ``sp``.  Raises :class:`CRNError` naming a species
+        that a directly built condition lacks (:meth:`from_map` gives every
+        species a value); every other reader goes through this one."""
+        try:
+            return self.values[sp]
+        except KeyError:
+            raise CRNError(f"initial condition has no value for species {sp.name}") from None
 
     def as_array(self) -> np.ndarray:
         import numpy as np
 
-        try:
-            return np.array([float(self.values[sp]) for sp in self.species])
-        except KeyError as err:
-            raise _no_value(err) from None
+        return np.array([float(self.get(sp)) for sp in self.species])
 
     def constant_on(self, p: Partition) -> bool:
         for block in p.blocks:
-            first = self.values[block[0]]
-            if any(self.values[sp] != first for sp in block[1:]):
+            first = self.get(block[0])
+            if any(self.get(sp) != first for sp in block[1:]):
                 return False
         return True
-
-
-def _no_value(err: KeyError) -> CRNError:
-    """The error for an :class:`InitialCondition`, built directly, that
-    lacks the species ``err`` names (:meth:`InitialCondition.from_map`
-    gives every species a value)."""
-    return CRNError(f"initial condition has no value for species {err.args[0].name}")
 
 
 def _check_initial_condition(crn: CRN, v0: InitialCondition) -> None:

@@ -70,11 +70,10 @@ from .core import (
     Species,
     _check_initial_condition,
     _format_side,
-    _no_value,
+    _lift,
     _reaction_problems,
     _scale_rates,
     _scaled_rows,
-    _side_key,
     format_rational,
     scaled_reactions,
 )
@@ -340,8 +339,9 @@ def _read_lines(text: str) -> tuple:
     for name, (lineno, _) in init_rows.items():
         if name not in ids:
             raise ParseError(f"undeclared species {name}", lineno)
+    every = list(range(len(header)))
     keys = {
-        text: _side_key([(ids[name], m) for name, m in pairs])
+        text: _lift([(ids[name], m) for name, m in pairs], every)
         for text, pairs in pairs_of.items()
     }
     return header, keys, lefts, rights, rates, values, init_rows
@@ -428,9 +428,10 @@ def _read_clean(text: str) -> tuple | None:
     except KeyError:
         return None
     keys: dict[str, Pairs] = {"0": ()}
+    every = list(range(len(header)))
     for width, group, found in groups:
         for side, terms in zip(group, zip(*[iter(map(id_pairs.__getitem__, found))] * width)):
-            keys[side] = _side_key(terms)
+            keys[side] = _lift(terms, every)
     return header, keys, lefts, rights, rates, values, init_rows
 
 
@@ -685,10 +686,6 @@ def partition_from_initial_conditions(v0: InitialCondition) -> Partition:
     faster than the ``Fraction``.  Raises :class:`CRNError` for a
     species without a value."""
     groups: dict[tuple[int, int], list[Species]] = {}
-    values = v0.values
-    try:
-        for sp in v0.species:
-            groups.setdefault(values[sp].as_integer_ratio(), []).append(sp)
-    except KeyError as err:
-        raise _no_value(err) from None
+    for sp in v0.species:
+        groups.setdefault(v0.get(sp).as_integer_ratio(), []).append(sp)
     return Partition._from_blocks(v0.species, groups.values())

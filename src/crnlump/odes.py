@@ -16,17 +16,22 @@ decides, as exact polynomial identities:
   holds exactly when the sum can be rewritten in block-sum variables.
   The sum is shear-invariant exactly when ``ds/dV_i == ds/dV_j``, since
   its derivative in ``t`` is that difference at the sheared point and a
-  rational polynomial in ``t`` is constant exactly when that vanishes;
-  so the check compares partial derivatives, one pass over the terms.
+  rational polynomial in ``t`` is constant exactly when that vanishes.
+  So the check builds one derivative signature per shared species (its
+  partial derivatives of every block sum) in one pass over the terms,
+  and compares the signatures within blocks: the forward differential
+  equivalence of Cardelli, Tribastone, Tschaikowski and Vandin (POPL
+  2016).
 
 Both checks read only the terms that a block of two or more species
 (a *shared* species) can change, and a partition of singletons returns
-before the flux table is built.  The exact check renames and transposes
-only the rows that hold a shared species, and only into the shared
-species' components: no other component is compared.  The ordinary check
-adds only the rows whose monomial holds a shared species, into every
-block's sum, singletons included: the partial derivatives in a shared
-species come from those rows alone.
+before the flux table is built.  The exact check lifts to blocks (by
+:func:`crnlump.core._lift`) and transposes only the rows that hold a
+shared species, and only into the shared species' components: no other
+component is compared.  The ordinary check adds only the rows whose
+monomial holds a shared species, into every block's sum, singletons
+included: the signature of a shared species comes from those rows
+alone.
 
 The corresponding lumped vector fields are constructed by
 :func:`lumped_field_forward` (block sums) and
@@ -45,6 +50,8 @@ from .core import (
     NotLumpableError,
     Partition,
     Species,
+    _first_difference,
+    _lift,
     _representative_mask,
     check_partition,
     flux_table,
@@ -179,26 +186,15 @@ def _polynomial(terms: dict[Monomial, int], scale: int) -> Polynomial:
     return Polynomial({mono: Fraction(val, scale) for mono, val in terms.items()})
 
 
-def _rename(mono: Monomial, rename: Sequence[int | None]) -> Monomial | None:
-    """``mono`` with variable ``v`` renamed to ``rename[v]``, exponents of
-    merged variables added; None when some target is None."""
-    powers: dict[int, int] = {}
-    for var, exp in mono:
-        target = rename[var]
-        if target is None:
-            return None
-        powers[target] = powers.get(target, 0) + exp
-    return tuple(sorted(powers.items()))
-
-
 def _terms(
     crn: CRN,
-    rename: Sequence[int] | None = None,
+    index: Sequence[int] | None = None,
     shared: Sequence[bool] | None = None,
 ) -> tuple[int, list[dict[Monomial, int] | None]]:
     """L and, per species, its vector-field component times L: the flux
-    table transposed.  With ``rename``, each row's monomial goes through
-    :func:`_rename` once; terms that cancel after merging are not stored.
+    table transposed.  With ``index``, a species-to-block index, each
+    row's monomial is lifted to blocks by :func:`crnlump.core._lift`
+    once; terms that cancel after merging are not stored.
     With ``shared`` (per species id, whether its block holds two or more
     species), only the rows that hold such a species are read, and only
     those species get a component; the others' are None."""
@@ -214,13 +210,13 @@ def _terms(
                     break
             else:
                 continue
-        if rename is not None:
-            mono = _rename(mono, rename)
+        if index is not None:
+            mono = _lift(mono, index)
         for sid, val in row.items():
             acc = terms[sid]
             if acc is not None:
                 acc[mono] = acc.get(mono, 0) + val
-    if rename is not None:
+    if index is not None:
         terms = [None if acc is None else {m: v for m, v in acc.items() if v} for acc in terms]
     return scale, terms
 
@@ -273,8 +269,7 @@ def _block_sums(
     block, terms that cancel not stored.  With ``shared`` (per species id,
     whether its block holds two or more species), only the rows whose
     monomial holds such a species are added, into every block's sum: the
-    sums' partial derivatives in those species come from these rows
-    alone."""
+    signatures of those species come from these rows alone."""
     scale, monomials, rows = flux_table(crn)
     sums: list[dict[Monomial, int]] = [{} for _ in p.blocks]
     for mono, row in zip(monomials, rows):
@@ -303,14 +298,6 @@ def _shared(p: Partition) -> list[bool] | None:
     return shared
 
 
-def _shear_pairs(p: Partition) -> list[tuple[int, int]]:
-    pairs = []
-    for block in p.blocks:
-        for a, b in zip(block, block[1:]):
-            pairs.append((a.id, b.id))
-    return pairs
-
-
 def is_ordinarily_lumpable(crn: CRN, p: Partition) -> bool:
     """Can every block's component sum be written in block-sum variables?
 
@@ -320,7 +307,9 @@ def is_ordinarily_lumpable(crn: CRN, p: Partition) -> bool:
     exact.  A sum ``s`` is invariant under the shear of ``(i, j)``
     exactly when ``ds/dV_i == ds/dV_j``, since over the rationals a
     polynomial in ``t`` is constant exactly when its derivative in ``t``
-    is zero; the check compares those partial derivatives.
+    is zero.  So each shared species gets one derivative signature, its
+    partial derivatives of every block sum, and the check compares the
+    signatures of consecutive members within each block.
     """
     return ordinary_lumpability_witness(crn, p) is None
 
@@ -335,47 +324,34 @@ def ordinary_lumpability_witness(
     return _shear_witness(_block_sums(crn, p, _shared(p))[1], p)
 
 
-def _partial_derivatives(
-    s: dict[Monomial, int], variables: set[int]
-) -> dict[int, dict[Monomial, int]]:
-    """The nonzero partial derivatives of ``s`` in ``variables``, as term
-    maps keyed by variable.  Distinct monomials have distinct derivatives
-    in one variable, so no terms merge and equal derivatives compare equal.
-    """
-    derivs: dict[int, dict[Monomial, int]] = {}
-    for mono, coef in s.items():
-        for k, (var, exp) in enumerate(mono):
-            if var in variables:
-                lowered = ((var, exp - 1),) if exp > 1 else ()
-                derivs.setdefault(var, {})[mono[:k] + lowered + mono[k + 1 :]] = coef * exp
-    return derivs
-
-
 def _shear_witness(
     sums: list[dict[Monomial, int]], p: Partition
 ) -> tuple[int, tuple[int, int]] | None:
-    """First shear pair, then first block, whose sum changes under it.
+    """First consecutive pair of a block, then first block, whose sum
+    changes under the pair's shear.
 
-    A sum that depends on neither variable of a pair does not change under
-    its shear, so each pair looks only at the blocks whose sums depend on
-    one of its variables, in ascending order.
+    Each shared species gets one signature, ``{(block index, lowered
+    monomial): coefficient times exponent}``: the partial derivatives of
+    the block sums in it.  Distinct monomials have distinct derivatives in
+    one variable, so no entries merge, and a sum changes under a shear
+    exactly when the pair's signatures differ under its block index; the
+    least differing key names the first such block.
     """
-    pairs = _shear_pairs(p)
-    sheared = {var for pair in pairs for var in pair}
-    derivs = []
-    # The blocks, ascending, whose sum depends on each sheared variable.
-    holders: dict[int, list[int]] = {}
+    shared = _shared(p) or [True] * len(p.species)
+    signature: list[dict | None] = [{} if held else None for held in shared]
     for block_idx, s in enumerate(sums):
-        d = _partial_derivatives(s, sheared)
-        derivs.append(d)
-        for var in d:
-            holders.setdefault(var, []).append(block_idx)
-    for i, j in pairs:
-        hi, hj = holders.get(i, []), holders.get(j, [])
-        for block_idx in hi if hi == hj else sorted({*hi, *hj}):
-            d = derivs[block_idx]
-            if d.get(i) != d.get(j):
-                return block_idx, (i, j)
+        for mono, coef in s.items():
+            for k, (var, exp) in enumerate(mono):
+                sig = signature[var]
+                if sig is not None:
+                    lowered = ((var, exp - 1),) if exp > 1 else ()
+                    sig[block_idx, mono[:k] + lowered + mono[k + 1 :]] = coef * exp
+    for block in p.blocks:
+        for a, b in zip(block, block[1:]):
+            sa, sb = signature[a.id], signature[b.id]
+            if sa != sb:
+                (block_idx, _), _, _ = _first_difference(sa, sb)
+                return block_idx, (a.id, b.id)
     return None
 
 
@@ -396,15 +372,19 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
             f"block sums are not expressible in block variables (block {{{members}}})"
         )
     # On the shear-invariant subspace, evaluating at "all block mass on the
-    # least member" is a right inverse of the block-sum map, so renaming
-    # each block's least member to the block variable and zeroing the rest
-    # recovers the block-sum polynomial exactly.  The renaming is one to
-    # one on the monomials it keeps, so no terms merge.
-    section = [idx if rep else None for rep, idx in zip(_representative_mask(p), p.block_index)]
+    # least member" is a right inverse of the block-sum map, so keeping the
+    # monomials over block representatives and lifting them to their blocks
+    # recovers the block-sum polynomial exactly.  The lift is one to one on
+    # the monomials kept, so no terms merge.
+    rep = _representative_mask(p)
     qspecies = quotient_species(p)
     components = {
         qspecies[idx]: _polynomial(
-            {m: val for mono, val in s.items() if (m := _rename(mono, section)) is not None},
+            {
+                _lift(mono, p.block_index): val
+                for mono, val in s.items()
+                if all(rep[var] for var, _ in mono)
+            },
             scale,
         )
         for idx, s in enumerate(sums)

@@ -269,7 +269,7 @@ def integrate(
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """CSV text: header of species names, one row per time point."""
-    lines = ["t," + ",".join(sp.name for sp in traj.species)]
+    lines = [",".join(["t", *(sp.name for sp in traj.species)])]
     for k in range(len(traj.times)):
         row = [repr(float(traj.times[k]))]
         row.extend(repr(float(v)) for v in traj.values[k])

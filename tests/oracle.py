@@ -40,6 +40,11 @@ Nothing here shares code with the signature tables of
   sides into the blocks and adds its rate to the row's fused sum;
 * ``reference_flux_table``, the flux table summed reaction by reaction
   from the ``Reaction`` objects;
+* ``reference_shear_witness``, the ordinary check's witness decided pair
+  by pair, as :mod:`crnlump.odes` decided it before it built one
+  derivative signature per species: for each consecutive pair of a block,
+  the first block sum whose partial derivatives in the pair's variables
+  differ;
 * ``reference_right_hand_side``, the integrator's right-hand side built
   with scipy's public sparse API, a ``csr_matrix`` times the vector of
   monomials, and ``reference_forward_report`` /
@@ -803,6 +808,35 @@ def reference_flux_table(crn: CRN) -> tuple[int, tuple, tuple[dict[int, int], ..
         for key, total in sums.items()
     )
     return scale, tuple(key.ids() for key in sums), rows
+
+
+def _partial_derivatives(s: dict, variables: set[int]) -> dict[int, dict]:
+    """The nonzero partial derivatives of the term map ``s`` in
+    ``variables``, as term maps keyed by variable."""
+    derivs: dict[int, dict] = {}
+    for mono, coef in s.items():
+        for k, (var, exp) in enumerate(mono):
+            if var in variables:
+                lowered = ((var, exp - 1),) if exp > 1 else ()
+                derivs.setdefault(var, {})[mono[:k] + lowered + mono[k + 1 :]] = coef * exp
+    return derivs
+
+
+def reference_shear_witness(
+    sums: list[dict], p: Partition
+) -> tuple[int, tuple[int, int]] | None:
+    """First consecutive pair of a block, then first block, whose sum
+    changes under the pair's shear: ``ds/dV_i != ds/dV_j``.  ``sums`` are
+    the block sums as integer term maps, ``{monomial: coefficient times
+    L}``, as ``crnlump.odes._block_sums`` gives them."""
+    pairs = [(a.id, b.id) for block in p.blocks for a, b in zip(block, block[1:])]
+    sheared = {var for pair in pairs for var in pair}
+    derivs = [_partial_derivatives(s, sheared) for s in sums]
+    for i, j in pairs:
+        for block_idx, d in enumerate(derivs):
+            if d.get(i) != d.get(j):
+                return block_idx, (i, j)
+    return None
 
 
 def reference_forward_table(crn: CRN) -> tuple[int, list, list, list]:

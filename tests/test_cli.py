@@ -208,6 +208,14 @@ def test_simulate_writes_csv(model, tmp_path):
     assert len(lines) == 6
 
 
+def test_simulate_without_species_writes_a_one_field_header(tmp_path, capsys):
+    # Empty species and reactions blocks: every row holds only the time.
+    empty = tmp_path / "empty.net"
+    empty.write_text("begin species\nend species\nbegin reactions\nend reactions\n")
+    assert main(["simulate", str(empty), "--t-end", "1", "--points", "3"]) == 0
+    assert capsys.readouterr().out == "t\n0.0\n0.5\n1.0\n"
+
+
 def test_simulate_requires_inits(tmp_path, capsys):
     bare = tmp_path / "bare.crn"
     bare.write_text("A -> B , 1\n")

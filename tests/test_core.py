@@ -400,22 +400,24 @@ def test_lift_multiset_accumulates(crn, h_e, h_o):
 
 
 def test_core_lift_equals_the_oracle_lift():
-    # Sides of 1-4 pairs in any order, the same species possibly twice,
-    # through random block indexes whose blocks often collect two of them.
+    # Sides of 0-4 pairs in any order, the same species possibly twice and
+    # multiplicities possibly zero, through ``range(n)`` (the key of a
+    # side) and through random block indexes whose blocks often collect two
+    # of them: always the oracle Multiset's normal form.
     rng = random.Random(19)
     species = [Species(i, f"S{i}") for i in range(6)]
+    targets = [Species(b, f"B{b}") for b in range(len(species))]
     for _ in range(3000):
         n_blocks = rng.randint(1, len(species))
-        index = [rng.randrange(n_blocks) for _ in species]
-        targets = [Species(b, f"B{b}") for b in range(n_blocks)]
         pairs = tuple(
-            (rng.randrange(len(species)), rng.randint(1, 3)) for _ in range(rng.randint(1, 4))
+            (rng.randrange(len(species)), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))
         )
-        expected = _lift(
-            Multiset((species[sid], m) for sid, m in pairs),
-            {sp: targets[index[sp.id]] for sp in species},
-        )
-        assert core._lift(pairs, index) == tuple((sp.id, m) for sp, m in expected)
+        for index in (range(len(species)), [rng.randrange(n_blocks) for _ in species]):
+            expected = _lift(
+                Multiset((species[sid], m) for sid, m in pairs),
+                {sp: targets[index[sp.id]] for sp in species},
+            )
+            assert core._lift(pairs, index) == tuple((sp.id, m) for sp, m in expected)
 
 
 # Reactant sides of 0-4 molecules: the mapping make_crn takes, the native

@@ -23,7 +23,7 @@ from crnlump import (
 )
 from crnlump.io import format_rational, parse_rational
 from crnlump.models import MultisiteSpec
-from crnlump.sim import InitialCondition
+from crnlump.sim import InitialCondition, verify_backward, verify_forward
 from conftest import assert_checked_alike, blocks_of
 from oracle import Multiset, reactions_of
 
@@ -563,7 +563,17 @@ class TestPartitionFromInits:
         # An InitialCondition built directly need not hold every species.
         first, *rest = crn.species
         v0 = InitialCondition(species=crn.species, values={sp: Fraction(1) for sp in rest})
-        for read in (partition_from_initial_conditions, InitialCondition.as_array):
+        discrete = Partition.discrete(crn)
+        readers = (
+            partition_from_initial_conditions,
+            InitialCondition.as_array,
+            lambda v: v.get(first),
+            lambda v: v.constant_on(Partition.trivial(crn)),
+            lambda v: verify_forward(crn, discrete, v, 1.0, 1e-6),
+            lambda v: verify_backward(crn, discrete, v, 1.0, 1e-6),
+            lambda v: serialize_crn(crn, inits=v),
+        )
+        for read in readers:
             with pytest.raises(CRNError) as err:
                 read(v0)
             assert str(err.value) == f"initial condition has no value for species {first.name}"

@@ -1,5 +1,7 @@
 import random as _random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 import sympy
@@ -29,10 +31,15 @@ from crnlump import (
 )
 from conftest import blocks_of, copies
 from crnlump import odes
-from crnlump.core import CRN, Species, require_elementary
+from crnlump.core import CRN, Species, require_elementary, scaled_reactions
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
-from oracle import accretion_depletion, partitions_refining, reactions_of
+from oracle import (
+    accretion_depletion,
+    partitions_refining,
+    reactions_of,
+    reference_shear_witness,
+)
 
 F = Fraction
 
@@ -563,6 +570,78 @@ class TestRestrictedChecks:
             assert exact_lumpability_witness(net, p) is None
             assert is_ordinarily_lumpable(net, p) and is_exactly_lumpable(net, p)
             assert net._flux is None
+
+
+def split_species(net, k):
+    """``net`` with every species split into ``k`` copies, and the
+    partition into each species' copies.  A reaction becomes one reaction
+    per multiset of copies its reactant molecules can take, its rate times
+    the number of ways to take it, with its products on the first copy.
+    So the block sums are ``net``'s field in the block-sum variables, with
+    squares such as ``(A_0 + A_1)^2``, and the partition is ordinarily
+    lumpable."""
+    species = [
+        Species(k * i + c, f"{sp.name}_{c}") for i, sp in enumerate(net.species) for c in range(k)
+    ]
+    scale, rows = scaled_reactions(net)
+    split = []
+    for reactants, products, value in rows:
+        molecules = [sid for sid, m in reactants for _ in range(m)]
+        ways = Counter(
+            tuple(sorted(k * sid + c for sid, c in zip(molecules, taken)))
+            for taken in product(range(k), repeat=len(molecules))
+        )
+        for side, count in ways.items():
+            split.append((
+                tuple((sid, 1) for sid in side),
+                F(value * count, scale),
+                tuple((k * sid, m) for sid, m in products),
+            ))
+    blocks = [species[k * i : k * i + k] for i in range(net.n_species)]
+    return CRN(species, split), Partition(species, blocks)
+
+
+class TestSignatureWitness:
+    def test_equals_the_pairwise_reference_beyond_sympy(self):
+        # The multisite family under its coarsest forward partition and
+        # under that partition with two blocks merged, and 300 random
+        # networks, half of them non-elementary (squares, cubes and
+        # reactant sides of up to four molecules) under mixed partitions
+        # whose larger blocks often hold three or more species.
+        rng = _random.Random(35)
+        cases = []
+        for n in range(1, 5):
+            net = multisite(MultisiteSpec(n_sites=n))[0]
+            fb = refine(net, Partition.trivial(net), BisimMode.FORWARD).final
+            blocks = list(fb.blocks)
+            i, j = sorted(rng.sample(range(len(blocks)), 2))
+            merged = [*blocks[:i], blocks[i] + blocks[j], *blocks[i + 1 : j], *blocks[j + 1 :]]
+            cases += [(net, fb), (net, Partition(net.species, merged))]
+        for seed in range(300):
+            if seed % 2:
+                net = random_crn(seed, 4 + seed % 9, 5 + seed % 13)
+                cases.append((net, refine(net, Partition.trivial(net), BisimMode.FORWARD).final))
+            else:
+                net = random_non_elementary(seed, 5 + seed % 6, 4 + seed % 10)
+            cases.append((net, mixed_partition(net, rng)))
+            if seed % 5 == 0:
+                # Lumpable with squares; merging two blocks may break it.
+                twin, p = split_species(net, 2 + seed % 3)
+                assert reference_shear_witness(odes._block_sums(twin, p)[1], p) is None
+                blocks = list(p.blocks)
+                cases.append((twin, p))
+                cases.append((twin, Partition(twin.species, [blocks[0] + blocks[1], *blocks[2:]])))
+        verdicts, squares_in_wide_blocks = set(), 0
+        for net, p in cases:
+            sums = odes._block_sums(net, p)[1]
+            expected = reference_shear_witness(sums, p)
+            assert odes._shear_witness(sums, p) == expected
+            assert ordinary_lumpability_witness(net, p) == expected
+            verdicts.add(expected is None)
+            squares = any(exp > 1 for s in sums for mono in s for _, exp in mono)
+            squares_in_wide_blocks += squares and max(map(len, p.blocks)) >= 3
+        assert verdicts == {True, False}
+        assert squares_in_wide_blocks > 50
 
 
 # ---------------------------------------------------------------------------
