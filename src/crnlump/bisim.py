@@ -28,6 +28,17 @@ Backward, a row is a reactant multiset of the network's kept
 key), holds the table's row of net fluxes as it is, and is keyed by the
 class of its lift to blocks by ``core._lift``.
 
+The backward mode reads any mass-action network: a reactant multiset
+may be empty (an inflow) or hold any number of molecules, as in the
+backward differential equivalence of Cardelli, Tribastone, Tschaikowski
+and Vandin (POPL 2016), which is defined for every polynomial ODE.  Its
+comparison is the one decision of exact lumpability:
+:mod:`crnlump.odes` asks :func:`find_counterexample` and
+:func:`is_bisimulation`.  Only the forward mode needs every reaction
+elementary, with one or two reactant molecules, since a partner is one
+species; ``_Forward`` checks each row as it unpacks it and raises a
+:class:`~crnlump.core.CRNError` naming the first other reaction.
+
 :func:`refine` works in passes and stops at the first pass that splits
 no block, or right after a split that leaves every block a singleton.
 The first pass buckets every block by signature.  Later passes follow
@@ -64,7 +75,9 @@ is O((m + n) log n).
 :func:`is_bisimulation` and :func:`find_counterexample` compare the
 signatures within each block; the witness names the first key at which
 two signatures differ (a partner or a (partner, block) pair forward, a
-reactant class backward) with both species' values there.
+reactant class backward) with both species' values there.  A partition
+of singletons is a bisimulation of either kind, of any network, and
+both return for it before any table is built or any reaction checked.
 :func:`is_bisimulation` accepts without signatures the partition that
 :func:`refine` last returned for the same network object and mode
 (recorded in its ``_certified`` slot), which refinement has just proved.
@@ -76,9 +89,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, Partition, Species
+from .core import CRN, CRNError, Partition, Species
 from .core import check_partition, flux_table, format_rational, scaled_reactions
-from .core import _first_difference, _format_side, _lift, _nonzero, require_elementary
+from .core import _first_difference, _format_side, _lift, _nonzero, _reaction_text
 
 __all__ = [
     "BisimMode",
@@ -370,19 +383,26 @@ class _Forward:
     and decodes the keys."""
 
     def __init__(self, crn: CRN):
-        require_elementary(crn)
         self.scale, rows = scaled_reactions(crn)
         self._species = crn.species
         n = len(self._species)
         crr: list[dict[int, int]] = [{} for _ in range(n)]
         prod: list[dict[int, int]] = [{} for _ in range(n)]
-        for reactants, products, rate in rows:
-            if len(reactants) == 2:
+        for i, (reactants, products, rate) in enumerate(rows):
+            # A partner is one species: the reactants must be one or two
+            # molecules (sides hold no zero multiplicity).
+            k = len(reactants)
+            if k == 2 and reactants[0][1] == reactants[1][1] == 1:
                 (a, _), (b, _) = reactants
                 terms = ((a, b, rate), (b, a, rate))
-            else:
+            elif k == 1 and reactants[0][1] <= 2:
                 ((sid, mult),) = reactants
                 terms = ((sid, EMPTY_PARTNER if mult == 1 else sid, mult * rate),)
+            else:
+                raise CRNError(
+                    f"reaction {i} ({_reaction_text(crn, i)}): not elementary: reactants "
+                    "must be one or two molecules"
+                )
             for x, partner, value in terms:
                 acc = crr[x]
                 acc[partner] = acc.get(partner, 0) + value
@@ -444,7 +464,6 @@ class _Backward:
     one lift, by first appearance; ``static`` is constant."""
 
     def __init__(self, crn: CRN):
-        require_elementary(crn)
         self.scale, self._keys, self._rows = flux_table(crn)
         self._species = crn.species
         self._class_of = {}
@@ -463,8 +482,9 @@ class _Backward:
         return [_nonzero(acc) for acc in sums]
 
     def rows(self, blocks: _Blocks):
-        # One or two reactant pairs: the network is elementary.
-        reads = ((k[0][0], k[1][0]) if len(k) == 2 else (k[0][0],) for k in self._keys)
+        # Any number of reactant pairs: none for an inflow, three or more
+        # for a reaction of three or more species.
+        reads = ([sid for sid, _ in k] for k in self._keys)
         return reads, self._rows, self._row_class
 
     def rekey(self, e: int, block_of) -> int:
@@ -502,11 +522,14 @@ def _first_split(sigs, p: Partition) -> tuple[Species, Species] | None:
 def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
     """True iff all species sharing a block are mode-equivalent under ``p``.
 
-    The partition that :func:`refine` last returned for this network
-    object in this mode is one by construction and is not checked again;
-    every other partition is decided from its signatures.
+    A partition of singletons is one, and so is the partition that
+    :func:`refine` last returned for this network object in this mode;
+    neither is checked.  Every other partition is decided from its
+    signatures.
     """
     check_partition(crn, p)
+    if len(p.blocks) == len(p.species):
+        return True
     certified = crn._certified.get(mode)
     if certified is not None and (certified is p or certified == p):
         return True
@@ -556,6 +579,8 @@ def find_counterexample(
     equivalence, with a human-readable witness taken from the first key
     at which their signatures differ; None when ``p`` is a bisimulation."""
     check_partition(crn, p)
+    if len(p.blocks) == len(p.species):
+        return None
     sigs = _signatures(crn, mode, p.block_index)
     pair = _first_split(sigs, p)
     if pair is None:

@@ -23,12 +23,12 @@ vector field, the block sums and the integrator read the flux table;
 the forward signatures, both quotient constructions and the printer read
 the reaction list.  ``_format_side`` prints a side of it for every layer
 that prints one.
-:func:`require_elementary` is the check that the signatures need: every
-reaction has one or two reactant molecules.  Both parsers refuse every
-other reaction and build their networks marked elementary, so the check
-scans the rows only of a network built another way.  ``_reaction_problems``
-states that rule and the positive rate once, for this check,
-:func:`validate` and both parsers.  Rates become integers only in
+A network carries no mark of whether its reactions are elementary (one
+or two reactant molecules each): only the forward signatures need that,
+and :mod:`crnlump.bisim` checks it as it unpacks each row, naming a
+reaction by ``_reaction_text``.  ``_reaction_problems`` states the
+reaction rule, a positive rate and one or two reactant molecules, once,
+for :func:`validate` and both parsers.  Rates become integers only in
 ``_scale_rates``.
 
 A network holds only its reaction list.  ``CRN(species, rows)`` builds
@@ -38,22 +38,21 @@ checks and keys each distinct side once and refuses, naming the
 reaction, a row it cannot read as one.  :func:`make_crn` and the
 generators call the constructor.  The ``.net`` importer keys its rows with ``_scaled_rows``
 too; it, the parser and both quotient constructions hand a finished
-list to ``CRN._from_scaled``, which also takes the private
-``elementary`` mark.
+list to ``CRN._from_scaled``.
 :func:`validate`, equality and hashing read the list, and
-:func:`validate` and :func:`require_elementary` print a reaction they
+:func:`validate` and the forward signatures print a reaction they
 report from it.
 
 A network keeps only what two or more layers read: besides its reaction
-list, the flux table and the elementary mark are built on the first call
-for it and kept in private slots of its :class:`CRN`; every later call
-returns the same object, so refinement, a reduction's check of a
-partition that refinement did not return, the reduction and the vector
-field share one build.  These slots take no part in equality or
-hashing, and nothing writes a table after it is built: the flux table is
-a tuple of tuples and of dicts, and no dict is changed after the build.
-Two threads that race on a fresh network may both build the table or
-the mark; the builds are equal, and either one is kept.
+list, the flux table is built on the first call for it and kept in a
+private slot of its :class:`CRN`; every later call returns the same
+object, so refinement, a reduction's check of a partition that
+refinement did not return, the reduction, the lumpability checks and the
+vector field share one build.  The slot takes no part in equality or
+hashing, and nothing writes the table after it is built: it is a tuple
+of tuples and of dicts, and no dict is changed after the build.
+Two threads that race on a fresh network may both build the table;
+the builds are equal, and either one is kept.
 The ``_certified`` slot holds, per bisimulation mode, the last partition
 :func:`crnlump.bisim.refine` returned for the network; a racing thread
 can only replace it with another partition that refinement proved.
@@ -78,8 +77,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from operator import itemgetter
+from math import inf, lcm
+from numbers import Real
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -100,7 +99,6 @@ __all__ = [
     "validate",
     "scaled_reactions",
     "flux_table",
-    "require_elementary",
     "Partition",
     "check_partition",
     "quotient_species",
@@ -210,15 +208,12 @@ class CRN:
 
     A network holds its species and its integer reaction list (the
     ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
-    and hashes by the two.  The flux table and the elementary mark are
-    kept in the ``_flux`` and ``_elementary`` slots, and the partitions
-    that refinement proved in ``_certified``; ``species`` is read-only, so
-    none of them can go stale.
+    and hashes by the two.  The flux table is kept in the ``_flux`` slot,
+    and the partitions that refinement proved in ``_certified``;
+    ``species`` is read-only, so neither can go stale.
     """
 
-    __slots__ = (
-        "_species", "_by_name", "_scaled", "_flux", "_elementary", "_certified",
-    )
+    __slots__ = ("_species", "_by_name", "_scaled", "_flux", "_certified")
 
     def __init__(self, species: Sequence[Species], rows: Iterable[tuple]):
         self._set_species(species)
@@ -230,18 +225,11 @@ class CRN:
         species: Sequence[Species],
         scale: int,
         rows: tuple[tuple[Pairs, Pairs, int], ...],
-        *,
-        elementary: bool = False,
     ) -> "CRN":
-        """The network whose :func:`scaled_reactions` are ``(scale, rows)``.
-        A caller that has already refused every reaction without one or two
-        reactant molecules passes ``elementary``, so that
-        :func:`require_elementary` need not scan the rows again."""
+        """The network whose :func:`scaled_reactions` are ``(scale, rows)``."""
         crn = cls.__new__(cls)
         crn._set_species(species)
         crn._scaled = (scale, rows)
-        if elementary:
-            crn._elementary = -1
         return crn
 
     def _set_species(self, species: Sequence[Species]) -> None:
@@ -257,7 +245,7 @@ class CRN:
                 raise ValueError(f"duplicate species name {sp.name}")
             by_name[sp.name] = sp
         self._by_name = by_name
-        self._flux = self._elementary = None
+        self._flux = None
         self._certified = {}
 
     @property
@@ -354,15 +342,6 @@ def _reaction_problems(rate: int | Fraction = 1, molecules: int = 1) -> tuple[st
     return problems
 
 
-def _memo(crn: CRN, slot: str, build):
-    """The table kept in ``slot`` of ``crn``, built by ``build`` on first use."""
-    table = getattr(crn, slot)
-    if table is None:
-        table = build(crn)
-        setattr(crn, slot, table)
-    return table
-
-
 def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:
     """L, the least common multiple of the rate denominators, and every
     reaction as ``(reactant pairs, product pairs, rate times L)``, each
@@ -443,7 +422,10 @@ def flux_table(crn: CRN) -> tuple[int, tuple[Pairs, ...], tuple[dict[int, int], 
     by the garbage collector, so the rows cost it nothing.  Reactions need
     not be elementary.
     """
-    return _memo(crn, "_flux", _build_flux_table)
+    table = crn._flux
+    if table is None:
+        table = crn._flux = _build_flux_table(crn)
+    return table
 
 
 def _build_flux_table(crn: CRN):
@@ -477,17 +459,6 @@ def _first_difference(a: dict, b: dict) -> tuple[object, int, int] | None:
     return key, a.get(key, 0), b.get(key, 0)
 
 
-def require_elementary(crn: CRN) -> None:
-    """Raise :class:`CRNError` naming the first reaction whose reactants are
-    not one or two molecules; the signatures are defined only for those."""
-    i = _memo(crn, "_elementary", _first_non_elementary)
-    if i >= 0:
-        raise CRNError(
-            f"reaction {i} ({_reaction_text(crn, i)}): not elementary: reactants must be "
-            "one or two molecules"
-        )
-
-
 def _reaction_text(crn: CRN, i: int) -> str:
     """The text of reaction ``i`` of the integer reaction list, ``A + B
     ->(1/2) C``: each side as ``_format_side`` prints it."""
@@ -496,15 +467,6 @@ def _reaction_text(crn: CRN, i: int) -> str:
     names = [sp.name for sp in crn.species]
     lhs, rhs = _format_side(reactants, names)[1], _format_side(products, names)[1]
     return f"{lhs} ->({format_rational(Fraction(value, scale))}) {rhs}"
-
-
-def _first_non_elementary(crn: CRN) -> int:
-    """Index of the first reaction without one or two reactant molecules,
-    or -1.  The rule is asked once per distinct molecule count."""
-    mult = itemgetter(1)
-    counts = [sum(map(mult, pairs)) for pairs, _, _ in scaled_reactions(crn)[1]]
-    bad = [counts.index(m) for m in set(counts) if _reaction_problems(molecules=m)]
-    return min(bad, default=-1)
 
 
 class Partition:
@@ -699,11 +661,26 @@ class InitialCondition:
 
     Values are kept as Fractions so that equal-initial-condition
     partitioning is exact; they are converted to floats only at
-    integration time.
+    integration time.  Every value, also of a directly built condition,
+    must be a finite real number (:class:`numbers.Real`) and not
+    negative: :class:`ValueError` otherwise, naming the species.
     """
 
     species: tuple[Species, ...]
     values: Mapping[Species, Fraction]
+
+    def __post_init__(self):
+        for sp, value in self.values.items():
+            # A Fraction or an int, what ``from_map`` and the parsers give,
+            # is finite; ``value != value`` holds for NaN alone.
+            if type(value) not in (Fraction, int) and (
+                not isinstance(value, Real) or value != value or value == inf
+            ):
+                raise ValueError(
+                    f"initial concentration {value!r} for {sp.name} is not a finite number"
+                )
+            if value < 0:
+                raise ValueError(f"negative initial concentration for {sp.name}")
 
     @classmethod
     def from_map(
@@ -721,10 +698,7 @@ class InitialCondition:
             if not isinstance(key, str) and key != sp:
                 # A species of another network is an unknown species here.
                 raise KeyError(f"unknown species {key.name}")
-            value = Fraction(raw)
-            if value < 0:
-                raise ValueError(f"negative initial concentration for {sp.name}")
-            values[sp] = value
+            values[sp] = Fraction(raw)
         fill = Fraction(default)
         if fill < 0:
             raise ValueError(f"negative initial concentration {fill} as the default")

@@ -40,8 +40,9 @@ inside brackets, takes the line reader; the texts :func:`serialize_crn`
 writes for names without such separators take the bulk reader.
 :func:`parse_crn` and :func:`import_bngl_net` build the network's
 integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
-marked elementary, since both refuse every other reaction, and
-:func:`serialize_crn` prints from it.
+and :func:`serialize_crn` prints from it.  Both refuse a reaction
+without one or two reactant molecules, by the rule of
+``core._reaction_problems``; the network carries no mark of it.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -459,7 +460,7 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         )
     )
     species = tuple(Species(i, name) for i, name in enumerate(names))
-    crn = CRN._from_scaled(species, scale, rows, elementary=True)
+    crn = CRN._from_scaled(species, scale, rows)
     inits = None
     if init_rows:
         inits = InitialCondition.from_map(
@@ -618,7 +619,7 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         product_ids = _net_indices(products_field, len(species), lineno)
         lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
         rows.append((lhs, rate, rhs))
-    crn = CRN._from_scaled(species, *_scaled_rows(rows, species), elementary=True)
+    crn = CRN._from_scaled(species, *_scaled_rows(rows, species))
     inits = InitialCondition.from_map(
         crn, {species[i]: concentrations[i] for i in range(len(species))}
     )

@@ -1,4 +1,5 @@
-"""Symbolic mass-action vector fields and exact lumpability checks.
+"""Symbolic mass-action vector fields, lumped fields and lumpability
+checks.
 
 All work here is on integer term maps, ``{monomial: coefficient times
 L}``, read from the flux table that the backward signatures read too
@@ -6,36 +7,39 @@ L}``, read from the flux table that the backward signatures read too
 key's row maps a species to that monomial's coefficient times L in the
 species' component.  L is the least common multiple of the rate
 denominators.  Only a printed or compared result divides by L, as a
-:class:`Polynomial` with exact rational coefficients.  This module
-decides, as exact polynomial identities:
+:class:`Polynomial` with exact rational coefficients.
 
-* exact lumpability -- after merging each block's variables into the
-  block representative, all components within a block must coincide;
-* ordinary (block-sum) lumpability -- each block's component sum must be
-  invariant under every within-block shear ``V_i += t, V_j -= t``, which
-  holds exactly when the sum can be rewritten in block-sum variables.
-  The sum is shear-invariant exactly when ``ds/dV_i == ds/dV_j``, since
-  its derivative in ``t`` is that difference at the sheared point and a
-  rational polynomial in ``t`` is constant exactly when that vanishes.
-  So the check builds one derivative signature per shared species (its
-  partial derivatives of every block sum) in one pass over the terms,
-  and compares the signatures within blocks: the forward differential
-  equivalence of Cardelli, Tribastone, Tschaikowski and Vandin (POPL
-  2016).
+Exact lumpability -- after merging each block's variables into the
+block representative, all components within a block coincide -- is
+backward bisimulation, and :mod:`crnlump.bisim` decides it for every
+mass-action network by comparing backward signatures:
+:func:`exact_lumpability_witness` is the pair that
+:func:`crnlump.bisim.find_counterexample` names, and
+:func:`lumped_field_backward` asks :func:`crnlump.bisim.is_bisimulation`
+before it merges the representatives' components.  The tests hold this
+decision to an independent reference that compares merged components.
 
-Both checks read only the terms that a block of two or more species
-(a *shared* species) can change, and a partition of singletons returns
-before the flux table is built.  The exact check lifts to blocks (by
-:func:`crnlump.core._lift`) and transposes only the rows that hold a
-shared species, and only into the shared species' components: no other
-component is compared.  The ordinary check adds only the rows whose
-monomial holds a shared species, into every block's sum, singletons
-included: the signature of a shared species comes from those rows
-alone.
+Ordinary (block-sum) lumpability is decided here, as an exact
+polynomial identity: each block's component sum must be invariant under
+every within-block shear ``V_i += t, V_j -= t``, which holds exactly
+when the sum can be rewritten in block-sum variables.  The sum is
+shear-invariant exactly when ``ds/dV_i == ds/dV_j``, since its
+derivative in ``t`` is that difference at the sheared point and a
+rational polynomial in ``t`` is constant exactly when that vanishes.  So
+the check builds one derivative signature per shared species (its
+partial derivatives of every block sum) in one pass over the terms, and
+compares the signatures within blocks: the forward differential
+equivalence of Cardelli, Tribastone, Tschaikowski and Vandin (POPL
+2016).  It reads only the terms that a block of two or more species (a
+*shared* species) can change, and a partition of singletons returns
+before the flux table is built: it adds only the rows whose monomial
+holds a shared species, into every block's sum, singletons included;
+the signature of a shared species comes from those rows alone.
 
 The corresponding lumped vector fields are constructed by
 :func:`lumped_field_forward` (block sums) and
-:func:`lumped_field_backward` (representative substitution); they and
+:func:`lumped_field_backward` (representative substitution, which
+builds only the representatives' components); they and
 :func:`vector_field` read every row.
 """
 
@@ -45,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from .bisim import BisimMode, find_counterexample, is_bisimulation
 from .core import (
     CRN,
     NotLumpableError,
@@ -187,36 +192,32 @@ def _polynomial(terms: dict[Monomial, int], scale: int) -> Polynomial:
 
 
 def _terms(
-    crn: CRN,
-    index: Sequence[int] | None = None,
-    shared: Sequence[bool] | None = None,
+    crn: CRN, p: Partition | None = None
 ) -> tuple[int, list[dict[Monomial, int] | None]]:
     """L and, per species, its vector-field component times L: the flux
-    table transposed.  With ``index``, a species-to-block index, each
-    row's monomial is lifted to blocks by :func:`crnlump.core._lift`
-    once; terms that cancel after merging are not stored.
-    With ``shared`` (per species id, whether its block holds two or more
-    species), only the rows that hold such a species are read, and only
-    those species get a component; the others' are None."""
+    table transposed.  With a partition ``p``, only the block
+    representatives get a component, the others' are None: each row that
+    holds a representative has its monomial lifted to blocks by
+    :func:`crnlump.core._lift` once, and terms that cancel after merging
+    are not stored."""
     scale, monomials, rows = flux_table(crn)
-    if shared is None:
+    if p is None:
         terms: list[dict[Monomial, int] | None] = [{} for _ in crn.species]
     else:
-        terms = [{} if held else None for held in shared]
+        terms = [{} if rep else None for rep in _representative_mask(p)]
     for mono, row in zip(monomials, rows):
-        if shared is not None:
+        if p is not None:
             for sid in row:
-                if shared[sid]:
+                if terms[sid] is not None:
                     break
             else:
                 continue
-        if index is not None:
-            mono = _lift(mono, index)
+            mono = _lift(mono, p.block_index)
         for sid, val in row.items():
             acc = terms[sid]
             if acc is not None:
                 acc[mono] = acc.get(mono, 0) + val
-    if index is not None:
+    if p is not None:
         terms = [None if acc is None else {m: v for m, v in acc.items() if v} for acc in terms]
     return scale, terms
 
@@ -233,9 +234,10 @@ def vector_field(crn: CRN) -> VectorField:
 def is_exactly_lumpable(crn: CRN, p: Partition) -> bool:
     """Does constancy across blocks propagate from states to derivatives?
 
-    Decided by substituting each species variable with its block
-    representative and comparing the resulting components within every
-    block as canonical integer term maps.
+    True exactly when ``p`` is a backward bisimulation: decided by
+    comparing the backward signatures within every block
+    (:func:`exact_lumpability_witness`), never by the certificate of
+    :func:`crnlump.bisim.refine`.
     """
     return exact_lumpability_witness(crn, p) is None
 
@@ -244,22 +246,10 @@ def exact_lumpability_witness(
     crn: CRN, p: Partition
 ) -> tuple[Species, Species] | None:
     """A within-block species pair whose components differ after merging
-    block variables; None when the partition is exactly lumpable."""
-    check_partition(crn, p)
-    if len(p.blocks) == len(p.species):
-        return None
-    return _exact_witness(_terms(crn, p.block_index, _shared(p))[1], p)
-
-
-def _exact_witness(
-    merged: list[dict[Monomial, int] | None], p: Partition
-) -> tuple[Species, Species] | None:
-    for block in p.blocks:
-        reference = merged[block[0].id]
-        for sp in block[1:]:
-            if merged[sp.id] != reference:
-                return block[0], sp
-    return None
+    block variables: the pair that :func:`crnlump.bisim.find_counterexample`
+    names in backward mode; None when the partition is exactly lumpable."""
+    pair = find_counterexample(crn, p, BisimMode.BACKWARD)
+    return None if pair is None else pair[:2]
 
 
 def _block_sums(
@@ -397,12 +387,13 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
 
     Keeps one component per block representative with every species
     variable replaced by its representative.  Raises
-    :class:`NotLumpableError` when the partition is not exactly lumpable.
+    :class:`NotLumpableError` when the partition is not exactly lumpable,
+    that is, not a backward bisimulation
+    (:func:`crnlump.bisim.is_bisimulation`).
     """
-    check_partition(crn, p)
-    scale, merged = _terms(crn, p.block_index)
-    if _exact_witness(merged, p) is not None:
+    if not is_bisimulation(crn, p, BisimMode.BACKWARD):
         raise NotLumpableError("partition is not exactly lumpable")
+    scale, merged = _terms(crn, p)
     qspecies = quotient_species(p)
     components = {
         qspecies[idx]: _polynomial(merged[block[0].id], scale)

@@ -196,10 +196,15 @@ def forward_reduce(crn: CRN, p: Partition) -> ReducedCRN:
     """
     if not is_bisimulation(crn, p, BisimMode.FORWARD):
         raise NotBisimulationError("partition is not a forward bisimulation")
-    is_rep = _representative_mask(p)
     scale, rows = scaled_reactions(crn)
+    if p.n_blocks == crn.n_species:
+        # Every species is a representative: every reaction is kept.  This
+        # partition alone is a forward bisimulation of any network.
+        return _quotient(p, BisimMode.FORWARD, scale, rows, rows)
+    is_rep = _representative_mask(p)
     # A reactant that is not its block's representative drops the reaction.
-    # A forward bisimulation's network is elementary: one or two reactant pairs.
+    # The signatures decided this partition, so the network is elementary:
+    # one or two reactant pairs.
     kept = [
         row
         for row in rows

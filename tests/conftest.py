@@ -56,6 +56,23 @@ def copies(net, k, unary=False):
     )
 
 
+def random_non_elementary(seed, n_species, n_reactions):
+    """Reactant sides of zero to four molecules drawn from the first half
+    of the species, so that the rest appear only as products.  A third of
+    the reactant molecules come back as products: catalysts, which are in
+    a monomial but not in its row."""
+    rng = random.Random(seed)
+    reactive = max(1, n_species // 2)
+    rows = []
+    for _ in range(n_reactions):
+        reactants = tuple((rng.randrange(reactive), 1) for _ in range(rng.randint(0, 4)))
+        products = [pair for pair in reactants if rng.random() < 1 / 3]
+        products += [(rng.randrange(n_species), 1) for _ in range(rng.randint(0, 3))]
+        rate = Fraction(rng.choice((1, 2, 3)), rng.choice((1, 2)))
+        rows.append((reactants, rate, tuple(products)))
+    return CRN([Species(i, f"S{i}") for i in range(n_species)], rows)
+
+
 @pytest.fixture
 def crn():
     return running_example()

@@ -39,7 +39,10 @@ Nothing here shares code with the signature tables of
   non-representative products to their reactant multiplicity, lifts both
   sides into the blocks and adds its rate to the row's fused sum;
 * ``reference_flux_table``, the flux table summed reaction by reaction
-  from the ``Reaction`` objects;
+  from the ``Reaction`` objects, and ``reference_exact_witness``, exact
+  lumpability decided from it as :mod:`crnlump.odes` decided it before
+  the backward signatures did: every component merged into the block
+  representatives and compared within blocks;
 * ``reference_shear_witness``, the ordinary check's witness decided pair
   by pair, as :mod:`crnlump.odes` decided it before it built one
   derivative signature per species: for each consecutive pair of a block,
@@ -63,6 +66,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Iterator
@@ -808,6 +812,34 @@ def reference_flux_table(crn: CRN) -> tuple[int, tuple, tuple[dict[int, int], ..
         for key, total in sums.items()
     )
     return scale, tuple(key.ids() for key in sums), rows
+
+
+@lru_cache(maxsize=4)
+def _kept_flux_table(crn: CRN):
+    return reference_flux_table(crn)
+
+
+def reference_exact_witness(crn: CRN, p: Partition) -> tuple[Species, Species] | None:
+    """First ``(block[0], member)`` pair whose vector-field components
+    differ once every variable is replaced by its block representative;
+    None when ``p`` is exactly lumpable.  The components are those of
+    ``reference_flux_table``, transposed, with each monomial merged into
+    the representatives by ``_lift_pairs`` and terms that cancel dropped.
+    Equal networks share one table, as brute force asks about many
+    partitions of one network."""
+    _, monomials, rows = _kept_flux_table(crn)
+    representative = {sp.id: block[0].id for block in p.blocks for sp in block}
+    merged: dict[int, dict] = {sp.id: {} for sp in crn.species}
+    for mono, row in zip(monomials, rows):
+        lifted = _lift_pairs(mono, representative)
+        for sid, val in row.items():
+            merged[sid][lifted] = merged[sid].get(lifted, 0) + val
+    merged = {sid: {m: v for m, v in terms.items() if v} for sid, terms in merged.items()}
+    for block in p.blocks:
+        for sp in block[1:]:
+            if merged[sp.id] != merged[block[0].id]:
+                return block[0], sp
+    return None
 
 
 def _partial_derivatives(s: dict, variables: set[int]) -> dict[int, dict]:

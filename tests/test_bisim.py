@@ -11,10 +11,12 @@ from crnlump import (
     CRNError,
     MultisiteSpec,
     Partition,
+    backward_reduce,
     find_counterexample,
     format_vector_field,
     forward_reduce,
     is_bisimulation,
+    lumped_field_backward,
     make_crn,
     multisite,
     parse_crn,
@@ -26,7 +28,14 @@ from crnlump import (
 )
 from crnlump.cli import main
 from crnlump.core import flux_table
-from conftest import assert_checked_alike, blocks_of, copies, shuffled_chain
+from crnlump.odes import exact_lumpability_witness
+from conftest import (
+    assert_checked_alike,
+    blocks_of,
+    copies,
+    random_non_elementary,
+    shuffled_chain,
+)
 from oracle import (
     Multiset,
     backward_equivalent,
@@ -41,6 +50,8 @@ from oracle import (
     reactant_classes,
     reaction_rate,
     reactions_of,
+    reference_backward_quotient,
+    reference_exact_witness,
     reference_forward_table,
 )
 
@@ -277,15 +288,106 @@ def test_forward_mode_never_builds_the_flux_table(crn, h_o, monkeypatch):
     assert find_counterexample(crn, h_o, BisimMode.FORWARD) is None
 
 
-@pytest.mark.parametrize("reactants", [{"A": 3}, {}], ids=["3A", "0"])
-def test_non_elementary_reaction_rejected_in_both_modes(mode, reactants):
-    # forward used to raise a bare ValueError and backward to answer
+NON_ELEMENTARY = pytest.mark.parametrize("reactants", [{"A": 3}, {}], ids=["3A", "0"])
+
+
+@NON_ELEMENTARY
+def test_non_elementary_reaction_rejected_forward(reactants):
+    # forward used to raise a bare ValueError; a partner is one species
     net = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1}), (reactants, 1, {"B": 1})])
     where = re.escape(f"reaction 1 ({reactions_of(net)[1]!r}): ")
     one = Partition.trivial(net)
     for decide in (refine, is_bisimulation, find_counterexample):
-        with pytest.raises(CRNError, match=f"^{where}not elementary"):
-            decide(net, one, mode)
+        with pytest.raises(
+            CRNError, match=f"^{where}not elementary: reactants must be one or two molecules$"
+        ):
+            decide(net, one, BisimMode.FORWARD)
+
+
+@NON_ELEMENTARY
+def test_non_elementary_reaction_decided_backward(reactants):
+    # backward bisimulation is defined for any reactant multiset
+    net = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1}), (reactants, 1, {"B": 1})])
+    one, bb = Partition.trivial(net), BisimMode.BACKWARD
+    assert refine(net, one, bb).final == brute_force_coarsest(net, one, bb)
+    pair = first_inequivalent_pair(net, one, bb)
+    assert pair is not None and not is_bisimulation(net, one, bb)
+    assert find_counterexample(net, one, bb)[:2] == pair
+
+
+def test_an_inflow_is_a_reactant_class_of_its_own():
+    # 0 -> A at rate 1 and 0 -> B at rate 2: A and B have equal fluxes from
+    # their own monomials, which lift to one class, and differ only in the
+    # class of the empty multiset, which no partition changes.
+    net = make_crn(
+        ["A", "B"],
+        [({}, 1, {"A": 1}), ({}, 2, {"B": 1}), ({"A": 1}, 1, {}), ({"B": 1}, 1, {})],
+    )
+    one = Partition.trivial(net)
+    assert refine(net, one, BisimMode.BACKWARD).final == Partition.discrete(net)
+    _, _, text = find_counterexample(net, one, BisimMode.BACKWARD)
+    assert text == "cumulative flux over reactant class {0}: A gives 1, B gives 2"
+    # With equal inflows the two are backward equivalent.
+    twin = make_crn(
+        ["A", "B"],
+        [({}, 1, {"A": 1}), ({}, 1, {"B": 1}), ({"A": 1}, 1, {}), ({"B": 1}, 1, {})],
+    )
+    one = Partition.trivial(twin)
+    assert refine(twin, one, BisimMode.BACKWARD).final == one
+
+
+def _coarsest_exactly_lumpable(net, initial):
+    """The coarsest partition refining ``initial`` that the merged-component
+    reference accepts, checked to be refined by every other one it accepts."""
+    accepted = [q for q in partitions_refining(initial) if reference_exact_witness(net, q) is None]
+    coarsest = min(accepted, key=lambda q: q.n_blocks)
+    assert all(q.refines(coarsest) for q in accepted)
+    return coarsest
+
+
+def _paired(twice, n):
+    """The partition of two copies of an ``n``-species network into
+    corresponding species, the first two pairs merged into one block."""
+    pairs = [[twice.species[i], twice.species[i + n]] for i in range(n)]
+    return Partition(twice.species, [pairs[0] + pairs[1], *pairs[2:]])
+
+
+def test_backward_refinement_on_non_elementary_networks_equals_both_oracles():
+    # 150 seeded networks with inflows and reactant sides of up to four
+    # molecules, and two disjoint copies of each, whose corresponding
+    # species are backward equivalent; then 30 six-species networks, whose
+    # reactant sides hold up to three species.  The brute force takes at
+    # most eight species, so a copy starts from its corresponding pairs,
+    # two of them merged, and every other copy of six species also from the
+    # trivial partition (its brute force takes most of the time).
+    bb = BisimMode.BACKWARD
+    seen = {"inflow": 0, "three species": 0, "coarser than discrete": 0}
+    for seed in range(180):
+        if seed < 150:
+            n = 3 + seed % 2
+            net = random_non_elementary(seed, n, 3 + seed % 6)
+            twice = copies(net, 2)
+            cases = [(net, Partition.trivial(net)), (twice, _paired(twice, n))]
+            if seed % 4 == 0:
+                cases.append((twice, Partition.trivial(twice)))
+        else:
+            net = random_non_elementary(seed, 6, 3 + seed % 6)
+            cases = [(net, Partition.trivial(net))]
+        for case, initial in cases:
+            final = refine(case, initial, bb).final
+            assert final == brute_force_coarsest(case, initial, bb), (seed, initial)
+            assert final == _coarsest_exactly_lumpable(case, initial), (seed, initial)
+            quotient = backward_reduce(case, final).crn
+            assert quotient == reference_backward_quotient(case, final), (seed, initial)
+            lumped = lumped_field_backward(case, final)
+            assert vector_field(quotient).components == lumped.components, (seed, initial)
+            seen["coarser than discrete"] += final.n_blocks < case.n_species
+        for q in partitions_refining(Partition.trivial(net)):
+            assert exact_lumpability_witness(net, q) == reference_exact_witness(net, q), seed
+        keys = flux_table(net)[1]
+        seen["inflow"] += () in keys
+        seen["three species"] += any(len(key) >= 3 for key in keys)
+    assert min(seen.values()) > 10, seen
 
 
 class TestRefine:
@@ -397,6 +499,29 @@ class TestSplitterRefinement:
             for initial in (Partition.trivial(net), split):
                 trace = refine(net, initial, mode)
                 assert (trace.final, trace.passes) == _oracle_result(net, initial, mode)
+
+    def test_backward_moves_read_every_reactant_of_any_network(self):
+        # Networks with inflows and reactant sides of up to four molecules
+        # of up to four species, alone and as two or three disjoint copies,
+        # from the trivial partition and from a seeded three-way split:
+        # the moves after a split that is not wide must reach the rows of
+        # a reactant side through each of its species, and the kept
+        # signatures must equal fresh ones after every pass.
+        bb = BisimMode.BACKWARD
+        passes = 0
+        for seed in range(60):
+            net = random_non_elementary(seed, 6 + seed % 9, 4 + seed % 13)
+            for case in (net, copies(net, 2 + seed % 2)):
+                labels = [(seed * 7 + 3 * sp.id) % 5 % 3 for sp in case.species]
+                split = Partition(
+                    case.species,
+                    [[sp for sp in case.species if labels[sp.id] == k] for k in set(labels)],
+                )
+                for initial in (Partition.trivial(case), split):
+                    trace = refine(case, initial, bb)
+                    assert (trace.final, trace.passes) == _oracle_result(case, initial, bb)
+                    passes += _check_kept_signatures(case, initial, bb)
+        assert passes > 100
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_full_pass_loop_on_multisite(self, n):

@@ -33,7 +33,7 @@ from crnlump import (
     verify_forward,
 )
 import crnlump.core as core
-from crnlump.core import require_elementary, scaled_reactions
+from crnlump.core import scaled_reactions
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from conftest import assert_checked_alike, blocks_of, shuffled_chain
 from oracle import Multiset, ReferenceCRN, _lift, reactions_of
@@ -263,22 +263,26 @@ NOT_ELEMENTARY = ": not elementary: reactants must be one or two molecules"
     ids=["3A", "A+B+C"],
 )
 def test_non_elementary_error_is_read_from_the_integer_list(reactions, message):
-    decisions = [
-        require_elementary,
-        lambda crn: refine(crn, Partition.trivial(crn), BisimMode.FORWARD),
-        lambda crn: refine(crn, Partition.trivial(crn), BisimMode.BACKWARD),
+    # Only the forward signatures need elementary reactions: every forward
+    # decision names the first other reaction, and backward refinement
+    # reads the network.
+    forward = [
+        lambda crn, p: refine(crn, p, BisimMode.FORWARD),
+        lambda crn, p: is_bisimulation(crn, p, BisimMode.FORWARD),
+        lambda crn, p: find_counterexample(crn, p, BisimMode.FORWARD),
     ]
-    for decide in decisions:
+    for decide in forward:
         crn = make_crn(["C", "B", "A", "D"], reactions)
         with pytest.raises(CRNError) as err:
-            decide(crn)
+            decide(crn, Partition.trivial(crn))
         assert str(err.value) == message + NOT_ELEMENTARY
+        assert refine(crn, Partition.trivial(crn), BisimMode.BACKWARD).final.n_blocks > 1
     # A network rebuilt from the oracle's Reaction objects prints the same
     # text, which is the text such an object prints.
     built = make_crn(["C", "B", "A", "D"], reactions)
     crn = ReferenceCRN(built.species, reactions_of(built))
     with pytest.raises(CRNError) as err:
-        require_elementary(crn)
+        refine(crn, Partition.trivial(crn), BisimMode.FORWARD)
     assert str(err.value) == message + NOT_ELEMENTARY
     assert message.endswith(f"({reactions_of(crn)[len(reactions) - 1]!r})")
 
@@ -447,11 +451,15 @@ def test_every_reader_applies_one_reaction_rule(side, rate):
 
     crn = make_crn(["A", "B", "C", "D"], [(reactants, rate, {"C": 1})])
     assert [v.rsplit(": ", 1)[1] for v in validate(crn)] == expected
+    # The forward signatures apply the molecule rule; the backward ones
+    # read any reaction.
+    one = Partition.trivial(crn)
     if 1 <= molecules <= 2:
-        require_elementary(crn)
+        refine(crn, one, BisimMode.FORWARD)
     else:
-        with pytest.raises(CRNError, match="not elementary"):
-            require_elementary(crn)
+        with pytest.raises(CRNError, match="^reaction 0 .*: not elementary: "):
+            refine(crn, one, BisimMode.FORWARD)
+    refine(crn, one, BisimMode.BACKWARD)
 
     native = f"species: A B C D\n{text} -> C , {rate}\n"
     net = (

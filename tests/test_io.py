@@ -579,6 +579,30 @@ class TestPartitionFromInits:
             assert str(err.value) == f"initial condition has no value for species {first.name}"
             assert err.value.__suppress_context__
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            (Fraction(-1), "negative initial concentration for A"),
+            (-0.5, "negative initial concentration for A"),
+            (float("-inf"), "negative initial concentration for A"),
+            ("x", "initial concentration 'x' for A is not a finite number"),
+            (None, "initial concentration None for A is not a finite number"),
+            (float("nan"), "initial concentration nan for A is not a finite number"),
+            (float("inf"), "initial concentration inf for A is not a finite number"),
+        ],
+        ids=["-1", "-0.5", "-inf", "x", "None", "nan", "inf"],
+    )
+    def test_a_bad_value_is_refused_when_built(self, crn, value, message):
+        # A directly built condition used to pass these: the partition
+        # grouped a negative value, ``'x'`` ended in a bare AttributeError
+        # and NaN in a bare ValueError, and ``serialize_crn`` wrote
+        # ``init: A = x``.
+        first, *rest = crn.species
+        values = {first: value, **{sp: Fraction(1) for sp in rest}}
+        with pytest.raises(ValueError) as err:
+            InitialCondition(species=crn.species, values=values)
+        assert str(err.value) == message
+
     def test_values_of_other_number_types_group_as_they_compare(self, crn):
         # An InitialCondition built directly may hold ints and floats.
         a, b, c, d, e = crn.species

@@ -15,6 +15,7 @@ from crnlump import (
     Polynomial,
     backward_reduce,
     format_polynomial,
+    find_counterexample,
     format_vector_field,
     forward_reduce,
     is_bisimulation,
@@ -29,15 +30,17 @@ from crnlump import (
     two_state,
     vector_field,
 )
-from conftest import blocks_of, copies
+from conftest import blocks_of, copies, random_non_elementary
 from crnlump import odes
-from crnlump.core import CRN, Species, require_elementary, scaled_reactions
+from crnlump.core import CRN, Species, scaled_reactions
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from oracle import (
     accretion_depletion,
+    brute_force_coarsest,
     partitions_refining,
     reactions_of,
+    reference_exact_witness,
     reference_shear_witness,
 )
 
@@ -58,7 +61,8 @@ def add_terms(acc, p, sign=1):
 @pytest.fixture
 def non_elementary():
     # Reactions with three reactant molecules: every check and lumped
-    # field reads them, though the bisimulations refuse them.
+    # field reads them, as backward bisimulation does; only forward
+    # bisimulation refuses them.
     return make_crn(
         ["A", "B", "C", "D"],
         [
@@ -438,8 +442,18 @@ class TestLumpedFields:
 
 class TestNonElementary:
     def test_network_is_not_elementary(self, non_elementary):
-        with pytest.raises(CRNError):
-            require_elementary(non_elementary)
+        # Forward bisimulation refuses the network; backward bisimulation,
+        # which is exact lumpability, decides it.
+        net = non_elementary
+        one = Partition.trivial(net)
+        with pytest.raises(CRNError) as err:
+            refine(net, one, BisimMode.FORWARD)
+        assert str(err.value) == (
+            "reaction 0 (3A ->(1) B): not elementary: reactants must be one or two molecules"
+        )
+        bb = refine(net, one, BisimMode.BACKWARD).final
+        assert bb == brute_force_coarsest(net, one, BisimMode.BACKWARD)
+        assert is_exactly_lumpable(net, bb) and not is_exactly_lumpable(net, one)
 
     def test_checks_agree_with_sympy(self, non_elementary):
         net = non_elementary
@@ -478,22 +492,6 @@ class TestNonElementary:
 # The checks read only the terms that a block of two or more species changes
 
 
-def random_non_elementary(seed, n_species, n_reactions):
-    """Reactant sides of zero to four molecules drawn from the first half
-    of the species, so that the rest appear only as products.  A third of
-    the reactant molecules come back as products: catalysts, which are in
-    a monomial but not in its row."""
-    rng = _random.Random(seed)
-    reactive = max(1, n_species // 2)
-    rows = []
-    for _ in range(n_reactions):
-        reactants = tuple((rng.randrange(reactive), 1) for _ in range(rng.randint(0, 4)))
-        products = [pair for pair in reactants if rng.random() < 1 / 3]
-        products += [(rng.randrange(n_species), 1) for _ in range(rng.randint(0, 3))]
-        rows.append((reactants, F(rng.choice((1, 2, 3)), rng.choice((1, 2))), tuple(products)))
-    return CRN([Species(i, f"S{i}") for i in range(n_species)], rows)
-
-
 def mixed_partition(net, rng):
     """Some species as singletons, the others in a few larger blocks."""
     ids = list(net.species)
@@ -506,10 +504,10 @@ def mixed_partition(net, rng):
 
 
 def full_table_witnesses(net, p):
-    """Both witnesses as computed from every term of the flux table."""
+    """Both witnesses as computed from every term of the flux table, the
+    exact one by the reference that merges components."""
     ordinary = odes._shear_witness(odes._block_sums(net, p)[1], p)
-    exact = odes._exact_witness(odes._terms(net, p.block_index)[1], p)
-    return ordinary, exact
+    return ordinary, reference_exact_witness(net, p)
 
 
 class TestRestrictedChecks:
@@ -569,6 +567,9 @@ class TestRestrictedChecks:
             assert ordinary_lumpability_witness(net, p) is None
             assert exact_lumpability_witness(net, p) is None
             assert is_ordinarily_lumpable(net, p) and is_exactly_lumpable(net, p)
+            for mode in BisimMode:
+                assert is_bisimulation(net, p, mode)
+                assert find_counterexample(net, p, mode) is None
             assert net._flux is None
 
 
@@ -666,12 +667,17 @@ class TestCorrespondences:
         assert not is_bisimulation(net, one, BisimMode.FORWARD)
 
     def test_backward_bisimulation_iff_exact_lumpability(self):
+        # Against the reference that merges vector-field components, which
+        # shares no code with the backward signatures.
+        verdicts = set()
         for seed in range(12):
             net = random_crn(seed, 4, 7)
             for p in partitions_refining(Partition.trivial(net)):
-                assert is_bisimulation(net, p, BisimMode.BACKWARD) == is_exactly_lumpable(
-                    net, p
-                )
+                exact = reference_exact_witness(net, p) is None
+                assert is_bisimulation(net, p, BisimMode.BACKWARD) == exact
+                assert is_exactly_lumpable(net, p) == exact
+                verdicts.add(exact)
+        assert verdicts == {True, False}
 
     def test_commuting_diagram_forward(self, crn, h_o):
         reduced = forward_reduce(crn, h_o)

@@ -267,6 +267,20 @@ class TestReducedInvariants:
             sp.name for sp in again.crn.species
         ]
 
+    def test_a_partition_of_singletons_reduces_any_network(self, mode):
+        # A partition of singletons is a bisimulation of either kind of any
+        # network, so neither reduction refuses an inflow or a reaction of
+        # three molecules under it: each quotient is the network itself.
+        net = make_crn(
+            ["A", "B", "C"],
+            [({}, 1, {"A": 1}), ({"A": 2, "B": 1}, 3, {"C": 1}), ({"C": 1}, 1, {})],
+        )
+        p = Partition.discrete(net)
+        reduce_fn = forward_reduce if mode is BisimMode.FORWARD else backward_reduce
+        assert reduce_fn(net, p).crn == net
+        lumped = lumped_field_forward if mode is BisimMode.FORWARD else lumped_field_backward
+        assert vector_field(net).components == lumped(net, p).components
+
     def test_zero_net_reactions_are_retained(self):
         # reactants == products alters partner rates even with zero flux
         net = make_crn(["A", "B"], [({"A": 1, "B": 1}, 2, {"A": 1, "B": 1})])

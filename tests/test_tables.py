@@ -47,10 +47,7 @@ from test_io import NET_FIXTURE
 
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 
-BUILDERS = {
-    "flux_table": "_build_flux_table",
-    "require_elementary": "_first_non_elementary",
-}
+BUILDERS = {"flux_table": "_build_flux_table"}
 
 
 @pytest.fixture
@@ -92,40 +89,40 @@ def _parsed_example():
 
 def _rebuilt(net):
     """An equal network built by ``CRN(species, rows)`` from the integer
-    reaction list of ``net``, with none of its tables or marks."""
+    reaction list of ``net``, with none of its tables."""
     scale, rows = core.scaled_reactions(net)
     return CRN(net.species, [(lhs, Fraction(value, scale), rhs) for lhs, rhs, value in rows])
 
 
 def test_every_table_is_built_once_per_network(builds):
     # Every network holds its integer reaction list from construction on;
-    # the flux table and the elementary mark are built once.  The parser has refused every
-    # reaction that is not elementary, so a parsed network never scans its
-    # rows for one.
+    # the flux table is built once, and a network keeps nothing else.
     crn = _parsed_example()
     _every_consumer(crn)
-    assert builds == {"flux_table": 1, "require_elementary": 0}
+    assert builds == {"flux_table": 1}
     # An equal network parsed separately compares equal, although only one
     # of them has built its tables, and builds its own.
     twin = _parsed_example()
     assert twin == crn and hash(twin) == hash(crn)
     _every_consumer(twin)
-    assert builds == {"flux_table": 2, "require_elementary": 0}
+    assert builds == {"flux_table": 2}
     # So does a network built by CRN(species, rows), whose list is that of
-    # the network it copies; it scans its rows once.
+    # the network it copies.
     rebuilt = _rebuilt(running_example())
     assert core.scaled_reactions(rebuilt) == core.scaled_reactions(running_example())
     _every_consumer(rebuilt)
-    assert builds == {"flux_table": 3, "require_elementary": 1}
+    assert builds == {"flux_table": 3}
+    assert [slot for slot in core.CRN.__slots__ if "elementary" in slot] == []
 
 
-def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
+def _is_elementary(crn):
+    """Whether every reaction of ``crn`` has one or two reactant molecules."""
+    return all(sum(m for _, m in r) in (1, 2) for r, _, _ in core.scaled_reactions(crn)[1])
+
+
+def test_parsed_networks_are_known_to_be_elementary():
     # Both parsers refuse a reaction without one or two reactant molecules,
-    # so the networks they build never scan their rows for one.
-    def refuse(crn):
-        raise AssertionError("rows scanned")
-
-    monkeypatch.setattr(core, "_first_non_elementary", refuse)
+    # so the networks they build pass the forward signatures' rule.
     text = serialize_crn(*multisite(MultisiteSpec(n_sites=3)))
     body = text.split("\n", 1)[1]
     parsed = {
@@ -138,26 +135,29 @@ def test_parsed_networks_are_known_to_be_elementary(monkeypatch):
         "import_bngl_net": import_bngl_net(NET_FIXTURE)[0],
     }
     for crn in parsed.values():
-        core.require_elementary(crn)
+        assert _is_elementary(crn)
         refine(crn, Partition.trivial(crn), FB)
         refine(crn, Partition.trivial(crn), BB)
 
 
-def test_other_networks_still_scan_their_rows(builds):
-    # make_crn and CRN(...) take rows that no parser has checked.
+def test_other_networks_still_scan_their_rows():
+    # make_crn and CRN(...) take rows that no parser has checked: the
+    # forward signatures scan them, every time they are built, and refuse
+    # the first reaction that is not elementary; the backward signatures
+    # read any reaction.
     for build in (running_example, lambda: _rebuilt(running_example())):
         crn = build()
-        core.require_elementary(crn)
-        core.require_elementary(crn)
-    assert builds["require_elementary"] == 2
-    bad = make_crn(["A", "B"], [({"A": 3}, 1, {"B": 1})])
+        refine(crn, Partition.trivial(crn), FB)
+        refine(crn, Partition.trivial(crn), FB)
+    bad = make_crn(["A", "B"], [({"A": 1}, 1, {"B": 1}), ({"A": 3}, 1, {"B": 1})])
     for crn in (bad, _rebuilt(bad)):
-        with pytest.raises(core.CRNError) as err:
-            refine(crn, Partition.trivial(crn), BB)
-        assert str(err.value) == (
-            "reaction 0 (3A ->(1) B): not elementary: reactants must be one or two molecules"
-        )
-    assert builds["require_elementary"] == 4
+        for _ in range(2):
+            with pytest.raises(core.CRNError) as err:
+                refine(crn, Partition.trivial(crn), FB)
+            assert str(err.value) == (
+                "reaction 1 (3A ->(1) B): not elementary: reactants must be one or two molecules"
+            )
+        assert refine(crn, Partition.trivial(crn), BB).final == Partition.discrete(crn)
 
 
 def test_tables_are_returned_unchanged_and_equal_a_fresh_build():
@@ -214,7 +214,7 @@ def test_flux_table_equals_the_per_reaction_reference():
         assert type(keys) is type(rows) is tuple and all(type(row) is dict for row in rows)
         # A dict of ints alone is left out of every garbage collection.
         assert not any(gc.is_tracked(row) for row in rows)
-        non_elementary += core._first_non_elementary(net) >= 0
+        non_elementary += not _is_elementary(net)
     assert non_elementary > 10
 
 
@@ -226,9 +226,9 @@ def _integrate_twice(crn):
 
 def test_integration_reads_the_shared_flux_table(builds):
     _integrate_twice(_parsed_example())
-    assert builds == {"flux_table": 1, "require_elementary": 0}
+    assert builds == {"flux_table": 1}
     _integrate_twice(_rebuilt(running_example()))
-    assert builds == {"flux_table": 2, "require_elementary": 0}
+    assert builds == {"flux_table": 2}
 
 
 def test_reduce_path_never_builds_reactions(tmp_path):
