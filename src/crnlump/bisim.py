@@ -32,12 +32,14 @@ The backward mode reads any mass-action network: a reactant multiset
 may be empty (an inflow) or hold any number of molecules, as in the
 backward differential equivalence of Cardelli, Tribastone, Tschaikowski
 and Vandin (POPL 2016), which is defined for every polynomial ODE.  Its
-comparison is the one decision of exact lumpability:
-:mod:`crnlump.odes` asks :func:`find_counterexample` and
-:func:`is_bisimulation`.  Only the forward mode needs every reaction
-elementary, with one or two reactant molecules, since a partner is one
-species; ``_Forward`` checks each row as it unpacks it and raises a
-:class:`~crnlump.core.CRNError` naming the first other reaction.
+comparison is the one decision of exact lumpability: :mod:`crnlump.odes`
+reads ``_violation`` and asks :func:`is_bisimulation`.  Only the forward
+mode needs every reaction elementary, with one or two reactant
+molecules, since a partner is one species.  This rule is stated once, in
+``_Forward``, which checks each row as it unpacks it and raises a
+:class:`~crnlump.core.CRNError` naming the first other reaction; the
+parsers, :func:`crnlump.core.validate` and every other layer read any
+reactant side.
 
 :func:`refine` works in passes and stops at the first pass that splits
 no block, or right after a split that leaves every block a singleton.
@@ -72,12 +74,15 @@ of one species do not count: the moves skip singletons, while a fold
 reads the whole table.  At most 2 log2(n) splits are wide, so the bound
 is O((m + n) log n).
 
-:func:`is_bisimulation` and :func:`find_counterexample` compare the
-signatures within each block; the witness names the first key at which
-two signatures differ (a partner or a (partner, block) pair forward, a
-reactant class backward) with both species' values there.  A partition
-of singletons is a bisimulation of either kind, of any network, and
-both return for it before any table is built or any reaction checked.
+Every decision of a given partition is ``_violation``: it compares the
+signatures within each block and returns them with the first pair that
+differs.  :func:`is_bisimulation` reads whether there is one, and
+:func:`find_counterexample` formats its witness from them, naming the
+first key at which the two signatures differ (a partner or a (partner,
+block) pair forward, a reactant class backward) with both species'
+values there.  A partition of singletons is a bisimulation of either
+kind, of any network, and ``_violation`` returns for it before any table
+is built or any reaction checked.
 :func:`is_bisimulation` accepts without signatures the partition that
 :func:`refine` last returned for the same network object and mode
 (recorded in its ``_certified`` slot), which refinement has just proved.
@@ -509,13 +514,23 @@ def _signatures(crn: CRN, mode: BisimMode, block_of):
 # Decisions and refinement
 
 
-def _first_split(sigs, p: Partition) -> tuple[Species, Species] | None:
-    """First ``(block[0], member)`` pair with different signatures."""
+def _violation(
+    crn: CRN, p: Partition, mode: BisimMode
+) -> tuple[_Signatures, Species, Species] | None:
+    """The signatures under ``p`` and the first within-block pair
+    ``(block[0], member)`` whose signatures differ; None when ``p`` is a
+    bisimulation of ``mode``.  Raises :class:`PartitionError` unless ``p``
+    partitions the species of ``crn``; a partition of singletons returns
+    None at once.  No witness text is built here."""
+    check_partition(crn, p)
+    if len(p.blocks) == len(p.species):
+        return None
+    sigs = _signatures(crn, mode, p.block_index)
     for block in p.blocks:
         first = sigs.key(block[0].id)
         for sp in block[1:]:
             if sigs.key(sp.id) != first:
-                return block[0], sp
+                return sigs, block[0], sp
     return None
 
 
@@ -527,13 +542,10 @@ def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
     neither is checked.  Every other partition is decided from its
     signatures.
     """
-    check_partition(crn, p)
-    if len(p.blocks) == len(p.species):
-        return True
     certified = crn._certified.get(mode)
     if certified is not None and (certified is p or certified == p):
         return True
-    return _first_split(_signatures(crn, mode, p.block_index), p) is None
+    return _violation(crn, p, mode) is None
 
 
 def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
@@ -578,14 +590,10 @@ def find_counterexample(
     """First within-block pair ``(block[0], member)`` violating the mode
     equivalence, with a human-readable witness taken from the first key
     at which their signatures differ; None when ``p`` is a bisimulation."""
-    check_partition(crn, p)
-    if len(p.blocks) == len(p.species):
+    found = _violation(crn, p, mode)
+    if found is None:
         return None
-    sigs = _signatures(crn, mode, p.block_index)
-    pair = _first_split(sigs, p)
-    if pair is None:
-        return None
-    x, y = pair
+    sigs, x, y = found
     what, *values = sigs.mode.witness(sigs, p, x, y)
     vx, vy = (format_rational(Fraction(v, sigs.mode.scale)) for v in values)
     return x, y, f"{what}: {x.name} gives {vx}, {y.name} gives {vy}"

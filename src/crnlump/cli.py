@@ -5,7 +5,8 @@ Every subcommand is a thin shell over the library.  Exit codes: 0 on
 success (and for ``check``/``compare``, when the property holds /
 the tolerance is met), 1 for parse errors, files that are missing,
 unreadable or not UTF-8, or a failed ``check``, 2 for invalid
-partitions, violated preconditions, invalid arguments (among them a
+partitions, violated preconditions (among them the forward mode on a
+reaction that is not elementary), invalid arguments (among them a
 ``simulate`` output grid of more than 10**7 values and ``gen random``
 sizes beyond the generator's guard) and results with numbers too long
 to print, 3 for integration failures, among them a run that needs more

@@ -23,13 +23,13 @@ vector field, the block sums and the integrator read the flux table;
 the forward signatures, both quotient constructions and the printer read
 the reaction list.  ``_format_side`` prints a side of it for every layer
 that prints one.
-A network carries no mark of whether its reactions are elementary (one
-or two reactant molecules each): only the forward signatures need that,
-and :mod:`crnlump.bisim` checks it as it unpacks each row, naming a
-reaction by ``_reaction_text``.  ``_reaction_problems`` states the
-reaction rule, a positive rate and one or two reactant molecules, once,
-for :func:`validate` and both parsers.  Rates become integers only in
-``_scale_rates``.
+A reaction may have any reactant side: none (an inflow), or any number
+of molecules.  A network carries no mark of whether its reactions are
+elementary (one or two reactant molecules each): only the forward
+signatures need that, and :mod:`crnlump.bisim` checks it as it unpacks
+each row, naming a reaction by ``_reaction_text``.  :func:`validate`
+and both parsers ask only for a positive rate.  Rates become integers
+only in ``_scale_rates``.
 
 A network holds only its reaction list.  ``CRN(species, rows)`` builds
 it from one row ``(reactant pairs, rate, product pairs)`` per reaction,
@@ -177,7 +177,7 @@ def _format_side(
 ) -> tuple[tuple[tuple[str, int], ...], str]:
     """A reaction side's ``(name, multiplicity)`` terms in name order, the
     sort key of a printed reaction, and its text: the terms in that order
-    joined by `` + ``, ``2A`` for multiplicity 2, and ``0`` for the empty
+    joined by `` + ``, ``2A`` for a multiplicity of two, ``0`` for the empty
     side.  ``pairs`` are the side's ``(species id, multiplicity)`` pairs
     and ``names`` the species names by id.  Every printed side reads as
     this prints it: a one-pair side straight from its name, a longer one
@@ -203,8 +203,8 @@ class CRN:
     n)``, a multiplicity that is not a nonnegative int, a rate of another
     type and a row of another shape are a :class:`CRNError` naming the
     first such reaction.
-    Positive rates and one or two reactant molecules are data checked by
-    :func:`validate`, not constructor failures.
+    A positive rate is data checked by :func:`validate`, not a
+    constructor failure.
 
     A network holds its species and its integer reaction list (the
     ``_scaled`` slot, what :func:`scaled_reactions` returns), and compares
@@ -316,30 +316,15 @@ def make_crn(
 def validate(crn: CRN) -> list[str]:
     """Check reaction-level invariants; return violations (empty = valid).
 
-    Violations are data, not failures: each entry names the offending
-    reaction.  Reads the integer reaction list.
+    Violations are data, not failures: each entry names a reaction whose
+    rate is not positive.  Any reactant side is valid.  Reads the integer
+    reaction list, and prints only a reported reaction.
     """
-    violations = []
-    for i, (reactants, _, value) in enumerate(scaled_reactions(crn)[1]):
-        problems = _reaction_problems(value, sum(m for _, m in reactants))
-        if problems:
-            # Only a reported reaction is printed: its text costs more
-            # than all of these checks.
-            where = f"reaction {i} ({_reaction_text(crn, i)})"
-            violations.extend(f"{where}: {problem}" for problem in problems)
-    return violations
-
-
-def _reaction_problems(rate: int | Fraction = 1, molecules: int = 1) -> tuple[str, ...]:
-    """What a reaction with ``rate`` and ``molecules`` reactant molecules
-    breaks of the reaction rule, in report order; empty when nothing.  A
-    caller that checks one part leaves the other at its passing default."""
-    problems = () if rate > 0 else ("rate must be positive",)
-    if molecules == 0:
-        return problems + ("reactants must contain at least one species",)
-    if molecules > 2:
-        return problems + ("reactants exceed multiplicity 2",)
-    return problems
+    return [
+        f"reaction {i} ({_reaction_text(crn, i)}): rate must be positive"
+        for i, (_, _, value) in enumerate(scaled_reactions(crn)[1])
+        if value <= 0
+    ]
 
 
 def scaled_reactions(crn: CRN) -> tuple[int, tuple[tuple[Pairs, Pairs, int], ...]]:

@@ -27,22 +27,24 @@ every term has bracket depth zero, every side does, so each cut and
 split was made at depth zero, where the bracket-counting scans make it.
 The bulk reader gives up at the first thing that is off: a term with a
 fault or a nonzero depth, a rate that does not parse or is not positive,
-a reactant side of neither one nor two molecules, an undeclared name, a
-line that is neither a reaction nor a header or ``init:`` line.  The line
-reader then reads the text again, one stripped line at a time, cutting
-and splitting with the bracket-counting scans, and raises each fault as
-it meets it.  The error order is its reading order: a line's reactants'
-syntax, its rate's, its products', the rate's sign, the reactant rule;
-after every line, an undeclared species at the first side that names
-one, then at the first ``init:`` line that does.  So a faulty text, and
-one with a first ``->`` or last ``,`` of a line or a ``+`` of a side
-inside brackets, takes the line reader; the texts :func:`serialize_crn`
-writes for names without such separators take the bulk reader.
+an undeclared name, a line that is neither a reaction nor a header or
+``init:`` line.  The line reader then reads the text again, one stripped
+line at a time, cutting and splitting with the bracket-counting scans,
+and raises each fault as it meets it.  The error order is its reading
+order: a line's reactants' syntax, its rate's, its products', the rate's
+sign; after every line, an undeclared species at the first side that
+names one, then at the first ``init:`` line that does.  So a faulty
+text, and one with a first ``->`` or last ``,`` of a line or a ``+`` of
+a side inside brackets, takes the line reader; the texts
+:func:`serialize_crn` writes for names without such separators take the
+bulk reader.
 :func:`parse_crn` and :func:`import_bngl_net` build the network's
 integer reaction list (:func:`crnlump.core.scaled_reactions`) directly,
-and :func:`serialize_crn` prints from it.  Both refuse a reaction
-without one or two reactant molecules, by the rule of
-``core._reaction_problems``; the network carries no mark of it.
+and :func:`serialize_crn` prints from it.  Both read any reactant side,
+an inflow's empty one (``0``) and one of three or more molecules
+included, and refuse only a rate that is not positive: only forward
+bisimulation needs elementary reactions, and :mod:`crnlump.bisim`
+checks that itself.
 
 The ``.net`` importer understands the fully enumerated
 parameters/species/reactions blocks written by BioNetGen 2.2.x and
@@ -72,7 +74,6 @@ from .core import (
     _check_initial_condition,
     _format_side,
     _lift,
-    _reaction_problems,
     _scale_rates,
     _scaled_rows,
     format_rational,
@@ -322,9 +323,8 @@ def _read_lines(text: str) -> tuple:
         if rate not in values:
             values[rate] = parse_rational(rate, lineno)
         right = side(rest[:comma], lineno)
-        problems = _reaction_problems(values[rate], sum(m for _, m in pairs_of[left]))
-        if problems:
-            raise ParseError(problems[0], lineno)
+        if values[rate] <= 0:
+            raise ParseError("rate must be positive", lineno)
         linenos.append(lineno)
         lefts.append(left)
         rights.append(right)
@@ -385,10 +385,9 @@ def _read_clean(text: str) -> tuple | None:
         if value <= 0:
             return None
 
-    reactants = set(lefts)
-    texts = reactants.union(rights)
+    texts = set(lefts).union(rights)
     texts.discard("0")
-    if "" in texts or "0" in reactants:
+    if "" in texts:
         return None
     # Each group: its texts' number of terms, the texts, and their terms.
     groups: list[tuple[int, list[str], list[str]]] = []
@@ -404,16 +403,6 @@ def _read_clean(text: str) -> tuple | None:
             except ParseError:
                 return None
         groups.append((pluses + 1, group, found))
-
-    # One or two terms of multiplicity one make one or two molecules, so
-    # only a reactant side with more terms or another multiplicity is
-    # counted.
-    heavy = {term for term, (_, m) in pairs.items() if m != 1}
-    for width, group, found in groups:
-        if width > 2 or not heavy.isdisjoint(found):
-            for side, terms in zip(group, zip(*[iter(found)] * width)):
-                if side in reactants and not 0 < sum([pairs[t][1] for t in terms]) <= 2:
-                    return None
 
     if header is None:
         pairs_of: dict[str, tuple] = {"0": ()}
@@ -441,9 +430,9 @@ def parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     condition when ``init:`` lines are present.
 
     Raises :class:`ParseError` with a line number on syntax errors and on
-    semantic ones (rate not positive, more than two reactant molecules,
-    species missing from an explicit ``species:`` header, a second
-    ``init:`` line for one species).
+    semantic ones (rate not positive, species missing from an explicit
+    ``species:`` header, a second ``init:`` line for one species).  A
+    reactant side may be empty (``0``) or hold any number of molecules.
     """
     # Each reader gives the species names in id order, each distinct side
     # text's key, each reaction line's reactant, product and rate texts,
@@ -561,9 +550,11 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
     concentrations come from the species block.  Rate expressions may be
     numeric literals, parameter names, or products of those.
 
-    Raises :class:`ParseError` with a line number on malformed lines and,
-    as :func:`parse_crn` does, on reactions with no or more than two
-    reactant molecules; also on a species pattern listed twice.
+    Raises :class:`ParseError` with a line number on malformed lines, on
+    a species pattern listed twice and, as :func:`parse_crn` does, on a
+    rate that is not positive.  A reaction line's rate is read and
+    checked first, then its reactant indices (``0`` for none, or any
+    number of them), then its product indices.
     """
     blocks = _net_blocks(text)
     if "species" not in blocks or "reactions" not in blocks:
@@ -609,15 +600,12 @@ def import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
             raise ParseError(f"bad reaction line {line!r}", lineno)
         _, reactants_field, products_field, rate_expr = tokens[:4]
         rate = _net_rate(rate_expr, params, lineno)
-        # The rate is checked before the reactant field is read.
-        problems = _reaction_problems(rate=rate)
-        if not problems:
-            reactant_ids = _net_indices(reactants_field, len(species), lineno)
-            problems = _reaction_problems(molecules=len(reactant_ids))
-        if problems:
-            raise ParseError(problems[0], lineno)
-        product_ids = _net_indices(products_field, len(species), lineno)
-        lhs, rhs = (tuple((i, 1) for i in ids) for ids in (reactant_ids, product_ids))
+        if rate <= 0:
+            raise ParseError("rate must be positive", lineno)
+        lhs, rhs = (
+            tuple((i, 1) for i in _net_indices(field, len(species), lineno))
+            for field in (reactants_field, products_field)
+        )
         rows.append((lhs, rate, rhs))
     crn = CRN._from_scaled(species, *_scaled_rows(rows, species))
     inits = InitialCondition.from_map(

@@ -13,11 +13,12 @@ Exact lumpability -- after merging each block's variables into the
 block representative, all components within a block coincide -- is
 backward bisimulation, and :mod:`crnlump.bisim` decides it for every
 mass-action network by comparing backward signatures:
-:func:`exact_lumpability_witness` is the pair that
-:func:`crnlump.bisim.find_counterexample` names, and
-:func:`lumped_field_backward` asks :func:`crnlump.bisim.is_bisimulation`
-before it merges the representatives' components.  The tests hold this
-decision to an independent reference that compares merged components.
+:func:`exact_lumpability_witness` is the pair of ``bisim._violation``,
+the decision behind :func:`crnlump.bisim.find_counterexample`, without
+its witness text, and :func:`lumped_field_backward` asks
+:func:`crnlump.bisim.is_bisimulation` before it merges the
+representatives' components.  The tests hold this decision to an
+independent reference that compares merged components.
 
 Ordinary (block-sum) lumpability is decided here, as an exact
 polynomial identity: each block's component sum must be invariant under
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bisim import BisimMode, find_counterexample, is_bisimulation
+from .bisim import BisimMode, _violation, is_bisimulation
 from .core import (
     CRN,
     NotLumpableError,
@@ -247,9 +248,10 @@ def exact_lumpability_witness(
 ) -> tuple[Species, Species] | None:
     """A within-block species pair whose components differ after merging
     block variables: the pair that :func:`crnlump.bisim.find_counterexample`
-    names in backward mode; None when the partition is exactly lumpable."""
-    pair = find_counterexample(crn, p, BisimMode.BACKWARD)
-    return None if pair is None else pair[:2]
+    names in backward mode, found without formatting its witness; None
+    when the partition is exactly lumpable."""
+    found = _violation(crn, p, BisimMode.BACKWARD)
+    return None if found is None else found[1:]
 
 
 def _block_sums(

@@ -4,8 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from crnlump import BisimMode, Partition, make_crn, running_example
+from crnlump import BisimMode, CRNError, Partition, make_crn, refine, running_example
 from crnlump.core import CRN, Species, scaled_reactions
+from oracle import brute_force_coarsest
+
+NOT_ELEMENTARY = "not elementary: reactants must be one or two molecules"
 
 
 def blocks_of(crn, *groups):
@@ -22,6 +25,18 @@ def assert_checked_alike(p):
     each block reversed."""
     q = Partition(p.species, [block[::-1] for block in p.blocks[::-1]])
     assert (p, hash(p), p.blocks, p.block_index) == (q, hash(q), q.blocks, q.block_index)
+
+
+def assert_only_forward_refuses(net, reaction):
+    """Forward ``refine`` of ``net`` from one block refuses with the exact
+    not-elementary text naming ``reaction`` (``"reaction i (text)"``), and
+    backward ``refine`` from one block equals the brute-force oracle."""
+    one = Partition.trivial(net)
+    with pytest.raises(CRNError) as err:
+        refine(net, one, BisimMode.FORWARD)
+    assert str(err.value) == f"{reaction}: {NOT_ELEMENTARY}"
+    bb = BisimMode.BACKWARD
+    assert refine(net, one, bb).final == brute_force_coarsest(net, one, bb)
 
 
 def shuffled_chain(n, seed):

@@ -630,9 +630,9 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     scans, and every side and reaction is an object from the start.
 
     Raises :class:`ParseError` with a line number on syntax errors and on
-    semantic ones (rate not positive, more than two reactant molecules,
-    species missing from an explicit ``species:`` header, a second
-    ``init:`` line for one species).
+    semantic ones (rate not positive, species missing from an explicit
+    ``species:`` header, a second ``init:`` line for one species).  A
+    reactant side may be empty or hold any number of molecules.
     """
     header: list[str] | None = None
     reaction_rows: list[tuple[int, Fraction, int]] = []
@@ -640,10 +640,9 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     order: list[str] = []
     seen: set[str] = set()
     # Distinct side texts in order of first appearance: each text maps to
-    # its index in ``sides``, which holds (pairs, molecule count, first
-    # line).  Distinct number texts map to their values.
+    # its index in ``sides``, which holds (pairs, first line).  Distinct number texts map to their values.
     side_index: dict[str, int] = {}
-    sides: list[tuple[list[tuple[str, int]], int, int]] = []
+    sides: list[tuple[list[tuple[str, int]], int]] = []
     numbers: dict[str, Fraction] = {}
 
     def note(name: str) -> None:
@@ -659,7 +658,7 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         if index is None:
             pairs = _parse_side(text, lineno)
             index = side_index[text] = len(sides)
-            sides.append((pairs, sum(m for _, m in pairs), lineno))
+            sides.append((pairs, lineno))
             for name, _ in pairs:
                 note(name)
         return index
@@ -709,11 +708,6 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         rhs = side(rhs_text[:comma], lineno)
         if rate <= 0:
             raise ParseError("rate must be positive", lineno)
-        total = sides[lhs][1]
-        if total == 0:
-            raise ParseError("reactants must contain at least one species", lineno)
-        if total > 2:
-            raise ParseError("reactants exceed multiplicity 2", lineno)
         reaction_rows.append((lhs, rate, rhs))
 
     names = header if header is not None else order
@@ -722,7 +716,7 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
         # Sides are in first-appearance order, left before right, so the
         # first one naming an undeclared species is on the first reaction
         # line that does.
-        for pairs, _, lineno in sides:
+        for pairs, lineno in sides:
             for name, _ in pairs:
                 if name not in declared:
                     raise ParseError(f"undeclared species {name}", lineno)
@@ -734,7 +728,7 @@ def reference_parse_crn(text: str) -> tuple[CRN, InitialCondition | None]:
     by_name = {sp.name: sp for sp in species}
     # Multisets are immutable, so reactions share one per distinct side.
     multisets = [
-        Multiset((by_name[n], m) for n, m in pairs) for pairs, _, _ in sides
+        Multiset((by_name[n], m) for n, m in pairs) for pairs, _ in sides
     ]
     reactions = [
         Reaction(multisets[lhs], rate, multisets[rhs])
@@ -1132,10 +1126,6 @@ def reference_import_bngl_net(text: str) -> tuple[CRN, InitialCondition]:
         if rate <= 0:
             raise ParseError("rate must be positive", lineno)
         reactant_ids = _net_indices(reactants_field, len(species), lineno)
-        if not reactant_ids:
-            raise ParseError("reactants must contain at least one species", lineno)
-        if len(reactant_ids) > 2:
-            raise ParseError("reactants exceed multiplicity 2", lineno)
         product_ids = _net_indices(products_field, len(species), lineno)
         reactions.append(
             Reaction(

@@ -27,6 +27,7 @@ from crnlump import (
     lumped_field_forward,
     multisite,
     multisite_block_count,
+    parse_crn,
     partition_from_initial_conditions,
     random_crn,
     refine,
@@ -35,6 +36,7 @@ from crnlump import (
     two_state,
 )
 from crnlump.cli import main
+from conftest import random_non_elementary
 from oracle import brute_force_coarsest, partitions_refining, reference_exact_witness
 
 F = Fraction
@@ -86,6 +88,10 @@ def model_file(tmp_path_factory):
 
 # 200 seed-deterministic networks, at most 6 species and 12 reactions each.
 SWEEP = [(seed, 3 + seed % 4, 1 + seed % 12) for seed in range(200)]
+# 100 more for criterion 5, with inflows and reactant sides of up to four
+# molecules, at most 5 species and 10 reactions each, read back from the
+# text the serializer writes.
+NON_ELEMENTARY_SWEEP = [(seed, 2 + seed % 4, 1 + seed % 10) for seed in range(100)]
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +101,11 @@ def sweep():
     oracle_disagreements = 0
     refinement_bound_violations = 0
     partitions_checked = 0
-    for seed, n_species, n_reactions in SWEEP:
-        net = random_crn(seed, n_species, n_reactions)
-        trivial = Partition.trivial(net)
-        for p in partitions_refining(trivial):
+    round_trip_failures = 0
+
+    def theorem4(net):
+        nonlocal theorem4_disagreements, partitions_checked
+        for p in partitions_refining(Partition.trivial(net)):
             partitions_checked += 1
             # Against the reference that merges vector-field components,
             # which shares no code with the backward signatures.
@@ -107,6 +114,15 @@ def sweep():
                 theorem4_disagreements += 1
             elif is_exactly_lumpable(net, p) != exact:
                 theorem4_disagreements += 1
+
+    for seed, n_species, n_reactions in NON_ELEMENTARY_SWEEP:
+        net = parse_crn(serialize_crn(random_non_elementary(seed, n_species, n_reactions)))[0]
+        round_trip_failures += parse_crn(serialize_crn(net))[0] != net
+        theorem4(net)
+    for seed, n_species, n_reactions in SWEEP:
+        net = random_crn(seed, n_species, n_reactions)
+        trivial = Partition.trivial(net)
+        theorem4(net)
         for mode in (BisimMode.FORWARD, BisimMode.BACKWARD):
             trace = refine(net, trivial, mode)
             if trace.final != brute_force_coarsest(net, trivial, mode):
@@ -115,6 +131,7 @@ def sweep():
                 refinement_bound_violations += 1
     return {
         "theorem4": theorem4_disagreements,
+        "round_trip": round_trip_failures,
         "oracle": oracle_disagreements,
         "refine_bound": refinement_bound_violations,
         "partitions": partitions_checked,
@@ -203,12 +220,15 @@ def test_criterion_04_lumpable_but_not_forward():
 
 
 def test_criterion_05_backward_equals_exact_lumpability(sweep):
-    ok = sweep["theorem4"] == 0
+    ok = sweep["theorem4"] == sweep["round_trip"] == 0
+    networks = len(SWEEP) + len(NON_ELEMENTARY_SWEEP)
     report(
         5,
         ok,
         f"backward bisimilarity == exact lumpability on {sweep['partitions']} "
-        f"partitions over {len(SWEEP)} networks ({sweep['theorem4']} disagreements)",
+        f"partitions over {networks} networks, {len(NON_ELEMENTARY_SWEEP)} of them "
+        f"non-elementary and parsed ({sweep['theorem4']} disagreements, "
+        f"{sweep['round_trip']} round-trip failures)",
     )
 
 

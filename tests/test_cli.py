@@ -81,10 +81,17 @@ def test_validate_ok(model, capsys):
 
 
 def test_validate_reports_violations(tmp_path, capsys):
+    # A rate that is not positive is the one violation, and the parser
+    # refuses it at its line; an inflow and three reactant molecules are
+    # valid.
     bad = tmp_path / "bad.crn"
-    bad.write_text("A + B + C -> D , 1\n")
-    assert main(["validate", str(bad)]) == 1  # parse error: non-elementary
-    assert "exceed multiplicity 2" in capsys.readouterr().err
+    bad.write_text("0 -> A , 1\nA + B + C -> D , 0\n")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: line 2: rate must be positive\n"
+    good = tmp_path / "good.crn"
+    good.write_text("0 -> A , 1\nA + B + C -> 2A , 1\n3B -> C , 1/2\n")
+    assert main(["validate", str(good)]) == 0
+    assert capsys.readouterr().out == "valid: 3 species, 3 reactions\n"
 
 
 def test_missing_file_exits_1(capsys):
@@ -484,15 +491,98 @@ def test_unreadable_file_exits_1(tmp_path, capsys, argv, bad):
 
 
 def test_reduce_rejects_non_elementary_net_reaction(tmp_path, capsys):
+    # The importer reads the reaction; forward mode refuses it as a
+    # violated precondition, and backward mode reduces the network.
     net = tmp_path / "trimer.net"
     net.write_text(
         "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
         "begin reactions\n1 1,2,2 3 1 #r\nend reactions\n"
     )
-    assert main(["reduce", str(net), "--mode", "fb"]) == 1
+    assert main(["reduce", str(net), "--mode", "fb"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 7: reactants exceed multiplicity 2\n"
+    assert captured.err == (
+        "error: reaction 0 (A() + 2B() ->(1) C()): not elementary: "
+        "reactants must be one or two molecules\n"
+    )
+    assert main(["reduce", str(net), "--mode", "bb", "--from-inits"]) == 0
+    assert capsys.readouterr().out == "species: A() B() C()\nA() + 2B() -> C() , 1\n"
+
+
+# Inflows and reactant sides of three molecules: backward equivalent A and
+# B, whose block sum is not ordinarily lumpable (A^3 + B^3).
+NON_ELEMENTARY_CRN = """\
+0 -> A , 1
+0 -> B , 1
+3A -> C , 1
+B + B + B -> C , 1
+A + B + C -> 2C , 1/2
+C -> 0 , 1
+init: A = 1
+init: B = 1
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,code,out",
+    [
+        (["validate"], 0, "valid: 3 species, 6 reactions\n"),
+        (["check", "--what", "bisim-bb", "--partition", "{ab}"], 0,
+         "bisim-bb holds for Partition[{A, B} | {C}]\n"),
+        (["check", "--what", "exact-lump", "--partition", "{ab}"], 0,
+         "exact-lump holds for Partition[{A, B} | {C}]\n"),
+        (["check", "--what", "ord-lump", "--partition", "{ab}"], 1,
+         "ord-lump fails: block sum over {A, B} changes under the shear "
+         "moving mass between A and B\n"),
+        (["check", "--what", "bisim-bb"], 1,
+         "bisim-bb fails: A vs C: cumulative flux over reactant class {0}: "
+         "A gives 1, C gives 0\n"),
+        (["check", "--what", "bisim-fb", "--partition", "{singletons}"], 0,
+         "bisim-fb holds for Partition[{A} | {B} | {C}]\n"),
+        (["odes", "--mode", "bb", "--partition", "{ab}"], 0,
+         "A' = 1 - 1/2*A^2*C - 3*A^3\nC' = 1/2*A^2*C + 2*A^3 - C\n"),
+        (["odes"], 0,
+         "A' = 1 - 1/2*A*B*C - 3*A^3\nB' = 1 - 1/2*A*B*C - 3*B^3\n"
+         "C' = 1/2*A*B*C + A^3 + B^3 - C\n"),
+    ],
+    ids=["validate", "bisim-bb", "exact-lump", "ord-lump", "bisim-bb-one-block",
+         "bisim-fb-singletons", "odes-bb", "odes"],
+)
+def test_non_elementary_network_through_the_cli(tmp_path, capsys, argv, code, out):
+    model = tmp_path / "ne.crn"
+    model.write_text(NON_ELEMENTARY_CRN)
+    ab, singletons = tmp_path / "ab.part", tmp_path / "singletons.part"
+    ab.write_text("A, B\n")
+    singletons.write_text("A\nB\n")
+    argv = [arg.format(ab=ab, singletons=singletons) for arg in argv]
+    assert main([argv[0], str(model), *argv[1:]]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+
+
+def test_non_elementary_network_reduces_and_compares_backward_only(tmp_path, capsys):
+    model = tmp_path / "ne.crn"
+    model.write_text(NON_ELEMENTARY_CRN)
+    assert main(["reduce", str(model), "--mode", "bb", "--from-inits"]) == 0
+    report = capsys.readouterr().err
+    assert "block A: A B\n" in report and "reduced: 2 species, 6 reactions" in report
+    assert main(["compare", str(model), "--mode", "bb", "--from-inits", "--t-end", "1"]) == 0
+    summary = capsys.readouterr().out
+    assert summary.startswith("partition: 2 blocks; backward: max error ")
+    assert float(summary.split("max error ")[1].split()[0]) < 1e-14
+    assert main(["simulate", str(model), "--t-end", "1", "--points", "3"]) == 0
+    assert capsys.readouterr().out.startswith("t,A,B,C\n0.0,1.0,1.0,0.0\n")
+    not_elementary = (
+        "error: reaction 0 (0 ->(1) A): not elementary: "
+        "reactants must be one or two molecules\n"
+    )
+    for argv in (
+        ["reduce", str(model), "--mode", "fb"],
+        ["compare", str(model), "--mode", "fb", "--t-end", "1"],
+        ["check", str(model), "--what", "bisim-fb"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", not_elementary)
 
 
 HUGE_RATE_CRN = "A -> B , 1\nB -> A , 1e99999\n"

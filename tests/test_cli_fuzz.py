@@ -2,9 +2,11 @@
 :func:`crnlump.cli.main`.
 
 Each seeded case writes a valid network (the running example, multisite
-with at most three sites, or a random network with rates from 1e-30 to
-1e12), as a ``.crn`` text or, in about a quarter of the cases, as a
-BioNetGen ``.net`` text with its start values, a random
+with at most three sites, a random network with rates from 1e-30 to
+1e12, or a random network with inflows and reactant sides of up to four
+molecules, which only the forward mode refuses), as a ``.crn`` text or,
+in about a quarter of the cases, as a BioNetGen ``.net`` text with its
+start values, a random
 initial-condition file and a random partition file that mixes singletons
 with larger blocks, and runs one command on them with random numeric
 options, a few of them out of range.  Every run must end in a documented
@@ -31,6 +33,7 @@ from crnlump.cli import main
 from crnlump.core import format_rational, scaled_reactions
 from crnlump.io import import_bngl_net
 from crnlump.models import random_crn
+from conftest import random_non_elementary
 
 CASES = 200
 BUDGET = 10_000
@@ -43,11 +46,14 @@ VALUES = (0, 0, 1, Fraction(1, 3), 2, 7, 10**200, *RATES)
 
 def _network(rng):
     """A network, and its initial values when its generator gives them."""
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         return running_example(), None
     if kind == 1:
         return multisite(MultisiteSpec(n_sites=rng.randint(1, 3)))
+    if kind == 2:
+        n = rng.randint(1, 12)
+        return random_non_elementary(rng.getrandbits(32), n, rng.randint(0, 20)), None
     pool = tuple(rng.sample(RATES, rng.randint(1, 4)))
     return random_crn(rng.getrandbits(32), rng.randint(1, 12), rng.randint(0, 20), pool), None
 

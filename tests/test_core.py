@@ -35,8 +35,20 @@ from crnlump import (
 import crnlump.core as core
 from crnlump.core import scaled_reactions
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
-from conftest import assert_checked_alike, blocks_of, shuffled_chain
-from oracle import Multiset, ReferenceCRN, _lift, reactions_of
+from conftest import (
+    assert_checked_alike,
+    assert_only_forward_refuses,
+    blocks_of,
+    shuffled_chain,
+)
+from oracle import (
+    Multiset,
+    ReferenceCRN,
+    _lift,
+    reactions_of,
+    reference_import_bngl_net,
+    reference_parse_crn,
+)
 
 
 def test_multiset_drops_zero_entries():
@@ -178,10 +190,12 @@ def test_validate_running_example_is_clean(crn):
     assert validate(crn) == []
 
 
-def test_validate_flags_three_reactants():
+def test_validate_accepts_three_reactants():
+    # Any reactant side is a mass-action reaction; only the forward mode
+    # needs one or two molecules, and says so itself.
     crn = make_crn(["A", "B", "C", "D"], [({"A": 1, "B": 1, "C": 1}, 1, {"D": 1})])
-    violations = validate(crn)
-    assert len(violations) == 1 and "reactants exceed multiplicity 2" in violations[0]
+    assert validate(crn) == []
+    assert_only_forward_refuses(crn, "reaction 0 (A + B + C ->(1) D)")
 
 
 def test_validate_flags_nonpositive_rate():
@@ -190,9 +204,10 @@ def test_validate_flags_nonpositive_rate():
     assert any("rate must be positive" in v for v in validate(bad))
 
 
-def test_validate_flags_zero_reactants_and_foreign_species():
-    crn = CRN(A_B, [((), Fraction(1), ((0, 1),))])
-    assert any("at least one species" in v for v in validate(crn))
+def test_validate_accepts_an_inflow_and_no_network_holds_a_foreign_species():
+    crn = CRN(A_B, [((), Fraction(1), ((0, 1),)), (((0, 1),), Fraction(1), ((1, 1),))])
+    assert validate(crn) == []
+    assert_only_forward_refuses(crn, "reaction 0 (0 ->(1) A)")
     # A species id that is not the network's own is refused when the
     # network is built.
     with pytest.raises(CRNError) as err:
@@ -236,11 +251,8 @@ def test_validate_prints_only_the_reactions_it_reports(monkeypatch):
         assert validate(crn) == []
         bad_row = (((0, 3),), Fraction(0), ((2, 2), (1, 1)))
         bad = CRN([*A_B, Species(2, "G")], [GOOD_ROW, bad_row])
-        where = "reaction 1 (3A ->(0) B + 2G): "
-        assert validate(bad) == [
-            where + "rate must be positive",
-            where + "reactants exceed multiplicity 2",
-        ]
+        # Only the rate is reported: three reactant molecules are valid.
+        assert validate(bad) == ["reaction 1 (3A ->(0) B + 2G): rate must be positive"]
     assert printed == [1]
     # The same reaction in a network without G is refused at construction.
     with pytest.raises(CRNError) as err:
@@ -441,37 +453,35 @@ REACTANT_SIDES = [
 @pytest.mark.parametrize("rate", ["1/2", "0", "-3"])
 @pytest.mark.parametrize("side", REACTANT_SIDES, ids=lambda side: side[1])
 def test_every_reader_applies_one_reaction_rule(side, rate):
+    # The one rule of every reader is a positive rate.  Any reactant side
+    # is read; only forward refinement needs one or two molecules.
     reactants, text, field = side
     molecules = sum(reactants.values())
-    expected = [] if Fraction(rate) > 0 else ["rate must be positive"]
-    if molecules == 0:
-        expected.append("reactants must contain at least one species")
-    elif molecules > 2:
-        expected.append("reactants exceed multiplicity 2")
-
     crn = make_crn(["A", "B", "C", "D"], [(reactants, rate, {"C": 1})])
-    assert [v.rsplit(": ", 1)[1] for v in validate(crn)] == expected
-    # The forward signatures apply the molecule rule; the backward ones
-    # read any reaction.
-    one = Partition.trivial(crn)
+    positive = Fraction(rate) > 0
+    assert [v.rsplit(": ", 1)[1] for v in validate(crn)] == (
+        [] if positive else ["rate must be positive"]
+    )
     if 1 <= molecules <= 2:
-        refine(crn, one, BisimMode.FORWARD)
+        refine(crn, Partition.trivial(crn), BisimMode.FORWARD)
     else:
-        with pytest.raises(CRNError, match="^reaction 0 .*: not elementary: "):
-            refine(crn, one, BisimMode.FORWARD)
-    refine(crn, one, BisimMode.BACKWARD)
+        assert_only_forward_refuses(crn, f"reaction 0 ({text} ->({rate}) C)")
 
     native = f"species: A B C D\n{text} -> C , {rate}\n"
     net = (
         "begin species\n1 A 0\n2 B 0\n3 C 0\n4 D 0\nend species\n"
         f"begin reactions\n1 {field} 3 {rate}\nend reactions\n"
     )
-    for parse, source, line in ((parse_crn, native, 2), (import_bngl_net, net, 8)):
-        if expected:
-            with pytest.raises(ParseError, match=f"^line {line}: {expected[0]}$"):
-                parse(source)
+    for parse, reference, source, line in (
+        (parse_crn, reference_parse_crn, native, 2),
+        (import_bngl_net, reference_import_bngl_net, net, 8),
+    ):
+        if positive:
+            assert parse(source)[0] == crn == reference(source)[0]
         else:
-            assert parse(source)[0] == crn
+            for read in (parse, reference):
+                with pytest.raises(ParseError, match=f"^line {line}: rate must be positive$"):
+                    read(source)
 
 
 def test_quotient_species_renumbers_representatives(crn, h_o):

@@ -24,8 +24,9 @@ from crnlump import (
 from crnlump.io import format_rational, parse_rational
 from crnlump.models import MultisiteSpec
 from crnlump.sim import InitialCondition, verify_backward, verify_forward
-from conftest import assert_checked_alike, blocks_of
-from oracle import Multiset, reactions_of
+from crnlump.odes import format_vector_field, vector_field
+from conftest import assert_checked_alike, assert_only_forward_refuses, blocks_of
+from oracle import Multiset, reactions_of, reference_import_bngl_net, reference_parse_crn
 
 RUNNING_TEXT = """\
 # the worked five-species example
@@ -77,16 +78,27 @@ class TestParseCrn:
             parse_crn(text)
 
     def test_three_reactants_rejected(self):
-        with pytest.raises(ParseError, match="exceed multiplicity 2"):
-            parse_crn("A + B + C -> D , 1")
+        # rejected by the forward mode alone: the parser reads the reaction
+        text = "A + B + C -> D , 1\nA -> 3B , 2"
+        crn, _ = parse_crn(text)
+        assert crn == reference_parse_crn(text)[0]
+        assert reactions_of(crn)[0].reactants.total == 3
+        assert_only_forward_refuses(crn, "reaction 0 (A + B + C ->(1) D)")
 
     def test_two_molecules_same_species_allowed(self):
         crn, _ = parse_crn("2A -> B , 1")
         assert reactions_of(crn)[0].reactants.get(crn.by_name("A")) == 2
 
     def test_zero_reactants_rejected(self):
-        with pytest.raises(ParseError, match="at least one species"):
-            parse_crn("0 -> A , 1")
+        # rejected by the forward mode alone: the parser reads the inflow
+        text = "0 -> A , 1\nA -> B , 1\n0A -> B , 2"
+        crn, _ = parse_crn(text)
+        assert crn == reference_parse_crn(text)[0]
+        assert [r.reactants for r in reactions_of(crn)] == [
+            Multiset(), Multiset.of(crn.by_name("A")), Multiset()
+        ]
+        assert serialize_crn(crn) == "species: A B\n0 -> A , 1\n0 -> B , 2\nA -> B , 1\n"
+        assert_only_forward_refuses(crn, "reaction 0 (0 ->(1) A)")
 
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ParseError, match="rate must be positive"):
@@ -152,8 +164,9 @@ class TestParseCrn:
              "line 2: empty term in reaction side"),
             # and so does a repeated bad rate literal
             ("A -> B , 1\nB -> A , 1/0\nA -> A , 1/0", "line 2: not a rational number: '1/0'"),
-            # a side read before stays checked on each line that uses it
-            ("A -> 2A + B , 1\n2A + B -> A , 1", "line 2: reactants exceed multiplicity 2"),
+            # a side read before as products is read again as reactants,
+            # and the line's own fault is reported
+            ("A -> 2A + B , 1\n2A + B -> A + , 1", "line 2: empty term in reaction side"),
             ("init: A = 0\nA -> B , 0", "line 2: rate must be positive"),
             # an undeclared species is reported at the first line naming it,
             # left side before right, wherever the header stands
@@ -428,25 +441,34 @@ class TestNetImport:
             )
 
     def test_zero_reactant_molecules_rejected(self):
-        # 0 -> A used to import as a reaction every decision ignored
-        with pytest.raises(ParseError, match="^line 5: reactants must contain"):
-            import_bngl_net(
-                "begin species\n1 A() 1\nend species\n"
-                "begin reactions\n1 0 1 1 #r\nend reactions\n"
-            )
+        # rejected by the forward mode alone: 0 -> A imports as an inflow,
+        # which the vector field reads
+        text = (
+            "begin species\n1 A() 1\nend species\n"
+            "begin reactions\n1 0 1 1 #r\n2 1 0 2 #r\nend reactions\n"
+        )
+        crn, _ = import_bngl_net(text)
+        assert crn == reference_import_bngl_net(text)[0]
+        assert format_vector_field(vector_field(crn)) == "A()' = 1 - 2*A()\n"
+        assert_only_forward_refuses(crn, "reaction 0 (0 ->(1) A())")
 
     def test_three_reactant_molecules_rejected(self):
-        with pytest.raises(ParseError, match="^line 7: reactants exceed multiplicity 2"):
-            import_bngl_net(
-                "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
-                "begin reactions\n1 1,2,2 3 1 #r\nend reactions\n"
-            )
+        # rejected by the forward mode alone; a field read before as
+        # products is read again as reactants
+        text = (
+            "begin species\n1 A() 1\n2 B() 0\n3 C() 0\nend species\n"
+            "begin reactions\n1 1 1,2,2 1 #r\n2 1,2,2 3 1 #r\nend reactions\n"
+        )
+        crn, _ = import_bngl_net(text)
+        assert crn == reference_import_bngl_net(text)[0]
+        assert parse_crn(serialize_crn(crn))[0] == crn
+        assert_only_forward_refuses(crn, "reaction 1 (A() + 2B() ->(1) C())")
 
     @pytest.mark.parametrize(
         "reactions,message",
         [
-            # a field read before as products is checked again as reactants
-            ("1 1 1,2,2 1 #r\n2 1,2,2 3 1 #r", "line 8: reactants exceed multiplicity 2"),
+            # a line's rate is read and checked before its reactant field
+            ("1 1 1,2,2 1 #r\n2 1,2,x 3 0 #r", "line 8: rate must be positive"),
             ("1 1 x 1 #r\n2 1 x 1 #r", "line 7: bad species index 'x'"),
             ("1 1 2 1 #r\n2 9 2 1 #r\n3 9 2 1 #r", "line 8: dangling species index 9"),
             ("1 1 2 k #r\n2 1 2 k #r", "line 7: unsupported rate expression token 'k'"),

@@ -31,6 +31,7 @@ from crnlump import (
     vector_field,
 )
 from conftest import blocks_of, copies, random_non_elementary
+import crnlump.bisim
 from crnlump import odes
 from crnlump.core import CRN, Species, scaled_reactions
 from crnlump.models import random_crn
@@ -269,6 +270,25 @@ class TestExactLumpability:
                 assert verdict == sympy_exactly_lumpable(net, p)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def test_exact_lumpability_formats_no_witness(monkeypatch):
+    # The exact check reads the pair of the backward decision; only
+    # find_counterexample formats the witness text, which lists and sorts
+    # every reactant multiset of a class.
+    net, _ = multisite(MultisiteSpec(n_sites=3))
+    one = Partition.trivial(net)
+    pair = find_counterexample(net, one, BisimMode.BACKWARD)[:2]
+
+    def refuse(*_args):
+        raise AssertionError("a witness text was built")
+
+    monkeypatch.setattr(crnlump.bisim._Backward, "witness", refuse)
+    assert is_exactly_lumpable(net, one) is False
+    assert exact_lumpability_witness(net, one) == pair
+    assert not is_bisimulation(net, one, BisimMode.BACKWARD)
+    with pytest.raises(AssertionError, match="^a witness text was built$"):
+        find_counterexample(net, one, BisimMode.BACKWARD)
 
 
 def test_decisions_build_no_polynomial(monkeypatch, crn, h_o, h_e, mixed):

@@ -182,11 +182,12 @@ def test_rate_is_checked_before_the_product_side():
         (["# a comment\r", "species: A B C(x)\r", "A -> B , 2 # a + b -> c\r"], None),
         (["A -> B , 1 # x\r", "species: A B\r"], None),
         (["A -> B , 1\r", "B -> A + C , 2 # C -> 3D , 1\r", "\r", "init: A = 1/2\r"], None),
-        # The empty side, a zero coefficient and a repeated term.
+        # The empty side, a zero coefficient and a repeated term, on either
+        # side: an inflow and three reactant molecules are reactions too.
         (["A -> 0 , 1", "0A + B -> A , 1", "A + A -> 0A , 1", "A + A -> A + A , 1"], None),
-        (["A -> 0 , 1", "0 -> A , 1"], "line 2: reactants must contain at least one species"),
-        (["A + A -> B , 1", "0A -> B , 1"], "line 2: reactants must contain at least one species"),
-        (["A + A + A -> B , 1"], "line 1: reactants exceed multiplicity 2"),
+        (["A -> 0 , 1", "0 -> A , 1"], None),
+        (["A + A -> B , 1", "0A -> B , 1"], None),
+        (["A + A + A -> B , 1"], None),
     ],
 )
 def test_terms_are_parsed_once_with_the_line_that_uses_them(lines, error):
@@ -208,7 +209,7 @@ def _multisite4():
         # A new product side whose last comma is inside brackets.
         ("E -> S(U,U,U,U", "missing rate (expected 'products , rate')"),
         ("E -> F , 1/0", "not a rational number: '1/0'"),
-        ("E + F + S(U,U,U,U) -> E , 1", "reactants exceed multiplicity 2"),
+        ("E + F + S(U,U,U,U) -> E , 0", "rate must be positive"),
         ("E -> Q , 1", "undeclared species Q"),
     ],
 )
@@ -216,6 +217,21 @@ def test_a_first_fault_on_the_last_line(line, error):
     lines = _multisite4()
     lines.append(line)
     assert assert_agrees("\n".join(lines)) == f"line {len(lines)}: {error}"
+
+
+@pytest.mark.parametrize(
+    "line", ["E + F + S(U,U,U,U) -> E , 1", "0 -> E , 1/2", "2E + 2F -> 0 , 3"]
+)
+def test_a_non_elementary_last_line_takes_the_bulk_reader(line, monkeypatch):
+    # Any reactant side is read; the bulk reader no longer gives up on one
+    # of no or more than two molecules.
+    lines = _multisite4()
+    lines.append(line)
+    text = "\n".join(lines)
+    assert assert_agrees(text) is None
+    monkeypatch.setattr(io, "_read_lines", None)
+    written = serialize_crn(parse_crn(text)[0])
+    assert serialize_crn(parse_crn(written)[0]) == written
 
 
 def test_a_bracketed_plus_first_met_late():
