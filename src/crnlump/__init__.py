@@ -12,9 +12,11 @@ scipy.  The numerical names of :mod:`crnlump.sim` (``Trajectory``,
 ``VerificationReport``, ``integrate``, ``trajectory_to_csv``,
 ``verify_forward`` and ``verify_backward``) are resolved by the module
 ``__getattr__`` below, so ``import crnlump`` loads numpy and scipy only
-when one of them is first read.  Even then scipy contributes only
-``scipy.sparse``: the Runge-Kutta integrator is the package's own
-(:mod:`crnlump._rk45`), so ``scipy.integrate`` is never imported.
+when one of them is first read.  Even then scipy contributes one
+compiled extension, ``scipy.sparse._sparsetools``, loaded from its file
+without the ``scipy.sparse`` package; the Runge-Kutta integrator is the
+package's own (:mod:`crnlump._rk45`), so ``scipy.integrate`` is never
+imported.
 """
 
 from .core import (

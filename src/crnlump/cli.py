@@ -45,7 +45,6 @@ from .core import (
     ParseError,
     Partition,
     PartitionError,
-    validate,
 )
 from .io import (
     import_bngl_net,
@@ -160,12 +159,9 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_validate(args) -> int:
+    # Both readers refuse a rate that is not positive at its line, the one
+    # thing ``validate`` reports, so a network that loads is valid.
     crn, _ = _load(args.input)
-    violations = validate(crn)
-    if violations:
-        for v in violations:
-            print(v)
-        return 2
     print(f"valid: {crn.n_species} species, {crn.n_reactions} reactions")
     return 0
 

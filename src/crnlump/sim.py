@@ -16,7 +16,9 @@ derivatives.  No sparse-matrix object is built: each evaluation calls
 scipy's compiled ``csr_matvec`` kernel on those arrays directly.  That
 kernel is what ``csr_matrix @ vector`` runs, on the same arrays in the
 same order, so the derivatives are the matrix product's to the last bit
-without its per-call Python dispatch.  Empty reactants (a constant term)
+without its per-call Python dispatch.  It is loaded from the extension
+file of ``scipy.sparse._sparsetools`` alone, without the ``scipy.sparse``
+package (see :func:`_load_csr_matvec`).  Empty reactants (a constant term)
 and higher powers work too.  One
 integration makes at most ``_MAX_EVALUATIONS`` right-hand-side
 evaluations; a step that would pass that raises :class:`IntegrationError`.
@@ -38,8 +40,8 @@ Errors are measured absolutely below magnitude one and relatively above
 it, since concentrations span orders of magnitude across models.
 
 This module and :mod:`crnlump._rk45`, which only it imports, are the
-ones that import numpy at their top; from scipy this module needs only
-the compiled kernel of ``scipy.sparse``.  Nothing else in the package
+ones that import numpy at their top; from scipy this module loads one
+module, the compiled kernel's extension file.  Nothing else in the package
 imports it at load time: the package looks its six numerical names up
 here when they are read, and the CLI imports it inside ``simulate`` and
 ``compare``.
@@ -50,13 +52,16 @@ are defined in :mod:`crnlump.core` and imported here, so
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
 from . import _rk45
 from .core import (
@@ -85,6 +90,47 @@ __all__ = [
     "verify_forward",
     "verify_backward",
 ]
+
+
+def _load_csr_matvec():
+    """scipy's compiled ``csr_matvec``, loaded from the extension file of
+    ``scipy.sparse._sparsetools`` alone.
+
+    Importing it the usual way runs ``scipy/sparse/__init__.py``, which
+    loads some 300 modules this package never calls.  The file is looked
+    up in scipy's directory, which ``find_spec`` of a top-level name gives
+    without importing anything, and is registered in ``sys.modules`` under
+    its own name, so a later ``import scipy.sparse`` reuses it (scipy's
+    ``from . import _sparsetools`` finds it there, although, as for any
+    submodule loaded before its package, the package gets no
+    ``_sparsetools`` attribute).  Where no such file is found (scipy
+    missing, blocked in ``sys.modules`` or not installed as files), or the
+    module is loaded already, the usual import runs: the same function, or
+    the same :class:`ModuleNotFoundError`.
+    """
+    name = "scipy.sparse._sparsetools"
+    spec = None
+    scipy = None if name in sys.modules else importlib.util.find_spec("scipy")
+    if scipy is not None and scipy.submodule_search_locations:
+        sparse = os.path.join(scipy.submodule_search_locations[0], "sparse")
+        finder = FileFinder(sparse, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+    if spec is None:
+        from scipy.sparse._sparsetools import csr_matvec
+
+        return csr_matvec
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        sys.modules.pop(name, None)
+        raise
+    return module.csr_matvec
+
+
+csr_matvec = _load_csr_matvec()
+
 
 @dataclass(frozen=True)
 class Trajectory:

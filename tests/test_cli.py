@@ -81,13 +81,20 @@ def test_validate_ok(model, capsys):
 
 
 def test_validate_reports_violations(tmp_path, capsys):
-    # A rate that is not positive is the one violation, and the parser
-    # refuses it at its line; an inflow and three reactant molecules are
-    # valid.
+    # A rate that is not positive is the one violation, and both readers
+    # refuse it at its line, so every network that loads is valid; an
+    # inflow and three reactant molecules are valid.
     bad = tmp_path / "bad.crn"
     bad.write_text("0 -> A , 1\nA + B + C -> D , 0\n")
     assert main(["validate", str(bad)]) == 1
     assert capsys.readouterr().err == "error: line 2: rate must be positive\n"
+    bad_net = tmp_path / "bad.net"
+    bad_net.write_text(
+        "begin parameters\nk1 0\nend parameters\nbegin species\n1 A() 1\nend species\n"
+        "begin reactions\n1 1 0 k1\nend reactions\n"
+    )
+    assert main(["validate", str(bad_net)]) == 1
+    assert capsys.readouterr().err == "error: line 8: rate must be positive\n"
     good = tmp_path / "good.crn"
     good.write_text("0 -> A , 1\nA + B + C -> 2A , 1\n3B -> C , 1/2\n")
     assert main(["validate", str(good)]) == 0

@@ -2,9 +2,13 @@
 
 ``import crnlump`` and every command that does exact work run without
 them; only :mod:`crnlump.sim` imports them, and the package resolves its
-six numerical names on first read.  What integrates never loads
-``scipy.integrate``: the package has its own RK45 stepper.  pytest has loaded numpy already, so
-the import checks run in fresh interpreters.
+six numerical names on first read.  What integrates loads one scipy
+module, ``scipy.sparse._sparsetools``, from its extension file: neither
+the ``scipy.sparse`` package nor ``scipy.integrate`` (the package has
+its own RK45 stepper).  Whichever of ``crnlump.sim`` and ``scipy.sparse``
+is imported first, both hold one ``csr_matvec``; where the file is not
+found, the usual import gives the same bits.  pytest has loaded numpy
+and scipy already, so the import checks run in fresh interpreters.
 """
 
 import json
@@ -32,13 +36,16 @@ SIM_NAMES = (
 )
 
 _SRC = str(Path(crnlump.__file__).resolve().parent.parent)
+_TESTS = str(Path(__file__).resolve().parent)
 
 
 def _python(code: str, *args: str) -> str:
-    """Stdout of ``python -c code args`` with ``src`` on the path; fails
-    the test on a nonzero exit."""
+    """Stdout of ``python -c code args`` with ``src`` and ``tests`` on the
+    path; fails the test on a nonzero exit."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [_SRC, _TESTS, env.get("PYTHONPATH")])
+    )
     done = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
@@ -177,8 +184,7 @@ print(all(f is crnlump.sim.verify_forward for f in found))
 
 
 # Integrates through every public path and both integrating commands in one
-# interpreter, then prints the exit codes and whether scipy.integrate was
-# ever loaded.
+# interpreter, then prints the exit codes and the scipy modules it holds.
 _INTEGRATING_WORK = r"""
 import contextlib, io, json, sys
 from pathlib import Path
@@ -203,12 +209,91 @@ for argv in (
 ):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(main(argv))
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules,
-                  "integrate": "scipy.integrate" in sys.modules}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules, "scipy": scipy}))
 """
 
 
 def test_integration_never_loads_scipy_integrate(tmp_path):
+    """Nor any scipy module but the compiled kernel's."""
     (tmp_path / "model.crn").write_text(RUNNING_WITH_INITS)
     done = json.loads(_python(_INTEGRATING_WORK, str(tmp_path)))
-    assert done == {"codes": [0, 0, 0], "numpy": True, "integrate": False}
+    assert done == {
+        "codes": [0, 0, 0],
+        "numpy": True,
+        "scipy": ["scipy.sparse._sparsetools"],
+    }
+
+
+# Imports crnlump.sim and scipy.sparse in the order of its first argument,
+# or, when that is "unfound", with scipy's directory taken to be the empty
+# directory of its second, so that no extension file is found there; prints
+# whether the kernel is scipy's own, whether scipy.sparse is loaded once
+# crnlump.sim is, and the sha256 of what _compile gives on the multisite n=2
+# network and its forward quotient side by side, then of what
+# oracle.reference_right_hand_side gives, on the same states (the oracle
+# imports scipy.sparse, after crnlump.sim in the "sim-first" order).
+_KERNEL_ORDER = r"""
+import hashlib, importlib.machinery, importlib.util, json, sys
+order = sys.argv[1]
+if order == "unfound":
+    find_spec = importlib.util.find_spec
+
+    def unfound(name, package=None):
+        if name != "scipy":
+            return find_spec(name, package)
+        spec = importlib.machinery.ModuleSpec(name, None, is_package=True)
+        spec.submodule_search_locations.append(sys.argv[2])
+        return spec
+
+    importlib.util.find_spec = unfound
+if order == "scipy-first":
+    import scipy.sparse
+import crnlump.sim as sim
+package = "scipy.sparse" in sys.modules
+import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
+from crnlump import BisimMode, MultisiteSpec, Partition, forward_reduce, multisite, refine
+from oracle import reference_right_hand_side
+
+crn, _ = multisite(MultisiteSpec(n_sites=2))
+final = refine(crn, Partition(crn.species, [crn.species]), BisimMode.FORWARD).final
+stack = (crn, forward_reduce(crn, final).crn)
+n = sum(net.n_species for net in stack)
+rng = np.random.default_rng(2)
+states = [rng.uniform(0, 3, n), rng.uniform(-1, 1, n), np.zeros(n)]
+digests = []
+for rhs in (sim._compile(*stack), reference_right_hand_side(*stack)):
+    digests.append(hashlib.sha256(b"".join(rhs(0.0, y).tobytes() for y in states)).hexdigest())
+print(json.dumps({
+    "same": sim.csr_matvec is csr_matvec is sys.modules["scipy.sparse._sparsetools"].csr_matvec,
+    "package": package,
+    "digests": digests,
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "order, package",
+    [("sim-first", False), ("scipy-first", True), ("unfound", True)],
+)
+def test_kernel_is_scipys_in_either_import_order(tmp_path, order, package):
+    """Loaded from its file, before or after ``scipy.sparse``, or by the
+    usual import when the file is not found: one function, the same bits
+    as ``csr_matrix @ vector``."""
+    done = json.loads(_python(_KERNEL_ORDER, order, str(tmp_path)))
+    first, second = done.pop("digests")
+    assert first == second
+    assert done == {"same": True, "package": package}
+
+
+def test_blocked_scipy_fails_the_import_of_sim():
+    out = _python(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "try:\n"
+        "    import crnlump.sim\n"
+        "except ModuleNotFoundError as error:\n"
+        "    print(type(error).__name__, 'crnlump.sim' in sys.modules)\n"
+    )
+    assert out == "ModuleNotFoundError False\n"
