@@ -32,8 +32,11 @@ The backward mode reads any mass-action network: a reactant multiset
 may be empty (an inflow) or hold any number of molecules, as in the
 backward differential equivalence of Cardelli, Tribastone, Tschaikowski
 and Vandin (POPL 2016), which is defined for every polynomial ODE.  Its
-comparison is the one decision of exact lumpability: :mod:`crnlump.odes`
-reads ``_violation`` and asks :func:`is_bisimulation`.  Only the forward
+comparison is the one decision of exact lumpability, and its fold is
+the merged vector field: under block labels, a species' signature is
+its component times L with each block's variables merged, keyed by
+class id.  :mod:`crnlump.odes` reads ``_violation`` for the decision and
+both vector fields through ``_merged_field``.  Only the forward
 mode needs every reaction elementary, with one or two reactant
 molecules, since a partner is one species.  This rule is stated once, in
 ``_Forward``, which checks each row as it unpacks it and raises a
@@ -76,11 +79,11 @@ is O((m + n) log n).
 
 Every decision of a given partition is ``_violation``: it compares the
 signatures within each block and returns them with the first pair that
-differs.  :func:`is_bisimulation` reads whether there is one, and
-:func:`find_counterexample` formats its witness from them, naming the
-first key at which the two signatures differ (a partner or a (partner,
-block) pair forward, a reactant class backward) with both species'
-values there.  A partition of singletons is a bisimulation of either
+differs, or with None.  :func:`is_bisimulation` reads whether there is
+one, and :func:`find_counterexample` formats its witness from them,
+naming the first key at which the two signatures differ (a partner or a
+(partner, block) pair forward, a reactant class backward) with both
+species' values there.  A partition of singletons is a bisimulation of either
 kind, of any network, and ``_violation`` returns for it before any table
 is built or any reaction checked.
 :func:`is_bisimulation` accepts without signatures the partition that
@@ -94,7 +97,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CRN, CRNError, Partition, Species
+from .core import CRN, CRNError, Pairs, Partition, Species
 from .core import check_partition, flux_table, format_rational, scaled_reactions
 from .core import _first_difference, _format_side, _lift, _nonzero, _reaction_text
 
@@ -510,28 +513,50 @@ def _signatures(crn: CRN, mode: BisimMode, block_of):
     return _Signatures(_Forward(crn) if mode is BisimMode.FORWARD else _Backward(crn), block_of)
 
 
+def _merged_field(
+    crn: CRN, block_of, ids, sigs: _Signatures | None = None
+) -> tuple[int, list[Pairs], list[dict[int, int]]]:
+    """L, the lifted monomials, and the vector-field components times L of
+    the species ``ids`` with their variables merged by the labels
+    ``block_of``, each keyed by the positions of its monomials in that
+    list: their backward signatures under those labels, whose class ids
+    number the lifted monomials (``_Backward._class_of``, inverted).
+    Reads ``sigs``, the backward signatures under ``block_of``, when
+    given, and folds once otherwise."""
+    if sigs is None:
+        sigs = _signatures(crn, BisimMode.BACKWARD, block_of)
+    return sigs.mode.scale, list(sigs.mode._class_of), [sigs.sums[x] for x in ids]
+
+
 # ---------------------------------------------------------------------------
 # Decisions and refinement
 
 
 def _violation(
     crn: CRN, p: Partition, mode: BisimMode
-) -> tuple[_Signatures, Species, Species] | None:
+) -> tuple[_Signatures | None, tuple[Species, Species] | None]:
     """The signatures under ``p`` and the first within-block pair
-    ``(block[0], member)`` whose signatures differ; None when ``p`` is a
-    bisimulation of ``mode``.  Raises :class:`PartitionError` unless ``p``
+    ``(block[0], member)`` whose signatures differ, or None for the pair
+    when ``p`` is a bisimulation of ``mode``.  Raises :class:`PartitionError` unless ``p``
     partitions the species of ``crn``; a partition of singletons returns
-    None at once.  No witness text is built here."""
+    ``(None, None)`` at once.  No witness text is built here."""
     check_partition(crn, p)
     if len(p.blocks) == len(p.species):
-        return None
+        return None, None
     sigs = _signatures(crn, mode, p.block_index)
     for block in p.blocks:
         first = sigs.key(block[0].id)
         for sp in block[1:]:
             if sigs.key(sp.id) != first:
-                return sigs, block[0], sp
-    return None
+                return sigs, (block[0], sp)
+    return sigs, None
+
+
+def _certified(crn: CRN, p: Partition, mode: BisimMode) -> bool:
+    """Is ``p`` the partition that :func:`refine` last returned for this
+    network object in ``mode``?"""
+    certified = crn._certified.get(mode)
+    return certified is not None and (certified is p or certified == p)
 
 
 def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
@@ -542,10 +567,7 @@ def is_bisimulation(crn: CRN, p: Partition, mode: BisimMode) -> bool:
     neither is checked.  Every other partition is decided from its
     signatures.
     """
-    certified = crn._certified.get(mode)
-    if certified is not None and (certified is p or certified == p):
-        return True
-    return _violation(crn, p, mode) is None
+    return _certified(crn, p, mode) or _violation(crn, p, mode)[1] is None
 
 
 def refine(crn: CRN, initial: Partition, mode: BisimMode) -> RefinementTrace:
@@ -590,10 +612,10 @@ def find_counterexample(
     """First within-block pair ``(block[0], member)`` violating the mode
     equivalence, with a human-readable witness taken from the first key
     at which their signatures differ; None when ``p`` is a bisimulation."""
-    found = _violation(crn, p, mode)
-    if found is None:
+    sigs, pair = _violation(crn, p, mode)
+    if pair is None:
         return None
-    sigs, x, y = found
+    x, y = pair
     what, *values = sigs.mode.witness(sigs, p, x, y)
     vx, vy = (format_rational(Fraction(v, sigs.mode.scale)) for v in values)
     return x, y, f"{what}: {x.name} gives {vx}, {y.name} gives {vy}"

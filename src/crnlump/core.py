@@ -18,8 +18,9 @@ network.  :func:`scaled_reactions` is the one integer reaction list:
 every reaction as its reactant and product ``(species id,
 multiplicity)`` pairs and its rate times L, the least common multiple of
 the rate denominators.  :func:`flux_table`, a network's net flux per
-reactant multiset, is built from it.  The backward signatures, the
-vector field, the block sums and the integrator read the flux table;
+reactant multiset, is built from it.  The backward signatures (which
+are also the vector field and the backward lumped field), the block sums
+and the integrator read the flux table;
 the forward signatures, both quotient constructions and the printer read
 the reaction list.  ``_format_side`` prints a side of it for every layer
 that prints one.

@@ -2,12 +2,12 @@
 checks.
 
 All work here is on integer term maps, ``{monomial: coefficient times
-L}``, read from the flux table that the backward signatures read too
-(:func:`crnlump.core.flux_table`): its keys are the monomials, and each
-key's row maps a species to that monomial's coefficient times L in the
-species' component.  L is the least common multiple of the rate
-denominators.  Only a printed or compared result divides by L, as a
-:class:`Polynomial` with exact rational coefficients.
+L}``, read from the flux table (:func:`crnlump.core.flux_table`): its
+keys are the monomials, and each key's row maps a species to that
+monomial's coefficient times L in the species' component.  L is the
+least common multiple of the rate denominators.  Only a printed or
+compared result divides by L, as a :class:`Polynomial` with exact
+rational coefficients.
 
 Exact lumpability -- after merging each block's variables into the
 block representative, all components within a block coincide -- is
@@ -15,10 +15,15 @@ backward bisimulation, and :mod:`crnlump.bisim` decides it for every
 mass-action network by comparing backward signatures:
 :func:`exact_lumpability_witness` is the pair of ``bisim._violation``,
 the decision behind :func:`crnlump.bisim.find_counterexample`, without
-its witness text, and :func:`lumped_field_backward` asks
-:func:`crnlump.bisim.is_bisimulation` before it merges the
-representatives' components.  The tests hold this decision to an
-independent reference that compares merged components.
+its witness text.  A backward signature under block labels is the
+species' component times L with each block's variables merged, keyed by
+class id, so the fields are the signatures read as polynomials
+(``bisim._merged_field``): :func:`vector_field` reads every species'
+under the identity labels, :func:`lumped_field_backward` the
+representatives' under the block labels, from the fold that decided the
+partition, or from one fold when :func:`crnlump.bisim.refine` certified
+it or every block is a singleton.  The tests hold both fields to
+independent references that build and merge components.
 
 Ordinary (block-sum) lumpability is decided here, as an exact
 polynomial identity: each block's component sum must be invariant under
@@ -36,12 +41,8 @@ equivalence of Cardelli, Tribastone, Tschaikowski and Vandin (POPL
 before the flux table is built: it adds only the rows whose monomial
 holds a shared species, into every block's sum, singletons included;
 the signature of a shared species comes from those rows alone.
-
-The corresponding lumped vector fields are constructed by
-:func:`lumped_field_forward` (block sums) and
-:func:`lumped_field_backward` (representative substitution, which
-builds only the representatives' components); they and
-:func:`vector_field` read every row.
+:func:`lumped_field_forward` adds every row into the block sums and
+rewrites them in block-sum variables.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .bisim import BisimMode, _violation, is_bisimulation
+from .bisim import BisimMode, _certified, _merged_field, _violation
 from .core import (
     CRN,
     NotLumpableError,
@@ -187,49 +188,26 @@ def format_vector_field(vf: VectorField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _polynomial(terms: dict[Monomial, int], scale: int) -> Polynomial:
-    """An integer term map divided by L."""
-    return Polynomial({mono: Fraction(val, scale) for mono, val in terms.items()})
-
-
-def _terms(
-    crn: CRN, p: Partition | None = None
-) -> tuple[int, list[dict[Monomial, int] | None]]:
-    """L and, per species, its vector-field component times L: the flux
-    table transposed.  With a partition ``p``, only the block
-    representatives get a component, the others' are None: each row that
-    holds a representative has its monomial lifted to blocks by
-    :func:`crnlump.core._lift` once, and terms that cancel after merging
-    are not stored."""
-    scale, monomials, rows = flux_table(crn)
-    if p is None:
-        terms: list[dict[Monomial, int] | None] = [{} for _ in crn.species]
-    else:
-        terms = [{} if rep else None for rep in _representative_mask(p)]
-    for mono, row in zip(monomials, rows):
-        if p is not None:
-            for sid in row:
-                if terms[sid] is not None:
-                    break
-            else:
-                continue
-            mono = _lift(mono, p.block_index)
-        for sid, val in row.items():
-            acc = terms[sid]
-            if acc is not None:
-                acc[mono] = acc.get(mono, 0) + val
-    if p is not None:
-        terms = [None if acc is None else {m: v for m, v in acc.items() if v} for acc in terms]
-    return scale, terms
+def _as_field(species: tuple[Species, ...], merged: tuple) -> VectorField:
+    """The field of ``species`` from their merged components
+    (:func:`crnlump.bisim._merged_field`): each class id read as its
+    monomial, each value divided by L."""
+    scale, monomial, sums = merged
+    return VectorField(
+        species,
+        {
+            sp: Polynomial({monomial[c]: Fraction(v, scale) for c, v in terms.items()})
+            for sp, terms in zip(species, sums)
+        },
+    )
 
 
 def vector_field(crn: CRN) -> VectorField:
     """The mass-action ODE right-hand side of a network, in canonical form:
-    its flux table transposed, each value divided by L."""
-    scale, terms = _terms(crn)
-    return VectorField(
-        crn.species, {sp: _polynomial(t, scale) for sp, t in zip(crn.species, terms)}
-    )
+    its backward signatures under the identity labels read as polynomials,
+    each value divided by L."""
+    ids = range(crn.n_species)
+    return _as_field(crn.species, _merged_field(crn, list(ids), ids))
 
 
 def is_exactly_lumpable(crn: CRN, p: Partition) -> bool:
@@ -250,8 +228,7 @@ def exact_lumpability_witness(
     block variables: the pair that :func:`crnlump.bisim.find_counterexample`
     names in backward mode, found without formatting its witness; None
     when the partition is exactly lumpable."""
-    found = _violation(crn, p, BisimMode.BACKWARD)
-    return None if found is None else found[1:]
+    return _violation(crn, p, BisimMode.BACKWARD)[1]
 
 
 def _block_sums(
@@ -313,23 +290,25 @@ def ordinary_lumpability_witness(
     check_partition(crn, p)
     if len(p.blocks) == len(p.species):
         return None
-    return _shear_witness(_block_sums(crn, p, _shared(p))[1], p)
+    shared = _shared(p)
+    return _shear_witness(_block_sums(crn, p, shared)[1], p, shared)
 
 
 def _shear_witness(
-    sums: list[dict[Monomial, int]], p: Partition
+    sums: list[dict[Monomial, int]], p: Partition, shared: Sequence[bool] | None
 ) -> tuple[int, tuple[int, int]] | None:
     """First consecutive pair of a block, then first block, whose sum
     changes under the pair's shear.
 
     Each shared species gets one signature, ``{(block index, lowered
     monomial): coefficient times exponent}``: the partial derivatives of
-    the block sums in it.  Distinct monomials have distinct derivatives in
-    one variable, so no entries merge, and a sum changes under a shear
-    exactly when the pair's signatures differ under its block index; the
-    least differing key names the first such block.
+    the block sums in it; ``shared`` is :func:`_shared` of ``p``.
+    Distinct monomials have distinct derivatives in one variable, so no
+    entries merge, and a sum changes under a shear exactly when the pair's
+    signatures differ under its block index; the least differing key names
+    the first such block.
     """
-    shared = _shared(p) or [True] * len(p.species)
+    shared = shared or [True] * len(p.species)
     signature: list[dict | None] = [{} if held else None for held in shared]
     for block_idx, s in enumerate(sums):
         for mono, coef in s.items():
@@ -356,7 +335,7 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     """
     check_partition(crn, p)
     scale, sums = _block_sums(crn, p)
-    witness = _shear_witness(sums, p)
+    witness = _shear_witness(sums, p, _shared(p))
     if witness is not None:
         block_idx, _ = witness
         members = ", ".join(sp.name for sp in p.blocks[block_idx])
@@ -371,13 +350,12 @@ def lumped_field_forward(crn: CRN, p: Partition) -> VectorField:
     rep = _representative_mask(p)
     qspecies = quotient_species(p)
     components = {
-        qspecies[idx]: _polynomial(
+        qspecies[idx]: Polynomial(
             {
-                _lift(mono, p.block_index): val
+                _lift(mono, p.block_index): Fraction(val, scale)
                 for mono, val in s.items()
                 if all(rep[var] for var, _ in mono)
-            },
-            scale,
+            }
         )
         for idx, s in enumerate(sums)
     }
@@ -393,12 +371,11 @@ def lumped_field_backward(crn: CRN, p: Partition) -> VectorField:
     that is, not a backward bisimulation
     (:func:`crnlump.bisim.is_bisimulation`).
     """
-    if not is_bisimulation(crn, p, BisimMode.BACKWARD):
+    sigs = pair = None
+    if not _certified(crn, p, BisimMode.BACKWARD):
+        sigs, pair = _violation(crn, p, BisimMode.BACKWARD)
+    if pair is not None:
         raise NotLumpableError("partition is not exactly lumpable")
-    scale, merged = _terms(crn, p)
-    qspecies = quotient_species(p)
-    components = {
-        qspecies[idx]: _polynomial(merged[block[0].id], scale)
-        for idx, block in enumerate(p.blocks)
-    }
-    return VectorField(species=qspecies, components=components)
+    # The fold that decided ``p``, if one did, is the merged field.
+    reps = [block[0].id for block in p.blocks]
+    return _as_field(quotient_species(p), _merged_field(crn, p.block_index, reps, sigs))

@@ -55,7 +55,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -99,33 +98,26 @@ def _load_csr_matvec():
     Importing it the usual way runs ``scipy/sparse/__init__.py``, which
     loads some 300 modules this package never calls.  The file is looked
     up in scipy's directory, which ``find_spec`` of a top-level name gives
-    without importing anything, and is registered in ``sys.modules`` under
-    its own name, so a later ``import scipy.sparse`` reuses it (scipy's
-    ``from . import _sparsetools`` finds it there, although, as for any
-    submodule loaded before its package, the package gets no
-    ``_sparsetools`` attribute).  Where no such file is found (scipy
-    missing, blocked in ``sys.modules`` or not installed as files), or the
-    module is loaded already, the usual import runs: the same function, or
-    the same :class:`ModuleNotFoundError`.
+    without importing anything, and loaded under its bare name as a
+    private module: nothing is registered in ``sys.modules``, so a later
+    ``import scipy.sparse`` loads its own copy, as its attribute, and both
+    copies run the same compiled code.  Where no such file is found (scipy
+    missing, blocked in ``sys.modules`` or not installed as files), the
+    usual import runs: the same function, or the same
+    :class:`ModuleNotFoundError`.
     """
-    name = "scipy.sparse._sparsetools"
     spec = None
-    scipy = None if name in sys.modules else importlib.util.find_spec("scipy")
+    scipy = importlib.util.find_spec("scipy")
     if scipy is not None and scipy.submodule_search_locations:
         sparse = os.path.join(scipy.submodule_search_locations[0], "sparse")
         finder = FileFinder(sparse, (ExtensionFileLoader, EXTENSION_SUFFIXES))
-        spec = finder.find_spec(name)
+        spec = finder.find_spec("_sparsetools")
     if spec is None:
         from scipy.sparse._sparsetools import csr_matvec
 
         return csr_matvec
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    except BaseException:
-        sys.modules.pop(name, None)
-        raise
+    spec.loader.exec_module(module)
     return module.csr_matvec
 
 

@@ -39,10 +39,11 @@ Nothing here shares code with the signature tables of
   non-representative products to their reactant multiplicity, lifts both
   sides into the blocks and adds its rate to the row's fused sum;
 * ``reference_flux_table``, the flux table summed reaction by reaction
-  from the ``Reaction`` objects, and ``reference_exact_witness``, exact
-  lumpability decided from it as :mod:`crnlump.odes` decided it before
-  the backward signatures did: every component merged into the block
-  representatives and compared within blocks;
+  from the ``Reaction`` objects; ``reference_merged_components``, every
+  component read from it and merged into the block representatives, as
+  :mod:`crnlump.odes` built them before it read the backward signatures;
+  and ``reference_exact_witness``, exact lumpability decided from those,
+  compared within blocks;
 * ``reference_shear_witness``, the ordinary check's witness decided pair
   by pair, as :mod:`crnlump.odes` decided it before it built one
   derivative signature per species: for each consecutive pair of a block,
@@ -813,22 +814,28 @@ def _kept_flux_table(crn: CRN):
     return reference_flux_table(crn)
 
 
-def reference_exact_witness(crn: CRN, p: Partition) -> tuple[Species, Species] | None:
-    """First ``(block[0], member)`` pair whose vector-field components
-    differ once every variable is replaced by its block representative;
-    None when ``p`` is exactly lumpable.  The components are those of
-    ``reference_flux_table``, transposed, with each monomial merged into
+def reference_merged_components(crn: CRN, p: Partition) -> tuple[int, dict[int, dict]]:
+    """L and, per species id, its vector-field component times L once
+    every variable is replaced by its block representative: the components
+    of ``reference_flux_table``, transposed, with each monomial merged into
     the representatives by ``_lift_pairs`` and terms that cancel dropped.
     Equal networks share one table, as brute force asks about many
     partitions of one network."""
-    _, monomials, rows = _kept_flux_table(crn)
+    scale, monomials, rows = _kept_flux_table(crn)
     representative = {sp.id: block[0].id for block in p.blocks for sp in block}
     merged: dict[int, dict] = {sp.id: {} for sp in crn.species}
     for mono, row in zip(monomials, rows):
         lifted = _lift_pairs(mono, representative)
         for sid, val in row.items():
             merged[sid][lifted] = merged[sid].get(lifted, 0) + val
-    merged = {sid: {m: v for m, v in terms.items() if v} for sid, terms in merged.items()}
+    return scale, {sid: {m: v for m, v in terms.items() if v} for sid, terms in merged.items()}
+
+
+def reference_exact_witness(crn: CRN, p: Partition) -> tuple[Species, Species] | None:
+    """First ``(block[0], member)`` pair whose merged components
+    (``reference_merged_components``) differ; None when ``p`` is exactly
+    lumpable."""
+    merged = reference_merged_components(crn, p)[1]
     for block in p.blocks:
         for sp in block[1:]:
             if merged[sp.id] != merged[block[0].id]:

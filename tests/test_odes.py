@@ -33,7 +33,7 @@ from crnlump import (
 from conftest import blocks_of, copies, random_non_elementary
 import crnlump.bisim
 from crnlump import odes
-from crnlump.core import CRN, Species, scaled_reactions
+from crnlump.core import CRN, Species, flux_table, scaled_reactions
 from crnlump.models import random_crn
 from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 from oracle import (
@@ -42,6 +42,7 @@ from oracle import (
     partitions_refining,
     reactions_of,
     reference_exact_witness,
+    reference_merged_components,
     reference_shear_witness,
 )
 
@@ -200,8 +201,15 @@ class TestVectorField:
         assert vf.components[g] == poly((F(3, 2), ((0, 1),)), (-4, ((1, 1),)))
 
     def test_matches_sympy_on_random_networks(self):
-        for seed in range(10):
-            net = random_crn(seed, 4, 8)
+        # Elementary and non-elementary networks, the latter with inflows
+        # (an empty reactant multiset) and keys of three or more molecules,
+        # and the multisite family at n=2.
+        nets = [random_crn(seed, 4, 8) for seed in range(10)]
+        nets += [random_non_elementary(seed, 6, 8) for seed in range(10)]
+        nets.append(multisite(MultisiteSpec(n_sites=2))[0])
+        sizes = {sum(m for _, m in key) for net in nets for key in flux_table(net)[1]}
+        assert {0, 3} <= sizes
+        for net in nets:
             vf = vector_field(net)
             vs, comps = _sympy_field(net)
             for sp in net.species:
@@ -448,6 +456,29 @@ class TestLumpedFields:
         with pytest.raises(NotLumpableError):
             lumped_field_backward(crn, h_o)
 
+    def test_backward_lifts_each_key_once(self, monkeypatch):
+        # The fold that decides a partition that refine did not certify is
+        # the lumped field, and a certified partition is folded once: each
+        # flux-table key is lifted to blocks once.
+        net, inits = multisite(MultisiteSpec(n_sites=3))
+        bb = refine(net, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final
+        twin = multisite(MultisiteSpec(n_sites=3))[0]
+        undecided = Partition(twin.species, bb.blocks)
+        lift, lifted = crnlump.bisim._lift, Counter()
+
+        def counting(pairs, index):
+            lifted[pairs] += 1
+            return lift(pairs, index)
+
+        for module in (crnlump.bisim, odes):
+            monkeypatch.setattr(module, "_lift", counting)
+        fields = []
+        for network, p in ((twin, undecided), (net, bb)):
+            lifted.clear()
+            fields.append(lumped_field_backward(network, p))
+            assert lifted == Counter(flux_table(network)[1])
+        assert fields[0] == fields[1]
+
     def test_forward_field_equals_block_sums_after_substitution(self, crn, h_o):
         # plug the block-sum polynomials into the lumped field and compare
         # against the summed original components, in original variables
@@ -526,7 +557,7 @@ def mixed_partition(net, rng):
 def full_table_witnesses(net, p):
     """Both witnesses as computed from every term of the flux table, the
     exact one by the reference that merges components."""
-    ordinary = odes._shear_witness(odes._block_sums(net, p)[1], p)
+    ordinary = odes._shear_witness(odes._block_sums(net, p)[1], p, odes._shared(p))
     return ordinary, reference_exact_witness(net, p)
 
 
@@ -656,7 +687,7 @@ class TestSignatureWitness:
         for net, p in cases:
             sums = odes._block_sums(net, p)[1]
             expected = reference_shear_witness(sums, p)
-            assert odes._shear_witness(sums, p) == expected
+            assert odes._shear_witness(sums, p, odes._shared(p)) == expected
             assert ordinary_lumpability_witness(net, p) == expected
             verdicts.add(expected is None)
             squares = any(exp > 1 for s in sums for mono in s for _, exp in mono)
@@ -667,6 +698,28 @@ class TestSignatureWitness:
 
 # ---------------------------------------------------------------------------
 # Theorem-level correspondences
+
+
+def assert_backward_field_is_the_reference(net, p):
+    """``lumped_field_backward``'s components, times L, are the oracle's
+    merged components of the block representatives, each representative
+    renumbered to its block: on ``net``, where ``p`` may be certified, and
+    on an equal fresh network, where it is decided."""
+    scale, merged = reference_merged_components(net, p)
+    block_of = p.block_index
+    expected = [
+        {tuple(sorted((block_of[r], e) for r, e in mono)): v for mono, v in merged[b[0].id].items()}
+        for b in p.blocks
+    ]
+    table_scale, rows = scaled_reactions(net)
+    twin = CRN(net.species, [(r, F(v, table_scale), pr) for r, pr, v in rows])
+    for network in (net, twin):
+        lumped = lumped_field_backward(network, p)
+        mine = [
+            {mono: coef * scale for mono, coef in lumped.components[sp].terms.items()}
+            for sp in lumped.species
+        ]
+        assert mine == expected
 
 
 class TestCorrespondences:
@@ -712,6 +765,8 @@ class TestCorrespondences:
         ).components
 
     def test_commuting_diagrams_on_random_networks(self):
+        # The backward lumped field is also held to the oracle's merged
+        # components, which share no code with the backward signatures.
         for seed in range(25):
             net = random_crn(seed, 4 + seed % 3, 4 + seed % 8)
             fb = refine(net, Partition.trivial(net), BisimMode.FORWARD).final
@@ -722,16 +777,30 @@ class TestCorrespondences:
             assert vector_field(backward_reduce(net, bb).crn).components == (
                 lumped_field_backward(net, bb).components
             )
+            assert_backward_field_is_the_reference(net, bb)
+        merged = 0
+        for seed in range(25):
+            net = random_non_elementary(seed, 5 + seed % 6, 4 + seed % 10)
+            bb = refine(net, Partition.trivial(net), BisimMode.BACKWARD).final
+            assert vector_field(backward_reduce(net, bb).crn).components == (
+                lumped_field_backward(net, bb).components
+            )
+            assert_backward_field_is_the_reference(net, bb)
+            merged += bb.n_blocks < net.n_species
+        assert merged > 5
 
     def test_commuting_diagrams_on_multisite(self):
-        net, inits = multisite(MultisiteSpec(n_sites=3))
-        fb = refine(net, Partition.trivial(net), BisimMode.FORWARD).final
-        bb = refine(net, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final
-        # the quotients merge up to six species per block
-        assert max(len(b) for b in fb.blocks) == max(len(b) for b in bb.blocks) == 6
-        assert vector_field(forward_reduce(net, fb).crn).components == (
-            lumped_field_forward(net, fb).components
-        )
-        assert vector_field(backward_reduce(net, bb).crn).components == (
-            lumped_field_backward(net, bb).components
-        )
+        for n in range(1, 5):
+            net, inits = multisite(MultisiteSpec(n_sites=n))
+            fb = refine(net, Partition.trivial(net), BisimMode.FORWARD).final
+            bb = refine(net, partition_from_initial_conditions(inits), BisimMode.BACKWARD).final
+            if n == 3:
+                # the quotients merge up to six species per block
+                assert max(len(b) for b in fb.blocks) == max(len(b) for b in bb.blocks) == 6
+            assert vector_field(forward_reduce(net, fb).crn).components == (
+                lumped_field_forward(net, fb).components
+            )
+            assert vector_field(backward_reduce(net, bb).crn).components == (
+                lumped_field_backward(net, bb).components
+            )
+            assert_backward_field_is_the_reference(net, bb)
