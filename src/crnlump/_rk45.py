@@ -9,9 +9,15 @@ Practical Runge-Kutta Formulas", Math. Comp. 46(173), 1986), as scipy
 the accept/reject loop, the stages, the error norm and the dense output
 do the same floating-point operations in the same order, so ``t`` and
 ``y`` equal scipy's to the last bit (``tests/test_sim.py`` checks this
-against scipy).  It integrates forward from t = 0 only, with no step
-limit, events or vectorized evaluation.  The tableau is read-only, so
-the module holds no mutable state.
+against scipy).  Around those operations it trims numpy's per-call cost
+without changing a result: the dense output's powers are formed row by
+row, each the row before times the point fractions, as ``cumprod`` forms
+them; each step's grid index comes from ``bisect`` on the grid's floats,
+which compare as ``searchsorted`` compares them; and an accepted step's
+``abs(y_new)`` serves as the next step's ``abs(y)``.  It integrates
+forward from t = 0 only, with no step limit, events or vectorized
+evaluation.  The tableau is read-only, so the module holds no mutable
+state.
 
 Transcribed from scipy/integrate/_ivp/{ivp,base,common,rk}.py, which
 carry this notice:
@@ -52,6 +58,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 
@@ -150,11 +157,20 @@ def _rk_step(fun, t, y, f, h, K, stages, K_B):
 
 def _dense(t_old, t, y_old, K, points):
     """The quartic interpolant of the step from ``t_old`` to ``t`` at
-    ``points`` inside it, one column per point."""
+    ``points`` inside it, one column per point.
+
+    Row ``k`` of the powers is ``x ** (k + 1)`` of the point fractions
+    ``x``, formed as ``cumprod`` down rows of ``x`` forms it: row ``k - 1``
+    times ``x``, one multiplication per row.  The rows land in a
+    C-ordered array, the layout ``cumprod`` gives, so the product with
+    ``Q`` is the same BLAS call on the same operands."""
     Q = K.T.dot(P)
     h = t - t_old
     x = (points - t_old) / h
-    p = np.cumprod(np.broadcast_to(x, (Q.shape[1], x.size)), axis=0)
+    p = np.empty((Q.shape[1], x.size))
+    p[0] = x
+    for k in range(1, len(p)):
+        np.multiply(p[k - 1], x, out=p[k])
     y = h * np.dot(Q, p)
     y += y_old[:, None]
     return y
@@ -189,8 +205,11 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
     stages = [(s, K[:s].T, a, c) for s, a, c in STAGES]
     K_B, K_E = K[:-1].T, K.T
     ts, ys, i = [], [], 0
-    # The grid time reached next; the grid ends at or before t_bound.
-    next_time = t_eval[0]
+    # The grid as floats, for bisect: they compare with t as the array's
+    # elements do.  The grid ends at or before t_bound.
+    grid = t_eval.tolist()
+    next_time = grid[0]  # the grid time reached next
+    abs_y = np.abs(y)
     while t < t_bound:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
@@ -198,7 +217,7 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
         rejected = False
         while True:
             if h_abs < min_step:
-                reached = t_eval[i - 1] if i else 0.0
+                reached = grid[i - 1] if i else 0.0
                 raise IntegrationError(f"integration failed at t={reached:g}: {TOO_SMALL_STEP}")
             t_new = t + h_abs
             if t_new > t_bound:
@@ -215,7 +234,8 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
                 )
             evaluations += 6
             y_new, f_new = _rk_step(fun, t, y, f, h, K, stages, K_B)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            abs_y_new = np.abs(y_new)
+            scale = atol + np.maximum(abs_y, abs_y_new) * rtol
             error_norm = _norm(np.dot(K_E, E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -229,12 +249,13 @@ def solve(fun, y0, t_bound, rtol, atol, t_eval, max_evaluations):
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
         t_old, y_old = t, y
-        t, y, f = t_new, y_new, f_new
+        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
         if t >= next_time:
-            i_new = int(np.searchsorted(t_eval, t, side="right"))
+            # Every grid time up to t is at index i or later.
+            i_new = bisect_right(grid, t, i)
             points = t_eval[i:i_new]
             ts.append(points)
             ys.append(_dense(t_old, t, y_old, K, points))
             i = i_new
-            next_time = t_eval[i] if i < t_eval.size else math.inf
+            next_time = grid[i] if i < len(grid) else math.inf
     return np.hstack(ts), np.hstack(ys)

@@ -58,6 +58,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from itertools import chain, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -163,30 +164,32 @@ def _compile(*networks: CRN):
     ids offset by the species of the networks before it.  Column ``j``
     of ``factors`` lists the reactants of the j-th key, an id repeated
     once per unit of multiplicity and padded with index ``n``, whose slot
-    holds 1.0.  One gather per factor row, multiplied in order, gives
-    every key's monomial, as a product down the columns would.  The
-    rows' values divided by L are the compressed sparse rows (CSR) of
-    the matrix that maps the monomials to the derivatives: one row per
+    holds 1.0; it is filled one row at a time.  One gather per factor
+    row, multiplied in order, gives every key's monomial, as a product
+    down the columns would.  The rows' values divided by L (Python's
+    ``val / scale``, rounded once) are the compressed sparse rows (CSR)
+    of the matrix that maps the monomials to the derivatives: one row per
     species, its entries in increasing monomial order, the order a
-    ``csr_matrix`` built from the same entries holds them in.  There is
-    no sparse-matrix object: each call hands these arrays and a fresh
-    zero vector straight to scipy's compiled ``csr_matvec``, which is
-    what ``matrix @ vector`` runs, so the result is that product to the
-    last bit, without its per-call dispatch.  A network's block of the
-    result is the right-hand side of that network alone, to the last bit.
+    ``csr_matrix`` built from the same entries holds them in.  The
+    entries are read in one pass over the chained rows, and each entry's
+    monomial index is its key's, repeated once per entry of the key's
+    row (a key whose row is empty gets none).  There is no sparse-matrix
+    object: each call hands these arrays and a fresh zero vector straight
+    to scipy's compiled ``csr_matvec``, which is what ``matrix @ vector``
+    runs, so the result is that product to the last bit, without its
+    per-call dispatch.  A network's block of the result is the
+    right-hand side of that network alone, to the last bit.
     Every call returns a new array: the stepper keeps ``f`` while it
     fills the next stages.
     """
-    rows, cols, coefs, monomials = [], [], [], []
+    rows, coefs, counts, monomials = [], [], [], []
     n = 0
     for crn in networks:
         scale, keys, flux_rows = flux_table(crn)
-        for reactants, row in zip(keys, flux_rows):
-            for sid, val in row.items():
-                rows.append(n + sid)
-                cols.append(len(monomials))
-                coefs.append(val / scale)
-            monomials.append([n + sid for sid, m in reactants for _ in range(m)])
+        rows += [n + sid for sid in chain.from_iterable(flux_rows)]
+        coefs += [val / scale for val in chain.from_iterable(map(dict.values, flux_rows))]
+        counts += map(len, flux_rows)
+        monomials += ([n + sid for sid, m in reactants for _ in range(m)] for reactants in keys)
         n += crn.n_species
     n_cols, nnz = len(monomials), len(rows)
     # 32-bit indices where they fit, as scipy's sparse matrices hold them.
@@ -195,7 +198,7 @@ def _compile(*networks: CRN):
     # The entries come in increasing monomial order; a stable sort by
     # species keeps that order within each species' row.
     order = np.argsort(rows, kind="stable")
-    indices = np.array(cols, dtype=index)[order]
+    indices = np.repeat(np.arange(n_cols, dtype=index), counts)[order]
     data = np.array(coefs, dtype=float)[order]
     indptr = np.zeros(n + 1, dtype=index)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
@@ -203,8 +206,8 @@ def _compile(*networks: CRN):
     # come out as the padding slot's 1.0.
     width = max(map(len, monomials), default=0) or 1
     factors = np.full((width, n_cols), n, dtype=np.intp)
-    for j, slots in enumerate(monomials):
-        factors[: len(slots), j] = slots
+    for k, slots in enumerate(zip_longest(*monomials, fillvalue=n)):
+        factors[k] = slots
     first, *rest = factors
     padded = np.ones(n + 1)
 
@@ -361,6 +364,20 @@ def _trajectories(crn, p, v0, t_end, tol, rtol, atol, n_points, reduce, block_va
     return _solve((crn, reduced), (v0, reduced_v0), t_end, rtol, atol, grid)
 
 
+def _exact_sum(values: list) -> Fraction:
+    """``sum(values, Fraction(0))``, the exact sum of a block's initial
+    values.  When each is a :class:`Fraction` or an ``int``, what
+    ``from_map`` and the parsers give, the numerators are added over one
+    common denominator: one Fraction is made instead of one per value.
+    Any other finite real, which a directly built condition may hold,
+    goes through the running sum."""
+    if all(type(v) is Fraction or type(v) is int for v in values):
+        denominator = math.lcm(*(v.denominator for v in values))
+        numerator = sum(v.numerator * (denominator // v.denominator) for v in values)
+        return Fraction(numerator, denominator)
+    return sum(values, Fraction(0))
+
+
 def verify_forward(
     crn: CRN,
     p: Partition,
@@ -375,7 +392,9 @@ def verify_forward(
     """Compare block sums of the original system against its block-sum
     reduction over a shared time grid.  Both are integrated as one
     system, so on a correct quotient the error is rounding, and an error
-    well above rounding means the quotient is wrong.
+    well above rounding means the quotient is wrong.  The quotient starts
+    from each block's exact sum of the members' initial values, which
+    :func:`_exact_sum` forms over one common denominator.
 
     Raises :class:`ValueError` unless ``t_end``, ``tol``, ``rtol`` and
     ``atol`` are finite and positive, ``n_points`` is at least 1 and
@@ -385,7 +404,7 @@ def verify_forward(
     """
     original, lumped = _trajectories(
         crn, p, v0, t_end, tol, rtol, atol, n_points, forward_reduce,
-        lambda block: sum((v0.get(sp) for sp in block), Fraction(0)),
+        lambda block: _exact_sum([v0.get(sp) for sp in block]),
     )
     species_rows, block_rows = original.values.T, lumped.values.T
     max_error = 0.0

@@ -24,6 +24,7 @@ from crnlump import (
     integrate,
     make_crn,
     multisite,
+    parse_crn,
     partition_from_initial_conditions,
     refine,
     running_example,
@@ -34,7 +35,7 @@ from crnlump import (
     verify_forward,
 )
 from crnlump.cli import main
-from crnlump.core import DEFAULT_ATOL, DEFAULT_POINTS, DEFAULT_RTOL, DEFAULT_T_END
+from crnlump.core import DEFAULT_ATOL, DEFAULT_POINTS, DEFAULT_RTOL, DEFAULT_T_END, flux_table
 from crnlump.models import random_crn
 from crnlump.sim import _compile
 from conftest import blocks_of
@@ -369,6 +370,21 @@ class TestRightHandSideMatchesSparseMatrix:
         crn, _, _, quotient = multisite_with_quotient(n_sites, mode)
         self.assert_same((crn, quotient), n_sites)
 
+    @pytest.mark.parametrize(
+        "mode, reduce",
+        [(BisimMode.FORWARD, forward_reduce), (BisimMode.BACKWARD, backward_reduce)],
+        ids=["fb", "bb"],
+    )
+    def test_key_with_an_empty_row(self, mode, reduce):
+        # A + B -> A + B changes nothing, so the key A + B has no entries
+        # and its monomial index appears in no row.
+        crn, _ = parse_crn("A + B -> A + B , 1\nA -> B , 1\n")
+        quotient = reduce(crn, refine(crn, Partition.trivial(crn), mode).final).crn
+        for net in (crn, quotient):
+            assert {} in flux_table(net)[2]
+        self.assert_same((crn,), 0)
+        self.assert_same((crn, quotient), 1)
+
     def test_every_call_returns_a_new_array(self, crn):
         # The stepper keeps f while it writes the next stages, so a
         # shared output buffer would overwrite it.
@@ -642,6 +658,33 @@ class TestReportsMatchPerSpeciesReduction:
         report = self.assert_matches(verify, crn, p, v0, 10.0, monkeypatch, n_points=n_points)
         assert (report.max_error > 1e-3) == (n_points > 1)
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"A": 0.5, "B": 2.25, "C": 0.1, "D": 3.0, "E": 0.2},
+            {"A": 1, "B": 2, "C": 3, "D": 4, "E": 5},
+            {"A": 1, "B": Fraction(1, 3), "C": Fraction(5, 6), "D": 4, "E": Fraction(7, 4)},
+        ],
+        ids=["float", "int", "int-and-Fraction"],
+    )
+    def test_forward_block_sums(self, crn, h_o, values, monkeypatch):
+        # A directly built condition may hold any finite real.  Each block
+        # of the quotient starts from the running sum of its members'
+        # values: for floats, the float that 0.1 + 0.2 rounds to in {C, E}.
+        v0 = InitialCondition(crn.species, {crn.by_name(k): v for k, v in values.items()})
+        solve = crnlump.sim._solve
+        seen = []
+
+        def recorded(*args):
+            seen.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(crnlump.sim, "_solve", recorded)
+        self.assert_matches(verify_forward, crn, h_o, v0, 10.0, monkeypatch)
+        (((_, quotient), (_, quotient_v0), *_),) = seen
+        sums = [sum((v0.get(sp) for sp in block), Fraction(0)) for block in h_o.blocks]
+        assert quotient_v0 == InitialCondition.from_map(quotient, dict(zip(quotient.species, sums)))
+
 
 class TestMatchesScipy:
     """The in-package stepper, ``crnlump._rk45``, transcribes the RK45 path
@@ -737,7 +780,18 @@ class TestMatchesScipy:
                 monkeypatch.undo()
 
     @pytest.mark.parametrize(
-        "grid", [[0.0], [1.0], [0.25, 0.5, 0.875, 1.0], [1e-9, 0.5]], ids=str
+        "grid",
+        [
+            [0.0],
+            [1.0],
+            [0.25, 0.5, 0.875, 1.0],
+            [1e-9, 0.5],
+            # Far denser than the steps: one step emits many points.
+            pytest.param(np.linspace(0.0, 1.0, 2001).tolist(), id="linspace-2001"),
+            # Ends well before t_end: the last steps emit none.
+            pytest.param([0.01, 0.02, 0.3], id="ends-at-0.3"),
+        ],
+        ids=str,
     )
     @pytest.mark.parametrize("rtol", [1e-3, 1e-12], ids=str)
     def test_user_grids(self, crn, grid, rtol):
