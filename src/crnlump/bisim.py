@@ -16,13 +16,16 @@ denominators, as an int, so every sum is exact; witness values are
 divided by L.  A row reads some species, holds entries, a dict from
 species to value, and is keyed from the block labels of what it reads.
 A signature is a static part and ``sums``: per key, the sum of the
-species' values in the rows under it, zeros dropped.  Forward, the table
-is the mode's own, built from the integer reaction list
-(:func:`crnlump.core.scaled_reactions`) for one refinement or decision
-and dropped with its signatures: a row is one production entry, it reads
-the product ``y``, holds the producer's rate, and is keyed ``(partner +
-1) * n + label of y`` for ``n`` species; the static part is the reaction
-rate per partner.  ``_Forward`` alone packs and decodes these keys.
+species' values in the rows under it, zeros dropped.  A mode is built
+under the initial labels: it folds its rows once as it is built and
+hands ``_Signatures`` those first sums; its ``fold`` runs again only
+after a wide split.  Forward, the table is the mode's own, built for one
+refinement or decision and dropped with its signatures, in one pass over
+the integer reaction list (:func:`crnlump.core.scaled_reactions`) that
+also sums the first fold: a row is one production entry, it reads the
+product ``y``, holds the producer's rate, and is keyed ``(partner + 1) *
+n + label of y`` for ``n`` species; the static part is the reaction rate
+per partner.  ``_Forward`` alone packs and decodes these keys.
 Backward, a row is a reactant multiset of the network's kept
 :func:`crnlump.core.flux_table`: it reads the reactants (the table's
 key), holds the table's row of net fluxes as it is, and is keyed by the
@@ -57,8 +60,13 @@ with one touched member and an untouched one can only keep it or lose it
 as a piece of its own, so one comparison of the two signatures decides
 it, with no hashed key: nearly every block a chain splits is of this
 kind.  A block with two or more touched members may split into more than
-two pieces and is bucketed by key, as in the first pass and the wide
-passes of the multisite family.
+two pieces, as in the first pass and the wide passes of the multisite
+family.  Its touched members and one untouched member are first compared
+with its first member by ``==`` on the static parts and sums: a block
+whose members all agree stays whole without a hashed key, and only a
+block with a differing member is bucketed by key.  On the multisite
+family no block splits in the pass after the wide split, so that pass
+builds no key.
 
 After a split, ``_Signatures.retarget`` keys again every row that reads
 a splitter and moves each of its entries from the old key's sum to the
@@ -71,7 +79,7 @@ A wide split, whose new pieces of two or more species hold at least half
 of the species (the one splitting pass on the multisite family), would
 move nearly every row.  There the mode folds every row again from its
 table in a batch loop of its own, no index is built, and the next pass
-buckets every species outside a singleton, as the first pass does; the
+takes every species outside a singleton, as the first pass does; the
 partition after it is still that of recomputing every signature.  Pieces
 of one species do not count: the moves skip singletons, while a fold
 reads the whole table.  At most 2 log2(n) splits are wide, so the bound
@@ -181,11 +189,11 @@ class _Blocks:
         with one touched member and an untouched one is decided by
         comparing the member's static part and sums with an untouched
         member's, with no hashed key: when they differ, the member leaves
-        as a new piece, laid out as bucketing lays it.  Any other block is
-        bucketed by ``sigs.key``: with two or more touched members it may
-        split into more than two pieces.  The largest piece keeps the
-        block's label, the untouched members on a tie; returns ``(label,
-        parent label)`` for every other piece.
+        as a new piece, laid out as bucketing lays it.  Any other block goes
+        to ``_bucket``: with two or more touched members it may split into
+        more than two pieces.  The largest piece keeps the block's label,
+        the untouched members on a tie; returns ``(label, parent label)``
+        for every other piece.
         """
         elems, first, end, block_of = self.elems, self.first, self.end, self.block_of
         static, sums = sigs.static, sigs.sums
@@ -205,7 +213,7 @@ class _Blocks:
                 block_of[x] = label
                 pieces.append((label, b))
             else:
-                self._bucket(b, mid, sigs.key, pieces)
+                self._bucket(b, mid, sigs, pieces)
         return pieces
 
     def _gather(self, touched: list[int]) -> dict[int, int]:
@@ -223,20 +231,32 @@ class _Blocks:
             marked[b] = m + 1
         return marked
 
-    def _bucket(self, b: int, mid: int, key, pieces: list[tuple[int, int]]) -> None:
+    def _bucket(self, b: int, mid: int, sigs: _Signatures, pieces: list[tuple[int, int]]) -> None:
         """Split block ``b``, whose touched members lie before ``mid``, by
-        ``key``, and append its new pieces to ``pieces``."""
+        ``sigs.key``, and append its new pieces to ``pieces``.
+
+        The touched members and one untouched member are first compared
+        with the block's first member, static part and sums by ``==``: when
+        all of them agree, the block stays whole and no key is built.  Only
+        a block with a differing member is bucketed."""
         elems, loc, block_of = self.elems, self.loc, self.block_of
         first, end = self.first, self.end
         lo, hi = first[b], end[b]
+        static, sums = sigs.static, sigs.sums
+        x = elems[lo]
+        s, d = static[x], sums[x]
+        for y in elems[lo + 1 : min(mid + 1, hi)]:
+            if static[y] != s or sums[y] != d:
+                break
+        else:
+            return
+        key = sigs.key
         groups: dict[object, list[int]] = {}
         if mid < hi:
             # The untouched members' group; touched members with their key join it.
             groups[key(elems[mid])] = []
         for x in elems[lo:mid]:
             groups.setdefault(key(x), []).append(x)
-        if len(groups) == 1:
-            return
         # Lay the touched members out group by group, the joiners of the
         # untouched group last so that the whole group is one range.
         others = list(groups.values())
@@ -294,18 +314,22 @@ class _Signatures:
     fold: ``reading[y]``, the rows that read ``y``; ``entries[e]``, row
     ``e``'s dict from species to value, none zero; ``row_key[e]``, its key.
 
-    A mode supplies ``static``; ``fold(block_of)``, the sums under the
-    labels ``block_of``; ``rows(blocks)``, what each row reads (each
-    species once), its entries and its key under the labels of the last
-    fold, free to leave out rows held only by species in singletons;
-    ``rekey(e, block_of)``; and ``witness``, a text and both values.
+    A mode is built under the initial labels and supplies ``static``;
+    ``sums``, the sums under those labels, which become these; ``fold(
+    block_of)``, the sums under the labels ``block_of``, read only after a
+    wide split; ``rows(blocks)``, what each row reads (each species once),
+    its entries and its key under the labels of the last fold (the initial
+    labels before any), free to leave out rows held only by species in
+    singletons; ``rekey(e, block_of)``; and ``witness``, a text and both
+    values.
     """
 
     __slots__ = ("mode", "static", "sums", "row_key", "reading", "entries")
 
-    def __init__(self, mode, block_of):
+    def __init__(self, mode):
         self.mode, self.static = mode, mode.static
-        self.sums = mode.fold(block_of)
+        # The mode keeps no reference to the sums, which the moves change.
+        self.sums, mode.sums = mode.sums, None
         self.reading = self.row_key = self.entries = None
 
     def key(self, x: int):
@@ -377,52 +401,65 @@ class _Forward:
     holding ``{owner: rate}``; ``static`` numbers each species' reaction
     rates per partner.
 
-    The mode builds its table from the reaction list and keeps it only as
-    long as its signatures: ``_crr[x]`` maps each partner of species ``x``
-    to its reaction rate times L, the other reactant of a binary reaction,
+    The mode builds its table from the reaction list under the initial
+    labels ``block_of`` and keeps it only as long as its signatures.  One
+    pass over the reactions unpacks each elementary shape, ``A``, ``2A``
+    or ``A + B``, and sums ``_crr``, ``_prod`` and the first fold's
+    ``sums`` together.  ``_crr[x]`` maps each partner of species ``x`` to
+    its reaction rate times L, the other reactant of a binary reaction,
     ``x`` itself for ``2x``, :data:`EMPTY_PARTNER` for a unary reaction;
-    ``static[x]`` numbers the distinct ``_crr`` maps, so equal maps share
-    a number.  ``_prod[x]`` maps the packed key ``(partner + 1) * n + y``,
-    ``n`` the species count and ``y`` the product species id, to the
-    production rate times L.  No value is zero.  As ``y < n``, the packed
-    keys order as the ``(partner, y)`` pairs do, and ``divmod(key, n)``
-    gives back ``(partner + 1, y)``.  A row's key packs ``(partner, label
-    of y)`` alike, and so orders as that pair does.  Only this class packs
-    and decodes the keys."""
+    ``static[x]`` numbers the distinct ``_crr`` maps by first appearance,
+    so equal maps share a number.  ``_prod[x]`` maps the packed key
+    ``(partner + 1) * n + y``, ``n`` the species count and ``y`` the
+    product species id, to the production rate times L.  No value is
+    zero.  As ``y < n``, the packed keys order as the ``(partner, y)``
+    pairs do, and ``divmod(key, n)`` gives back ``(partner + 1, y)``.  A
+    row's key packs ``(partner, label of y)`` alike, and so orders as that
+    pair does.  Only this class packs and decodes the keys."""
 
-    def __init__(self, crn: CRN):
+    def __init__(self, crn: CRN, block_of):
         self.scale, rows = scaled_reactions(crn)
         self._species = crn.species
+        self._labels = list(block_of)
         n = len(self._species)
         crr: list[dict[int, int]] = [{} for _ in range(n)]
         prod: list[dict[int, int]] = [{} for _ in range(n)]
+        sums: list[dict[int, int]] = [{} for _ in range(n)]
         for i, (reactants, products, rate) in enumerate(rows):
-            # A partner is one species: the reactants must be one or two
-            # molecules (sides hold no zero multiplicity).
-            k = len(reactants)
-            if k == 2 and reactants[0][1] == reactants[1][1] == 1:
-                (a, _), (b, _) = reactants
-                terms = ((a, b, rate), (b, a, rate))
-            elif k == 1 and reactants[0][1] <= 2:
-                ((sid, mult),) = reactants
-                terms = ((sid, EMPTY_PARTNER if mult == 1 else sid, mult * rate),)
+            # A partner is one species: the reactants must be ``A``, ``2A``
+            # or ``A + B`` (sides hold no zero multiplicity).  ``A + B`` has
+            # two owners, each the other's partner.
+            if len(reactants) == 1 and reactants[0][1] <= 2:
+                ((x, mult),) = reactants
+                partner = EMPTY_PARTNER if mult == 1 else x
+                value, pair = mult * rate, False
+            elif len(reactants) == 2 and reactants[0][1] == reactants[1][1] == 1:
+                (x, _), (partner, _) = reactants
+                value, pair = rate, True
             else:
                 raise CRNError(
                     f"reaction {i} ({_reaction_text(crn, i)}): not elementary: reactants "
                     "must be one or two molecules"
                 )
-            for x, partner, value in terms:
+            while True:
                 acc = crr[x]
                 acc[partner] = acc.get(partner, 0) + value
-                acc = prod[x]
+                acc, folded = prod[x], sums[x]
                 base = (partner + 1) * n
-                for yid, mult in products:
-                    key = base + yid
-                    acc[key] = acc.get(key, 0) + value * mult
+                for y, m in products:
+                    v = value * m
+                    key = base + y
+                    acc[key] = acc.get(key, 0) + v
+                    key = base + block_of[y]
+                    folded[key] = folded.get(key, 0) + v
+                if not pair:
+                    break
+                x, partner, pair = partner, x, False
         self._crr = [_nonzero(acc) for acc in crr]
-        ids: dict[tuple, int] = {}
-        self.static = [ids.setdefault(tuple(sorted(acc.items())), len(ids)) for acc in self._crr]
+        ids: dict[frozenset, int] = {}
+        self.static = [ids.setdefault(frozenset(acc.items()), len(ids)) for acc in self._crr]
         self._prod = [_nonzero(acc) for acc in prod]
+        self.sums = [_nonzero(acc) for acc in sums]
 
     def fold(self, block_of):
         n, self._labels = len(self._species), list(block_of)
@@ -438,13 +475,22 @@ class _Forward:
 
     def rows(self, blocks: _Blocks):
         # An owner in a singleton is left out: no move reads its entries.
-        n, prod = len(self._species), self._prod
-        kept = [x for x in range(n) if not blocks.in_singleton(x)]
-        keys = [key for x in kept for key in prod[x]]
-        self._read = read = [key % n for key in keys]
-        self._base = base = [key - y for key, y in zip(keys, read)]
-        held = [{x: val} for x in kept for val in prod[x].values()]
-        return zip(read), held, [b + self._labels[y] for b, y in zip(base, read)]
+        n, labels = len(self._species), self._labels
+        block_of, first, end = blocks.block_of, blocks.first, blocks.end
+        read, base, held, keys = [], [], [], []
+        for x, entries in enumerate(self._prod):
+            b = block_of[x]
+            if end[b] - first[b] == 1:
+                continue
+            for key, val in entries.items():
+                y = key % n
+                key -= y
+                read.append(y)
+                base.append(key)
+                held.append({x: val})
+                keys.append(key + labels[y])
+        self._read, self._base = read, base
+        return zip(read), held, keys
 
     def rekey(self, e: int, block_of) -> int:
         return self._base[e] + block_of[self._read[e]]
@@ -469,13 +515,16 @@ class _Forward:
 class _Backward:
     """Backward rows, one per row of the flux table, whose dicts the moves
     read as they are.  A key numbers a class, the reactant multisets with
-    one lift, by first appearance; ``static`` is constant."""
+    one lift, by first appearance; ``static`` is constant.  ``sums`` is the
+    fold under the initial labels ``block_of``, made as the mode is
+    built."""
 
-    def __init__(self, crn: CRN):
+    def __init__(self, crn: CRN, block_of):
         self.scale, self._keys, self._rows = flux_table(crn)
         self._species = crn.species
         self._class_of = {}
         self.static = (0,) * crn.n_species
+        self.sums = self.fold(block_of)
 
     def fold(self, block_of):
         class_of = self._class_of
@@ -510,7 +559,8 @@ class _Backward:
 
 
 def _signatures(crn: CRN, mode: BisimMode, block_of):
-    return _Signatures(_Forward(crn) if mode is BisimMode.FORWARD else _Backward(crn), block_of)
+    table = _Forward if mode is BisimMode.FORWARD else _Backward
+    return _Signatures(table(crn, block_of))
 
 
 def _merged_field(

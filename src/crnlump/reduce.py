@@ -16,8 +16,12 @@ original.  Backward reduction pins every non-representative product
 multiplicity to its reactant multiplicity; the reduced network's ODEs
 govern the representative trajectories (``core._representative_mask``).
 Both lift each side they keep to ``(block, multiplicity)`` pairs by
-``core._lift`` and fuse duplicates by summing their rates as ints.  The
-fused rows, sorted by their block-id sides, are the quotient's integer
+``core._lift`` and fuse duplicates by summing their rates as ints.  When
+a block pins, backward reduction then drops each fused row whose two
+lifted sides are equal, which changes nothing: under ``{A, B}``, ``B ->
+0`` pins to ``B -> B`` and lifts to ``A -> A``.  A partition of
+singletons keeps the network's own reactions as written.  The fused
+rows, sorted by their block-id sides, are the quotient's integer
 reaction list; as blocks are ordered by their representatives' names,
 that is the order of the sides' species names.
 
@@ -115,8 +119,9 @@ def _pinned_quotient(
     outside the representatives, which it pins into the products; a product
     side by the lift of its representative pairs, which it keeps.  As
     ``_lift`` maps a concatenation to the merge of the lifts, two rows with
-    equal class ids have equal quotient rows.  Ids number the classes by
-    first appearance; a product id is below ``len(rows)``, so ``a *
+    equal class ids have equal quotient rows.  A quotient row whose two
+    sides are equal changes nothing and is dropped.  Ids number the
+    classes by first appearance; a product id is below ``len(rows)``, so ``a *
     len(rows) + b`` packs a row's two ids into one int."""
     index = p.block_index
     is_rep = _representative_mask(p)
@@ -161,6 +166,9 @@ def _pinned_quotient(
             # their net contribution vanishes in the quotient.
             steps += len(kept) + len(pinned)
             rhs = _lift(kept + pinned, index)
+        if lhs == rhs:
+            # The row changes nothing in the quotient: drop it.
+            continue
         key = lhs, rhs
         quotient[key] = quotient.get(key, 0) + rate
     return _fused_quotient(p, BisimMode.BACKWARD, scale, quotient, steps)

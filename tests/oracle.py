@@ -37,7 +37,8 @@ Nothing here shares code with the signature tables of
 * ``reference_backward_quotient``, the backward quotient built as it was
   before equal sides were classed once: every row pins its
   non-representative products to their reactant multiplicity, lifts both
-  sides into the blocks and adds its rate to the row's fused sum;
+  sides into the blocks and adds its rate to the row's fused sum, and a
+  row whose two lifted sides are equal is dropped when a block pins;
 * ``reference_flux_table``, the flux table summed reaction by reaction
   from the ``Reaction`` objects; ``reference_merged_components``, every
   component read from it and merged into the block representatives, as
@@ -760,17 +761,23 @@ def reference_backward_quotient(crn: CRN, p: Partition) -> CRN:
     products keep their representative pairs and gain the reactant pairs
     outside the representatives, both sides are lifted into the blocks,
     equal lifted rows sum their rates, and L and the sums are divided by
-    their gcd.  ``p`` is not checked to be a backward bisimulation."""
+    their gcd.  When some block holds two or more species, a row whose
+    lifted sides are equal changes nothing and is dropped; a partition of
+    singletons keeps every row.  ``p`` is not checked to be a backward
+    bisimulation."""
     scale, rows = scaled_reactions(crn)
     index = p.block_index
     is_rep = [False] * crn.n_species
     for block in p.blocks:
         is_rep[block[0].id] = True
+    pins = len(p.blocks) < crn.n_species
     fused: dict[tuple, int] = {}
     for reactants, products, rate in rows:
         kept = [pair for pair in products if is_rep[pair[0]]]
         kept += [pair for pair in reactants if not is_rep[pair[0]]]
         key = (_lift_pairs(reactants, index), _lift_pairs(kept, index))
+        if pins and key[0] == key[1]:
+            continue
         fused[key] = fused.get(key, 0) + rate
     divisor = gcd(scale, *fused.values())
     quotient = tuple((lhs, rhs, fused[lhs, rhs] // divisor) for lhs, rhs in sorted(fused))

@@ -1,3 +1,4 @@
+import random
 import re
 import types
 from fractions import Fraction
@@ -265,7 +266,7 @@ def _forward_table_networks():
 def test_forward_table_equals_the_per_reaction_reference():
     partners = set()
     for net in _forward_table_networks():
-        forward = crnlump.bisim._Forward(net)
+        forward = crnlump.bisim._Forward(net, Partition.trivial(net).block_index)
         scale, crr, crr_id, prod = reference_forward_table(net)
         assert (forward.scale, forward.static) == (scale, crr_id), net
         # Item for item: the rows are laid out in the order of ``_prod``.
@@ -286,6 +287,62 @@ def test_forward_mode_never_builds_the_flux_table(crn, h_o, monkeypatch):
     assert refine(crn, Partition.trivial(crn), BisimMode.FORWARD).final == h_o
     assert forward_reduce(crn, h_o).crn.n_species == 4
     assert find_counterexample(crn, h_o, BisimMode.FORWARD) is None
+
+
+def _first_fold_cases():
+    """Networks with block labels: trivial, discrete and random ones, and
+    multisite's site-state labels."""
+    for seed in range(40):
+        net = random_crn(seed, 2 + seed % 9, 1 + seed % 15, (1, 2, Fraction(1, 3)))
+        n = net.n_species
+        rng = random.Random(seed)
+        yield net, [0] * n
+        yield net, list(range(n))
+        yield net, [rng.randrange(1 + seed % 4) for _ in range(n)]
+    yield _packed_key_ends(), [0, 1, 1, 2, 2, 0]
+    for n in (1, 2, 3, 4):
+        net, inits = multisite(MultisiteSpec(n_sites=n))
+        yield net, [0] * net.n_species
+        yield net, list(range(net.n_species))
+        yield net, list(partition_from_initial_conditions(inits).block_index)
+
+
+def test_a_mode_is_built_with_the_sums_of_its_first_fold():
+    # Both modes fold once as they are built, under the initial labels, and
+    # hand those sums to ``_Signatures``; a later fold under the same labels
+    # gives the same sums.
+    for net, labels in _first_fold_cases():
+        for table in (crnlump.bisim._Forward, crnlump.bisim._Backward):
+            mode = table(net, labels)
+            first = mode.sums
+            assert first == mode.fold(labels), (net, labels, table)
+            sigs = crnlump.bisim._Signatures(mode)
+            assert sigs.sums is first and mode.sums is None
+
+
+NOT_ELEMENTARY = {
+    "0": ({}, "0 ->(1) B"),
+    "3A": ({"A": 3}, "3A ->(1) B"),
+    "2A + B": ({"A": 2, "B": 1}, "2A + B ->(1) B"),
+    "A + B + C": ({"A": 1, "B": 1, "C": 1}, "A + B + C ->(1) B"),
+}
+
+
+@pytest.mark.parametrize("shape", list(NOT_ELEMENTARY))
+def test_forward_table_refuses_the_first_other_shape_by_its_text(shape):
+    # Every elementary shape before it is read: A, 2A and A + B.
+    reactants, text = NOT_ELEMENTARY[shape]
+    rows = [({"A": 1}, 1, {"B": 1}), ({"A": 2}, 1, {"C": 1}), ({"A": 1, "C": 1}, 1, {})]
+    net = make_crn(["A", "B", "C"], rows + [(reactants, 1, {"B": 1}), ({"B": 3}, 1, {})])
+    expected = (
+        f"reaction 3 ({text}): not elementary: reactants must be one or two molecules"
+    )
+    with pytest.raises(CRNError) as refused:
+        crnlump.bisim._Forward(net, [0, 0, 0])
+    assert str(refused.value) == expected
+    with pytest.raises(CRNError) as refused:
+        refine(net, Partition.trivial(net), BisimMode.FORWARD)
+    assert str(refused.value) == expected
 
 
 NON_ELEMENTARY = pytest.mark.parametrize("reactants", [{"A": 3}, {}], ids=["3A", "0"])
@@ -759,7 +816,7 @@ def test_split_decides_a_block_with_one_touched_member_as_bucketing_does():
     bucketed = crnlump.bisim._Blocks(initial)
     expected = []
     for b, m in bucketed._gather(touched).items():
-        bucketed._bucket(b, bucketed.first[b] + m, sigs.key, expected)
+        bucketed._bucket(b, bucketed.first[b] + m, sigs, expected)
     assert pieces == expected
     assert _blocks_state(blocks) == _blocks_state(bucketed)
 
@@ -772,6 +829,62 @@ def test_split_decides_a_block_with_one_touched_member_as_bucketing_does():
     assert label[10] == label[11] and label[12] != label[13]
     for piece, parent in pieces:
         assert all(old[x] == parent for x in blocks.members(piece))
+
+
+def _one_block(order, static, sums):
+    """A ``_Blocks`` of one block laid out in ``order`` and signatures of
+    the given static parts and sums, whose ``key`` is the library's."""
+    names = [f"X{i}" for i in range(len(order))]
+    net = make_crn(names, [])
+    sp = net.species
+    blocks = crnlump.bisim._Blocks(Partition(sp, [sp]))
+    blocks.elems[:] = order
+    for i, x in enumerate(order):
+        blocks.loc[x] = i
+    sigs = types.SimpleNamespace(static=static, sums=sums)
+    sigs.key = lambda x: crnlump.bisim._Signatures.key(sigs, x)
+    return blocks, sigs
+
+
+def test_bucket_splits_a_block_whose_only_differing_member_is_its_last():
+    # All four touched, as after a fold: 5 alone differs, by its sums, and
+    # leaves as a piece of one; 2 alone differs by its static part.
+    for static, sums, odd in (
+        ([0] * 8, [{1: 2}] * 5 + [{1: 3}] + [{1: 2}] * 2, 5),
+        ([0, 0, 1, 0, 0, 0, 0, 0], [{1: 2}] * 8, 2),
+    ):
+        order = [7, 1, 3, odd]
+        blocks, sigs = _one_block(order + [x for x in range(8) if x not in order], static, sums)
+        blocks.first[0], blocks.end[0] = 0, 4
+        pieces = []
+        blocks._bucket(0, 4, sigs, pieces)
+        assert pieces == [(1, 0)]
+        assert blocks.elems[:4] == [7, 1, 3, odd]
+        assert (blocks.first, blocks.end) == ([0, 3], [3, 4])
+        assert [blocks.block_of[x] for x in order] == [0, 0, 0, 1]
+    # Two touched members agree with each other, but not with the untouched
+    # member compared after them: they leave together, the untouched keep
+    # the label.
+    sums = [{1: 2}] * 2 + [{1: 5}] * 3
+    blocks, sigs = _one_block([0, 1, 2, 3, 4], [0] * 5, sums)
+    pieces = []
+    blocks._bucket(0, 2, sigs, pieces)
+    assert pieces == [(1, 0)]
+    assert (blocks.first, blocks.end) == ([2, 0], [5, 2])
+    assert blocks.block_of == [1, 1, 0, 0, 0]
+
+
+def test_bucket_builds_no_key_when_every_member_agrees():
+    def refuse(x):
+        raise AssertionError("a key was built")
+
+    for mid in (2, 5):
+        blocks, sigs = _one_block([4, 0, 3, 1, 2], [3] * 5, [{0: 1, 7: -2}] * 5)
+        sigs.key = refuse
+        pieces = []
+        blocks._bucket(0, mid, sigs, pieces)
+        assert pieces == [] and blocks.elems == [4, 0, 3, 1, 2]
+        assert (blocks.first, blocks.end) == ([0], [5])
 
 
 def _three_chains():
@@ -859,7 +972,7 @@ def _reading_new_pieces(net, mode, blocks, pieces):
     block_of = blocks.block_of
     if mode is BisimMode.FORWARD:
         n = net.n_species
-        prod = crnlump.bisim._Forward(net)._prod
+        prod = crnlump.bisim._Forward(net, block_of)._prod
         reading = {x for x in range(n) if any(block_of[key % n] in new for key in prod[x])}
     else:
         reading = {

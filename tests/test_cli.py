@@ -567,12 +567,22 @@ def test_non_elementary_network_through_the_cli(tmp_path, capsys, argv, code, ou
     assert (captured.out, captured.err) == (out, "")
 
 
+def test_backward_quotient_prints_no_row_that_changes_nothing(tmp_path, capsys):
+    model, part = tmp_path / "noop.crn", tmp_path / "noop.part"
+    model.write_text("C -> A , 1\nC -> B , 1\nA -> 0 , 1\nB -> 0 , 1\n")
+    part.write_text("A, B\nC\n")
+    assert main(["reduce", str(model), "--mode", "bb", "--partition", str(part)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "species: A C\nA -> 0 , 1\nC -> 0 , 1\nC -> A , 1\n"
+    assert "reduced: 2 species, 3 reactions\n" in captured.err
+
+
 def test_non_elementary_network_reduces_and_compares_backward_only(tmp_path, capsys):
     model = tmp_path / "ne.crn"
     model.write_text(NON_ELEMENTARY_CRN)
     assert main(["reduce", str(model), "--mode", "bb", "--from-inits"]) == 0
     report = capsys.readouterr().err
-    assert "block A: A B\n" in report and "reduced: 2 species, 6 reactions" in report
+    assert "block A: A B\n" in report and "reduced: 2 species, 5 reactions" in report
     assert main(["compare", str(model), "--mode", "bb", "--from-inits", "--t-end", "1"]) == 0
     summary = capsys.readouterr().out
     assert summary.startswith("partition: 2 blocks; backward: max error ")

@@ -33,7 +33,7 @@ from crnlump.odes import exact_lumpability_witness, ordinary_lumpability_witness
 
 FB, BB = BisimMode.FORWARD, BisimMode.BACKWARD
 
-GOLDEN = "ad481698a25ff0fd55269bc6cfc2c0eff5990a993fff3546b795128ecc33959c"
+GOLDEN = "70fd73245a76593a81356062fe344b00581de2921376f4474a7761dcec4028f8"
 LUMPING_GOLDEN = "b4ee75392591205ef601e56d25fa6936be73c82e56da11a77dd7ec5b59ece177"
 
 

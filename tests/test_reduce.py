@@ -208,6 +208,22 @@ class TestFusedBackwardQuotient:
             self.assert_matches_reference(net, Partition.discrete(net))
 
 
+class TestRowsThatChangeNothing:
+    NETWORK = "C -> A , 1\nC -> B , 1\nA -> 0 , 1\nB -> 0 , 1\nA + C -> A + C , 2\n"
+
+    def test_pinned_quotient_drops_them(self):
+        # Under {A, B}, B -> 0 pins to B -> B and lifts to A -> A; the
+        # catalytic A + C -> A + C lifts to itself.  Both are dropped.
+        net, _ = parse_crn(self.NETWORK)
+        reduced = backward_reduce(net, blocks_of(net, "AB", "C"))
+        assert serialize_crn(reduced.crn) == "species: A C\nA -> 0 , 1\nC -> 0 , 1\nC -> A , 1\n"
+
+    def test_a_partition_of_singletons_keeps_the_reactions_as_written(self):
+        net, _ = parse_crn(self.NETWORK)
+        reduced = backward_reduce(net, Partition.discrete(net))
+        assert reaction_set(reduced.crn) == reaction_set(net)
+
+
 class TestIntegerRates:
     # Species ids follow first appearance (A, C, D, B), not name order.
     NETWORK = (
